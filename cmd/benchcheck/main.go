@@ -52,10 +52,6 @@ type result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp *int64  `json:"allocs_per_op"`
 	BytesPerOp  *int64  `json:"bytes_per_op"`
-	// EventsPerSec is a higher-is-better throughput metric (the live
-	// pipeline rows of BENCH_matching.json): a drop beyond the threshold
-	// is the regression, a rise is the improvement.
-	EventsPerSec *float64 `json:"events_per_sec"`
 	// BytesPerPeriod and HopsPerEvent are the overlay-scaling metrics of
 	// BENCH_overlay.json: summary traffic per propagation period and
 	// mean routing messages per event. Both are lower-is-better and —
@@ -123,14 +119,12 @@ func compare(base, cur map[string]result, order []string, thresholdPct float64) 
 		default:
 			// ns/op: wall time is noisy on shared runners, so only a
 			// percentage drift beyond the threshold is called out. Rows
-			// that carry events_per_sec skip this — their ns_per_op is its
-			// exact reciprocal, and one verdict per number is enough. Rows
-			// that carry the deterministic overlay metrics skip it too:
+			// that carry the deterministic overlay metrics skip this:
 			// their ns_per_op is a single propagation period's wall time,
 			// far too short to time stably, and the seeded bytes/hops
 			// numbers below are the real verdict.
 			overlayRow := b.BytesPerPeriod != nil && c.BytesPerPeriod != nil
-			if (b.EventsPerSec == nil || c.EventsPerSec == nil) && !overlayRow {
+			if !overlayRow {
 				r := row{name: name, metric: "ns/op", base: b.NsPerOp, cur: c.NsPerOp, hasBase: true, hasCur: true}
 				if b.NsPerOp > 0 {
 					r.deltaPct = (c.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
@@ -165,25 +159,6 @@ func compare(base, cur map[string]result, order []string, thresholdPct float64) 
 					ar.status = "ok"
 				}
 				rows = append(rows, ar)
-			}
-
-			// events/sec: higher is better, so the regression sign flips —
-			// a throughput drop beyond the threshold is flagged.
-			if b.EventsPerSec != nil && c.EventsPerSec != nil {
-				er := row{name: name, metric: "events/sec", base: *b.EventsPerSec, cur: *c.EventsPerSec, hasBase: true, hasCur: true}
-				if er.base > 0 {
-					er.deltaPct = (er.cur - er.base) / er.base * 100
-				}
-				switch {
-				case er.deltaPct < -thresholdPct:
-					er.status = fmt.Sprintf("REGRESSION (throughput down >%g%%)", thresholdPct)
-					regressions++
-				case er.deltaPct > thresholdPct:
-					er.status = "improved"
-				default:
-					er.status = "ok"
-				}
-				rows = append(rows, er)
 			}
 
 			// bytes/period and hops/event: lower is better, threshold-gated

@@ -172,49 +172,6 @@ func TestCompareSkipsAllocsWhenOneSideLacksThem(t *testing.T) {
 	}
 }
 
-func TestCompareFlagsThroughputRegressions(t *testing.T) {
-	// events_per_sec is higher-is-better: a drop beyond the threshold is
-	// the regression, a rise the improvement, and rows that carry it skip
-	// the redundant reciprocal ns/op comparison.
-	dir := t.TempDir()
-	base := writeReport(t, dir, "base.json", `{"results":[
-		{"name":"TputDown","ns_per_op":1000,"events_per_sec":1000000},
-		{"name":"TputUp","ns_per_op":1000,"events_per_sec":1000000},
-		{"name":"TputFlat","ns_per_op":1000,"events_per_sec":1000000}]}`)
-	cur := writeReport(t, dir, "cur.json", `{"results":[
-		{"name":"TputDown","ns_per_op":1250,"events_per_sec":800000},
-		{"name":"TputUp","ns_per_op":800,"events_per_sec":1250000},
-		{"name":"TputFlat","ns_per_op":1010,"events_per_sec":990000}]}`)
-
-	b, _, err := loadReport(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, order, err := loadReport(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, regressions := compare(b, c, order, 10)
-	if regressions != 1 {
-		t.Fatalf("regressions = %d, want 1 (TputDown)", regressions)
-	}
-	status := statusKey(rows)
-	if !strings.HasPrefix(status["TputDown events/sec"], "REGRESSION") {
-		t.Errorf("TputDown: %q", status["TputDown events/sec"])
-	}
-	if status["TputUp events/sec"] != "improved" {
-		t.Errorf("TputUp: %q", status["TputUp events/sec"])
-	}
-	if status["TputFlat events/sec"] != "ok" {
-		t.Errorf("TputFlat: %q", status["TputFlat events/sec"])
-	}
-	for _, r := range rows {
-		if r.metric == "ns/op" {
-			t.Fatalf("throughput row %q produced a redundant ns/op comparison", r.name)
-		}
-	}
-}
-
 func TestCompareFlagsOverlayRegressions(t *testing.T) {
 	// bytes_per_period and hops_per_event are lower-is-better like ns/op
 	// but seeded-deterministic: a rise past the threshold is a real

@@ -107,12 +107,6 @@ var experimentSpecs = []experimentSpec{
 				fatalf("%v", err)
 			}
 		}},
-	{"benchthroughput", "live-engine event throughput sweep", true,
-		func(e *benchEnv) {
-			if err := runBenchThroughput(e.jsonOut); err != nil {
-				fatalf("%v", err)
-			}
-		}},
 	{"benchoverlay", "overlay scaling ladder -> BENCH_overlay.json", true,
 		func(e *benchEnv) {
 			if err := runBenchOverlay(e.jsonOut, e.sizes, e.workers, e.seed); err != nil {

@@ -79,9 +79,6 @@ func main() {
 		journalKB   = flag.Int("journal-kb", 256, "flight-recorder journal capacity in KiB (0 disables /debug/journal and crash-dump journals)")
 		wdEvery     = flag.Duration("watchdog", 10*time.Second, "invariant watchdog check interval (0 disables)")
 		crashDump   = flag.String("crash-dump", "", "path for the crash dump written on panic or SIGQUIT (empty: dump to stderr)")
-
-		matchShards = flag.Int("match-shards", 0, "partition each broker's match snapshot into this many id-range shards (≤1 unsharded; pays off with real cores)")
-		eventBatch  = flag.Int("event-batch", 1, "events drained per broker-handler wakeup (>1 enables the batched pipeline with coalesced deliver multicast)")
 	)
 	flag.Parse()
 
@@ -132,7 +129,7 @@ func main() {
 			// matched and counted but delivered nowhere until a client
 			// re-subscribes. Operators typically pair snapshots with
 			// durable consumer queues; this daemon logs instead.
-			network, err = core.LoadSnapshot(f, core.Config{Topology: topo, Mode: mode, FullSyncEvery: *fullSync, Metrics: reg, Flight: rec, MatchShards: *matchShards, EventBatch: *eventBatch},
+			network, err = core.LoadSnapshot(f, core.Config{Topology: topo, Mode: mode, FullSyncEvery: *fullSync, Metrics: reg, Flight: rec},
 				func(id subid.ID, sub *schema.Subscription) broker.DeliveryFunc {
 					blog := logger.With("broker", int(id.Broker), "local", uint32(id.Local))
 					return func(id subid.ID, ev *schema.Event) {
@@ -154,7 +151,7 @@ func main() {
 	}
 	if network == nil {
 		var err error
-		network, err = core.New(core.Config{Topology: topo, Schema: s, Mode: mode, FullSyncEvery: *fullSync, Metrics: reg, Flight: rec, MatchShards: *matchShards, EventBatch: *eventBatch})
+		network, err = core.New(core.Config{Topology: topo, Schema: s, Mode: mode, FullSyncEvery: *fullSync, Metrics: reg, Flight: rec})
 		if err != nil {
 			fatal("building network", "err", err)
 		}

@@ -191,8 +191,8 @@ func TestFPAttributorSpaceSavingBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.ObserveFP(priceID, FPClassRange, 0) // heavy hitter
 	}
-	a.ObserveFP(symbolID, FPClassEq, 0)    // light entry, count 1
-	a.ObserveFP(symbolID, FPClassGlob, 1)  // evicts the light entry
+	a.ObserveFP(symbolID, FPClassEq, 0)   // light entry, count 1
+	a.ObserveFP(symbolID, FPClassGlob, 1) // evicts the light entry
 	rep := a.Report(0)
 	if rep.Total != 7 {
 		t.Fatalf("total = %d, want 7", rep.Total)

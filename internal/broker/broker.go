@@ -11,6 +11,7 @@ package broker
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -70,7 +71,6 @@ type Broker struct {
 	// generation is stale they rebuild under b.mu (double-checked) and
 	// swap. Matching therefore never blocks behind a concurrent
 	// Subscribe/MergeEncodedSummary, and mutators never wait for matchers.
-	matchShards  int
 	matchGen     atomic.Uint64
 	snap         atomic.Pointer[matchSnapshot]
 	communicated map[topology.NodeID]bool
@@ -183,10 +183,6 @@ type Config struct {
 	// outcomes into the flight recorder. Nil (and the Recorder's own
 	// nil-receiver tolerance) keeps the hot paths branch-cheap.
 	Flight *flight.Recorder
-	// MatchShards partitions the published match snapshot into this many
-	// id-range shards so batches of events can match across cores (≤ 1 =
-	// unsharded). Match results are identical at any shard count.
-	MatchShards int
 	// Attribution, when non-nil, receives false-positive attributions
 	// (which attribute/operator-class/owner admitted an event that no raw
 	// subscription matched) and per-attribute delivery credits. Shared
@@ -221,7 +217,6 @@ func New(cfg Config) (*Broker, error) {
 		retired:       make(map[subid.LocalID]struct{}),
 		rec:           cfg.Flight,
 		attrib:        cfg.Attribution,
-		matchShards:   max(1, cfg.MatchShards),
 
 		peerEpochs:        newEpochVector(cfg.NumBrokers),
 		lastFullSyncEpoch: -1,
@@ -253,6 +248,34 @@ type matchSnapshot struct {
 	brokers subid.Mask // read-only: callers must clone before mutating
 }
 
+// matchShardThreshold is the merged-summary size, in subscriptions, from
+// which a snapshot is split into id-range shards so a run of events fans
+// its matching out across cores. Below it one Algorithm 1 pass is too
+// short to repay a goroutine round trip per run and n deep copies per
+// rebuild. The benchmark has workloads on both sides (numbers from a
+// 2-core host, two shards): the fanout-cw24 hub (≤ 2 400 merged
+// subscriptions) and every walk-ts256 broker (≤ 1 024) sit below, and
+// sharding them anyway cost each about 15 % of its events/s and
+// walk-ts256 a third more publish latency; the match-cw24-24k hub
+// (24 000) sits above, and sharding it gained 77 % events/s. 8 192 is the
+// one value tried between them.
+const matchShardThreshold = 8192
+
+// matchShardLimit caps the fan-out: every shard re-walks the event's
+// attributes and costs one deep copy per snapshot rebuild, so width past
+// a handful of cores buys little.
+const matchShardLimit = 8
+
+// matchShardCount picks the snapshot's shard count from what the broker
+// can observe when it rebuilds: the merged summary's size and the cores
+// the runtime may use.
+func matchShardCount(mergedSubs, procs int) int {
+	if mergedSubs < matchShardThreshold {
+		return 1
+	}
+	return max(1, min(procs, matchShardLimit))
+}
+
 // invalidateMatch retires the published snapshot; the next match rebuilds
 // it from the current merged state. Callers hold b.mu.
 func (b *Broker) invalidateMatch() { b.matchGen.Add(1) }
@@ -271,7 +294,8 @@ func (b *Broker) matchSnapshot() *matchSnapshot {
 	if s := b.snap.Load(); s != nil && s.gen == gen {
 		return s
 	}
-	pool := summary.NewShardedMatcherPool(b.merged.ShardByKey(b.matchShards))
+	shards := matchShardCount(b.merged.NumSubscriptions(), runtime.GOMAXPROCS(0))
+	pool := summary.NewShardedMatcherPool(b.merged.ShardByKey(shards))
 	pool.SetObs(b.matcherObs)
 	s := &matchSnapshot{gen: gen, pool: pool, brokers: b.mergedBrokers.Clone()}
 	b.snap.Store(s)
@@ -673,13 +697,6 @@ func (b *Broker) MergedBrokers() subid.Mask {
 	return b.mergedBrokers.Clone()
 }
 
-// MergedBrokersShared returns the Merged_Brokers set of the published
-// match snapshot without taking b.mu or cloning — the routing hot path's
-// read. Read-only: callers must not mutate the mask.
-func (b *Broker) MergedBrokersShared() subid.Mask {
-	return b.matchSnapshot().brokers
-}
-
 // ChooseTarget picks the Algorithm 2 send target among the broker's
 // neighbors: degree ≥ the broker's own, not yet communicated with,
 // preferring the smallest *strictly higher* degree and falling back to an
@@ -734,23 +751,17 @@ func (b *Broker) RecordCommunicated(peer topology.NodeID) {
 
 // MatchMerged runs Algorithm 1 on the merged multi-broker summary and
 // returns the matched subscription ids (possibly including pre-filter
-// false positives, resolved at the owners). The read path is lock-free:
-// it matches against the published snapshot with a leased matcher, so
-// concurrent merges and subscribes never stall it, and the latency
-// histogram is observed outside any lock.
+// false positives, resolved at the owners): the one-event wrapper over a
+// match lease. The read path is lock-free — it matches against the
+// published snapshot, so concurrent merges and subscribes never stall it
+// — and the latency histogram is observed outside any lock.
 func (b *Broker) MatchMerged(ev *schema.Event) []subid.ID {
-	s := b.matchSnapshot()
-	m := s.pool.Get()
-	if b.obs == nil {
-		ids := m.Match(ev)
-		s.pool.Put(m)
-		return ids
-	}
+	l := b.AcquireMatcher()
 	start := time.Now()
-	ids := m.Match(ev)
+	ids := l.m.Match(ev)
 	elapsed := time.Since(start)
-	s.pool.Put(m)
-	b.obs.matchSeconds.Observe(elapsed.Seconds())
+	l.Release()
+	b.ObserveMatchRun(elapsed, 1)
 	return ids
 }
 
@@ -786,12 +797,18 @@ func (l MatchLease) MatchBatch(events []*schema.Event) [][]uint64 {
 // Release returns the leased matcher to its snapshot's pool.
 func (l MatchLease) Release() { l.snap.pool.Put(l.m) }
 
-// MatchSeconds records one amortized match-latency observation (used by
-// the batched routing path, which times a whole batch and attributes the
-// mean to each event). No-op without metrics.
-func (b *Broker) MatchSeconds(sec float64) {
-	if b.obs != nil {
-		b.obs.matchSeconds.Observe(sec)
+// ObserveMatchRun records the match latency of a run of `events` events
+// that took `elapsed` in all: one observation of the mean per event, as
+// MatchMerged records one per call, so the histogram counts matched
+// events and a long run weighs in the percentiles by its length. No-op
+// without metrics.
+func (b *Broker) ObserveMatchRun(elapsed time.Duration, events int) {
+	if b.obs == nil {
+		return
+	}
+	mean := elapsed.Seconds() / float64(events)
+	for i := 0; i < events; i++ {
+		b.obs.matchSeconds.Observe(mean)
 	}
 }
 

@@ -1,9 +1,11 @@
 package broker
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
@@ -55,12 +57,9 @@ func (r *deliverRecorder) take() []uint64 {
 
 // loadedBroker returns a broker with nSubs workload subscriptions, all
 // delivering into the shared recorder.
-func loadedBroker(t testing.TB, gen *workload.Generator, nSubs, shards int) (*Broker, *deliverRecorder) {
+func loadedBroker(t testing.TB, gen *workload.Generator, nSubs int) (*Broker, *deliverRecorder) {
 	t.Helper()
-	b, err := New(Config{
-		ID: 0, Schema: gen.Schema(), Mode: interval.Lossy,
-		NumBrokers: 1, MatchShards: shards,
-	})
+	b, err := New(Config{ID: 0, Schema: gen.Schema(), Mode: interval.Lossy, NumBrokers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +72,50 @@ func loadedBroker(t testing.TB, gen *workload.Generator, nSubs, shards int) (*Br
 	return b, rec
 }
 
+// setProcs pins GOMAXPROCS for one test, so shard selection does not
+// depend on the host's core count.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestMatchShardCount pins the selection rule: one shard below the
+// threshold whatever the cores, min(GOMAXPROCS, matchShardLimit) from the
+// threshold up.
+func TestMatchShardCount(t *testing.T) {
+	for _, tc := range []struct{ subs, procs, want int }{
+		{0, 8, 1},
+		{matchShardThreshold - 1, 1, 1},
+		{matchShardThreshold - 1, 8, 1},
+		{matchShardThreshold, 1, 1},
+		{matchShardThreshold, 2, 2},
+		{matchShardThreshold, matchShardLimit, matchShardLimit},
+		{10 * matchShardThreshold, 4, 4},
+		{10 * matchShardThreshold, 64, matchShardLimit},
+	} {
+		if got := matchShardCount(tc.subs, tc.procs); got != tc.want {
+			t.Errorf("matchShardCount(%d subs, %d procs) = %d, want %d", tc.subs, tc.procs, got, tc.want)
+		}
+	}
+}
+
 // TestDeliverExactPrunedMatchesScan is the delivery-set regression test
 // for the summary-pruned exact-match path: for every event, the pruned
 // DeliverExact must invoke exactly the consumers the full-scan reference
-// does, in count and in identity.
+// does, in count and in identity — on a snapshot below the shard
+// threshold (one shard) and on one at it (four).
 func TestDeliverExactPrunedMatchesScan(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	setProcs(t, 4)
+	for _, tc := range []struct{ subs, shards int }{
+		{2000, 1},
+		{matchShardThreshold, 4},
+	} {
 		gen := deliverWorkload(t, 7)
-		b, rec := loadedBroker(t, gen, 2000, shards)
+		b, rec := loadedBroker(t, gen, tc.subs)
+		if got := b.AcquireMatcher().m.NumShards(); got != tc.shards {
+			t.Fatalf("%d subs: snapshot has %d shards, want %d", tc.subs, got, tc.shards)
+		}
 		total := 0
 		for i := 0; i < 300; i++ {
 			ev := gen.Event(0.9)
@@ -89,11 +124,11 @@ func TestDeliverExactPrunedMatchesScan(t *testing.T) {
 			nScan := b.DeliverExactScan(ev)
 			scanned := rec.take()
 			if nPruned != nScan {
-				t.Fatalf("shards=%d event %d: pruned delivered %d, scan %d", shards, i, nPruned, nScan)
+				t.Fatalf("%d subs, event %d: pruned delivered %d, scan %d", tc.subs, i, nPruned, nScan)
 			}
 			if !slices.Equal(pruned, scanned) {
-				t.Fatalf("shards=%d event %d: delivery sets diverge\npruned: %v\nscan:   %v",
-					shards, i, pruned, scanned)
+				t.Fatalf("%d subs, event %d: delivery sets diverge\npruned: %v\nscan:   %v",
+					tc.subs, i, pruned, scanned)
 			}
 			total += nScan
 		}
@@ -152,9 +187,10 @@ func TestMatchSnapshotFreshness(t *testing.T) {
 	}
 }
 
-// TestMatchLatencyObserved checks the satellite wiring: MatchMerged and
-// DeliverExact feed the match histogram / delivery counters when a
-// registry is attached.
+// TestMatchLatencyObserved checks the match instruments: MatchMerged and
+// a leased multi-event run both feed the latency histogram once per
+// event, so its count equals broker_match_events and a long run weighs in
+// the percentiles by its length.
 func TestMatchLatencyObserved(t *testing.T) {
 	s := testSchema(t)
 	reg := metrics.NewRegistry()
@@ -170,10 +206,20 @@ func TestMatchLatencyObserved(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.MatchMerged(ev)
 	}
-	b.MatchSeconds(0.001) // the batched path's amortized observation
+	run := []*schema.Event{ev, ev, ev, ev, ev, ev, ev}
+	lease := b.AcquireMatcher()
+	start := time.Now()
+	lease.MatchBatch(run)
+	b.ObserveMatchRun(time.Since(start), len(run))
+	lease.Release()
+
 	h := reg.HistogramVec("broker_match_seconds", metrics.DefLatencyBuckets).With("0")
-	if got := h.Count(); got != 6 {
-		t.Fatalf("broker_match_seconds count = %d, want 6", got)
+	events := reg.CounterVec("broker_match_events").With("0").Value()
+	if want := int64(5 + len(run)); events != want {
+		t.Fatalf("broker_match_events = %d, want %d", events, want)
+	}
+	if got := h.Count(); got != events {
+		t.Fatalf("broker_match_seconds count = %d, want one per matched event (%d)", got, events)
 	}
 	if got := b.DeliverExact(ev); got != 1 {
 		t.Fatalf("DeliverExact = %d, want 1", got)
@@ -185,8 +231,8 @@ func TestMatchLatencyObserved(t *testing.T) {
 // Under -race this is the snapshot-swap memory-model regression test.
 func TestConcurrentMatchAndMutate(t *testing.T) {
 	gen := deliverWorkload(t, 11)
-	b, _ := loadedBroker(t, gen, 200, 2)
-	remote, err := New(Config{ID: 1, Schema: gen.Schema(), Mode: interval.Lossy, NumBrokers: 2, MatchShards: 2})
+	b, _ := loadedBroker(t, gen, 200)
+	remote, err := New(Config{ID: 1, Schema: gen.Schema(), Mode: interval.Lossy, NumBrokers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

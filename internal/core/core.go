@@ -21,6 +21,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,19 +74,6 @@ type Config struct {
 	// watchdog violations) into a bounded flight recorder. Nil costs one
 	// branch on the affected paths. Retrieve it with Network.Flight.
 	Flight *flight.Recorder
-	// MatchShards partitions every broker's published match snapshot into
-	// this many id-range shards, so a batch of events fans out across
-	// cores during matching. ≤1 = unsharded. Match results are identical
-	// at any shard count (the determinism rule).
-	MatchShards int
-	// EventBatch bounds how many pending messages each broker's handler
-	// drains from its mailbox per wakeup. >1 enables the batched event
-	// pipeline: decode/metrics amortized per batch, one batched match
-	// against the published snapshot, and deliver-sends to the same owner
-	// coalesced into one multicast payload. ≤1 (the default) preserves
-	// one-message-per-wakeup handling with exactly one deliver message
-	// per matched owner per event.
-	EventBatch int
 }
 
 // Network is a running broker network. Create with New, stop with Close.
@@ -124,28 +112,23 @@ type Network struct {
 	tracer  tracer
 	rec     *flight.Recorder // nil unless Config.Flight was set
 
-	// scratch holds each broker's batch-pipeline working set (non-nil only
-	// with EventBatch > 1). scratch[i] is owned by broker i's handler
-	// goroutine — no locking.
-	scratch []*batchScratch
+	// scratch[i] is broker i's event-run working set, owned by broker i's
+	// handler goroutine — no locking.
+	scratch []runScratch
 
 	watchdog *Watchdog // nil until StartWatchdog
 }
 
-// batchScratch is one broker handler's reusable batch working set: the
-// decoded events of the current run with their per-event masks, plus the
-// per-owner coalescing lists (owners[o] = indexes of events to deliver to
-// owner o; touched = owners with a nonempty list this run).
-type batchScratch struct {
+// runScratch is one broker handler's reusable working set for a run of
+// events: the decoded events with their per-event masks, and the remote
+// deliveries the run owes as a flat list of owner<<32|event-index pairs,
+// sorted per run so each owner's events are contiguous. Everything grows
+// on demand, so a broker that routes short runs holds little.
+type runScratch struct {
 	events  []*schema.Event
 	broclis []subid.Mask
 	delivs  []subid.Mask
-	owners  [][]int32
-	touched []int32
-}
-
-func newBatchScratch(n int) *batchScratch {
-	return &batchScratch{owners: make([][]int32, n)}
+	sends   []uint64
 }
 
 // netObs holds the engine-level instruments, resolved once in New.
@@ -224,7 +207,6 @@ func New(cfg Config) (*Network, error) {
 			FilterSubsumedDeltas: cfg.FilterSubsumedDeltas,
 			Metrics:              reg,
 			Flight:               cfg.Flight,
-			MatchShards:          cfg.MatchShards,
 			Attribution:          net.attrib,
 		})
 		if err != nil {
@@ -233,23 +215,10 @@ func New(cfg Config) (*Network, error) {
 		net.brokers[i] = b
 	}
 	net.order = net.effectiveOrder()
-	batch := cfg.EventBatch
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > 1 {
-		net.scratch = make([]*batchScratch, n)
-		for i := range net.scratch {
-			net.scratch[i] = newBatchScratch(n)
-		}
-	}
+	net.scratch = make([]runScratch, n)
 	for i := 0; i < n; i++ {
 		node := topology.NodeID(i)
-		if batch > 1 {
-			net.bus.StartBatch(node, batch, func(ms []netsim.Message) { net.handleBatch(node, ms) })
-		} else {
-			net.bus.Start(node, func(m netsim.Message) { net.handle(node, m) })
-		}
+		net.bus.StartBatch(node, func(ms []netsim.Message) { net.handleBatch(node, ms) })
 	}
 	return net, nil
 }
@@ -512,56 +481,58 @@ func (net *Network) Publish(at topology.NodeID, ev *schema.Event) error {
 // deliveries) has been processed.
 func (net *Network) Flush() { net.bus.Quiesce() }
 
-// handle dispatches one message on broker `node`'s goroutine. Messages
-// that cannot be processed are counted on the bus, never silently dropped.
-func (net *Network) handle(node topology.NodeID, m netsim.Message) {
-	switch m.Kind {
-	case netsim.KindSummary:
-		net.handleSummary(node, m)
-	case netsim.KindEvent:
-		net.handleEvent(node, m)
-	case netsim.KindDeliver:
-		// A deliver payload carries one event — or several, when the sender
-		// coalesced a batch for this owner. Traced delivers are always
-		// single-event (coalescing is bypassed for sampled events).
-		evs, traceID, err := decodeDeliverAll(net.cfg.Schema, m.Payload, nil)
-		if err != nil || len(evs) == 0 {
-			net.bus.RecordDecodeErrorAt(netsim.KindDeliver, node)
-			return
-		}
-		hits := 0
-		for _, ev := range evs {
-			hits += net.brokers[node].DeliverExact(ev)
-		}
-		if traceID != 0 {
-			net.tracer.addBytes(traceID, len(m.Payload))
-			decision := DecisionDelivered
-			if hits == 0 {
-				decision = DecisionFalsePositive
+// handleBatch processes one mailbox drain on broker `node`'s goroutine, in
+// arrival order: summary and deliver messages singly, consecutive event
+// messages as one run — so batching never reorders events relative to
+// summary merges. A traced event is a run of its own, which keeps its hop
+// records and per-message byte accounting exact without letting it
+// overtake the events queued before it. Messages that cannot be processed
+// are counted on the bus, never silently dropped.
+func (net *Network) handleBatch(node topology.NodeID, msgs []netsim.Message) {
+	for i := 0; i < len(msgs); {
+		j := i + 1
+		switch msgs[i].Kind {
+		case netsim.KindSummary:
+			net.handleSummary(node, msgs[i])
+		case netsim.KindDeliver:
+			net.handleDeliver(node, msgs[i])
+		case netsim.KindEvent:
+			if !isTraced(msgs[i].Payload) {
+				for j < len(msgs) && msgs[j].Kind == netsim.KindEvent && !isTraced(msgs[j].Payload) {
+					j++
+				}
 			}
-			net.tracer.hop(traceID, node, decision, hits, len(m.Payload))
+			net.routeRun(node, msgs[i:j])
 		}
+		i = j
 	}
 }
 
-// handleBatch processes one mailbox drain on broker `node`'s goroutine:
-// consecutive runs of event messages route as one batch; summary and
-// deliver messages are handled singly, in arrival order, so batching
-// never reorders events relative to summary merges.
-func (net *Network) handleBatch(node topology.NodeID, msgs []netsim.Message) {
-	for i := 0; i < len(msgs); {
-		if msgs[i].Kind != netsim.KindEvent {
-			net.handle(node, msgs[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(msgs) && msgs[j].Kind == netsim.KindEvent {
-			j++
-		}
-		net.handleEventRun(node, msgs[i:j])
-		i = j
+// handleDeliver re-matches an owner-delivery payload exactly and notifies
+// the consumers. The payload carries every event of the sender's run that
+// matched this owner; a traced payload always carries one.
+func (net *Network) handleDeliver(node topology.NodeID, m netsim.Message) {
+	evs, traceID, err := decodeDeliverMsg(net.cfg.Schema, m.Payload)
+	if err != nil || len(evs) == 0 {
+		net.bus.RecordDecodeErrorAt(netsim.KindDeliver, node)
+		return
 	}
+	hits := 0
+	for _, ev := range evs {
+		hits += net.brokers[node].DeliverExact(ev)
+	}
+	if traceID != 0 {
+		net.tracer.addBytes(traceID, len(m.Payload))
+		net.tracer.hop(traceID, node, deliveryDecision(hits), hits, len(m.Payload))
+	}
+}
+
+// deliveryDecision names the outcome of an exact re-match for a trace.
+func deliveryDecision(hits int) string {
+	if hits == 0 {
+		return DecisionFalsePositive
+	}
+	return DecisionDelivered
 }
 
 func (net *Network) handleSummary(node topology.NodeID, m netsim.Message) {
@@ -608,73 +579,138 @@ func (net *Network) handleSummary(node topology.NodeID, m netsim.Message) {
 	}
 }
 
-func (net *Network) handleEvent(node topology.NodeID, m netsim.Message) {
-	ev, brocli, delivered, traceID, err := decodeEventMsg(net.cfg.Schema, m.Payload)
-	if err != nil {
-		net.bus.RecordDecodeErrorAt(netsim.KindEvent, node)
+// routeRun runs one Algorithm 3 hop for a run of k ≥ 1 consecutive event
+// messages — the only implementation of the hop. The read side is
+// lock-free: the whole run matches against one leased snapshot (its
+// shards fanning out across cores when the broker built any) and takes
+// the Merged_Brokers set of that same generation.
+func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
+	sc := &net.scratch[node]
+	sc.events, sc.broclis, sc.delivs, sc.sends = sc.events[:0], sc.broclis[:0], sc.delivs[:0], sc.sends[:0]
+	// Nonzero only for a run of one: handleBatch makes every traced event
+	// a run of its own.
+	var traceID uint64
+	for _, m := range msgs {
+		ev, brocli, delivered, id, err := decodeEventMsg(net.cfg.Schema, m.Payload)
+		if err != nil {
+			net.bus.RecordDecodeErrorAt(netsim.KindEvent, node)
+			continue
+		}
+		traceID = id
+		sc.events = append(sc.events, ev)
+		sc.broclis = append(sc.broclis, brocli)
+		sc.delivs = append(sc.delivs, delivered)
+	}
+	k := len(sc.events)
+	if k == 0 {
 		return
 	}
-	net.obs.eventsRouted.Inc()
+	// Count the whole run as routed before any terminal counter is
+	// touched, so terminals ≤ routed holds at every instant (the watchdog
+	// reads terminals first, routed last).
+	net.obs.eventsRouted.Add(int64(k))
 	if traceID != 0 {
-		net.tracer.visit(traceID, node, len(m.Payload))
+		net.tracer.visit(traceID, node, len(msgs[0].Payload))
 	}
-	net.routeEvent(node, ev, brocli, delivered, traceID)
-}
-
-// routeEvent runs one Algorithm 3 hop for a single decoded event. The
-// read side is lock-free: matching runs against the broker's published
-// snapshot and the Merged_Brokers set is the snapshot's own (no lock, no
-// clone).
-func (net *Network) routeEvent(node topology.NodeID, ev *schema.Event, brocli, delivered subid.Mask, traceID uint64) {
 	b := net.brokers[node]
-	n := len(net.brokers)
 	// Step 1: match the local merged summary.
-	matched := b.MatchMerged(ev)
-	// Step 2: update BROCLIe.
-	orMask(&brocli, b.MergedBrokersShared())
-	// Step 3: send the event to newly matched owners. The wire payload is
-	// identical for every owner, so encode it once into a pooled shared
-	// buffer and multicast it — the bus refcounts the bytes per recipient.
-	var deliverBuf *netsim.SharedBuf
-	for _, id := range matched {
-		owner := topology.NodeID(id.Broker)
-		if delivered.Has(int(owner)) {
-			continue
-		}
-		delivered.Set(int(owner))
-		if owner == node {
-			hits := b.DeliverExact(ev)
-			if traceID != 0 {
-				decision := DecisionDelivered
-				if hits == 0 {
-					decision = DecisionFalsePositive
-				}
-				net.tracer.hop(traceID, node, decision, len(matched), 0)
+	lease := b.AcquireMatcher()
+	start := time.Now()
+	res := lease.MatchBatch(sc.events)
+	b.ObserveMatchRun(time.Since(start), k)
+	shared := lease.MergedBrokers()
+	matched := len(res[0]) // reported by trace hops only
+	for i, ev := range sc.events {
+		// Step 2: update BROCLIe.
+		orMask(&sc.broclis[i], shared)
+		// Step 3: hand the event to each newly matched owner.
+		for _, key := range res[i] {
+			owner, _ := subid.KeyParts(key)
+			if sc.delivs[i].Has(int(owner)) {
+				continue
 			}
-			continue
-		}
-		if deliverBuf == nil {
-			deliverBuf = netsim.AcquireBuf()
-			deliverBuf.B = encodeDeliverMsg(deliverBuf.B, ev, traceID)
-		}
-		if net.bus.SendShared(netsim.Message{From: node, To: owner, Kind: netsim.KindDeliver}, deliverBuf) == nil {
-			net.obs.deliverSends.Inc()
+			sc.delivs[i].Set(int(owner))
+			if topology.NodeID(owner) != node {
+				sc.sends = append(sc.sends, uint64(owner)<<32|uint64(i))
+				continue
+			}
+			// Local owner: the run's candidate keys already pruned the
+			// exact match, no second summary pass.
+			hits := b.DeliverExactCandidates(ev, res[i])
+			if traceID != 0 {
+				net.tracer.hop(traceID, node, deliveryDecision(hits), matched, 0)
+			}
 		}
 	}
-	if deliverBuf != nil {
-		deliverBuf.Release()
-	}
+	lease.Release()
+	net.sendDelivers(node, sc, traceID)
 	// Step 4: forward while BROCLIe is incomplete. Every routed event ends
 	// in exactly one terminal counter — forwarded, suppressed, or handler
 	// error — which is the flow-conservation invariant the watchdog checks.
-	if brocli.Count() == n {
+	for i, ev := range sc.events {
+		if sc.broclis[i].Count() < len(net.brokers) {
+			net.forwardEvent(node, ev, sc.broclis[i], sc.delivs[i], traceID, matched)
+			continue
+		}
 		net.obs.eventsSuppressed.Inc()
 		if traceID != 0 {
-			net.tracer.hop(traceID, node, DecisionSuppressed, len(matched), 0)
+			net.tracer.hop(traceID, node, DecisionSuppressed, matched, 0)
 		}
-		return
 	}
-	net.forwardEvent(node, ev, brocli, delivered, traceID, len(matched))
+}
+
+// sendDelivers sends the run's remote deliveries: per owner, one payload
+// holding every event of the run that newly matched it, each behind its
+// own message header — so the bytes a delivery puts on the wire do not
+// depend on what it happened to be batched with. Owners owed the same
+// events share one encoded buffer (the bus refcounts it per recipient),
+// so a run of one encodes once however many owners matched.
+func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, traceID uint64) {
+	slices.Sort(sc.sends)
+	var (
+		sb   *netsim.SharedBuf
+		prev []uint64 // the sends sb was encoded from
+	)
+	for lo := 0; lo < len(sc.sends); {
+		owner := sc.sends[lo] >> 32
+		hi := lo + 1
+		for hi < len(sc.sends) && sc.sends[hi]>>32 == owner {
+			hi++
+		}
+		group := sc.sends[lo:hi]
+		if !sameEvents(prev, group) {
+			if sb != nil {
+				sb.Release()
+			}
+			sb = netsim.AcquireBuf()
+			for _, s := range group {
+				sb.B = appendMsgHeader(sb.B, traceID)
+				sb.B = schema.EncodeEvent(sb.B, sc.events[uint32(s)])
+			}
+			prev = group
+		}
+		if net.bus.SendShared(netsim.Message{From: node, To: topology.NodeID(owner), Kind: netsim.KindDeliver}, sb) == nil {
+			net.obs.deliverSends.Add(int64(len(group)))
+		}
+		lo = hi
+	}
+	if sb != nil {
+		sb.Release()
+	}
+}
+
+// sameEvents reports whether two owners' send groups name the same event
+// indexes (the low halves; the owner halves differ by construction).
+func sameEvents(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if uint32(a[i]) != uint32(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // forwardEvent sends the event to the first unvisited broker in
@@ -706,97 +742,6 @@ func (net *Network) forwardEvent(node topology.NodeID, ev *schema.Event, brocli,
 		}
 		sb.Release()
 		return
-	}
-}
-
-// handleEventRun routes one consecutive run of event messages as a
-// batch: decode all, match all against one leased snapshot matcher (the
-// shards fanning across cores when configured), deliver locally from the
-// shared candidate keys, coalesce remote deliver-sends per owner into one
-// multicast payload, then suppress/forward each event. Traced events
-// divert to the unbatched path so their per-hop records stay exact.
-func (net *Network) handleEventRun(node topology.NodeID, msgs []netsim.Message) {
-	sc := net.scratch[node]
-	sc.events = sc.events[:0]
-	sc.broclis = sc.broclis[:0]
-	sc.delivs = sc.delivs[:0]
-	for _, m := range msgs {
-		ev, brocli, delivered, traceID, err := decodeEventMsg(net.cfg.Schema, m.Payload)
-		if err != nil {
-			net.bus.RecordDecodeErrorAt(netsim.KindEvent, node)
-			continue
-		}
-		if traceID != 0 {
-			net.obs.eventsRouted.Inc()
-			net.tracer.visit(traceID, node, len(m.Payload))
-			net.routeEvent(node, ev, brocli, delivered, traceID)
-			continue
-		}
-		sc.events = append(sc.events, ev)
-		sc.broclis = append(sc.broclis, brocli)
-		sc.delivs = append(sc.delivs, delivered)
-	}
-	k := len(sc.events)
-	if k == 0 {
-		return
-	}
-	// Count the whole batch as routed before any terminal counter is
-	// touched, so terminals ≤ routed holds at every instant (the watchdog
-	// reads terminals first, routed last).
-	net.obs.eventsRouted.Add(int64(k))
-	b := net.brokers[node]
-	n := len(net.brokers)
-	lease := b.AcquireMatcher()
-	start := time.Now()
-	res := lease.MatchBatch(sc.events)
-	// One amortized latency observation per batch: the mean per event.
-	b.MatchSeconds(time.Since(start).Seconds() / float64(k))
-	shared := lease.MergedBrokers()
-	for i, ev := range sc.events {
-		orMask(&sc.broclis[i], shared)
-		for _, key := range res[i] {
-			owner, _ := subid.KeyParts(key)
-			if sc.delivs[i].Has(int(owner)) {
-				continue
-			}
-			sc.delivs[i].Set(int(owner))
-			if topology.NodeID(owner) == node {
-				// Local owner: the batch's candidate keys already pruned the
-				// exact match, no second summary pass.
-				b.DeliverExactCandidates(ev, res[i])
-				continue
-			}
-			if len(sc.owners[owner]) == 0 {
-				sc.touched = append(sc.touched, int32(owner))
-			}
-			sc.owners[owner] = append(sc.owners[owner], int32(i))
-		}
-	}
-	lease.Release()
-	// Coalesced fan-out: one multicast payload per owner for the whole
-	// batch, holding every event that newly matched that owner.
-	for _, ow := range sc.touched {
-		idxs := sc.owners[ow]
-		sb := netsim.AcquireBuf()
-		sb.B = appendMsgHeader(sb.B, 0)
-		for _, ei := range idxs {
-			sb.B = schema.EncodeEvent(sb.B, sc.events[ei])
-		}
-		if net.bus.SendShared(netsim.Message{From: node, To: topology.NodeID(ow), Kind: netsim.KindDeliver}, sb) == nil {
-			net.obs.deliverSends.Add(int64(len(idxs)))
-		}
-		sb.Release()
-		sc.owners[ow] = sc.owners[ow][:0]
-	}
-	sc.touched = sc.touched[:0]
-	// Terminals: every batched event ends suppressed or forwarded (or as a
-	// handler error inside forwardEvent).
-	for i, ev := range sc.events {
-		if sc.broclis[i].Count() == n {
-			net.obs.eventsSuppressed.Inc()
-			continue
-		}
-		net.forwardEvent(node, ev, sc.broclis[i], sc.delivs[i], 0, 0)
 	}
 }
 
@@ -1002,43 +947,33 @@ func decodeEventMsg(s *schema.Schema, buf []byte) (*schema.Event, subid.Mask, su
 	return ev, brocli, delivered, traceID, nil
 }
 
-// encodeDeliverMsg appends a packed owner-delivery payload: header plus
-// the bare event.
-func encodeDeliverMsg(buf []byte, ev *schema.Event, traceID uint64) []byte {
-	buf = appendMsgHeader(buf, traceID)
-	return schema.EncodeEvent(buf, ev)
+// isTraced reports whether an event/deliver payload carries a trace id,
+// from the flags byte alone.
+func isTraced(payload []byte) bool {
+	return len(payload) > 0 && payload[0]&msgFlagTrace != 0
 }
 
-func decodeDeliverMsg(s *schema.Schema, buf []byte) (*schema.Event, uint64, error) {
-	traceID, n, err := decodeMsgHeader(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	ev, _, err := schema.DecodeEvent(s, buf[n:])
-	if err != nil {
-		return nil, 0, err
-	}
-	return ev, traceID, nil
-}
-
-// decodeDeliverAll decodes every event in a deliver payload, appending to
-// evs. Single-event payloads are the common case; batched senders
-// coalesce several events for one owner into one payload. A decode error
-// anywhere discards the whole payload (the caller records it), matching
-// the lost-message semantics of a corrupt single-event payload.
-func decodeDeliverAll(s *schema.Schema, buf []byte, evs []*schema.Event) ([]*schema.Event, uint64, error) {
-	traceID, n, err := decodeMsgHeader(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	buf = buf[n:]
+// decodeDeliverMsg decodes an owner-delivery payload: one or more
+// (message header, packed event) records, one per event of the sender's
+// run that matched this owner. The trace id returned is the first
+// record's: a traced event travels alone. A decode error anywhere
+// discards the whole payload (the caller records it), matching the
+// lost-message semantics of any corrupt message.
+func decodeDeliverMsg(s *schema.Schema, buf []byte) (evs []*schema.Event, traceID uint64, err error) {
 	for len(buf) > 0 {
-		ev, used, err := schema.DecodeEvent(s, buf)
+		id, n, err := decodeMsgHeader(buf)
 		if err != nil {
 			return nil, 0, err
 		}
+		ev, used, err := schema.DecodeEvent(s, buf[n:])
+		if err != nil {
+			return nil, 0, err
+		}
+		if len(evs) == 0 {
+			traceID = id
+		}
 		evs = append(evs, ev)
-		buf = buf[used:]
+		buf = buf[n+used:]
 	}
 	return evs, traceID, nil
 }

@@ -1,43 +1,52 @@
 package core
 
 import (
-	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
-	"github.com/subsum/subsum/internal/interval"
+	"github.com/subsum/subsum/internal/netsim"
 	"github.com/subsum/subsum/internal/schema"
+	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/topology"
 	"github.com/subsum/subsum/internal/workload"
 )
 
-// pipelineFixture is a stressFixture over an explicit engine Config, so
-// the batched/sharded pipeline can be compared against the legacy
-// one-message-per-wakeup path on identical workloads.
-type pipelineFixture struct {
-	*stressFixture
+// denseWorkload returns a generator tuned for match density (2-attribute
+// subscriptions, 8-attribute events, canonical ranges only): the default
+// Table 2 mix makes full-conjunction matches so rare that a delivery
+// differential over a few hundred events would be nearly vacuous.
+func denseWorkload(t *testing.T) *workload.Generator {
+	t.Helper()
+	cfg := workload.DefaultConfig()
+	cfg.AttrsPerSub = 2
+	cfg.AttrsPerEvent = 8
+	cfg.Subsumption = 1.0
+	gen, err := workload.NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
 }
 
-func newPipelineFixture(t *testing.T, g *topology.Graph, shards, batch, nSubs, nEvents int) *pipelineFixture {
+// newPipelineFixture is a stressFixture on any overlay: nSubs dense
+// subscriptions spread round-robin, then hubSubs more at the first broker
+// in forwarding order (the way to put one merged summary above the
+// broker's shard threshold), and nEvents pre-generated events.
+func newPipelineFixture(t *testing.T, g *topology.Graph, nSubs, hubSubs, nEvents int) *stressFixture {
 	t.Helper()
-	gen, err := workload.NewGenerator(workload.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := denseWorkload(t)
 	f := &stressFixture{schema: gen.Schema()}
-	net, err := New(Config{
-		Topology: g, Schema: f.schema, Mode: interval.Lossy,
-		MatchShards: shards, EventBatch: batch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(net.Close)
-	f.net = net
-	for i := 0; i < nSubs; i++ {
+	f.net = newNetwork(t, g, f.schema)
+	for i := 0; i < nSubs+hubSubs; i++ {
+		at := topology.NodeID(i % f.net.Len())
+		if i >= nSubs {
+			at = f.net.order[0]
+		}
 		sub := gen.Subscription()
 		c := &collector{}
-		if _, err := f.net.Subscribe(topology.NodeID(i%f.net.Len()), sub, c.deliver(f.schema)); err != nil {
+		if _, err := f.net.Subscribe(at, sub, c.deliver(f.schema)); err != nil {
 			t.Fatal(err)
 		}
 		f.rawSubs = append(f.rawSubs, sub)
@@ -47,62 +56,209 @@ func newPipelineFixture(t *testing.T, g *topology.Graph, shards, batch, nSubs, n
 	for i := range f.events {
 		f.events[i] = gen.Event(0.9)
 	}
-	return &pipelineFixture{f}
+	return f
 }
 
-// TestBatchedPipelineEquivalence proves the batched+sharded pipeline is
-// observably identical to the legacy path: on the same workload, every
-// configuration delivers exactly the matching events to every consumer,
-// with zero loss counters and a clean watchdog.
+// assertOracleDeliveredSets compares every consumer's delivered set with
+// a brute-force oracle that knows nothing of summaries: the live
+// subscriptions × Subscription.Matches over the published events. It
+// returns the number of deliveries the oracle expects.
+func (f *stressFixture) assertOracleDeliveredSets(t *testing.T) int {
+	t.Helper()
+	total := 0
+	for i, c := range f.collectors {
+		var want []string
+		for _, ev := range f.events {
+			if f.rawSubs[i].Matches(ev) {
+				want = append(want, ev.Format(f.schema))
+			}
+		}
+		c.mu.Lock()
+		got := slices.Clone(c.events)
+		c.mu.Unlock()
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("subscription %d: delivered %d events, oracle %d\n got: %v\nwant: %v",
+				i, len(got), len(want), got, want)
+		}
+		total += len(want)
+	}
+	return total
+}
+
+// assertCleanRun checks the loss counters and the watchdog invariants.
+func (f *stressFixture) assertCleanRun(t *testing.T) {
+	t.Helper()
+	st := f.net.Stats()
+	if st.TotalDropped() != 0 || st.TotalErrors() != 0 {
+		t.Fatalf("loss counters non-zero: %+v", st.Counters().Snapshot())
+	}
+	if vs := f.net.CheckInvariants(); len(vs) != 0 {
+		t.Fatalf("watchdog violations: %v", vs)
+	}
+}
+
+// TestBatchedPipelineEquivalence is the event pipeline's differential:
+// owner-verified delivered sets against the brute-force oracle, once with
+// a Flush per event (every run has length one) and once with all 512
+// events in flight behind a paused origin (full runs, coalesced deliver
+// payloads). Run length is the only thing the engine varies by itself, so
+// these are the two ends of what it can do.
 func TestBatchedPipelineEquivalence(t *testing.T) {
-	topos := []struct {
+	const nEvents = 512
+	for _, tp := range []struct {
 		name string
 		g    func() *topology.Graph
 	}{
 		{"CW24", topology.CW24},
 		{"Figure7Tree", topology.Figure7Tree},
-	}
-	configs := []struct{ shards, batch int }{
-		{1, 1}, // legacy reference
-		{2, 16},
-		{4, 64},
-		{8, 8},
-	}
-	for _, tp := range topos {
-		for _, cfg := range configs {
-			name := fmt.Sprintf("%s/shards=%d,batch=%d", tp.name, cfg.shards, cfg.batch)
-			t.Run(name, func(t *testing.T) {
-				g := tp.g()
-				f := newPipelineFixture(t, g, cfg.shards, cfg.batch, 3*g.Len(), 200)
-				if _, err := f.net.Propagate(); err != nil {
+	} {
+		t.Run(tp.name+"/flush-per-event", func(t *testing.T) {
+			g := tp.g()
+			f := newPipelineFixture(t, g, 3*g.Len(), 0, nEvents)
+			if _, err := f.net.Propagate(); err != nil {
+				t.Fatal(err)
+			}
+			for i, ev := range f.events {
+				if err := f.net.Publish(topology.NodeID(i%f.net.Len()), ev); err != nil {
 					t.Fatal(err)
 				}
-				for i, ev := range f.events {
-					if err := f.net.Publish(topology.NodeID(i%f.net.Len()), ev); err != nil {
-						t.Fatal(err)
-					}
-				}
 				f.net.Flush()
-				f.assertExactDeliveries(t)
-				st := f.net.Stats()
-				if st.TotalDropped() != 0 || st.TotalErrors() != 0 {
-					t.Fatalf("loss counters non-zero: %+v", st.Counters().Snapshot())
+			}
+			if f.assertOracleDeliveredSets(t) == 0 {
+				t.Fatal("oracle expects no deliveries; the differential is vacuous")
+			}
+			f.assertCleanRun(t)
+			// Runs of one never coalesce: one payload per (event, owner).
+			sends := f.net.Metrics().Counter("deliver_sends").Value()
+			if msgs := f.net.Stats().Messages[netsim.KindDeliver]; msgs != sends {
+				t.Fatalf("%d deliver payloads for %d deliver sends; runs of one must not coalesce", msgs, sends)
+			}
+		})
+		t.Run(tp.name+"/512-in-flight", func(t *testing.T) {
+			g := tp.g()
+			f := newPipelineFixture(t, g, 3*g.Len(), 0, nEvents)
+			if _, err := f.net.Propagate(); err != nil {
+				t.Fatal(err)
+			}
+			// Park the whole stream at one origin, then release it at once:
+			// the origin's handler drains it in full runs.
+			const origin = 1
+			if err := f.net.Faults().Pause(origin); err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range f.events {
+				if err := f.net.Publish(origin, ev); err != nil {
+					t.Fatal(err)
 				}
-				if vs := f.net.CheckInvariants(); len(vs) != 0 {
-					t.Fatalf("watchdog violations: %v", vs)
-				}
-			})
-		}
+			}
+			if err := f.net.Faults().Resume(origin); err != nil {
+				t.Fatal(err)
+			}
+			f.net.Flush()
+			if f.assertOracleDeliveredSets(t) == 0 {
+				t.Fatal("oracle expects no deliveries; the differential is vacuous")
+			}
+			f.assertCleanRun(t)
+			// Multi-event runs show on the wire: fewer deliver payloads
+			// than (event, owner) sends.
+			sends := f.net.Metrics().Counter("deliver_sends").Value()
+			if msgs := f.net.Stats().Messages[netsim.KindDeliver]; msgs >= sends {
+				t.Fatalf("%d deliver payloads for %d deliver sends; no run coalesced, so no multi-event run was exercised", msgs, sends)
+			}
+		})
 	}
 }
 
-// TestBatchedPipelineRaceSoak is the ISSUE's -race soak: concurrent
-// publishers × subscription churn × propagation periods on the batched,
-// sharded pipeline, then exact delivery for the stable subscriptions and
-// zero watchdog flow-conservation violations.
+// TestMixedRunKeepsArrivalOrder pins the traced-event rule: a traced
+// event inside a drained batch is a run of its own, routed in its place —
+// not ahead of the untraced events that arrived before it.
+func TestMixedRunKeepsArrivalOrder(t *testing.T) {
+	s := stockSchema(t)
+	net := newNetwork(t, topology.Star(2), s)
+	// A match-all subscriber at broker 1, never propagated: broker 0 knows
+	// nothing of it, so it forwards every event to broker 1, where the
+	// delivery order is the arrival order.
+	sub, err := schema.ParseSubscription(s, `price > 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c collector
+	if _, err := net.Subscribe(1, sub, c.deliver(s)); err != nil {
+		t.Fatal(err)
+	}
+	var msgs []netsim.Message
+	var want []string
+	for i, text := range []string{"price=1", "price=2", "price=3"} {
+		ev, err := schema.ParseEvent(s, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var traceID uint64
+		if i == 1 {
+			traceID = 77
+			net.tracer.begin(traceID, 0, text)
+		}
+		payload, err := encodeEventMsg(nil, ev, subid.NewMask(2), subid.NewMask(2), traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs = append(msgs, netsim.Message{From: 0, To: 0, Kind: netsim.KindEvent, Payload: payload})
+		want = append(want, ev.Format(s))
+	}
+	// One drained batch [untraced, traced, untraced] at broker 0. Nothing
+	// else is addressed to broker 0, so its handler goroutine is idle and
+	// the test may stand in for it.
+	net.handleBatch(0, msgs)
+	net.Flush()
+
+	c.mu.Lock()
+	got := slices.Clone(c.events)
+	c.mu.Unlock()
+	if !slices.Equal(got, want) {
+		t.Fatalf("broker 1 saw %v, want arrival order %v", got, want)
+	}
+	traces := net.Traces()
+	if len(traces) != 1 || !slices.Equal(traces[0].Path, []int{0, 1}) {
+		t.Fatalf("traced event's path = %+v, want one trace over [0 1]", traces)
+	}
+	if got := net.Metrics().Counter("events_routed").Value(); got != 6 {
+		t.Fatalf("events_routed = %d, want 6 (3 events × 2 hops)", got)
+	}
+}
+
+// TestBatchedPipelineRaceSoak is the -race soak of the one event path:
+// concurrent publishers × subscription churn × propagation periods, with
+// the hub's merged summary above the shard threshold and a backlog parked
+// in front of it, so long runs fan their matching out across shard
+// goroutines while everything else races. Then exact delivery for the
+// stable subscriptions and zero watchdog violations.
 func TestBatchedPipelineRaceSoak(t *testing.T) {
-	const publishers, perPublisher, propagateRounds = 4, 40, 3
-	f := newPipelineFixture(t, topology.CW24(), 4, 16, 72, publishers*perPublisher)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	const publishers, perPublisher, propagateRounds, backlog = 4, 40, 3, 128
+	// The hub holds enough own subscriptions to cross the threshold on its
+	// own; the constant is the broker package's matchShardThreshold.
+	const hubSubs = 8192
+	f := newPipelineFixture(t, topology.CW24(), 72, hubSubs, backlog+publishers*perPublisher)
+	if _, err := f.net.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	hub := f.net.order[0]
+	if got := f.net.Broker(hub).Stats().MergedSummarySubs; got < hubSubs {
+		t.Fatalf("hub merged summary holds %d subscriptions, want ≥ %d", got, hubSubs)
+	}
+
+	// Park a backlog in front of the hub; it is released into the race.
+	if err := f.net.Faults().Pause(hub); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range f.events[:backlog] {
+		if err := f.net.Publish(hub, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Churn subscriptions are generated up front (the generator's rng is
 	// single-threaded) and live only inside the churn goroutine; they are
@@ -123,7 +279,7 @@ func TestBatchedPipelineRaceSoak(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perPublisher; i++ {
-				idx := p*perPublisher + i
+				idx := backlog + p*perPublisher + i
 				if err := f.net.Publish(topology.NodeID(idx%f.net.Len()), f.events[idx]); err != nil {
 					t.Errorf("publish %d: %v", idx, err)
 					return
@@ -159,15 +315,12 @@ func TestBatchedPipelineRaceSoak(t *testing.T) {
 			}
 		}()
 	}
+	if err := f.net.Faults().Resume(hub); err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 	f.net.Flush()
 
 	f.assertExactDeliveries(t)
-	st := f.net.Stats()
-	if st.TotalDropped() != 0 || st.TotalErrors() != 0 {
-		t.Fatalf("loss counters non-zero on clean run: %+v", st.Counters().Snapshot())
-	}
-	if vs := f.net.CheckInvariants(); len(vs) != 0 {
-		t.Fatalf("watchdog violations after soak: %v", vs)
-	}
+	f.assertCleanRun(t)
 }

@@ -9,7 +9,7 @@ import (
 // message exactly once, in FIFO order, with batch sizes never exceeding
 // the cap — and that Quiesce still accounts for whole batches.
 func TestStartBatchDrainsInOrder(t *testing.T) {
-	const n, maxBatch = 500, 16
+	const n = 500
 	b := NewBus(2)
 	defer b.Close()
 	var (
@@ -22,7 +22,7 @@ func TestStartBatchDrainsInOrder(t *testing.T) {
 	// batches.
 	gate := make(chan struct{})
 	first := true
-	b.StartBatch(1, maxBatch, func(ms []Message) {
+	b.StartBatch(1, func(ms []Message) {
 		if first {
 			first = false
 			<-gate
@@ -66,34 +66,5 @@ func TestStartBatchDrainsInOrder(t *testing.T) {
 	}
 	if s := b.Stats(); s.Messages[KindEvent] != n {
 		t.Fatalf("stats count %d messages, want %d", s.Messages[KindEvent], n)
-	}
-}
-
-// TestStartBatchSingleIsLegacy: maxBatch 1 must behave exactly like Start
-// — one message per handler invocation.
-func TestStartBatchSingleIsLegacy(t *testing.T) {
-	b := NewBus(1)
-	defer b.Close()
-	var mu sync.Mutex
-	count, calls := 0, 0
-	b.StartBatch(0, 1, func(ms []Message) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		count += len(ms)
-		if len(ms) != 1 {
-			t.Errorf("batch of %d with maxBatch=1", len(ms))
-		}
-	})
-	for i := 0; i < 50; i++ {
-		if err := b.Send(Message{From: 0, To: 0, Kind: KindSummary, Payload: []byte("s")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.Quiesce()
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 50 || calls != 50 {
-		t.Fatalf("count=%d calls=%d, want 50/50", count, calls)
 	}
 }

@@ -264,9 +264,9 @@ func (m *mailbox) push(q queued) bool {
 }
 
 // popBatch blocks until at least one message is available (or the
-// mailbox closes), then drains up to max pending messages into buf
-// without blocking again — the intake side of batched handling.
-func (m *mailbox) popBatch(buf []queued, max int) ([]queued, bool) {
+// mailbox closes), then drains up to maxBatch pending messages into buf
+// without blocking again.
+func (m *mailbox) popBatch(buf []queued) ([]queued, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(m.queue) == 0 && !m.closed {
@@ -275,7 +275,7 @@ func (m *mailbox) popBatch(buf []queued, max int) ([]queued, bool) {
 	if len(m.queue) == 0 {
 		return buf, false
 	}
-	n := min(max, len(m.queue))
+	n := min(maxBatch, len(m.queue))
 	buf = append(buf, m.queue[:n]...)
 	for i := 0; i < n; i++ {
 		m.queue[i] = queued{} // release payload references promptly
@@ -512,11 +512,11 @@ func (b *Bus) send(m Message, sb *SharedBuf) error {
 	return nil
 }
 
-// Start launches the handler goroutine for one broker, handling one
-// message per wakeup. Each broker must be started exactly once; the
-// handler runs until Close.
+// Start launches the handler goroutine for one broker, handing h one
+// message at a time. Each broker must be started exactly once (with Start
+// or StartBatch); the handler runs until Close.
 func (b *Bus) Start(node topology.NodeID, h Handler) {
-	b.StartBatch(node, 1, func(ms []Message) {
+	b.StartBatch(node, func(ms []Message) {
 		for _, m := range ms {
 			h(m)
 		}
@@ -528,25 +528,29 @@ func (b *Bus) Start(node topology.NodeID, h Handler) {
 // retain.
 type BatchHandler func([]Message)
 
+// maxBatch bounds how many pending messages one handler wakeup drains.
+// A bound keeps a deep backlog from pinning its payload buffers (released
+// only after the whole batch is handled) and from delaying the in-flight
+// retirement Quiesce waits on. 64 is the one value tried; it was not swept.
+const maxBatch = 64
+
 // StartBatch launches the handler goroutine for one broker with batched
 // intake: each wakeup drains up to maxBatch pending messages from the
 // mailbox and hands them to h in one call, amortizing wakeup, in-flight
-// retirement, and the handler's own per-batch bookkeeping. maxBatch ≤ 1
-// degenerates to one-message-at-a-time handling.
-func (b *Bus) StartBatch(node topology.NodeID, maxBatch int, h BatchHandler) {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
+// retirement, and the handler's own per-batch bookkeeping. The batch
+// buffers grow on demand, so an idle broker holds none.
+func (b *Bus) StartBatch(node topology.NodeID, h BatchHandler) {
 	b.handlers.Add(1)
 	go func() {
 		defer b.handlers.Done()
 		box := b.boxes[node]
-		buf := make([]queued, 0, maxBatch)
-		msgs := make([]Message, 0, maxBatch)
+		var (
+			buf  []queued
+			msgs []Message
+		)
 		for {
-			buf = buf[:0]
 			var ok bool
-			buf, ok = box.popBatch(buf, maxBatch)
+			buf, ok = box.popBatch(buf[:0])
 			if !ok {
 				return
 			}
@@ -555,6 +559,7 @@ func (b *Bus) StartBatch(node topology.NodeID, maxBatch int, h BatchHandler) {
 				msgs = append(msgs, buf[i].msg)
 			}
 			h(msgs)
+			clear(msgs) // both copies of a message reference its payload
 			for i := range buf {
 				if buf[i].sb != nil {
 					buf[i].sb.Release()

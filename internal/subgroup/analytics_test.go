@@ -25,9 +25,9 @@ func analyticsFixture(t *testing.T) (*topology.Graph, *schema.Schema, []*summary
 		schema.Attribute{Name: "y", Type: schema.TypeFloat},
 	)
 	subs := []string{
-		"x > 100",           // broker 0 (group 0)
-		"x > 100",           // broker 1 (group 0)
-		"x < 10 && y > 50",  // broker 2 (group 1)
+		"x > 100",                   // broker 0 (group 0)
+		"x > 100",                   // broker 1 (group 0)
+		"x < 10 && y > 50",          // broker 2 (group 1)
 		"x > 20 && x < 30 && y < 5", // broker 3 (group 1)
 	}
 	own := make([]*summary.Summary, len(subs))

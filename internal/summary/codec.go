@@ -185,7 +185,7 @@ func (sm *Summary) EncodedSizeV1() int { return sm.encodedSize(versionV1) }
 
 func (sm *Summary) encodedSize(version byte) int {
 	sm.purgeDead() // size the same rows encode will write
-	n := 5 // magic + version + mode
+	n := 5         // magic + version + mode
 	if version == versionV1 {
 		n += 4 // registry count u32
 		for i := range sm.keys {
