@@ -6,15 +6,15 @@
 // diagnostic: which attribute's summary rows over-approximate, under
 // which operator class, owned by whom.
 //
-// Attribution is best-effort by construction. Summary rows are merged
-// and lossy, so the candidate set at the delivery broker is an
-// over-approximation of the rows that admitted the event remotely; the
-// first failing constraint of each live candidate is the charge, and a
-// candidate with no live raw subscription behind it (snapshot lag, a
-// stale remote row after an unsubscribe) is charged to the "stale"
-// class. The charge never panics and never blocks the hot path beyond
-// one nil check: the space-saving counter is bounded (top-K with
-// documented overestimates), the per-attribute tallies are plain
+// Attribution is best-effort by construction. The candidates are the ids
+// the routing broker's match named for this owner (its deliver record, or
+// the local hop's own match result) — the rows that actually admitted the
+// event there; the first failing constraint of each live candidate is the
+// charge, and a candidate with no live raw subscription behind it
+// (snapshot lag, a stale remote row after an unsubscribe) is charged to
+// the "stale" class. The charge never panics and never blocks the hot
+// path beyond one nil check: the space-saving counter is bounded (top-K
+// with documented overestimates), the per-attribute tallies are plain
 // atomics, and everything runs only on the false-positive branch —
 // delivery credits on the hit branch are a handful of atomic adds.
 package broker
@@ -145,6 +145,7 @@ type FPAttributor struct {
 	// no registry was given or the attribute arrived later).
 	fpCounters  []*metrics.Counter
 	delCounters []*metrics.Counter
+	evictions   *metrics.Counter // space-saving evictions (nil without a registry)
 }
 
 // NewFPAttributor builds an attributor over the schema's attributes.
@@ -165,6 +166,7 @@ func NewFPAttributor(s *schema.Schema, reg *metrics.Registry, rec *flight.Record
 		delCounters: make([]*metrics.Counter, n),
 	}
 	if reg != nil {
+		a.evictions = reg.Counter("fp_attr_evictions")
 		fpVec := reg.CounterVec("fp_attr_false_positives")
 		delVec := reg.CounterVec("fp_attr_deliveries")
 		for i, attr := range s.Attributes() {
@@ -190,14 +192,14 @@ func (a *FPAttributor) ObserveFP(attr schema.AttrID, class FPClass, owner subid.
 		}
 	}
 	key := FPKey{Attr: attr, Class: class, Owner: owner}
-	isNew := false
+	admitted, evicted := false, false
 	a.mu.Lock()
 	if e, ok := a.top[key]; ok {
 		e.count++
 		a.top[key] = e
 	} else if len(a.top) < a.k {
 		a.top[key] = fpEntry{count: 1}
-		isNew = true
+		admitted = true
 	} else {
 		// Space-saving eviction: the new triple inherits the smallest
 		// count plus one, with that count as its documented error bound.
@@ -210,15 +212,20 @@ func (a *FPAttributor) ObserveFP(attr schema.AttrID, class FPClass, owner subid.
 		}
 		delete(a.top, minKey)
 		a.top[key] = fpEntry{count: minCount + 1, err: minCount}
-		isNew = true
+		evicted = true
 	}
 	a.mu.Unlock()
-	if isNew {
-		// First sighting of this triple (since any eviction): journal it so
-		// a post-mortem can line new over-approximation sources up against
-		// churn and period boundaries.
+	if admitted {
+		// First sighting of this triple while the table has room: journal it
+		// so a post-mortem can line new over-approximation sources up against
+		// churn and period boundaries. Once the table is full, triples swap
+		// in and out on nearly every observation; those are only counted, or
+		// they would push everything else out of the bounded journal.
 		a.rec.Record(flight.EvFPAttribution, int(owner), int64(attr), int64(class), 0,
 			a.attrName(attr)+" "+class.String())
+	}
+	if evicted && a.evictions != nil {
+		a.evictions.Inc()
 	}
 }
 

@@ -3,6 +3,7 @@ package broker
 import (
 	"testing"
 
+	"github.com/subsum/subsum/internal/flight"
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/schema"
@@ -212,6 +213,40 @@ func TestFPAttributorSpaceSavingBound(t *testing.T) {
 	nilA.CreditDelivery(subid.Mask{})
 	if r := nilA.Report(3); r.Total != 0 || len(r.TopK) != 0 {
 		t.Fatalf("nil attributor reported %+v", r)
+	}
+}
+
+// TestFPAttributorJournalsAdmissionsOnly pins the journal-thrash fix: a
+// triple is journaled when it is first admitted while the top-K has room;
+// once the table is full, triples swapping in and out are counted in
+// fp_attr_evictions and write nothing, so a wide triple mix cannot flush
+// the bounded flight ring.
+func TestFPAttributorJournalsAdmissionsOnly(t *testing.T) {
+	s := testSchema(t)
+	reg := metrics.NewRegistry()
+	rec := flight.NewRecorder(1 << 16)
+	a := NewFPAttributor(s, reg, rec, 2)
+	priceID, _ := s.ID("price")
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		// Four triples rotating through two slots: every observation after
+		// the first two evicts.
+		a.ObserveFP(priceID, FPClassRange, subid.BrokerID(i%4))
+	}
+	journaled := 0
+	for _, r := range rec.Records() {
+		if r.Type == flight.EvFPAttribution {
+			journaled++
+		}
+	}
+	if journaled != 2 {
+		t.Fatalf("journaled %d attribution records, want 2 (one per admission)", journaled)
+	}
+	if got := reg.Map()["fp_attr_evictions"]; got != rounds-2 {
+		t.Fatalf("fp_attr_evictions = %v, want %d", got, rounds-2)
+	}
+	if rep := a.Report(0); rep.Total != rounds || len(rep.TopK) != 2 {
+		t.Fatalf("report total %d / %d entries, want %d / 2", rep.Total, len(rep.TopK), rounds)
 	}
 }
 

@@ -812,8 +812,8 @@ func (b *Broker) ObserveMatchRun(elapsed time.Duration, events int) {
 	}
 }
 
-// DeliverExact re-matches the event against the broker's raw
-// subscriptions and invokes the consumers of those that truly match. It
+// DeliverExact re-matches the event against everything this broker owns
+// and invokes the consumers of the raw subscriptions that truly match. It
 // returns the number of deliveries.
 //
 // The candidate set is pruned through the broker's own summary rows
@@ -821,24 +821,52 @@ func (b *Broker) ObserveMatchRun(elapsed time.Duration, events int) {
 // subscription — the watchdog's coverage invariant) yields the candidate
 // keys, and only this broker's candidates are exact-matched under b.mu.
 // Summaries never produce false negatives, so pruning cannot lose a
-// delivery; DeliverExactScan retains the full-scan reference the
-// differential test compares against.
+// delivery. The event path calls it only through DeliverExactCandidates,
+// on brokers whose subsumption filter makes named candidates incomplete.
 func (b *Broker) DeliverExact(ev *schema.Event) int {
 	s := b.matchSnapshot()
 	m := s.pool.Get()
-	keys := m.MatchKeys(ev)
-	hits := b.collectExact(ev, keys)
+	hits, _ := b.collectExact(ev, m.MatchKeys(ev), true)
 	s.pool.Put(m)
 	return b.deliverHits(ev, hits)
 }
 
+// DeliverExactCandidates is the owner step of Algorithm 3 with the
+// summary pre-filter already run by whoever routed the event here: keys
+// are the candidate id keys that broker's match named for this owner (the
+// local hop's own match result, or the id list of a deliver record). Only
+// the exact re-match and the delivery remain — a map lookup and
+// Subscription.Matches per key, against the current raw subscription, so
+// a named id that was unsubscribed or reused in the meantime can never
+// produce an unsound delivery. Keys owned by other brokers are ignored.
+//
+// A broker whose subsumption filter keeps subscriptions out of deltas has
+// no remote rows for them: events reach them under their subsuming
+// subscription's id, so such a broker re-matches everything it owns
+// (DeliverExact) instead of trusting the names.
+func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64) int {
+	hits, complete := b.collectExact(ev, keys, false)
+	if !complete {
+		return b.DeliverExact(ev)
+	}
+	return b.deliverHits(ev, hits)
+}
+
 // collectExact exact-matches this broker's candidate keys against the
-// raw subscriptions. Keys of other owners (remote candidates in the
-// merged snapshot) are skipped.
-func (b *Broker) collectExact(ev *schema.Event, keys []uint64) []*subEntry {
+// raw subscriptions; keys of other owners are skipped. own says the keys
+// come from this broker's own snapshot, which has rows for every owned
+// subscription. Keys named by anyone else are incomplete — reported by a
+// false second result, with nothing collected or charged — while the
+// filter holds subscriptions back (filteredSubs > 0), and when a named id
+// is dead on a filtering broker: it may have been the anchor of
+// subscriptions promoted into a delta no remote broker has merged yet.
+func (b *Broker) collectExact(ev *schema.Event, keys []uint64, own bool) (hits []*subEntry, complete bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var hits []*subEntry
+	named := !own && b.filter != nil
+	if named && b.filteredSubs > 0 {
+		return nil, false
+	}
 	for _, key := range keys {
 		owner, local := subid.KeyParts(key)
 		if owner != subid.BrokerID(b.id) {
@@ -846,7 +874,11 @@ func (b *Broker) collectExact(ev *schema.Event, keys []uint64) []*subEntry {
 		}
 		e, ok := b.subs[local]
 		if !ok {
-			continue // retired candidate: snapshot lag or a stale remote row
+			// Retired candidate: snapshot lag or a stale remote row.
+			if named {
+				return nil, false
+			}
+			continue
 		}
 		if e.sub.Matches(ev) {
 			hits = append(hits, e)
@@ -855,16 +887,17 @@ func (b *Broker) collectExact(ev *schema.Event, keys []uint64) []*subEntry {
 	if len(hits) == 0 && b.attrib != nil {
 		b.attributeFPLocked(ev, keys)
 	}
-	return hits
+	return hits, true
 }
 
 // attributeFPLocked charges a false positive to the candidate rows that
-// admitted the event: for each live local candidate, the first failing
-// constraint names the responsible (attribute, operator-class, owner);
-// a candidate with no live subscription behind it — and the case of no
-// local candidate at all (the sender's merged view of this broker was
-// stale) — is charged to the "stale" class. Callers hold b.mu and have
-// established that no raw subscription matched.
+// admitted the event — for a remote delivery, the rows the sender's match
+// named: for each live local candidate, the first failing constraint
+// names the responsible (attribute, operator-class, owner); a candidate
+// with no live subscription behind it — and the case of no local
+// candidate at all (the sender's merged view of this broker was stale) —
+// is charged to the "stale" class. Callers hold b.mu and have established
+// that no raw subscription matched.
 func (b *Broker) attributeFPLocked(ev *schema.Event, keys []uint64) {
 	charged := false
 	for _, key := range keys {
@@ -890,32 +923,6 @@ func (b *Broker) attributeFPLocked(ev *schema.Event, keys []uint64) {
 	if !charged {
 		b.attrib.ObserveFP(FPNoAttr, FPClassStale, subid.BrokerID(b.id))
 	}
-}
-
-// DeliverExactCandidates is DeliverExact with the summary pre-filter
-// already run: keys are candidate id keys from this broker's published
-// snapshot (e.g. a batch match result), so only the exact re-match and
-// delivery remain. Keys owned by other brokers are ignored.
-func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64) int {
-	return b.deliverHits(ev, b.collectExact(ev, keys))
-}
-
-// DeliverExactScan is the pre-pruning reference implementation: a linear
-// exact-match scan over every raw subscription. Kept for the delivery-set
-// regression test and the pruning benchmark; the engine calls
-// DeliverExact.
-func (b *Broker) DeliverExactScan(ev *schema.Event) int {
-	b.mu.Lock()
-	var hits []*subEntry
-	for _, e := range b.subs {
-		if e.sub.Matches(ev) {
-			hits = append(hits, e)
-		}
-	}
-	b.mu.Unlock()
-	// The map scan yields hits in random order; deliver deterministically.
-	sort.Slice(hits, func(i, j int) bool { return hits[i].id.Local < hits[j].id.Local })
-	return b.deliverHits(ev, hits)
 }
 
 // deliverHits counts and performs the consumer deliveries, outside any

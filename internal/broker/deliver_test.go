@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
 	"sync"
@@ -53,6 +54,23 @@ func (r *deliverRecorder) take() []uint64 {
 	r.ids = nil
 	slices.Sort(out)
 	return out
+}
+
+// DeliverExactScan is the delivery oracle: a linear exact-match scan over
+// every raw subscription, with no summary in the way. The differential
+// test and the pruning benchmark compare the engine's paths against it.
+func (b *Broker) DeliverExactScan(ev *schema.Event) int {
+	b.mu.Lock()
+	var hits []*subEntry
+	for _, e := range b.subs {
+		if e.sub.Matches(ev) {
+			hits = append(hits, e)
+		}
+	}
+	b.mu.Unlock()
+	// The map scan yields hits in random order; deliver deterministically.
+	slices.SortFunc(hits, func(x, y *subEntry) int { return cmp.Compare(x.id.Local, y.id.Local) })
+	return b.deliverHits(ev, hits)
 }
 
 // loadedBroker returns a broker with nSubs workload subscriptions, all

@@ -237,7 +237,10 @@ func TestChurnSoakWatchdog(t *testing.T) {
 	}
 
 	// Concurrent publisher: events flow while churn and propagation run,
-	// with watchdog passes racing the engine as in production.
+	// with watchdog passes racing the engine as in production. Its window
+	// is bounded — a Flush every 64 publishes — because an unthrottled
+	// publisher can keep the bus from ever going quiet under Propagate's
+	// Quiesce, and the test's duration then hangs on scheduler luck.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -257,6 +260,9 @@ func TestChurnSoakWatchdog(t *testing.T) {
 				panic(err)
 			}
 			net.CheckInvariants()
+			if i%64 == 63 {
+				net.Flush()
+			}
 		}
 	}()
 

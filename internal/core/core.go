@@ -21,6 +21,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -122,13 +123,17 @@ type Network struct {
 // runScratch is one broker handler's reusable working set for a run of
 // events: the decoded events with their per-event masks, and the remote
 // deliveries the run owes as a flat list of owner<<32|event-index pairs,
-// sorted per run so each owner's events are contiguous. Everything grows
-// on demand, so a broker that routes short runs holds little.
+// sorted per run so each owner's events are contiguous. recs and keys hold
+// a decoded deliver payload (the handler is never inside a run when it
+// decodes one). Everything grows on demand, so a broker that routes short
+// runs holds little.
 type runScratch struct {
 	events  []*schema.Event
 	broclis []subid.Mask
 	delivs  []subid.Mask
 	sends   []uint64
+	recs    []deliverRecord
+	keys    []uint64
 }
 
 // netObs holds the engine-level instruments, resolved once in New.
@@ -508,18 +513,23 @@ func (net *Network) handleBatch(node topology.NodeID, msgs []netsim.Message) {
 	}
 }
 
-// handleDeliver re-matches an owner-delivery payload exactly and notifies
-// the consumers. The payload carries every event of the sender's run that
-// matched this owner; a traced payload always carries one.
+// handleDeliver exact-matches the subscriptions an owner-delivery payload
+// names and notifies their consumers. The payload carries one record per
+// event of the sender's run that matched this owner; a traced payload
+// always carries one. No summary is matched here: the sender's match
+// already named the candidates, and the broker looks each one up in its
+// current raw subscriptions.
 func (net *Network) handleDeliver(node topology.NodeID, m netsim.Message) {
-	evs, traceID, err := decodeDeliverMsg(net.cfg.Schema, m.Payload)
-	if err != nil || len(evs) == 0 {
+	sc := &net.scratch[node]
+	recs, keys, traceID, err := decodeDeliverMsg(net.cfg.Schema, m.Payload, subid.BrokerID(node), sc.recs[:0], sc.keys[:0])
+	sc.recs, sc.keys = recs, keys // keep what they grew to
+	if err != nil {
 		net.bus.RecordDecodeErrorAt(netsim.KindDeliver, node)
 		return
 	}
 	hits := 0
-	for _, ev := range evs {
-		hits += net.brokers[node].DeliverExact(ev)
+	for _, r := range recs {
+		hits += net.brokers[node].DeliverExactCandidates(r.ev, keys[r.lo:r.hi])
 	}
 	if traceID != 0 {
 		net.tracer.addBytes(traceID, len(m.Payload))
@@ -623,27 +633,32 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 	for i, ev := range sc.events {
 		// Step 2: update BROCLIe.
 		orMask(&sc.broclis[i], shared)
-		// Step 3: hand the event to each newly matched owner.
-		for _, key := range res[i] {
-			owner, _ := subid.KeyParts(key)
+		// Step 3: hand the event to each newly matched owner, with the ids
+		// that matched it — keys ascend, so an owner's are contiguous.
+		keys := res[i]
+		for lo := 0; lo < len(keys); {
+			owner := keys[lo] >> 32
+			hi := ownerRunEnd(keys, lo)
+			named := keys[lo:hi]
+			lo = hi
 			if sc.delivs[i].Has(int(owner)) {
 				continue
 			}
 			sc.delivs[i].Set(int(owner))
 			if topology.NodeID(owner) != node {
-				sc.sends = append(sc.sends, uint64(owner)<<32|uint64(i))
+				sc.sends = append(sc.sends, owner<<32|uint64(i))
 				continue
 			}
-			// Local owner: the run's candidate keys already pruned the
-			// exact match, no second summary pass.
-			hits := b.DeliverExactCandidates(ev, res[i])
+			hits := b.DeliverExactCandidates(ev, named)
 			if traceID != 0 {
 				net.tracer.hop(traceID, node, deliveryDecision(hits), matched, 0)
 			}
 		}
 	}
+	// The deliver records name ids straight out of the match result, so the
+	// lease is held until they are encoded.
+	net.sendDelivers(node, sc, res, traceID)
 	lease.Release()
-	net.sendDelivers(node, sc, traceID)
 	// Step 4: forward while BROCLIe is incomplete. Every routed event ends
 	// in exactly one terminal counter — forwarded, suppressed, or handler
 	// error — which is the flow-conservation invariant the watchdog checks.
@@ -660,57 +675,45 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 }
 
 // sendDelivers sends the run's remote deliveries: per owner, one payload
-// holding every event of the run that newly matched it, each behind its
-// own message header — so the bytes a delivery puts on the wire do not
-// depend on what it happened to be batched with. Owners owed the same
-// events share one encoded buffer (the bus refcounts it per recipient),
-// so a run of one encodes once however many owners matched.
-func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, traceID uint64) {
+// holding a record for every event of the run that newly matched it — the
+// message header, the owner's matched local ids (res[event]'s sub-range
+// for that owner) and the event — so the bytes a delivery puts on the wire
+// do not depend on what it happened to be batched with. The id lists make
+// every owner's payload its own, so each is encoded into its own buffer.
+func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, res [][]uint64, traceID uint64) {
 	slices.Sort(sc.sends)
-	var (
-		sb   *netsim.SharedBuf
-		prev []uint64 // the sends sb was encoded from
-	)
 	for lo := 0; lo < len(sc.sends); {
 		owner := sc.sends[lo] >> 32
-		hi := lo + 1
-		for hi < len(sc.sends) && sc.sends[hi]>>32 == owner {
-			hi++
-		}
-		group := sc.sends[lo:hi]
-		if !sameEvents(prev, group) {
-			if sb != nil {
-				sb.Release()
-			}
-			sb = netsim.AcquireBuf()
-			for _, s := range group {
-				sb.B = appendMsgHeader(sb.B, traceID)
-				sb.B = schema.EncodeEvent(sb.B, sc.events[uint32(s)])
-			}
-			prev = group
+		hi := ownerRunEnd(sc.sends, lo)
+		sb := netsim.AcquireBuf()
+		for _, s := range sc.sends[lo:hi] {
+			i := uint32(s)
+			sb.B = appendDeliverRecord(sb.B, traceID, ownerKeys(res[i], owner), sc.events[i])
 		}
 		if net.bus.SendShared(netsim.Message{From: node, To: topology.NodeID(owner), Kind: netsim.KindDeliver}, sb) == nil {
-			net.obs.deliverSends.Add(int64(len(group)))
+			net.obs.deliverSends.Add(int64(hi - lo))
 		}
-		lo = hi
-	}
-	if sb != nil {
 		sb.Release()
+		lo = hi
 	}
 }
 
-// sameEvents reports whether two owners' send groups name the same event
-// indexes (the low halves; the owner halves differ by construction).
-func sameEvents(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
+// ownerRunEnd returns the end of the run of entries that share keys[lo]'s
+// high half. Match results and the send list both sort with the owner
+// there, so that is one owner's entries.
+func ownerRunEnd(keys []uint64, lo int) int {
+	hi := lo + 1
+	for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
+		hi++
 	}
-	for i := range a {
-		if uint32(a[i]) != uint32(b[i]) {
-			return false
-		}
-	}
-	return true
+	return hi
+}
+
+// ownerKeys returns the sub-range of the ascending id keys that owner
+// owns; the caller knows there is one.
+func ownerKeys(keys []uint64, owner uint64) []uint64 {
+	lo, _ := slices.BinarySearch(keys, owner<<32)
+	return keys[lo:ownerRunEnd(keys, lo)]
 }
 
 // forwardEvent sends the event to the first unvisited broker in
@@ -905,6 +908,9 @@ func decodeMsgHeader(buf []byte) (traceID uint64, n int, err error) {
 			return 0, 0, fmt.Errorf("core: truncated trace id")
 		}
 		traceID = binary.LittleEndian.Uint64(buf[1:9])
+		if traceID == 0 {
+			return 0, 0, fmt.Errorf("core: zero trace id")
+		}
 		n = 9
 	}
 	return traceID, n, nil
@@ -940,9 +946,12 @@ func decodeEventMsg(s *schema.Schema, buf []byte) (*schema.Event, subid.Mask, su
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	ev, _, err := schema.DecodeEvent(s, buf[n1+n2:])
+	ev, used, err := schema.DecodeEvent(s, buf[n1+n2:])
 	if err != nil {
 		return nil, nil, nil, 0, err
+	}
+	if n1+n2+used != len(buf) {
+		return nil, nil, nil, 0, fmt.Errorf("core: %d bytes after the event", len(buf)-n1-n2-used)
 	}
 	return ev, brocli, delivered, traceID, nil
 }
@@ -953,27 +962,100 @@ func isTraced(payload []byte) bool {
 	return len(payload) > 0 && payload[0]&msgFlagTrace != 0
 }
 
-// decodeDeliverMsg decodes an owner-delivery payload: one or more
-// (message header, packed event) records, one per event of the sender's
-// run that matched this owner. The trace id returned is the first
-// record's: a traced event travels alone. A decode error anywhere
-// discards the whole payload (the caller records it), matching the
-// lost-message semantics of any corrupt message.
-func decodeDeliverMsg(s *schema.Schema, buf []byte) (evs []*schema.Event, traceID uint64, err error) {
+// An owner-delivery payload is one or more records, one per event of the
+// sender's run that matched this owner:
+//
+//	record: message header, n:uvarint (≥ 1), n local ids (c2) as strictly
+//	        ascending delta-uvarints — the first absolute —, packed event
+//
+// The ids are the owner's subscriptions the sender's Algorithm 1 pass
+// matched: the candidates the owner exact-matches, instead of running the
+// pass again over its whole merged view.
+
+// deliverRecord is one decoded record: the event and its named ids as the
+// keys[lo:hi] range of the slice decodeDeliverMsg filled beside it.
+type deliverRecord struct {
+	ev     *schema.Event
+	lo, hi int
+}
+
+// appendDeliverRecord appends one record to buf. keys are ascending id
+// keys of a single owner; only their local halves travel.
+func appendDeliverRecord(buf []byte, traceID uint64, keys []uint64, ev *schema.Event) []byte {
+	buf = appendMsgHeader(buf, traceID)
+	buf = binary.AppendUvarint(buf, uint64(len(keys)))
+	prev := subid.LocalID(0)
+	for _, key := range keys {
+		_, local := subid.KeyParts(key)
+		buf = binary.AppendUvarint(buf, uint64(local-prev))
+		prev = local
+	}
+	return schema.EncodeEvent(buf, ev)
+}
+
+// decodeDeliverRecord decodes the record at the head of buf, appending
+// its ids to keys as id keys of owner, and returns the bytes consumed.
+func decodeDeliverRecord(s *schema.Schema, buf []byte, owner subid.BrokerID, keys []uint64) (ev *schema.Event, _ []uint64, traceID uint64, n int, err error) {
+	traceID, n, err = decodeMsgHeader(buf)
+	if err != nil {
+		return nil, keys, 0, 0, err
+	}
+	count, used := canonicalUvarint(buf[n:])
+	n += used
+	// Every id takes at least a byte, which bounds what a hostile count
+	// can make the key slice grow to.
+	if used == 0 || count == 0 || count > uint64(len(buf)-n) {
+		return nil, keys, 0, 0, fmt.Errorf("core: bad deliver id count")
+	}
+	local := uint64(0)
+	for i := uint64(0); i < count; i++ {
+		delta, used := canonicalUvarint(buf[n:])
+		n += used
+		local += delta
+		if used == 0 || (delta == 0 && i > 0) || delta > math.MaxUint32 || local > math.MaxUint32 {
+			return nil, keys, 0, 0, fmt.Errorf("core: bad deliver id list")
+		}
+		keys = append(keys, subid.ID{Broker: owner, Local: subid.LocalID(local)}.Key())
+	}
+	ev, used, err = schema.DecodeEvent(s, buf[n:])
+	if err != nil {
+		return nil, keys, 0, 0, err
+	}
+	return ev, keys, traceID, n + used, nil
+}
+
+// decodeDeliverMsg decodes an owner-delivery payload into recs and keys
+// (pass scratch to reuse it). The trace id returned is the first record's:
+// a traced event travels alone. A decode error anywhere discards the whole
+// payload (the caller records it), matching the lost-message semantics of
+// any corrupt message; so does an empty payload.
+func decodeDeliverMsg(s *schema.Schema, buf []byte, owner subid.BrokerID, recs []deliverRecord, keys []uint64) (_ []deliverRecord, _ []uint64, traceID uint64, err error) {
+	if len(buf) == 0 {
+		return recs, keys, 0, fmt.Errorf("core: empty deliver payload")
+	}
 	for len(buf) > 0 {
-		id, n, err := decodeMsgHeader(buf)
+		lo := len(keys)
+		ev, ks, id, n, err := decodeDeliverRecord(s, buf, owner, keys)
 		if err != nil {
-			return nil, 0, err
+			return recs, keys, 0, err
 		}
-		ev, used, err := schema.DecodeEvent(s, buf[n:])
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(evs) == 0 {
+		if len(recs) == 0 {
 			traceID = id
 		}
-		evs = append(evs, ev)
-		buf = buf[n+used:]
+		keys = ks
+		recs = append(recs, deliverRecord{ev: ev, lo: lo, hi: len(keys)})
+		buf = buf[n:]
 	}
-	return evs, traceID, nil
+	return recs, keys, traceID, nil
+}
+
+// canonicalUvarint reads a uvarint in its shortest form and returns the
+// bytes consumed, 0 for a truncated, overlong or padded one — so a payload
+// that decodes has exactly one encoding.
+func canonicalUvarint(buf []byte) (uint64, int) {
+	v, n := binary.Uvarint(buf)
+	if n <= 0 || (n > 1 && buf[n-1] == 0) {
+		return 0, 0
+	}
+	return v, n
 }

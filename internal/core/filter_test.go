@@ -136,3 +136,51 @@ func TestFilterSubsumedDeltasSavesBandwidth(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterPromotedSubscriptionKeepsDelivery covers the gap after a
+// subsuming subscription leaves: the subscription it was covering is
+// promoted into the next delta, but until that period runs remote brokers
+// still hold only the dead anchor's rows and name its id. The owner has
+// no filter-skipped subscription left to tell it so; the dead name on a
+// filtering broker does, and it re-matches everything it owns.
+func TestFilterPromotedSubscriptionKeepsDelivery(t *testing.T) {
+	s := stockSchema(t)
+	net, err := New(Config{
+		Topology:             topology.Star(3),
+		Schema:               s,
+		Mode:                 interval.Lossy,
+		FilterSubsumedDeltas: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	var wideC, narrowC collector
+	wideID, err := net.Subscribe(starOwner, mustSub(t, s, `price > 5`), wideC.deliver(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Subscribe(starOwner, mustSub(t, s, `price > 8 && price < 9`), narrowC.deliver(s)); err != nil {
+		t.Fatal(err)
+	}
+	mustPropagate(t, net)
+	publishFlush(t, net, starOther, "price=8.5")
+	if wideC.count() != 1 || narrowC.count() != 1 {
+		t.Fatalf("before the anchor left: wide %d, narrow %d, want 1 and 1", wideC.count(), narrowC.count())
+	}
+	if err := net.Unsubscribe(wideID); err != nil {
+		t.Fatal(err)
+	}
+	if st := net.Broker(starOwner).Stats(); st.FilteredSubs != 0 {
+		t.Fatalf("FilteredSubs = %d after the anchor left, want 0 (narrow promoted)", st.FilteredSubs)
+	}
+	publishFlush(t, net, starOther, "price=8.5")
+	if wideC.count() != 1 || narrowC.count() != 2 {
+		t.Fatalf("between the anchor leaving and the next period: wide %d, narrow %d, want 1 and 2", wideC.count(), narrowC.count())
+	}
+	mustPropagate(t, net)
+	publishFlush(t, net, starOther, "price=8.5")
+	if wideC.count() != 1 || narrowC.count() != 3 {
+		t.Fatalf("after the next period: wide %d, narrow %d, want 1 and 3", wideC.count(), narrowC.count())
+	}
+}

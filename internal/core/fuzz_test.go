@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"github.com/subsum/subsum/internal/broker"
@@ -41,5 +42,95 @@ func FuzzLoadSnapshot(f *testing.F) {
 			return
 		}
 		restored.Close()
+	})
+}
+
+// sameButFieldOrder reports whether a re-encoded message equals the bytes
+// it was decoded from, where its trailing packed event may have arrived
+// with its fields in another order: DecodeEvent accepts that and sorts
+// them, and it is the one thing the in-process decoders accept that the
+// encoders do not write. Everything before the event must be identical.
+func sameButFieldOrder(s *schema.Schema, wire, again []byte, ev *schema.Event) bool {
+	cut := len(again) - len(schema.EncodeEvent(nil, ev))
+	if len(wire) != len(again) || !bytes.Equal(wire[:cut], again[:cut]) {
+		return false
+	}
+	if bytes.Equal(wire[cut:], again[cut:]) {
+		return true
+	}
+	got, _, err := schema.DecodeEvent(s, wire[cut:])
+	return err == nil && got.Format(s) == ev.Format(s)
+}
+
+// FuzzDecodeDeliverMsg: the deliver decoder never panics, and a payload
+// that decodes re-encodes, record by record, to the bytes it came from.
+func FuzzDecodeDeliverMsg(f *testing.F) {
+	fx := newDeliverFixture(f)
+	f.Add(fx.payload(1, 0))
+	f.Add(fx.payload(1, 77))
+	f.Add(fx.payload(3, 0))
+	for _, payload := range fx.hostile() {
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, keys, traceID, err := decodeDeliverMsg(fx.s, data, fx.owner, nil, nil)
+		if err != nil {
+			return
+		}
+		if len(recs) == 0 {
+			t.Fatal("decoded a payload of no records")
+		}
+		rest := data
+		for i, r := range recs {
+			if r.lo >= r.hi || !slices.IsSorted(keys[r.lo:r.hi]) {
+				t.Fatalf("record %d: ids %v are not a non-empty ascending list", i, keys[r.lo:r.hi])
+			}
+			_, _, id, n, err := decodeDeliverRecord(fx.s, rest, fx.owner, nil)
+			if err != nil || (i == 0 && id != traceID) {
+				t.Fatalf("record %d: decoded alone: trace %d, %v", i, id, err)
+			}
+			again := appendDeliverRecord(nil, id, keys[r.lo:r.hi], r.ev)
+			if !sameButFieldOrder(fx.s, rest[:n], again, r.ev) {
+				t.Fatalf("record %d: %x re-encodes to %x", i, rest[:n], again)
+			}
+			rest = rest[n:]
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%d bytes left after the last record", len(rest))
+		}
+	})
+}
+
+// FuzzDecodeEventMsg: the routed-event decoder never panics, and a
+// payload that decodes re-encodes to the bytes it came from.
+func FuzzDecodeEventMsg(f *testing.F) {
+	fx := newDeliverFixture(f)
+	for i, traceID := range []uint64{0, 77, 0} {
+		brocli, delivered := subid.NewMask(3), subid.NewMask(3)
+		brocli.Set(i)
+		delivered.Set(2 - i)
+		msg, err := encodeEventMsg(nil, fx.evs[i], brocli, delivered, traceID)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(msg)
+		f.Add(msg[:len(msg)-2])                 // truncated event
+		f.Add(append(msg, 0))                   // bytes after the event
+		f.Add(append([]byte{0xFE}, msg[1:]...)) // unknown flags
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0xFF, 0xFF}) // mask word count beyond the bytes left
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ev, brocli, delivered, traceID, err := decodeEventMsg(fx.s, data)
+		if err != nil {
+			return
+		}
+		again, err := encodeEventMsg(nil, ev, brocli, delivered, traceID)
+		if err != nil {
+			t.Fatalf("decoded message does not encode: %v", err)
+		}
+		if !sameButFieldOrder(fx.s, data, again, ev) {
+			t.Fatalf("%x re-encodes to %x", data, again)
+		}
 	})
 }

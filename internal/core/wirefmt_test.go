@@ -1,11 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/subsum/subsum/internal/interval"
+	"github.com/subsum/subsum/internal/netsim"
 	"github.com/subsum/subsum/internal/routing"
+	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/topology"
 )
@@ -125,5 +131,161 @@ func TestEffectiveOrderSorted(t *testing.T) {
 				seen[id] = true
 			}
 		})
+	}
+}
+
+// ownerIDKeys builds the ascending id keys of one owner.
+func ownerIDKeys(owner subid.BrokerID, locals ...uint32) []uint64 {
+	keys := make([]uint64, len(locals))
+	for i, l := range locals {
+		keys[i] = subid.ID{Broker: owner, Local: subid.LocalID(l)}.Key()
+	}
+	return keys
+}
+
+// deliverFixture is the deliver-codec test vocabulary: an owner, three
+// events and three id lists (a lone zero, a spread reaching the top of
+// c2, a dense pair).
+type deliverFixture struct {
+	s     *schema.Schema
+	owner subid.BrokerID
+	evs   []*schema.Event
+	ids   [][]uint64
+}
+
+func newDeliverFixture(t testing.TB) deliverFixture {
+	t.Helper()
+	f := deliverFixture{s: stockSchema(t), owner: 1}
+	for _, text := range []string{"symbol=OTE price=8.40", "price=150", "exchange=NYSE symbol=IBM price=1 volume=7"} {
+		ev, err := schema.ParseEvent(f.s, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.evs = append(f.evs, ev)
+	}
+	f.ids = [][]uint64{
+		ownerIDKeys(f.owner, 0),
+		ownerIDKeys(f.owner, 5, 6, 300, 70000, math.MaxUint32),
+		ownerIDKeys(f.owner, 41, 42),
+	}
+	return f
+}
+
+// payload encodes the first k records, the first under traceID.
+func (f deliverFixture) payload(k int, traceID uint64) []byte {
+	var buf []byte
+	for i := 0; i < k; i++ {
+		buf = appendDeliverRecord(buf, traceID, f.ids[i], f.evs[i])
+		traceID = 0
+	}
+	return buf
+}
+
+// hostile returns deliver payloads a decoder must refuse, by name.
+func (f deliverFixture) hostile() map[string][]byte {
+	rec := func(ids []byte, tail ...byte) []byte {
+		return append(append([]byte{0}, ids...), tail...)
+	}
+	ev := schema.EncodeEvent(nil, f.evs[0])
+	valid := f.payload(1, 0)
+	return map[string][]byte{
+		"empty payload":              {},
+		"count beyond bytes left":    rec(binary.AppendUvarint(nil, 200), 1, 2, 3),
+		"huge count":                 rec(binary.AppendUvarint(nil, math.MaxUint64)),
+		"zero count":                 rec([]byte{0}, ev...),
+		"non-ascending ids":          rec([]byte{2, 5, 0}, ev...),
+		"id above u32":               rec(append([]byte{1}, binary.AppendUvarint(nil, 1<<32)...), ev...),
+		"running id above u32":       rec(append(append([]byte{2}, binary.AppendUvarint(nil, math.MaxUint32)...), 1), ev...),
+		"truncated id list":          rec([]byte{2, 0x80, 0x80}),
+		"padded uvarint":             rec([]byte{0x81, 0x00, 7}, ev...),
+		"missing event":              rec([]byte{1, 7}),
+		"truncated event":            valid[:len(valid)-3],
+		"garbage after a record":     append(slices.Clone(valid), 0xFE),
+		"traced with a zero id":      append([]byte{msgFlagTrace, 0, 0, 0, 0, 0, 0, 0, 0}, valid[1:]...),
+		"second record is truncated": append(slices.Clone(valid), valid[:len(valid)-1]...),
+	}
+}
+
+// TestDeliverRecordRoundTrip: 1 and k records, traced and untraced, come
+// back as the same (trace id, ids, event) records, and re-encode to the
+// same bytes.
+func TestDeliverRecordRoundTrip(t *testing.T) {
+	f := newDeliverFixture(t)
+	for _, traceID := range []uint64{0, 9, 1 << 60} {
+		for _, k := range []int{1, 3} {
+			buf := f.payload(k, traceID)
+			recs, keys, gotID, err := decodeDeliverMsg(f.s, buf, f.owner, nil, nil)
+			if err != nil {
+				t.Fatalf("trace %d, %d records: %v", traceID, k, err)
+			}
+			if gotID != traceID || len(recs) != k {
+				t.Fatalf("trace %d, %d records: decoded trace %d, %d records", traceID, k, gotID, len(recs))
+			}
+			var again []byte
+			for i, r := range recs {
+				if !slices.Equal(keys[r.lo:r.hi], f.ids[i]) {
+					t.Fatalf("record %d ids = %v, want %v", i, keys[r.lo:r.hi], f.ids[i])
+				}
+				if got, want := r.ev.Format(f.s), f.evs[i].Format(f.s); got != want {
+					t.Fatalf("record %d event = %s, want %s", i, got, want)
+				}
+				id := uint64(0)
+				if i == 0 {
+					id = gotID
+				}
+				again = appendDeliverRecord(again, id, keys[r.lo:r.hi], r.ev)
+			}
+			if !bytes.Equal(again, buf) {
+				t.Fatalf("trace %d, %d records: re-encoded %x, want %x", traceID, k, again, buf)
+			}
+		}
+	}
+	// The id list costs what it says: one count byte and one byte per
+	// small delta.
+	withIDs := len(appendDeliverRecord(nil, 0, f.ids[2], f.evs[0]))
+	if bare := 1 + len(schema.EncodeEvent(nil, f.evs[0])); withIDs != bare+3 {
+		t.Fatalf("record with two small ids is %d bytes, want %d", withIDs, bare+3)
+	}
+}
+
+// TestHostileDeliverPayloads: every malformed deliver payload is one
+// KindDeliver decode error at the owner — never a panic, a delivery or a
+// false-positive charge — and does not poison the traffic behind it.
+func TestHostileDeliverPayloads(t *testing.T) {
+	f := newDeliverFixture(t)
+	net := newNetwork(t, topology.Star(3), f.s)
+	sub, err := schema.ParseSubscription(f.s, `price > 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c collector
+	id, err := net.Subscribe(topology.NodeID(f.owner), sub, c.deliver(f.s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := f.hostile()
+	for name, payload := range hostile {
+		if _, _, _, err := decodeDeliverMsg(f.s, payload, f.owner, nil, nil); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+		if err := net.bus.Send(netsim.Message{From: 0, To: topology.NodeID(f.owner), Kind: netsim.KindDeliver, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Flush()
+	st := net.Stats()
+	if got := st.DecodeErrors[netsim.KindDeliver]; got != int64(len(hostile)) || st.TotalErrors() != got {
+		t.Fatalf("deliver decode errors = %d of %d total, want %d of %d", got, st.TotalErrors(), len(hostile), len(hostile))
+	}
+	if c.count() != 0 || net.attrib.Report(0).Total != 0 {
+		t.Fatalf("hostile payloads caused %d deliveries, %d charges", c.count(), net.attrib.Report(0).Total)
+	}
+	good := appendDeliverRecord(nil, 0, []uint64{id.Key()}, f.evs[0])
+	if err := net.bus.Send(netsim.Message{From: 0, To: topology.NodeID(f.owner), Kind: netsim.KindDeliver, Payload: good}); err != nil {
+		t.Fatal(err)
+	}
+	net.Flush()
+	if c.count() != 1 {
+		t.Fatalf("deliveries after the hostile payloads = %d, want 1", c.count())
 	}
 }

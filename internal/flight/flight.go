@@ -71,9 +71,9 @@ const (
 	// more).
 	EvConvergence
 	// EvFPAttribution: a false positive was charged to a new
-	// (attribute, operator-class, owner) triple for the first time
-	// (broker = owner, A = attribute id, B = operator class); the note
-	// names the attribute and operator class.
+	// (attribute, operator-class, owner) triple, admitted while the
+	// attributor's top-K had room (broker = owner, A = attribute id, B =
+	// operator class); the note names the attribute and operator class.
 	EvFPAttribution
 	// EvSubgroupDigest: per-subgroup digest analytics snapshot (A =
 	// group, B = pruned checks, C = digest passes that delivered

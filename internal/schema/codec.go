@@ -63,15 +63,25 @@ func EncodeEvent(buf []byte, e *Event) []byte {
 	return buf
 }
 
+// minFieldWire is the smallest encoded field: attr:u16, type:u8, and an
+// empty string's len:u16.
+const minFieldWire = 5
+
 // DecodeEvent parses an event from buf, validating against the schema.
-// It returns the event and the number of bytes consumed.
+// It returns the event and the number of bytes consumed. EncodeEvent
+// writes fields in ascending attribute order, so that is the path decoded
+// in place — strictly ascending ids are also the duplicate check; fields
+// in any other order are accepted through EventFromFields.
 func DecodeEvent(s *Schema, buf []byte) (*Event, int, error) {
 	if len(buf) < 2 {
 		return nil, 0, fmt.Errorf("schema: short event")
 	}
 	n := int(binary.LittleEndian.Uint16(buf))
 	off := 2
-	fields := make([]Field, 0, n)
+	// The count is the sender's claim; the bytes left bound what it can
+	// make us allocate.
+	fields := make([]Field, 0, min(n, (len(buf)-off)/minFieldWire))
+	sorted := true
 	for i := 0; i < n; i++ {
 		if len(buf) < off+2 {
 			return nil, 0, fmt.Errorf("schema: truncated event field")
@@ -83,13 +93,24 @@ func DecodeEvent(s *Schema, buf []byte) (*Event, int, error) {
 			return nil, 0, err
 		}
 		off += vn
+		if i > 0 && attr <= fields[i-1].Attr {
+			sorted = false
+		}
 		fields = append(fields, Field{Attr: attr, Value: v})
 	}
-	e, err := EventFromFields(s, fields)
-	if err != nil {
-		return nil, 0, err
+	if !sorted {
+		e, err := EventFromFields(s, fields)
+		if err != nil {
+			return nil, 0, err
+		}
+		return e, off, nil
 	}
-	return e, off, nil
+	for _, f := range fields {
+		if err := checkValueType(s, f.Attr, f.Value); err != nil {
+			return nil, 0, err
+		}
+	}
+	return &Event{fields: fields}, off, nil
 }
 
 // EncodeSubscription appends the subscription's binary form to buf.

@@ -1,8 +1,10 @@
 package schema
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -156,6 +158,72 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	bad[4] = 0xFF
 	if _, _, err := DecodeEvent(s, bad); err == nil {
 		t.Fatal("corrupt value type accepted")
+	}
+}
+
+// wireFields hand-packs an event in the given field order — EncodeEvent
+// only ever writes ascending attribute ids.
+func wireFields(fields ...Field) []byte {
+	buf := binary.LittleEndian.AppendUint16(nil, uint16(len(fields)))
+	for _, f := range fields {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(f.Attr))
+		buf = appendValue(buf, f.Value)
+	}
+	return buf
+}
+
+// TestDecodeEventFieldOrder covers both decode paths: ascending input is
+// taken as it stands, any other order goes through EventFromFields and
+// comes out sorted, and both refuse the same bad events.
+func TestDecodeEventFieldOrder(t *testing.T) {
+	s := paperSchema(t)
+	ev, err := ParseEvent(s, `exchange=NYSE symbol=OTE price=8.40 volume=132700`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := ev.Fields()
+	shuffled := []Field{sorted[2], sorted[0], sorted[3], sorted[1]}
+	for name, wire := range map[string][]byte{"ascending": wireFields(sorted...), "shuffled": wireFields(shuffled...)} {
+		got, n, err := DecodeEvent(s, wire)
+		if err != nil || n != len(wire) {
+			t.Fatalf("%s: consumed %d of %d bytes, err %v", name, n, len(wire), err)
+		}
+		if !reflect.DeepEqual(got.Fields(), sorted) {
+			t.Fatalf("%s: decoded %v, want %v", name, got.Fields(), sorted)
+		}
+	}
+	price, volume := sorted[2], sorted[3]
+	for name, wire := range map[string][]byte{
+		"adjacent duplicate":        wireFields(price, price),
+		"duplicate after a gap":     wireFields(price, volume, price),
+		"string for a float":        wireFields(Field{Attr: price.Attr, Value: StringValue("x")}),
+		"int for a float, shuffled": wireFields(volume, Field{Attr: price.Attr, Value: IntValue(8)}),
+		"attribute out of range":    wireFields(price, Field{Attr: AttrID(s.Len()), Value: IntValue(1)}),
+	} {
+		if _, _, err := DecodeEvent(s, wire); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestDecodeEventBoundsPreallocation: the field count is the sender's
+// claim, so what it makes the decoder allocate is bounded by the bytes
+// that came with it — two bytes claiming 65 535 fields used to reserve
+// room for all of them.
+func TestDecodeEventBoundsPreallocation(t *testing.T) {
+	s := paperSchema(t)
+	claim := []byte{0xFF, 0xFF}
+	if _, _, err := DecodeEvent(s, claim); err == nil {
+		t.Fatal("an event of 65535 fields and no bytes decoded")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 16; i++ {
+		_, _, _ = DecodeEvent(s, claim) // the error is checked above
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / 16; got > 4096 {
+		t.Fatalf("a 2-byte message made DecodeEvent allocate %d bytes", got)
 	}
 }
 
