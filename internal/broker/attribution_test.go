@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/subsum/subsum/internal/flight"
@@ -216,6 +217,53 @@ func TestFPAttributorSpaceSavingBound(t *testing.T) {
 	}
 }
 
+// TestFPAttributorSpaceSavingInvariants drives a skewed random triple
+// stream through a small table and checks, after every observation, what
+// space-saving promises whichever minimum an eviction picks: the counts
+// sum to the observations, a tracked triple's true frequency lies in
+// [count-err, count], an untracked one's is at most the smallest count —
+// and that the table and its slot index agree.
+func TestFPAttributorSpaceSavingInvariants(t *testing.T) {
+	s := testSchema(t)
+	priceID, _ := s.ID("price")
+	const k = 8
+	a := NewFPAttributor(s, nil, nil, k)
+	rng := rand.New(rand.NewSource(9))
+	truth := make(map[FPKey]int64)
+	for n := int64(1); n <= 5000; n++ {
+		owner := subid.BrokerID(rng.Intn(4)) // heavy hitters
+		if rng.Intn(3) == 0 {
+			owner = subid.BrokerID(4 + rng.Intn(60)) // a long tail that keeps evicting
+		}
+		a.ObserveFP(priceID, FPClassRange, owner)
+		truth[FPKey{Attr: priceID, Class: FPClassRange, Owner: owner}]++
+
+		if len(a.top) > k || len(a.pos) != len(a.top) {
+			t.Fatalf("after %d: %d entries, %d indexed, bound %d", n, len(a.top), len(a.pos), k)
+		}
+		var sum int64
+		least := a.top[0].count
+		for i, e := range a.top {
+			sum += e.count
+			least = min(least, e.count)
+			if a.pos[e.key.packed()] != i {
+				t.Fatalf("after %d: index says %v is at %d, found at %d", n, e.key, a.pos[e.key.packed()], i)
+			}
+			if tc := truth[e.key]; tc > e.count || tc < e.count-e.err {
+				t.Fatalf("after %d: %v true count %d outside [%d, %d]", n, e.key, tc, e.count-e.err, e.count)
+			}
+		}
+		if sum != n {
+			t.Fatalf("after %d: counts sum to %d", n, sum)
+		}
+		for key, tc := range truth {
+			if _, tracked := a.pos[key.packed()]; !tracked && tc > least {
+				t.Fatalf("after %d: untracked %v has true count %d above the minimum %d", n, key, tc, least)
+			}
+		}
+	}
+}
+
 // TestFPAttributorJournalsAdmissionsOnly pins the journal-thrash fix: a
 // triple is journaled when it is first admitted while the top-K has room;
 // once the table is full, triples swapping in and out are counted in
@@ -295,5 +343,23 @@ func BenchmarkObserveFPSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.ObserveFP(priceID, FPClassRange, 0)
+	}
+}
+
+// BenchmarkObserveFPEvicting is the other steady state: the table is full
+// and four times as many triples rotate through it, so every observation
+// evicts the current minimum.
+func BenchmarkObserveFPEvicting(b *testing.B) {
+	s := testSchema(b)
+	const k = 64
+	a := NewFPAttributor(s, metrics.NewRegistry(), nil, k)
+	priceID, _ := s.ID("price")
+	for i := 0; i < 4*k; i++ {
+		a.ObserveFP(priceID, FPClassRange, subid.BrokerID(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.ObserveFP(priceID, FPClassRange, subid.BrokerID(i%(4*k)))
 	}
 }

@@ -65,12 +65,13 @@ type Broker struct {
 
 	// The lock-free match read path (RCU-style). matchGen counts merged-
 	// summary mutations: every mutator bumps it under b.mu. snap publishes
-	// an immutable snapshot of the matcher state (sharded deep copies of
-	// merged plus a cloned Merged_Brokers mask) stamped with the generation
-	// it was built from. Readers load snap with one atomic load; when its
-	// generation is stale they rebuild under b.mu (double-checked) and
-	// swap. Matching therefore never blocks behind a concurrent
-	// Subscribe/MergeEncodedSummary, and mutators never wait for matchers.
+	// an immutable snapshot of the matcher state (compiled, possibly
+	// sharded views of merged — summary.View — plus a cloned Merged_Brokers
+	// mask) stamped with the generation it was built from. Readers load
+	// snap with one atomic load; when its generation is stale they rebuild
+	// under b.mu (double-checked) and swap. Matching therefore never blocks
+	// behind a concurrent Subscribe/MergeEncodedSummary, and mutators never
+	// wait for matchers.
 	matchGen     atomic.Uint64
 	snap         atomic.Pointer[matchSnapshot]
 	communicated map[topology.NodeID]bool
@@ -238,10 +239,11 @@ func New(cfg Config) (*Broker, error) {
 	return b, nil
 }
 
-// matchSnapshot is one published generation of the match read path: a
-// sharded deep copy of the merged summary (with a matcher pool leasing
-// private scratch to concurrent readers) and the Merged_Brokers set as of
-// the same generation. Immutable once stored in b.snap.
+// matchSnapshot is one published generation of the match read path: the
+// merged summary compiled into one summary.View per shard (with a matcher
+// pool leasing private scratch to concurrent readers) and the
+// Merged_Brokers set as of the same generation. Immutable once stored in
+// b.snap.
 type matchSnapshot struct {
 	gen     uint64
 	pool    *summary.ShardedMatcherPool
@@ -251,19 +253,21 @@ type matchSnapshot struct {
 // matchShardThreshold is the merged-summary size, in subscriptions, from
 // which a snapshot is split into id-range shards so a run of events fans
 // its matching out across cores. Below it one Algorithm 1 pass is too
-// short to repay a goroutine round trip per run and n deep copies per
-// rebuild. The benchmark has workloads on both sides (numbers from a
-// 2-core host, two shards): the fanout-cw24 hub (≤ 2 400 merged
-// subscriptions) and every walk-ts256 broker (≤ 1 024) sit below, and
-// sharding them anyway cost each about 15 % of its events/s and
-// walk-ts256 a third more publish latency; the match-cw24-24k hub
-// (24 000) sits above, and sharding it gained 77 % events/s. 8 192 is the
-// one value tried between them.
+// short to repay a goroutine round trip per run and n passes over the
+// rows per rebuild. The benchmark has workloads on both sides (2-core
+// host, two shards, two 10 s runs a side, measured with the matcher
+// reading dense indices from its rows): the fanout-cw24 hub (≤ 2 400
+// merged subscriptions) and every walk-ts256 broker (≤ 1 024) sit below,
+// and sharding them anyway cost fanout-cw24 7 % of its events/s (46.1 k →
+// 43.1 k) and 18 % more publish latency, walk-ts256 18 % (21.3 k →
+// 17.6 k) and half as much latency again (154 → 235 µs); the
+// match-cw24-24k hub (24 000) sits above, and sharding it gained 61 %
+// events/s (15.3 k → 24.7 k). 8 192 is the one value tried between them.
 const matchShardThreshold = 8192
 
 // matchShardLimit caps the fan-out: every shard re-walks the event's
-// attributes and costs one deep copy per snapshot rebuild, so width past
-// a handful of cores buys little.
+// attributes and costs one pass over the merged rows per snapshot
+// rebuild, so width past a handful of cores buys little.
 const matchShardLimit = 8
 
 // matchShardCount picks the snapshot's shard count from what the broker

@@ -1,0 +1,62 @@
+package broker
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"github.com/subsum/subsum/internal/interval"
+	"github.com/subsum/subsum/internal/subid"
+	"github.com/subsum/subsum/internal/summary"
+	"github.com/subsum/subsum/internal/workload"
+)
+
+// BenchmarkSnapshotRebuild prices what the first match after a mutation
+// pays: compiling the merged summary of a 24-broker hub into the published
+// match snapshot. The shard count follows GOMAXPROCS as in production, so
+// each case pins it.
+func BenchmarkSnapshotRebuild(b *testing.B) {
+	for _, tc := range []struct{ subs, procs, shards int }{
+		{24000, 1, 1},
+		{24000, 2, 2},
+		{2400, 2, 1},
+	} {
+		b.Run(fmt.Sprintf("subs=%d/shards=%d", tc.subs, tc.shards), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			gen, err := workload.NewGenerator(workload.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			const brokers = 24
+			sum := summary.New(gen.Schema(), interval.Lossy)
+			for i := 0; i < tc.subs; i++ {
+				id := subid.ID{Broker: subid.BrokerID(i % brokers), Local: subid.LocalID(i / brokers)}
+				if err := sum.Insert(id, gen.Subscription()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			hub, err := New(Config{ID: brokers, Schema: gen.Schema(), Mode: interval.Lossy, NumBrokers: brokers + 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			mask := subid.NewMask(brokers + 1)
+			for i := 0; i < brokers; i++ {
+				mask.Set(i)
+			}
+			if err := hub.MergeSummary(sum, mask); err != nil {
+				b.Fatal(err)
+			}
+			if got := hub.matchSnapshot().pool.Get().NumShards(); got != tc.shards {
+				b.Fatalf("snapshot has %d shards, want %d", got, tc.shards)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hub.mu.Lock()
+				hub.invalidateMatch()
+				hub.mu.Unlock()
+				hub.matchSnapshot()
+			}
+		})
+	}
+}

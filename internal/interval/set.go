@@ -589,6 +589,44 @@ func (s *Set) Clone() *Set {
 	return out
 }
 
+// CloneMapped returns a deep copy of the set with every id translated by
+// f; ids f rejects are dropped, and so are rows left without ids. The set
+// never interprets ids beyond their order, so f must be strictly
+// increasing on the ids it keeps (id lists stay sorted and deduplicated).
+// The receiver is only read. The copy's id lists share one backing array:
+// it is meant to be read, not mutated.
+func (s *Set) CloneMapped(f func(uint64) (uint64, bool)) *Set {
+	out := &Set{mode: s.mode, eq: make(map[float64][]uint64, len(s.eq))}
+	slab := make([]uint64, 0, s.idEntries())
+	mapIDs := func(ids []uint64) []uint64 {
+		start := len(slab)
+		for _, id := range ids {
+			if m, ok := f(id); ok {
+				slab = append(slab, m)
+			}
+		}
+		return slab[start:len(slab):len(slab)]
+	}
+	out.rows = make([]row, 0, len(s.rows))
+	for _, r := range s.rows {
+		if ids := mapIDs(r.ids); len(ids) > 0 {
+			out.rows = append(out.rows, row{iv: r.iv, ids: ids})
+		}
+	}
+	for v, ids := range s.eq {
+		if ids = mapIDs(ids); len(ids) > 0 {
+			out.eq[v] = ids
+		}
+	}
+	out.ne = make([]neEntry, 0, len(s.ne))
+	for _, e := range s.ne {
+		if ids := mapIDs(e.ids); len(ids) > 0 {
+			out.ne = append(out.ne, neEntry{value: e.value, ids: ids})
+		}
+	}
+	return out
+}
+
 // Stats describes the set's shape for the size model of equation (1).
 type Stats struct {
 	NumRanges   int // n_sr: rows in AACSSR
@@ -633,6 +671,11 @@ func (s *Set) Stats() Stats {
 // from row lengths — the propagation loop calls this every round, so it
 // must not build Stats' DistinctIDs map.
 func (s *Set) SizeBytes(sst, sid int) int {
+	return 2*len(s.rows)*sst + (len(s.eq)+len(s.ne))*sst + s.idEntries()*sid
+}
+
+// idEntries returns ΣL_a: the id-list entries across all rows.
+func (s *Set) idEntries() int {
 	entries := 0
 	for _, r := range s.rows {
 		entries += len(r.ids)
@@ -643,7 +686,7 @@ func (s *Set) SizeBytes(sst, sid int) int {
 	for _, e := range s.ne {
 		entries += len(e.ids)
 	}
-	return 2*len(s.rows)*sst + (len(s.eq)+len(s.ne))*sst + entries*sid
+	return entries
 }
 
 // NewSetFromRows reconstructs a set exactly from serialized views (the

@@ -12,9 +12,12 @@ package schema
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Type enumerates the attribute data types supported by the system.
@@ -89,14 +92,33 @@ type Attribute struct {
 // (Add) while brokers keep matching — existing ids simply have the new
 // bits unset.
 type Schema struct {
-	mu     sync.RWMutex
+	mu  sync.Mutex // serializes Add
+	def atomic.Pointer[definition]
+}
+
+// definition is one immutable generation of a schema. Add publishes a
+// grown copy and never touches a published one, so every read is a single
+// atomic load — no lock, no shared cache line written per decoded field —
+// and an id, once handed out, names the same attribute in every later
+// generation.
+type definition struct {
 	attrs  []Attribute
 	byName map[string]AttrID
 }
 
+var emptyDefinition definition
+
+// load returns the current generation (the zero Schema's is empty).
+func (s *Schema) load() *definition {
+	if d := s.def.Load(); d != nil {
+		return d
+	}
+	return &emptyDefinition
+}
+
 // New builds a schema from the given attribute definitions, in order.
 func New(attrs ...Attribute) (*Schema, error) {
-	s := &Schema{byName: make(map[string]AttrID, len(attrs))}
+	s := &Schema{}
 	for _, a := range attrs {
 		if _, err := s.Add(a.Name, a.Type); err != nil {
 			return nil, err
@@ -118,49 +140,45 @@ func MustNew(attrs ...Attribute) *Schema {
 // Add appends an attribute definition and returns its id. Appending is
 // safe while other goroutines match events (schema evolution, Section 6).
 func (s *Schema) Add(name string, t Type) (AttrID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if name == "" {
 		return 0, fmt.Errorf("schema: empty attribute name")
 	}
 	if t == TypeInvalid || t > TypeDate {
 		return 0, fmt.Errorf("schema: attribute %q has invalid type", name)
 	}
-	if s.byName == nil {
-		s.byName = make(map[string]AttrID)
-	}
-	if _, ok := s.byName[name]; ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.load()
+	if _, ok := old.byName[name]; ok {
 		return 0, fmt.Errorf("schema: duplicate attribute %q", name)
 	}
-	id := AttrID(len(s.attrs))
-	s.attrs = append(s.attrs, Attribute{Name: name, Type: t})
-	s.byName[name] = id
+	id := AttrID(len(old.attrs))
+	grown := &definition{
+		attrs:  append(slices.Clip(old.attrs), Attribute{Name: name, Type: t}),
+		byName: make(map[string]AttrID, len(old.byName)+1),
+	}
+	maps.Copy(grown.byName, old.byName)
+	grown.byName[name] = id
+	s.def.Store(grown)
 	return id, nil
 }
 
 // Len returns the number of attributes (the paper's n_t).
-func (s *Schema) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.attrs)
-}
+func (s *Schema) Len() int { return len(s.load().attrs) }
 
 // ID resolves an attribute name to its id.
 func (s *Schema) ID(name string) (AttrID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	id, ok := s.byName[name]
+	id, ok := s.load().byName[name]
 	return id, ok
 }
 
 // Attr returns the definition of the given attribute id.
 func (s *Schema) Attr(id AttrID) (Attribute, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if int(id) >= len(s.attrs) {
+	attrs := s.load().attrs
+	if int(id) >= len(attrs) {
 		return Attribute{}, false
 	}
-	return s.attrs[id], true
+	return attrs[id], true
 }
 
 // Name returns the attribute name for id, or "attr<id>" if out of range.
@@ -179,23 +197,16 @@ func (s *Schema) TypeOf(id AttrID) Type {
 
 // Names returns the attribute names in schema order.
 func (s *Schema) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, len(s.attrs))
-	for i, a := range s.attrs {
+	attrs := s.load().attrs
+	out := make([]string, len(attrs))
+	for i, a := range attrs {
 		out[i] = a.Name
 	}
 	return out
 }
 
 // Attributes returns a copy of the ordered attribute definitions.
-func (s *Schema) Attributes() []Attribute {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Attribute, len(s.attrs))
-	copy(out, s.attrs)
-	return out
-}
+func (s *Schema) Attributes() []Attribute { return slices.Clone(s.load().attrs) }
 
 // Equal reports whether two schemas define the same attributes in the same
 // order. Brokers must agree on the schema before exchanging summaries.

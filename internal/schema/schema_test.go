@@ -1,7 +1,10 @@
 package schema
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -446,5 +449,70 @@ func TestSubscriptionFormatRoundTrip(t *testing.T) {
 	}
 	if sub2.Format(s) != out {
 		t.Fatalf("format not stable: %q vs %q", sub2.Format(s), out)
+	}
+}
+
+// TestSchemaGrowsUnderReaders is the Section 6 contract under -race:
+// attributes are appended while other goroutines decode events and look
+// attributes up, and an id handed out before a reader started never
+// changes meaning, whichever generation the reader loads.
+func TestSchemaGrowsUnderReaders(t *testing.T) {
+	s := paperSchema(t)
+	base := s.Attributes()
+	ev, err := NewEvent(s, map[string]Value{"symbol": StringValue("OTE"), "price": FloatValue(8.40), "volume": IntValue(132700)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := EncodeEvent(nil, ev)
+
+	const added = 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, _, err := DecodeEvent(s, wire)
+				if err != nil || !slices.Equal(got.Fields(), ev.Fields()) {
+					t.Errorf("DecodeEvent mid-growth = %v, %v", got, err)
+					return
+				}
+				n := s.Len()
+				for id, want := range base {
+					if a, ok := s.Attr(AttrID(id)); !ok || a != want || s.TypeOf(AttrID(id)) != want.Type {
+						t.Errorf("Attr(%d) = %+v,%v mid-growth, want %+v", id, a, ok, want)
+						return
+					}
+					if got, ok := s.ID(want.Name); !ok || int(got) != id {
+						t.Errorf("ID(%q) = %d,%v mid-growth, want %d", want.Name, got, ok, id)
+						return
+					}
+				}
+				// Everything below a Len once observed stays resolvable.
+				if n > len(base) {
+					if a, ok := s.Attr(AttrID(n - 1)); !ok || a.Name != fmt.Sprintf("grown%d", n-1-len(base)) {
+						t.Errorf("Attr(%d) = %+v,%v after Len reported %d", n-1, a, ok, n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < added; i++ {
+		id, err := s.Add(fmt.Sprintf("grown%d", i), TypeInt)
+		if err != nil || int(id) != len(base)+i {
+			t.Fatalf("Add #%d = %d, %v", i, id, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if s.Len() != len(base)+added {
+		t.Fatalf("Len = %d after %d adds, want %d", s.Len(), added, len(base)+added)
 	}
 }

@@ -510,6 +510,46 @@ func (s *Set) Clone() *Set {
 	return out
 }
 
+// CloneMapped returns a deep copy of the set with every id translated by
+// f; ids f rejects are dropped, and so are rows left without ids. The set
+// never interprets ids beyond their order, so f must be strictly
+// increasing on the ids it keeps (id lists stay sorted and deduplicated).
+// The receiver is only read. The copy's id lists share one backing array:
+// it is meant to be read, not mutated.
+func (s *Set) CloneMapped(f func(uint64) (uint64, bool)) *Set {
+	out := &Set{
+		pats: make([]Row, 0, len(s.pats)),
+		eq:   make(map[string][]uint64, len(s.eq)),
+		ne:   make(map[string][]uint64, len(s.ne)),
+	}
+	slab := make([]uint64, 0, s.Stats().IDEntries)
+	mapIDs := func(ids []uint64) []uint64 {
+		start := len(slab)
+		for _, id := range ids {
+			if m, ok := f(id); ok {
+				slab = append(slab, m)
+			}
+		}
+		return slab[start:len(slab):len(slab)]
+	}
+	for _, r := range s.pats {
+		if ids := mapIDs(r.IDs); len(ids) > 0 {
+			out.pats = append(out.pats, Row{Pattern: r.Pattern, IDs: ids})
+		}
+	}
+	for text, ids := range s.eq {
+		if ids = mapIDs(ids); len(ids) > 0 {
+			out.eq[text] = ids
+		}
+	}
+	for text, ids := range s.ne {
+		if ids = mapIDs(ids); len(ids) > 0 {
+			out.ne[text] = ids
+		}
+	}
+	return out
+}
+
 // Rows returns all rows — pattern rows in insertion order followed by
 // equality rows sorted by text. ID slices are shared; do not mutate.
 func (s *Set) Rows() []Row {

@@ -657,6 +657,7 @@ func (sm *Summary) MergeEncoded(buf []byte) error {
 	// The payload may re-register keys this summary has tombstoned; purge
 	// first so stale rows cannot over-count them (see Insert).
 	sm.purgeDead()
+	sm.view.Store(nil)
 	d := &decoder{buf: buf}
 	mode, err := d.header()
 	if err != nil {

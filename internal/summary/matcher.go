@@ -9,31 +9,36 @@ import (
 	"github.com/subsum/subsum/internal/subid"
 )
 
-// Matcher runs Algorithm 1 against one Summary with zero steady-state
-// allocations. It replaces Summary.MatchKeysWithCost's per-event counter
-// maps with dense scratch arrays keyed by the summary's id registry index,
-// and collects per-attribute id lists through the structures' append-style
-// fast paths (interval.Set.AppendMatches, strmatch.Set.AppendMatches)
-// instead of map sinks.
+// Matcher runs Algorithm 1 against a compiled View with zero steady-state
+// allocations. Step 1 collects each event attribute's satisfied id lists
+// through the structures' append-style paths (interval.Set.AppendMatches,
+// strmatch.Set.AppendMatches); a View's lists hold dense registry indices,
+// so step 2 — PAPER.md §3.2's per-subscription count of satisfied
+// attributes against the c3 target — reads and writes plain slices at the
+// collected index, with no lookup per candidate.
 //
-// A Matcher must not be used concurrently with itself or with mutations of
+// A matcher from Summary.NewMatcher follows its summary: each match reads
+// the summary's current one-shard view, recompiled on the first match
+// after a mutation. A matcher from View.NewMatcher is bound to that view.
+// Either must not be used concurrently with itself or with mutations of
 // its summary, but any number of matchers may match concurrently against
-// the same summary (see MatcherPool). The summary should satisfy Validate:
-// ids referenced by rows but absent from the registry — possible only in
-// hand-built or corrupt summaries — are counted by the map-based path's
-// CollectedIDs/UniqueIDs yet skipped here.
+// the same summary or view (see MatcherPool). Keys and MatchCost equal
+// Summary.MatchKeysWithCost's, the map-based reference.
 type Matcher struct {
-	sm *Summary
+	sm *Summary // non-nil: re-read sm's current view on every match
+	v  *View    // the view of the last match
 
 	// token is a monotonically increasing epoch: one tick per event plus
 	// one per event attribute with matches. mark[i] records the token at
 	// which dense id i was last counted, so "already counted for this
 	// attribute" is mark[i] == attrToken and "first sighting this event"
-	// is mark[i] < eventToken — no clearing between events.
+	// is mark[i] < eventToken — no clearing between events, nor when the
+	// view (and with it the meaning of i) changes.
 	token   uint64
 	mark    []uint64
 	count   []int32
 	touched []int32  // dense ids seen this event, in first-seen order
+	hit     []int32  // dense ids that reached their target, ascending
 	buf     []uint64 // per-attribute id-list collection scratch
 	out     []uint64 // matched keys of the last call
 
@@ -56,21 +61,19 @@ type MatcherObs struct {
 // event, preserving the matcher's zero-allocation hot path.
 func (m *Matcher) SetObs(obs *MatcherObs) { m.obs = obs }
 
-// NewMatcher returns a Matcher bound to sm.
-func (sm *Summary) NewMatcher() *Matcher {
-	return &Matcher{sm: sm}
-}
+// NewMatcher returns a Matcher that follows sm through its mutations.
+func (sm *Summary) NewMatcher() *Matcher { return &Matcher{sm: sm} }
 
-// Summary returns the summary the matcher is bound to.
-func (m *Matcher) Summary() *Summary { return m.sm }
+// NewMatcher returns a Matcher bound to v.
+func (v *View) NewMatcher() *Matcher { return &Matcher{v: v} }
 
 // Match is Summary.Match run through the matcher's reusable scratch. The
 // returned ids are freshly allocated and owned by the caller.
 func (m *Matcher) Match(e *schema.Event) []subid.ID {
-	keys := m.MatchKeys(e)
-	out := make([]subid.ID, len(keys))
-	for i, key := range keys {
-		out[i] = m.sm.idFromKey(key)
+	m.MatchKeys(e)
+	out := make([]subid.ID, len(m.hit))
+	for i, idx := range m.hit {
+		out[i] = m.v.idAt(idx)
 	}
 	return out
 }
@@ -83,12 +86,13 @@ func (m *Matcher) MatchKeys(e *schema.Event) []uint64 {
 }
 
 // MatchKeysWithCost is MatchKeys with the Section 5.2.4 operation counts.
-// Keys and cost are identical to Summary.MatchKeysWithCost's, without the
-// per-event map allocations.
 func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
-	sm := m.sm
-	if n := len(sm.keys); len(m.mark) < n {
-		// The registry grew (or this is the first event): extend the dense
+	if m.sm != nil {
+		m.v = m.sm.compiled()
+	}
+	v := m.v
+	if n := len(v.keys); len(m.mark) < n {
+		// The view grew (or this is the first event): extend the dense
 		// scratch. Fresh slots are zero, which every token treats as stale.
 		m.mark = append(m.mark, make([]uint64, n-len(m.mark))...)
 		m.count = append(m.count, make([]int32, n-len(m.count))...)
@@ -102,10 +106,10 @@ func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
 		cost.EventAttrs++
 		m.buf = m.buf[:0]
 		if f.Value.Arithmetic() {
-			if s, ok := sm.aacs[f.Attr]; ok {
+			if s, ok := v.aacs[f.Attr]; ok {
 				m.buf = s.AppendMatches(m.buf, f.Value.Num)
 			}
-		} else if s, ok := sm.sacs[f.Attr]; ok {
+		} else if s, ok := v.sacs[f.Attr]; ok {
 			m.buf = s.AppendMatches(m.buf, f.Value.Str)
 		}
 		if len(m.buf) == 0 {
@@ -113,17 +117,13 @@ func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
 		}
 		m.token++
 		attrToken := m.token
-		for _, key := range m.buf {
-			idx, ok := sm.ids[key]
-			if !ok {
-				continue // unregistered id; see the type comment
-			}
+		for _, idx := range m.buf {
 			if m.mark[idx] == attrToken {
 				continue // already counted for this attribute
 			}
 			if m.mark[idx] < eventToken {
 				m.count[idx] = 0
-				m.touched = append(m.touched, idx)
+				m.touched = append(m.touched, int32(idx))
 			}
 			m.mark[idx] = attrToken
 			m.count[idx]++
@@ -132,13 +132,17 @@ func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
 	}
 	// Step 2: keep ids whose counter equals their c3 attribute count.
 	cost.UniqueIDs = len(m.touched)
-	m.out = m.out[:0]
+	m.hit = m.hit[:0]
 	for _, idx := range m.touched {
-		if m.count[idx] == sm.targets[idx] {
-			m.out = append(m.out, sm.keys[idx])
+		if m.count[idx] == v.targets[idx] {
+			m.hit = append(m.hit, idx)
 		}
 	}
-	slices.Sort(m.out)
+	slices.Sort(m.hit) // index order is key order
+	m.out = m.out[:0]
+	for _, idx := range m.hit {
+		m.out = append(m.out, v.keys[idx])
+	}
 	cost.Matched = len(m.out)
 	if m.obs != nil {
 		if m.obs.Events != nil {

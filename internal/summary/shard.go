@@ -2,78 +2,11 @@ package summary
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
 )
-
-// ShardByKey partitions the summary into n disjoint sub-summaries by
-// contiguous ascending id-key range, so one event can be matched across
-// cores without shared scratch. Every registered id lands in exactly one
-// shard; shard s covers a key range strictly below shard s+1's, which is
-// what makes concatenating per-shard match results in shard order
-// globally sorted — byte-identical to the unsharded matcher's output at
-// any shard count (the determinism rule).
-//
-// The returned summaries are deep copies: the receiver can keep mutating
-// while matchers run against the shards. n is clamped to [1, number of
-// ids] so no shard is empty (an empty summary still gets one shard).
-func (sm *Summary) ShardByKey(n int) []*Summary {
-	sm.purgeDead()
-	if n < 1 {
-		n = 1
-	}
-	if n > len(sm.keys) {
-		n = max(1, len(sm.keys))
-	}
-	if n == 1 {
-		return []*Summary{sm.Clone()}
-	}
-	sorted := append([]uint64(nil), sm.keys...)
-	slices.Sort(sorted)
-	out := make([]*Summary, n)
-	for s := 0; s < n; s++ {
-		lo := s * len(sorted) / n
-		hi := (s + 1) * len(sorted) / n
-		keep := make(map[uint64]struct{}, hi-lo)
-		for _, k := range sorted[lo:hi] {
-			keep[k] = struct{}{}
-		}
-		out[s] = sm.cloneFiltered(keep)
-	}
-	return out
-}
-
-// cloneFiltered deep-copies the summary restricted to the keys in keep.
-// Rows of excluded ids are swept with the same batched RemoveAll used by
-// the tombstone purge, so a shard never over-counts a kept id.
-func (sm *Summary) cloneFiltered(keep map[uint64]struct{}) *Summary {
-	dead := make(map[uint64]struct{}, len(sm.keys)-len(keep))
-	for _, k := range sm.keys {
-		if _, ok := keep[k]; !ok {
-			dead[k] = struct{}{}
-		}
-	}
-	c := New(sm.schema, sm.mode)
-	for a, s := range sm.aacs {
-		cs := s.Clone()
-		cs.RemoveAll(dead)
-		c.aacs[a] = cs
-	}
-	for a, s := range sm.sacs {
-		cs := s.Clone()
-		cs.RemoveAll(dead)
-		c.sacs[a] = cs
-	}
-	for i, k := range sm.keys {
-		if _, ok := keep[k]; ok {
-			c.registerID(k, sm.masks[i].Clone())
-		}
-	}
-	return c
-}
 
 // ShardedMatcher runs Algorithm 1 against a key-range partition of one
 // summary (ShardByKey). Each shard has its own Matcher, so a batch of
@@ -82,7 +15,6 @@ func (sm *Summary) cloneFiltered(keep map[uint64]struct{}) *Summary {
 // ShardedMatcher must not be used concurrently with itself; use a
 // ShardedMatcherPool to share one partition among goroutines.
 type ShardedMatcher struct {
-	shards   []*Summary
 	matchers []*Matcher
 
 	out []uint64 // single-event concatenation scratch
@@ -92,6 +24,14 @@ type ShardedMatcher struct {
 	perShard []shardBatch
 	all      []uint64
 	res      [][]uint64
+
+	// Parallel fan-out state. fanOut[s] matches the current batch against
+	// shard s and is built once here: a go statement on a stored func value
+	// with no arguments allocates nothing, so a fanned-out batch stays as
+	// allocation-free as a serial one.
+	batch  []*schema.Event
+	wg     sync.WaitGroup
+	fanOut []func()
 
 	obs *MatcherObs // aggregated cost instrumentation; nil = one branch
 }
@@ -108,20 +48,24 @@ type shardBatch struct {
 // NewShardedMatcher returns a matcher over the given key-range partition.
 // The shards must be disjoint and ascending by key range (what ShardByKey
 // produces); the matcher does not re-verify this.
-func NewShardedMatcher(shards []*Summary) *ShardedMatcher {
+func NewShardedMatcher(shards []*View) *ShardedMatcher {
 	m := &ShardedMatcher{
-		shards:   shards,
 		matchers: make([]*Matcher, len(shards)),
 		perShard: make([]shardBatch, len(shards)),
+		fanOut:   make([]func(), len(shards)),
 	}
 	for i, s := range shards {
 		m.matchers[i] = s.NewMatcher()
+		m.fanOut[i] = func() {
+			defer m.wg.Done()
+			m.matchShardBatch(i, m.batch)
+		}
 	}
 	return m
 }
 
 // NumShards returns the partition width.
-func (m *ShardedMatcher) NumShards() int { return len(m.shards) }
+func (m *ShardedMatcher) NumShards() int { return len(m.matchers) }
 
 // SetObs attaches cost instrumentation (nil detaches). Counts are
 // recorded once per event at the sharded level — the per-shard matchers
@@ -172,16 +116,14 @@ func (m *ShardedMatcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost
 }
 
 // Match is MatchKeys returning full subscription ids (freshly allocated,
-// caller-owned), with each key's c3 mask recovered from its shard's
+// caller-owned), with each id's c3 mask recovered from its shard's
 // registry.
 func (m *ShardedMatcher) Match(e *schema.Event) []subid.ID {
 	m.MatchKeys(e)
 	out := make([]subid.ID, 0, len(m.out))
-	// Re-walk per shard so each key resolves against the registry that
-	// holds its mask.
-	for i, sm := range m.matchers {
-		for _, key := range sm.out {
-			out = append(out, m.shards[i].idFromKey(key))
+	for _, sm := range m.matchers {
+		for _, idx := range sm.hit {
+			out = append(out, sm.v.idAt(idx))
 		}
 	}
 	return out
@@ -209,15 +151,13 @@ func (m *ShardedMatcher) MatchBatchWithCost(events []*schema.Event) ([][]uint64,
 	nShards := len(m.matchers)
 	parallel := nShards > 1 && len(events) >= batchParallelMin && runtime.GOMAXPROCS(0) > 1
 	if parallel {
-		var wg sync.WaitGroup
-		wg.Add(nShards)
-		for s := 0; s < nShards; s++ {
-			go func(s int) {
-				defer wg.Done()
-				m.matchShardBatch(s, events)
-			}(s)
+		m.batch = events
+		m.wg.Add(nShards)
+		for _, run := range m.fanOut {
+			go run()
 		}
-		wg.Wait()
+		m.wg.Wait()
+		m.batch = nil
 	} else {
 		for s := 0; s < nShards; s++ {
 			m.matchShardBatch(s, events)
@@ -281,7 +221,7 @@ type ShardedMatcherPool struct {
 }
 
 // NewShardedMatcherPool returns a pool over the given partition.
-func NewShardedMatcherPool(shards []*Summary) *ShardedMatcherPool {
+func NewShardedMatcherPool(shards []*View) *ShardedMatcherPool {
 	p := &ShardedMatcherPool{}
 	p.pool.New = func() any {
 		m := NewShardedMatcher(shards)

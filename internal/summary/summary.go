@@ -18,6 +18,7 @@ package summary
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
@@ -34,9 +35,8 @@ type Summary struct {
 	sacs   map[schema.AttrID]*strmatch.Set
 
 	// Subscription-id registry. ids maps an id key (c1‖c2) to a dense
-	// index into the parallel keys/masks/targets slices; Matcher keys its
-	// epoch-stamped counters by that dense index, so Algorithm 1's step 2
-	// runs over plain slices instead of a per-event hash map.
+	// index into the parallel keys/masks/targets slices (insertion order,
+	// swap-deleted). Masks are read-only once registered.
 	ids     map[uint64]int32
 	keys    []uint64
 	masks   []subid.Mask
@@ -59,6 +59,13 @@ type Summary struct {
 	// purges when a tombstoned key is re-registered so stale rows can
 	// never over-count a reused id past its c3 target.
 	dead map[uint64]struct{}
+
+	// view caches the compiled one-shard match view (see View) that
+	// NewMatcher's matchers read. Every mutator that can change a match
+	// result clears it, so a matcher used across sequential mutations
+	// follows the summary; purges and compaction leave results, and so the
+	// cache, alone.
+	view atomic.Pointer[View]
 }
 
 // New returns an empty summary over the given schema. mode selects the
@@ -125,6 +132,7 @@ func (sm *Summary) Insert(id subid.ID, sub *schema.Subscription) error {
 	if _, dup := sm.ids[key]; dup {
 		return fmt.Errorf("summary: duplicate subscription id %v", id)
 	}
+	sm.view.Store(nil)
 	if _, tomb := sm.dead[key]; tomb {
 		// The key is being reused before its old rows were purged: sweep
 		// now, or the stale rows would count extra attributes against the
@@ -252,6 +260,7 @@ func (sm *Summary) RemoveKey(key uint64) {
 	if !ok {
 		return
 	}
+	sm.view.Store(nil)
 	// Swap-delete from the dense registry: the last key takes the vacated
 	// index so the slices stay dense.
 	last := int32(len(sm.keys) - 1)
@@ -381,20 +390,27 @@ func (sm *Summary) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
 		clear(perAttr)
 		if f.Value.Arithmetic() {
 			if s, ok := sm.aacs[f.Attr]; ok {
-				cost.CollectedIDs += s.QueryInto(f.Value.Num, perAttr)
+				s.QueryInto(f.Value.Num, perAttr)
 			}
 		} else if s, ok := sm.sacs[f.Attr]; ok {
-			cost.CollectedIDs += s.MatchInto(f.Value.Str, perAttr)
+			s.MatchInto(f.Value.Str, perAttr)
 		}
 		for key := range perAttr {
-			counters[key]++
+			// Rows may name ids the registry no longer (or never) held:
+			// tombstones awaiting a purge, strays in a hand-built summary.
+			// They cannot match, and are not counted as work either, so
+			// the cost does not depend on when the last purge ran.
+			if _, ok := sm.ids[key]; ok {
+				counters[key]++
+				cost.CollectedIDs++
+			}
 		}
 	}
 	// Step 2: keep ids whose counter equals their c3 attribute count.
 	cost.UniqueIDs = len(counters)
 	var out []uint64
 	for key, n := range counters {
-		if i, ok := sm.ids[key]; ok && n == int(sm.targets[i]) {
+		if n == int(sm.targets[sm.ids[key]]) {
 			out = append(out, key)
 		}
 	}
@@ -433,6 +449,7 @@ func (sm *Summary) Merge(other *Summary) error {
 	// sm's registry (stale sm rows must not over-count them).
 	sm.purgeDead()
 	other.purgeDead()
+	sm.view.Store(nil)
 	for a, s := range other.aacs {
 		sm.arithSet(a).Merge(s)
 	}
