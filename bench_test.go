@@ -135,9 +135,10 @@ func BenchmarkMatching(b *testing.B) {
 			for i := range events {
 				events[i] = gen.Event(0.5)
 			}
+			m := sm.NewMatcher()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sm.MatchKeys(events[i%len(events)])
+				m.MatchKeys(events[i%len(events)])
 			}
 		})
 	}
@@ -148,7 +149,7 @@ func BenchmarkMatching(b *testing.B) {
 const sigma100Subs = 24 * 100
 
 // matcherWorkload builds the Sigma=100 summary and a fixed event stream
-// for the BenchmarkMatcher* family (tracked in BENCH_matching.json).
+// for the BenchmarkMatcher* family.
 func matcherWorkload(b *testing.B) (*subsum.Summary, []*subsum.Event) {
 	sm, gen := buildSummary(b, sigma100Subs, subsum.Lossy)
 	events := make([]*subsum.Event, 256)
@@ -158,20 +159,8 @@ func matcherWorkload(b *testing.B) (*subsum.Summary, []*subsum.Event) {
 	return sm, events
 }
 
-// BenchmarkMatcherMapBased is the pre-Matcher Algorithm 1 path: per-event
-// counter maps allocated inside Summary.MatchKeys. Kept as the benchmark
-// baseline the pooled matcher is measured against.
-func BenchmarkMatcherMapBased(b *testing.B) {
-	sm, events := matcherWorkload(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sm.MatchKeys(events[i%len(events)])
-	}
-}
-
-// BenchmarkMatcherPooled is the same workload through a reusable Matcher:
-// dense epoch-stamped counters, indexed SACS lookups, zero steady-state
+// BenchmarkMatcherPooled is Algorithm 1 through a reusable Matcher: dense
+// epoch-stamped counters, indexed SACS lookups, zero steady-state
 // allocations (asserted by TestMatcherZeroAllocs in internal/summary).
 func BenchmarkMatcherPooled(b *testing.B) {
 	sm, events := matcherWorkload(b)
@@ -267,8 +256,7 @@ func BenchmarkSummaryDecode(b *testing.B) {
 }
 
 // propagationWorkload builds per-broker Sigma=100 summaries over the
-// 24-broker backbone — one Algorithm 2 phase's worth of input (tracked in
-// BENCH_propagation.json via cmd/subsum-bench -experiment benchprop).
+// 24-broker backbone — one Algorithm 2 phase's worth of input.
 func propagationWorkload(b *testing.B) (*subsum.Graph, []*subsum.Summary) {
 	b.Helper()
 	g := subsum.Backbone24()
@@ -303,57 +291,28 @@ func BenchmarkPropagationRun(b *testing.B) {
 	}
 }
 
-// BenchmarkPropagationCloneBaseline is the clone-per-send reference path
-// (wire codec v1) the pooled Run is measured against.
-func BenchmarkPropagationCloneBaseline(b *testing.B) {
-	g, own := propagationWorkload(b)
+// BenchmarkCodecEncode encodes a Sigma=100 broker summary into a reused
+// buffer — what one first-iteration Algorithm 2 send serializes.
+func BenchmarkCodecEncode(b *testing.B) {
+	sm, _ := buildSummary(b, 100, subsum.Lossy)
+	b.SetBytes(int64(len(sm.Encode(nil))))
 	b.ReportAllocs()
-	b.ResetTimer()
+	var buf []byte
 	for i := 0; i < b.N; i++ {
-		if _, err := subsum.RunPropagationReference(g, own); err != nil {
-			b.Fatal(err)
-		}
+		buf = sm.Encode(buf[:0])
 	}
 }
 
-// BenchmarkCodecEncode compares the varint-delta v2 wire form against the
-// legacy fixed-width v1 form on a Sigma=100 broker summary.
-func BenchmarkCodecEncode(b *testing.B) {
-	sm, _ := buildSummary(b, 100, subsum.Lossy)
-	b.Run("v1", func(b *testing.B) {
-		b.SetBytes(int64(len(sm.EncodeV1(nil))))
-		b.ReportAllocs()
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			buf = sm.EncodeV1(buf[:0])
-		}
-	})
-	b.Run("v2", func(b *testing.B) {
-		b.SetBytes(int64(len(sm.Encode(nil))))
-		b.ReportAllocs()
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			buf = sm.Encode(buf[:0])
-		}
-	})
-}
-
-// BenchmarkCodecDecode parses both wire versions of the same summary.
+// BenchmarkCodecDecode parses the same summary back.
 func BenchmarkCodecDecode(b *testing.B) {
 	sm, gen := buildSummary(b, 100, subsum.Lossy)
-	for _, v := range []struct {
-		name string
-		wire []byte
-	}{{"v1", sm.EncodeV1(nil)}, {"v2", sm.Encode(nil)}} {
-		b.Run(v.name, func(b *testing.B) {
-			b.SetBytes(int64(len(v.wire)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := subsum.DecodeSummary(gen.Schema(), v.wire); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	wire := sm.Encode(nil)
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := subsum.DecodeSummary(gen.Schema(), wire); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

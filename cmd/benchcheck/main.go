@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	benchcheck -baseline BENCH_matching.json -current /tmp/fresh.json \
+//	benchcheck -baseline BENCH_churn.json -current /tmp/fresh.json \
 //	           [-threshold 10] [-summary "$GITHUB_STEP_SUMMARY"] [-gate]
 //	go test -bench=. -benchmem -run=^$ ./... | \
 //	  benchcheck -alloczero 'BenchmarkMatcherMatchKeys.*,BenchmarkCreditDelivery' \

@@ -240,9 +240,13 @@ func TestCompareFlagsOverlayRegressions(t *testing.T) {
 
 func TestCompareAgainstRealBaselines(t *testing.T) {
 	// The committed reports must parse and compare clean against
-	// themselves (zero delta everywhere). They carry allocation data, so
-	// the self-compare must produce allocs/op and B/op rows too.
-	for _, path := range []string{"../../BENCH_matching.json", "../../BENCH_propagation.json"} {
+	// themselves (zero delta everywhere), each producing rows for the
+	// metrics it exists to carry: allocation data in the churn report,
+	// the seeded bytes/period and hops/event in the overlay ladder.
+	for path, carried := range map[string][]string{
+		"../../BENCH_churn.json":   {"allocs/op", "B/op"},
+		"../../BENCH_overlay.json": {"bytes/period", "hops/event"},
+	} {
 		m, order, err := loadReport(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -261,8 +265,10 @@ func TestCompareAgainstRealBaselines(t *testing.T) {
 			}
 			metrics[r.metric]++
 		}
-		if metrics["allocs/op"] == 0 || metrics["B/op"] == 0 {
-			t.Fatalf("%s: no allocation rows in self-compare (%v)", path, metrics)
+		for _, metric := range carried {
+			if metrics[metric] == 0 {
+				t.Fatalf("%s: no %s rows in self-compare (%v)", path, metric, metrics)
+			}
 		}
 	}
 }

@@ -57,6 +57,15 @@ type churnReport struct {
 	UnsubScaleRatio float64 `json:"unsub_scale_ratio"`
 }
 
+// benchResult is one benchmark line of BENCH_churn.json.
+type benchResult struct {
+	Name        string  `json:"name"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	Iterations  int     `json:"iterations"`
+}
+
 // churnPeriodStat is one propagation period of the sustained run.
 type churnPeriodStat struct {
 	Period           int   `json:"period"`

@@ -6,7 +6,7 @@
 //
 //	subsum-bench -experiment <name>|all
 //	             [-events N] [-sigmas 10,100,1000] [-csv] [-topology cw24|fig7|random]
-//	             [-workers N] [-json BENCH_matching.json] [-sizes 24,64,128]
+//	             [-workers N] [-json BENCH_churn.json] [-sizes 24,64,128]
 //	             [-scenario full|smoke] [-md SOAK.md]
 //
 // The experiment names are defined in one table-driven registry
@@ -89,18 +89,6 @@ var experimentSpecs = []experimentSpec{
 		func(e *benchEnv) { e.show(experiments.Fig11(e.cfg)) }},
 	{"matching", "matching cost vs summary size", true,
 		func(e *benchEnv) { e.show(experiments.MatchingCost(e.cfg)) }},
-	{"benchmatch", "matcher micro-benchmarks -> BENCH_matching.json", true,
-		func(e *benchEnv) {
-			if err := runBenchMatch(e.jsonOut); err != nil {
-				fatalf("%v", err)
-			}
-		}},
-	{"benchprop", "propagation + codec benchmarks -> BENCH_propagation.json", true,
-		func(e *benchEnv) {
-			if err := runBenchProp(e.jsonOut); err != nil {
-				fatalf("%v", err)
-			}
-		}},
 	{"benchchurn", "subscribe/unsubscribe churn benchmarks -> BENCH_churn.json", true,
 		func(e *benchEnv) {
 			if err := runBenchChurn(e.jsonOut); err != nil {
@@ -162,7 +150,7 @@ func main() {
 		seed         = flag.Int64("seed", 1, "workload seed")
 		asCSV        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers      = flag.Int("workers", 0, "parallel sweep width (0 = all CPUs, 1 = serial); results are identical at any width")
-		jsonOut      = flag.String("json", "", "benchmatch/benchprop/benchchurn/benchoverlay/slo: write the JSON report to this file instead of stdout")
+		jsonOut      = flag.String("json", "", "benchchurn/benchoverlay/slo: write the JSON report to this file instead of stdout")
 		sizes        = flag.String("sizes", "", "benchoverlay: comma-separated broker-count override (e.g. 24,64,128 for the reduced CI sweep)")
 		scenarioName = flag.String("scenario", "full", "slo: chaos script to run (full or smoke)")
 		mdOut        = flag.String("md", "", "slo: also write a markdown soak report to this file")

@@ -39,6 +39,14 @@ func TestRegistryDrivesUsage(t *testing.T) {
 	if !strings.Contains(usage, "all ") {
 		t.Errorf("usage text missing the all sweep:\n%s", usage)
 	}
+	// benchmatch and benchprop existed to price production against the
+	// reference copies that are now test oracles; asking for one must be an
+	// unknown-experiment error, not a silently revived comparison.
+	for _, retired := range []string{"benchmatch", "benchprop"} {
+		if seen[retired] {
+			t.Errorf("retired experiment %q is registered again", retired)
+		}
+	}
 	// The chaos soak must stay out of the paper-regeneration sweep: it
 	// sleeps wall time and exits nonzero on control failure.
 	for _, sp := range experimentSpecs {

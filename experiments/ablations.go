@@ -120,6 +120,7 @@ func AblationEqualityFolding(cfg Config) (*metrics.Table, error) {
 			subs = append(subs, entry{key: id.Key(), sub: sub})
 		}
 		var fp, matches, events int64
+		m := sm.NewMatcher()
 		for e := 0; e < 2000; e++ {
 			ev, err := schema.NewEvent(s, map[string]schema.Value{
 				"v": schema.FloatValue(float64(rng.Intn(1200)) / 10),
@@ -127,7 +128,7 @@ func AblationEqualityFolding(cfg Config) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			got := sm.MatchKeys(ev)
+			got := m.MatchKeys(ev)
 			truth := make(map[uint64]bool)
 			for _, sb := range subs {
 				if sb.sub.Matches(ev) {

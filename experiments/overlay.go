@@ -160,10 +160,21 @@ func buildOverlayFixture(n int, cfg OverlayConfig) (*overlayFixture, error) {
 	return fx, nil
 }
 
+// followers returns one summary-following matcher per summary, so an
+// event batch reuses each broker's match scratch instead of rebuilding it
+// per event.
+func followers(sms []*summary.Summary) []*summary.Matcher {
+	out := make([]*summary.Matcher, len(sms))
+	for i, sm := range sms {
+		out[i] = sm.NewMatcher()
+	}
+	return out
+}
+
 // verifiedOwners filters the candidate set down to owners whose own rows
 // match — the owner-side exact-match step of the paradigm. Returned
 // sorted.
-func verifiedOwners(candidates []topology.NodeID, own []*summary.Summary, ev *schema.Event) []topology.NodeID {
+func verifiedOwners(candidates []topology.NodeID, own []*summary.Matcher, ev *schema.Event) []topology.NodeID {
 	var out []topology.NodeID
 	for _, c := range candidates {
 		if len(own[c].MatchKeys(ev)) > 0 {
@@ -197,11 +208,12 @@ func runOverlayFlat(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, [][]topo
 		return row, nil, err
 	}
 	delivered := make([][]topology.NodeID, len(fx.events))
+	merged, own := followers(prop.Merged), followers(fx.own)
 	var hops, fwd int
 	for k, ev := range fx.events {
 		match := func(at topology.NodeID) []topology.NodeID {
 			var out []topology.NodeID
-			for _, key := range prop.Merged[at].MatchKeys(ev) {
+			for _, key := range merged[at].MatchKeys(ev) {
 				broker, _ := subid.KeyParts(key)
 				out = append(out, topology.NodeID(broker))
 			}
@@ -210,7 +222,7 @@ func runOverlayFlat(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, [][]topo
 		trace := r.Route(fx.origin[k], match)
 		hops += trace.Hops()
 		fwd += trace.ForwardHops
-		delivered[k] = verifiedOwners(trace.Delivered, fx.own, ev)
+		delivered[k] = verifiedOwners(trace.Delivered, own, ev)
 		row.Delivered += len(delivered[k])
 		row.Spurious += len(trace.Delivered) - len(delivered[k])
 	}
@@ -250,12 +262,13 @@ func runOverlaySubgrouped(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, []
 		return row, nil, err
 	}
 	delivered := make([][]topology.NodeID, len(fx.events))
+	own := followers(fx.own)
 	var hops, fwd int
 	for k, ev := range fx.events {
 		trace := r.Route(fx.origin[k], ev)
 		hops += trace.Hops()
 		fwd += trace.ForwardHops
-		delivered[k] = verifiedOwners(trace.Delivered, fx.own, ev)
+		delivered[k] = verifiedOwners(trace.Delivered, own, ev)
 		row.Delivered += len(delivered[k])
 		row.Spurious += len(trace.Delivered) - len(delivered[k])
 	}

@@ -332,8 +332,10 @@ func (net *Network) Stats() netsim.Stats { return net.bus.Stats() }
 // per-broker instrument families, and bus accounting, all live.
 func (net *Network) Metrics() *metrics.Registry { return net.metrics }
 
-// InjectFaults installs a message-drop hook on the bus for fault testing:
-// messages for which fn returns true vanish (counted in Stats.Dropped).
+// InjectFaults installs a message-drop predicate on the bus — the
+// custom-predicate layer of the fault plane, for drops the Faults
+// primitives do not express (by sender, every nth message): messages for
+// which fn returns true vanish (counted in Stats.Dropped).
 // Summary-message loss degrades merged-summary coverage but never
 // correctness — Algorithm 3's BROCLI walk examines every broker whose
 // subscriptions it has not yet seen, so events still reach every matching

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/subsum/subsum/internal/netsim"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/topology"
 )
@@ -126,5 +127,61 @@ func TestSchemaEvolutionConcurrentWithTraffic(t *testing.T) {
 	}
 	if s.Len() != 21 {
 		t.Fatalf("schema len = %d, want 21", s.Len())
+	}
+}
+
+// TestSchemaAttributeLimit grows a schema to schema.MaxAttributes through
+// ExtendSchema. The limit-th attribute sets the highest bit of a 255-word
+// c3 mask — the widest the summary codec's one-byte word count carries —
+// and must still propagate, decode and match; the next one is refused and
+// leaves the schema as it was.
+func TestSchemaAttributeLimit(t *testing.T) {
+	attrs := make([]schema.Attribute, schema.MaxAttributes-1)
+	for i := range attrs {
+		attrs[i] = schema.Attribute{Name: fmt.Sprintf("a%d", i), Type: schema.TypeFloat}
+	}
+	s, err := schema.New(attrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := newNetwork(t, topology.Figure7Tree(), s)
+	id, err := net.ExtendSchema("last", schema.TypeFloat)
+	if err != nil || int(id) != schema.MaxAttributes-1 {
+		t.Fatalf("attribute number %d: id %d, err %v", schema.MaxAttributes, id, err)
+	}
+	if _, err := net.ExtendSchema("overflow", schema.TypeFloat); err == nil {
+		t.Fatalf("attribute number %d accepted", schema.MaxAttributes+1)
+	}
+	if _, ok := s.ID("overflow"); ok || s.Len() != schema.MaxAttributes {
+		t.Fatalf("refused attribute changed the schema: %d attributes", s.Len())
+	}
+
+	sub, err := schema.ParseSubscription(s, `last > 5 && a0 < 3`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c collector
+	if _, err := net.Subscribe(9, sub, c.deliver(s)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Propagate(); err != nil {
+		t.Fatalf("propagating a summary over %d attributes: %v", s.Len(), err)
+	}
+	// A summary its receiver cannot decode is counted, not returned.
+	if n := net.Stats().DecodeErrors[netsim.KindSummary]; n != 0 {
+		t.Fatalf("%d summary payloads over %d attributes failed to decode", n, s.Len())
+	}
+	for _, text := range []string{`last=9 a0=1`, `last=1 a0=1`, `a0=1`} {
+		ev, err := schema.ParseEvent(s, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Publish(0, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Flush()
+	if c.count() != 1 {
+		t.Fatalf("deliveries = %d, want 1 (the event satisfying both constraints)", c.count())
 	}
 }

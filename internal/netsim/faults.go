@@ -15,7 +15,8 @@
 //     parked (counted as sent — they are on a slow wire, not lost) and
 //     delivered in order on Resume. Parked messages do not count as
 //     in-flight, so Quiesce does not wait for a paused broker.
-//   - SetDropFunc(fn): the legacy custom layer, unchanged semantics.
+//   - SetDropFunc(fn): the custom-predicate layer, for drops no
+//     primitive above expresses (by sender, every third message).
 //
 // All layers are evaluated in one faultMu critical section on the send
 // path (drop layers first, pause last), and each mutator touches only

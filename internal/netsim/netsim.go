@@ -353,7 +353,7 @@ type Bus struct {
 	handlerErrs  kindCounters
 
 	// The layered fault plane (partitions, per-kind loss, paused brokers,
-	// plus the legacy custom drop hook) is evaluated serialized under
+	// plus the custom drop predicate) is evaluated serialized under
 	// faultMu so hooks may keep unsynchronized state; hasFault lets the
 	// hot path skip the lock entirely when no layer is active.
 	faultMu  sync.Mutex

@@ -308,83 +308,6 @@ func RunWorkers(g *topology.Graph, own []*summary.Summary, cost CostModel, worke
 	return res, nil
 }
 
-// RunReference is the pre-optimization Algorithm 2 implementation: it
-// deep-Clones the merged summary for every send, accounts wire bytes by
-// actually encoding each payload with the fixed-width v1 codec (as the
-// original EncodedSize did), and folds deliveries in as in-memory Summary
-// values. It is retained as the differential-testing and benchmark
-// baseline for Run — both must produce identical merged state, sends, and
-// model bytes (WireBytes differ: v1 versus v2 encoding).
-func RunReference(g *topology.Graph, own []*summary.Summary, cost CostModel) (*Result, error) {
-	n := g.Len()
-	if len(own) != n {
-		return nil, fmt.Errorf("propagation: %d summaries for %d brokers", len(own), n)
-	}
-	res := &Result{
-		Merged:        make([]*summary.Summary, n),
-		MergedBrokers: make([]BrokerSet, n),
-	}
-	for i := 0; i < n; i++ {
-		if own[i] == nil {
-			return nil, fmt.Errorf("propagation: nil summary for broker %d", i)
-		}
-		res.Merged[i] = own[i].Clone()
-		res.MergedBrokers[i] = subid.NewMask(n)
-		res.MergedBrokers[i].Set(i)
-	}
-	communicated := make([]map[topology.NodeID]bool, n)
-	for i := range communicated {
-		communicated[i] = make(map[topology.NodeID]bool)
-	}
-
-	type delivery struct {
-		to      topology.NodeID
-		payload *summary.Summary
-		brokers BrokerSet
-	}
-
-	maxDegree := g.MaxDegree()
-	for iter := 1; iter <= maxDegree; iter++ {
-		var deliveries []delivery
-		for node := 0; node < n; node++ {
-			id := topology.NodeID(node)
-			if g.Degree(id) != iter {
-				continue
-			}
-			target, ok := pickTarget(g, id, iter, communicated[node])
-			if !ok {
-				continue
-			}
-			payload := res.Merged[node].Clone()
-			brokers := res.MergedBrokers[node].Clone()
-			communicated[node][target] = true
-			communicated[target][id] = true
-			send := Send{
-				Iteration:  iter,
-				From:       id,
-				To:         target,
-				Brokers:    brokers.Bits(),
-				ModelBytes: payload.SizeBytes(cost.SST, cost.SID),
-				WireBytes:  len(payload.EncodeV1(nil)),
-			}
-			res.Sends = append(res.Sends, send)
-			res.ModelBytes += int64(send.ModelBytes)
-			res.WireBytes += int64(send.WireBytes)
-			deliveries = append(deliveries, delivery{to: target, payload: payload, brokers: brokers})
-		}
-		for _, d := range deliveries {
-			if err := res.Merged[d.to].Merge(d.payload); err != nil {
-				return nil, fmt.Errorf("propagation: merging at broker %d: %w", d.to, err)
-			}
-			for _, b := range d.brokers.Bits() {
-				res.MergedBrokers[d.to].Set(b)
-			}
-		}
-	}
-	res.Hops = len(res.Sends)
-	return res, nil
-}
-
 // pickTarget selects the neighbor to send to among those of equal or
 // higher degree not yet communicated with, preferring the smallest degree
 // (the paper's stated preference) — but smallest among the *strictly

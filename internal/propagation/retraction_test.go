@@ -80,7 +80,7 @@ func TestRunReferenceMatchesRunUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunReference(g, own, DefaultCostModel())
+	ref, err := runReference(g, own, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunReferenceMatchesRunUnderChurn(t *testing.T) {
 	for i := range fast.Merged {
 		fe, re := fast.Merged[i].Encode(nil), ref.Merged[i].Encode(nil)
 		if string(fe) != string(re) {
-			t.Fatalf("broker %d: merged state diverged between Run and RunReference (%d vs %d bytes)",
+			t.Fatalf("broker %d: merged state diverged between Run and runReference (%d vs %d bytes)",
 				i, len(fe), len(re))
 		}
 	}

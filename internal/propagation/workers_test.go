@@ -65,7 +65,7 @@ func TestRunWorkersMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunReference(g, own, DefaultCostModel())
+	want, err := runReference(g, own, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}

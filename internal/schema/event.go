@@ -106,7 +106,7 @@ func (e *Event) WireSize() int {
 	return n
 }
 
-// String renders the event as "name=value" pairs using the schema for
+// Format renders the event as "name=value" pairs using the schema for
 // attribute names.
 func (e *Event) Format(s *Schema) string {
 	var b strings.Builder

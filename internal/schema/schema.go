@@ -116,14 +116,45 @@ func (s *Schema) load() *definition {
 	return &emptyDefinition
 }
 
+// MaxAttributes is the most attributes a schema holds. The summary wire
+// form (internal/summary) writes the word count of a c3 mask — one bit per
+// attribute, 64 to a word — in a single byte, so a mask of more than 255
+// words cannot be encoded: a summary over a larger schema would no longer
+// decode at its receiver. (AttrID itself would only wrap at 65 536.)
+const MaxAttributes = 255 * 64
+
+// admit reports why d cannot grow by attribute a, nil if it can.
+func (d *definition) admit(a Attribute) error {
+	if a.Name == "" {
+		return fmt.Errorf("schema: empty attribute name")
+	}
+	if a.Type == TypeInvalid || a.Type > TypeDate {
+		return fmt.Errorf("schema: attribute %q has invalid type", a.Name)
+	}
+	if _, ok := d.byName[a.Name]; ok {
+		return fmt.Errorf("schema: duplicate attribute %q", a.Name)
+	}
+	if len(d.attrs) >= MaxAttributes {
+		return fmt.Errorf("schema: attribute %q exceeds the limit of %d attributes", a.Name, MaxAttributes)
+	}
+	return nil
+}
+
 // New builds a schema from the given attribute definitions, in order.
 func New(attrs ...Attribute) (*Schema, error) {
-	s := &Schema{}
+	d := &definition{
+		attrs:  make([]Attribute, 0, len(attrs)),
+		byName: make(map[string]AttrID, len(attrs)),
+	}
 	for _, a := range attrs {
-		if _, err := s.Add(a.Name, a.Type); err != nil {
+		if err := d.admit(a); err != nil {
 			return nil, err
 		}
+		d.byName[a.Name] = AttrID(len(d.attrs))
+		d.attrs = append(d.attrs, a)
 	}
+	s := &Schema{}
+	s.def.Store(d)
 	return s, nil
 }
 
@@ -139,22 +170,18 @@ func MustNew(attrs ...Attribute) *Schema {
 
 // Add appends an attribute definition and returns its id. Appending is
 // safe while other goroutines match events (schema evolution, Section 6).
+// A schema already holding MaxAttributes refuses, unchanged.
 func (s *Schema) Add(name string, t Type) (AttrID, error) {
-	if name == "" {
-		return 0, fmt.Errorf("schema: empty attribute name")
-	}
-	if t == TypeInvalid || t > TypeDate {
-		return 0, fmt.Errorf("schema: attribute %q has invalid type", name)
-	}
+	a := Attribute{Name: name, Type: t}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.load()
-	if _, ok := old.byName[name]; ok {
-		return 0, fmt.Errorf("schema: duplicate attribute %q", name)
+	if err := old.admit(a); err != nil {
+		return 0, err
 	}
 	id := AttrID(len(old.attrs))
 	grown := &definition{
-		attrs:  append(slices.Clip(old.attrs), Attribute{Name: name, Type: t}),
+		attrs:  append(slices.Clip(old.attrs), a),
 		byName: make(map[string]AttrID, len(old.byName)+1),
 	}
 	maps.Copy(grown.byName, old.byName)

@@ -1,6 +1,8 @@
 package subgroup
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/subsum/subsum/internal/flight"
@@ -114,18 +116,40 @@ func TestRouterAnalyticsDeterministic(t *testing.T) {
 // TestRouterAnalyticsInvariants routes a realistic workload batch and
 // checks the conservation laws every snapshot must satisfy: each event
 // is consulted exactly once per foreign group, and a leader's load is
-// its home events plus the passes that reached it.
+// its home events plus the passes that reached it. The batch is routed
+// from several goroutines at once, as Route allows: every trace must
+// deliver what a serial router over the same result delivers.
 func TestRouterAnalyticsInvariants(t *testing.T) {
 	regions := []int{0, 0, 0, 0, 1, 1, 1, 1}
 	own, gens := matchableRegionSummaries(t, regions, 20, 53)
 	g := topology.Ring(len(regions))
-	_, r := subgroupOver(t, g, own)
-
-	const events = 120
-	for k := 0; k < events; k++ {
-		gen := gens[k%2]
-		r.Route(topology.NodeID(k%g.Len()), gen.Event(0.5))
+	res, r := subgroupOver(t, g, own)
+	serial, err := NewRouter(g, res)
+	if err != nil {
+		t.Fatal(err)
 	}
+
+	const events, routers = 120, 4
+	batch := make([]*schema.Event, events)
+	want := make([][]topology.NodeID, events)
+	for k := range batch {
+		batch[k] = gens[k%2].Event(0.5)
+		want[k] = serial.Route(topology.NodeID(k%g.Len()), batch[k]).Delivered
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < routers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := w; k < events; k += routers {
+				got := r.Route(topology.NodeID(k%g.Len()), batch[k]).Delivered
+				if !slices.Equal(got, want[k]) {
+					t.Errorf("event %d routed concurrently delivered to %v, serially to %v", k, got, want[k])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 	rep := r.Analytics()
 	if rep.Events != events {
 		t.Fatalf("events = %d, want %d", rep.Events, events)

@@ -7,6 +7,7 @@ import (
 	"github.com/subsum/subsum/internal/routing"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
+	"github.com/subsum/subsum/internal/summary"
 	"github.com/subsum/subsum/internal/topology"
 )
 
@@ -23,9 +24,12 @@ import (
 // independent workloads (DESIGN.md §Subgrouping). Hops shrink because
 // whole subgroups leave the walk in one check.
 type Router struct {
-	g     *topology.Graph
-	res   *Result
-	stats routerStats
+	g   *topology.Graph
+	res *Result
+	// matchers[gi] leases matchers following group gi's merged summary,
+	// so concurrent Route calls share scratch without sharing a matcher.
+	matchers []*summary.MatcherPool
+	stats    routerStats
 }
 
 // NewRouter builds a digest-first router over a subgrouped propagation
@@ -35,7 +39,10 @@ func NewRouter(g *topology.Graph, res *Result) (*Router, error) {
 		return nil, fmt.Errorf("subgroup: propagation result covers %d brokers, overlay has %d",
 			res.NumBrokers, g.Len())
 	}
-	r := &Router{g: g, res: res}
+	r := &Router{g: g, res: res, matchers: make([]*summary.MatcherPool, len(res.Merged))}
+	for gi, sm := range res.Merged {
+		r.matchers[gi] = summary.NewMatcherPool(sm)
+	}
 	r.stats.init(res.Plan.NumGroups())
 	return r, nil
 }
@@ -97,7 +104,9 @@ func (r *Router) Route(origin topology.NodeID, e *schema.Event) *routing.Trace {
 // ownersOf matches the event against one subgroup's merged summary and
 // returns the distinct owning brokers, ascending.
 func (r *Router) ownersOf(group int, e *schema.Event) []topology.NodeID {
-	keys := r.res.Merged[group].MatchKeys(e)
+	m := r.matchers[group].Get()
+	defer r.matchers[group].Put(m)
+	keys := m.MatchKeys(e) // the matcher's scratch: read before Put
 	if len(keys) == 0 {
 		return nil
 	}

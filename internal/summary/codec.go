@@ -17,22 +17,19 @@ import (
 // in the TCP daemon and what netsim counts when measuring real (not
 // modelled) bytes.
 //
-// Two wire versions share one layout skeleton; the fourth magic byte is
-// the version. v1 ("SSM1") is the original fixed-width format; v2
-// ("SSM2") is the bandwidth-lean format: id keys and id lists travel
-// sorted and delta-encoded as uvarints (ids owned by one broker share the
-// c1 high bits, so consecutive deltas are tiny), and c3 mask words are
-// uvarints (attribute counts are small, so high words are zero). Floats,
-// section counts, and row counts are unchanged. Encode emits v2; Decode
-// accepts both.
+// The format is bandwidth-lean: id keys and id lists travel sorted and
+// delta-encoded as uvarints (ids owned by one broker share the c1 high
+// bits, so consecutive deltas are tiny), and c3 mask words are uvarints
+// (attribute counts are small, so high words are zero). The fourth magic
+// byte is the version: '2' for a summary without retractions, '3' for the
+// same layout followed by a retraction section.
 //
-// Shared layout (little endian; "ids" and starred fields differ per
-// version as noted):
+// Layout (little endian):
 //
-//	magic "SSM", version byte '1' | '2', mode u8
-//	id registry:  count u32 | *uvarint, then per id (v2: sorted by key):
-//	    key u64 | *uvarint delta from previous key (first key verbatim)
-//	    words u8, word u64 ×words | *uvarint ×words
+//	magic "SSM", version byte '2' | '3', mode u8
+//	id registry:  count uvarint, then per id, sorted by key:
+//	    key uvarint delta from previous key (first key verbatim)
+//	    words u8, word uvarint ×words
 //	AACS section: count u16, per attribute:
 //	    attr u16
 //	    ranges u32 × {lo f64, hi f64, flags u8, ids}
@@ -42,24 +39,21 @@ import (
 //	    attr u16
 //	    rows u32 × {op u8, textLen u16, text, ids}
 //	    nes  u32 × {textLen u16, text, ids}
+//	retraction section (version '3' only): ids
 //
-// where ids is, in v1, count u32 followed by that many u64 keys and, in
-// v2, count uvarint followed by the first key as a uvarint and count-1
-// strictly positive uvarint deltas (the list is sorted ascending).
+// where ids is count uvarint followed by the first key as a uvarint and
+// count-1 strictly positive uvarint deltas (the list is sorted ascending).
+// The words u8 bounds a c3 mask at 255 words, which is where
+// schema.MaxAttributes comes from.
 //
-// v3 ("SSM3") extends v2 with one trailing section — the retraction set:
-//
-//	retraction section: ids (v2 encoding — count uvarint, delta keys)
-//
-// listing the id keys whose subscriptions were withdrawn since the
-// summary's baseline. A receiver merges the v2 body, then removes every
-// retracted key from its own structures and retains the set for onward
-// propagation. Encode emits v3 only when the summary carries retractions,
-// so churn-free payloads remain byte-identical to v2 and v2-only decoders
-// interoperate until the first retraction; Decode accepts all three
-// versions behind the version byte.
+// The retraction section lists the id keys whose subscriptions were
+// withdrawn since the summary's baseline. A receiver merges the body, then
+// removes every retracted key from its own structures and retains the set
+// for onward propagation. Encode emits version '3' only when the summary
+// carries retractions, so churn-free payloads are byte-identical to
+// version '2'. Any other version byte — including '1', the fixed-width
+// format this one replaced — is refused as unsupported.
 const (
-	versionV1 = '1'
 	versionV2 = '2'
 	versionV3 = '3'
 )
@@ -69,54 +63,27 @@ var magicPrefix = [3]byte{'S', 'S', 'M'}
 // Encode appends the summary's wire form to buf: version 2, or version 3
 // when the summary carries pending retractions (the only layout change is
 // the trailing retraction section).
-func (sm *Summary) Encode(buf []byte) []byte { return sm.encode(buf, sm.wireVersion()) }
-
-// wireVersion picks the lowest wire version able to carry the summary.
-func (sm *Summary) wireVersion() byte {
-	if len(sm.retract) > 0 {
-		return versionV3
-	}
-	return versionV2
-}
-
-// EncodeV1 appends the summary's legacy fixed-width wire form to buf, for
-// interoperating with peers that predate the v2 codec. v1 predates
-// retractions; a pending-retraction set is not representable and is
-// omitted.
-func (sm *Summary) EncodeV1(buf []byte) []byte { return sm.encode(buf, versionV1) }
-
-func (sm *Summary) encode(buf []byte, version byte) []byte {
+func (sm *Summary) Encode(buf []byte) []byte {
 	sm.purgeDead() // tombstoned rows must never reach the wire
+	version := byte(versionV2)
+	if len(sm.retract) > 0 {
+		version = versionV3
+	}
 	buf = append(buf, magicPrefix[:]...)
 	buf = append(buf, version, byte(sm.mode))
 
-	// Registry, sorted by key for determinism (and, in v2, for the delta
-	// encoding).
+	// Registry, sorted by key for determinism and for the delta encoding.
 	keys := append([]uint64(nil), sm.keys...)
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	if version == versionV1 {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
-	} else {
-		buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	}
+	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	prev := uint64(0)
-	for i, key := range keys {
-		if version == versionV1 {
-			buf = binary.LittleEndian.AppendUint64(buf, key)
-		} else if i == 0 {
-			buf = binary.AppendUvarint(buf, key)
-		} else {
-			buf = binary.AppendUvarint(buf, key-prev)
-		}
+	for _, key := range keys {
+		buf = binary.AppendUvarint(buf, key-prev) // first key verbatim: prev is 0
 		prev = key
 		mask := sm.maskOf(key)
 		buf = append(buf, byte(len(mask)))
 		for _, w := range mask {
-			if version == versionV1 {
-				buf = binary.LittleEndian.AppendUint64(buf, w)
-			} else {
-				buf = binary.AppendUvarint(buf, w)
-			}
+			buf = binary.AppendUvarint(buf, w)
 		}
 	}
 
@@ -139,10 +106,10 @@ func (sm *Summary) encode(buf []byte, version byte) []byte {
 				flags |= 2
 			}
 			buf = append(buf, flags)
-			buf = appendIDs(buf, r.IDs, version)
+			buf = appendIDs(buf, r.IDs)
 		}
-		buf = appendEqRows(buf, s.EqRows(), version)
-		buf = appendEqRows(buf, s.NeRows(), version)
+		buf = appendEqRows(buf, s.EqRows())
+		buf = appendEqRows(buf, s.NeRows())
 	}
 
 	// SACS section.
@@ -157,57 +124,39 @@ func (sm *Summary) encode(buf []byte, version byte) []byte {
 			buf = append(buf, byte(r.Pattern.Op))
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Pattern.Text)))
 			buf = append(buf, r.Pattern.Text...)
-			buf = appendIDs(buf, r.IDs, version)
+			buf = appendIDs(buf, r.IDs)
 		}
 		nes := s.NeRows()
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(nes)))
 		for _, r := range nes {
 			buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Pattern.Text)))
 			buf = append(buf, r.Pattern.Text...)
-			buf = appendIDs(buf, r.IDs, version)
+			buf = appendIDs(buf, r.IDs)
 		}
 	}
 
-	// Retraction section (v3 only).
 	if version == versionV3 {
-		buf = appendIDs(buf, sm.Retractions(), version)
+		buf = appendIDs(buf, sm.Retractions())
 	}
 	return buf
 }
 
 // EncodedSize returns the size in bytes of the wire form Encode would
 // emit, computed directly — no encode buffer is built.
-func (sm *Summary) EncodedSize() int { return sm.encodedSize(sm.wireVersion()) }
-
-// EncodedSizeV1 returns the size in bytes of the summary's legacy v1 wire
-// form, computed directly.
-func (sm *Summary) EncodedSizeV1() int { return sm.encodedSize(versionV1) }
-
-func (sm *Summary) encodedSize(version byte) int {
-	sm.purgeDead() // size the same rows encode will write
+func (sm *Summary) EncodedSize() int {
+	sm.purgeDead() // size the same rows Encode will write
 	n := 5         // magic + version + mode
-	if version == versionV1 {
-		n += 4 // registry count u32
-		for i := range sm.keys {
-			n += 8 + 1 + 8*len(sm.masks[i])
-		}
-	} else {
-		n += uvarintLen(uint64(len(sm.keys)))
-		// Key deltas depend on sorted order.
-		keys := append([]uint64(nil), sm.keys...)
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		prev := uint64(0)
-		for i, key := range keys {
-			if i == 0 {
-				n += uvarintLen(key)
-			} else {
-				n += uvarintLen(key - prev)
-			}
-			prev = key
-			n++ // words u8
-			for _, w := range sm.maskOf(key) {
-				n += uvarintLen(w)
-			}
+	n += uvarintLen(uint64(len(sm.keys)))
+	// Key deltas depend on sorted order.
+	keys := append([]uint64(nil), sm.keys...)
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	prev := uint64(0)
+	for _, key := range keys {
+		n += uvarintLen(key - prev)
+		prev = key
+		n++ // words u8
+		for _, w := range sm.maskOf(key) {
+			n += uvarintLen(w)
 		}
 	}
 
@@ -215,13 +164,13 @@ func (sm *Summary) encodedSize(version byte) int {
 	for _, s := range sm.aacs {
 		n += 2 + 4 + 4 + 4 // attr + three row counts
 		for _, r := range s.Rows() {
-			n += 17 + idsLen(r.IDs, version) // lo + hi + flags + ids
+			n += 17 + idsLen(r.IDs) // lo + hi + flags + ids
 		}
 		for _, r := range s.EqRows() {
-			n += 8 + idsLen(r.IDs, version)
+			n += 8 + idsLen(r.IDs)
 		}
 		for _, r := range s.NeRows() {
-			n += 8 + idsLen(r.IDs, version)
+			n += 8 + idsLen(r.IDs)
 		}
 	}
 
@@ -229,14 +178,14 @@ func (sm *Summary) encodedSize(version byte) int {
 	for _, s := range sm.sacs {
 		n += 2 + 4 + 4 // attr + two row counts
 		for _, r := range s.Rows() {
-			n += 3 + len(r.Pattern.Text) + idsLen(r.IDs, version)
+			n += 3 + len(r.Pattern.Text) + idsLen(r.IDs)
 		}
 		for _, r := range s.NeRows() {
-			n += 2 + len(r.Pattern.Text) + idsLen(r.IDs, version)
+			n += 2 + len(r.Pattern.Text) + idsLen(r.IDs)
 		}
 	}
-	if version == versionV3 {
-		n += idsLen(sm.Retractions(), version)
+	if len(sm.retract) > 0 {
+		n += idsLen(sm.Retractions())
 	}
 	return n
 }
@@ -245,18 +194,11 @@ func (sm *Summary) encodedSize(version byte) int {
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // idsLen returns the encoded size of an id list without building it.
-func idsLen(ids []uint64, version byte) int {
-	if version == versionV1 {
-		return 4 + 8*len(ids)
-	}
+func idsLen(ids []uint64) int {
 	n := uvarintLen(uint64(len(ids)))
 	prev := uint64(0)
-	for i, id := range ids {
-		if i == 0 {
-			n += uvarintLen(id)
-		} else {
-			n += uvarintLen(id - prev)
-		}
+	for _, id := range ids {
+		n += uvarintLen(id - prev) // first id verbatim: prev is 0
 		prev = id
 	}
 	return n
@@ -278,15 +220,8 @@ func appendFloat(buf []byte, v float64) []byte {
 // appendIDs writes an id list. Stored id lists are sorted ascending
 // without duplicates (the structures' insertion invariant); appendIDs
 // falls back to sorting a scratch copy if handed a list that is not, so
-// v2 output is always well-formed.
-func appendIDs(buf []byte, ids []uint64, version byte) []byte {
-	if version == versionV1 {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ids)))
-		for _, id := range ids {
-			buf = binary.LittleEndian.AppendUint64(buf, id)
-		}
-		return buf
-	}
+// the output is always well-formed.
+func appendIDs(buf []byte, ids []uint64) []byte {
 	if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
 		sorted := append([]uint64(nil), ids...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -294,32 +229,28 @@ func appendIDs(buf []byte, ids []uint64, version byte) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	prev := uint64(0)
-	for i, id := range ids {
-		if i == 0 {
-			buf = binary.AppendUvarint(buf, id)
-		} else {
-			buf = binary.AppendUvarint(buf, id-prev)
-		}
+	for _, id := range ids {
+		buf = binary.AppendUvarint(buf, id-prev) // first id verbatim: prev is 0
 		prev = id
 	}
 	return buf
 }
 
-func appendEqRows(buf []byte, rows []interval.EqView, version byte) []byte {
+func appendEqRows(buf []byte, rows []interval.EqView) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
 	for _, r := range rows {
 		buf = appendFloat(buf, r.Value)
-		buf = appendIDs(buf, r.IDs, version)
+		buf = appendIDs(buf, r.IDs)
 	}
 	return buf
 }
 
 // decoder is a bounds-checked cursor over an encoded summary.
 type decoder struct {
-	buf     []byte
-	off     int
-	version byte
-	err     error
+	buf         []byte
+	off         int
+	retractions bool // version '3': a retraction section follows the body
+	err         error
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -400,12 +331,7 @@ func (d *decoder) uvarint() uint64 {
 // buffer, where each remaining element occupies at least minBytes bytes —
 // a corrupt length can therefore never trigger a huge allocation.
 func (d *decoder) count(minBytes int) int {
-	var n uint64
-	if d.version == versionV1 {
-		n = uint64(d.u32())
-	} else {
-		n = d.uvarint()
-	}
+	n := d.uvarint()
 	if d.err != nil {
 		return 0
 	}
@@ -418,22 +344,8 @@ func (d *decoder) count(minBytes int) int {
 
 // ids decodes one id list into dst (reused between calls by MergeEncoded;
 // Decode passes nil to get fresh slices). The returned list is sorted
-// ascending in v2 by construction; v1 lists are returned verbatim.
+// ascending by construction.
 func (d *decoder) ids(dst []uint64) []uint64 {
-	if d.version == versionV1 {
-		n := d.count(8)
-		if d.err != nil || n == 0 {
-			return nil
-		}
-		if cap(dst) < n {
-			dst = make([]uint64, n)
-		}
-		dst = dst[:n]
-		for i := range dst {
-			dst[i] = d.u64()
-		}
-		return dst
-	}
 	n := d.count(1)
 	if d.err != nil || n == 0 {
 		return nil
@@ -472,10 +384,11 @@ func (d *decoder) header() (interval.Mode, error) {
 	if m == nil || string(m) != string(magicPrefix[:]) {
 		return 0, fmt.Errorf("summary: bad magic")
 	}
-	d.version = d.u8()
-	if d.version != versionV1 && d.version != versionV2 && d.version != versionV3 {
-		return 0, fmt.Errorf("summary: unsupported wire version %q", d.version)
+	version := d.u8()
+	if version != versionV2 && version != versionV3 {
+		return 0, fmt.Errorf("summary: unsupported wire version %q", version)
 	}
+	d.retractions = version == versionV3
 	mode := interval.Mode(d.u8())
 	if mode != interval.Lossy && mode != interval.Exact {
 		return 0, fmt.Errorf("summary: bad mode %d", mode)
@@ -483,26 +396,19 @@ func (d *decoder) header() (interval.Mode, error) {
 	return mode, nil
 }
 
-// registryEntry decodes one registry entry: the id key (delta-decoded in
-// v2 against prev) and its c3 mask, read into maskScratch.
+// registryEntry decodes one registry entry: the id key (delta-decoded
+// against prev) and its c3 mask, read into maskScratch.
 func (d *decoder) registryEntry(i int, prev uint64, maskScratch subid.Mask) (uint64, subid.Mask) {
-	var key uint64
-	if d.version == versionV1 {
-		key = d.u64()
-	} else {
-		v := d.uvarint()
-		if i > 0 {
-			if v == 0 {
-				d.fail("registry keys not strictly ascending at offset %d", d.off)
-				return 0, nil
-			}
-			key = prev + v
-			if key < prev {
-				d.fail("registry key delta overflow at offset %d", d.off)
-				return 0, nil
-			}
-		} else {
-			key = v
+	key := d.uvarint()
+	if i > 0 {
+		if key == 0 {
+			d.fail("registry keys not strictly ascending at offset %d", d.off)
+			return 0, nil
+		}
+		key += prev
+		if key < prev {
+			d.fail("registry key delta overflow at offset %d", d.off)
+			return 0, nil
 		}
 	}
 	words := int(d.u8())
@@ -510,19 +416,14 @@ func (d *decoder) registryEntry(i int, prev uint64, maskScratch subid.Mask) (uin
 		maskScratch = make(subid.Mask, words)
 	}
 	maskScratch = maskScratch[:words]
-	for w := 0; w < words; w++ {
-		if d.version == versionV1 {
-			maskScratch[w] = d.u64()
-		} else {
-			maskScratch[w] = d.uvarint()
-		}
+	for w := range maskScratch {
+		maskScratch[w] = d.uvarint()
 	}
 	return key, maskScratch
 }
 
-// Decode parses a summary encoded by Encode or EncodeV1 (the version byte
-// selects the codec). The schema must match the encoder's (attribute ids
-// are schema indexes).
+// Decode parses a summary encoded by Encode. The schema must match the
+// encoder's (attribute ids are schema indexes).
 func Decode(s *schema.Schema, buf []byte) (*Summary, error) {
 	d := &decoder{buf: buf}
 	mode, err := d.header()
@@ -624,7 +525,7 @@ func Decode(s *schema.Schema, buf []byte) (*Summary, error) {
 		sm.sacs[a] = set
 	}
 
-	if d.version == versionV3 && d.err == nil {
+	if d.retractions && d.err == nil {
 		// AddRetraction also drops any rows a malformed payload carried for
 		// a key it simultaneously retracts — retraction wins.
 		for _, key := range d.ids(nil) {
@@ -641,29 +542,31 @@ func Decode(s *schema.Schema, buf []byte) (*Summary, error) {
 	return sm, nil
 }
 
-// MergeEncoded folds a wire-form summary (either version) directly into
-// sm, with the same semantics as Decode followed by Merge but without
-// materializing the intermediate Summary — the hot path of Algorithm 2
-// delivery. Scratch buffers are reused across rows, so a merge allocates
-// only what the receiving summary retains.
+// MergeEncoded folds a wire-form summary directly into sm, with the same
+// semantics as Decode followed by Merge but without materializing the
+// intermediate Summary — the hot path of Algorithm 2 delivery. Scratch
+// buffers are reused across rows, so a merge allocates only what the
+// receiving summary retains.
 //
-// On error the summary may hold a partial merge: some rows and registry
-// entries of the payload applied, the rest not. That is equivalent to the
-// message having been lost mid-transfer — coverage is degraded (ids with
-// incomplete attribute rows simply never reach their c3 count and the
-// caller does not extend Merged_Brokers), but matching stays correct, the
-// same guarantee the engine gives for dropped summary messages.
+// A payload with a bad header (magic, version, mode) is refused with sm
+// untouched. On a later error the summary may hold a partial merge: some
+// rows and registry entries of the payload applied, the rest not. That is
+// equivalent to the message having been lost mid-transfer — coverage is
+// degraded (ids with incomplete attribute rows simply never reach their
+// c3 count and the caller does not extend Merged_Brokers), but matching
+// stays correct, the same guarantee the engine gives for dropped summary
+// messages.
 func (sm *Summary) MergeEncoded(buf []byte) error {
+	d := &decoder{buf: buf}
+	// The payload's mode is validated and dropped: the receiver's own mode
+	// governs merged semantics, as in Merge.
+	if _, err := d.header(); err != nil {
+		return err // refused before the summary is touched
+	}
 	// The payload may re-register keys this summary has tombstoned; purge
 	// first so stale rows cannot over-count them (see Insert).
 	sm.purgeDead()
 	sm.view.Store(nil)
-	d := &decoder{buf: buf}
-	mode, err := d.header()
-	if err != nil {
-		return err
-	}
-	_ = mode // the receiver's own mode governs merged semantics, as in Merge
 
 	var idScratch []uint64
 	var maskScratch subid.Mask
@@ -759,7 +662,7 @@ func (sm *Summary) MergeEncoded(buf []byte) error {
 		}
 	}
 
-	if d.version == versionV3 && d.err == nil {
+	if d.retractions && d.err == nil {
 		// Apply the payload's retractions last, so they override any rows
 		// this payload (or an earlier one) merged for the same keys, and
 		// retain them for onward propagation. Long-lived merged summaries

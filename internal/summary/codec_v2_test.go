@@ -3,7 +3,7 @@ package summary
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/subsum/subsum/internal/interval"
@@ -11,7 +11,7 @@ import (
 )
 
 // randomSummary builds a summary with n random subscriptions spread over a
-// handful of brokers, mimicking the per-broker id locality the v2 delta
+// handful of brokers, mimicking the per-broker id locality the delta
 // encoding exploits.
 func randomSummary(t *testing.T, rng *rand.Rand, mode interval.Mode, n int) *Summary {
 	t.Helper()
@@ -35,81 +35,66 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 			if got, want := sm.EncodedSize(), len(sm.Encode(nil)); got != want {
 				t.Errorf("mode %v n=%d: EncodedSize = %d, len(Encode) = %d", mode, n, got, want)
 			}
-			if got, want := sm.EncodedSizeV1(), len(sm.EncodeV1(nil)); got != want {
-				t.Errorf("mode %v n=%d: EncodedSizeV1 = %d, len(EncodeV1) = %d", mode, n, got, want)
+			// The same summary carrying retractions (wire version 3).
+			for _, key := range sm.IDs()[:n/4] {
+				sm.AddRetraction(key.Key())
+			}
+			if got, want := sm.EncodedSize(), len(sm.Encode(nil)); got != want {
+				t.Errorf("mode %v n=%d with %d retractions: EncodedSize = %d, len(Encode) = %d",
+					mode, n, sm.NumRetractions(), got, want)
 			}
 		}
 	}
 }
 
-// TestCrossVersionRoundTrip: a summary decoded from its v1 wire form must
-// be semantically equal to one decoded from v2 — identical canonical
-// (v2) re-encoding and identical matching behaviour.
-func TestCrossVersionRoundTrip(t *testing.T) {
+// TestV1PayloadRefused: the fixed-width version '1' format is no longer
+// spoken. A well-formed v1 payload (a literal: nothing can emit one any
+// more) is refused at the version byte by both decoders, and MergeEncoded
+// refuses it before touching its target: same bytes as a twin that never
+// saw the payload, tombstones unpurged, compiled view still cached.
+func TestV1PayloadRefused(t *testing.T) {
 	s := stockSchema(t)
-	rng := rand.New(rand.NewSource(11))
-	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
-		sm := randomSummary(t, rng, mode, 100)
-		canonical := sm.Encode(nil)
-
-		fromV1, err := Decode(s, sm.EncodeV1(nil))
-		if err != nil {
-			t.Fatalf("mode %v: decode v1: %v", mode, err)
-		}
-		fromV2, err := Decode(s, canonical)
-		if err != nil {
-			t.Fatalf("mode %v: decode v2: %v", mode, err)
-		}
-		if !bytes.Equal(fromV1.Encode(nil), canonical) {
-			t.Fatalf("mode %v: v1 round trip re-encodes differently", mode)
-		}
-		if !bytes.Equal(fromV2.Encode(nil), canonical) {
-			t.Fatalf("mode %v: v2 round trip re-encodes differently", mode)
-		}
-		for i := 0; i < 300; i++ {
-			ev := randomEvent(rng, s)
-			want := sm.MatchKeys(ev)
-			if !reflect.DeepEqual(fromV1.MatchKeys(ev), want) {
-				t.Fatalf("mode %v: v1 decode diverges on %s", mode, ev.Format(s))
-			}
-			if !reflect.DeepEqual(fromV2.MatchKeys(ev), want) {
-				t.Fatalf("mode %v: v2 decode diverges on %s", mode, ev.Format(s))
-			}
-		}
+	const refusal = "unsupported wire version"
+	if _, err := Decode(s, []byte(v1SeedPayload)); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("Decode of a v1 payload: err = %v, want %q", err, refusal)
 	}
-}
-
-// TestV2SmallerThanV1 checks the point of the exercise: on a workload
-// with per-broker id locality, the varint delta encoding must shrink the
-// wire form by a wide margin (the acceptance floor is 30%).
-func TestV2SmallerThanV1(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	sm := randomSummary(t, rng, interval.Lossy, 200)
-	v1, v2 := sm.EncodedSizeV1(), sm.EncodedSize()
-	if v2 >= v1 {
-		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", v2, v1)
+	build := func() *Summary {
+		sm := randomSummary(t, rand.New(rand.NewSource(13)), interval.Lossy, 40)
+		sm.AddRetraction(sm.keys[5])
+		sm.RemoveKey(sm.keys[3])
+		return sm
 	}
-	if reduction := 1 - float64(v2)/float64(v1); reduction < 0.30 {
-		t.Errorf("v2 reduction %.1f%% below the 30%% acceptance floor (v1=%d v2=%d)",
-			100*reduction, v1, v2)
+	sm, twin := build(), build()
+	view, tombstones := sm.compiled(), len(sm.dead)
+	if err := sm.MergeEncoded([]byte(v1SeedPayload)); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("MergeEncoded of a v1 payload: err = %v, want %q", err, refusal)
+	}
+	if len(sm.dead) != tombstones || sm.view.Load() != view {
+		t.Fatal("MergeEncoded touched its target before refusing the payload")
+	}
+	if !bytes.Equal(sm.Encode(nil), twin.Encode(nil)) {
+		t.Fatal("summary changed by a refused v1 payload")
 	}
 }
 
 // TestMergeEncodedEquivalentToDecodeMerge: folding a wire-form summary in
-// directly must produce byte-identical state to Decode-then-Merge, for
-// both wire versions, including repeated merges and self-merge.
+// directly must produce byte-identical state to Decode-then-Merge, with
+// and without a retraction section, including repeated merges.
 func TestMergeEncodedEquivalentToDecodeMerge(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(17))
 	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
 		base := randomSummary(t, rng, mode, 80)
 		other := randomSummary(t, rng, mode, 80)
+		v2 := other.Encode(nil)
+		other.AddRetraction(other.keys[0])
+		other.AddRetraction(base.keys[0]) // retracts a key the receiver holds
 		for _, encode := range []struct {
 			name string
 			wire []byte
 		}{
-			{"v2", other.Encode(nil)},
-			{"v1", other.EncodeV1(nil)},
+			{"v2", v2},
+			{"v3", other.Encode(nil)},
 		} {
 			viaDecode := base.Clone()
 			decoded, err := Decode(s, encode.wire)

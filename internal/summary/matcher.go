@@ -9,12 +9,14 @@ import (
 	"github.com/subsum/subsum/internal/subid"
 )
 
-// Matcher runs Algorithm 1 against a compiled View with zero steady-state
-// allocations. Step 1 collects each event attribute's satisfied id lists
-// through the structures' append-style paths (interval.Set.AppendMatches,
-// strmatch.Set.AppendMatches); a View's lists hold dense registry indices,
-// so step 2 — PAPER.md §3.2's per-subscription count of satisfied
-// attributes against the c3 target — reads and writes plain slices at the
+// Matcher is Algorithm 1 (PAPER.md §3.2), run against a compiled View with
+// zero steady-state allocations. Step 1: for every attribute of the event,
+// collect the id lists of the AACS/SACS rows its value satisfies, through
+// the structures' append-style paths (interval.Set.AppendMatches,
+// strmatch.Set.AppendMatches). Step 2: count, per subscription, the
+// distinct attributes satisfied, and report the ids whose count equals
+// their c3 attribute count, sorted by id key. A View's lists hold dense
+// registry indices, so step 2 reads and writes plain slices at the
 // collected index, with no lookup per candidate.
 //
 // A matcher from Summary.NewMatcher follows its summary: each match reads
@@ -22,8 +24,7 @@ import (
 // after a mutation. A matcher from View.NewMatcher is bound to that view.
 // Either must not be used concurrently with itself or with mutations of
 // its summary, but any number of matchers may match concurrently against
-// the same summary or view (see MatcherPool). Keys and MatchCost equal
-// Summary.MatchKeysWithCost's, the map-based reference.
+// the same summary or view (see MatcherPool).
 type Matcher struct {
 	sm *Summary // non-nil: re-read sm's current view on every match
 	v  *View    // the view of the last match
@@ -67,8 +68,9 @@ func (sm *Summary) NewMatcher() *Matcher { return &Matcher{sm: sm} }
 // NewMatcher returns a Matcher bound to v.
 func (v *View) NewMatcher() *Matcher { return &Matcher{v: v} }
 
-// Match is Summary.Match run through the matcher's reusable scratch. The
-// returned ids are freshly allocated and owned by the caller.
+// Match returns the ids of the subscriptions the summary says match e, in
+// ascending key order, each with its c3 mask. The returned ids are freshly
+// allocated and owned by the caller.
 func (m *Matcher) Match(e *schema.Event) []subid.ID {
 	m.MatchKeys(e)
 	out := make([]subid.ID, len(m.hit))

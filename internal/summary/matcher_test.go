@@ -43,7 +43,8 @@ func buildRandomSummary(t testing.TB, rng *rand.Rand, s *schema.Schema, mode int
 
 // TestMatcherMatchesLegacy is the differential property test: across
 // randomized workloads the pooled Matcher must report byte-identical key
-// sets and identical MatchCost to the map-based MatchKeysWithCost.
+// sets and identical MatchCost to the map-based reference
+// (reference_test.go).
 func TestMatcherMatchesLegacy(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(31))
@@ -55,7 +56,7 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 			for probe := 0; probe < 150; probe++ {
 				ev := randomEvent(rng, s)
 				events++
-				wantKeys, wantCost := sm.MatchKeysWithCost(ev)
+				wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
 				gotKeys, gotCost := m.MatchKeysWithCost(ev)
 				if !equalKeys(wantKeys, gotKeys) {
 					t.Fatalf("mode %v trial %d: keys diverge on %s\nlegacy  %v\nmatcher %v",
@@ -75,7 +76,7 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 			for probe := 0; probe < 50; probe++ {
 				ev := randomEvent(rng, s)
 				events++
-				wantKeys, _ := sm.MatchKeysWithCost(ev)
+				wantKeys := sm.referenceMatchKeys(ev)
 				gotKeys, _ := m.MatchKeysWithCost(ev)
 				if !equalKeys(wantKeys, gotKeys) {
 					t.Fatalf("mode %v trial %d post-mutation: keys diverge on %s", mode, trial, ev.Format(s))
@@ -89,7 +90,7 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 }
 
 // TestMatcherMatchIDs checks the id-reconstructing entry point against
-// Summary.Match.
+// the reference's ids and c3 masks.
 func TestMatcherMatchIDs(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(32))
@@ -97,7 +98,7 @@ func TestMatcherMatchIDs(t *testing.T) {
 	m := sm.NewMatcher()
 	for probe := 0; probe < 200; probe++ {
 		ev := randomEvent(rng, s)
-		if want, got := sm.Match(ev), m.Match(ev); !reflect.DeepEqual(want, got) {
+		if want, got := sm.referenceMatch(ev), m.Match(ev); !reflect.DeepEqual(want, got) {
 			t.Fatalf("Match diverges on %s:\nlegacy  %v\nmatcher %v", ev.Format(s), want, got)
 		}
 	}
@@ -116,7 +117,7 @@ func TestMatcherPoolConcurrent(t *testing.T) {
 	want := make([][]uint64, nEvents)
 	for i := range events {
 		events[i] = randomEvent(rng, s)
-		want[i] = append([]uint64(nil), sm.MatchKeys(events[i])...)
+		want[i] = sm.referenceMatchKeys(events[i])
 	}
 	pool := NewMatcherPool(sm)
 	var wg sync.WaitGroup

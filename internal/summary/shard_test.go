@@ -107,12 +107,12 @@ func TestShardInvariance(t *testing.T) {
 }
 
 // TestShardedMatchIDs checks Match recovers full ids (with c3 masks) in
-// the same order as the unsharded path.
+// the reference's order.
 func TestShardedMatchIDs(t *testing.T) {
 	sm, events := shardFixture(t, 50, 100, 43)
 	m := NewShardedMatcher(sm.ShardByKey(4))
 	for _, ev := range events {
-		want := sm.Match(ev)
+		want := sm.referenceMatch(ev)
 		got := m.Match(ev)
 		if len(got) != len(want) {
 			t.Fatalf("Match returned %d ids, want %d", len(got), len(want))

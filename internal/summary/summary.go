@@ -342,26 +342,15 @@ func (sm *Summary) NumRetractions() int { return len(sm.retract) }
 // subscriptions.
 func (sm *Summary) ClearRetractions() { sm.retract = nil }
 
-// Match implements Algorithm 1: for every attribute of the event, collect
-// the satisfied subscription-id lists from the per-attribute structures;
-// count, per id, the number of distinct attributes satisfied; report the
-// ids whose count equals their c3 attribute count. Results are sorted by
-// id key.
-func (sm *Summary) Match(e *schema.Event) []subid.ID {
-	keys := sm.MatchKeys(e)
-	out := make([]subid.ID, len(keys))
-	for i, key := range keys {
-		out[i] = sm.idFromKey(key)
-	}
-	return out
-}
+// Match runs Algorithm 1 (see Matcher) on the event once, through a
+// matcher made for the call: the ids whose subscriptions the summary says
+// match, sorted by id key. Callers matching many events against one
+// summary hold a Matcher (or a MatcherPool) instead and reuse its scratch.
+func (sm *Summary) Match(e *schema.Event) []subid.ID { return sm.NewMatcher().Match(e) }
 
-// MatchKeys is Match returning raw id keys (ascending), avoiding ID
-// reconstruction for hot paths.
-func (sm *Summary) MatchKeys(e *schema.Event) []uint64 {
-	keys, _ := sm.MatchKeysWithCost(e)
-	return keys
-}
+// MatchKeys is Match returning raw id keys (ascending), owned by the
+// caller.
+func (sm *Summary) MatchKeys(e *schema.Event) []uint64 { return sm.NewMatcher().MatchKeys(e) }
 
 // MatchCost instruments one Algorithm 1 run with the operation counts of
 // the Section 5.2.4 analysis: step 1's id-list collection work (the T1
@@ -376,47 +365,6 @@ type MatchCost struct {
 	UniqueIDs int
 	// Matched is the number of ids whose counters reached their c3 count.
 	Matched int
-}
-
-// MatchKeysWithCost is MatchKeys returning the operation counts alongside
-// the matched keys.
-func (sm *Summary) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
-	var cost MatchCost
-	counters := make(map[uint64]int)
-	perAttr := make(map[uint64]struct{})
-	for _, f := range e.Fields() {
-		// Step 1: collect satisfied id lists for this attribute.
-		cost.EventAttrs++
-		clear(perAttr)
-		if f.Value.Arithmetic() {
-			if s, ok := sm.aacs[f.Attr]; ok {
-				s.QueryInto(f.Value.Num, perAttr)
-			}
-		} else if s, ok := sm.sacs[f.Attr]; ok {
-			s.MatchInto(f.Value.Str, perAttr)
-		}
-		for key := range perAttr {
-			// Rows may name ids the registry no longer (or never) held:
-			// tombstones awaiting a purge, strays in a hand-built summary.
-			// They cannot match, and are not counted as work either, so
-			// the cost does not depend on when the last purge ran.
-			if _, ok := sm.ids[key]; ok {
-				counters[key]++
-				cost.CollectedIDs++
-			}
-		}
-	}
-	// Step 2: keep ids whose counter equals their c3 attribute count.
-	cost.UniqueIDs = len(counters)
-	var out []uint64
-	for key, n := range counters {
-		if n == int(sm.targets[sm.ids[key]]) {
-			out = append(out, key)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	cost.Matched = len(out)
-	return out, cost
 }
 
 // idFromKey reconstructs a full subscription id from its key and the

@@ -473,8 +473,9 @@ func randomArithmeticEvent(rng *rand.Rand, s *schema.Schema) *schema.Event {
 	return e
 }
 
-// TestMatchKeysWithCost: the instrumented match returns the same keys as
-// MatchKeys plus self-consistent Section 5.2.4 operation counts.
+// TestMatchKeysWithCost: the instrumented match returns the matched keys
+// plus the hand-counted Section 5.2.4 operation counts — from the matcher
+// and from the map-based reference the differential tests hold it to.
 func TestMatchKeysWithCost(t *testing.T) {
 	s := stockSchema(t)
 	sm := New(s, interval.Lossy)
@@ -484,28 +485,19 @@ func TestMatchKeysWithCost(t *testing.T) {
 	if err := sm.Insert(id(0, 2), mustSub(t, s, `price > 8.2`)); err != nil {
 		t.Fatal(err)
 	}
-	ev := mustEvent(t, s, `price=8.5 symbol=OTE volume=1`)
-	keys, cost := sm.MatchKeysWithCost(ev)
-	if len(keys) != 2 {
-		t.Fatalf("keys = %v", keys)
-	}
-	if cost.EventAttrs != 3 {
-		t.Fatalf("EventAttrs = %d, want 3", cost.EventAttrs)
-	}
-	// price attribute collects ids {1,2}, symbol collects {1}: 3 entries.
-	if cost.CollectedIDs != 3 {
-		t.Fatalf("CollectedIDs = %d, want 3", cost.CollectedIDs)
-	}
-	if cost.UniqueIDs != 2 { // P = 2
-		t.Fatalf("UniqueIDs = %d, want 2", cost.UniqueIDs)
-	}
-	if cost.Matched != 2 {
-		t.Fatalf("Matched = %d, want 2", cost.Matched)
-	}
-	// Non-matching event: id 1 collected on symbol only, counter < c3.
-	ev2 := mustEvent(t, s, `symbol=OTE`)
-	keys2, cost2 := sm.MatchKeysWithCost(ev2)
-	if len(keys2) != 0 || cost2.UniqueIDs != 1 || cost2.Matched != 0 {
-		t.Fatalf("keys2 = %v cost2 = %+v", keys2, cost2)
+	for name, match := range map[string]func(*schema.Event) ([]uint64, MatchCost){
+		"matcher":   sm.NewMatcher().MatchKeysWithCost,
+		"reference": sm.referenceMatchKeysWithCost,
+	} {
+		// price collects ids {1,2}, symbol collects {1}: 3 entries, P = 2.
+		keys, cost := match(mustEvent(t, s, `price=8.5 symbol=OTE volume=1`))
+		if want := (MatchCost{EventAttrs: 3, CollectedIDs: 3, UniqueIDs: 2, Matched: 2}); len(keys) != 2 || cost != want {
+			t.Errorf("%s: keys = %v cost = %+v, want 2 keys at %+v", name, keys, cost, want)
+		}
+		// Non-matching event: id 1 collected on symbol only, counter < c3.
+		keys, cost = match(mustEvent(t, s, `symbol=OTE`))
+		if want := (MatchCost{EventAttrs: 1, CollectedIDs: 1, UniqueIDs: 1, Matched: 0}); len(keys) != 0 || cost != want {
+			t.Errorf("%s: keys = %v cost = %+v, want no keys at %+v", name, keys, cost, want)
+		}
 	}
 }

@@ -24,7 +24,8 @@ import (
 //     results concatenate into the unsharded answer).
 //   - every row id is below len(keys). Ids the registry did not hold at
 //     build time — tombstoned rows not yet purged, strays in a hand-built
-//     summary — are dropped then, as Summary.MatchKeysWithCost skips them.
+//     summary — are dropped then: they cannot match, and are not counted
+//     in MatchCost either.
 //   - nothing is written afterwards: any number of Matchers read one View
 //     concurrently while the Summary it was built from keeps mutating.
 type View struct {

@@ -3,6 +3,7 @@ package summary
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -47,7 +48,9 @@ func dirtySummary(t testing.TB, rng *rand.Rand, s *schema.Schema, mode interval.
 // on seeded random summaries in both modes, the summary-following matcher
 // and a sharded matcher at every shard count return the keys and the
 // MatchCost of the map-based reference, with unpurged tombstones and a
-// stray row id in the structures.
+// stray row id in the structures. The one-shot Summary.Match/MatchKeys
+// wrappers are held to the same reference, also between mutations: each
+// call caches the view it compiled, so every mutator must drop it.
 func TestViewMatchesReference(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(61))
@@ -62,7 +65,7 @@ func TestViewMatchesReference(t *testing.T) {
 			check := func(name string, match func(*schema.Event) ([]uint64, MatchCost)) {
 				t.Helper()
 				for _, ev := range events {
-					wantKeys, wantCost := sm.MatchKeysWithCost(ev)
+					wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
 					gotKeys, gotCost := match(ev)
 					if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
 						t.Fatalf("mode %v trial %d %s on %s:\nreference %v %+v\nview      %v %+v",
@@ -72,6 +75,20 @@ func TestViewMatchesReference(t *testing.T) {
 				}
 			}
 			check("Summary.NewMatcher", sm.NewMatcher().MatchKeysWithCost)
+			checkWrappers := func(stage string) {
+				t.Helper()
+				for _, ev := range events {
+					if got, want := sm.MatchKeys(ev), sm.referenceMatchKeys(ev); !slices.Equal(got, want) {
+						t.Fatalf("mode %v trial %d Summary.MatchKeys %s on %s:\nreference %v\nwrapper   %v",
+							mode, trial, stage, ev.Format(s), want, got)
+					}
+					if got, want := sm.Match(ev), sm.referenceMatch(ev); !reflect.DeepEqual(got, want) {
+						t.Fatalf("mode %v trial %d Summary.Match %s on %s:\nreference %v\nwrapper   %v",
+							mode, trial, stage, ev.Format(s), want, got)
+					}
+				}
+			}
+			checkWrappers("as built")
 			for _, n := range viewShardCounts {
 				shards := sm.ShardByKey(n)
 				if len(shards) != n {
@@ -87,6 +104,22 @@ func TestViewMatchesReference(t *testing.T) {
 			if len(sm.dead) == 0 {
 				t.Fatal("compiling a view purged the summary: ShardByKey must only read")
 			}
+			if err := sm.Insert(id(8, 1), randomSubscription(rng, s)); err != nil {
+				t.Fatal(err)
+			}
+			checkWrappers("after Insert")
+			sm.RemoveKey(sm.keys[rng.Intn(len(sm.keys))])
+			checkWrappers("after RemoveKey")
+			other := New(s, mode)
+			for i := 0; i < 10; i++ {
+				if err := other.Insert(id(9, subid.LocalID(i)), randomSubscription(rng, s)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sm.MergeEncoded(other.Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+			checkWrappers("after MergeEncoded")
 		}
 	}
 	if matched == 0 {
@@ -213,7 +246,7 @@ func TestViewEmptySummary(t *testing.T) {
 	s := stockSchema(t)
 	sm := New(s, interval.Exact)
 	ev := randomEvent(rand.New(rand.NewSource(63)), s)
-	_, want := sm.MatchKeysWithCost(ev)
+	_, want := sm.referenceMatchKeysWithCost(ev)
 	for _, n := range viewShardCounts {
 		shards := sm.ShardByKey(n)
 		if len(shards) != 1 || shards[0].NumSubscriptions() != 0 {
@@ -244,7 +277,7 @@ func TestShardedMatchRecoversMasks(t *testing.T) {
 	matched := 0
 	for probe := 0; probe < 200; probe++ {
 		ev := randomEvent(rng, s)
-		want := sm.Match(ev)
+		want := sm.referenceMatch(ev)
 		matched += len(want)
 		for mi, m := range matchers {
 			got := m.Match(ev)
@@ -276,7 +309,7 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 	want := make([][]uint64, len(events))
 	for i := range events {
 		events[i] = randomEvent(rng, s)
-		want[i] = sm.MatchKeys(events[i])
+		want[i] = sm.referenceMatchKeys(events[i])
 	}
 	var pools []*ShardedMatcherPool
 	for _, n := range viewShardCounts {

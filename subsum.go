@@ -297,14 +297,6 @@ func RunPropagationWithCost(g *Graph, own []*Summary, cost PropagationCost) (*Pr
 	return propagation.Run(g, own, cost)
 }
 
-// RunPropagationReference executes Algorithm 2 through the clone-per-send
-// baseline (wire codec v1) kept for differential testing and benchmarking.
-// It produces the same merged state and send log as RunPropagation; only
-// WireBytes and the allocation profile differ.
-func RunPropagationReference(g *Graph, own []*Summary) (*PropagationResult, error) {
-	return propagation.RunReference(g, own, propagation.DefaultCostModel())
-}
-
 // NewRouter builds a deterministic Algorithm 3 router over a propagation
 // result.
 func NewRouter(g *Graph, prop *PropagationResult, cfg RouterConfig) (*Router, error) {
