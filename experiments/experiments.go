@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"github.com/subsum/subsum/internal/broadcast"
-	"github.com/subsum/subsum/internal/core"
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
+	"github.com/subsum/subsum/internal/par"
 	"github.com/subsum/subsum/internal/propagation"
 	"github.com/subsum/subsum/internal/routing"
 	"github.com/subsum/subsum/internal/schema"
@@ -106,7 +106,7 @@ func Fig8(cfg Config) (*metrics.Table, error) {
 		"Figure 8 — bandwidth for subscription propagation (bytes, per period)",
 		"sigma", "broadcast", "siena-10%", "summary-10%", "siena-90%", "summary-90%")
 	rows := make([][]any, len(cfg.Sigmas))
-	err := core.SweepErr(len(cfg.Sigmas), cfg.Workers, func(i int) error {
+	err := par.SweepErr(len(cfg.Sigmas), cfg.Workers, func(i int) error {
 		sigma := cfg.Sigmas[i]
 		bc := broadcast.Propagate(cfg.Topo, sigma, cfg.SubSize)
 		sienaLow := siena.PropagateModel(cfg.Topo, sigma, cfg.SubSize, cfg.LowSubsumption, cfg.Seed)
@@ -161,7 +161,7 @@ func Fig9(cfg Config) (*metrics.Table, error) {
 		return nil, err
 	}
 	means := make([]float64, len(cfg.Subsumptions))
-	core.Sweep(len(cfg.Subsumptions), cfg.Workers, func(i int) {
+	par.Sweep(len(cfg.Subsumptions), cfg.Workers, func(i int) {
 		// Mean over per-subscription floods: sigma=1 per broker, several
 		// seeds.
 		const trials = 20
@@ -223,7 +223,7 @@ func Fig10(cfg Config) (*metrics.Table, error) {
 		}
 		ourHops := make([]int64, events)
 		sienaHops := make([]int64, events)
-		core.Sweep(events, cfg.Workers, func(i int) {
+		par.Sweep(events, cfg.Workers, func(i int) {
 			origin := topology.NodeID(i / cfg.EventsPerBroker)
 			matched := matchedSets[i]
 			trace := router.Route(origin, router.PopularityMatch(matched))
@@ -248,7 +248,7 @@ func Fig11(cfg Config) (*metrics.Table, error) {
 		"Figure 11 — storage requirements for subscriptions (bytes, all brokers)",
 		"subs/broker", "broadcast", "siena-10%", "summary-10%", "siena-90%", "summary-90%")
 	rows := make([][]any, len(cfg.Sigmas))
-	err := core.SweepErr(len(cfg.Sigmas), cfg.Workers, func(i int) error {
+	err := par.SweepErr(len(cfg.Sigmas), cfg.Workers, func(i int) error {
 		s := cfg.Sigmas[i]
 		bc := broadcast.Propagate(cfg.Topo, s, cfg.SubSize)
 		sienaLow := siena.PropagateModel(cfg.Topo, s, cfg.SubSize, cfg.LowSubsumption, cfg.Seed)
@@ -324,7 +324,7 @@ func MatchingCost(cfg Config) (*metrics.Table, error) {
 		perUnique := make([]int64, probes)
 		pool := summary.NewMatcherPool(sm)
 		start := time.Now()
-		core.Sweep(probes, cfg.Workers, func(i int) {
+		par.Sweep(probes, cfg.Workers, func(i int) {
 			m := pool.Get()
 			keys, cost := m.MatchKeysWithCost(events[i])
 			perMatched[i] = int64(len(keys))

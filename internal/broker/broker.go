@@ -74,7 +74,6 @@ type Broker struct {
 	// wait for matchers.
 	matchGen     atomic.Uint64
 	snap         atomic.Pointer[matchSnapshot]
-	communicated map[topology.NodeID]bool
 	filter       *siena.SubsumptionFilter // nil unless delta filtering is on
 	filteredSubs int                      // subscriptions kept out of deltas
 	numBrokers   int
@@ -213,7 +212,6 @@ func New(cfg Config) (*Broker, error) {
 		delta:         summary.New(cfg.Schema, cfg.Mode),
 		merged:        summary.New(cfg.Schema, cfg.Mode),
 		mergedBrokers: subid.NewMask(cfg.NumBrokers),
-		communicated:  make(map[topology.NodeID]bool),
 		numBrokers:    cfg.NumBrokers,
 		retired:       make(map[subid.LocalID]struct{}),
 		rec:           cfg.Flight,
@@ -699,58 +697,6 @@ func (b *Broker) MergedBrokers() subid.Mask {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.mergedBrokers.Clone()
-}
-
-// ChooseTarget picks the Algorithm 2 send target among the broker's
-// neighbors: degree ≥ the broker's own, not yet communicated with,
-// preferring the smallest *strictly higher* degree and falling back to an
-// equal-degree neighbor (smallest id). See propagation.pickTarget for why
-// strictly-higher neighbors come first. It records the communication.
-func (b *Broker) ChooseTarget(g *topology.Graph) (topology.NodeID, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	own := g.Degree(b.id)
-	best := topology.NodeID(-1)
-	bestDegree := 0
-	for _, m := range g.Neighbors(b.id) {
-		d := g.Degree(m)
-		if d <= own || b.communicated[m] {
-			continue
-		}
-		if best < 0 || d < bestDegree || (d == bestDegree && m < best) {
-			best, bestDegree = m, d
-		}
-	}
-	if best < 0 {
-		for _, m := range g.Neighbors(b.id) {
-			if g.Degree(m) == own && !b.communicated[m] {
-				best = m
-				break
-			}
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	b.communicated[best] = true
-	return best, true
-}
-
-// ResetPeriod clears the communicated-with set at the start of a new
-// propagation phase ("has not communicated in any of the previous
-// iterations" is scoped to one phase of Algorithm 2).
-func (b *Broker) ResetPeriod() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	clear(b.communicated)
-}
-
-// RecordCommunicated marks a peer as communicated-with (the receiving side
-// of an Algorithm 2 exchange).
-func (b *Broker) RecordCommunicated(peer topology.NodeID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.communicated[peer] = true
 }
 
 // MatchMerged runs Algorithm 1 on the merged multi-broker summary and

@@ -187,54 +187,3 @@ func TestMergeSummaryAndSnapshot(t *testing.T) {
 		t.Fatal("snapshot shares state")
 	}
 }
-
-func TestChooseTargetOnFigure7(t *testing.T) {
-	g := topology.Figure7Tree()
-	s := testSchema(t)
-	// Node 6 (paper broker 7, degree 2) has neighbors node 4 (degree 5)
-	// and node 7 (degree 3): smallest eligible degree wins → node 7.
-	b, err := New(Config{ID: 6, Schema: s, NumBrokers: g.Len()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, ok := b.ChooseTarget(g)
-	if !ok || target != 7 {
-		t.Fatalf("target = %v,%v; want 7", target, ok)
-	}
-	// Same target is not chosen twice in a period.
-	if target, ok := b.ChooseTarget(g); !ok || target != 4 {
-		t.Fatalf("second target = %v,%v; want 4", target, ok)
-	}
-	if _, ok := b.ChooseTarget(g); ok {
-		t.Fatal("third target should not exist")
-	}
-	// ResetPeriod clears the history.
-	b.ResetPeriod()
-	if target, ok := b.ChooseTarget(g); !ok || target != 7 {
-		t.Fatalf("after reset: %v,%v; want 7", target, ok)
-	}
-}
-
-func TestRecordCommunicatedBlocksTarget(t *testing.T) {
-	g := topology.Figure7Tree()
-	b, err := New(Config{ID: 6, Schema: testSchema(t), NumBrokers: g.Len()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.RecordCommunicated(7)
-	target, ok := b.ChooseTarget(g)
-	if !ok || target != 4 {
-		t.Fatalf("target = %v,%v; want 4 after 7 blocked", target, ok)
-	}
-}
-
-func TestMaxDegreeNodeHasNoTarget(t *testing.T) {
-	g := topology.Figure7Tree()
-	b, err := New(Config{ID: 4, Schema: testSchema(t), NumBrokers: g.Len()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.ChooseTarget(g); ok {
-		t.Fatal("max-degree broker found a target among lower-degree neighbors")
-	}
-}

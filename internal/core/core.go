@@ -11,6 +11,12 @@
 // algorithms running asynchronously with real wire-format payloads and
 // per-kind byte accounting.
 //
+// The overlay is fixed at New: the Algorithm 2 send schedule
+// (propagation.Schedule) and the Algorithm 3 examination order
+// (routing.Order) are derived from Config.Topology there, once, and
+// neither the period engine nor the event path looks at the graph again —
+// an edge added to it afterwards is seen by neither.
+//
 // Concurrency model: each broker's handler goroutine owns that broker's
 // message processing; Propagate owns the period state and publishes it to
 // handlers through an atomic pointer; every message that cannot be
@@ -23,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +38,7 @@ import (
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/netsim"
+	"github.com/subsum/subsum/internal/propagation"
 	"github.com/subsum/subsum/internal/routing"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
@@ -82,7 +88,11 @@ type Network struct {
 	cfg     Config
 	brokers []*broker.Broker
 	bus     *netsim.Bus
-	order   []topology.NodeID // forwarding preference, by effective degree
+	// schedule (Algorithm 2: who sends to whom, iteration by iteration) and
+	// order (Algorithm 3: which broker an event is forwarded to next) are
+	// functions of the overlay, derived once in New and read-only after.
+	schedule []propagation.Round
+	order    []topology.NodeID
 
 	// periodMu serializes Propagate calls; period is the working set of the
 	// propagation period currently in flight (nil between periods). It is
@@ -219,49 +229,14 @@ func New(cfg Config) (*Network, error) {
 		}
 		net.brokers[i] = b
 	}
-	net.order = net.effectiveOrder()
+	net.schedule = propagation.Schedule(cfg.Topology)
+	net.order = routing.Order(cfg.Topology, cfg.Strategy, cfg.VirtualDegreeCap)
 	net.scratch = make([]runScratch, n)
 	for i := 0; i < n; i++ {
 		node := topology.NodeID(i)
 		net.bus.StartBatch(node, func(ms []netsim.Message) { net.handleBatch(node, ms) })
 	}
 	return net, nil
-}
-
-// effectiveOrder ranks brokers by the degree the strategy advertises
-// (VirtualDegree caps maximum-degree nodes): effective degree descending,
-// id ascending as the tie-break.
-func (net *Network) effectiveOrder() []topology.NodeID {
-	g := net.cfg.Topology
-	n := g.Len()
-	maxDeg := g.MaxDegree()
-	degCap := net.cfg.VirtualDegreeCap
-	if degCap <= 0 {
-		degCap = int(g.MeanDegree() + 0.5)
-		if degCap < 1 {
-			degCap = 1
-		}
-	}
-	eff := make([]int, n)
-	for i := 0; i < n; i++ {
-		d := g.Degree(topology.NodeID(i))
-		if net.cfg.Strategy == routing.VirtualDegree && d == maxDeg && d > degCap {
-			d = degCap
-		}
-		eff[i] = d
-	}
-	order := make([]topology.NodeID, n)
-	for i := range order {
-		order[i] = topology.NodeID(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if eff[a] != eff[b] {
-			return eff[a] > eff[b]
-		}
-		return a < b
-	})
-	return order
 }
 
 // Close shuts down the network; pending messages are dropped. A running
@@ -367,7 +342,6 @@ func (net *Network) Propagate() (hops int, err error) {
 		net.obs.periodSeconds.Observe(time.Since(start).Seconds())
 		net.rec.Record(flight.EvPeriodEnd, -1, int64(net.periods), int64(hops), periodBytes, "")
 	}()
-	g := net.cfg.Topology
 	n := len(net.brokers)
 	net.periods++
 	net.periodCount.Store(int64(net.periods))
@@ -383,7 +357,6 @@ func (net *Network) Propagate() (hops int, err error) {
 		sets: make([]subid.Mask, n),
 	}
 	for i, b := range net.brokers {
-		b.ResetPeriod()
 		period.sums[i] = b.TakePeriodSummary(fullSync)
 		if fullSync {
 			// The resync reset Merged_Brokers to the broker itself, so this
@@ -397,46 +370,39 @@ func (net *Network) Propagate() (hops int, err error) {
 	net.period.Store(period)
 	defer net.period.Store(nil)
 
-	type send struct {
-		from, to topology.NodeID
-		sb       *netsim.SharedBuf
+	// bufs[i] is the encoded payload of the round's i-th send: encoded once
+	// into a pooled buffer, which the bus shares with the recipient and
+	// recycles after handling. An error return releases every buffer the
+	// period still holds.
+	var bufs []*netsim.SharedBuf
+	releaseFrom := func(i int) {
+		for _, sb := range bufs[i:] {
+			sb.Release()
+		}
 	}
-	for iter := 1; iter <= g.MaxDegree(); iter++ {
-		var sends []send
-		for i := 0; i < n; i++ {
-			node := topology.NodeID(i)
-			if g.Degree(node) != iter {
-				continue
-			}
-			target, ok := net.brokers[i].ChooseTarget(g)
-			if !ok {
-				continue
-			}
-			net.brokers[target].RecordCommunicated(node)
-			// Encode once into a pooled buffer; the bus shares the bytes
-			// with the recipient and recycles them after handling.
+	for _, round := range net.schedule {
+		bufs = bufs[:0]
+		for _, h := range round.Sends {
 			sb := netsim.AcquireBuf()
+			bufs = append(bufs, sb)
 			period.mu.Lock()
-			sb.B, err = encodeSummaryMsg(sb.B, period.sums[i], period.sets[i], uint64(net.periods), fullSync)
+			sb.B, err = encodeSummaryMsg(sb.B, period.sums[h.From], period.sets[h.From], uint64(net.periods), fullSync)
 			period.mu.Unlock()
 			if err != nil {
-				sb.Release()
-				for _, s := range sends {
-					s.sb.Release()
-				}
-				return hops, fmt.Errorf("core: broker %d summary: %w", node, err)
+				releaseFrom(0)
+				return hops, fmt.Errorf("core: broker %d summary: %w", h.From, err)
 			}
-			sends = append(sends, send{from: node, to: target, sb: sb})
 		}
-		for _, s := range sends {
-			payloadLen := int64(len(s.sb.B))
+		for i, h := range round.Sends {
+			payloadLen := int64(len(bufs[i].B))
 			err := net.bus.SendShared(netsim.Message{
-				From: s.from, To: s.to, Kind: netsim.KindSummary,
-			}, s.sb)
-			s.sb.Release()
+				From: h.From, To: h.To, Kind: netsim.KindSummary,
+			}, bufs[i])
 			if err != nil {
+				releaseFrom(i)
 				return hops, err
 			}
+			bufs[i].Release()
 			hops++
 			periodBytes += payloadLen
 		}
@@ -722,32 +688,30 @@ func ownerKeys(keys []uint64, owner uint64) []uint64 {
 // forwarding-preference order, ending the hop in exactly one terminal
 // counter (forwarded or handler error).
 func (net *Network) forwardEvent(node topology.NodeID, ev *schema.Event, brocli, delivered subid.Mask, traceID uint64, matchedLen int) {
-	for _, next := range net.order {
-		if brocli.Has(int(next)) {
-			continue
-		}
-		sb := netsim.AcquireBuf()
-		var err error
-		sb.B, err = encodeEventMsg(sb.B, ev, brocli, delivered, traceID)
-		if err != nil {
-			sb.Release()
-			net.bus.RecordHandlerError(netsim.KindEvent)
-			return
-		}
-		payloadLen := len(sb.B)
-		if net.bus.SendShared(netsim.Message{From: node, To: next, Kind: netsim.KindEvent}, sb) == nil {
-			net.obs.eventsForwarded.Inc()
-			if traceID != 0 {
-				net.tracer.hop(traceID, node, DecisionForwarded, matchedLen, payloadLen)
-			}
-		} else {
-			// A failed forward send (bus closing) still terminates this
-			// event's walk; count it so flow conservation holds.
-			net.bus.RecordHandlerError(netsim.KindEvent)
-		}
+	next, ok := routing.NextHop(net.order, brocli)
+	if !ok {
+		return // not reached: the caller forwards only while BROCLIe is incomplete
+	}
+	sb := netsim.AcquireBuf()
+	var err error
+	sb.B, err = encodeEventMsg(sb.B, ev, brocli, delivered, traceID)
+	if err != nil {
 		sb.Release()
+		net.bus.RecordHandlerError(netsim.KindEvent)
 		return
 	}
+	payloadLen := len(sb.B)
+	if net.bus.SendShared(netsim.Message{From: node, To: next, Kind: netsim.KindEvent}, sb) == nil {
+		net.obs.eventsForwarded.Inc()
+		if traceID != 0 {
+			net.tracer.hop(traceID, node, DecisionForwarded, matchedLen, payloadLen)
+		}
+	} else {
+		// A failed forward send (bus closing) still terminates this
+		// event's walk; count it so flow conservation holds.
+		net.bus.RecordHandlerError(netsim.KindEvent)
+	}
+	sb.Release()
 }
 
 // orMask folds src's bits into *dst, growing dst as needed.
@@ -830,6 +794,8 @@ func appendSummaryHeader(buf []byte, h summaryEpochHeader) []byte {
 // decodeSummaryHeader reads the flags byte and epoch uvarint, returning
 // the consumed length. Unknown flag bits are a decode error, same as the
 // event-message header: old payloads must fail loudly, not merge wrongly.
+// The epoch must be in its shortest form, so a header that decodes has
+// exactly one encoding.
 func decodeSummaryHeader(buf []byte) (h summaryEpochHeader, n int, err error) {
 	if len(buf) < 1 {
 		return h, 0, fmt.Errorf("core: short summary header")
@@ -840,9 +806,9 @@ func decodeSummaryHeader(buf []byte) (h summaryEpochHeader, n int, err error) {
 	}
 	h.FullSync = flags&sumFlagFullSync != 0
 	h.Retract = flags&sumFlagRetract != 0
-	epoch, used := binary.Uvarint(buf[1:])
-	if used <= 0 {
-		return h, 0, fmt.Errorf("core: truncated summary epoch")
+	epoch, used := canonicalUvarint(buf[1:])
+	if used == 0 {
+		return h, 0, fmt.Errorf("core: bad summary epoch")
 	}
 	h.Epoch = epoch
 	return h, 1 + used, nil
@@ -862,22 +828,6 @@ func encodeSummaryMsg(buf []byte, sum *summary.Summary, set subid.Mask, epoch ui
 		return nil, err
 	}
 	return sum.Encode(buf), nil
-}
-
-func decodeSummaryMsg(s *schema.Schema, buf []byte) (*summary.Summary, subid.Mask, summaryEpochHeader, error) {
-	h, n0, err := decodeSummaryHeader(buf)
-	if err != nil {
-		return nil, nil, h, err
-	}
-	set, n, err := decodeMask(buf[n0:])
-	if err != nil {
-		return nil, nil, h, err
-	}
-	sum, err := summary.Decode(s, buf[n0+n:])
-	if err != nil {
-		return nil, nil, h, err
-	}
-	return sum, set, h, nil
 }
 
 // msgFlagTrace marks an event/deliver payload carrying a trace id (u64,

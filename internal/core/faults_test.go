@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/subsum/subsum/internal/netsim"
 	"github.com/subsum/subsum/internal/schema"
+	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/topology"
 	"github.com/subsum/subsum/internal/workload"
 )
@@ -138,5 +140,38 @@ func TestEventLossLosesOnlyAffectedEvents(t *testing.T) {
 	net.Flush()
 	if c.count() != 1 {
 		t.Fatalf("deliveries after healing = %d, want 1", c.count())
+	}
+}
+
+// TestPropagateOnClosedNetwork pins Propagate's send-error return: on a
+// closed bus the first send of the period fails, the bus error comes back
+// with no hop counted and no summary message accounted, and nothing
+// panics. Every payload of that iteration was already encoded into a
+// pooled buffer by then; the return path releases them all (the pool has
+// no counter to assert that on).
+func TestPropagateOnClosedNetwork(t *testing.T) {
+	s := stockSchema(t)
+	net := newNetwork(t, topology.CW24(), s)
+	sub, err := schema.ParseSubscription(s, `price > 10`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Subscribe(3, sub, func(subid.ID, *schema.Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	net.Close()
+	hops, err := net.Propagate()
+	if err == nil || !strings.Contains(err.Error(), "bus closed") {
+		t.Fatalf("Propagate on a closed network: hops=%d err=%v, want the bus error", hops, err)
+	}
+	if hops != 0 {
+		t.Fatalf("hops = %d on a closed network", hops)
+	}
+	if st := net.Stats(); st.Messages[netsim.KindSummary] != 0 || st.Bytes[netsim.KindSummary] != 0 {
+		t.Fatalf("summary traffic counted on a closed bus: %+v", st)
+	}
+	// A second period fails the same way: the first left no period state behind.
+	if _, err := net.Propagate(); err == nil {
+		t.Fatal("second Propagate on a closed network succeeded")
 	}
 }

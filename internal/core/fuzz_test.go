@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"github.com/subsum/subsum/internal/broker"
+	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
+	"github.com/subsum/subsum/internal/summary"
 	"github.com/subsum/subsum/internal/topology"
 )
 
@@ -132,5 +134,64 @@ func FuzzDecodeEventMsg(f *testing.F) {
 		if !sameButFieldOrder(fx.s, data, again, ev) {
 			t.Fatalf("%x re-encodes to %x", data, again)
 		}
+	})
+}
+
+// FuzzDecodeSummaryMsg takes a summary payload apart the way handleSummary
+// does — epoch header, Merged_Brokers mask, then the packed summary folded
+// in with MergeEncoded — and never panics; a header and mask that decode
+// re-encode to the bytes they came from, so unknown flag bits, a
+// zero-length or padded epoch and a truncated mask are all errors.
+func FuzzDecodeSummaryMsg(f *testing.F) {
+	s := stockSchema(f)
+	own := summary.New(s, interval.Lossy)
+	for i, text := range []string{`price > 10`, `symbol = IBM && volume < 500`} {
+		sub, err := schema.ParseSubscription(s, text)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := own.Insert(subid.ID{Broker: 1, Local: subid.LocalID(i)}, sub); err != nil {
+			f.Fatal(err)
+		}
+	}
+	retracting := own.Clone()
+	retracting.RemoveKey(subid.ID{Broker: 1, Local: 0}.Key())
+	set := subid.NewMask(70) // two words
+	set.Set(1)
+	set.Set(69)
+	for _, seed := range []struct {
+		sum      *summary.Summary
+		epoch    uint64
+		fullSync bool
+	}{{own, 1, false}, {own, 300, true}, {retracting, 2, false}} {
+		msg, err := encodeSummaryMsg(nil, seed.sum, set, seed.epoch, seed.fullSync)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(msg)
+		f.Add(msg[:len(msg)-3])                 // truncated summary
+		f.Add(msg[:10])                         // truncated mask
+		f.Add(append([]byte{0xF0}, msg[1:]...)) // unknown flags
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0})                // no epoch
+	f.Add([]byte{0, 0x81, 0, 0, 0}) // padded epoch
+	f.Add([]byte{0, 1, 0xFF, 0xFF}) // mask word count beyond the bytes left
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, n0, err := decodeSummaryHeader(data)
+		if err != nil {
+			return
+		}
+		set, n1, err := decodeMask(data[n0:])
+		if err != nil {
+			return
+		}
+		again, err := encodeMask(appendSummaryHeader(nil, h), set)
+		if err != nil || !bytes.Equal(again, data[:n0+n1]) {
+			t.Fatalf("%x re-encodes to %x (%v)", data[:n0+n1], again, err)
+		}
+		// A rejected merge may leave a partial one behind (the dropped-
+		// message equivalence), never a panic.
+		_ = own.Clone().MergeEncoded(data[n0+n1:])
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"github.com/subsum/subsum/internal/schema"
@@ -69,6 +70,12 @@ func TestHopTracePathMatchesRoute(t *testing.T) {
 	}
 	const origin = 2
 	want := expectedRoute(net, origin)
+	// expectedRoute reads the engine's own order, so pin the walk itself:
+	// paper brokers 3 → 5 (the hub) → 8 → 11, where 8 before 11 is the id
+	// tie-break between two brokers of degree 3.
+	if !slices.Equal(want, []int{2, 4, 7, 10}) {
+		t.Fatalf("expected route = %v, want [2 4 7 10]", want)
+	}
 	if err := net.Publish(origin, ev); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
-// Package par is the repo's single bounded-worker-pool primitive,
-// extracted from core so leaf packages (propagation, subgroup) can fan
-// work out without importing the live engine. core.Sweep remains as a
-// delegating alias for existing callers.
+// Package par is the repo's single bounded-worker-pool primitive, a leaf
+// package so that propagation, subgroup and the experiment sweeps can fan
+// work out without importing the live engine.
 package par
 
 import (

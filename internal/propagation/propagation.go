@@ -17,11 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"github.com/subsum/subsum/internal/flight"
-	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/par"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/summary"
@@ -66,73 +62,10 @@ type Result struct {
 	// cost model and the real codec, respectively.
 	ModelBytes int64
 	WireBytes  int64
-
-	// derived memoizes artifacts computed from this result by downstream
-	// consumers — today the routing examination order — so N routers
-	// built over one phase share one computation. Keys and values are
-	// consumer-defined; stored values must be treated as immutable.
-	derived sync.Map
-}
-
-// LoadDerived returns the memoized artifact stored under key, if any.
-func (r *Result) LoadDerived(key any) (any, bool) { return r.derived.Load(key) }
-
-// StoreDerived memoizes an artifact under key, returning the first value
-// stored (winner of a racing duplicate computation).
-func (r *Result) StoreDerived(key, value any) any {
-	actual, _ := r.derived.LoadOrStore(key, value)
-	return actual
 }
 
 // encBufPool recycles per-send encode buffers across Run invocations.
 var encBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// propInstruments are the package's optional registry instruments. Run
-// loads the pointer once per invocation; when unset (the default, and the
-// benchmark configuration) the cost is that single atomic load plus a nil
-// branch per recording site.
-type propInstruments struct {
-	runs         *metrics.Counter   // completed Algorithm 2 phases
-	sends        *metrics.Counter   // summary transmissions
-	wireBytes    *metrics.Counter   // cumulative encoded payload bytes
-	modelBytes   *metrics.Counter   // cumulative cost-model bytes
-	mergeSeconds *metrics.Histogram // per-delivery MergeEncoded latency
-	periodBytes  *metrics.Histogram // wire bytes per completed phase
-}
-
-var instruments atomic.Pointer[propInstruments]
-
-// recorder is the package's optional flight recorder, mirroring the
-// process-wide shape of the instruments hook for the same reason: Run has
-// no receiver.
-var recorder atomic.Pointer[flight.Recorder]
-
-// InstrumentFlight journals each Run's period boundaries (with hop and
-// byte counts) and per-send merge failures into rec. Pass nil to detach
-// (the default).
-func InstrumentFlight(rec *flight.Recorder) {
-	recorder.Store(rec)
-}
-
-// Instrument mirrors propagation accounting into r: propagation_runs,
-// propagation_sends, propagation_wire_bytes, propagation_model_bytes
-// counters plus propagation_merge_seconds and propagation_period_bytes
-// histograms. Pass nil to detach (the default). The hook is process-wide
-// because Run is a pure function with no receiver to hang state off.
-func Instrument(r *metrics.Registry) {
-	if r == nil {
-		instruments.Store(nil)
-		return
-	}
-	instruments.Store(&propInstruments{
-		runs:         r.Counter("propagation_runs"),
-		sends:        r.Counter("propagation_sends"),
-		wireBytes:    r.Counter("propagation_wire_bytes"),
-		modelBytes:   r.Counter("propagation_model_bytes"),
-		mergeSeconds: r.Histogram("propagation_merge_seconds", metrics.DefLatencyBuckets),
-		periodBytes:  r.Histogram("propagation_period_bytes", metrics.DefSizeBuckets),
-	})
-}
 
 // Run executes Algorithm 2 over the overlay g, where own[i] is broker i's
 // (delta) summary for this period. It returns the per-broker merged
@@ -151,8 +84,8 @@ func Run(g *topology.Graph, own []*summary.Summary, cost CostModel) (*Result, er
 // worker per CPU, 1 runs fully serial). Results are bit-identical at any
 // width:
 //
-//   - Target selection stays serial (it is a cheap scan, and it fixes the
-//     deterministic Sends order).
+//   - The sends come from Schedule, which fixes the deterministic Sends
+//     order.
 //   - Payload encodes run in parallel across the iteration's senders.
 //     Each broker sends at most once per phase, deliveries land only
 //     after all of an iteration's encodes, and encoding touches only the
@@ -172,9 +105,6 @@ func RunWorkers(g *topology.Graph, own []*summary.Summary, cost CostModel, worke
 	if len(own) != n {
 		return nil, fmt.Errorf("propagation: %d summaries for %d brokers", len(own), n)
 	}
-	obs := instruments.Load()
-	rec := recorder.Load()
-	rec.Record(flight.EvPeriodStart, -1, int64(n), 0, 0, "")
 	res := &Result{
 		Merged:        make([]*summary.Summary, n),
 		MergedBrokers: make([]BrokerSet, n),
@@ -189,10 +119,6 @@ func RunWorkers(g *topology.Graph, own []*summary.Summary, cost CostModel, worke
 	}
 	// owned[i] flips when Merged[i] becomes a private clone (first receive).
 	owned := make([]bool, n)
-	communicated := make([]map[topology.NodeID]bool, n)
-	for i := range communicated {
-		communicated[i] = make(map[topology.NodeID]bool)
-	}
 
 	type delivery struct {
 		from, to   topology.NodeID
@@ -201,27 +127,17 @@ func RunWorkers(g *topology.Graph, own []*summary.Summary, cost CostModel, worke
 		modelBytes int
 	}
 
-	maxDegree := g.MaxDegree()
 	var deliveries []delivery
 	var targets []topology.NodeID // distinct delivery targets, first-seen order
 	var perTarget map[topology.NodeID][]int
-	for iter := 1; iter <= maxDegree; iter++ {
+	for _, round := range Schedule(g) {
+		// Step 1 happened implicitly: res.Merged[from] already holds own ⊕
+		// everything received in previous iterations.
 		deliveries = deliveries[:0]
-		for node := 0; node < n; node++ {
-			id := topology.NodeID(node)
-			if g.Degree(id) != iter {
-				continue
-			}
-			// Step 1 happened implicitly: res.Merged[node] already holds
-			// own ⊕ everything received in previous iterations.
-			target, ok := pickTarget(g, id, iter, communicated[node])
-			if !ok {
-				continue
-			}
-			brokers := res.MergedBrokers[node].Clone()
-			communicated[node][target] = true
-			communicated[target][id] = true
-			deliveries = append(deliveries, delivery{from: id, to: target, brokers: brokers})
+		for _, h := range round.Sends {
+			deliveries = append(deliveries, delivery{
+				from: h.From, to: h.To, brokers: res.MergedBrokers[h.From].Clone(),
+			})
 		}
 
 		// Encode every sender's summary in parallel. Senders are distinct
@@ -236,7 +152,7 @@ func RunWorkers(g *topology.Graph, own []*summary.Summary, cost CostModel, worke
 		})
 		for _, d := range deliveries {
 			send := Send{
-				Iteration:  iter,
+				Iteration:  round.Iteration,
 				From:       d.from,
 				To:         d.to,
 				Brokers:    d.brokers.Bits(),
@@ -270,17 +186,9 @@ func RunWorkers(g *topology.Graph, own []*summary.Summary, cost CostModel, worke
 			}
 			for _, di := range perTarget[to] {
 				d := deliveries[di]
-				var start time.Time
-				if obs != nil {
-					start = time.Now()
-				}
 				err := res.Merged[to].MergeEncoded(*d.payload)
-				if obs != nil {
-					obs.mergeSeconds.Observe(time.Since(start).Seconds())
-				}
 				encBufPool.Put(d.payload)
 				if err != nil {
-					rec.Record(flight.EvMergeError, int(to), 0, 0, 0, err.Error())
 					return fmt.Errorf("propagation: merging at broker %d: %w", to, err)
 				}
 				for _, b := range d.brokers.Bits() {
@@ -297,15 +205,58 @@ func RunWorkers(g *topology.Graph, own []*summary.Summary, cost CostModel, worke
 		}
 	}
 	res.Hops = len(res.Sends)
-	if obs != nil {
-		obs.runs.Inc()
-		obs.sends.Add(int64(res.Hops))
-		obs.wireBytes.Add(res.WireBytes)
-		obs.modelBytes.Add(res.ModelBytes)
-		obs.periodBytes.Observe(float64(res.WireBytes))
-	}
-	rec.Record(flight.EvPeriodEnd, -1, int64(res.Hops), res.WireBytes, res.ModelBytes, "")
 	return res, nil
+}
+
+// Hop is one scheduled summary transmission of Algorithm 2.
+type Hop struct {
+	From, To topology.NodeID
+}
+
+// Round is one degree iteration of Algorithm 2 in which somebody sends:
+// the brokers of degree Iteration that have an eligible target, in
+// ascending sender id. Every send of a round is made before any of them
+// is delivered.
+type Round struct {
+	Iteration int
+	Sends     []Hop
+}
+
+// Schedule returns who sends to whom in one phase of Algorithm 2 over g,
+// in execution order; iterations in which nobody sends are left out. The
+// choice depends on degrees and on who has already exchanged with whom in
+// this phase — never on a summary — so it is a function of the overlay
+// alone, the same every period: the offline executor (RunWorkers) and the
+// live period engine (core.Network.Propagate) both walk this one schedule.
+// "Has not communicated in any of the previous iterations" is scoped to
+// one phase and covers both ends of an exchange, the receiving one too.
+func Schedule(g *topology.Graph) []Round {
+	n := g.Len()
+	communicated := make([]map[topology.NodeID]bool, n)
+	for i := range communicated {
+		communicated[i] = make(map[topology.NodeID]bool)
+	}
+	var rounds []Round
+	for iter, maxDegree := 1, g.MaxDegree(); iter <= maxDegree; iter++ {
+		var sends []Hop
+		for node := 0; node < n; node++ {
+			id := topology.NodeID(node)
+			if g.Degree(id) != iter {
+				continue
+			}
+			target, ok := pickTarget(g, id, iter, communicated[node])
+			if !ok {
+				continue
+			}
+			communicated[node][target] = true
+			communicated[target][id] = true
+			sends = append(sends, Hop{From: id, To: target})
+		}
+		if len(sends) > 0 {
+			rounds = append(rounds, Round{Iteration: iter, Sends: sends})
+		}
+	}
+	return rounds
 }
 
 // pickTarget selects the neighbor to send to among those of equal or

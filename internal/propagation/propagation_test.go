@@ -1,10 +1,10 @@
 package propagation
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"github.com/subsum/subsum/internal/flight"
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
@@ -290,47 +290,97 @@ func TestSingleBrokerDegenerate(t *testing.T) {
 	}
 }
 
-// TestInstrumentFlight journals a Run's period boundaries through the
-// process-wide flight hook.
-func TestInstrumentFlight(t *testing.T) {
-	rec := flight.NewRecorder(1 << 14)
-	InstrumentFlight(rec)
-	defer InstrumentFlight(nil)
-
-	g := topology.Figure7Tree()
-	own, _ := buildSummaries(t, g)
-	res, err := Run(g, own, DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	records := rec.Records()
-	var start, end *flight.Record
-	for i := range records {
-		switch records[i].Type {
-		case flight.EvPeriodStart:
-			start = &records[i]
-		case flight.EvPeriodEnd:
-			end = &records[i]
+// formatSchedule renders a schedule one iteration a line, "from>to" per
+// send, with 0-based node ids.
+func formatSchedule(rounds []Round) string {
+	var b strings.Builder
+	for _, r := range rounds {
+		fmt.Fprintf(&b, "%d:", r.Iteration)
+		for _, h := range r.Sends {
+			fmt.Fprintf(&b, " %d>%d", h.From, h.To)
 		}
+		b.WriteByte('\n')
 	}
-	if start == nil || end == nil {
-		t.Fatalf("period boundaries not journaled: %+v", records)
-	}
-	if start.A != int64(g.Len()) {
-		t.Fatalf("period start broker count = %d, want %d", start.A, g.Len())
-	}
-	if end.A != int64(res.Hops) || end.B != res.WireBytes || end.C != res.ModelBytes {
-		t.Fatalf("period end = %+v, want hops=%d wire=%d model=%d", end, res.Hops, res.WireBytes, res.ModelBytes)
-	}
+	return b.String()
+}
 
-	// Detached: no further journaling.
-	InstrumentFlight(nil)
-	before := rec.Stats().NextSeq
-	if _, err := Run(g, own, DefaultCostModel()); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Stats().NextSeq; got != before {
-		t.Fatalf("detached recorder still journaled: %d -> %d", before, got)
+// TestSchedule pins the Algorithm 2 target rule on the whole schedule of
+// three overlays. The facts each case is there for:
+//
+//   - figure7: the paper's walkthrough. Node 6 (degree 2) has neighbours 4
+//     (degree 5) and 7 (degree 3) and sends to 7 — the smallest strictly
+//     higher degree wins; node 4, the maximum-degree broker, sends to
+//     nobody, and neither do 7 and 10 (degree 3), all of whose neighbours
+//     have lower degree.
+//   - ring-9: every neighbour has equal degree, so the fallback (smallest
+//     id) is all there is. Node 1 would pick 0 but has just received from
+//     it — the receiving side of an exchange is blocked too — so it sends to
+//     2, and so on round the ring until 8, whose neighbour 0 sent elsewhere
+//     and is still free.
+//   - cw24: equal degree only as a fallback. Nodes 15 and 16 (degree 2) are
+//     neighbours of each other and of 14 (degree 5): both send to 14. Node
+//     4 (degree 3) prefers 1 (degree 4) to its equal-degree neighbours 0
+//     and 5; node 13 (degree 4) prefers 14 (degree 5) to 11 (degree 6); the
+//     hub 9 (degree 9) never sends.
+//
+// Whatever the overlay: a broker sends at most once, in the iteration of
+// its degree, over an overlay edge, never to a lower degree; no pair
+// exchanges twice in a phase; and the schedule is a function of the overlay
+// alone, so a new period starts clean (asking twice gives the same answer).
+func TestSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		g    *topology.Graph
+		want string
+	}{
+		{topology.Figure7Tree(), "" +
+			"1: 0>1 2>4 3>4 5>4 8>7 11>10 12>10\n" +
+			"2: 1>4 6>7 9>7\n"},
+		{topology.Ring(9), "" +
+			"2: 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>8 8>0\n"},
+		{topology.CW24(), "" +
+			"2: 3>2 7>22 10>21 12>22 15>14 16>14 17>13 18>9 19>9 20>0 23>13\n" +
+			"3: 0>1 2>1 4>1 5>8 21>6 22>11\n" +
+			"4: 1>9 8>6 13>14\n" +
+			"5: 14>9\n" +
+			"6: 6>9 11>9\n"},
+		{topology.Random(40, 20, 3), ""},
+		{topology.Grid(5, 5), ""},
+	} {
+		g := tc.g
+		rounds := Schedule(g)
+		got := formatSchedule(rounds)
+		if tc.want != "" && got != tc.want {
+			t.Errorf("%s: schedule =\n%swant\n%s", g.Name(), got, tc.want)
+		}
+		if again := formatSchedule(Schedule(g)); again != got {
+			t.Errorf("%s: second schedule differs:\n%svs\n%s", g.Name(), again, got)
+		}
+		sent := make(map[topology.NodeID]bool)
+		exchanged := make(map[[2]topology.NodeID]bool)
+		lastIter := 0
+		for _, r := range rounds {
+			if r.Iteration <= lastIter || len(r.Sends) == 0 {
+				t.Errorf("%s: iteration %d after %d with %d sends", g.Name(), r.Iteration, lastIter, len(r.Sends))
+			}
+			lastIter = r.Iteration
+			for i, h := range r.Sends {
+				if i > 0 && h.From <= r.Sends[i-1].From {
+					t.Errorf("%s: iteration %d senders not ascending: %v", g.Name(), r.Iteration, r.Sends)
+				}
+				if sent[h.From] {
+					t.Errorf("%s: broker %d sends twice", g.Name(), h.From)
+				}
+				sent[h.From] = true
+				if g.Degree(h.From) != r.Iteration || g.Degree(h.To) < r.Iteration || !g.HasEdge(h.From, h.To) {
+					t.Errorf("%s: iteration %d has send %d(deg %d)>%d(deg %d), edge=%v", g.Name(), r.Iteration,
+						h.From, g.Degree(h.From), h.To, g.Degree(h.To), g.HasEdge(h.From, h.To))
+				}
+				pair := [2]topology.NodeID{min(h.From, h.To), max(h.From, h.To)}
+				if exchanged[pair] {
+					t.Errorf("%s: brokers %d and %d exchange twice in one phase", g.Name(), pair[0], pair[1])
+				}
+				exchanged[pair] = true
+			}
+		}
 	}
 }

@@ -87,73 +87,63 @@ type Router struct {
 	prop  *propagation.Result
 	cfg   Config
 	rng   *rand.Rand
-	order []topology.NodeID // nodes by effective degree, descending
-}
-
-// orderKey identifies one examination order in a propagation result's
-// derived-artifact memo: the order depends only on the overlay and the
-// strategy's effective degrees, so every router built over the same
-// result with the same normalized (strategy, cap) pair shares one slice.
-type orderKey struct {
-	virtual bool
-	degCap  int
+	order []topology.NodeID // Order(g, strategy, cap)
 }
 
 // NewRouter builds a router for the given overlay and propagation result.
-// The examination order is memoized on the propagation result, so
-// constructing many routers per phase — one per event batch, as the
-// overlay-scaling experiments do at 256+ brokers — derives it once
-// instead of re-sorting per router.
 func NewRouter(g *topology.Graph, prop *propagation.Result, cfg Config) (*Router, error) {
 	if len(prop.MergedBrokers) != g.Len() {
 		return nil, fmt.Errorf("routing: propagation result covers %d brokers, overlay has %d",
 			len(prop.MergedBrokers), g.Len())
 	}
-	r := &Router{g: g, prop: prop, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	key := orderKey{virtual: cfg.Strategy == VirtualDegree, degCap: 0}
-	if key.virtual {
-		key.degCap = cfg.VirtualDegreeCap
-		if key.degCap <= 0 {
-			key.degCap = int(g.MeanDegree() + 0.5)
-			if key.degCap < 1 {
-				key.degCap = 1
-			}
-		}
-	}
-	if cached, ok := prop.LoadDerived(key); ok {
-		r.order = cached.([]topology.NodeID)
-	} else {
-		// Racing routers compute identical orders; LoadOrStore keeps one.
-		r.order = prop.StoreDerived(key, effectiveOrder(g, key)).([]topology.NodeID)
-	}
-	return r, nil
+	return &Router{
+		g: g, prop: prop, cfg: cfg,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		order: Order(g, cfg.Strategy, cfg.VirtualDegreeCap),
+	}, nil
 }
 
-// effectiveOrder ranks brokers by the degree the strategy advertises:
-// effective degree descending, id ascending. The returned slice is
-// shared between routers and must not be mutated.
-func effectiveOrder(g *topology.Graph, key orderKey) []topology.NodeID {
-	n := g.Len()
-	eff := make([]int, n)
-	maxDeg := g.MaxDegree()
-	for i := 0; i < n; i++ {
-		d := g.Degree(topology.NodeID(i))
-		if key.virtual && d == maxDeg && d > key.degCap {
-			d = key.degCap
-		}
-		eff[i] = d
+// Order returns the order in which Algorithm 3 examines brokers under a
+// degree-driven strategy: advertised degree descending, id ascending on
+// ties. It depends only on the overlay, so the deterministic Router and
+// the live engine (core.New) each derive it once and share this one
+// definition. HighestDegree advertises true degrees; VirtualDegree makes
+// the maximum-degree brokers advertise degCap instead (<= 0 means the
+// mean degree, at least 1), which drops them among the brokers of that
+// degree — by id, not by their true degree.
+func Order(g *topology.Graph, strategy Strategy, degCap int) []topology.NodeID {
+	if strategy != VirtualDegree {
+		return g.NodesByDegreeDesc()
 	}
-	order := make([]topology.NodeID, n)
+	if degCap <= 0 {
+		degCap = max(1, int(g.MeanDegree()+0.5))
+	}
+	maxDeg := g.MaxDegree()
+	advertised := func(id topology.NodeID) int {
+		d := g.Degree(id)
+		if d == maxDeg {
+			d = min(d, degCap)
+		}
+		return d
+	}
+	order := make([]topology.NodeID, g.Len())
 	for i := range order {
 		order[i] = topology.NodeID(i)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		if eff[order[i]] != eff[order[j]] {
-			return eff[order[i]] > eff[order[j]]
-		}
-		return order[i] < order[j]
-	})
+	// Stable over ascending ids, so ties stay in id order.
+	sort.SliceStable(order, func(i, j int) bool { return advertised(order[i]) > advertised(order[j]) })
 	return order
+}
+
+// NextHop returns the first broker of order not in BROCLIe — Algorithm 3's
+// forwarding choice under the degree-driven strategies.
+func NextHop(order []topology.NodeID, brocli subid.Mask) (topology.NodeID, bool) {
+	for _, node := range order {
+		if !brocli.Has(int(node)) {
+			return node, true
+		}
+	}
+	return 0, false
 }
 
 // Route processes one event entering at origin: Algorithm 3 run to
@@ -211,12 +201,7 @@ func (r *Router) next(brocli subid.Mask) (topology.NodeID, bool) {
 		}
 		return candidates[r.rng.Intn(len(candidates))], true
 	}
-	for _, node := range r.order {
-		if !brocli.Has(int(node)) {
-			return node, true
-		}
-	}
-	return 0, false
+	return NextHop(r.order, brocli)
 }
 
 // PopularityMatch returns a MatchFunc for the Figure 10 experiments: the

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/subsum/subsum/internal/interval"
@@ -234,5 +235,49 @@ func TestNewRouterValidation(t *testing.T) {
 	prop := &propagation.Result{MergedBrokers: make([]propagation.BrokerSet, 3)}
 	if _, err := NewRouter(g, prop, Config{}); err == nil {
 		t.Fatal("mismatched propagation result accepted")
+	}
+}
+
+// TestOrder pins the examination order and its next-hop step. True degrees
+// are the overlay's own NodesByDegreeDesc. Under VirtualDegree the Figure 7
+// hub (node 4, degree 5) advertises the cap and ranks among the brokers of
+// that degree by its id — not first among them, as a stable re-sort of the
+// true-degree order would leave it.
+func TestOrder(t *testing.T) {
+	tree := topology.Figure7Tree()
+	for _, g := range []*topology.Graph{tree, topology.CW24(), topology.Ring(9)} {
+		for _, strategy := range []Strategy{HighestDegree, RandomUnvisited} {
+			if got := Order(g, strategy, 0); !slices.Equal(got, g.NodesByDegreeDesc()) {
+				t.Errorf("%s %v: order = %v, want NodesByDegreeDesc %v", g.Name(), strategy, got, g.NodesByDegreeDesc())
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		degCap int
+		want   []topology.NodeID
+	}{
+		{"cap 1", 1, []topology.NodeID{7, 10, 1, 6, 9, 0, 2, 3, 4, 5, 8, 11, 12}},
+		{"cap 2 (the mean degree)", 0, []topology.NodeID{7, 10, 1, 4, 6, 9, 0, 2, 3, 5, 8, 11, 12}},
+		{"cap 3", 3, []topology.NodeID{4, 7, 10, 1, 6, 9, 0, 2, 3, 5, 8, 11, 12}},
+		{"cap at the maximum degree", 5, tree.NodesByDegreeDesc()},
+	} {
+		if got := Order(tree, VirtualDegree, tc.degCap); !slices.Equal(got, tc.want) {
+			t.Errorf("figure7 virtual-degree %s: order = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// NextHop is the first broker of the order outside BROCLIe.
+	order := Order(tree, HighestDegree, 0)
+	brocli := subid.NewMask(tree.Len())
+	for _, want := range order {
+		got, ok := NextHop(order, brocli)
+		if !ok || got != want {
+			t.Fatalf("NextHop = %d,%v; want %d", got, ok, want)
+		}
+		brocli.Set(int(want))
+	}
+	if _, ok := NextHop(order, brocli); ok {
+		t.Fatal("NextHop found a broker outside a complete BROCLIe")
 	}
 }

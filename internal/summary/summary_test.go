@@ -364,13 +364,14 @@ func TestExactModeNoArithmeticFalsePositives(t *testing.T) {
 	}
 }
 
+// randomSubscription constrains one to four distinct attributes, and one
+// time in four puts a second constraint on an attribute it has already
+// chosen (range + !=, two ranges, prefix + contains, ...): then one event
+// value can reach the subscription's id through two rows of the same
+// attribute, which is the case the matcher's per-attribute dedup is for.
 func randomSubscription(rng *rand.Rand, s *schema.Schema) *schema.Subscription {
-	var cs []schema.Constraint
-	nAttrs := 1 + rng.Intn(4)
-	attrs := rng.Perm(s.Len())[:nAttrs]
 	words := []string{"NYSE", "OTE", "LSE", "NASDAQ", "micronet", "microsoft"}
-	for _, ai := range attrs {
-		a := schema.AttrID(ai)
+	constraint := func(a schema.AttrID) schema.Constraint {
 		if s.TypeOf(a).Arithmetic() {
 			v := float64(rng.Intn(21))
 			var val schema.Value
@@ -383,16 +384,24 @@ func randomSubscription(rng *rand.Rand, s *schema.Schema) *schema.Subscription {
 				val = schema.FloatValue(v)
 			}
 			ops := []schema.Op{schema.OpEQ, schema.OpNE, schema.OpLT, schema.OpLE, schema.OpGT, schema.OpGE}
-			cs = append(cs, schema.Constraint{Attr: a, Op: ops[rng.Intn(len(ops))], Value: val})
-		} else {
-			w := words[rng.Intn(len(words))]
-			ops := []schema.Op{schema.OpEQ, schema.OpNE, schema.OpPrefix, schema.OpSuffix, schema.OpContains}
-			op := ops[rng.Intn(len(ops))]
-			text := w
-			if op != schema.OpEQ && op != schema.OpNE && len(w) > 2 {
-				text = w[:2+rng.Intn(len(w)-2)]
-			}
-			cs = append(cs, schema.Constraint{Attr: a, Op: op, Value: schema.StringValue(text)})
+			return schema.Constraint{Attr: a, Op: ops[rng.Intn(len(ops))], Value: val}
+		}
+		w := words[rng.Intn(len(words))]
+		ops := []schema.Op{schema.OpEQ, schema.OpNE, schema.OpPrefix, schema.OpSuffix, schema.OpContains}
+		op := ops[rng.Intn(len(ops))]
+		text := w
+		if op != schema.OpEQ && op != schema.OpNE && len(w) > 2 {
+			text = w[:2+rng.Intn(len(w)-2)]
+		}
+		return schema.Constraint{Attr: a, Op: op, Value: schema.StringValue(text)}
+	}
+	var cs []schema.Constraint
+	nAttrs := 1 + rng.Intn(4)
+	for _, ai := range rng.Perm(s.Len())[:nAttrs] {
+		first := constraint(schema.AttrID(ai))
+		cs = append(cs, first)
+		if second := constraint(schema.AttrID(ai)); rng.Intn(4) == 0 && satisfiableTogether(first, second) {
+			cs = append(cs, second)
 		}
 	}
 	sub, err := schema.NewSubscription(s, cs...)
@@ -400,6 +409,24 @@ func randomSubscription(rng *rand.Rand, s *schema.Schema) *schema.Subscription {
 		panic(err)
 	}
 	return sub
+}
+
+// satisfiableTogether reports whether some value satisfies both arithmetic
+// constraints (generated operands are integers in [0, 20]). Two ranges
+// that exclude each other intersect to an empty interval, which a summary
+// stores nowhere and Validate reports as a registered id in no structure —
+// an unsatisfiable subscription is not what these workloads are about.
+func satisfiableTogether(a, b schema.Constraint) bool {
+	if !a.Value.Arithmetic() {
+		return true
+	}
+	for x := -1.0; x <= 21; x += 0.5 {
+		v := schema.Value{Type: a.Value.Type, Num: x}
+		if a.Satisfied(v) && b.Satisfied(v) {
+			return true
+		}
+	}
+	return false
 }
 
 func randomEvent(rng *rand.Rand, s *schema.Schema) *schema.Event {

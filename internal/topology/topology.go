@@ -104,8 +104,11 @@ func (g *Graph) MeanDegree() float64 {
 }
 
 // NodesByDegreeDesc returns all node ids sorted by decreasing degree,
-// ties broken by ascending id (the deterministic order Algorithm 3 uses to
-// pick "the broker with the greatest degree not in BROCLIe").
+// ties broken by ascending id: the order in which Algorithm 3 picks "the
+// broker with the greatest degree not in BROCLIe". routing.Order returns
+// it for the strategies that advertise true degrees, which is how the
+// deterministic router and the live engine get it; the benchmark harness
+// and subsum-topo call it directly to find an overlay's hubs.
 func (g *Graph) NodesByDegreeDesc() []NodeID {
 	out := make([]NodeID, len(g.adj))
 	for i := range out {

@@ -49,6 +49,7 @@ import (
 	"github.com/subsum/subsum/internal/broker"
 	"github.com/subsum/subsum/internal/core"
 	"github.com/subsum/subsum/internal/interval"
+	"github.com/subsum/subsum/internal/par"
 	"github.com/subsum/subsum/internal/propagation"
 	"github.com/subsum/subsum/internal/routing"
 	"github.com/subsum/subsum/internal/schema"
@@ -189,7 +190,7 @@ func NewMatcherPool(sm *Summary) *MatcherPool { return summary.NewMatcherPool(sm
 // Sweep runs fn(i) for every i in [0, n) across a bounded worker pool
 // (workers <= 0 means one per CPU, 1 runs inline). Results are
 // deterministic as long as fn(i) writes only to index-i state.
-func Sweep(n, workers int, fn func(i int)) { core.Sweep(n, workers, fn) }
+func Sweep(n, workers int, fn func(i int)) { par.Sweep(n, workers, fn) }
 
 // DecodeSummary parses a summary from its binary wire form.
 func DecodeSummary(s *Schema, buf []byte) (*Summary, error) { return summary.Decode(s, buf) }
