@@ -30,7 +30,10 @@ import (
 
 // DeliveryFunc is invoked for every event matching a subscription, on the
 // owning broker's handler goroutine. Implementations must not block for
-// long and must not call back into the Broker.
+// long and must not call back into the Broker. The event is shared: the
+// live engine decodes a published event once and hands that one value to
+// every consumer and every broker it reaches, concurrently — it may be
+// kept, and must not be modified (Event.Fields says the same of its slice).
 type DeliveryFunc func(id subid.ID, ev *schema.Event)
 
 // subEntry is one raw subscription with its consumer.

@@ -1,0 +1,320 @@
+package core
+
+import (
+	"bytes"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/subsum/subsum/internal/netsim"
+	"github.com/subsum/subsum/internal/schema"
+	"github.com/subsum/subsum/internal/subid"
+	"github.com/subsum/subsum/internal/topology"
+)
+
+// The tests here pin the carried path: an event forwarded or delivered
+// inside the process rides beside its bytes and is not decoded again, and
+// nothing about that can change what is delivered, what is counted, or
+// what a hostile payload can do.
+
+// sameEventBytes reports whether two events encode to the same bytes.
+func sameEventBytes(a, b *schema.Event) bool {
+	return bytes.Equal(schema.EncodeEvent(nil, a), schema.EncodeEvent(nil, b))
+}
+
+// TestCarriedEventsEqualTheirBytes is the differential over every message:
+// whatever a sender attached must be what the unchanged decoders read out
+// of the payload bytes, record by record. It runs on the two benchmark
+// overlays after one period, with runs of one (a Flush per event) and with
+// full runs behind a paused origin (multi-record deliver payloads), and
+// ends on the brute-force delivered-set oracle.
+func TestCarriedEventsEqualTheirBytes(t *testing.T) {
+	const nEvents = 400
+	for _, tp := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"CW24", topology.CW24()},
+		{"TransitStub256", topology.TransitStub(256, 256)},
+	} {
+		t.Run(tp.name, func(t *testing.T) {
+			f := newPipelineFixture(t, tp.g, 3*tp.g.Len(), 0, nEvents)
+			mustPropagate(t, f.net)
+			n := f.net.Len()
+			var forwards, delivers, records int
+			// The hook runs serialized under the bus's fault lock, so it may
+			// decode and count without further locking. It drops nothing.
+			f.net.InjectFaults(func(m netsim.Message) bool {
+				switch m.Kind {
+				case netsim.KindEvent:
+					if m.From == m.To {
+						if len(m.Attached) != 0 {
+							t.Errorf("publish at %d carries %d attachments; ingress must decode", m.To, len(m.Attached))
+						}
+						return false
+					}
+					forwards++
+					ev, _, _, _, err := decodeEventMsg(f.schema, m.Payload, nil, n, nil, nil)
+					if err != nil {
+						t.Errorf("forward %d→%d does not decode: %v", m.From, m.To, err)
+						return false
+					}
+					if len(m.Attached) != 1 || !sameEventBytes(carried(m.Attached, 0), ev) {
+						t.Errorf("forward %d→%d: attachments %v are not the event in the bytes", m.From, m.To, m.Attached)
+					}
+				case netsim.KindDeliver:
+					delivers++
+					recs, _, _, err := decodeDeliverMsg(f.schema, m.Payload, nil, subid.BrokerID(m.To), nil, nil)
+					if err != nil {
+						t.Errorf("deliver %d→%d does not decode: %v", m.From, m.To, err)
+						return false
+					}
+					if len(m.Attached) != len(recs) {
+						t.Errorf("deliver %d→%d: %d attachments for %d records", m.From, m.To, len(m.Attached), len(recs))
+						return false
+					}
+					for i, r := range recs {
+						records++
+						if !sameEventBytes(carried(m.Attached, i), r.ev) {
+							t.Errorf("deliver %d→%d record %d: attached %v, bytes say %s",
+								m.From, m.To, i, m.Attached[i], r.ev.Format(f.schema))
+						}
+					}
+				}
+				return false
+			})
+			half := nEvents / 2
+			for i, ev := range f.events[:half] {
+				if err := f.net.Publish(topology.NodeID(i%n), ev); err != nil {
+					t.Fatal(err)
+				}
+				f.net.Flush()
+			}
+			const origin = 1
+			if err := f.net.Faults().Pause(origin); err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range f.events[half:] {
+				if err := f.net.Publish(origin, ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.net.Faults().Resume(origin); err != nil {
+				t.Fatal(err)
+			}
+			f.net.Flush()
+			f.net.InjectFaults(nil)
+
+			if f.assertOracleDeliveredSets(t) == 0 {
+				t.Fatal("oracle expects no deliveries; the differential is vacuous")
+			}
+			f.assertCleanRun(t)
+			if forwards == 0 || delivers == 0 || records <= delivers {
+				t.Fatalf("saw %d forwards and %d deliver payloads of %d records; want forwards, and a multi-record payload",
+					forwards, delivers, records)
+			}
+		})
+	}
+}
+
+// TestOneDecodePerEvent: the hub decodes a published event once and every
+// owner it matches is handed that same event — not a copy each, and not
+// the publisher's own value, which never passed the ingress checks.
+func TestOneDecodePerEvent(t *testing.T) {
+	s := stockSchema(t)
+	net := newNetwork(t, topology.Star(3), s)
+	var mu sync.Mutex
+	got := map[topology.NodeID]*schema.Event{}
+	for _, at := range []topology.NodeID{starOwner, starOther} {
+		at := at
+		if _, err := net.Subscribe(at, mustSub(t, s, `price > 100`), func(_ subid.ID, ev *schema.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			got[at] = ev
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustPropagate(t, net)
+	published := mustEvent(t, s, "symbol=OTE price=150")
+	if err := net.Publish(starHub, published); err != nil {
+		t.Fatal(err)
+	}
+	net.Flush()
+	mu.Lock()
+	defer mu.Unlock()
+	a, b := got[starOwner], got[starOther]
+	if a == nil || b == nil {
+		t.Fatalf("deliveries: owner %v, other %v; want both", a, b)
+	}
+	if a != b {
+		t.Fatalf("two owners of one publish were handed different events (%p, %p): decoded more than once", a, b)
+	}
+	if a == published {
+		t.Fatal("consumers were handed the publisher's own event: ingress did not decode")
+	}
+	if !sameEventBytes(a, published) {
+		t.Fatalf("delivered %s, published %s", a.Format(s), published.Format(s))
+	}
+}
+
+// TestIngressStillValidates: an event built against a wider schema than
+// the network's is refused where it enters — one counted decode error, no
+// delivery — because the first hop always decodes the bytes.
+func TestIngressStillValidates(t *testing.T) {
+	s := stockSchema(t)
+	net := newNetwork(t, topology.Star(3), s)
+	var c collector
+	for _, at := range []topology.NodeID{starHub, starOwner} {
+		if _, err := net.Subscribe(at, mustSub(t, s, `price > 100`), c.deliver(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustPropagate(t, net)
+	wide := schema.MustNew(append(s.Attributes(), schema.Attribute{Name: "venue", Type: schema.TypeString})...)
+	if err := net.Publish(starHub, mustEvent(t, wide, "price=150 venue=ATHEX")); err != nil {
+		t.Fatal(err)
+	}
+	net.Flush()
+	st := net.Stats()
+	if st.DecodeErrors[netsim.KindEvent] != 1 || st.TotalErrors() != 1 || c.count() != 0 {
+		t.Fatalf("decode errors %v, total errors %d, deliveries %d; want one event decode error and no delivery",
+			st.DecodeErrors, st.TotalErrors(), c.count())
+	}
+}
+
+// TestAttachmentMustFitItsBytes: an attachment stands in for parsing the
+// event bytes, never for checking where they end. A payload whose
+// attachment disagrees with its bytes is a decode error like any other:
+// nothing is delivered and nothing is charged.
+func TestAttachmentMustFitItsBytes(t *testing.T) {
+	s := stockSchema(t)
+	evA, evB := mustEvent(t, s, "symbol=OTE price=150"), mustEvent(t, s, "symbol=IBM price=200")
+	id := subid.ID{Broker: subid.BrokerID(starOwner), Local: 0}
+
+	clean, err := encodeEventMsg(nil, evA, subid.NewMask(3), subid.NewMask(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recA := appendDeliverRecord(nil, 0, []uint64{id.Key()}, evA)
+	recB := appendDeliverRecord(nil, 0, []uint64{id.Key()}, evB)
+	// One byte shorter than evA, so the second record is looked for at the
+	// last byte of evA's price (0x40 of float64 150): unknown header flags.
+	shorter := mustEvent(t, s, "symbol=OT price=150")
+
+	for _, tc := range []struct {
+		name string
+		msg  netsim.Message
+		ok   bool
+	}{
+		{"event, attachment fits", netsim.Message{Kind: netsim.KindEvent, Payload: clean, Attached: []any{evA}}, true},
+		{"event, trailing byte", netsim.Message{Kind: netsim.KindEvent, Payload: append(slices.Clone(clean), 0), Attached: []any{evA}}, false},
+		{"event, attachment longer than the bytes", netsim.Message{Kind: netsim.KindEvent, Payload: clean[:len(clean)-1], Attached: []any{evA}}, false},
+		{"deliver, attachments fit", netsim.Message{Kind: netsim.KindDeliver, Payload: slices.Concat(recA, recB), Attached: []any{evA, evB}}, true},
+		{"deliver, second record shifted", netsim.Message{Kind: netsim.KindDeliver, Payload: slices.Concat(recA, recB), Attached: []any{shorter, evB}}, false},
+		{"deliver, attachment runs past the payload", netsim.Message{Kind: netsim.KindDeliver, Payload: recA[:len(recA)-1], Attached: []any{evA}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := newNetwork(t, topology.Star(3), s)
+			var c collector
+			if _, err := net.Subscribe(starOwner, mustSub(t, s, `price > 100`), c.deliver(s)); err != nil {
+				t.Fatal(err)
+			}
+			tc.msg.From, tc.msg.To = starHub, starOwner
+			if err := net.bus.Send(tc.msg); err != nil {
+				t.Fatal(err)
+			}
+			net.Flush()
+			st := net.Stats()
+			if tc.ok {
+				if c.count() == 0 || st.TotalErrors() != 0 {
+					t.Fatalf("well-formed carried message: %d deliveries, errors %v", c.count(), st.DecodeErrors)
+				}
+				return
+			}
+			if st.DecodeErrors[tc.msg.Kind] != 1 || st.TotalErrors() != 1 {
+				t.Fatalf("errors %v (total %d), want one %s decode error", st.DecodeErrors, st.TotalErrors(), tc.msg.Kind)
+			}
+			if c.count() != 0 || net.attrib.Report(0).Total != 0 {
+				t.Fatalf("%d deliveries and %d charges from a refused payload", c.count(), net.attrib.Report(0).Total)
+			}
+		})
+	}
+}
+
+// TestSharedEventsUnderConcurrentReaders: four publishers, consumers on
+// every broker that read every field of every event they are handed —
+// events that other brokers' handlers and consumers are reading at the same
+// moment. Run with -race -count=10.
+func TestSharedEventsUnderConcurrentReaders(t *testing.T) {
+	const publishers, perPublisher = 4, 60
+	g := topology.CW24()
+	gen := denseWorkload(t)
+	s := gen.Schema()
+	net := newNetwork(t, g, s)
+	var subs []*schema.Subscription
+	hits := make([]int, 3*g.Len())
+	var (
+		mu       sync.Mutex
+		fieldSum int // keeps the consumers' reads of every field live
+	)
+	for i := range hits {
+		i := i
+		sub := gen.Subscription()
+		subs = append(subs, sub)
+		if _, err := net.Subscribe(topology.NodeID(i%g.Len()), sub, func(_ subid.ID, ev *schema.Event) {
+			read := 0
+			for _, f := range ev.Fields() {
+				read += int(f.Attr) + int(f.Value.Type) + len(f.Value.Str) + int(f.Value.Num)
+			}
+			if !sub.Matches(ev) {
+				t.Errorf("subscription %d was handed %s", i, ev.Format(s))
+			}
+			mu.Lock()
+			hits[i]++
+			fieldSum += read
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustPropagate(t, net)
+	events := make([]*schema.Event, publishers*perPublisher)
+	for i := range events {
+		events[i] = gen.Event(0.9)
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := p; i < len(events); i += publishers {
+				if err := net.Publish(topology.NodeID(i%g.Len()), events[i]); err != nil {
+					t.Errorf("publish %d: %v", i, err)
+					return
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	net.Flush()
+	total := 0
+	for i, sub := range subs {
+		want := 0
+		for _, ev := range events {
+			if sub.Matches(ev) {
+				want++
+			}
+		}
+		if hits[i] != want {
+			t.Fatalf("subscription %d: %d deliveries, want %d", i, hits[i], want)
+		}
+		total += want
+	}
+	if total == 0 || fieldSum == 0 {
+		t.Fatalf("%d deliveries, field sum %d; nothing was shared", total, fieldSum)
+	}
+	if st := net.Stats(); st.TotalDropped() != 0 || st.TotalErrors() != 0 {
+		t.Fatalf("loss counters non-zero: %+v", st.Counters().Snapshot())
+	}
+}

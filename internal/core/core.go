@@ -133,10 +133,12 @@ type Network struct {
 // runScratch is one broker handler's reusable working set for a run of
 // events: the decoded events with their per-event masks, and the remote
 // deliveries the run owes as a flat list of owner<<32|event-index pairs,
-// sorted per run so each owner's events are contiguous. recs and keys hold
-// a decoded deliver payload (the handler is never inside a run when it
-// decodes one). Everything grows on demand, so a broker that routes short
-// runs holds little.
+// sorted per run so each owner's events are contiguous. The masks are
+// decoded into the storage earlier runs left in broclis/delivs beyond their
+// length, so they must not outlive the run. recs and keys hold a decoded
+// deliver payload (the handler is never inside a run when it decodes one).
+// Everything grows on demand, so a broker that routes short runs holds
+// little.
 type runScratch struct {
 	events  []*schema.Event
 	broclis []subid.Mask
@@ -252,7 +254,9 @@ func (net *Network) Close() {
 // was not set).
 func (net *Network) Flight() *flight.Recorder { return net.rec }
 
-// Subscribe registers a consumer subscription at the given broker.
+// Subscribe registers a consumer subscription at the given broker. The
+// event deliver is called with is shared with every other consumer and
+// broker of that publish (see broker.DeliveryFunc): read-only.
 func (net *Network) Subscribe(at topology.NodeID, sub *schema.Subscription, deliver broker.DeliveryFunc) (subid.ID, error) {
 	if int(at) < 0 || int(at) >= len(net.brokers) {
 		return subid.ID{}, fmt.Errorf("core: broker %d out of range", at)
@@ -489,7 +493,7 @@ func (net *Network) handleBatch(node topology.NodeID, msgs []netsim.Message) {
 // current raw subscriptions.
 func (net *Network) handleDeliver(node topology.NodeID, m netsim.Message) {
 	sc := &net.scratch[node]
-	recs, keys, traceID, err := decodeDeliverMsg(net.cfg.Schema, m.Payload, subid.BrokerID(node), sc.recs[:0], sc.keys[:0])
+	recs, keys, traceID, err := decodeDeliverMsg(net.cfg.Schema, m.Payload, m.Attached, subid.BrokerID(node), sc.recs[:0], sc.keys[:0])
 	sc.recs, sc.keys = recs, keys // keep what they grew to
 	if err != nil {
 		net.bus.RecordDecodeErrorAt(netsim.KindDeliver, node)
@@ -523,7 +527,7 @@ func (net *Network) handleSummary(node topology.NodeID, m netsim.Message) {
 		net.bus.RecordDecodeErrorAt(netsim.KindSummary, node)
 		return
 	}
-	set, off, err := decodeMask(m.Payload[n0:])
+	set, off, err := decodeMask(nil, m.Payload[n0:], len(net.brokers))
 	if err != nil {
 		net.bus.RecordDecodeErrorAt(netsim.KindSummary, node)
 		return
@@ -569,7 +573,9 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 	// a run of its own.
 	var traceID uint64
 	for _, m := range msgs {
-		ev, brocli, delivered, id, err := decodeEventMsg(net.cfg.Schema, m.Payload)
+		k := len(sc.events)
+		ev, brocli, delivered, id, err := decodeEventMsg(net.cfg.Schema, m.Payload, carried(m.Attached, 0),
+			len(net.brokers), spareMask(sc.broclis, k), spareMask(sc.delivs, k))
 		if err != nil {
 			net.bus.RecordDecodeErrorAt(netsim.KindEvent, node)
 			continue
@@ -647,7 +653,8 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 // message header, the owner's matched local ids (res[event]'s sub-range
 // for that owner) and the event — so the bytes a delivery puts on the wire
 // do not depend on what it happened to be batched with. The id lists make
-// every owner's payload its own, so each is encoded into its own buffer.
+// every owner's payload its own, so each is encoded into its own buffer,
+// with each record's event attached in record order.
 func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, res [][]uint64, traceID uint64) {
 	slices.Sort(sc.sends)
 	for lo := 0; lo < len(sc.sends); {
@@ -657,6 +664,7 @@ func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, res [][]u
 		for _, s := range sc.sends[lo:hi] {
 			i := uint32(s)
 			sb.B = appendDeliverRecord(sb.B, traceID, ownerKeys(res[i], owner), sc.events[i])
+			sb.Attached = append(sb.Attached, sc.events[i])
 		}
 		if net.bus.SendShared(netsim.Message{From: node, To: topology.NodeID(owner), Kind: netsim.KindDeliver}, sb) == nil {
 			net.obs.deliverSends.Add(int64(hi - lo))
@@ -686,7 +694,8 @@ func ownerKeys(keys []uint64, owner uint64) []uint64 {
 
 // forwardEvent sends the event to the first unvisited broker in
 // forwarding-preference order, ending the hop in exactly one terminal
-// counter (forwarded or handler error).
+// counter (forwarded or handler error). The event rides beside its bytes,
+// so the next broker of this process does not decode it again.
 func (net *Network) forwardEvent(node topology.NodeID, ev *schema.Event, brocli, delivered subid.Mask, traceID uint64, matchedLen int) {
 	next, ok := routing.NextHop(net.order, brocli)
 	if !ok {
@@ -700,6 +709,7 @@ func (net *Network) forwardEvent(node topology.NodeID, ev *schema.Event, brocli,
 		net.bus.RecordHandlerError(netsim.KindEvent)
 		return
 	}
+	sb.Attached = append(sb.Attached, ev)
 	payloadLen := len(sb.B)
 	if net.bus.SendShared(netsim.Message{From: node, To: next, Kind: netsim.KindEvent}, sb) == nil {
 		net.obs.eventsForwarded.Inc()
@@ -742,7 +752,13 @@ func encodeMask(buf []byte, m subid.Mask) ([]byte, error) {
 	return buf, nil
 }
 
-func decodeMask(buf []byte) (subid.Mask, int, error) {
+// decodeMask reads a mask of broker ids into dst's storage (nil allocates)
+// and returns it with the bytes consumed. Any word count is accepted, a set
+// bit at or beyond the broker count is not: no encoder here writes one, and
+// taken at face value it would count towards a complete BROCLI — ending a
+// walk before every broker was examined — or sit in a Merged_Brokers set
+// for good.
+func decodeMask(dst subid.Mask, buf []byte, brokers int) (subid.Mask, int, error) {
 	if len(buf) < 2 {
 		return nil, 0, fmt.Errorf("core: short mask")
 	}
@@ -750,11 +766,40 @@ func decodeMask(buf []byte) (subid.Mask, int, error) {
 	if len(buf) < 2+8*words {
 		return nil, 0, fmt.Errorf("core: truncated mask")
 	}
-	m := make(subid.Mask, words)
-	for i := 0; i < words; i++ {
+	m := slices.Grow(dst[:0], words)[:words]
+	for i := range m {
 		m[i] = binary.LittleEndian.Uint64(buf[2+8*i:])
 	}
+	for i := brokers / 64; i < words; i++ {
+		w := m[i]
+		if i == brokers/64 {
+			w >>= uint(brokers % 64)
+		}
+		if w != 0 {
+			return nil, 0, fmt.Errorf("core: mask names a broker beyond the %d there are", brokers)
+		}
+	}
 	return m, 2 + 8*words, nil
+}
+
+// spareMask returns the storage a previous run left at masks[k], nil when
+// masks never grew that far.
+func spareMask(masks []subid.Mask, k int) subid.Mask {
+	if k < cap(masks) {
+		return masks[:k+1][k]
+	}
+	return nil
+}
+
+// carried returns the i-th attachment of a message if it is an event — the
+// one a sender in this process encoded at that place of the payload — else
+// nil, and the bytes are decoded.
+func carried(att []any, i int) *schema.Event {
+	if i >= len(att) {
+		return nil
+	}
+	ev, _ := att[i].(*schema.Event)
+	return ev
 }
 
 // Summary-payload flags (the first byte of every summary message). The
@@ -884,22 +929,28 @@ func encodeEventMsg(buf []byte, ev *schema.Event, brocli, delivered subid.Mask, 
 	return schema.EncodeEvent(buf, ev), nil
 }
 
-func decodeEventMsg(s *schema.Schema, buf []byte) (*schema.Event, subid.Mask, subid.Mask, uint64, error) {
+// decodeEventMsg decodes a routed-event payload, the masks into the storage
+// of brocli and delivered (nil allocates). A non-nil ev is the event as the
+// sender attached it: the event bytes are not parsed again, but must still
+// be exactly as long as it encodes.
+func decodeEventMsg(s *schema.Schema, buf []byte, ev *schema.Event, brokers int, brocli, delivered subid.Mask) (*schema.Event, subid.Mask, subid.Mask, uint64, error) {
 	traceID, n0, err := decodeMsgHeader(buf)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
 	buf = buf[n0:]
-	brocli, n1, err := decodeMask(buf)
+	brocli, n1, err := decodeMask(brocli, buf, brokers)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	delivered, n2, err := decodeMask(buf[n1:])
+	delivered, n2, err := decodeMask(delivered, buf[n1:], brokers)
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	ev, used, err := schema.DecodeEvent(s, buf[n1+n2:])
-	if err != nil {
+	used := 0
+	if ev != nil {
+		used = schema.EncodedEventSize(ev)
+	} else if ev, used, err = schema.DecodeEvent(s, buf[n1+n2:]); err != nil {
 		return nil, nil, nil, 0, err
 	}
 	if n1+n2+used != len(buf) {
@@ -946,8 +997,10 @@ func appendDeliverRecord(buf []byte, traceID uint64, keys []uint64, ev *schema.E
 }
 
 // decodeDeliverRecord decodes the record at the head of buf, appending
-// its ids to keys as id keys of owner, and returns the bytes consumed.
-func decodeDeliverRecord(s *schema.Schema, buf []byte, owner subid.BrokerID, keys []uint64) (ev *schema.Event, _ []uint64, traceID uint64, n int, err error) {
+// its ids to keys as id keys of owner, and returns the bytes consumed. A
+// non-nil ev is the record's event as the sender attached it: its bytes
+// are stepped over, not parsed, and must lie inside buf.
+func decodeDeliverRecord(s *schema.Schema, buf []byte, ev *schema.Event, owner subid.BrokerID, keys []uint64) (_ *schema.Event, _ []uint64, traceID uint64, n int, err error) {
 	traceID, n, err = decodeMsgHeader(buf)
 	if err != nil {
 		return nil, keys, 0, 0, err
@@ -969,7 +1022,11 @@ func decodeDeliverRecord(s *schema.Schema, buf []byte, owner subid.BrokerID, key
 		}
 		keys = append(keys, subid.ID{Broker: owner, Local: subid.LocalID(local)}.Key())
 	}
-	ev, used, err = schema.DecodeEvent(s, buf[n:])
+	if ev == nil {
+		ev, used, err = schema.DecodeEvent(s, buf[n:])
+	} else if used = schema.EncodedEventSize(ev); used > len(buf)-n {
+		err = fmt.Errorf("core: attached event of %d bytes, %d left", used, len(buf)-n)
+	}
 	if err != nil {
 		return nil, keys, 0, 0, err
 	}
@@ -977,21 +1034,22 @@ func decodeDeliverRecord(s *schema.Schema, buf []byte, owner subid.BrokerID, key
 }
 
 // decodeDeliverMsg decodes an owner-delivery payload into recs and keys
-// (pass scratch to reuse it). The trace id returned is the first record's:
-// a traced event travels alone. A decode error anywhere discards the whole
-// payload (the caller records it), matching the lost-message semantics of
-// any corrupt message; so does an empty payload.
-func decodeDeliverMsg(s *schema.Schema, buf []byte, owner subid.BrokerID, recs []deliverRecord, keys []uint64) (_ []deliverRecord, _ []uint64, traceID uint64, err error) {
+// (pass scratch to reuse it); att holds the events the sender attached, one
+// per record in record order, or nothing. The trace id returned is the
+// first record's: a traced event travels alone. A decode error anywhere
+// discards the whole payload (the caller records it), matching the
+// lost-message semantics of any corrupt message; so does an empty payload.
+func decodeDeliverMsg(s *schema.Schema, buf []byte, att []any, owner subid.BrokerID, recs []deliverRecord, keys []uint64) (_ []deliverRecord, _ []uint64, traceID uint64, err error) {
 	if len(buf) == 0 {
 		return recs, keys, 0, fmt.Errorf("core: empty deliver payload")
 	}
-	for len(buf) > 0 {
+	for i := 0; len(buf) > 0; i++ {
 		lo := len(keys)
-		ev, ks, id, n, err := decodeDeliverRecord(s, buf, owner, keys)
+		ev, ks, id, n, err := decodeDeliverRecord(s, buf, carried(att, i), owner, keys)
 		if err != nil {
 			return recs, keys, 0, err
 		}
-		if len(recs) == 0 {
+		if i == 0 {
 			traceID = id
 		}
 		keys = ks

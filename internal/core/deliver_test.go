@@ -29,14 +29,19 @@ func mustSub(t *testing.T, s *schema.Schema, text string) *schema.Subscription {
 	return sub
 }
 
-// publishFlush publishes one event and waits for the network to go quiet.
-func publishFlush(t *testing.T, net *Network, at topology.NodeID, text string) {
+func mustEvent(t *testing.T, s *schema.Schema, text string) *schema.Event {
 	t.Helper()
-	ev, err := schema.ParseEvent(net.Schema(), text)
+	ev, err := schema.ParseEvent(s, text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Publish(at, ev); err != nil {
+	return ev
+}
+
+// publishFlush publishes one event and waits for the network to go quiet.
+func publishFlush(t *testing.T, net *Network, at topology.NodeID, text string) {
+	t.Helper()
+	if err := net.Publish(at, mustEvent(t, net.Schema(), text)); err != nil {
 		t.Fatal(err)
 	}
 	net.Flush()

@@ -75,7 +75,7 @@ func FuzzDecodeDeliverMsg(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, keys, traceID, err := decodeDeliverMsg(fx.s, data, fx.owner, nil, nil)
+		recs, keys, traceID, err := decodeDeliverMsg(fx.s, data, nil, fx.owner, nil, nil)
 		if err != nil {
 			return
 		}
@@ -87,7 +87,7 @@ func FuzzDecodeDeliverMsg(f *testing.F) {
 			if r.lo >= r.hi || !slices.IsSorted(keys[r.lo:r.hi]) {
 				t.Fatalf("record %d: ids %v are not a non-empty ascending list", i, keys[r.lo:r.hi])
 			}
-			_, _, id, n, err := decodeDeliverRecord(fx.s, rest, fx.owner, nil)
+			_, _, id, n, err := decodeDeliverRecord(fx.s, rest, nil, fx.owner, nil)
 			if err != nil || (i == 0 && id != traceID) {
 				t.Fatalf("record %d: decoded alone: trace %d, %v", i, id, err)
 			}
@@ -122,10 +122,24 @@ func FuzzDecodeEventMsg(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0xFF, 0xFF}) // mask word count beyond the bytes left
+	stray := subid.NewMask(128)  // names brokers 64–66 of a three-broker network
+	stray[1] = 7
+	for _, masks := range [][2]subid.Mask{{stray, subid.NewMask(3)}, {subid.NewMask(3), stray}} {
+		msg, err := encodeEventMsg(nil, fx.evs[0], masks[0], masks[1], 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(msg)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ev, brocli, delivered, traceID, err := decodeEventMsg(fx.s, data)
+		ev, brocli, delivered, traceID, err := decodeEventMsg(fx.s, data, nil, 3, nil, nil)
 		if err != nil {
 			return
+		}
+		for _, m := range []subid.Mask{brocli, delivered} {
+			if bits := m.Bits(); len(bits) > 0 && bits[len(bits)-1] >= 3 {
+				t.Fatalf("decoded a mask naming broker %d of 3", bits[len(bits)-1])
+			}
 		}
 		again, err := encodeEventMsg(nil, ev, brocli, delivered, traceID)
 		if err != nil {
@@ -177,14 +191,24 @@ func FuzzDecodeSummaryMsg(f *testing.F) {
 	f.Add([]byte{0})                // no epoch
 	f.Add([]byte{0, 0x81, 0, 0, 0}) // padded epoch
 	f.Add([]byte{0, 1, 0xFF, 0xFF}) // mask word count beyond the bytes left
+	beyond := subid.NewMask(128)
+	beyond.Set(70) // the fuzz target decodes for 70 brokers
+	if msg, err := encodeSummaryMsg(nil, own, beyond, 1, false); err != nil {
+		f.Fatal(err)
+	} else {
+		f.Add(msg)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, n0, err := decodeSummaryHeader(data)
 		if err != nil {
 			return
 		}
-		set, n1, err := decodeMask(data[n0:])
+		set, n1, err := decodeMask(nil, data[n0:], 70)
 		if err != nil {
 			return
+		}
+		if bits := set.Bits(); len(bits) > 0 && bits[len(bits)-1] >= 70 {
+			t.Fatalf("decoded a Merged_Brokers set naming broker %d of 70", bits[len(bits)-1])
 		}
 		again, err := encodeMask(appendSummaryHeader(nil, h), set)
 		if err != nil || !bytes.Equal(again, data[:n0+n1]) {

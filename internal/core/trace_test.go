@@ -208,7 +208,7 @@ func TestEventMsgHeaderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, gotID, err := decodeEventMsg(s, buf)
+		_, _, _, gotID, err := decodeEventMsg(s, buf, nil, 8, nil, nil)
 		if err != nil {
 			t.Fatalf("traceID %d: %v", traceID, err)
 		}

@@ -13,6 +13,7 @@ import (
 	"github.com/subsum/subsum/internal/routing"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
+	"github.com/subsum/subsum/internal/summary"
 	"github.com/subsum/subsum/internal/topology"
 )
 
@@ -29,7 +30,7 @@ func TestMaskCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d words: encode: %v", words, err)
 		}
-		got, n, err := decodeMask(buf)
+		got, n, err := decodeMask(nil, buf, 64*words)
 		if err != nil {
 			t.Fatalf("%d words: decode: %v", words, err)
 		}
@@ -59,10 +60,10 @@ func TestMaskCodecOverflowIsAnError(t *testing.T) {
 }
 
 func TestMaskCodecTruncationErrors(t *testing.T) {
-	if _, _, err := decodeMask(nil); err == nil {
+	if _, _, err := decodeMask(nil, nil, 128); err == nil {
 		t.Fatal("nil buffer accepted")
 	}
-	if _, _, err := decodeMask([]byte{1}); err == nil {
+	if _, _, err := decodeMask(nil, []byte{1}, 128); err == nil {
 		t.Fatal("1-byte buffer accepted")
 	}
 	// Header claims 2 words but only one follows.
@@ -70,8 +71,119 @@ func TestMaskCodecTruncationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := decodeMask(buf[:len(buf)-1]); err == nil {
+	if _, _, err := decodeMask(nil, buf[:len(buf)-1], 128); err == nil {
 		t.Fatal("truncated words accepted")
+	}
+}
+
+// TestMaskCodecRefusesStrayBits: a set bit at or beyond the broker count is
+// a decode error at every width, and every bit below it is accepted in
+// any word count.
+func TestMaskCodecRefusesStrayBits(t *testing.T) {
+	for _, brokers := range []int{1, 3, 63, 64, 65, 128, 200} {
+		for _, words := range []int{1, 2, 4} {
+			for bit := 0; bit < 64*words; bit++ {
+				m := make(subid.Mask, words)
+				m.Set(bit)
+				buf, err := encodeMask(nil, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, err = decodeMask(nil, buf, brokers)
+				if stray := bit >= brokers; stray != (err != nil) {
+					t.Fatalf("%d brokers, %d words, bit %d: err = %v", brokers, words, bit, err)
+				}
+			}
+		}
+	}
+}
+
+// TestStrayBrocliBitIsCounted: an event whose BROCLI names brokers that do
+// not exist used to count as "every broker examined" and retire the walk as
+// suppressed — the matching subscription at broker 2 heard nothing and no
+// counter moved. It is a decode error where it arrives. Star(3), no
+// Propagate, so the walk from broker 1 has to reach broker 2 itself.
+func TestStrayBrocliBitIsCounted(t *testing.T) {
+	s := stockSchema(t)
+	ev := mustEvent(t, s, "price=150")
+	stray := subid.NewMask(128)
+	for _, bit := range []int{64, 65, 66} {
+		stray.Set(bit)
+	}
+	for _, tc := range []struct {
+		name              string
+		brocli, delivered subid.Mask
+		deliveries        int
+		routed, forwarded int64
+		decodeErrors      int64
+	}{
+		{"clean", subid.NewMask(3), subid.NewMask(3), 1, 3, 2, 0},
+		{"stray BROCLI bits", stray, subid.NewMask(3), 0, 0, 0, 1},
+		{"stray delivered bits", subid.NewMask(3), stray, 0, 0, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := newNetwork(t, topology.Star(3), s)
+			var c collector
+			if _, err := net.Subscribe(starOther, mustSub(t, s, `price > 100`), c.deliver(s)); err != nil {
+				t.Fatal(err)
+			}
+			payload, err := encodeEventMsg(nil, ev, tc.brocli, tc.delivered, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := net.bus.Send(netsim.Message{From: starOwner, To: starOwner, Kind: netsim.KindEvent, Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+			net.Flush()
+			st := net.Stats()
+			routed := net.Metrics().Counter("events_routed").Value()
+			forwarded := net.Metrics().Counter("events_forwarded").Value()
+			if c.count() != tc.deliveries || routed != tc.routed || forwarded != tc.forwarded ||
+				st.DecodeErrors[netsim.KindEvent] != tc.decodeErrors || st.TotalErrors() != tc.decodeErrors {
+				t.Fatalf("deliveries = %d, routed %d, forwarded %d, decode errors %v, TotalErrors = %d; want %d, %d, %d, %d",
+					c.count(), routed, forwarded, st.DecodeErrors, st.TotalErrors(),
+					tc.deliveries, tc.routed, tc.forwarded, tc.decodeErrors)
+			}
+		})
+	}
+}
+
+// TestStraySummaryBitIsCounted: the same hole on the summary path was
+// permanent — every received Merged_Brokers bit is set in the receiver's
+// own set, and nothing ever clears one. The message is refused whole.
+func TestStraySummaryBitIsCounted(t *testing.T) {
+	s := stockSchema(t)
+	net := newNetwork(t, topology.Star(3), s)
+	remote := summary.New(s, interval.Lossy)
+	if err := remote.Insert(subid.ID{Broker: 2, Local: 0}, mustSub(t, s, `price > 100`)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		bits         []int
+		decodeErrors int64
+		merged       int
+	}{
+		{[]int{2, 3}, 1, 1}, // broker 3 does not exist: refused, own bit only
+		{[]int{2}, 1, 2},    // clean: merged
+	} {
+		set := subid.NewMask(3)
+		for _, bit := range tc.bits {
+			set.Set(bit)
+		}
+		payload, err := encodeSummaryMsg(nil, remote, set, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.bus.Send(netsim.Message{From: starOther, To: starHub, Kind: netsim.KindSummary, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		net.Flush()
+		st := net.Stats()
+		if got := net.Broker(starHub).MergedBrokers().Count(); got != tc.merged ||
+			st.DecodeErrors[netsim.KindSummary] != tc.decodeErrors || st.TotalErrors() != tc.decodeErrors {
+			t.Fatalf("Merged_Brokers bits %v: hub holds %d brokers, decode errors %v; want %d and %d",
+				tc.bits, got, st.DecodeErrors, tc.merged, tc.decodeErrors)
+		}
 	}
 }
 
@@ -214,7 +326,7 @@ func TestDeliverRecordRoundTrip(t *testing.T) {
 	for _, traceID := range []uint64{0, 9, 1 << 60} {
 		for _, k := range []int{1, 3} {
 			buf := f.payload(k, traceID)
-			recs, keys, gotID, err := decodeDeliverMsg(f.s, buf, f.owner, nil, nil)
+			recs, keys, gotID, err := decodeDeliverMsg(f.s, buf, nil, f.owner, nil, nil)
 			if err != nil {
 				t.Fatalf("trace %d, %d records: %v", traceID, k, err)
 			}
@@ -265,7 +377,7 @@ func TestHostileDeliverPayloads(t *testing.T) {
 	}
 	hostile := f.hostile()
 	for name, payload := range hostile {
-		if _, _, _, err := decodeDeliverMsg(f.s, payload, f.owner, nil, nil); err == nil {
+		if _, _, _, err := decodeDeliverMsg(f.s, payload, nil, f.owner, nil, nil); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 		if err := net.bus.Send(netsim.Message{From: 0, To: topology.NodeID(f.owner), Kind: netsim.KindDeliver, Payload: payload}); err != nil {

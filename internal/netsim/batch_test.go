@@ -68,3 +68,55 @@ func TestStartBatchDrainsInOrder(t *testing.T) {
 		t.Fatalf("stats count %d messages, want %d", s.Messages[KindEvent], n)
 	}
 }
+
+// TestMailboxKeepsOrderAcrossDrains: a pop that drains the queue keeps its
+// array for the next push; FIFO order must hold through any number of
+// drain-and-refill cycles, partial drains included.
+func TestMailboxKeepsOrderAcrossDrains(t *testing.T) {
+	m := newMailbox()
+	next, want := 0, 0
+	var buf []queued
+	for _, burst := range []int{1, 1, 3, maxBatch + 5, 1, 2 * maxBatch, 1} {
+		for i := 0; i < burst; i++ {
+			if !m.push(queued{msg: Message{From: 0, To: 1, Payload: []byte{byte(next)}}}) {
+				t.Fatal("push on an open mailbox failed")
+			}
+			next++
+		}
+		for want < next {
+			var ok bool
+			buf, ok = m.popBatch(buf[:0])
+			if !ok || len(buf) == 0 || len(buf) > maxBatch {
+				t.Fatalf("popBatch = %d messages, ok %v", len(buf), ok)
+			}
+			for _, q := range buf {
+				if q.msg.Payload[0] != byte(want) {
+					t.Fatalf("popped message %d, want %d", q.msg.Payload[0], want)
+				}
+				want++
+			}
+		}
+		if len(m.queue) != 0 || cap(m.queue) == 0 {
+			t.Fatalf("after a drain: len %d cap %d, want an empty queue that kept its array", len(m.queue), cap(m.queue))
+		}
+		for i, q := range m.queue[:cap(m.queue)] {
+			if q.msg.Payload != nil {
+				t.Fatalf("drained slot %d still references a payload", i)
+			}
+		}
+	}
+}
+
+// BenchmarkMailboxSteadyState is the per-hop hand-off of a walk with one
+// event in flight: push one, pop one. Gated at 0 allocs/op in CI.
+func BenchmarkMailboxSteadyState(b *testing.B) {
+	m := newMailbox()
+	q := queued{msg: Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte{1}}}
+	buf := make([]queued, 0, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.push(q)
+		buf, _ = m.popBatch(buf[:0])
+	}
+}

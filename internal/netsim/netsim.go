@@ -12,6 +12,14 @@
 // not decode, and handler-side processing failures each have their own
 // per-kind counter in Stats, so experiments can verify that observed
 // bandwidth/coverage figures account for every message sent.
+//
+// The bus is in-memory, so sender and receiver share an address space. A
+// sender that has just encoded immutable values into a shared buffer may
+// attach those values beside the bytes (SharedBuf.Attached); the receiver
+// then need not parse them out again. The bytes stay the message: they
+// are what is counted, dropped and parked. Attachments are opaque here —
+// the bus copies a slice header and clears it with the buffer, nothing
+// more — and a message without them is complete.
 package netsim
 
 import (
@@ -56,11 +64,19 @@ type Message struct {
 	From, To topology.NodeID
 	Kind     Kind
 	Payload  []byte
+	// Attached is the sender's SharedBuf.Attached (nil for a plain Send):
+	// already-decoded values that Payload also encodes, in an order the
+	// two ends agree on. It lives exactly as long as Payload does. Every
+	// recipient of the buffer, and a fault hook looking at the message,
+	// sees the same values, so they are read-only; the slice itself must
+	// not be retained, a value taken from it may be.
+	Attached []any
 }
 
-// Handler processes one message on the owner's goroutine. The payload is
-// only valid for the duration of the call when the sender used a shared
-// buffer (SendShared): handlers must decode, not retain, Payload.
+// Handler processes one message on the owner's goroutine. Payload and
+// Attached are only valid for the duration of the call when the sender
+// used a shared buffer (SendShared): handlers must decode, not retain,
+// Payload.
 type Handler func(Message)
 
 // SharedBuf is a pooled, reference-counted payload buffer. One encode can
@@ -72,8 +88,15 @@ type Handler func(Message)
 type SharedBuf struct {
 	// B is the payload. The owner may resize/overwrite it only between
 	// AcquireBuf and the first SendShared.
-	B    []byte
-	refs atomic.Int32
+	B []byte
+	// Attached optionally carries immutable values B encodes, for
+	// receivers in this process to use instead of parsing them back out
+	// (see Message.Attached). Append under the same rule as B. Its storage
+	// is recycled with the buffer, and the final Release clears it: a
+	// pooled buffer neither keeps an attached value alive nor shows it to
+	// its next owner.
+	Attached []any
+	refs     atomic.Int32
 }
 
 var sharedBufPool = sync.Pool{New: func() any { return new(SharedBuf) }}
@@ -87,10 +110,13 @@ func AcquireBuf() *SharedBuf {
 	return sb
 }
 
-// Release drops one reference; the last release recycles the buffer.
+// Release drops one reference; the last release clears the attachments
+// and recycles the buffer.
 func (sb *SharedBuf) Release() {
 	switch n := sb.refs.Add(-1); {
 	case n == 0:
+		clear(sb.Attached)
+		sb.Attached = sb.Attached[:0]
 		sharedBufPool.Put(sb)
 	case n < 0:
 		panic("netsim: SharedBuf over-released")
@@ -280,7 +306,13 @@ func (m *mailbox) popBatch(buf []queued) ([]queued, bool) {
 	for i := 0; i < n; i++ {
 		m.queue[i] = queued{} // release payload references promptly
 	}
-	m.queue = m.queue[n:]
+	if n == len(m.queue) {
+		// Drained: keep the array, or every push after a drain — each hop
+		// of a walk with one event in flight — allocates a new one.
+		m.queue = m.queue[:0]
+	} else {
+		m.queue = m.queue[n:]
+	}
 	return buf, true
 }
 
@@ -463,15 +495,15 @@ func (b *Bus) doneInflight(n int64) {
 func (b *Bus) Send(m Message) error { return b.send(m, nil) }
 
 // SendShared enqueues m with its payload backed by the shared buffer sb
-// (m.Payload is set to sb.B). On successful enqueue the bus takes one
-// reference, released after the recipient's handler returns — so one
-// encoded summary or event can fan out to any number of recipients with
-// zero payload copies, while per-recipient byte accounting still counts
-// the full payload length for every delivery. Dropped and rejected
-// messages take no reference. The caller still owns its AcquireBuf
-// reference and must Release it after the last send.
+// (m.Payload is set to sb.B, m.Attached to sb.Attached). On successful
+// enqueue the bus takes one reference, released after the recipient's
+// handler returns — so one encoded summary or event can fan out to any
+// number of recipients with zero payload copies, while per-recipient byte
+// accounting still counts the full payload length for every delivery.
+// Dropped and rejected messages take no reference. The caller still owns
+// its AcquireBuf reference and must Release it after the last send.
 func (b *Bus) SendShared(m Message, sb *SharedBuf) error {
-	m.Payload = sb.B
+	m.Payload, m.Attached = sb.B, sb.Attached
 	return b.send(m, sb)
 }
 

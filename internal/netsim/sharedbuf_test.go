@@ -110,3 +110,93 @@ func TestAcquireBufRecycles(t *testing.T) {
 		t.Fatalf("recycled buffer has length %d, want 0", len(sb2.B))
 	}
 }
+
+// attachedBuf returns a buffer carrying a payload and two attachments.
+func attachedBuf() *SharedBuf {
+	sb := AcquireBuf()
+	sb.B = append(sb.B, "payload"...)
+	sb.Attached = append(sb.Attached, "first", "second")
+	return sb
+}
+
+// assertNoAttachments fails unless sb, after its final Release, holds no
+// attachment anywhere in the storage its next owner gets.
+func assertNoAttachments(t *testing.T, sb *SharedBuf) {
+	t.Helper()
+	if refs := sb.refs.Load(); refs != 0 {
+		t.Fatalf("refs = %d, want 0 (the final Release has not happened)", refs)
+	}
+	if len(sb.Attached) != 0 {
+		t.Fatalf("released buffer still has %d attachments", len(sb.Attached))
+	}
+	for i, a := range sb.Attached[:cap(sb.Attached)] {
+		if a != nil {
+			t.Fatalf("released buffer pins %v in slot %d of its recycled storage", a, i)
+		}
+	}
+}
+
+// TestReleaseClearsAttachments: whichever way a message ends — handled,
+// dropped by a fault, parked for a paused broker and discarded at Close,
+// or still queued at Close — the final Release leaves no attachment behind,
+// and a handler saw exactly what the sender attached.
+func TestReleaseClearsAttachments(t *testing.T) {
+	send := func(t *testing.T, b *Bus, sb *SharedBuf) {
+		t.Helper()
+		if err := b.SendShared(Message{From: 0, To: 1, Kind: KindEvent}, sb); err != nil {
+			t.Fatal(err)
+		}
+		sb.Release()
+	}
+	t.Run("handled", func(t *testing.T) {
+		b := NewBus(2)
+		defer b.Close()
+		var got []any
+		b.Start(1, func(m Message) { got = append(got, m.Attached...) })
+		sb := attachedBuf()
+		send(t, b, sb)
+		b.Quiesce()
+		if len(got) != 2 || got[0] != "first" || got[1] != "second" {
+			t.Fatalf("handler saw attachments %v", got)
+		}
+		assertNoAttachments(t, sb)
+	})
+	t.Run("dropped by a fault", func(t *testing.T) {
+		b := NewBus(2)
+		defer b.Close()
+		seen := 0
+		b.SetDropFunc(func(m Message) bool { seen = len(m.Attached); return true })
+		sb := attachedBuf()
+		send(t, b, sb)
+		if seen != 2 {
+			t.Fatalf("fault hook saw %d attachments, want 2", seen)
+		}
+		assertNoAttachments(t, sb)
+	})
+	t.Run("parked, then discarded at Close", func(t *testing.T) {
+		b := NewBus(2)
+		if err := b.Faults().Pause(1); err != nil {
+			t.Fatal(err)
+		}
+		sb := attachedBuf()
+		send(t, b, sb)
+		if refs := sb.refs.Load(); refs != 1 {
+			t.Fatalf("refs = %d while parked, want the bus's 1", refs)
+		}
+		b.Close()
+		assertNoAttachments(t, sb)
+	})
+	t.Run("queued at Close", func(t *testing.T) {
+		b := NewBus(2) // node 1 is never started
+		sb := attachedBuf()
+		send(t, b, sb)
+		b.Close()
+		assertNoAttachments(t, sb)
+	})
+	// The next owner of whatever the pool hands out starts clean.
+	sb := AcquireBuf()
+	defer sb.Release()
+	if len(sb.B) != 0 || len(sb.Attached) != 0 {
+		t.Fatalf("acquired buffer has %d bytes and %d attachments", len(sb.B), len(sb.Attached))
+	}
+}

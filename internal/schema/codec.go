@@ -63,6 +63,19 @@ func EncodeEvent(buf []byte, e *Event) []byte {
 	return buf
 }
 
+// EncodedEventSize returns len(EncodeEvent(nil, e)) without encoding.
+func EncodedEventSize(e *Event) int {
+	n := 2
+	for _, f := range e.fields {
+		if f.Value.Type == TypeString {
+			n += 2 + 1 + 2 + len(f.Value.Str)
+		} else {
+			n += 2 + 1 + 8
+		}
+	}
+	return n
+}
+
 // minFieldWire is the smallest encoded field: attr:u16, type:u8, and an
 // empty string's len:u16.
 const minFieldWire = 5

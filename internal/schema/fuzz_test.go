@@ -55,6 +55,9 @@ func FuzzDecodeEvent(f *testing.F) {
 		}
 		// Accepted events re-encode and decode to the same fields.
 		buf := EncodeEvent(nil, ev)
+		if size := EncodedEventSize(ev); size != len(buf) || size != n {
+			t.Fatalf("EncodedEventSize = %d, encoded %d bytes, decoded from %d", size, len(buf), n)
+		}
 		again, _, err := DecodeEvent(s, buf)
 		if err != nil || again.Len() != ev.Len() {
 			t.Fatalf("round trip failed: %v", err)

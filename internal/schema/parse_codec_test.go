@@ -110,8 +110,11 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeEvent: %v", err)
 	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", n, len(buf))
+	if n != len(buf) || EncodedEventSize(ev) != len(buf) {
+		t.Fatalf("consumed %d, EncodedEventSize %d, of %d bytes", n, EncodedEventSize(ev), len(buf))
+	}
+	if empty := (&Event{}); EncodedEventSize(empty) != len(EncodeEvent(nil, empty)) {
+		t.Fatalf("EncodedEventSize of the empty event = %d", EncodedEventSize(empty))
 	}
 	if !reflect.DeepEqual(got.Fields(), ev.Fields()) {
 		t.Fatalf("round trip mismatch: %v vs %v", got.Fields(), ev.Fields())
