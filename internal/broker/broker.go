@@ -256,14 +256,17 @@ type matchSnapshot struct {
 // its matching out across cores. Below it one Algorithm 1 pass is too
 // short to repay a goroutine round trip per run and n passes over the
 // rows per rebuild. The benchmark has workloads on both sides (2-core
-// host, two shards, two 10 s runs a side, measured with the matcher
-// reading dense indices from its rows): the fanout-cw24 hub (≤ 2 400
-// merged subscriptions) and every walk-ts256 broker (≤ 1 024) sit below,
-// and sharding them anyway cost fanout-cw24 7 % of its events/s (46.1 k →
-// 43.1 k) and 18 % more publish latency, walk-ts256 18 % (21.3 k →
-// 17.6 k) and half as much latency again (154 → 235 µs); the
-// match-cw24-24k hub (24 000) sits above, and sharding it gained 61 %
-// events/s (15.3 k → 24.7 k). 8 192 is the one value tried between them.
+// host, two shards, two 10 s runs a side at seed 100, measured with the
+// matcher counting in place in a 2-byte counter per id): every walk-ts256
+// broker (≤ 1 024 merged subscriptions) and the fanout-cw24 hub (≤ 2 400)
+// sit below, and sharding them anyway cost walk-ts256 16–30 % of its
+// events/s (23.5 k, 24.8 k → 16.4 k, 20.8 k) and a third more publish
+// latency (177, 203 → 297, 255 µs) and bought fanout-cw24 nothing
+// (52.5 k, 52.1 k → 51.5 k, 54.0 k; 63, 59 → 60, 72 µs); the
+// match-cw24-24k hub (24 000) sits above, and sharding it gained 24–90 %
+// events/s (20.3 k, 22.6 k → 38.5 k, 28.1 k) at the same single-event
+// latency (79, 84 → 78, 86 µs: one event is matched shard by shard).
+// 8 192 is the one value tried between them.
 const matchShardThreshold = 8192
 
 // matchShardLimit caps the fan-out: every shard re-walks the event's

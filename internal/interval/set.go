@@ -47,6 +47,12 @@ type Set struct {
 	eq   map[float64][]uint64 // equality values (see Mode for semantics)
 	ne   []neEntry            // sorted by value
 
+	// distinct records that no single query can return one id twice, so a
+	// reader may count the consulted lists without deduplicating. Only
+	// CloneMapped establishes it, for its read-only copy; on every set
+	// built by mutation it is false: unknown, assume repeats.
+	distinct bool
+
 	// slab backs the id lists the wire-merge paths (MergePoint,
 	// MergeNotEqual) retain, so a merge that adds many rows costs one
 	// allocation per chunk instead of one per row. Never shared between
@@ -401,30 +407,53 @@ func (s *Set) Query(v float64) []uint64 {
 	return slices.Compact(out)
 }
 
-// AppendMatches appends the ids of all subscriptions whose constraint on
-// this attribute is satisfied by v to dst and returns the extended slice.
-// Unlike Query it performs no sorting or deduplication — an id may repeat
-// when it appears in more than one consulted structure — and beyond
-// growing dst it does not allocate. It is the scratch-friendly primitive
-// the summary Matcher builds on, and is safe for concurrent readers.
-func (s *Set) AppendMatches(dst []uint64, v float64) []uint64 {
+// AppendLists appends to dst the id lists a query for v consults, in
+// place — the one statement of Check_for_a_value_match (type arithmetic):
+// the sub-range row containing v; the equality row of v when no sub-range
+// contains it (Lossy, the paper's "Else") or always (Exact); every ≠ entry
+// of another value. The lists are the set's own and must not be written.
+// distinct reports that no id occurs in two of the appended lists; it is
+// known only for a CloneMapped copy, and false means "may repeat". Beyond
+// growing dst it does not allocate, and it is safe for concurrent readers.
+func (s *Set) AppendLists(dst [][]uint64, v float64) (lists [][]uint64, distinct bool) {
+	n := len(dst)
 	i, inRange := s.findRow(v)
 	if inRange {
-		dst = append(dst, s.rows[i].ids...)
+		dst = append(dst, s.rows[i].ids)
 	}
 	if !inRange || s.mode == Exact {
-		dst = append(dst, s.eq[v]...)
+		if ids := s.eq[v]; len(ids) > 0 {
+			dst = append(dst, ids)
+		}
 	}
 	for _, ne := range s.ne {
 		if ne.value != v {
-			dst = append(dst, ne.ids...)
+			dst = append(dst, ne.ids)
 		}
+	}
+	return dst, s.distinct || len(dst)-n < 2
+}
+
+// AppendMatches appends the ids of all subscriptions whose constraint on
+// this attribute is satisfied by v to dst and returns the extended slice:
+// the lists of AppendLists, copied. Unlike Query it performs no sorting or
+// deduplication — an id may repeat when it appears in more than one
+// consulted list — and beyond growing dst (and the list headers, past
+// eight lists) it does not allocate. Safe for concurrent readers.
+func (s *Set) AppendMatches(dst []uint64, v float64) []uint64 {
+	var hdr [8][]uint64
+	lists, _ := s.AppendLists(hdr[:0], v)
+	for _, ids := range lists {
+		dst = append(dst, ids...)
 	}
 	return dst
 }
 
 // QueryInto is Query without the final allocation: it merges results into
 // dst (a set keyed by id) and returns the number of distinct ids added.
+// It states the consulting rule a second time on purpose, apart from
+// AppendLists: the summary package's test oracle matches through it, and
+// is independent of the compiled matcher only while this stays so.
 func (s *Set) QueryInto(v float64, dst map[uint64]struct{}) int {
 	added := 0
 	note := func(ids []uint64) {
@@ -592,35 +621,59 @@ func (s *Set) Clone() *Set {
 // CloneMapped returns a deep copy of the set with every id translated by
 // f; ids f rejects are dropped, and so are rows left without ids. The set
 // never interprets ids beyond their order, so f must be strictly
-// increasing on the ids it keeps (id lists stay sorted and deduplicated).
-// The receiver is only read. The copy's id lists share one backing array:
-// it is meant to be read, not mutated.
-func (s *Set) CloneMapped(f func(uint64) (uint64, bool)) *Set {
-	out := &Set{mode: s.mode, eq: make(map[float64][]uint64, len(s.eq))}
+// increasing on the ids it keeps (id lists stay sorted and deduplicated),
+// and every id it returns must be below n. The receiver is only read. The
+// copy's id lists share one backing array: it is meant to be read, not
+// mutated.
+//
+// The same pass decides the copy's distinct flag (see AppendLists) over a
+// bitmap of the n mapped ids. A query consults at most one sub-range row
+// and one equality row but every ≠ entry save one, so an id can come back
+// twice only if it sits in a ≠ entry and in any other list, or (Exact,
+// where a row and an equality entry are both consulted) in an equality
+// entry and a row. The test is by id, not by value — `x != 5` beside
+// `x = 5` can never be consulted together and still clears the flag — so
+// it errs only towards false, the side that costs the reader a check per
+// id and not a match.
+func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool)) *Set {
+	out := &Set{mode: s.mode, eq: make(map[float64][]uint64, len(s.eq)), distinct: true}
 	slab := make([]uint64, 0, s.idEntries())
-	mapIDs := func(ids []uint64) []uint64 {
+	var seen []uint64 // bitmap of the mapped ids copied so far; nil when no repeat is possible
+	if len(s.ne) > 0 || (s.mode == Exact && len(s.eq) > 0) {
+		seen = make([]uint64, (n+63)/64)
+	}
+	mapIDs := func(ids []uint64, check bool) []uint64 {
 		start := len(slab)
 		for _, id := range ids {
-			if m, ok := f(id); ok {
-				slab = append(slab, m)
+			m, ok := f(id)
+			if !ok {
+				continue
+			}
+			slab = append(slab, m)
+			if seen != nil {
+				w, bit := m>>6, uint64(1)<<(m&63)
+				if check && seen[w]&bit != 0 {
+					out.distinct = false
+				}
+				seen[w] |= bit
 			}
 		}
 		return slab[start:len(slab):len(slab)]
 	}
 	out.rows = make([]row, 0, len(s.rows))
 	for _, r := range s.rows {
-		if ids := mapIDs(r.ids); len(ids) > 0 {
+		if ids := mapIDs(r.ids, false); len(ids) > 0 {
 			out.rows = append(out.rows, row{iv: r.iv, ids: ids})
 		}
 	}
 	for v, ids := range s.eq {
-		if ids = mapIDs(ids); len(ids) > 0 {
+		if ids = mapIDs(ids, s.mode == Exact); len(ids) > 0 {
 			out.eq[v] = ids
 		}
 	}
 	out.ne = make([]neEntry, 0, len(s.ne))
 	for _, e := range s.ne {
-		if ids := mapIDs(e.ids); len(ids) > 0 {
+		if ids := mapIDs(e.ids, true); len(ids) > 0 {
 			out.ne = append(out.ne, neEntry{value: e.value, ids: ids})
 		}
 	}

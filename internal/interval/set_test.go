@@ -531,3 +531,61 @@ func TestCompactBehaviourPreservedRandomized(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneMappedDistinct pins the distinct flag CloneMapped decides, both
+// ways: false wherever one query can list an id twice (a wrong true makes
+// the summary matcher count the id twice for one attribute and lose a
+// match), and true for the everyday shapes (a wrong false only costs the
+// matcher its fast path, which no correctness test would notice).
+func TestCloneMappedDistinct(t *testing.T) {
+	identity := func(id uint64) (uint64, bool) { return id, true }
+	cases := []struct {
+		name  string
+		mode  Mode
+		build func(*Set)
+		probe float64 // a value whose query consults two lists
+		want  bool
+	}{
+		{"ranges, an equality and ≠ entries of different ids", Lossy, func(s *Set) {
+			s.Insert(Interval{Lo: 1, Hi: 5}, 1)
+			s.Insert(Interval{Lo: 3, Hi: 9}, 2) // one id in several rows: rows are disjoint
+			s.Insert(Point(20), 1)
+			s.InsertNotEqual(3, 3)
+			s.InsertNotEqual(4, 4)
+		}, 2, true},
+		{"Exact: equality and range of different ids", Exact, func(s *Set) {
+			s.Insert(Point(3), 1)
+			s.Insert(Interval{Lo: 1, Hi: 5}, 2)
+		}, 3, true},
+		{"≠ beside a range of the same id", Lossy, func(s *Set) {
+			s.Insert(Interval{Lo: 1, Hi: 5}, 1)
+			s.InsertNotEqual(3, 1)
+		}, 2, false},
+		{"≠ beside an equality of the same id", Lossy, func(s *Set) {
+			s.Insert(Point(7), 1)
+			s.InsertNotEqual(3, 1)
+		}, 7, false},
+		{"two ≠ entries of one id", Lossy, func(s *Set) {
+			s.InsertNotEqual(3, 1)
+			s.InsertNotEqual(4, 1)
+		}, 5, false},
+		{"Exact: equality inside a range of the same id", Exact, func(s *Set) {
+			s.Insert(Point(3), 1)
+			s.Insert(Interval{Lo: 1, Hi: 5}, 1)
+		}, 3, false},
+	}
+	for _, tc := range cases {
+		s := NewSet(tc.mode)
+		tc.build(s)
+		if _, distinct := s.AppendLists(nil, tc.probe); distinct {
+			t.Errorf("%s: a set built by mutation claims distinct lists", tc.name)
+		}
+		lists, distinct := s.CloneMapped(8, identity).AppendLists(nil, tc.probe)
+		if len(lists) < 2 {
+			t.Fatalf("%s: probe %g consults %v, want two lists", tc.name, tc.probe, lists)
+		}
+		if distinct != tc.want {
+			t.Errorf("%s: distinct = %v, want %v (probe %g consults %v)", tc.name, distinct, tc.want, tc.probe, lists)
+		}
+	}
+}

@@ -34,6 +34,12 @@ type Set struct {
 	// stay benign (both build identical values).
 	idx atomic.Pointer[opIndex]
 
+	// distinct records that no single query can return one id twice, so a
+	// reader may count the consulted lists without deduplicating. Only
+	// CloneMapped establishes it, for its read-only copy; on every set
+	// built by mutation it is false: unknown, assume repeats.
+	distinct bool
+
 	// slab backs the id lists MergeRowBytes retains, so a wire merge that
 	// adds many rows costs one allocation per chunk instead of one per
 	// row. Never shared between sets (Clone and NewSetFromRows build
@@ -335,16 +341,20 @@ func (s *Set) index() *opIndex {
 	return ix
 }
 
-// AppendMatches appends the ids of all subscriptions whose constraint is
-// satisfied by v to dst and returns the extended slice. Unlike Match it
-// performs no sorting or deduplication — an id may repeat when several
-// rows match — and beyond growing dst it does not allocate. Lookup cost
-// scales with the rows that can match v: equality by hash, prefix and
-// suffix by one binary search per distinct pattern length, and a linear
-// scan only over contains/glob rows and ≠ entries.
-func (s *Set) AppendMatches(dst []uint64, v string) []uint64 {
+// AppendLists appends to dst the id lists a query for v consults, in
+// place — the one statement of Check_for_a_value_match (type string): the
+// equality row of v, every pattern row matching v, every ≠ entry of
+// another text. Lookup cost scales with the rows that can match v:
+// equality by hash, prefix and suffix by one binary search per distinct
+// pattern length, and a linear scan only over contains/glob rows and ≠
+// entries. The lists are the set's own and must not be written. distinct
+// reports that no id occurs in two of the appended lists; it is known only
+// for a CloneMapped copy, and false means "may repeat". Beyond growing dst
+// it does not allocate.
+func (s *Set) AppendLists(dst [][]uint64, v string) (lists [][]uint64, distinct bool) {
+	n := len(dst)
 	if ids, ok := s.eq[v]; ok {
-		dst = append(dst, ids...)
+		dst = append(dst, ids)
 	}
 	ix := s.index()
 	for _, l := range ix.prefixLens {
@@ -353,7 +363,7 @@ func (s *Set) AppendMatches(dst []uint64, v string) []uint64 {
 		}
 		lo, hi := ix.prefixMatchRange(v[:l])
 		for ; lo < hi; lo++ {
-			dst = append(dst, s.pats[ix.prefixRows[lo]].IDs...)
+			dst = append(dst, s.pats[ix.prefixRows[lo]].IDs)
 		}
 	}
 	for _, l := range ix.suffixLens {
@@ -362,24 +372,42 @@ func (s *Set) AppendMatches(dst []uint64, v string) []uint64 {
 		}
 		lo, hi := ix.suffixMatchRange(v, l)
 		for ; lo < hi; lo++ {
-			dst = append(dst, s.pats[ix.suffixRows[lo]].IDs...)
+			dst = append(dst, s.pats[ix.suffixRows[lo]].IDs)
 		}
 	}
 	for _, i := range ix.scan {
 		if s.pats[i].Pattern.Matches(v) {
-			dst = append(dst, s.pats[i].IDs...)
+			dst = append(dst, s.pats[i].IDs)
 		}
 	}
 	for text, ids := range s.ne {
 		if text != v {
-			dst = append(dst, ids...)
+			dst = append(dst, ids)
 		}
+	}
+	return dst, s.distinct || len(dst)-n < 2
+}
+
+// AppendMatches appends the ids of all subscriptions whose constraint is
+// satisfied by v to dst and returns the extended slice: the lists of
+// AppendLists, copied. Unlike Match it performs no sorting or
+// deduplication — an id may repeat when several rows match — and beyond
+// growing dst (and the list headers, past eight lists) it does not
+// allocate.
+func (s *Set) AppendMatches(dst []uint64, v string) []uint64 {
+	var hdr [8][]uint64
+	lists, _ := s.AppendLists(hdr[:0], v)
+	for _, ids := range lists {
+		dst = append(dst, ids...)
 	}
 	return dst
 }
 
 // MatchInto merges matching ids into dst and returns how many distinct ids
-// were added.
+// were added. It states the consulting rule a second time on purpose, by
+// linear scan and apart from AppendLists: the summary package's test
+// oracle matches through it, and is independent of the compiled matcher
+// (and of the operator-class index) only while this stays so.
 func (s *Set) MatchInto(v string, dst map[uint64]struct{}) int {
 	added := 0
 	note := func(ids []uint64) {
@@ -513,38 +541,66 @@ func (s *Set) Clone() *Set {
 // CloneMapped returns a deep copy of the set with every id translated by
 // f; ids f rejects are dropped, and so are rows left without ids. The set
 // never interprets ids beyond their order, so f must be strictly
-// increasing on the ids it keeps (id lists stay sorted and deduplicated).
-// The receiver is only read. The copy's id lists share one backing array:
-// it is meant to be read, not mutated.
-func (s *Set) CloneMapped(f func(uint64) (uint64, bool)) *Set {
+// increasing on the ids it keeps (id lists stay sorted and deduplicated),
+// and every id it returns must be below n. The receiver is only read. The
+// copy's id lists share one backing array: it is meant to be read, not
+// mutated.
+//
+// The same pass decides the copy's distinct flag (see AppendLists) over a
+// bitmap of the n mapped ids. A query consults one equality row at most
+// but any number of pattern rows and ≠ entries, so an id can come back
+// twice only if it sits in two of the pattern and ≠ lists, or in one of
+// them and an equality row (a wire merge can fold one id into a prefix
+// row in one period and a suffix row in the next). The test is by id, not
+// by text, so it errs only towards false, the side that costs the reader
+// a check per id and not a match.
+func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool)) *Set {
 	out := &Set{
-		pats: make([]Row, 0, len(s.pats)),
-		eq:   make(map[string][]uint64, len(s.eq)),
-		ne:   make(map[string][]uint64, len(s.ne)),
+		pats:     make([]Row, 0, len(s.pats)),
+		eq:       make(map[string][]uint64, len(s.eq)),
+		ne:       make(map[string][]uint64, len(s.ne)),
+		distinct: true,
 	}
 	slab := make([]uint64, 0, s.Stats().IDEntries)
-	mapIDs := func(ids []uint64) []uint64 {
+	var seen []uint64 // bitmap of the mapped pattern and ≠ ids; nil when there are none
+	if len(s.pats)+len(s.ne) > 0 {
+		seen = make([]uint64, (n+63)/64)
+	}
+	mapIDs := func(ids []uint64, mark bool) []uint64 {
 		start := len(slab)
 		for _, id := range ids {
-			if m, ok := f(id); ok {
-				slab = append(slab, m)
+			m, ok := f(id)
+			if !ok {
+				continue
+			}
+			slab = append(slab, m)
+			if seen != nil {
+				w, bit := m>>6, uint64(1)<<(m&63)
+				if seen[w]&bit != 0 {
+					out.distinct = false
+				}
+				if mark {
+					seen[w] |= bit
+				}
 			}
 		}
 		return slab[start:len(slab):len(slab)]
 	}
 	for _, r := range s.pats {
-		if ids := mapIDs(r.IDs); len(ids) > 0 {
+		if ids := mapIDs(r.IDs, true); len(ids) > 0 {
 			out.pats = append(out.pats, Row{Pattern: r.Pattern, IDs: ids})
 		}
 	}
-	for text, ids := range s.eq {
-		if ids = mapIDs(ids); len(ids) > 0 {
-			out.eq[text] = ids
+	for text, ids := range s.ne {
+		if ids = mapIDs(ids, true); len(ids) > 0 {
+			out.ne[text] = ids
 		}
 	}
-	for text, ids := range s.ne {
-		if ids = mapIDs(ids); len(ids) > 0 {
-			out.ne[text] = ids
+	// Equality rows last, tested but not marked: two of them are never
+	// consulted together.
+	for text, ids := range s.eq {
+		if ids = mapIDs(ids, false); len(ids) > 0 {
+			out.eq[text] = ids
 		}
 	}
 	return out

@@ -354,3 +354,55 @@ func TestSACSNoFalseNegativesRandomized(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneMappedDistinct pins the distinct flag CloneMapped decides, both
+// ways: false wherever one query can list an id twice (a wrong true makes
+// the summary matcher count the id twice for one attribute and lose a
+// match), and true for the everyday shapes (a wrong false only costs the
+// matcher its fast path, which no correctness test would notice).
+func TestCloneMappedDistinct(t *testing.T) {
+	identity := func(id uint64) (uint64, bool) { return id, true }
+	cases := []struct {
+		name  string
+		build func(*Set)
+		probe string // a value whose query consults two lists
+		want  bool
+	}{
+		{"equalities, a prefix and a ≠ of different ids", func(s *Set) {
+			s.Insert(pat(schema.OpEQ, "OTE"), 1)
+			s.Insert(pat(schema.OpEQ, "NYSE"), 1) // two equality rows are never consulted together
+			s.Insert(pat(schema.OpPrefix, "LS"), 2)
+			s.Insert(pat(schema.OpNE, "IBM"), 3)
+		}, "LSE", true},
+		{"prefix and suffix of the same id", func(s *Set) {
+			s.Insert(pat(schema.OpPrefix, "OT"), 1)
+			s.Insert(pat(schema.OpSuffix, "TE"), 1)
+		}, "OTE", false},
+		{"equality beside a ≠ of the same id", func(s *Set) {
+			s.Insert(pat(schema.OpEQ, "OTE"), 1)
+			s.Insert(pat(schema.OpNE, "IBM"), 1)
+		}, "OTE", false},
+		{"two ≠ entries of one id", func(s *Set) {
+			s.Insert(pat(schema.OpNE, "IBM"), 1)
+			s.Insert(pat(schema.OpNE, "LSE"), 1)
+		}, "OTE", false},
+		{"contains beside a ≠ of the same id", func(s *Set) {
+			s.Insert(pat(schema.OpContains, "YS"), 1)
+			s.Insert(pat(schema.OpNE, "IBM"), 1)
+		}, "NYSE", false},
+	}
+	for _, tc := range cases {
+		s := NewSet()
+		tc.build(s)
+		if _, distinct := s.AppendLists(nil, tc.probe); distinct {
+			t.Errorf("%s: a set built by mutation claims distinct lists", tc.name)
+		}
+		lists, distinct := s.CloneMapped(8, identity).AppendLists(nil, tc.probe)
+		if len(lists) < 2 {
+			t.Fatalf("%s: probe %q consults %v, want two lists", tc.name, tc.probe, lists)
+		}
+		if distinct != tc.want {
+			t.Errorf("%s: distinct = %v, want %v (probe %q consults %v)", tc.name, distinct, tc.want, tc.probe, lists)
+		}
+	}
+}

@@ -2,9 +2,12 @@ package summary
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/subsum/subsum/internal/interval"
+	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
 )
 
@@ -117,6 +120,132 @@ func FuzzMergeEncoded(f *testing.F) {
 		}
 		if !bytes.Equal(into.Encode(nil), viaDecode.Encode(nil)) {
 			t.Fatal("MergeEncoded diverges from Decode+Merge on canonical input")
+		}
+	})
+}
+
+// fuzzBytes deals a fuzz input out one byte at a time, zeros once spent.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// fuzzSummaryAndEvents decodes data into a small summary and a handful of
+// events over the stock schema. Values come from small domains (numbers
+// 0–7, six words and their fragments), so rows collide: equalities fall
+// inside ranges, ≠ entries sit beside them, prefix, suffix and contains
+// rows cover the same words, and a subscription may constrain one
+// attribute twice. A few ids are removed again and left as tombstones.
+func fuzzSummaryAndEvents(s *schema.Schema, data []byte) (*Summary, []*schema.Event) {
+	in := fuzzBytes(data)
+	words := []string{"NYSE", "OTE", "LSE", "NASDAQ", "OTTO", "SE"}
+	number := func(a schema.AttrID, n byte) schema.Value {
+		switch s.TypeOf(a) {
+		case schema.TypeInt:
+			return schema.IntValue(int64(n % 8))
+		case schema.TypeDate:
+			return schema.Value{Type: schema.TypeDate, Num: float64(n % 8)}
+		default:
+			return schema.FloatValue(float64(n % 8))
+		}
+	}
+	constraint := func(a schema.AttrID) schema.Constraint {
+		op, val := in.next(), in.next()
+		if s.TypeOf(a).Arithmetic() {
+			ops := []schema.Op{schema.OpEQ, schema.OpNE, schema.OpLT, schema.OpLE, schema.OpGT, schema.OpGE}
+			return schema.Constraint{Attr: a, Op: ops[int(op)%len(ops)], Value: number(a, val)}
+		}
+		ops := []schema.Op{schema.OpEQ, schema.OpNE, schema.OpPrefix, schema.OpSuffix, schema.OpContains}
+		o, w := ops[int(op)%len(ops)], words[int(val)%len(words)]
+		switch o {
+		case schema.OpPrefix:
+			w = w[:1+int(val>>4)%len(w)]
+		case schema.OpSuffix, schema.OpContains:
+			w = w[int(val>>4)%len(w):]
+		}
+		return schema.Constraint{Attr: a, Op: o, Value: schema.StringValue(w)}
+	}
+	sm := New(s, interval.Mode(in.next()&1))
+	for i, n := 0, 1+int(in.next()%16); i < n; i++ {
+		var cs []schema.Constraint
+		for j, attrs := 0, 1+int(in.next()%3); j < attrs; j++ {
+			a := schema.AttrID(int(in.next()) % s.Len())
+			cs = append(cs, constraint(a))
+			if in.next()&3 == 0 {
+				cs = append(cs, constraint(a))
+			}
+		}
+		sub, err := schema.NewSubscription(s, cs...)
+		if err != nil {
+			continue
+		}
+		// An unsatisfiable pair (price < 2 && price > 5) is stored nowhere
+		// and simply never matches, in the reference too.
+		_ = sm.Insert(subid.ID{Broker: subid.BrokerID(i % 3), Local: subid.LocalID(i)}, sub)
+	}
+	for i, n := 0, int(in.next()%4); i < n && len(sm.keys) > 0; i++ {
+		sm.RemoveKey(sm.keys[int(in.next())%len(sm.keys)])
+	}
+	var events []*schema.Event
+	for i, n := 0, 1+int(in.next()%6); i < n; i++ {
+		var fields []schema.Field
+		present := in.next()
+		for ai := 0; ai < s.Len(); ai++ {
+			if present&(1<<ai) == 0 {
+				continue
+			}
+			a, val := schema.AttrID(ai), in.next()
+			if s.TypeOf(a).Arithmetic() {
+				fields = append(fields, schema.Field{Attr: a, Value: number(a, val)})
+			} else {
+				fields = append(fields, schema.Field{Attr: a, Value: schema.StringValue(words[int(val)%len(words)])})
+			}
+		}
+		if e, err := schema.EventFromFields(s, fields); err == nil {
+			events = append(events, e)
+		}
+	}
+	return sm, events
+}
+
+// FuzzMatchKeys: on any small summary — =, ≠, ranges, prefix, suffix and
+// contains rows, repeated ids, tombstones — the compiled matcher (following
+// the summary, and over two shards) returns the keys and the MatchCost of
+// the map-based reference, and leaves every counter zero. The first is the
+// paper's contract (no false negative); the second is what the next event's
+// answer rests on.
+func FuzzMatchKeys(f *testing.F) {
+	s := stockSchema(f)
+	f.Add([]byte{})
+	rng := rand.New(rand.NewSource(67))
+	for i := 0; i < 16; i++ {
+		seed := make([]byte, 64+rng.Intn(192))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sm, events := fuzzSummaryAndEvents(s, data)
+		follower := sm.NewMatcher()
+		sharded := NewShardedMatcher(sm.ShardByKey(2))
+		for _, ev := range events {
+			wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
+			for name, match := range map[string]func(*schema.Event) ([]uint64, MatchCost){
+				"follower": follower.MatchKeysWithCost, "2 shards": sharded.MatchKeysWithCost,
+			} {
+				gotKeys, gotCost := match(ev)
+				if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
+					t.Fatalf("%s on %s:\nreference %v %+v\nmatcher   %v %+v",
+						name, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
+				}
+			}
+			requireCountersZero(t, "follower after "+ev.Format(s), follower)
+			requireCountersZero(t, "2 shards after "+ev.Format(s), sharded.matchers...)
 		}
 	})
 }

@@ -11,13 +11,20 @@ import (
 
 // Matcher is Algorithm 1 (PAPER.md §3.2), run against a compiled View with
 // zero steady-state allocations. Step 1: for every attribute of the event,
-// collect the id lists of the AACS/SACS rows its value satisfies, through
-// the structures' append-style paths (interval.Set.AppendMatches,
-// strmatch.Set.AppendMatches). Step 2: count, per subscription, the
-// distinct attributes satisfied, and report the ids whose count equals
-// their c3 attribute count, sorted by id key. A View's lists hold dense
-// registry indices, so step 2 reads and writes plain slices at the
-// collected index, with no lookup per candidate.
+// walk the id lists of the AACS/SACS rows its value satisfies where they
+// lie (interval.Set.AppendLists, strmatch.Set.AppendLists) and bump one
+// counter per listed subscription. Step 2: report the ids whose counter
+// equals their c3 attribute count, sorted by id key. A View's lists hold
+// dense registry indices, so both steps address plain slices at the listed
+// index, with no lookup per candidate.
+//
+// The counters are all zero between events: an id is first sighted when
+// its counter reads 0, and step 2 zeroes every counter it examines. A
+// counter left non-zero would be a silent false negative on a later event.
+// An id must be counted once per attribute; a set whose single query can
+// list one id twice says so (the walks' distinct result), and only then
+// does the walk check each id against a per-attribute mark, the counter's
+// top bit, cleared again before the next attribute.
 //
 // A matcher from Summary.NewMatcher follows its summary: each match reads
 // the summary's current one-shard view, recompiled on the first match
@@ -29,19 +36,11 @@ type Matcher struct {
 	sm *Summary // non-nil: re-read sm's current view on every match
 	v  *View    // the view of the last match
 
-	// token is a monotonically increasing epoch: one tick per event plus
-	// one per event attribute with matches. mark[i] records the token at
-	// which dense id i was last counted, so "already counted for this
-	// attribute" is mark[i] == attrToken and "first sighting this event"
-	// is mark[i] < eventToken — no clearing between events, nor when the
-	// view (and with it the meaning of i) changes.
-	token   uint64
-	mark    []uint64
-	count   []int32
-	touched []int32  // dense ids seen this event, in first-seen order
-	hit     []int32  // dense ids that reached their target, ascending
-	buf     []uint64 // per-attribute id-list collection scratch
-	out     []uint64 // matched keys of the last call
+	count   []uint16   // per dense id; at least len(v.keys) long, all zero between events
+	touched []int32    // dense ids seen this event, in first-seen order; len(count)+1 slots
+	hit     []int32    // dense ids that reached their target, ascending
+	lists   [][]uint64 // headers of the id lists one attribute consults
+	out     []uint64   // matched keys of the last call
 
 	obs *MatcherObs // optional cost instrumentation; nil = one branch per event
 }
@@ -61,6 +60,15 @@ type MatcherObs struct {
 // When detached the steady-state overhead is a single nil check per
 // event, preserving the matcher's zero-allocation hot path.
 func (m *Matcher) SetObs(obs *MatcherObs) { m.obs = obs }
+
+// countedBit marks a counter already bumped for the attribute being walked
+// (see MatchKeysWithCost). A counter counts attributes, so it stays below
+// the bit; the second constant fails to compile if a schema could grow
+// past that.
+const (
+	countedBit = 1 << 15
+	_          = uint(countedBit - 1 - schema.MaxAttributes)
+)
 
 // NewMatcher returns a Matcher that follows sm through its mutations.
 func (sm *Summary) NewMatcher() *Matcher { return &Matcher{sm: sm} }
@@ -93,53 +101,78 @@ func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
 		m.v = m.sm.compiled()
 	}
 	v := m.v
-	if n := len(v.keys); len(m.mark) < n {
-		// The view grew (or this is the first event): extend the dense
-		// scratch. Fresh slots are zero, which every token treats as stale.
-		m.mark = append(m.mark, make([]uint64, n-len(m.mark))...)
-		m.count = append(m.count, make([]int32, n-len(m.count))...)
+	if n := len(v.keys); len(m.count) < n {
+		// The view grew (or this is the first event). Old counters are zero
+		// and stay valid whatever the new view's indices mean.
+		m.count = append(m.count, make([]uint16, n-len(m.count))...)
+		m.touched = make([]int32, len(m.count)+1)
 	}
 	var cost MatchCost
-	m.token++
-	eventToken := m.token
-	m.touched = m.touched[:0]
+	count, touched, seen := m.count, m.touched, 0
 	for _, f := range e.Fields() {
-		// Step 1: collect satisfied id lists for this attribute.
+		// Step 1: count the id lists this attribute's value satisfies.
 		cost.EventAttrs++
-		m.buf = m.buf[:0]
+		lists, distinct := m.lists[:0], true
 		if f.Value.Arithmetic() {
 			if s, ok := v.aacs[f.Attr]; ok {
-				m.buf = s.AppendMatches(m.buf, f.Value.Num)
+				lists, distinct = s.AppendLists(lists, f.Value.Num)
 			}
 		} else if s, ok := v.sacs[f.Attr]; ok {
-			m.buf = s.AppendMatches(m.buf, f.Value.Str)
+			lists, distinct = s.AppendLists(lists, f.Value.Str)
 		}
-		if len(m.buf) == 0 {
+		m.lists = lists
+		if distinct {
+			for _, ids := range lists {
+				cost.CollectedIDs += len(ids)
+				for _, idx := range ids {
+					// The slot is written whether or not idx is new and kept
+					// only if it is (at most len(v.keys) ids are, hence the
+					// spare slot): "new" is unpredictable, and a branch on it
+					// costs more than the store.
+					c := count[idx]
+					touched[seen] = int32(idx)
+					if c == 0 {
+						seen++
+					}
+					count[idx] = c + 1
+				}
+			}
 			continue
 		}
-		m.token++
-		attrToken := m.token
-		for _, idx := range m.buf {
-			if m.mark[idx] == attrToken {
-				continue // already counted for this attribute
+		// One id may sit in two of the lists and must count once: mark each
+		// counter bumped for this attribute, skip marked ones, and unmark in
+		// a second pass over the same lists.
+		for _, ids := range lists {
+			for _, idx := range ids {
+				c := count[idx]
+				if c&countedBit != 0 {
+					continue
+				}
+				if c == 0 {
+					touched[seen] = int32(idx)
+					seen++
+				}
+				count[idx] = c + 1 | countedBit
+				cost.CollectedIDs++
 			}
-			if m.mark[idx] < eventToken {
-				m.count[idx] = 0
-				m.touched = append(m.touched, int32(idx))
+		}
+		for _, ids := range lists {
+			for _, idx := range ids {
+				count[idx] &^= countedBit
 			}
-			m.mark[idx] = attrToken
-			m.count[idx]++
-			cost.CollectedIDs++
 		}
 	}
-	// Step 2: keep ids whose counter equals their c3 attribute count.
-	cost.UniqueIDs = len(m.touched)
-	m.hit = m.hit[:0]
-	for _, idx := range m.touched {
-		if m.count[idx] == v.targets[idx] {
-			m.hit = append(m.hit, idx)
+	// Step 2: keep ids whose counter equals their c3 attribute count, and
+	// restore the all-zero state.
+	cost.UniqueIDs = seen
+	hit, targets := m.hit[:0], v.targets
+	for _, idx := range touched[:seen] {
+		if count[idx] == targets[idx] {
+			hit = append(hit, idx)
 		}
+		count[idx] = 0
 	}
+	m.hit = hit
 	slices.Sort(m.hit) // index order is key order
 	m.out = m.out[:0]
 	for _, idx := range m.hit {

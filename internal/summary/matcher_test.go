@@ -1,8 +1,10 @@
 package summary
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -140,6 +142,231 @@ func TestMatcherPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// requireCountersZero checks the matcher's resting state: every counter
+// zero. A counter left standing makes its id miss its c3 target on a later
+// event — a false negative nothing else would report.
+func requireCountersZero(t testing.TB, when string, ms ...*Matcher) {
+	t.Helper()
+	for mi, m := range ms {
+		for i, c := range m.count {
+			if c != 0 {
+				t.Fatalf("%s: matcher %d left counter %d at %d", when, mi, i, c)
+			}
+		}
+	}
+}
+
+// listsRepeat reports whether one id occurs in two of the lists.
+func listsRepeat(lists [][]uint64) bool {
+	seen := make(map[uint64]struct{})
+	for _, ids := range lists {
+		for _, id := range ids {
+			if _, dup := seen[id]; dup {
+				return true
+			}
+			seen[id] = struct{}{}
+		}
+	}
+	return false
+}
+
+// TestMatcherRepeatedIDs builds, one shape at a time, summaries in which a
+// single query reaches one id through two id lists of the same attribute.
+// The id must be counted once for that attribute — twice overshoots its c3
+// target and loses a match — so keys and every MatchCost field must equal
+// the reference, through the summary-following matcher and through 1, 2, 4
+// and 8 shards. Each case first proves it is not vacuous: the compiled set
+// really lists the id twice for the probe value, and says it may.
+func TestMatcherRepeatedIDs(t *testing.T) {
+	s := stockSchema(t)
+	priceID, _ := s.ID("price")
+	bystanders := []string{
+		`price > 1`, `price < 100 && volume < 50`, `symbol = OTE`, `symbol = "O*"`,
+		`exchange = NYSE && price >= 2`, `volume = 4`, `exchange != LSE`, `symbol != IBM && volume > 1`,
+	}
+	cases := []struct {
+		name   string
+		mode   interval.Mode
+		sub    string                 // the subscription whose id repeats
+		edit   func(*Summary, uint64) // hand-built rows no single subscription yields
+		attr   string                 // the attribute whose query repeats the id
+		event  string                 // an event that matches sub and repeats its id
+		events []string               // further probes around the repeated rows
+	}{
+		{
+			name: "≠ beside a range", sub: `price != 5 && price > 3 && volume < 9`,
+			attr: "price", event: `price=7 volume=2`,
+			events: []string{`price=5 volume=2`, `price=3 volume=2`, `price=7`, `price=7 volume=20`},
+		},
+		{
+			name: "two ≠ on one attribute", sub: `price != 5 && price != 6`,
+			attr: "price", event: `price=7`,
+			events: []string{`price=5`, `price=6`, `price=0 volume=3`},
+		},
+		{
+			name: "Exact: equality inside a range", mode: interval.Exact, sub: `price = 5 && volume < 9`,
+			edit: func(sm *Summary, key uint64) {
+				sm.arithSet(priceID).Insert(interval.Interval{Lo: 3, LoOpen: true, Hi: 8, HiOpen: true}, key)
+			},
+			attr: "price", event: `price=5 volume=2`,
+			events: []string{`price=4 volume=2`, `price=5`, `price=8 volume=2`},
+		},
+		{
+			name: "prefix row and suffix row", sub: `symbol = "OT*" && symbol = "*TE" && price > 3`,
+			attr: "symbol", event: `symbol=OTE price=7`,
+			events: []string{`symbol=OTX price=7`, `symbol=XTE price=7`, `symbol=OTE`, `symbol=OTTE price=9`},
+		},
+		{
+			name: "string = beside ≠", sub: `exchange = NASDAQ && exchange != LSE`,
+			attr: "exchange", event: `exchange=NASDAQ`,
+			events: []string{`exchange=LSE`, `exchange=NYSE`, `exchange=NASDAQ price=2`},
+		},
+		{
+			name: "arithmetic = beside ≠", sub: `volume = 6 && volume != 7 && price > 0`,
+			attr: "volume", event: `volume=6 price=1`,
+			events: []string{`volume=7 price=1`, `volume=5 price=1`, `volume=6`},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sm := New(s, tc.mode)
+			repeated := id(3, 1)
+			if err := sm.Insert(repeated, mustSub(t, s, tc.sub)); err != nil {
+				t.Fatal(err)
+			}
+			for i, text := range bystanders {
+				if err := sm.Insert(id(subid.BrokerID(i%5), subid.LocalID(10+i)), mustSub(t, s, text)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.edit != nil {
+				tc.edit(sm, repeated.Key())
+			}
+
+			probe := mustEvent(t, s, tc.event)
+			attr, _ := s.ID(tc.attr)
+			val, _ := probe.Value(attr)
+			v := sm.ShardByKey(1)[0]
+			var lists [][]uint64
+			var distinct bool
+			if val.Arithmetic() {
+				lists, distinct = v.aacs[attr].AppendLists(nil, val.Num)
+			} else {
+				lists, distinct = v.sacs[attr].AppendLists(nil, val.Str)
+			}
+			if !listsRepeat(lists) {
+				t.Fatalf("fixture is vacuous: %s=%v consults %v, no id twice", tc.attr, val, lists)
+			}
+			if distinct {
+				t.Fatalf("compiled %s set claims distinct lists, yet %v consults %v", tc.attr, val, lists)
+			}
+			if !slices.Contains(sm.referenceMatchKeys(probe), repeated.Key()) {
+				t.Fatalf("fixture: %s does not match the repeated subscription", tc.event)
+			}
+
+			events := []*schema.Event{probe}
+			for _, text := range tc.events {
+				events = append(events, mustEvent(t, s, text))
+			}
+			rng := rand.New(rand.NewSource(35))
+			for i := 0; i < 40; i++ {
+				events = append(events, randomEvent(rng, s))
+			}
+			matchers := map[string]func(*schema.Event) ([]uint64, MatchCost){"follower": sm.NewMatcher().MatchKeysWithCost}
+			for _, n := range []int{1, 2, 4, 8} {
+				shards := sm.ShardByKey(n)
+				if len(shards) != n {
+					t.Fatalf("ShardByKey(%d) returned %d views", n, len(shards))
+				}
+				matchers[fmt.Sprintf("%d shards", n)] = NewShardedMatcher(shards).MatchKeysWithCost
+			}
+			for _, ev := range events {
+				wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
+				for name, match := range matchers {
+					gotKeys, gotCost := match(ev)
+					if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
+						t.Fatalf("%s on %s:\nreference %v %+v\nmatcher   %v %+v",
+							name, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMatcherCountersReturnToZero pins the invariant the counter array
+// rests on: after every match, every counter is zero — on a matcher that
+// follows a summary through a seeded interleaving of inserts, removals and
+// merges (its view growing, shrinking and being recompiled under it, dense
+// indices changing meaning each time), and on pooled sharded matchers
+// leased, returned and leased again over each snapshot of that summary.
+func TestMatcherCountersReturnToZero(t *testing.T) {
+	s := stockSchema(t)
+	rng := rand.New(rand.NewSource(36))
+	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
+		sm := New(s, mode)
+		follower := sm.NewMatcher()
+		nextLocal := subid.LocalID(0)
+		insert := func(target *Summary, broker subid.BrokerID) {
+			nextLocal++
+			if err := target.Insert(id(broker, nextLocal), randomSubscription(rng, s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			insert(sm, 1)
+		}
+		matched := 0
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3:
+				insert(sm, subid.BrokerID(1+rng.Intn(3)))
+			case op < 5 && len(sm.keys) > 10:
+				sm.RemoveKey(sm.keys[rng.Intn(len(sm.keys))])
+			case op == 5:
+				other := New(s, mode)
+				for i := 0; i < 1+rng.Intn(30); i++ {
+					insert(other, 7)
+				}
+				if err := sm.Merge(other); err != nil {
+					t.Fatal(err)
+				}
+			case op == 6:
+				// A snapshot, as a broker publishes one: pooled matchers over
+				// fresh shards, reused across leases.
+				pool := NewShardedMatcherPool(sm.ShardByKey(1 + rng.Intn(4)))
+				for lease := 0; lease < 3; lease++ {
+					m := pool.Get()
+					batch := []*schema.Event{randomEvent(rng, s), randomEvent(rng, s), randomEvent(rng, s), randomEvent(rng, s)}
+					for i, keys := range m.MatchBatch(batch) {
+						if want := sm.referenceMatchKeys(batch[i]); !slices.Equal(keys, want) {
+							t.Fatalf("mode %v step %d lease %d: batch matched %v, reference %v", mode, step, lease, keys, want)
+						}
+					}
+					requireCountersZero(t, fmt.Sprintf("mode %v step %d lease %d, after MatchBatch", mode, step, lease), m.matchers...)
+					ev := randomEvent(rng, s)
+					if got, want := m.MatchKeys(ev), sm.referenceMatchKeys(ev); !slices.Equal(got, want) {
+						t.Fatalf("mode %v step %d lease %d: matched %v, reference %v", mode, step, lease, got, want)
+					}
+					requireCountersZero(t, fmt.Sprintf("mode %v step %d lease %d, after MatchKeys", mode, step, lease), m.matchers...)
+					pool.Put(m)
+				}
+			default:
+				ev := randomEvent(rng, s)
+				got, want := follower.MatchKeys(ev), sm.referenceMatchKeys(ev)
+				if !slices.Equal(got, want) {
+					t.Fatalf("mode %v step %d: follower matched %v, reference %v", mode, step, got, want)
+				}
+				matched += len(want)
+				requireCountersZero(t, fmt.Sprintf("mode %v step %d", mode, step), follower)
+			}
+		}
+		if matched == 0 {
+			t.Fatalf("mode %v: no event matched anything; the invariant was never at risk", mode)
+		}
+	}
+}
+
 // TestMatcherZeroAllocs asserts the acceptance criterion: once warmed up,
 // a matcher does not allocate per matched event.
 func TestMatcherZeroAllocs(t *testing.T) {
@@ -226,6 +453,52 @@ func BenchmarkMatcherMatchKeys(b *testing.B) {
 // allocations, so CI gates this one at 0 allocs/op too.
 func BenchmarkMatcherMatchKeysInstrumented(b *testing.B) {
 	m, events := benchMatcher(b, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MatchKeys(events[i%len(events)])
+	}
+}
+
+// BenchmarkMatcherMatchKeysRepeats is the matcher's other path: every
+// subscription constrains price twice (a range and a ≠) and symbol twice
+// (a prefix and a suffix), so each event's price and symbol queries may
+// list an id twice and are merged, sorted and compacted before counting.
+// CI gates it at 0 allocs/op with the others: the merge scratch and the
+// list headers are the matcher's own.
+func BenchmarkMatcherMatchKeysRepeats(b *testing.B) {
+	s := stockSchema(b)
+	sm := New(s, interval.Lossy)
+	for i := 0; i < 150; i++ {
+		text := fmt.Sprintf(`price > %d && price != %d && symbol = "OT*" && symbol = "*E"`, i%10, 30+i%7)
+		if err := sm.Insert(id(1, subid.LocalID(i)), mustSub(b, s, text)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	events := make([]*schema.Event, 64)
+	for i := range events {
+		events[i] = mustEvent(b, s, fmt.Sprintf(`price=%d symbol=OT%dE volume=3`, 5+i%20, i%4))
+	}
+	v := sm.compiled()
+	priceID, _ := s.ID("price")
+	symbolID, _ := s.ID("symbol")
+	for _, ev := range events {
+		price, _ := ev.Value(priceID)
+		symbol, _ := ev.Value(symbolID)
+		_, distinctPrice := v.aacs[priceID].AppendLists(nil, price.Num)
+		_, distinctSymbol := v.sacs[symbolID].AppendLists(nil, symbol.Str)
+		if distinctPrice || distinctSymbol {
+			b.Fatalf("fixture: %s does not take the merge path on both attributes", ev.Format(s))
+		}
+	}
+	m := sm.NewMatcher()
+	matched := 0
+	for _, ev := range events { // warm up scratch capacity
+		matched += len(m.MatchKeys(ev))
+	}
+	if matched == 0 {
+		b.Fatal("fixture matches nothing")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -26,6 +26,9 @@ import (
 //     build time — tombstoned rows not yet purged, strays in a hand-built
 //     summary — are dropped then: they cannot match, and are not counted
 //     in MatchCost either.
+//   - each set knows whether one of its queries can list an id twice
+//     (CloneMapped's distinct flag, decided in the same pass), so a Matcher
+//     counts the lists of most attributes with no per-id dedupe check.
 //   - nothing is written afterwards: any number of Matchers read one View
 //     concurrently while the Summary it was built from keeps mutating.
 type View struct {
@@ -33,7 +36,7 @@ type View struct {
 	sacs    map[schema.AttrID]*strmatch.Set
 	keys    []uint64
 	masks   []subid.Mask // c3 masks, shared with the summary (read-only once registered)
-	targets []int32      // masks[i].Count(), the c3 match target
+	targets []uint16     // masks[i].Count(), the c3 match target (≤ schema.MaxAttributes)
 }
 
 // NumSubscriptions returns the number of subscription ids the view covers.
@@ -63,10 +66,10 @@ func (sm *Summary) ShardByKey(n int) []*View {
 	slices.Sort(keys)
 	rank := make([]int, len(keys)) // registry index → position in keys
 	masks := make([]subid.Mask, len(keys))
-	targets := make([]int32, len(keys))
+	targets := make([]uint16, len(keys))
 	for r, key := range keys {
 		i := sm.ids[key]
-		rank[i], masks[r], targets[r] = r, sm.masks[i], sm.targets[i]
+		rank[i], masks[r], targets[r] = r, sm.masks[i], uint16(sm.targets[i])
 	}
 	views := make([]*View, n)
 	for s := range views {
@@ -87,10 +90,10 @@ func (sm *Summary) ShardByKey(n int) []*View {
 			targets: targets[lo:hi:hi],
 		}
 		for a, set := range sm.aacs {
-			v.aacs[a] = set.CloneMapped(index)
+			v.aacs[a] = set.CloneMapped(hi-lo, index)
 		}
 		for a, set := range sm.sacs {
-			v.sacs[a] = set.CloneMapped(index)
+			v.sacs[a] = set.CloneMapped(hi-lo, index)
 		}
 		views[s] = v
 	}

@@ -128,8 +128,11 @@ func TestViewMatchesReference(t *testing.T) {
 }
 
 // TestViewInvariants checks what a compiled view promises about its own
-// shape: ascending keys, every row id a valid dense index, and no id of
-// another shard's range, a tombstone or a stray surviving in any row.
+// shape: ascending keys, every row id a valid dense index, no id of
+// another shard's range, a tombstone or a stray surviving in any row — and
+// that each compiled set's distinct flag is sound: brute force over every
+// value a row names (and one no row names), no query of a set that claims
+// distinct lists returns an id twice. The flag may err the other way.
 func TestViewInvariants(t *testing.T) {
 	s := stockSchema(t)
 	sm := dirtySummary(t, rand.New(rand.NewSource(62)), s, interval.Lossy, 150)
@@ -151,7 +154,7 @@ func TestViewInvariants(t *testing.T) {
 				t.Fatalf("%d shards: view %d keys not strictly ascending", n, si)
 			}
 			for i, key := range v.keys {
-				if ri, ok := sm.ids[key]; !ok || sm.targets[ri] != v.targets[i] || !sm.masks[ri].Equal(v.masks[i]) {
+				if ri, ok := sm.ids[key]; !ok || sm.targets[ri] != int32(v.targets[i]) || !sm.masks[ri].Equal(v.masks[i]) {
 					t.Fatalf("%d shards: view %d index %d (key %d) disagrees with the registry", n, si, i, key)
 				}
 			}
@@ -190,6 +193,95 @@ func TestViewInvariants(t *testing.T) {
 			t.Fatalf("%d shards hold %d row entries in all, the purged summary %d", n, entries, liveEntries)
 		}
 	}
+
+	// The distinct flags, in both modes. The Exact summary also gets the one
+	// repeat only that mode consults together and no subscription yields:
+	// an id in an equality row and in the sub-range row around it.
+	exact := dirtySummary(t, rand.New(rand.NewSource(66)), s, interval.Exact, 150)
+	edited := false
+	for a := 0; a < s.Len() && !edited; a++ {
+		set := exact.aacs[schema.AttrID(a)]
+		if set == nil {
+			continue
+		}
+		for _, eq := range set.EqRows() {
+			if _, live := exact.ids[eq.IDs[0]]; live {
+				set.Insert(interval.Interval{Lo: eq.Value - 1, Hi: eq.Value + 1}, eq.IDs[0])
+				edited = true
+				break
+			}
+		}
+	}
+	if !edited {
+		t.Fatal("fixture: the Exact summary has no live equality row to put a range around")
+	}
+	for _, sm := range []*Summary{sm, exact} {
+		repeats, distinctQueries := 0, 0
+		for _, n := range viewShardCounts {
+			for _, v := range sm.ShardByKey(n) {
+				r, d := requireSoundDistinct(t, v)
+				repeats, distinctQueries = repeats+r, distinctQueries+d
+			}
+		}
+		// Both sides of the flag were exercised: queries that do repeat an
+		// id, and multi-list queries of sets that rightly claim none can.
+		if repeats == 0 || distinctQueries == 0 {
+			t.Fatalf("mode %v: fixture exercised %d repeating queries and %d multi-list distinct ones; want both",
+				sm.mode, repeats, distinctQueries)
+		}
+	}
+}
+
+// requireSoundDistinct brute-forces every compiled set of v: each value a
+// row names and one no row names is queried, and a query that returns an
+// id twice must come from a set that does not claim distinct lists. It
+// returns how many queries repeated an id and how many consulted several
+// lists under a distinct claim.
+func requireSoundDistinct(t *testing.T, v *View) (repeats, distinctQueries int) {
+	t.Helper()
+	check := func(a schema.AttrID, val any, lists [][]uint64, distinct bool) {
+		t.Helper()
+		switch {
+		case listsRepeat(lists) && distinct:
+			t.Fatalf("attribute %d claims distinct lists, but %v consults %v", a, val, lists)
+		case listsRepeat(lists):
+			repeats++
+		case distinct && len(lists) > 1:
+			distinctQueries++
+		}
+	}
+	for a, set := range v.aacs {
+		values := []float64{-12345.5} // no row names it
+		for _, r := range set.Rows() {
+			values = append(values, r.Interval.Lo, r.Interval.Hi, (r.Interval.Lo+r.Interval.Hi)/2)
+		}
+		for _, r := range set.EqRows() {
+			values = append(values, r.Value)
+		}
+		for _, r := range set.NeRows() {
+			values = append(values, r.Value)
+		}
+		for _, val := range values {
+			lists, distinct := set.AppendLists(nil, val)
+			check(a, val, lists, distinct)
+		}
+	}
+	for a, set := range v.sacs {
+		values := []string{"no row names this"}
+		for _, r := range set.Rows() {
+			// The text itself, and values only a prefix, suffix or contains
+			// row of that text reaches.
+			values = append(values, r.Pattern.Text, r.Pattern.Text+"~", "~"+r.Pattern.Text, "~"+r.Pattern.Text+"~")
+		}
+		for _, r := range set.NeRows() {
+			values = append(values, r.Pattern.Text)
+		}
+		for _, val := range values {
+			lists, distinct := set.AppendLists(nil, val)
+			check(a, val, lists, distinct)
+		}
+	}
+	return repeats, distinctQueries
 }
 
 // TestViewReRegisteredID retracts an id and registers it again with
