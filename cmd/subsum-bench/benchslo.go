@@ -11,10 +11,9 @@ import (
 	"github.com/subsum/subsum/internal/scenario"
 )
 
-// sloReport is the tracked chaos-soak baseline: the full scenario
-// result (per-phase verdicts, budget burn, recovery times) under
-// generation metadata. CI archives this as BENCH_slo.json; the
-// committed copy is the deterministic reference sweep.
+// sloReport is the chaos-soak report: the full scenario result
+// (per-phase verdicts, budget burn, recovery times) under generation
+// metadata. CI's scenario-smoke job archives it.
 type sloReport struct {
 	GeneratedAt string           `json:"generated_at"`
 	Scenario    *scenario.Result `json:"scenario"`
@@ -24,7 +23,7 @@ type sloReport struct {
 // the SLO monitor attached, writes the JSON report (to jsonPath, else
 // stdout) and optionally a markdown soak report, and returns an error —
 // a nonzero exit — when any phase misses its control expectations.
-// The run ignores -seed on purpose: the committed baseline must
+// The run ignores -seed on purpose: every report of one script must
 // reproduce byte-for-byte (modulo the latency SLI, which is wall-clock).
 func runBenchSLO(jsonPath, mdPath, scriptName string) error {
 	cfg := scenario.DefaultConfig()

@@ -1,13 +1,13 @@
 // Command subsum-bench regenerates the tables and figures of the
 // subscription-summarization paper's evaluation (Section 5), plus the
-// repo's tracked performance and reliability baselines.
+// overlay-scaling sweep and the scripted chaos soak. Speed is measured by
+// the repository benchmark (BENCHMARK.json, benchmark/), not here.
 //
 // Usage:
 //
 //	subsum-bench -experiment <name>|all
 //	             [-events N] [-sigmas 10,100,1000] [-csv] [-topology cw24|fig7|random]
-//	             [-workers N] [-json BENCH_churn.json] [-sizes 24,64,128]
-//	             [-scenario full|smoke] [-md SOAK.md]
+//	             [-workers N] [-json SLO.json] [-scenario full|smoke] [-md SOAK.md]
 //
 // The experiment names are defined in one table-driven registry
 // (experimentSpecs below); the -h text is generated from it, and a test
@@ -33,7 +33,6 @@ type benchEnv struct {
 	cfg      experiments.Config
 	asCSV    bool
 	jsonOut  string
-	sizes    []int
 	workers  int
 	seed     int64
 	scenario string
@@ -89,17 +88,12 @@ var experimentSpecs = []experimentSpec{
 		func(e *benchEnv) { e.show(experiments.Fig11(e.cfg)) }},
 	{"matching", "matching cost vs summary size", true,
 		func(e *benchEnv) { e.show(experiments.MatchingCost(e.cfg)) }},
-	{"benchchurn", "subscribe/unsubscribe churn benchmarks -> BENCH_churn.json", true,
+	{"overlay", "flat vs subgrouped propagation and routing, 24-1000 brokers", true,
 		func(e *benchEnv) {
-			if err := runBenchChurn(e.jsonOut); err != nil {
-				fatalf("%v", err)
-			}
-		}},
-	{"benchoverlay", "overlay scaling ladder -> BENCH_overlay.json", true,
-		func(e *benchEnv) {
-			if err := runBenchOverlay(e.jsonOut, e.sizes, e.workers, e.seed); err != nil {
-				fatalf("%v", err)
-			}
+			ocfg := experiments.DefaultOverlay()
+			ocfg.Workers = e.workers
+			ocfg.Seed = e.seed
+			e.show(experiments.OverlayTable(ocfg))
 		}},
 	{"sizemodel", "analytic size model vs measured summaries", true,
 		func(e *benchEnv) { e.show(experiments.SizeModelValidation(e.cfg)) }},
@@ -121,7 +115,7 @@ var experimentSpecs = []experimentSpec{
 	// The chaos soak sleeps real wall time in its pause phases and fails
 	// the process on a control error, so "all" (the paper regeneration
 	// sweep) does not include it — run it explicitly, as CI does.
-	{"slo", "scripted chaos soak vs error budgets -> BENCH_slo.json (-scenario full|smoke, -md report)", false,
+	{"slo", "scripted chaos soak vs error budgets, JSON report (-json, -scenario full|smoke, -md report)", false,
 		func(e *benchEnv) {
 			if err := runBenchSLO(e.jsonOut, e.mdOut, e.scenario); err != nil {
 				fatalf("%v", err)
@@ -150,8 +144,7 @@ func main() {
 		seed         = flag.Int64("seed", 1, "workload seed")
 		asCSV        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers      = flag.Int("workers", 0, "parallel sweep width (0 = all CPUs, 1 = serial); results are identical at any width")
-		jsonOut      = flag.String("json", "", "benchchurn/benchoverlay/slo: write the JSON report to this file instead of stdout")
-		sizes        = flag.String("sizes", "", "benchoverlay: comma-separated broker-count override (e.g. 24,64,128 for the reduced CI sweep)")
+		jsonOut      = flag.String("json", "", "slo: write the JSON report to this file instead of stdout")
 		scenarioName = flag.String("scenario", "full", "slo: chaos script to run (full or smoke)")
 		mdOut        = flag.String("md", "", "slo: also write a markdown soak report to this file")
 	)
@@ -179,15 +172,6 @@ func main() {
 			parsed = append(parsed, v)
 		}
 		env.cfg.Sigmas = parsed
-	}
-	if *sizes != "" {
-		for _, tok := range strings.Split(*sizes, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || v < 2 {
-				fatalf("bad -sizes value %q", tok)
-			}
-			env.sizes = append(env.sizes, v)
-		}
 	}
 	topo, err := parseTopology(*topoName)
 	if err != nil {

@@ -40,11 +40,21 @@ func TestRegistryDrivesUsage(t *testing.T) {
 		t.Errorf("usage text missing the all sweep:\n%s", usage)
 	}
 	// benchmatch and benchprop existed to price production against the
-	// reference copies that are now test oracles; asking for one must be an
-	// unknown-experiment error, not a silently revived comparison.
-	for _, retired := range []string{"benchmatch", "benchprop"} {
+	// reference copies that are now test oracles, and benchchurn and
+	// benchoverlay wrote JSON baselines the repository benchmark replaced;
+	// asking for one must be an unknown-experiment error, not a silently
+	// revived comparison.
+	for _, retired := range []string{"benchmatch", "benchprop", "benchchurn", "benchoverlay"} {
 		if seen[retired] {
 			t.Errorf("retired experiment %q is registered again", retired)
+		}
+	}
+	// The overlay sweep and the chaos soak have no other entry point (the
+	// repository benchmark does not run them yet), and CI's scenario-smoke
+	// job calls slo by name.
+	for _, kept := range []string{"overlay", "slo"} {
+		if !seen[kept] {
+			t.Errorf("experiment %q is not registered", kept)
 		}
 	}
 	// The chaos soak must stay out of the paper-regeneration sweep: it

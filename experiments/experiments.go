@@ -2,8 +2,7 @@
 // subscription-summarization paper's evaluation (Section 5). Each function
 // returns a metrics.Table whose rows correspond to the figure's x-axis
 // points and whose columns are the figure's series. The cmd/subsum-bench
-// binary prints them; the repository's bench_test.go wraps them in
-// testing.B benchmarks.
+// binary prints them.
 //
 // Absolute values depend on the topology approximation and the synthetic
 // workload (see DESIGN.md); the comparisons — who wins, by what factor,

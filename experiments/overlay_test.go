@@ -8,6 +8,11 @@ import "testing"
 // claims to hold already at 128 brokers — subgrouping must cut both the
 // propagation traffic and the routing hops, and keep the per-broker
 // merged state below the flat high-water mark.
+//
+// Every row's bytes/period and hops/event are seeded-deterministic, so
+// they are pinned exactly: any move is an algorithmic change to
+// Algorithm 2, Algorithm 3 or subgrouping, and must be explained by
+// updating this table in the same change.
 func TestOverlayScalingReduced(t *testing.T) {
 	cfg := DefaultOverlay()
 	cfg.Sizes = []int{24, 64, 128}
@@ -17,8 +22,33 @@ func TestOverlayScalingReduced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("expected 6 rows, got %d", len(rows))
+	want := []struct {
+		brokers int
+		mode    string
+		bytes   int64 // BytesPerPeriod
+		hops    int   // HopsPerEvent × Events
+	}{
+		{24, "flat", 20931, 583},
+		{24, "subgrouped", 23911, 480},
+		{64, "flat", 55999, 1027},
+		{64, "subgrouped", 70011, 610},
+		{128, "flat", 123826, 1732},
+		{128, "subgrouped", 144762, 861},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("expected %d rows, got %d", len(want), len(rows))
+	}
+	for i, w := range want {
+		r := rows[i]
+		if r.Brokers != w.brokers || r.Mode != w.mode {
+			t.Fatalf("row %d is n=%d %s, want n=%d %s", i, r.Brokers, r.Mode, w.brokers, w.mode)
+		}
+		if r.BytesPerPeriod != w.bytes {
+			t.Errorf("n=%d %s: bytes/period %d, pinned %d", w.brokers, w.mode, r.BytesPerPeriod, w.bytes)
+		}
+		if wantHops := float64(w.hops) / float64(cfg.Events); r.HopsPerEvent != wantHops {
+			t.Errorf("n=%d %s: hops/event %v, pinned %v", w.brokers, w.mode, r.HopsPerEvent, wantHops)
+		}
 	}
 	byMode := map[string]map[int]OverlayRow{"flat": {}, "subgrouped": {}}
 	for _, r := range rows {

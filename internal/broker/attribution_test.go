@@ -298,33 +298,49 @@ func TestFPAttributorJournalsAdmissionsOnly(t *testing.T) {
 	}
 }
 
-// benchAttribMask builds an attributor and a subscription attribute
-// mask for the delivery-credit hot path.
-func benchAttribMask(b *testing.B) (*FPAttributor, subid.Mask) {
-	b.Helper()
-	s := testSchema(b)
+// attribMask builds an attributor and a subscription attribute mask for
+// the delivery-credit hot path.
+func attribMask(t testing.TB) (*FPAttributor, subid.Mask) {
+	t.Helper()
+	s := testSchema(t)
 	reg := metrics.NewRegistry()
 	a := NewFPAttributor(s, reg, nil, 16)
 	br, err := New(Config{ID: 0, Schema: s, Mode: interval.Lossy, NumBrokers: 1, Attribution: a})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	sub, err := schema.ParseSubscription(s, `symbol = OTE && price > 100`)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	id, err := br.Subscribe(sub, noDeliver)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	return a, id.Attrs
 }
 
-// BenchmarkCreditDelivery is the delivery-side attribution hot path (a
-// manual bit-walk over the c3 mask plus atomic adds): CI gates this
-// benchmark at 0 allocs/op.
+// TestAttributionZeroAllocs holds both attribution hot paths at zero
+// allocations: crediting a delivery (a manual bit-walk over the c3 mask
+// plus atomic adds) and charging a false positive once its triple is
+// established in the top-K (the common case under a sustained
+// over-approximation).
+func TestAttributionZeroAllocs(t *testing.T) {
+	a, mask := attribMask(t)
+	if avg := testing.AllocsPerRun(1000, func() { a.CreditDelivery(mask) }); avg != 0 {
+		t.Errorf("CreditDelivery allocates %.2f objects per call, want 0", avg)
+	}
+	priceID, _ := testSchema(t).ID("price")
+	a.ObserveFP(priceID, FPClassRange, 0) // establish the bucket
+	if avg := testing.AllocsPerRun(1000, func() { a.ObserveFP(priceID, FPClassRange, 0) }); avg != 0 {
+		t.Errorf("steady-state ObserveFP allocates %.2f objects per call, want 0", avg)
+	}
+}
+
+// BenchmarkCreditDelivery is the delivery-credit hot path
+// TestAttributionZeroAllocs holds at zero allocations.
 func BenchmarkCreditDelivery(b *testing.B) {
-	a, mask := benchAttribMask(b)
+	a, mask := attribMask(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -332,11 +348,10 @@ func BenchmarkCreditDelivery(b *testing.B) {
 	}
 }
 
-// BenchmarkObserveFPSteadyState measures the false-positive charge once
-// its triple is established in the top-K (the common case under a
-// sustained over-approximation): CI gates this at 0 allocs/op.
+// BenchmarkObserveFPSteadyState is the established-triple false-positive
+// charge TestAttributionZeroAllocs holds at zero allocations.
 func BenchmarkObserveFPSteadyState(b *testing.B) {
-	a, _ := benchAttribMask(b)
+	a, _ := attribMask(b)
 	priceID, _ := testSchema(b).ID("price")
 	a.ObserveFP(priceID, FPClassRange, 0) // establish the bucket
 	b.ReportAllocs()

@@ -107,8 +107,23 @@ func TestMailboxKeepsOrderAcrossDrains(t *testing.T) {
 	}
 }
 
-// BenchmarkMailboxSteadyState is the per-hop hand-off of a walk with one
-// event in flight: push one, pop one. Gated at 0 allocs/op in CI.
+// TestMailboxSteadyStateZeroAllocs: the per-hop hand-off of a walk with
+// one event in flight — push one, pop one — allocates nothing.
+func TestMailboxSteadyStateZeroAllocs(t *testing.T) {
+	m := newMailbox()
+	q := queued{msg: Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte{1}}}
+	buf := make([]queued, 0, 1)
+	avg := testing.AllocsPerRun(1000, func() {
+		m.push(q)
+		buf, _ = m.popBatch(buf[:0])
+	})
+	if avg != 0 {
+		t.Fatalf("mailbox push+pop allocates %.2f objects per hop, want 0", avg)
+	}
+}
+
+// BenchmarkMailboxSteadyState times the hand-off
+// TestMailboxSteadyStateZeroAllocs holds at zero allocations.
 func BenchmarkMailboxSteadyState(b *testing.B) {
 	m := newMailbox()
 	q := queued{msg: Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte{1}}}

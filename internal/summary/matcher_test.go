@@ -368,33 +368,32 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 }
 
 // TestMatcherZeroAllocs asserts the acceptance criterion: once warmed up,
-// a matcher does not allocate per matched event.
+// a matcher does not allocate per matched event — plain, with the cost
+// observers attached, and on the merge path. Each case runs the fixture
+// of the benchmark it names.
 func TestMatcherZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
-	s := stockSchema(t)
-	rng := rand.New(rand.NewSource(34))
-	sm := buildRandomSummary(t, rng, s, interval.Lossy, 150)
-	events := make([]*schema.Event, 64)
-	for i := range events {
-		events[i] = randomEvent(rng, s)
-	}
-	m := sm.NewMatcher()
-	matched := 0
-	for _, ev := range events { // warm up scratch capacity
-		matched += len(m.MatchKeys(ev))
-	}
-	if matched == 0 {
-		t.Fatal("workload produced no matches; allocation assertion would be vacuous")
-	}
-	i := 0
-	avg := testing.AllocsPerRun(200, func() {
-		m.MatchKeys(events[i%len(events)])
-		i++
-	})
-	if avg != 0 {
-		t.Fatalf("Matcher.MatchKeys allocates %.2f objects per event, want 0", avg)
+	for _, tc := range []struct {
+		name    string
+		fixture func(testing.TB) (*Matcher, []*schema.Event)
+	}{
+		{"MatchKeys", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, false) }},
+		{"MatchKeysInstrumented", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, true) }},
+		{"MatchKeysRepeats", repeatsFixture},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, events := tc.fixture(t)
+			i := 0
+			avg := testing.AllocsPerRun(1000, func() {
+				m.MatchKeys(events[i%len(events)])
+				i++
+			})
+			if avg != 0 {
+				t.Fatalf("Matcher.MatchKeys allocates %.2f objects per event, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -410,14 +409,28 @@ func equalKeys(a, b []uint64) bool {
 	return true
 }
 
-// benchMatcher builds the warmed matcher + event set the hot-path
-// benchmarks share. The zero-alloc promise these benchmarks defend is
-// gated in CI (benchcheck -alloczero), so their names are load-bearing.
-func benchMatcher(b *testing.B, withObs bool) (*Matcher, []*schema.Event) {
-	b.Helper()
-	s := stockSchema(b)
+// warmMatcher runs every event through m once so its scratch reaches
+// steady-state capacity, failing when nothing matches: an allocation
+// assertion over a workload that never matches would be vacuous.
+func warmMatcher(tb testing.TB, m *Matcher, events []*schema.Event) {
+	tb.Helper()
+	matched := 0
+	for _, ev := range events {
+		matched += len(m.MatchKeys(ev))
+	}
+	if matched == 0 {
+		tb.Fatal("fixture matches nothing; the allocation assertion would be vacuous")
+	}
+}
+
+// matcherFixture builds the warmed matcher + event set of the
+// summary-match hot path, optionally with the cost observers attached.
+// TestMatcherZeroAllocs holds it at 0 allocations per event.
+func matcherFixture(tb testing.TB, withObs bool) (*Matcher, []*schema.Event) {
+	tb.Helper()
+	s := stockSchema(tb)
 	rng := rand.New(rand.NewSource(34))
-	sm := buildRandomSummary(b, rng, s, interval.Lossy, 150)
+	sm := buildRandomSummary(tb, rng, s, interval.Lossy, 150)
 	events := make([]*schema.Event, 64)
 	for i := range events {
 		events[i] = randomEvent(rng, s)
@@ -431,53 +444,29 @@ func benchMatcher(b *testing.B, withObs bool) (*Matcher, []*schema.Event) {
 			Matched:   reg.Counter("match_matched"),
 		})
 	}
-	for _, ev := range events { // warm up scratch capacity
-		m.MatchKeys(ev)
-	}
+	warmMatcher(tb, m, events)
 	return m, events
 }
 
-// BenchmarkMatcherMatchKeys is the summary-match hot path: CI gates this
-// benchmark at 0 allocs/op.
-func BenchmarkMatcherMatchKeys(b *testing.B) {
-	m, events := benchMatcher(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MatchKeys(events[i%len(events)])
-	}
-}
-
-// BenchmarkMatcherMatchKeysInstrumented is the same path with the cost
-// observers attached — health instrumentation must not reintroduce
-// allocations, so CI gates this one at 0 allocs/op too.
-func BenchmarkMatcherMatchKeysInstrumented(b *testing.B) {
-	m, events := benchMatcher(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MatchKeys(events[i%len(events)])
-	}
-}
-
-// BenchmarkMatcherMatchKeysRepeats is the matcher's other path: every
-// subscription constrains price twice (a range and a ≠) and symbol twice
-// (a prefix and a suffix), so each event's price and symbol queries may
-// list an id twice and are merged, sorted and compacted before counting.
-// CI gates it at 0 allocs/op with the others: the merge scratch and the
-// list headers are the matcher's own.
-func BenchmarkMatcherMatchKeysRepeats(b *testing.B) {
-	s := stockSchema(b)
+// repeatsFixture is the matcher's other path: every subscription
+// constrains price twice (a range and a ≠) and symbol twice (a prefix and
+// a suffix), so each event's price and symbol queries may list an id
+// twice and are merged, sorted and compacted before counting. The merge
+// scratch and the list headers are the matcher's own, so
+// TestMatcherZeroAllocs holds this path at 0 allocations too.
+func repeatsFixture(tb testing.TB) (*Matcher, []*schema.Event) {
+	tb.Helper()
+	s := stockSchema(tb)
 	sm := New(s, interval.Lossy)
 	for i := 0; i < 150; i++ {
 		text := fmt.Sprintf(`price > %d && price != %d && symbol = "OT*" && symbol = "*E"`, i%10, 30+i%7)
-		if err := sm.Insert(id(1, subid.LocalID(i)), mustSub(b, s, text)); err != nil {
-			b.Fatal(err)
+		if err := sm.Insert(id(1, subid.LocalID(i)), mustSub(tb, s, text)); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	events := make([]*schema.Event, 64)
 	for i := range events {
-		events[i] = mustEvent(b, s, fmt.Sprintf(`price=%d symbol=OT%dE volume=3`, 5+i%20, i%4))
+		events[i] = mustEvent(tb, s, fmt.Sprintf(`price=%d symbol=OT%dE volume=3`, 5+i%20, i%4))
 	}
 	v := sm.compiled()
 	priceID, _ := s.ID("price")
@@ -488,20 +477,35 @@ func BenchmarkMatcherMatchKeysRepeats(b *testing.B) {
 		_, distinctPrice := v.aacs[priceID].AppendLists(nil, price.Num)
 		_, distinctSymbol := v.sacs[symbolID].AppendLists(nil, symbol.Str)
 		if distinctPrice || distinctSymbol {
-			b.Fatalf("fixture: %s does not take the merge path on both attributes", ev.Format(s))
+			tb.Fatalf("fixture: %s does not take the merge path on both attributes", ev.Format(s))
 		}
 	}
 	m := sm.NewMatcher()
-	matched := 0
-	for _, ev := range events { // warm up scratch capacity
-		matched += len(m.MatchKeys(ev))
-	}
-	if matched == 0 {
-		b.Fatal("fixture matches nothing")
-	}
+	warmMatcher(tb, m, events)
+	return m, events
+}
+
+// benchmarkMatchKeys times the three paths TestMatcherZeroAllocs holds at
+// zero allocations, one benchmark per fixture.
+func benchmarkMatchKeys(b *testing.B, m *Matcher, events []*schema.Event) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MatchKeys(events[i%len(events)])
 	}
+}
+
+func BenchmarkMatcherMatchKeys(b *testing.B) {
+	m, events := matcherFixture(b, false)
+	benchmarkMatchKeys(b, m, events)
+}
+
+func BenchmarkMatcherMatchKeysInstrumented(b *testing.B) {
+	m, events := matcherFixture(b, true)
+	benchmarkMatchKeys(b, m, events)
+}
+
+func BenchmarkMatcherMatchKeysRepeats(b *testing.B) {
+	m, events := repeatsFixture(b)
+	benchmarkMatchKeys(b, m, events)
 }

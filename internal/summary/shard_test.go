@@ -2,6 +2,7 @@ package summary
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -31,6 +32,16 @@ func shardFixture(t testing.TB, sigma, nEvents int, seed int64) (*Summary, []*sc
 		events[i] = randomEvent(rng, s)
 	}
 	return sm, events
+}
+
+// shardBatchFixture is the call production makes: a two-shard matcher,
+// warmed, over a run of eight events.
+func shardBatchFixture(t testing.TB) (*ShardedMatcher, []*schema.Event) {
+	t.Helper()
+	sm, events := shardFixture(t, 100, 8, 45)
+	m := NewShardedMatcher(sm.ShardByKey(2))
+	m.MatchBatch(events) // warm scratch
+	return m, events
 }
 
 // TestShardByKeyPartition proves ShardByKey is an exact partition: every
@@ -125,8 +136,9 @@ func TestShardedMatchIDs(t *testing.T) {
 	}
 }
 
-// TestShardedMatcherZeroAllocs proves the serial sharded fast path keeps
-// the matcher's zero-steady-state-allocation guarantee.
+// TestShardedMatcherZeroAllocs proves the sharded paths keep the
+// matcher's zero-steady-state-allocation guarantee: serial MatchKeys and
+// MatchBatch, and the production batch as the host's cores run it.
 func TestShardedMatcherZeroAllocs(t *testing.T) {
 	sm, events := shardFixture(t, 100, 64, 44)
 	m := NewShardedMatcher(sm.ShardByKey(4))
@@ -151,6 +163,24 @@ func TestShardedMatcherZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("serial MatchBatch allocates %.1f allocs per batch, want 0", avg)
+	}
+	// BenchmarkShardedMatchBatch's eight-event, two-shard run at the
+	// ambient GOMAXPROCS, so a multicore host takes the fanned-out path
+	// production takes (AllocsPerRun would pin GOMAXPROCS to 1). Mallocs
+	// over 1000 batches, divided as -benchmem divides them: the fan-out's
+	// occasional goroutine bookkeeping (29 B/op on a 2-core guest) stays
+	// under one object per batch, a per-batch allocation does not.
+	bm, batch := shardBatchFixture(t)
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		bm.MatchBatch(batch)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.Mallocs - before.Mallocs) / runs; per != 0 {
+		t.Fatalf("eight-event MatchBatch (GOMAXPROCS=%d) allocates %d objects per batch, want 0",
+			runtime.GOMAXPROCS(0), per)
 	}
 }
 
