@@ -3,7 +3,6 @@ package schema
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Field is one attribute/value pair of an event.
@@ -108,15 +107,18 @@ func (e *Event) WireSize() int {
 
 // Format renders the event as "name=value" pairs using the schema for
 // attribute names.
-func (e *Event) Format(s *Schema) string {
-	var b strings.Builder
-	b.WriteByte('{')
+func (e *Event) Format(s *Schema) string { return string(e.AppendFormat(nil, s)) }
+
+// AppendFormat appends Format's rendering of the event to dst.
+func (e *Event) AppendFormat(dst []byte, s *Schema) []byte {
+	dst = append(dst, '{')
 	for i, f := range e.fields {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		fmt.Fprintf(&b, "%s=%s", s.Name(f.Attr), f.Value)
+		dst = append(dst, s.Name(f.Attr)...)
+		dst = append(dst, '=')
+		dst = f.Value.AppendText(dst)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }

@@ -2,7 +2,9 @@ package schema
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -514,5 +516,78 @@ func TestSchemaGrowsUnderReaders(t *testing.T) {
 	wg.Wait()
 	if s.Len() != len(base)+added {
 		t.Fatalf("Len = %d after %d adds, want %d", s.Len(), added, len(base)+added)
+	}
+}
+
+// fmtEvent is the fmt-based rendering Format used before AppendFormat:
+// the reference AppendFormat must match byte for byte.
+func fmtEvent(e *Event, s *Schema) string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, f := range e.fields {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s=%s", s.Name(f.Attr), fmtValue(f.Value))
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// fmtValue is Value.String before AppendText.
+func fmtValue(v Value) string {
+	switch v.Type {
+	case TypeString:
+		return strconv.Quote(v.Str)
+	case TypeInt:
+		return strconv.FormatInt(int64(v.Num), 10)
+	case TypeFloat:
+		return strconv.FormatFloat(v.Num, 'g', -1, 64)
+	case TypeDate:
+		return time.Unix(int64(v.Num), 0).UTC().Format(time.RFC3339)
+	default:
+		return "<invalid>"
+	}
+}
+
+func TestAppendFormatMatchesFmt(t *testing.T) {
+	s := paperSchema(t)
+	strs := []string{"", "NYSE", `say "hi"`, `back\slash`, "tab\tnl\ncr\r", "nul\x00bel\x07del\x7f",
+		"<a&b>", "héllo", "日本語", "  ", "bad\xffutf8\xc3", "emoji 🙂"}
+	floats := []float64{0, math.Copysign(0, -1), 8.4, -8.4, 1e21, -1.5e-7, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	ints := []int64{0, 1, -1, 1 << 40, -(1 << 52)}
+	dates := []time.Time{time.Unix(0, 0), time.Unix(-86401, 0), time.Date(2004, 3, 24, 9, 30, 0, 0, time.UTC)}
+	prefix := []byte("keep:")
+	check := func(e *Event) {
+		t.Helper()
+		want := fmtEvent(e, s)
+		if got := e.Format(s); got != want {
+			t.Fatalf("Format = %q, want %q", got, want)
+		}
+		if got := e.AppendFormat(prefix, s); string(got) != string(prefix)+want {
+			t.Fatalf("AppendFormat = %q, want %q", got, string(prefix)+want)
+		}
+	}
+	for i := range max(len(strs), len(floats), len(ints), len(dates)) {
+		e, err := NewEvent(s, map[string]Value{
+			"exchange": StringValue(strs[i%len(strs)]),
+			"symbol":   StringValue(strs[(i+5)%len(strs)]),
+			"when":     DateValue(dates[i%len(dates)]),
+			"price":    FloatValue(floats[i%len(floats)]),
+			"volume":   IntValue(ints[i%len(ints)]),
+			"low":      FloatValue(-floats[(i+3)%len(floats)]),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(e)
+	}
+	empty, err := NewEvent(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(empty)
+	if got := (Value{}).String(); got != fmtValue(Value{}) {
+		t.Fatalf("invalid Value renders %q", got)
 	}
 }

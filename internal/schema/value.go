@@ -75,18 +75,21 @@ func (v Value) Equal(o Value) bool {
 
 // String renders the value for humans: strings quoted, ints without decimal
 // point, dates in RFC 3339.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.AppendText(nil)) }
+
+// AppendText appends String's rendering of the value to dst.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.Type {
 	case TypeString:
-		return strconv.Quote(v.Str)
+		return strconv.AppendQuote(dst, v.Str)
 	case TypeInt:
-		return strconv.FormatInt(int64(v.Num), 10)
+		return strconv.AppendInt(dst, int64(v.Num), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.Num, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Num, 'g', -1, 64)
 	case TypeDate:
-		return time.Unix(int64(v.Num), 0).UTC().Format(time.RFC3339)
+		return time.Unix(int64(v.Num), 0).UTC().AppendFormat(dst, time.RFC3339)
 	default:
-		return "<invalid>"
+		return append(dst, "<invalid>"...)
 	}
 }
 

@@ -2,11 +2,13 @@
 // line-delimited JSON protocol through which remote clients subscribe,
 // publish, trigger propagation periods, and receive event deliveries.
 //
-// Requests (one JSON object per line):
+// Requests, one JSON object per line, as Client writes them (zero fields
+// are omitted, and < > & are escaped, as json.Marshal does; any JSON
+// object with these keys is accepted):
 //
-//	{"op":"subscribe","broker":3,"expr":"symbol = OTE && price < 8.70"}
-//	{"op":"unsubscribe","broker":3,"local":0}
-//	{"op":"publish","broker":0,"event":"symbol=OTE price=8.40"}
+//	{"op":"subscribe","broker":3,"expr":"symbol = OTE \u0026\u0026 price \u003c 8.70"}
+//	{"op":"unsubscribe","broker":3,"local":1}
+//	{"op":"publish","event":"symbol=OTE price=8.40"}
 //	{"op":"propagate"}
 //	{"op":"stats"}
 //	{"op":"history"}
@@ -15,23 +17,31 @@
 //	{"op":"extend","attr":"newattr","attrtype":"float"}
 //	{"op":"ping"}
 //
-// Responses carry the request's op plus either a result or an error;
-// deliveries for this connection's subscriptions are pushed
-// asynchronously:
+// Replies carry the request's op plus either a result or an error, in
+// request order; deliveries for this connection's subscriptions are pushed
+// between them. As the server writes them:
 //
-//	{"type":"reply","op":"subscribe","broker":3,"local":0}
+//	{"type":"reply","op":"subscribe","broker":3}
 //	{"type":"reply","op":"propagate","hops":21}
-//	{"type":"delivery","broker":3,"local":0,"event":"{symbol=\"OTE\", ...}"}
+//	{"type":"delivery","broker":3,"event":"{symbol=\"OTE\", price=8.4}"}
 //	{"type":"reply","op":"publish","error":"..."}
+//
+// Write path: a delivery appends its line to its connection's buffer on
+// the owning broker's goroutine. While a wire publish is in flight the
+// line waits for that publish, which after Flush writes every connection
+// holding lines once and then its own reply; otherwise, or once the buffer
+// reaches 1 MiB, the delivering goroutine writes it at once. Either way a
+// publish's deliveries are written before its reply.
 package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/subsum/subsum/internal/core"
 	"github.com/subsum/subsum/internal/metrics"
@@ -88,24 +98,144 @@ type Server struct {
 	mu    sync.Mutex
 	conns map[*conn]struct{}
 	wg    sync.WaitGroup
+
+	// pendMu guards publishing (wire publishes between their Publish and
+	// their sweep), dirty (connections holding lines for a sweep) and every
+	// conn's queued flag. Sharing one mutex is what makes a delivery that
+	// sees a publish in flight land on the list that publish's sweep takes;
+	// with a counter checked apart from the list, a delivery could be
+	// queued just after the last sweep and never written.
+	pendMu     sync.Mutex
+	publishing int
+	dirty      []*conn
+	// sweepMu runs sweeps one at a time, so a sweep returns only once every
+	// line queued before it started is written, by it or an earlier sweep.
+	sweepMu sync.Mutex
+	swept   []*conn // spare for dirty; guarded by sweepMu
 }
 
 // conn is one client connection.
 type conn struct {
-	c  net.Conn
-	mu sync.Mutex // serializes writes
+	srv *Server
+	c   net.Conn
+
+	mu     sync.Mutex    // guards the fields below; held across writes, which keeps lines in order
+	out    []byte        // lines not yet written
+	dead   bool          // a write failed: later lines are dropped
+	ev     *schema.Event // the event evJSON renders; holding it keeps its address from reuse
+	evJSON []byte        // ev's text as a JSON string
+	text   []byte        // scratch for the text
+
+	queued bool         // on srv.dirty; guarded by srv.pendMu
+	peak   atomic.Int64 // the largest len(out) after a delivery, readable while a write blocks
+
+	subs []uint64 // keys of the ids subscribed over this connection; serve goroutine only
 }
 
-func (c *conn) send(resp Response) error {
-	buf, err := json.Marshal(resp)
-	if err != nil {
+var errDead = errors.New("wire: connection write failed earlier")
+
+// send appends one line and writes everything pending.
+func (cc *conn) send(resp *Response) error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.dead {
+		return errDead
+	}
+	var err error
+	if cc.out, err = appendResponseLine(cc.out, resp); err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err = c.c.Write(buf)
+	return cc.flushLocked()
+}
+
+// deliver is the DeliveryFunc of every subscription made over cc; it runs
+// on the owning broker's goroutine. The event's text is rendered once per
+// connection however many of its subscriptions match. The line is left
+// for the sweep of a wire publish in flight, or written at once when none
+// is or the buffer has reached pendingCap.
+func (cc *conn) deliver(id subid.ID, ev *schema.Event) {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.dead {
+		return
+	}
+	if ev != cc.ev {
+		cc.text = ev.AppendFormat(cc.text[:0], cc.srv.schema)
+		cc.evJSON = appendString(cc.evJSON[:0], cc.text)
+		cc.ev = ev
+	}
+	cc.out = appendDeliveryLine(cc.out, int(id.Broker), uint32(id.Local), cc.evJSON)
+	if n := int64(len(cc.out)); n > cc.peak.Load() {
+		cc.peak.Store(n)
+	}
+	if len(cc.out) < pendingCap && cc.srv.queue(cc) {
+		return
+	}
+	_ = cc.flushLocked() // a failure marks cc dead; its serve loop ends on its next reply
+}
+
+// flushLocked writes the pending lines. A write error marks cc dead.
+func (cc *conn) flushLocked() error {
+	if len(cc.out) == 0 {
+		return nil
+	}
+	_, err := cc.c.Write(cc.out)
+	cc.out = cc.out[:0]
+	if cap(cc.out) > pendingCap { // a large stats or history reply: do not keep its buffer
+		cc.out = nil
+	}
+	if err != nil {
+		cc.dead = true
+	}
 	return err
+}
+
+// queue puts cc on the dirty list for the sweep of the wire publish in
+// flight and reports true, or reports false when none is in flight.
+func (srv *Server) queue(cc *conn) bool {
+	srv.pendMu.Lock()
+	defer srv.pendMu.Unlock()
+	if srv.publishing == 0 {
+		return false
+	}
+	if !cc.queued {
+		cc.queued = true
+		srv.dirty = append(srv.dirty, cc)
+	}
+	return true
+}
+
+// beginPublish marks a wire publish in flight: deliveries wait for its
+// sweep.
+func (srv *Server) beginPublish() {
+	srv.pendMu.Lock()
+	srv.publishing++
+	srv.pendMu.Unlock()
+}
+
+// sweep ends a wire publish begun by beginPublish: it writes each
+// connection on the dirty list once, except own, the publisher's, whose
+// lines leave with its reply.
+func (srv *Server) sweep(own *conn) {
+	srv.sweepMu.Lock()
+	defer srv.sweepMu.Unlock()
+	srv.pendMu.Lock()
+	srv.publishing--
+	dirty := srv.dirty
+	srv.dirty = srv.swept
+	for _, cc := range dirty {
+		cc.queued = false
+	}
+	srv.pendMu.Unlock()
+	for i, cc := range dirty {
+		if cc != own {
+			cc.mu.Lock()
+			_ = cc.flushLocked() // a failure marks cc dead; its serve loop ends on its next reply
+			cc.mu.Unlock()
+		}
+		dirty[i] = nil
+	}
+	srv.swept = dirty[:0]
 }
 
 // NewServer wraps an already-running network. The caller retains ownership
@@ -144,7 +274,7 @@ func (srv *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		cc := &conn{c: c}
+		cc := &conn{srv: srv, c: c}
 		srv.mu.Lock()
 		srv.conns[cc] = struct{}{}
 		srv.mu.Unlock()
@@ -175,6 +305,11 @@ func (srv *Server) serve(cc *conn) {
 		delete(srv.conns, cc)
 		srv.mu.Unlock()
 		cc.c.Close()
+		// Nobody can receive these subscriptions' deliveries any more.
+		for _, key := range cc.subs {
+			b, l := subid.KeyParts(key)
+			_ = srv.net.Unsubscribe(subid.ID{Broker: b, Local: l}) // fails only for an id another connection already removed
+		}
 	}()
 	scanner := bufio.NewScanner(cc.c)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -184,12 +319,12 @@ func (srv *Server) serve(cc *conn) {
 			continue
 		}
 		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			_ = cc.send(Response{Type: "reply", Error: fmt.Sprintf("bad request: %v", err)})
+		if err := parseRequest(line, &req); err != nil {
+			_ = cc.send(&Response{Type: "reply", Error: fmt.Sprintf("bad request: %v", err)})
 			continue
 		}
-		resp := srv.handle(cc, req)
-		if err := cc.send(resp); err != nil {
+		resp := srv.handle(cc, &req)
+		if err := cc.send(&resp); err != nil {
 			return
 		}
 	}
@@ -197,11 +332,11 @@ func (srv *Server) serve(cc *conn) {
 	// error reply; tell the client why its connection is going away
 	// instead of silently hanging its FIFO reply matching.
 	if errors.Is(scanner.Err(), bufio.ErrTooLong) {
-		_ = cc.send(Response{Type: "reply", Error: "request too large (limit 1 MiB)"})
+		_ = cc.send(&Response{Type: "reply", Error: "request too large (limit 1 MiB)"})
 	}
 }
 
-func (srv *Server) handle(cc *conn, req Request) Response {
+func (srv *Server) handle(cc *conn, req *Request) Response {
 	resp := Response{Type: "reply", Op: req.Op}
 	fail := func(err error) Response {
 		resp.Error = err.Error()
@@ -215,17 +350,11 @@ func (srv *Server) handle(cc *conn, req Request) Response {
 		if err != nil {
 			return fail(err)
 		}
-		id, err := srv.net.Subscribe(topology.NodeID(req.Broker), sub, func(id subid.ID, ev *schema.Event) {
-			_ = cc.send(Response{
-				Type:   "delivery",
-				Broker: int(id.Broker),
-				Local:  uint32(id.Local),
-				Event:  ev.Format(srv.schema),
-			})
-		})
+		id, err := srv.net.Subscribe(topology.NodeID(req.Broker), sub, cc.deliver)
 		if err != nil {
 			return fail(err)
 		}
+		cc.subs = append(cc.subs, id.Key())
 		resp.Broker = int(id.Broker)
 		resp.Local = uint32(id.Local)
 		return resp
@@ -234,18 +363,25 @@ func (srv *Server) handle(cc *conn, req Request) Response {
 		if err := srv.net.Unsubscribe(id); err != nil {
 			return fail(err)
 		}
+		if i := slices.Index(cc.subs, id.Key()); i >= 0 {
+			cc.subs = slices.Delete(cc.subs, i, i+1)
+		}
 		return resp
 	case "publish":
 		ev, err := schema.ParseEvent(srv.schema, req.Event)
 		if err != nil {
 			return fail(err)
 		}
-		if err := srv.net.Publish(topology.NodeID(req.Broker), ev); err != nil {
+		srv.beginPublish()
+		if err = srv.net.Publish(topology.NodeID(req.Broker), ev); err == nil {
+			// Block until routing completes so that every delivery of this
+			// publish is buffered before the sweep writes it.
+			srv.net.Flush()
+		}
+		srv.sweep(cc)
+		if err != nil {
 			return fail(err)
 		}
-		// Block until routing completes so the client's subsequent reads
-		// observe all deliveries of its own publish.
-		srv.net.Flush()
 		return resp
 	case "propagate":
 		hops, err := srv.net.Propagate()
@@ -324,6 +460,7 @@ type Client struct {
 	c       net.Conn
 	scanner *bufio.Scanner
 	mu      sync.Mutex // serializes request/reply exchanges
+	buf     []byte     // request line; guarded by mu
 	onEvent func(broker int, local uint32, event string)
 	replies chan Response
 	readErr error
@@ -357,7 +494,7 @@ func (cl *Client) readLoop() {
 	defer close(cl.done)
 	for cl.scanner.Scan() {
 		var resp Response
-		if err := json.Unmarshal(cl.scanner.Bytes(), &resp); err != nil {
+		if err := parseResponse(cl.scanner.Bytes(), &resp); err != nil {
 			cl.readErr = err
 			break
 		}
@@ -382,12 +519,8 @@ func (cl *Client) Close() error { return cl.c.Close() }
 func (cl *Client) roundTrip(req Request) (Response, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return Response{}, err
-	}
-	buf = append(buf, '\n')
-	if _, err := cl.c.Write(buf); err != nil {
+	cl.buf = appendRequestLine(cl.buf[:0], &req)
+	if _, err := cl.c.Write(cl.buf); err != nil {
 		return Response{}, err
 	}
 	resp, ok := <-cl.replies
