@@ -11,7 +11,6 @@ package broker
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -68,11 +67,11 @@ type Broker struct {
 
 	// The lock-free match read path (RCU-style). matchGen counts merged-
 	// summary mutations: every mutator bumps it under b.mu. snap publishes
-	// an immutable snapshot of the matcher state (compiled, possibly
-	// sharded views of merged — summary.View — plus a cloned Merged_Brokers
-	// mask) stamped with the generation it was built from. Readers load
-	// snap with one atomic load; when its generation is stale they rebuild
-	// under b.mu (double-checked) and swap. Matching therefore never blocks
+	// an immutable snapshot of the matcher state (the compiled view of
+	// merged — summary.View — plus a cloned Merged_Brokers mask) stamped
+	// with the generation it was built from. Readers load snap with one
+	// atomic load; when its generation is stale they rebuild under b.mu
+	// (double-checked) and swap. Matching therefore never blocks
 	// behind a concurrent Subscribe/MergeEncodedSummary, and mutators never
 	// wait for matchers.
 	matchGen     atomic.Uint64
@@ -241,47 +240,13 @@ func New(cfg Config) (*Broker, error) {
 }
 
 // matchSnapshot is one published generation of the match read path: the
-// merged summary compiled into one summary.View per shard (with a matcher
-// pool leasing private scratch to concurrent readers) and the
-// Merged_Brokers set as of the same generation. Immutable once stored in
-// b.snap.
+// merged summary compiled into one summary.View, a pool of matchers over
+// it leasing private scratch to concurrent readers, and the Merged_Brokers
+// set as of the same generation. Immutable once stored in b.snap.
 type matchSnapshot struct {
 	gen     uint64
-	pool    *summary.ShardedMatcherPool
+	pool    sync.Pool  // *summary.Matcher bound to the generation's view
 	brokers subid.Mask // read-only: callers must clone before mutating
-}
-
-// matchShardThreshold is the merged-summary size, in subscriptions, from
-// which a snapshot is split into id-range shards so a run of events fans
-// its matching out across cores. Below it one Algorithm 1 pass is too
-// short to repay a goroutine round trip per run and n passes over the
-// rows per rebuild. The benchmark has workloads on both sides (2-core
-// host, two shards, two 10 s runs a side at seed 100, measured with the
-// matcher counting in place in a 2-byte counter per id): every walk-ts256
-// broker (≤ 1 024 merged subscriptions) and the fanout-cw24 hub (≤ 2 400)
-// sit below, and sharding them anyway cost walk-ts256 16–30 % of its
-// events/s (23.5 k, 24.8 k → 16.4 k, 20.8 k) and a third more publish
-// latency (177, 203 → 297, 255 µs) and bought fanout-cw24 nothing
-// (52.5 k, 52.1 k → 51.5 k, 54.0 k; 63, 59 → 60, 72 µs); the
-// match-cw24-24k hub (24 000) sits above, and sharding it gained 24–90 %
-// events/s (20.3 k, 22.6 k → 38.5 k, 28.1 k) at the same single-event
-// latency (79, 84 → 78, 86 µs: one event is matched shard by shard).
-// 8 192 is the one value tried between them.
-const matchShardThreshold = 8192
-
-// matchShardLimit caps the fan-out: every shard re-walks the event's
-// attributes and costs one pass over the merged rows per snapshot
-// rebuild, so width past a handful of cores buys little.
-const matchShardLimit = 8
-
-// matchShardCount picks the snapshot's shard count from what the broker
-// can observe when it rebuilds: the merged summary's size and the cores
-// the runtime may use.
-func matchShardCount(mergedSubs, procs int) int {
-	if mergedSubs < matchShardThreshold {
-		return 1
-	}
-	return max(1, min(procs, matchShardLimit))
 }
 
 // invalidateMatch retires the published snapshot; the next match rebuilds
@@ -302,10 +267,13 @@ func (b *Broker) matchSnapshot() *matchSnapshot {
 	if s := b.snap.Load(); s != nil && s.gen == gen {
 		return s
 	}
-	shards := matchShardCount(b.merged.NumSubscriptions(), runtime.GOMAXPROCS(0))
-	pool := summary.NewShardedMatcherPool(b.merged.ShardByKey(shards))
-	pool.SetObs(b.matcherObs)
-	s := &matchSnapshot{gen: gen, pool: pool, brokers: b.mergedBrokers.Clone()}
+	view, obs := b.merged.Compile(), b.matcherObs
+	s := &matchSnapshot{gen: gen, brokers: b.mergedBrokers.Clone()}
+	s.pool.New = func() any {
+		m := view.NewMatcher()
+		m.SetObs(obs)
+		return m
+	}
 	b.snap.Store(s)
 	return s
 }
@@ -722,21 +690,21 @@ func (b *Broker) MatchMerged(ev *schema.Event) []subid.ID {
 }
 
 // MatchLease is a leased view of the broker's published match snapshot:
-// a private sharded matcher plus the Merged_Brokers set of the same
-// generation. It lets the routing hot loop match a whole batch of events
-// — and read the broker set Algorithm 3 needs — without ever touching
-// b.mu. Release returns the matcher scratch to the snapshot's pool;
-// match results are valid until then.
+// a private matcher plus the Merged_Brokers set of the same generation. It
+// lets the routing hot loop match a whole batch of events — and read the
+// broker set Algorithm 3 needs — without ever touching b.mu. Release
+// returns the matcher scratch to the snapshot's pool; match results are
+// valid until then.
 type MatchLease struct {
 	snap *matchSnapshot
-	m    *summary.ShardedMatcher
+	m    *summary.Matcher
 }
 
 // AcquireMatcher leases a matcher over the current snapshot (rebuilding
 // the snapshot first if a mutator retired it).
 func (b *Broker) AcquireMatcher() MatchLease {
 	s := b.matchSnapshot()
-	return MatchLease{snap: s, m: s.pool.Get()}
+	return MatchLease{snap: s, m: s.pool.Get().(*summary.Matcher)}
 }
 
 // MergedBrokers returns the Merged_Brokers set of the leased generation.
@@ -780,10 +748,9 @@ func (b *Broker) ObserveMatchRun(elapsed time.Duration, events int) {
 // delivery. The event path calls it only through DeliverExactCandidates,
 // on brokers whose subsumption filter makes named candidates incomplete.
 func (b *Broker) DeliverExact(ev *schema.Event) int {
-	s := b.matchSnapshot()
-	m := s.pool.Get()
-	hits, _ := b.collectExact(ev, m.MatchKeys(ev), true)
-	s.pool.Put(m)
+	l := b.AcquireMatcher()
+	hits, _ := b.collectExact(ev, l.m.MatchKeys(ev), true)
+	l.Release()
 	return b.deliverHits(ev, hits)
 }
 

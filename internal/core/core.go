@@ -563,8 +563,7 @@ func (net *Network) handleSummary(node topology.NodeID, m netsim.Message) {
 
 // routeRun runs one Algorithm 3 hop for a run of k ≥ 1 consecutive event
 // messages — the only implementation of the hop. The read side is
-// lock-free: the whole run matches against one leased snapshot (its
-// shards fanning out across cores when the broker built any) and takes
+// lock-free: the whole run matches against one leased snapshot and takes
 // the Merged_Brokers set of that same generation.
 func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 	sc := &net.scratch[node]

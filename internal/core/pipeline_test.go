@@ -32,8 +32,8 @@ func denseWorkload(t *testing.T) *workload.Generator {
 
 // newPipelineFixture is a stressFixture on any overlay: nSubs dense
 // subscriptions spread round-robin, then hubSubs more at the first broker
-// in forwarding order (the way to put one merged summary above the
-// broker's shard threshold), and nEvents pre-generated events.
+// in forwarding order (the way to make one merged summary large), and
+// nEvents pre-generated events.
 func newPipelineFixture(t *testing.T, g *topology.Graph, nSubs, hubSubs, nEvents int) *stressFixture {
 	t.Helper()
 	gen := denseWorkload(t)
@@ -230,16 +230,16 @@ func TestMixedRunKeepsArrivalOrder(t *testing.T) {
 
 // TestBatchedPipelineRaceSoak is the -race soak of the one event path:
 // concurrent publishers × subscription churn × propagation periods, with
-// the hub's merged summary above the shard threshold and a backlog parked
-// in front of it, so long runs fan their matching out across shard
-// goroutines while everything else races. Then exact delivery for the
-// stable subscriptions and zero watchdog violations.
+// the hub's merged summary large and a backlog parked in front of it, so
+// long runs match against snapshots rebuilt under churn while everything
+// else races (events name 8 of 10 attributes, so every match is cut to
+// eligible runs). Then exact delivery for the stable subscriptions and zero
+// watchdog violations.
 func TestBatchedPipelineRaceSoak(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	const publishers, perPublisher, propagateRounds, backlog = 4, 40, 3, 128
-	// The hub holds enough own subscriptions to cross the threshold on its
-	// own; the constant is the broker package's matchShardThreshold.
+	// The hub's own subscriptions alone make its merged summary large.
 	const hubSubs = 8192
 	f := newPipelineFixture(t, topology.CW24(), 72, hubSubs, backlog+publishers*perPublisher)
 	if _, err := f.net.Propagate(); err != nil {

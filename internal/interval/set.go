@@ -619,10 +619,12 @@ func (s *Set) Clone() *Set {
 }
 
 // CloneMapped returns a deep copy of the set with every id translated by
-// f; ids f rejects are dropped, and so are rows left without ids. The set
-// never interprets ids beyond their order, so f must be strictly
-// increasing on the ids it keeps (id lists stay sorted and deduplicated),
-// and every id it returns must be below n. The receiver is only read. The
+// f; ids f rejects are dropped, and so are rows left without ids. f must
+// be one-to-one on the ids it keeps, and every id it returns must be below
+// n. The set never interprets ids beyond their order: when f is strictly
+// increasing its lists stay sorted; otherwise order, if non-nil, is handed
+// each list of two or more ids as f left it, and the caller must sort
+// them in place before it reads the copy. The receiver is only read. The
 // copy's id lists share one backing array: it is meant to be read, not
 // mutated.
 //
@@ -635,7 +637,7 @@ func (s *Set) Clone() *Set {
 // `x = 5` can never be consulted together and still clears the flag — so
 // it errs only towards false, the side that costs the reader a check per
 // id and not a match.
-func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool)) *Set {
+func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uint64)) *Set {
 	out := &Set{mode: s.mode, eq: make(map[float64][]uint64, len(s.eq)), distinct: true}
 	slab := make([]uint64, 0, s.idEntries())
 	var seen []uint64 // bitmap of the mapped ids copied so far; nil when no repeat is possible
@@ -658,7 +660,11 @@ func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool)) *Set {
 				seen[w] |= bit
 			}
 		}
-		return slab[start:len(slab):len(slab)]
+		ids = slab[start:len(slab):len(slab)]
+		if order != nil && len(ids) > 1 {
+			order(ids)
+		}
+		return ids
 	}
 	out.rows = make([]row, 0, len(s.rows))
 	for _, r := range s.rows {

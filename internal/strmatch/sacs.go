@@ -539,10 +539,12 @@ func (s *Set) Clone() *Set {
 }
 
 // CloneMapped returns a deep copy of the set with every id translated by
-// f; ids f rejects are dropped, and so are rows left without ids. The set
-// never interprets ids beyond their order, so f must be strictly
-// increasing on the ids it keeps (id lists stay sorted and deduplicated),
-// and every id it returns must be below n. The receiver is only read. The
+// f; ids f rejects are dropped, and so are rows left without ids. f must
+// be one-to-one on the ids it keeps, and every id it returns must be below
+// n. The set never interprets ids beyond their order: when f is strictly
+// increasing its lists stay sorted; otherwise order, if non-nil, is handed
+// each list of two or more ids as f left it, and the caller must sort
+// them in place before it reads the copy. The receiver is only read. The
 // copy's id lists share one backing array: it is meant to be read, not
 // mutated.
 //
@@ -554,7 +556,7 @@ func (s *Set) Clone() *Set {
 // row in one period and a suffix row in the next). The test is by id, not
 // by text, so it errs only towards false, the side that costs the reader
 // a check per id and not a match.
-func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool)) *Set {
+func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uint64)) *Set {
 	out := &Set{
 		pats:     make([]Row, 0, len(s.pats)),
 		eq:       make(map[string][]uint64, len(s.eq)),
@@ -584,7 +586,11 @@ func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool)) *Set {
 				}
 			}
 		}
-		return slab[start:len(slab):len(slab)]
+		ids = slab[start:len(slab):len(slab)]
+		if order != nil && len(ids) > 1 {
+			order(ids)
+		}
+		return ids
 	}
 	for _, r := range s.pats {
 		if ids := mapIDs(r.IDs, true); len(ids) > 0 {

@@ -397,7 +397,7 @@ func TestCloneMappedDistinct(t *testing.T) {
 		if _, distinct := s.AppendLists(nil, tc.probe); distinct {
 			t.Errorf("%s: a set built by mutation claims distinct lists", tc.name)
 		}
-		lists, distinct := s.CloneMapped(8, identity).AppendLists(nil, tc.probe)
+		lists, distinct := s.CloneMapped(8, identity, nil).AppendLists(nil, tc.probe)
 		if len(lists) < 2 {
 			t.Fatalf("%s: probe %q consults %v, want two lists", tc.name, tc.probe, lists)
 		}

@@ -16,6 +16,7 @@
 package subid
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -102,6 +103,37 @@ func (m Mask) Equal(o Mask) bool {
 		}
 	}
 	return true
+}
+
+// Within reports whether every bit set in m is also set in o.
+func (m Mask) Within(o Mask) bool {
+	for i, w := range m {
+		if i < len(o) {
+			w &^= o[i]
+		}
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Compare orders masks word by word, lowest word first, ignoring trailing
+// zero words: it returns -1, 0 or +1, and 0 exactly when Equal holds.
+func (m Mask) Compare(o Mask) int {
+	for i := range max(len(m), len(o)) {
+		var a, b uint64
+		if i < len(m) {
+			a = m[i]
+		}
+		if i < len(o) {
+			b = o[i]
+		}
+		if a != b {
+			return cmp.Compare(a, b)
+		}
+	}
+	return 0
 }
 
 // Clone returns an independent copy of the mask.

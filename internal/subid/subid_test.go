@@ -67,6 +67,31 @@ func TestMaskEqualIgnoresTrailingZeros(t *testing.T) {
 	}
 }
 
+// TestMaskWithinAndCompare: Within is subset, and Compare is a total order
+// that agrees with Equal, across words and mask lengths.
+func TestMaskWithinAndCompare(t *testing.T) {
+	masks := []Mask{nil, MaskOf(7, 1), MaskOf(200, 1), MaskOf(7, 1, 3), MaskOf(7, 3), MaskOf(200, 130), MaskOf(200, 1, 130)}
+	for _, a := range masks {
+		for _, b := range masks {
+			within := true
+			for _, bit := range a.Bits() {
+				within = within && b.Has(bit)
+			}
+			if a.Within(b) != within {
+				t.Errorf("%v.Within(%v) = %v, want %v", a, b, !within, within)
+			}
+			if c := a.Compare(b); (c == 0) != a.Equal(b) || c != -b.Compare(a) {
+				t.Errorf("%v.Compare(%v) = %d, reverse %d, Equal %v", a, b, c, b.Compare(a), a.Equal(b))
+			}
+			for _, x := range masks {
+				if a.Compare(b) < 0 && b.Compare(x) < 0 && a.Compare(x) >= 0 {
+					t.Errorf("Compare not transitive over %v < %v < %v", a, b, x)
+				}
+			}
+		}
+	}
+}
+
 func TestMaskCloneIndependent(t *testing.T) {
 	a := MaskOf(7, 2)
 	b := a.Clone()

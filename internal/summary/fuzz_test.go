@@ -2,6 +2,7 @@ package summary
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -214,12 +215,33 @@ func fuzzSummaryAndEvents(s *schema.Schema, data []byte) (*Summary, []*schema.Ev
 	return sm, events
 }
 
+// admissionSeed is a FuzzMatchKeys input in fuzzSummaryAndEvents' byte
+// layout: six subscriptions `a >= 0` whose c3 masks are, in view order,
+// {when}, {price}, {when, price}, {volume}, {high} and {low} (six groups),
+// then one event per presence bitmap over the schema's attributes, every
+// value 1.
+func admissionSeed(events ...byte) []byte {
+	seed := []byte{0, 5} // Lossy; six subscriptions
+	for _, attrs := range [][]byte{{2}, {3}, {2, 3}, {4}, {5}, {6}} {
+		seed = append(seed, byte(len(attrs)-1))
+		for _, a := range attrs {
+			seed = append(seed, a, 5, 0, 1) // a >= 0, no second constraint
+		}
+	}
+	seed = append(seed, 0, byte(len(events)-1)) // no removals; the events
+	for _, present := range events {
+		seed = append(seed, present)
+		seed = append(seed, bytes.Repeat([]byte{1}, bits.OnesCount8(present))...)
+	}
+	return seed
+}
+
 // FuzzMatchKeys: on any small summary — =, ≠, ranges, prefix, suffix and
-// contains rows, repeated ids, tombstones — the compiled matcher (following
-// the summary, and over two shards) returns the keys and the MatchCost of
-// the map-based reference, and leaves every counter zero. The first is the
-// paper's contract (no false negative); the second is what the next event's
-// answer rests on.
+// contains rows, repeated ids, tombstones — the compiled matcher returns
+// the keys and the MatchCost of the map-based reference, admission never
+// changes the keys Algorithm 1 finds when it counts every listed id, and
+// every counter is left zero. The first two are the paper's contract (no
+// false negative); the last is what the next event's answer rests on.
 func FuzzMatchKeys(f *testing.F) {
 	s := stockSchema(f)
 	f.Add([]byte{})
@@ -229,23 +251,24 @@ func FuzzMatchKeys(f *testing.F) {
 		rng.Read(seed)
 		f.Add(seed)
 	}
+	f.Add(admissionSeed(1 << 0))               // exchange only: no group is covered
+	f.Add(admissionSeed(0x7f))                 // every attribute: the union path
+	f.Add(admissionSeed(1<<2 | 1<<4 | 1<<6))   // {when}, {volume}, {low}: three runs apart
+	f.Add(admissionSeed(1<<2|1<<3, 1<<3|1<<5)) // adjacent groups coalesce; then two runs
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sm, events := fuzzSummaryAndEvents(s, data)
-		follower := sm.NewMatcher()
-		sharded := NewShardedMatcher(sm.ShardByKey(2))
+		m := sm.NewMatcher()
 		for _, ev := range events {
 			wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
-			for name, match := range map[string]func(*schema.Event) ([]uint64, MatchCost){
-				"follower": follower.MatchKeysWithCost, "2 shards": sharded.MatchKeysWithCost,
-			} {
-				gotKeys, gotCost := match(ev)
-				if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
-					t.Fatalf("%s on %s:\nreference %v %+v\nmatcher   %v %+v",
-						name, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
-				}
+			gotKeys, gotCost := m.MatchKeysWithCost(ev)
+			if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
+				t.Fatalf("on %s:\nreference %v %+v\nmatcher   %v %+v",
+					ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
 			}
-			requireCountersZero(t, "follower after "+ev.Format(s), follower)
-			requireCountersZero(t, "2 shards after "+ev.Format(s), sharded.matchers...)
+			if all := sm.unadmittedMatchKeys(ev); !slices.Equal(all, wantKeys) {
+				t.Fatalf("on %s: admission changed the keys: %v, counting every id %v", ev.Format(s), wantKeys, all)
+			}
+			requireCountersZero(t, "after "+ev.Format(s), m)
 		}
 	})
 }

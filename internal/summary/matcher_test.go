@@ -46,11 +46,14 @@ func buildRandomSummary(t testing.TB, rng *rand.Rand, s *schema.Schema, mode int
 // TestMatcherMatchesLegacy is the differential property test: across
 // randomized workloads the pooled Matcher must report byte-identical key
 // sets and identical MatchCost to the map-based reference
-// (reference_test.go).
+// (reference_test.go), and those keys must be the ones Algorithm 1 finds
+// counting every listed id. Most random events miss an attribute some
+// subscription names, so most take the restricted walk; the rest take the
+// union path.
 func TestMatcherMatchesLegacy(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(31))
-	events := 0
+	events, restricted := 0, 0
 	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
 		for trial := 0; trial < 6; trial++ {
 			sm := buildRandomSummary(t, rng, s, mode, 60+rng.Intn(60))
@@ -67,6 +70,13 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 				if wantCost != gotCost {
 					t.Fatalf("mode %v trial %d: cost diverges on %s\nlegacy  %+v\nmatcher %+v",
 						mode, trial, ev.Format(s), wantCost, gotCost)
+				}
+				if all := sm.unadmittedMatchKeys(ev); !equalKeys(all, wantKeys) {
+					t.Fatalf("mode %v trial %d: admission changed the keys on %s: %v, counting every id %v",
+						mode, trial, ev.Format(s), wantKeys, all)
+				}
+				if m.admit(ev) {
+					restricted++
 				}
 			}
 			// Mutating the summary mid-stream must not confuse the matcher's
@@ -89,6 +99,9 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 	if events < 1000 {
 		t.Fatalf("differential test covered only %d events, want ≥1000", events)
 	}
+	if restricted == 0 || restricted == events {
+		t.Fatalf("%d of %d events took the restricted walk; want both paths", restricted, events)
+	}
 }
 
 // TestMatcherMatchIDs checks the id-reconstructing entry point against
@@ -102,6 +115,60 @@ func TestMatcherMatchIDs(t *testing.T) {
 		ev := randomEvent(rng, s)
 		if want, got := sm.referenceMatch(ev), m.Match(ev); !reflect.DeepEqual(want, got) {
 			t.Fatalf("Match diverges on %s:\nlegacy  %v\nmatcher %v", ev.Format(s), want, got)
+		}
+	}
+}
+
+// TestMatchOrderByKey: a view's index order is (mask, key) order, so here,
+// where masks interleave keys, the hits in index order are keys 2, 4, 1, 3.
+// Match and MatchKeys must still return them by key, with each id's mask,
+// on the restricted walk and on the union path.
+func TestMatchOrderByKey(t *testing.T) {
+	s := stockSchema(t)
+	sm := New(s, interval.Lossy)
+	for local, text := range map[subid.LocalID]string{
+		1: `volume > 0`, 2: `price > 0`, 3: `price > 0 && volume > 0`, 4: `price > 0`, 5: `symbol = OTE`,
+	} {
+		if err := sm.Insert(id(1, local), mustSub(t, s, text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := sm.Compile(); slices.IsSorted(v.keys) {
+		t.Fatalf("fixture: index order %v is key order; the test would be vacuous", v.keys)
+	}
+	priceID, _ := s.ID("price")
+	volumeID, _ := s.ID("volume")
+	symbolID, _ := s.ID("symbol")
+	wantIDs := []subid.ID{
+		{Broker: 1, Local: 1, Attrs: subid.MaskOf(s.Len(), int(volumeID))},
+		{Broker: 1, Local: 2, Attrs: subid.MaskOf(s.Len(), int(priceID))},
+		{Broker: 1, Local: 3, Attrs: subid.MaskOf(s.Len(), int(priceID), int(volumeID))},
+		{Broker: 1, Local: 4, Attrs: subid.MaskOf(s.Len(), int(priceID))},
+		{Broker: 1, Local: 5, Attrs: subid.MaskOf(s.Len(), int(symbolID))},
+	}
+	for _, tc := range []struct {
+		event      string
+		restricted bool
+		want       []subid.ID
+	}{
+		{`price=1 volume=1`, true, wantIDs[:4]},
+		{`price=1 volume=1 symbol=OTE`, false, wantIDs},
+	} {
+		ev := mustEvent(t, s, tc.event)
+		for name, m := range map[string]*Matcher{"follower": sm.NewMatcher(), "compiled view": sm.Compile().NewMatcher()} {
+			var wantKeys []uint64
+			for _, x := range tc.want {
+				wantKeys = append(wantKeys, x.Key())
+			}
+			if got := m.MatchKeys(ev); !slices.Equal(got, wantKeys) {
+				t.Errorf("%s on %s: MatchKeys = %v, want %v", name, tc.event, got, wantKeys)
+			}
+			if m.admit(ev) != tc.restricted {
+				t.Errorf("%s on %s: restricted walk %v, want %v", name, tc.event, !tc.restricted, tc.restricted)
+			}
+			if got := m.Match(ev); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("%s on %s: Match = %v, want %v", name, tc.event, got, tc.want)
+			}
 		}
 	}
 }
@@ -174,9 +241,13 @@ func listsRepeat(lists [][]uint64) bool {
 // single query reaches one id through two id lists of the same attribute.
 // The id must be counted once for that attribute — twice overshoots its c3
 // target and loses a match — so keys and every MatchCost field must equal
-// the reference, through the summary-following matcher and through 1, 2, 4
-// and 8 shards. Each case first proves it is not vacuous: the compiled set
-// really lists the id twice for the probe value, and says it may.
+// the reference, through the summary-following matcher and a matcher bound
+// to the compiled view, on each event as written (missing attributes the
+// view's subscriptions name, so the walk is cut to eligible runs) and with
+// every missing attribute added (the union path). Each case first proves it
+// is not vacuous: the compiled set really lists the id twice for the probe
+// value, says it may, and still lists it twice once cut to the probe's
+// runs.
 func TestMatcherRepeatedIDs(t *testing.T) {
 	s := stockSchema(t)
 	priceID, _ := s.ID("price")
@@ -246,7 +317,7 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 			probe := mustEvent(t, s, tc.event)
 			attr, _ := s.ID(tc.attr)
 			val, _ := probe.Value(attr)
-			v := sm.ShardByKey(1)[0]
+			v := sm.Compile()
 			var lists [][]uint64
 			var distinct bool
 			if val.Arithmetic() {
@@ -263,6 +334,10 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 			if !slices.Contains(sm.referenceMatchKeys(probe), repeated.Key()) {
 				t.Fatalf("fixture: %s does not match the repeated subscription", tc.event)
 			}
+			bound := v.NewMatcher()
+			if !bound.admit(probe) || !listsRepeat(bound.cut(lists)) {
+				t.Fatalf("fixture: %s does not repeat the id inside its eligible runs %v", tc.event, bound.runs)
+			}
 
 			events := []*schema.Event{probe}
 			for _, text := range tc.events {
@@ -272,21 +347,17 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				events = append(events, randomEvent(rng, s))
 			}
-			matchers := map[string]func(*schema.Event) ([]uint64, MatchCost){"follower": sm.NewMatcher().MatchKeysWithCost}
-			for _, n := range []int{1, 2, 4, 8} {
-				shards := sm.ShardByKey(n)
-				if len(shards) != n {
-					t.Fatalf("ShardByKey(%d) returned %d views", n, len(shards))
-				}
-				matchers[fmt.Sprintf("%d shards", n)] = NewShardedMatcher(shards).MatchKeysWithCost
-			}
-			for _, ev := range events {
-				wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
-				for name, match := range matchers {
-					gotKeys, gotCost := match(ev)
-					if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
-						t.Fatalf("%s on %s:\nreference %v %+v\nmatcher   %v %+v",
-							name, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
+			matchers := map[string]*Matcher{"follower": sm.NewMatcher(), "compiled view": bound}
+			for _, written := range events {
+				for coverage, ev := range map[string]*schema.Event{"as written": written, "all attributes": withAllAttrs(t, s, written)} {
+					wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
+					for name, m := range matchers {
+						gotKeys, gotCost := m.MatchKeysWithCost(ev)
+						if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
+							t.Fatalf("%s on %s (%s):\nreference %v %+v\nmatcher   %v %+v",
+								name, ev.Format(s), coverage, wantKeys, wantCost, gotKeys, gotCost)
+						}
+						requireCountersZero(t, name+" after "+ev.Format(s), m)
 					}
 				}
 			}
@@ -294,12 +365,39 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 	}
 }
 
+// withAllAttrs returns e with every attribute of the schema it lacks added,
+// at a value no fixture names, so the event covers any view's union.
+func withAllAttrs(t testing.TB, s *schema.Schema, e *schema.Event) *schema.Event {
+	t.Helper()
+	fields := slices.Clone(e.Fields())
+	for a := schema.AttrID(0); int(a) < s.Len(); a++ {
+		if e.Has(a) {
+			continue
+		}
+		v := schema.StringValue("unnamed")
+		switch s.TypeOf(a) {
+		case schema.TypeInt:
+			v = schema.IntValue(-99)
+		case schema.TypeDate:
+			v = schema.Value{Type: schema.TypeDate, Num: -99}
+		case schema.TypeFloat:
+			v = schema.FloatValue(-99)
+		}
+		fields = append(fields, schema.Field{Attr: a, Value: v})
+	}
+	out, err := schema.EventFromFields(s, fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestMatcherCountersReturnToZero pins the invariant the counter array
 // rests on: after every match, every counter is zero — on a matcher that
 // follows a summary through a seeded interleaving of inserts, removals and
 // merges (its view growing, shrinking and being recompiled under it, dense
-// indices changing meaning each time), and on pooled sharded matchers
-// leased, returned and leased again over each snapshot of that summary.
+// indices changing meaning each time), and on a matcher bound to a
+// snapshot of that summary, leased again and again.
 func TestMatcherCountersReturnToZero(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(36))
@@ -332,24 +430,22 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 					t.Fatal(err)
 				}
 			case op == 6:
-				// A snapshot, as a broker publishes one: pooled matchers over
-				// fresh shards, reused across leases.
-				pool := NewShardedMatcherPool(sm.ShardByKey(1 + rng.Intn(4)))
+				// A snapshot, as a broker publishes one: a matcher bound to a
+				// fresh compile, reused across leases.
+				m := sm.Compile().NewMatcher()
 				for lease := 0; lease < 3; lease++ {
-					m := pool.Get()
 					batch := []*schema.Event{randomEvent(rng, s), randomEvent(rng, s), randomEvent(rng, s), randomEvent(rng, s)}
 					for i, keys := range m.MatchBatch(batch) {
 						if want := sm.referenceMatchKeys(batch[i]); !slices.Equal(keys, want) {
 							t.Fatalf("mode %v step %d lease %d: batch matched %v, reference %v", mode, step, lease, keys, want)
 						}
 					}
-					requireCountersZero(t, fmt.Sprintf("mode %v step %d lease %d, after MatchBatch", mode, step, lease), m.matchers...)
+					requireCountersZero(t, fmt.Sprintf("mode %v step %d lease %d, after MatchBatch", mode, step, lease), m)
 					ev := randomEvent(rng, s)
 					if got, want := m.MatchKeys(ev), sm.referenceMatchKeys(ev); !slices.Equal(got, want) {
 						t.Fatalf("mode %v step %d lease %d: matched %v, reference %v", mode, step, lease, got, want)
 					}
-					requireCountersZero(t, fmt.Sprintf("mode %v step %d lease %d, after MatchKeys", mode, step, lease), m.matchers...)
-					pool.Put(m)
+					requireCountersZero(t, fmt.Sprintf("mode %v step %d lease %d, after MatchKeys", mode, step, lease), m)
 				}
 			default:
 				ev := randomEvent(rng, s)
@@ -369,7 +465,8 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 
 // TestMatcherZeroAllocs asserts the acceptance criterion: once warmed up,
 // a matcher does not allocate per matched event — plain, with the cost
-// observers attached, and on the merge path. Each case runs the fixture
+// observers attached, on the merge path, on the restricted walk, and for
+// the eight-event run a broker's lease matches. Each case runs the fixture
 // of the benchmark it names.
 func TestMatcherZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -378,20 +475,28 @@ func TestMatcherZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		fixture func(testing.TB) (*Matcher, []*schema.Event)
+		batch   bool
 	}{
-		{"MatchKeys", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, false) }},
-		{"MatchKeysInstrumented", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, true) }},
-		{"MatchKeysRepeats", repeatsFixture},
+		{"MatchKeys", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, false) }, false},
+		{"MatchKeysInstrumented", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, true) }, false},
+		{"MatchKeysRepeats", repeatsFixture, false},
+		{"MatchKeysRestricted", restrictedFixture, false},
+		{"MatchBatch", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, true) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, events := tc.fixture(t)
 			i := 0
-			avg := testing.AllocsPerRun(1000, func() {
+			match := func() {
 				m.MatchKeys(events[i%len(events)])
 				i++
-			})
-			if avg != 0 {
-				t.Fatalf("Matcher.MatchKeys allocates %.2f objects per event, want 0", avg)
+			}
+			if tc.batch {
+				run := events[:8]
+				m.MatchBatch(run) // warm the batch scratch
+				match = func() { m.MatchBatch(run) }
+			}
+			if avg := testing.AllocsPerRun(1000, match); avg != 0 {
+				t.Fatalf("%s allocates %.2f objects per call, want 0", tc.name, avg)
 			}
 		})
 	}
@@ -485,8 +590,29 @@ func repeatsFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 	return m, events
 }
 
-// benchmarkMatchKeys times the three paths TestMatcherZeroAllocs holds at
-// zero allocations, one benchmark per fixture.
+// restrictedFixture is the restricted walk: the summary of matcherFixture,
+// probed only with events that miss an attribute its subscriptions name and
+// cover at least one group, so every event is cut to eligible runs.
+func restrictedFixture(tb testing.TB) (*Matcher, []*schema.Event) {
+	tb.Helper()
+	s := stockSchema(tb)
+	rng := rand.New(rand.NewSource(37))
+	sm := buildRandomSummary(tb, rng, s, interval.Lossy, 150)
+	m := sm.NewMatcher()
+	var events []*schema.Event
+	for len(events) < 64 {
+		ev := randomEvent(rng, s)
+		m.MatchKeys(ev) // binds m to the view admit reads
+		if m.admit(ev) && len(m.runs) > 0 {
+			events = append(events, ev)
+		}
+	}
+	warmMatcher(tb, m, events)
+	return m, events
+}
+
+// benchmarkMatchKeys times the paths TestMatcherZeroAllocs holds at zero
+// allocations, one benchmark per fixture.
 func benchmarkMatchKeys(b *testing.B, m *Matcher, events []*schema.Event) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -507,5 +633,10 @@ func BenchmarkMatcherMatchKeysInstrumented(b *testing.B) {
 
 func BenchmarkMatcherMatchKeysRepeats(b *testing.B) {
 	m, events := repeatsFixture(b)
+	benchmarkMatchKeys(b, m, events)
+}
+
+func BenchmarkMatcherMatchKeysRestricted(b *testing.B) {
+	m, events := restrictedFixture(b)
 	benchmarkMatchKeys(b, m, events)
 }

@@ -11,14 +11,36 @@ import (
 // Matcher and View against. It shares nothing with the compiled view: it
 // reads the live rows by key through interval.Set.QueryInto and
 // strmatch.Set.MatchInto (a linear scan, not the operator-class index),
-// and counts in maps.
+// counts in maps, and states admission per candidate — an id is admitted
+// when the event carries every attribute its c3 mask names, checked by
+// Mask.Has against the event's fields — never through the view's groups.
 
 // referenceMatchKeysWithCost returns the matched id keys, ascending, and
-// the Section 5.2.4 operation counts.
+// the Section 5.2.4 operation counts of the admitted ids.
 func (sm *Summary) referenceMatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
+	return sm.referenceCount(e, true)
+}
+
+// unadmittedMatchKeys is Algorithm 1 as the paper states it, every listed
+// id counted. Admission must never change its keys.
+func (sm *Summary) unadmittedMatchKeys(e *schema.Event) []uint64 {
+	keys, _ := sm.referenceCount(e, false)
+	return keys
+}
+
+func (sm *Summary) referenceCount(e *schema.Event, admit bool) ([]uint64, MatchCost) {
 	var cost MatchCost
 	counters := make(map[uint64]int)
 	perAttr := make(map[uint64]struct{})
+	admitted := func(i int32) bool {
+		n := 0
+		for _, f := range e.Fields() {
+			if sm.masks[i].Has(int(f.Attr)) {
+				n++
+			}
+		}
+		return n == int(sm.targets[i])
+	}
 	for _, f := range e.Fields() {
 		// Step 1: collect satisfied id lists for this attribute.
 		cost.EventAttrs++
@@ -35,7 +57,7 @@ func (sm *Summary) referenceMatchKeysWithCost(e *schema.Event) ([]uint64, MatchC
 			// tombstones awaiting a purge, strays in a hand-built summary.
 			// They cannot match, and are not counted as work either, so
 			// the cost does not depend on when the last purge ran.
-			if _, ok := sm.ids[key]; ok {
+			if i, ok := sm.ids[key]; ok && (!admit || admitted(i)) {
 				counters[key]++
 				cost.CollectedIDs++
 			}

@@ -60,7 +60,7 @@ type Summary struct {
 	// never over-count a reused id past its c3 target.
 	dead map[uint64]struct{}
 
-	// view caches the compiled one-shard match view (see View) that
+	// view caches the compiled match view (see View) that
 	// NewMatcher's matchers read. Every mutator that can change a match
 	// result clears it, so a matcher used across sequential mutations
 	// follows the summary; purges and compaction leave results, and so the
@@ -355,13 +355,16 @@ func (sm *Summary) MatchKeys(e *schema.Event) []uint64 { return sm.NewMatcher().
 // MatchCost instruments one Algorithm 1 run with the operation counts of
 // the Section 5.2.4 analysis: step 1's id-list collection work (the T1
 // term) and step 2's counter scan over the P collected subscriptions (T2).
+// It counts the work done, so only admitted ids count (see Matcher): an id
+// whose c3 mask names an attribute the event lacks is never collected.
 type MatchCost struct {
 	// EventAttrs is the number of event attributes examined (n_ae + n_se).
 	EventAttrs int
-	// CollectedIDs is the total distinct ids collected across attributes —
-	// the ΣL work of T1.
+	// CollectedIDs is the total distinct admitted ids collected across
+	// attributes — the ΣL work of T1.
 	CollectedIDs int
-	// UniqueIDs is P, the distinct subscriptions counted in step 2 (T2).
+	// UniqueIDs is P, the distinct admitted subscriptions counted in step 2
+	// (T2).
 	UniqueIDs int
 	// Matched is the number of ids whose counters reached their c3 count.
 	Matched int

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/subsum/subsum/internal/interval"
@@ -521,10 +522,16 @@ func TestMatchKeysWithCost(t *testing.T) {
 		if want := (MatchCost{EventAttrs: 3, CollectedIDs: 3, UniqueIDs: 2, Matched: 2}); len(keys) != 2 || cost != want {
 			t.Errorf("%s: keys = %v cost = %+v, want 2 keys at %+v", name, keys, cost, want)
 		}
-		// Non-matching event: id 1 collected on symbol only, counter < c3.
+		// No price: neither id is admitted, so id 1's symbol row is not
+		// counted although the value satisfies it.
 		keys, cost = match(mustEvent(t, s, `symbol=OTE`))
-		if want := (MatchCost{EventAttrs: 1, CollectedIDs: 1, UniqueIDs: 1, Matched: 0}); len(keys) != 0 || cost != want {
+		if want := (MatchCost{EventAttrs: 1}); len(keys) != 0 || cost != want {
 			t.Errorf("%s: keys = %v cost = %+v, want no keys at %+v", name, keys, cost, want)
+		}
+		// No symbol: only id 2 is admitted, and only its price entry counts.
+		keys, cost = match(mustEvent(t, s, `price=8.5 volume=1`))
+		if want := (MatchCost{EventAttrs: 2, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}); !slices.Equal(keys, []uint64{id(0, 2).Key()}) || cost != want {
+			t.Errorf("%s: keys = %v cost = %+v, want id 2 at %+v", name, keys, cost, want)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package summary
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 
 	"github.com/subsum/subsum/internal/interval"
@@ -9,19 +11,22 @@ import (
 	"github.com/subsum/subsum/internal/subid"
 )
 
-// View is a compiled, read-only match view of one Summary — its whole id
-// set, or one contiguous key range of it (ShardByKey). It holds what
-// Algorithm 1 reads and nothing else: a private copy of the AACS/SACS rows
-// whose id lists carry each subscription's dense index into the view's
-// registry slices instead of its c1‖c2 key, so the key→index translation
-// is paid once per row entry at build time and a Matcher addresses its
-// counters straight from the row entry.
+// View is a compiled, read-only match view of one Summary's whole id set.
+// It holds what Algorithm 1 reads and nothing else: a private copy of the
+// AACS/SACS rows whose id lists carry each subscription's dense index into
+// the view's registry slices instead of its c1‖c2 key, so the key→index
+// translation is paid once per row entry at build time and a Matcher
+// addresses its counters straight from the row entry.
 //
-// Invariants, all fixed when ShardByKey returns:
-//   - keys is strictly ascending, so index order is key order: id lists
-//     stay sorted under the translation, and matched indices sorted
-//     ascending name matched keys sorted ascending (what lets per-shard
-//     results concatenate into the unsharded answer).
+// Invariants, all fixed when Compile returns:
+//   - index order is (c3 mask, key) order (subid.Mask.Compare, then key):
+//     the ids of one mask form one contiguous run of indices, listed in
+//     groups, and within a run index order is key order. A mask is kept
+//     once, in its group; groupOf names each index's group.
+//   - every id list is strictly ascending by index, so the part of a list
+//     inside a run is found by binary search.
+//   - union is the OR of every group's mask: an event carrying all of its
+//     attributes can be matched with no run consulted at all.
 //   - every row id is below len(keys). Ids the registry did not hold at
 //     build time — tombstoned rows not yet purged, strays in a hand-built
 //     summary — are dropped then: they cannot match, and are not counted
@@ -35,9 +40,22 @@ type View struct {
 	aacs    map[schema.AttrID]*interval.Set
 	sacs    map[schema.AttrID]*strmatch.Set
 	keys    []uint64
-	masks   []subid.Mask // c3 masks, shared with the summary (read-only once registered)
-	targets []uint16     // masks[i].Count(), the c3 match target (≤ schema.MaxAttributes)
+	targets []uint16 // the c3 match target, its mask's Count (≤ schema.MaxAttributes)
+	groupOf []int32  // index → its group
+	groups  []group  // one per distinct mask, in index order; their runs partition [0, len(keys))
+	union   subid.Mask
 }
+
+// group is the index run of the ids whose c3 mask is mask (shared with the
+// summary, read-only once registered).
+type group struct {
+	mask subid.Mask
+	span
+}
+
+// span is the index run [lo, hi). Bounds are uint64 so they compare with
+// id-list entries directly.
+type span struct{ lo, hi uint64 }
 
 // NumSubscriptions returns the number of subscription ids the view covers.
 func (v *View) NumSubscriptions() int { return len(v.keys) }
@@ -45,69 +63,184 @@ func (v *View) NumSubscriptions() int { return len(v.keys) }
 // idAt reconstructs the full subscription id of dense index i.
 func (v *View) idAt(i int32) subid.ID {
 	broker, local := subid.KeyParts(v.keys[i])
-	return subid.ID{Broker: broker, Local: local, Attrs: v.masks[i]}
+	return subid.ID{Broker: broker, Local: local, Attrs: v.groups[v.groupOf[i]].mask}
 }
 
-// ShardByKey compiles the summary into n views over disjoint, contiguous,
-// ascending id-key ranges, so one event can be matched across cores
-// without shared scratch. Every registered id lands in exactly one view;
-// view s covers a key range strictly below view s+1's, which is what
-// makes concatenating per-shard match results in shard order globally
-// sorted — byte-identical to the unsharded matcher's output at any shard
-// count (the determinism rule).
-//
-// Each view is built in one pass over the live rows that translates and
-// filters as it copies; the summary is only read, and can keep mutating
-// once ShardByKey returns. n is clamped to [1, number of ids] so no view
-// is empty (an empty summary still gets one).
-func (sm *Summary) ShardByKey(n int) []*View {
-	n = max(1, min(n, len(sm.keys)))
-	keys := slices.Clone(sm.keys)
-	slices.Sort(keys)
-	rank := make([]int, len(keys)) // registry index → position in keys
-	masks := make([]subid.Mask, len(keys))
-	targets := make([]uint16, len(keys))
-	for r, key := range keys {
-		i := sm.ids[key]
-		rank[i], masks[r], targets[r] = r, sm.masks[i], uint16(sm.targets[i])
-	}
-	views := make([]*View, n)
-	for s := range views {
-		lo, hi := s*len(keys)/n, (s+1)*len(keys)/n
-		index := func(key uint64) (uint64, bool) {
-			i, ok := sm.ids[key]
+// Compile builds the view of the summary's current contents in one pass
+// over the live rows that translates and filters as it copies; the summary
+// is only read, and can keep mutating once Compile returns.
+func (sm *Summary) Compile() *View {
+	n := len(sm.keys)
+	// Index order is (mask, key) order. Deal the registry into one bucket
+	// per mask (a map probe per id, on a mask hash), order the buckets by
+	// mask, and sort each bucket by key: small sorts, and a comparison sort
+	// over the distinct masks only.
+	bucket := make([]int32, n) // registry index → bucket, numbered as first seen
+	byHash := make(map[uint64]int)
+	var masks []subid.Mask // per bucket
+	var sizes []uint64
+	for i, m := range sm.masks {
+		h := uint64(0)
+		for w, word := range m { // zero words add nothing; a one-word mask is its own hash
+			h ^= bits.RotateLeft64(word, w)
+		}
+		b, ok := byHash[h]
+		if ok && !masks[b].Equal(m) {
+			b = slices.IndexFunc(masks, m.Equal) // two masks share a hash
+		}
+		if !ok || b < 0 {
+			b = len(masks)
 			if !ok {
-				return 0, false
+				byHash[h] = b
 			}
-			r := rank[i]
-			return uint64(r - lo), lo <= r && r < hi
+			masks, sizes = append(masks, m), append(sizes, 0)
 		}
-		v := &View{
-			aacs:    make(map[schema.AttrID]*interval.Set, len(sm.aacs)),
-			sacs:    make(map[schema.AttrID]*strmatch.Set, len(sm.sacs)),
-			keys:    keys[lo:hi:hi],
-			masks:   masks[lo:hi:hi],
-			targets: targets[lo:hi:hi],
-		}
-		for a, set := range sm.aacs {
-			v.aacs[a] = set.CloneMapped(hi-lo, index)
-		}
-		for a, set := range sm.sacs {
-			v.sacs[a] = set.CloneMapped(hi-lo, index)
-		}
-		views[s] = v
+		bucket[i] = int32(b)
+		sizes[b]++
 	}
-	return views
+	byMask := make([]int32, len(masks))
+	for b := range byMask {
+		byMask[b] = int32(b)
+	}
+	slices.SortFunc(byMask, func(a, b int32) int { return masks[a].Compare(masks[b]) })
+	v := &View{
+		aacs:    make(map[schema.AttrID]*interval.Set, len(sm.aacs)),
+		sacs:    make(map[schema.AttrID]*strmatch.Set, len(sm.sacs)),
+		keys:    make([]uint64, n),
+		targets: make([]uint16, n),
+		groupOf: make([]int32, n),
+		groups:  make([]group, len(masks)),
+	}
+	next := make([]uint64, len(masks)) // per bucket, its next dense index
+	lo := uint64(0)
+	for g, b := range byMask {
+		v.groups[g] = group{mask: masks[b], span: span{lo, lo + sizes[b]}}
+		target := uint16(masks[b].Count())
+		for r := lo; r < lo+sizes[b]; r++ {
+			v.targets[r], v.groupOf[r] = target, int32(g)
+		}
+		next[b], lo = lo, lo+sizes[b]
+		v.union = append(v.union, make(subid.Mask, max(0, len(masks[b])-len(v.union)))...)
+		for w, word := range masks[b] {
+			v.union[w] |= word
+		}
+	}
+	order := make([]int32, n) // dense index → registry index
+	for i, b := range bucket {
+		order[next[b]] = int32(i)
+		next[b]++
+	}
+	for _, g := range v.groups {
+		run := order[g.lo:g.hi]
+		slices.SortFunc(run, func(a, b int32) int { return cmp.Compare(sm.keys[a], sm.keys[b]) })
+		for r, i := range run {
+			v.keys[g.lo+uint64(r)] = sm.keys[i]
+		}
+	}
+	lists := &groupSort{groupOf: v.groupOf}
+	index, add := newKeyIndex(v.keys).get, lists.add
+	for a, set := range sm.aacs {
+		v.aacs[a] = set.CloneMapped(n, index, add)
+	}
+	for a, set := range sm.sacs {
+		v.sacs[a] = set.CloneMapped(n, index, add)
+	}
+	lists.sort(len(v.groups))
+	return v
 }
 
-// compiled returns the one-shard view of the summary's current contents,
-// building it on first use after a mutation. Concurrent readers may race
-// to build it; they build equal views, so whichever store lands is right.
+// keyIndex maps a view's keys to their dense indices for Compile's
+// translation: linear probing over a power-of-two table at most two-thirds
+// full, with Fibonacci hashing. A probe of the registry's map was the
+// largest single cost of a compile; this one is a multiply and, mostly,
+// one slot.
+type keyIndex struct {
+	keys  []uint64 // the view's, in dense order
+	slots []int32  // dense index + 1 of a key hashed here; 0 is empty
+	shift uint
+}
+
+func newKeyIndex(keys []uint64) *keyIndex {
+	size := bits.Len(uint(len(keys) + len(keys)/2))
+	t := &keyIndex{keys: keys, slots: make([]int32, 1<<size), shift: uint(64 - size)}
+	for r, key := range keys {
+		i := t.slot(key)
+		for t.slots[i] != 0 {
+			i = (i + 1) & uint64(len(t.slots)-1)
+		}
+		t.slots[i] = int32(r + 1)
+	}
+	return t
+}
+
+func (t *keyIndex) slot(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> t.shift }
+
+// get returns key's dense index, or false for a key the view does not hold.
+func (t *keyIndex) get(key uint64) (uint64, bool) {
+	for i := t.slot(key); ; i = (i + 1) & uint64(len(t.slots)-1) {
+		switch r := t.slots[i]; {
+		case r == 0:
+			return 0, false
+		case t.keys[r-1] == key:
+			return uint64(r - 1), true
+		}
+	}
+}
+
+// groupSort puts translated id lists in index order. A list arrives in key
+// order, translated, so within one group its indices already ascend: one
+// stable bucket pass by group sorts every list, in O(entries + groups) and
+// with no comparison.
+type groupSort struct {
+	groupOf []int32    // dense index → group
+	lists   [][]uint64 // the lists not yet ascending (a list within one group is)
+}
+
+// add keeps ids for sort unless it already ascends.
+func (s *groupSort) add(ids []uint64) {
+	if !slices.IsSorted(ids) {
+		s.lists = append(s.lists, ids)
+	}
+}
+
+// listEntry is one id-list entry: the list it belongs to and its index.
+type listEntry struct{ list, index int32 }
+
+// sort sorts every list add kept, over a view of the given group count.
+func (s *groupSort) sort(groups int) {
+	lists := s.lists
+	next := make([]int32, groups+1) // per group, the next free slot of its bucket
+	for _, ids := range lists {
+		for _, i := range ids {
+			next[s.groupOf[i]+1]++
+		}
+	}
+	for g := 1; g < len(next); g++ {
+		next[g] += next[g-1]
+	}
+	buf := make([]listEntry, next[groups])
+	for l, ids := range lists {
+		for _, i := range ids {
+			g := s.groupOf[i]
+			buf[next[g]] = listEntry{int32(l), int32(i)}
+			next[g]++
+		}
+	}
+	fill := make([]int32, len(lists)) // per list, the next slot to write
+	for _, e := range buf {
+		lists[e.list][fill[e.list]] = uint64(e.index)
+		fill[e.list]++
+	}
+}
+
+// compiled returns the view of the summary's current contents, building it
+// on first use after a mutation. Concurrent readers may race to build it;
+// they build equal views, so whichever store lands is right.
 func (sm *Summary) compiled() *View {
 	if v := sm.view.Load(); v != nil {
 		return v
 	}
-	v := sm.ShardByKey(1)[0]
+	v := sm.Compile()
 	sm.view.Store(v)
 	return v
 }

@@ -1,7 +1,6 @@
 package summary
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -13,8 +12,6 @@ import (
 	"github.com/subsum/subsum/internal/strmatch"
 	"github.com/subsum/subsum/internal/subid"
 )
-
-var viewShardCounts = []int{1, 2, 3, 8}
 
 // dirtySummary builds a random multi-broker summary and leaves it the way
 // a live merged summary looks between purge points: a fifth of its ids
@@ -46,11 +43,13 @@ func dirtySummary(t testing.TB, rng *rand.Rand, s *schema.Schema, mode interval.
 
 // TestViewMatchesReference is the differential test of the compiled view:
 // on seeded random summaries in both modes, the summary-following matcher
-// and a sharded matcher at every shard count return the keys and the
-// MatchCost of the map-based reference, with unpurged tombstones and a
-// stray row id in the structures. The one-shot Summary.Match/MatchKeys
-// wrappers are held to the same reference, also between mutations: each
-// call caches the view it compiled, so every mutator must drop it.
+// and a matcher bound to the compiled view, one event at a time and
+// batched, return the keys and the MatchCost of the map-based reference,
+// with unpurged tombstones and a stray row id in the structures; the keys
+// are those of counting every listed id. The one-shot Summary.Match/
+// MatchKeys wrappers are held to the same reference, also between
+// mutations: each call caches the view it compiled, so every mutator must
+// drop it.
 func TestViewMatchesReference(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(61))
@@ -71,10 +70,25 @@ func TestViewMatchesReference(t *testing.T) {
 						t.Fatalf("mode %v trial %d %s on %s:\nreference %v %+v\nview      %v %+v",
 							mode, trial, name, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
 					}
+					if all := sm.unadmittedMatchKeys(ev); !slices.Equal(all, wantKeys) {
+						t.Fatalf("mode %v trial %d on %s: admission changed the keys: %v, counting every id %v",
+							mode, trial, ev.Format(s), wantKeys, all)
+					}
 					matched += len(wantKeys)
 				}
 			}
 			check("Summary.NewMatcher", sm.NewMatcher().MatchKeysWithCost)
+			bound := sm.Compile().NewMatcher()
+			check("View.NewMatcher", bound.MatchKeysWithCost)
+			res := bound.MatchBatch(events)
+			if len(res) != len(events) {
+				t.Fatalf("MatchBatch returned %d results for %d events", len(res), len(events))
+			}
+			for i, keys := range res {
+				if want := sm.referenceMatchKeys(events[i]); !slices.Equal(keys, want) {
+					t.Fatalf("mode %v trial %d MatchBatch event %d: %v, reference %v", mode, trial, i, keys, want)
+				}
+			}
 			checkWrappers := func(stage string) {
 				t.Helper()
 				for _, ev := range events {
@@ -89,20 +103,8 @@ func TestViewMatchesReference(t *testing.T) {
 				}
 			}
 			checkWrappers("as built")
-			for _, n := range viewShardCounts {
-				shards := sm.ShardByKey(n)
-				if len(shards) != n {
-					t.Fatalf("ShardByKey(%d) returned %d views", n, len(shards))
-				}
-				m := NewShardedMatcher(shards)
-				check(fmt.Sprintf("%d shards", n), m.MatchKeysWithCost)
-				check(fmt.Sprintf("%d shards, batched", n), func(ev *schema.Event) ([]uint64, MatchCost) {
-					res, cost := m.MatchBatchWithCost([]*schema.Event{ev})
-					return res[0], cost
-				})
-			}
 			if len(sm.dead) == 0 {
-				t.Fatal("compiling a view purged the summary: ShardByKey must only read")
+				t.Fatal("compiling a view purged the summary: Compile must only read")
 			}
 			if err := sm.Insert(id(8, 1), randomSubscription(rng, s)); err != nil {
 				t.Fatal(err)
@@ -128,75 +130,20 @@ func TestViewMatchesReference(t *testing.T) {
 }
 
 // TestViewInvariants checks what a compiled view promises about its own
-// shape: ascending keys, every row id a valid dense index, no id of
-// another shard's range, a tombstone or a stray surviving in any row — and
-// that each compiled set's distinct flag is sound: brute force over every
-// value a row names (and one no row names), no query of a set that claims
-// distinct lists returns an id twice. The flag may err the other way.
+// shape, in both modes: every registered id at exactly one index, in
+// strictly ascending (mask, key) order; groups that partition the indices
+// into one run per mask, and a union that is the OR of their masks; every
+// id list strictly ascending by index, and no tombstone or stray surviving
+// in any of them. And that each compiled set's distinct flag is sound:
+// brute force over every value a row names (and one no row names), no
+// query of a set that claims distinct lists returns an id twice. The flag
+// may err the other way.
 func TestViewInvariants(t *testing.T) {
 	s := stockSchema(t)
-	sm := dirtySummary(t, rand.New(rand.NewSource(62)), s, interval.Lossy, 150)
-	// Shards partition the live row entries: what the purged summary holds,
-	// no more (nothing dead or stray) and no less.
-	clean := sm.Clone()
-	priceID, _ := s.ID("price")
-	symbolID, _ := s.ID("symbol")
-	stray := map[uint64]struct{}{subid.ID{Broker: 77, Local: 7}.Key(): {}}
-	clean.aacs[priceID].RemoveAll(stray)
-	clean.sacs[symbolID].RemoveAll(stray)
-	st := clean.Stats()
-	liveEntries := st.Arithmetic.IDEntries + st.Strings.IDEntries
-	sm = dirtySummary(t, rand.New(rand.NewSource(62)), s, interval.Lossy, 150) // Clone purged sm
-	for _, n := range viewShardCounts {
-		entries := 0
-		for si, v := range sm.ShardByKey(n) {
-			if !slices.IsSorted(v.keys) || len(slices.Compact(slices.Clone(v.keys))) != len(v.keys) {
-				t.Fatalf("%d shards: view %d keys not strictly ascending", n, si)
-			}
-			for i, key := range v.keys {
-				if ri, ok := sm.ids[key]; !ok || sm.targets[ri] != int32(v.targets[i]) || !sm.masks[ri].Equal(v.masks[i]) {
-					t.Fatalf("%d shards: view %d index %d (key %d) disagrees with the registry", n, si, i, key)
-				}
-			}
-			rowIDs := func(ids []uint64) {
-				for _, id := range ids {
-					if id >= uint64(len(v.keys)) {
-						t.Fatalf("%d shards: view %d holds row id %d, beyond its %d keys", n, si, id, len(v.keys))
-					}
-				}
-				if !slices.IsSorted(ids) {
-					t.Fatalf("%d shards: view %d row ids not ascending: %v", n, si, ids)
-				}
-				entries += len(ids)
-			}
-			for _, set := range v.aacs {
-				for _, r := range set.Rows() {
-					rowIDs(r.IDs)
-				}
-				for _, r := range set.EqRows() {
-					rowIDs(r.IDs)
-				}
-				for _, r := range set.NeRows() {
-					rowIDs(r.IDs)
-				}
-			}
-			for _, set := range v.sacs {
-				for _, r := range set.Rows() {
-					rowIDs(r.IDs)
-				}
-				for _, r := range set.NeRows() {
-					rowIDs(r.IDs)
-				}
-			}
-		}
-		if entries != liveEntries {
-			t.Fatalf("%d shards hold %d row entries in all, the purged summary %d", n, entries, liveEntries)
-		}
-	}
-
-	// The distinct flags, in both modes. The Exact summary also gets the one
-	// repeat only that mode consults together and no subscription yields:
-	// an id in an equality row and in the sub-range row around it.
+	lossy := dirtySummary(t, rand.New(rand.NewSource(62)), s, interval.Lossy, 150)
+	// The Exact summary also gets the one repeat only that mode consults
+	// together and no subscription yields: an id in an equality row and in
+	// the sub-range row around it.
 	exact := dirtySummary(t, rand.New(rand.NewSource(66)), s, interval.Exact, 150)
 	edited := false
 	for a := 0; a < s.Len() && !edited; a++ {
@@ -215,20 +162,122 @@ func TestViewInvariants(t *testing.T) {
 	if !edited {
 		t.Fatal("fixture: the Exact summary has no live equality row to put a range around")
 	}
-	for _, sm := range []*Summary{sm, exact} {
-		repeats, distinctQueries := 0, 0
-		for _, n := range viewShardCounts {
-			for _, v := range sm.ShardByKey(n) {
-				r, d := requireSoundDistinct(t, v)
-				repeats, distinctQueries = repeats+r, distinctQueries+d
+	for _, sm := range []*Summary{lossy, exact} {
+		v := sm.Compile()
+		requireViewShape(t, sm, v)
+		repeats, distinctQueries := requireSoundDistinct(t, v)
+		// No id of this one is listed twice on an attribute, and its ≠
+		// entries sit beside other ids' rows: sets that rightly claim
+		// distinct lists, consulted several lists at a time.
+		disjoint := New(s, sm.mode)
+		for i, text := range []string{`price != 3`, `price > 5`, `price = 4`, `symbol != OTE`, `symbol >* OT`, `symbol = LSE`} {
+			if err := disjoint.Insert(id(6, subid.LocalID(i)), mustSub(t, s, text)); err != nil {
+				t.Fatal(err)
 			}
 		}
+		r, d := requireSoundDistinct(t, disjoint.Compile())
+		repeats, distinctQueries = repeats+r, distinctQueries+d
 		// Both sides of the flag were exercised: queries that do repeat an
 		// id, and multi-list queries of sets that rightly claim none can.
 		if repeats == 0 || distinctQueries == 0 {
 			t.Fatalf("mode %v: fixture exercised %d repeating queries and %d multi-list distinct ones; want both",
 				sm.mode, repeats, distinctQueries)
 		}
+	}
+}
+
+// requireViewShape checks v, compiled from the dirty summary sm, against
+// sm's registry and rows. It purges sm.
+func requireViewShape(t *testing.T, sm *Summary, v *View) {
+	t.Helper()
+	n := len(v.keys)
+	if n != len(sm.keys) || len(v.groupOf) != n || len(v.targets) != n {
+		t.Fatalf("mode %v: view holds %d keys, %d group numbers, %d targets for %d registered ids",
+			sm.mode, n, len(v.groupOf), len(v.targets), len(sm.keys))
+	}
+	maskAt := func(i int) subid.Mask { return v.groups[v.groupOf[i]].mask }
+	for i, key := range v.keys {
+		if ri, ok := sm.ids[key]; !ok || sm.targets[ri] != int32(v.targets[i]) || !sm.masks[ri].Equal(maskAt(i)) {
+			t.Fatalf("mode %v: index %d (key %d) disagrees with the registry", sm.mode, i, key)
+		}
+		if i > 0 {
+			if c := maskAt(i - 1).Compare(maskAt(i)); c > 0 || c == 0 && v.keys[i-1] >= v.keys[i] {
+				t.Fatalf("mode %v: indices %d, %d not in strictly ascending (mask, key) order: %v %d, %v %d",
+					sm.mode, i-1, i, maskAt(i-1), v.keys[i-1], maskAt(i), v.keys[i])
+			}
+		}
+	}
+	if len(v.groups) < 2 {
+		t.Fatalf("mode %v: fixture compiles to %d groups; want several", sm.mode, len(v.groups))
+	}
+	var union subid.Mask
+	next := uint64(0)
+	for gi, g := range v.groups {
+		if g.lo != next || g.hi <= g.lo {
+			t.Fatalf("mode %v: group %d covers [%d, %d), want a non-empty run from %d", sm.mode, gi, g.lo, g.hi, next)
+		}
+		if gi > 0 && g.mask.Equal(v.groups[gi-1].mask) {
+			t.Fatalf("mode %v: groups %d and %d share mask %v", sm.mode, gi-1, gi, g.mask)
+		}
+		for i := g.lo; i < g.hi; i++ {
+			if v.groupOf[i] != int32(gi) {
+				t.Fatalf("mode %v: index %d is in group %d, inside group %d's run", sm.mode, i, v.groupOf[i], gi)
+			}
+		}
+		for _, b := range g.mask.Bits() {
+			union.Set(b)
+		}
+		next = g.hi
+	}
+	if next != uint64(n) {
+		t.Fatalf("mode %v: groups end at %d of %d indices", sm.mode, next, n)
+	}
+	if !union.Equal(v.union) {
+		t.Fatalf("mode %v: union %v, want the OR of the group masks %v", sm.mode, v.union, union)
+	}
+
+	entries := 0
+	rowIDs := func(ids []uint64) {
+		for j, id := range ids {
+			if id >= uint64(n) {
+				t.Fatalf("mode %v: row id %d beyond the view's %d keys", sm.mode, id, n)
+			}
+			if j > 0 && ids[j-1] >= id {
+				t.Fatalf("mode %v: row ids not strictly ascending by index: %v", sm.mode, ids)
+			}
+		}
+		entries += len(ids)
+	}
+	for _, set := range v.aacs {
+		for _, r := range set.Rows() {
+			rowIDs(r.IDs)
+		}
+		for _, r := range set.EqRows() {
+			rowIDs(r.IDs)
+		}
+		for _, r := range set.NeRows() {
+			rowIDs(r.IDs)
+		}
+	}
+	for _, set := range v.sacs {
+		for _, r := range set.Rows() {
+			rowIDs(r.IDs)
+		}
+		for _, r := range set.NeRows() {
+			rowIDs(r.IDs)
+		}
+	}
+	// The view holds the live row entries: what the purged summary holds, no
+	// more (nothing dead or stray) and no less.
+	clean := sm.Clone() // purges sm
+	priceID, _ := sm.schema.ID("price")
+	symbolID, _ := sm.schema.ID("symbol")
+	stray := map[uint64]struct{}{subid.ID{Broker: 77, Local: 7}.Key(): {}}
+	clean.aacs[priceID].RemoveAll(stray)
+	clean.sacs[symbolID].RemoveAll(stray)
+	st := clean.Stats()
+	if live := st.Arithmetic.IDEntries + st.Strings.IDEntries; entries != live {
+		t.Fatalf("mode %v: view holds %d row entries, the purged summary %d", sm.mode, entries, live)
 	}
 }
 
@@ -286,8 +335,8 @@ func requireSoundDistinct(t *testing.T, v *View) (repeats, distinctQueries int) 
 
 // TestViewReRegisteredID retracts an id and registers it again with
 // different constraints: none of its old rows may count toward the new c3
-// target — in a matcher that was following the summary all along, or in
-// fresh shards.
+// target — in a matcher that was following the summary all along, or in a
+// fresh compile.
 func TestViewReRegisteredID(t *testing.T) {
 	s := stockSchema(t)
 	sm := New(s, interval.Lossy)
@@ -316,9 +365,8 @@ func TestViewReRegisteredID(t *testing.T) {
 	onlyNew := mustEvent(t, s, `exchange=NYSE`)
 	onlyOld := mustEvent(t, s, `price=20 symbol=OTE volume=5 exchange=LSE`)
 	for name, match := range map[string]func(*schema.Event) []uint64{
-		"follower": follower.MatchKeys,
-		"1 shard":  NewShardedMatcher(sm.ShardByKey(1)).MatchKeys,
-		"2 shards": NewShardedMatcher(sm.ShardByKey(2)).MatchKeys,
+		"follower":      follower.MatchKeys,
+		"compiled view": sm.Compile().NewMatcher().MatchKeys,
 	} {
 		if got := match(old); !slices.Equal(got, both) {
 			t.Errorf("%s: old+new event matched %v, want %v", name, got, both)
@@ -332,40 +380,32 @@ func TestViewReRegisteredID(t *testing.T) {
 	}
 }
 
-// TestViewEmptySummary: an empty summary compiles to one empty view at
-// any requested width and matches nothing, at the reference's cost.
+// TestViewEmptySummary: an empty summary compiles to an empty view with no
+// group, which matches nothing, at the reference's cost.
 func TestViewEmptySummary(t *testing.T) {
 	s := stockSchema(t)
 	sm := New(s, interval.Exact)
 	ev := randomEvent(rand.New(rand.NewSource(63)), s)
 	_, want := sm.referenceMatchKeysWithCost(ev)
-	for _, n := range viewShardCounts {
-		shards := sm.ShardByKey(n)
-		if len(shards) != 1 || shards[0].NumSubscriptions() != 0 {
-			t.Fatalf("ShardByKey(%d) of an empty summary: %d views", n, len(shards))
-		}
-		keys, cost := NewShardedMatcher(shards).MatchKeysWithCost(ev)
-		if len(keys) != 0 || cost != want {
-			t.Fatalf("empty view matched %v at cost %+v, want nothing at %+v", keys, cost, want)
-		}
+	v := sm.Compile()
+	if v.NumSubscriptions() != 0 || len(v.groups) != 0 {
+		t.Fatalf("empty summary compiled to %d ids in %d groups", v.NumSubscriptions(), len(v.groups))
+	}
+	if keys, cost := v.NewMatcher().MatchKeysWithCost(ev); len(keys) != 0 || cost != want {
+		t.Fatalf("empty view matched %v at cost %+v, want nothing at %+v", keys, cost, want)
 	}
 	if keys, cost := sm.NewMatcher().MatchKeysWithCost(ev); len(keys) != 0 || cost != want {
 		t.Fatalf("empty summary's matcher returned %v at cost %+v", keys, cost)
 	}
 }
 
-// TestShardedMatchRecoversMasks checks the id-returning entry points give
-// every matched id its c3 mask, at each shard count.
-func TestShardedMatchRecoversMasks(t *testing.T) {
+// TestMatchRecoversMasks checks the id-returning entry points give every
+// matched id its c3 mask, following the summary and bound to a compile.
+func TestMatchRecoversMasks(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(64))
 	sm := dirtySummary(t, rng, s, interval.Lossy, 160)
-	matchers := []interface {
-		Match(*schema.Event) []subid.ID
-	}{sm.NewMatcher()}
-	for _, n := range viewShardCounts {
-		matchers = append(matchers, NewShardedMatcher(sm.ShardByKey(n)))
-	}
+	matchers := []*Matcher{sm.NewMatcher(), sm.Compile().NewMatcher()}
 	matched := 0
 	for probe := 0; probe < 200; probe++ {
 		ev := randomEvent(rng, s)
@@ -388,9 +428,9 @@ func TestShardedMatchRecoversMasks(t *testing.T) {
 	}
 }
 
-// TestViewImmutableUnderMutation publishes views, then keeps mutating the
-// summary they came from — inserts, removals, purges, compaction, merges —
-// while goroutines match against the views: every answer must be the one
+// TestViewImmutableUnderMutation publishes a view, then keeps mutating the
+// summary it came from — inserts, removals, purges, compaction, merges —
+// while goroutines match against the view: every answer must be the one
 // the summary gave at compile time. Under -race this is also the proof
 // that a view shares no mutable memory with its summary.
 func TestViewImmutableUnderMutation(t *testing.T) {
@@ -403,36 +443,28 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 		events[i] = randomEvent(rng, s)
 		want[i] = sm.referenceMatchKeys(events[i])
 	}
-	var pools []*ShardedMatcherPool
-	for _, n := range viewShardCounts {
-		pools = append(pools, NewShardedMatcherPool(sm.ShardByKey(n)))
-	}
+	v := sm.Compile()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, pool := range pools {
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func(pool *ShardedMatcherPool) {
-				defer wg.Done()
-				for rep := 0; ; rep++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					m := pool.Get()
-					for i, keys := range m.MatchBatch(events) {
-						if !slices.Equal(keys, want[i]) {
-							t.Errorf("event %d after mutations: %v, want the compile-time answer %v", i, keys, want[i])
-							pool.Put(m)
-							return
-						}
-					}
-					pool.Put(m)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(m *Matcher) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-			}(pool)
-		}
+				for i, keys := range m.MatchBatch(events) {
+					if !slices.Equal(keys, want[i]) {
+						t.Errorf("event %d after mutations: %v, want the compile-time answer %v", i, keys, want[i])
+						return
+					}
+				}
+			}
+		}(v.NewMatcher())
 	}
 	other := New(s, interval.Lossy)
 	for i := 0; i < 40; i++ {
@@ -458,18 +490,4 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// BenchmarkShardedMatchBatch is the call production makes: a leased
-// two-shard matcher over a run of eight events (serial or fanned out, as
-// the cores allow). The shards are compiled before the timer;
-// TestShardedMatcherZeroAllocs holds this run at 0 allocations per batch
-// at the ambient GOMAXPROCS.
-func BenchmarkShardedMatchBatch(b *testing.B) {
-	m, events := shardBatchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MatchBatch(events)
-	}
 }
