@@ -1,10 +1,10 @@
 // Package core is the live engine of the subscription-summarization
-// system: a network of broker nodes (goroutine actors over an in-process
-// message bus) that implements the paper end to end — per-broker summaries
-// (Section 3), multi-broker summary propagation (Algorithm 2, run
-// periodically over real messages), and distributed event processing
-// (Algorithm 3) with exact re-matching and consumer delivery at owning
-// brokers.
+// system: a network of broker nodes (actors over an in-process message
+// bus, run by the bus's workers) that implements the paper end to end —
+// per-broker summaries (Section 3), multi-broker summary propagation
+// (Algorithm 2, run periodically over real messages), and distributed
+// event processing (Algorithm 3) with exact re-matching and consumer
+// delivery at owning brokers.
 //
 // The deterministic experiment harness lives in the propagation, routing,
 // siena, and broadcast packages; this engine demonstrates the same
@@ -17,11 +17,13 @@
 // neither the period engine nor the event path looks at the graph again —
 // an edge added to it afterwards is seen by neither.
 //
-// Concurrency model: each broker's handler goroutine owns that broker's
-// message processing; Propagate owns the period state and publishes it to
-// handlers through an atomic pointer; every message that cannot be
-// processed (undecodable payload, rejected merge) is counted on the bus
-// rather than silently discarded.
+// Concurrency model: a broker's message processing runs on whichever bus
+// worker holds the broker, and at most one worker holds it at a time (the
+// bus hands a broker between workers under its mailbox lock), so the
+// handler owns the broker's run scratch; Propagate owns the period state
+// and publishes it to handlers through an atomic pointer; every message
+// that cannot be processed (undecodable payload, rejected merge) is
+// counted on the bus rather than silently discarded.
 package core
 
 import (
@@ -96,7 +98,7 @@ type Network struct {
 
 	// periodMu serializes Propagate calls; period is the working set of the
 	// propagation period currently in flight (nil between periods). It is
-	// an atomic pointer because broker handler goroutines read it while the
+	// an atomic pointer because broker handlers read it while the
 	// Propagate goroutine installs and clears it — a plain field here is a
 	// data race with late summary messages around period boundaries.
 	periodMu sync.Mutex
@@ -124,7 +126,7 @@ type Network struct {
 	rec     *flight.Recorder // nil unless Config.Flight was set
 
 	// scratch[i] is broker i's event-run working set, owned by broker i's
-	// handler goroutine — no locking.
+	// handler: the bus runs it on one worker at a time — no locking.
 	scratch []runScratch
 
 	watchdog *Watchdog // nil until StartWatchdog
@@ -178,7 +180,7 @@ func newNetObs(r *metrics.Registry) netObs {
 }
 
 // periodState is the per-propagation-period working set of Algorithm 2.
-// Handler goroutines fold received summaries into it concurrently with the
+// Broker handlers fold received summaries into it concurrently with the
 // Propagate goroutine reading it between iterations, so sums/sets are
 // guarded by mu.
 type periodState struct {
@@ -187,8 +189,13 @@ type periodState struct {
 	sets []subid.Mask       // per broker: this period's Merged_Brokers
 }
 
-// New builds the network and starts one handler goroutine per broker.
-func New(cfg Config) (*Network, error) {
+// New builds the network and registers every broker's handler with the
+// bus. No goroutine is started per broker: the bus runs handlers on up to
+// GOMAXPROCS workers of its own, started as traffic arrives.
+func New(cfg Config) (*Network, error) { return newOnBus(cfg, netsim.NewBus) }
+
+// newOnBus is New over the bus newBus makes for the broker count.
+func newOnBus(cfg Config, newBus func(n int) *netsim.Bus) (*Network, error) {
 	if cfg.Topology == nil || cfg.Schema == nil {
 		return nil, fmt.Errorf("core: topology and schema are required")
 	}
@@ -203,7 +210,7 @@ func New(cfg Config) (*Network, error) {
 	net := &Network{
 		cfg:     cfg,
 		brokers: make([]*broker.Broker, n),
-		bus:     netsim.NewBus(n),
+		bus:     newBus(n),
 		metrics: reg,
 		rec:     cfg.Flight,
 	}
@@ -458,13 +465,13 @@ func (net *Network) Publish(at topology.NodeID, ev *schema.Event) error {
 // deliveries) has been processed.
 func (net *Network) Flush() { net.bus.Quiesce() }
 
-// handleBatch processes one mailbox drain on broker `node`'s goroutine, in
-// arrival order: summary and deliver messages singly, consecutive event
-// messages as one run — so batching never reorders events relative to
-// summary merges. A traced event is a run of its own, which keeps its hop
-// records and per-message byte accounting exact without letting it
-// overtake the events queued before it. Messages that cannot be processed
-// are counted on the bus, never silently dropped.
+// handleBatch processes one mailbox drain of broker `node`, on the bus
+// worker running it, in arrival order: summary and deliver messages
+// singly, consecutive event messages as one run — so batching never
+// reorders events relative to summary merges. A traced event is a run of
+// its own, which keeps its hop records and per-message byte accounting
+// exact without letting it overtake the events queued before it. Messages
+// that cannot be processed are counted on the bus, never silently dropped.
 func (net *Network) handleBatch(node topology.NodeID, msgs []netsim.Message) {
 	for i := 0; i < len(msgs); {
 		j := i + 1

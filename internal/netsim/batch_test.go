@@ -73,21 +73,20 @@ func TestStartBatchDrainsInOrder(t *testing.T) {
 // array for the next push; FIFO order must hold through any number of
 // drain-and-refill cycles, partial drains included.
 func TestMailboxKeepsOrderAcrossDrains(t *testing.T) {
-	m := newMailbox()
+	m := new(mailbox)
 	next, want := 0, 0
 	var buf []queued
 	for _, burst := range []int{1, 1, 3, maxBatch + 5, 1, 2 * maxBatch, 1} {
 		for i := 0; i < burst; i++ {
-			if !m.push(queued{msg: Message{From: 0, To: 1, Payload: []byte{byte(next)}}}) {
+			if ok, _ := m.push(queued{msg: Message{From: 0, To: 1, Payload: []byte{byte(next)}}}); !ok {
 				t.Fatal("push on an open mailbox failed")
 			}
 			next++
 		}
 		for want < next {
-			var ok bool
-			buf, ok = m.popBatch(buf[:0])
-			if !ok || len(buf) == 0 || len(buf) > maxBatch {
-				t.Fatalf("popBatch = %d messages, ok %v", len(buf), ok)
+			buf = m.drain(buf[:0], maxBatch)
+			if len(buf) == 0 || len(buf) > maxBatch {
+				t.Fatalf("drain = %d messages", len(buf))
 			}
 			for _, q := range buf {
 				if q.msg.Payload[0] != byte(want) {
@@ -107,31 +106,60 @@ func TestMailboxKeepsOrderAcrossDrains(t *testing.T) {
 	}
 }
 
-// TestMailboxSteadyStateZeroAllocs: the per-hop hand-off of a walk with
-// one event in flight — push one, pop one — allocates nothing.
+// TestMailboxSteadyStateZeroAllocs: the mailbox side of a walk's hop with
+// one event in flight — push one, drain one — allocates nothing.
 func TestMailboxSteadyStateZeroAllocs(t *testing.T) {
-	m := newMailbox()
+	m := new(mailbox)
 	q := queued{msg: Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte{1}}}
 	buf := make([]queued, 0, 1)
 	avg := testing.AllocsPerRun(1000, func() {
 		m.push(q)
-		buf, _ = m.popBatch(buf[:0])
+		buf = m.drain(buf[:0], maxBatch)
 	})
 	if avg != 0 {
 		t.Fatalf("mailbox push+pop allocates %.2f objects per hop, want 0", avg)
 	}
 }
 
+// TestHandOffZeroAllocs: on a started two-broker bus, a send from inside
+// broker 0's handler to idle broker 1 goes through the hand-off slot of the
+// worker running broker 0 — broker 1 runs next on that worker, with no
+// wake-up — and the hop allocates nothing. Each measured round is an
+// outside send to broker 0, that hop, and a Quiesce.
+func TestHandOffZeroAllocs(t *testing.T) {
+	b := NewBus(2)
+	defer b.Close()
+	var handedOff, reached int
+	b.Start(0, func(Message) {
+		_ = b.Send(Message{From: 0, To: 1, Kind: KindEvent}) // fails only on a closed bus
+		if b.boxes[0].runner.Load().slot.Load() == b.boxes[1] {
+			handedOff++
+		}
+	})
+	b.Start(1, func(Message) { reached++ })
+	round := func() {
+		_ = b.Send(Message{From: 0, To: 0, Kind: KindEvent})
+		b.Quiesce()
+	}
+	round() // starts a worker
+	if avg := testing.AllocsPerRun(1000, round); avg != 0 {
+		t.Fatalf("a round with one hand-off allocates %.2f objects, want 0", avg)
+	}
+	if handedOff != 1002 || reached != 1002 {
+		t.Fatalf("%d of %d hops went through the hand-off slot, %d reached broker 1", handedOff, 1002, reached)
+	}
+}
+
 // BenchmarkMailboxSteadyState times the hand-off
 // TestMailboxSteadyStateZeroAllocs holds at zero allocations.
 func BenchmarkMailboxSteadyState(b *testing.B) {
-	m := newMailbox()
+	m := new(mailbox)
 	q := queued{msg: Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte{1}}}
 	buf := make([]queued, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.push(q)
-		buf, _ = m.popBatch(buf[:0])
+		buf = m.drain(buf[:0], maxBatch)
 	}
 }

@@ -263,12 +263,7 @@ func (f Faults) Resume(id topology.NodeID) error {
 	}
 	for _, q := range qs {
 		b.addInflight()
-		if !b.boxes[id].push(q) {
-			if q.sb != nil {
-				q.sb.Release()
-			}
-			b.doneInflight(1)
-		}
+		b.enqueue(id, q, nil) // never a hand-off: the caller is no worker
 	}
 	return nil
 }

@@ -1,8 +1,16 @@
 // Package netsim provides the in-process message-passing substrate for the
-// live broker engine: one unbounded mailbox per broker, a handler
-// goroutine per broker, quiescence detection (wait until every sent
-// message has been fully processed, including messages sent while
-// processing), and per-kind byte/message accounting.
+// live broker engine: one unbounded mailbox per broker, one scheduler that
+// runs the brokers' handlers on a pool of workers, quiescence detection
+// (wait until every sent message has been fully processed, including
+// messages sent while processing), and per-kind byte/message accounting.
+//
+// No broker owns a goroutine. A broker is runnable while its mailbox holds
+// messages and no worker holds it; up to GOMAXPROCS workers each take a
+// runnable broker and hand its handler a drained run of its mailbox. A
+// broker one handler makes runnable runs next on the same worker, so an
+// event's walk from broker to broker is a chain of calls on one worker
+// rather than a wake-up per hop (see sched.go). A handler never runs on
+// two workers at once, and each mailbox drains in arrival order.
 //
 // Unbounded mailboxes rule out the classic actor deadlock where two
 // brokers block sending to each other's full inboxes; memory is bounded in
@@ -24,6 +32,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -73,7 +82,7 @@ type Message struct {
 	Attached []any
 }
 
-// Handler processes one message on the owner's goroutine. Payload and
+// Handler processes one message on a bus worker. Payload and
 // Attached are only valid for the duration of the call when the sender
 // used a shared buffer (SendShared): handlers must decode, not retain,
 // Payload.
@@ -257,72 +266,6 @@ func kindCounter(arr *[KindControl + 1]*metrics.Counter, k Kind) *metrics.Counte
 	return arr[k]
 }
 
-// queued is one mailbox entry: the message plus its shared buffer, if
-// the sender used one (released after the handler runs).
-type queued struct {
-	msg Message
-	sb  *SharedBuf
-}
-
-// mailbox is an unbounded FIFO with close support.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []queued
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *mailbox) push(q queued) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	m.queue = append(m.queue, q)
-	m.cond.Signal()
-	return true
-}
-
-// popBatch blocks until at least one message is available (or the
-// mailbox closes), then drains up to maxBatch pending messages into buf
-// without blocking again.
-func (m *mailbox) popBatch(buf []queued) ([]queued, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.queue) == 0 {
-		return buf, false
-	}
-	n := min(maxBatch, len(m.queue))
-	buf = append(buf, m.queue[:n]...)
-	for i := 0; i < n; i++ {
-		m.queue[i] = queued{} // release payload references promptly
-	}
-	if n == len(m.queue) {
-		// Drained: keep the array, or every push after a drain — each hop
-		// of a walk with one event in flight — allocates a new one.
-		m.queue = m.queue[:0]
-	} else {
-		m.queue = m.queue[n:]
-	}
-	return buf, true
-}
-
-func (m *mailbox) close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	m.cond.Broadcast()
-}
-
 // kindCounters is a lock-free per-kind counter array, indexed by Kind.
 // Out-of-range kinds (a corrupt tag) are counted nowhere rather than
 // panicking.
@@ -348,16 +291,16 @@ func (c *kindCounters) toMap() map[Kind]int64 {
 
 // Bus connects n brokers with unbounded mailboxes.
 //
-// The send path is lock-free: per-kind accounting lives in atomic counter
-// arrays and the in-flight depth is an atomic — concurrent publishers and
-// handler goroutines never serialize on a bus-wide mutex. The only lock a
-// send can take is faultMu, and only while some fault layer is active
-// (tests and chaos scenarios); production sends pay one atomic bool load
-// for it.
+// Per-kind accounting lives in atomic counter arrays and the in-flight
+// depth is an atomic. A send locks its destination's mailbox and, when it
+// makes that broker runnable and cannot hand it to the worker running the
+// sender, the run queue. The only other lock a send can take is faultMu,
+// and only while some fault layer is active (tests and chaos scenarios);
+// production sends pay one atomic bool load for it.
 type Bus struct {
-	boxes    []*mailbox
-	closed   atomic.Bool
-	handlers sync.WaitGroup
+	boxes  []*mailbox
+	closed atomic.Bool
+	sched  *sched
 
 	// In-flight accounting for Quiesce: an atomic counter, with a
 	// mutex+cond used purely as the sleep/wake mechanism. doneInflight
@@ -393,13 +336,29 @@ type Bus struct {
 	hasFault atomic.Bool
 }
 
-// NewBus creates a bus for n brokers.
-func NewBus(n int) *Bus {
+// NewBus creates a bus for n brokers whose handlers run on up to
+// GOMAXPROCS workers (the value when NewBus is called), started as work
+// arrives.
+func NewBus(n int) *Bus { return newBus(n, nil) }
+
+// NewSteppedBus creates a bus for n brokers that starts no worker. Its
+// handlers run only inside Quiesce, on the caller's goroutine, one run at
+// a time: each step draws a runnable broker and a run length (1 to the
+// batch bound) from a generator seeded with seed, through the same run
+// code as the pooled bus. A schedule is a function of the seed and the
+// sends made between Quiesce calls, so drive a stepped bus from one
+// goroutine.
+func NewSteppedBus(n int, seed int64) *Bus {
+	return newBus(n, rand.New(rand.NewSource(seed)))
+}
+
+func newBus(n int, rng *rand.Rand) *Bus {
 	b := &Bus{boxes: make([]*mailbox, n)}
 	b.qcond = sync.NewCond(&b.qmu)
 	for i := range b.boxes {
-		b.boxes[i] = newMailbox()
+		b.boxes[i] = new(mailbox)
 	}
+	b.sched = newSched(b, rng)
 	return b
 }
 
@@ -491,7 +450,10 @@ func (b *Bus) doneInflight(n int64) {
 }
 
 // Send enqueues a message for delivery. It is safe to call from handlers
-// and from any goroutine, concurrently with Quiesce.
+// and from any goroutine, concurrently with Quiesce. When the send makes
+// the destination runnable and m.From names a broker whose handler a
+// worker is running, the destination runs next on that worker; otherwise
+// it joins the run queue.
 func (b *Bus) Send(m Message) error { return b.send(m, nil) }
 
 // SendShared enqueues m with its payload backed by the shared buffer sb
@@ -534,19 +496,44 @@ func (b *Bus) send(m Message, sb *SharedBuf) error {
 	if sb != nil {
 		sb.refs.Add(1)
 	}
-	if !b.boxes[m.To].push(queued{msg: m, sb: sb}) {
-		if sb != nil {
-			sb.Release()
-		}
-		b.doneInflight(1)
+	if !b.enqueue(m.To, queued{msg: m, sb: sb}, b.runner(m.From)) {
 		return fmt.Errorf("netsim: mailbox %d closed", m.To)
 	}
 	return nil
 }
 
-// Start launches the handler goroutine for one broker, handing h one
-// message at a time. Each broker must be started exactly once (with Start
-// or StartBatch); the handler runs until Close.
+// runner returns the worker inside broker id's handler, nil when there is
+// none (or id names no broker).
+func (b *Bus) runner(id topology.NodeID) *worker {
+	if int(id) < 0 || int(id) >= len(b.boxes) {
+		return nil
+	}
+	return b.boxes[id].runner.Load()
+}
+
+// enqueue appends q, already counted in flight, to broker to's mailbox and
+// schedules the broker if that made it runnable: through the hand-off slot
+// of sender when it is a worker inside a handler, else through the run
+// queue. On a closed mailbox it releases q and returns false.
+func (b *Bus) enqueue(to topology.NodeID, q queued, sender *worker) bool {
+	box := b.boxes[to]
+	ok, runnable := box.push(q)
+	if !ok {
+		if q.sb != nil {
+			q.sb.Release()
+		}
+		b.doneInflight(1)
+		return false
+	}
+	if runnable {
+		b.sched.ready(box, sender)
+	}
+	return true
+}
+
+// Start registers the handler for one broker, handing h one message at a
+// time. Each broker must be started exactly once (with Start or
+// StartBatch); the handler runs until Close.
 func (b *Bus) Start(node topology.NodeID, h Handler) {
 	b.StartBatch(node, func(ms []Message) {
 		for _, m := range ms {
@@ -555,52 +542,34 @@ func (b *Bus) Start(node topology.NodeID, h Handler) {
 	})
 }
 
-// BatchHandler processes a batch of messages on the owner's goroutine, in
-// arrival order. Payload lifetime matches Handler's: decode, don't
-// retain.
+// BatchHandler processes a batch of messages on a bus worker, in arrival
+// order. Payload lifetime matches Handler's: decode, don't retain.
 type BatchHandler func([]Message)
 
-// maxBatch bounds how many pending messages one handler wakeup drains.
-// A bound keeps a deep backlog from pinning its payload buffers (released
-// only after the whole batch is handled) and from delaying the in-flight
-// retirement Quiesce waits on. 64 is the one value tried; it was not swept.
-const maxBatch = 64
-
-// StartBatch launches the handler goroutine for one broker with batched
-// intake: each wakeup drains up to maxBatch pending messages from the
-// mailbox and hands them to h in one call, amortizing wakeup, in-flight
-// retirement, and the handler's own per-batch bookkeeping. The batch
-// buffers grow on demand, so an idle broker holds none.
+// StartBatch registers the handler for one broker with batched intake:
+// whenever the broker has pending messages and no worker holds it, a
+// worker drains up to maxBatch of them and hands them to h in one call,
+// amortizing in-flight retirement and the handler's own per-batch
+// bookkeeping. Messages sent before StartBatch wait in the mailbox and
+// make the broker runnable now. No goroutine is started for the broker,
+// and the batch buffers belong to the workers, so an idle broker holds
+// none.
+//
+// h runs on whichever worker takes the broker, never on two at once. A
+// broker h makes runnable usually runs next on the same worker. A call of
+// h that blocks holds its worker; once every worker is held while brokers
+// wait, a spare worker starts, so only brokers that wait on the blocked
+// one stall.
 func (b *Bus) StartBatch(node topology.NodeID, h BatchHandler) {
-	b.handlers.Add(1)
-	go func() {
-		defer b.handlers.Done()
-		box := b.boxes[node]
-		var (
-			buf  []queued
-			msgs []Message
-		)
-		for {
-			var ok bool
-			buf, ok = box.popBatch(buf[:0])
-			if !ok {
-				return
-			}
-			msgs = msgs[:0]
-			for i := range buf {
-				msgs = append(msgs, buf[i].msg)
-			}
-			h(msgs)
-			clear(msgs) // both copies of a message reference its payload
-			for i := range buf {
-				if buf[i].sb != nil {
-					buf[i].sb.Release()
-				}
-				buf[i] = queued{}
-			}
-			b.doneInflight(int64(len(msgs)))
-		}
-	}()
+	box := b.boxes[node]
+	box.mu.Lock()
+	box.h = h
+	runnable := len(box.queue) > box.head && !box.scheduled
+	box.scheduled = box.scheduled || runnable
+	box.mu.Unlock()
+	if runnable {
+		b.sched.enqueue(box)
+	}
 }
 
 // Inflight reports the number of sent-but-not-yet-handled messages at
@@ -613,7 +582,13 @@ func (b *Bus) Inflight() int64 { return b.inflight.Load() }
 // by handlers while processing — has been handled. With senders running
 // concurrently, it returns at a moment when the bus was observed empty;
 // messages sent after that moment are not waited for.
+//
+// On a stepped bus (NewSteppedBus) Quiesce is what runs the handlers: it
+// steps the bus on the calling goroutine until no broker is runnable.
 func (b *Bus) Quiesce() {
+	if b.sched.rng != nil {
+		b.sched.stepAll()
+	}
 	b.qmu.Lock()
 	for b.inflight.Load() > 0 {
 		b.qcond.Wait()
@@ -621,9 +596,10 @@ func (b *Bus) Quiesce() {
 	b.qmu.Unlock()
 }
 
-// Close shuts the bus down and waits for handler goroutines to exit.
-// Unprocessed messages are dropped (their in-flight count is released),
-// including messages parked for paused brokers.
+// Close shuts the bus down and waits for every worker to finish the
+// handler call it is in, if any, and exit; a handler that never returns
+// keeps Close waiting. Unprocessed messages are dropped (their in-flight
+// count is released), including messages parked for paused brokers.
 func (b *Bus) Close() {
 	if !b.closed.CompareAndSwap(false, true) {
 		return
@@ -641,10 +617,9 @@ func (b *Bus) Close() {
 	}
 	for _, box := range b.boxes {
 		box.mu.Lock()
-		discarded := box.queue
-		box.queue = nil
+		discarded := box.queue[box.head:]
+		box.queue, box.head = nil, 0
 		box.closed = true
-		box.cond.Broadcast()
 		box.mu.Unlock()
 		for _, q := range discarded {
 			if q.sb != nil {
@@ -653,7 +628,7 @@ func (b *Bus) Close() {
 		}
 		b.doneInflight(int64(len(discarded)))
 	}
-	b.handlers.Wait()
+	b.sched.close()
 }
 
 // Stats returns a snapshot of the accounting counters. With senders

@@ -185,10 +185,10 @@ func (m *Matcher) collect(e *schema.Event) MatchCost {
 		cost.EventAttrs++
 		lists, distinct := m.lists[:0], true
 		if f.Value.Arithmetic() {
-			if s, ok := v.aacs[f.Attr]; ok {
+			if s := v.arith(f.Attr); s != nil {
 				lists, distinct = s.AppendLists(lists, f.Value.Num)
 			}
-		} else if s, ok := v.sacs[f.Attr]; ok {
+		} else if s := v.str(f.Attr); s != nil {
 			lists, distinct = s.AppendLists(lists, f.Value.Str)
 		}
 		m.lists = lists

@@ -37,8 +37,11 @@ import (
 //   - nothing is written afterwards: any number of Matchers read one View
 //     concurrently while the Summary it was built from keeps mutating.
 type View struct {
-	aacs    map[schema.AttrID]*interval.Set
-	sacs    map[schema.AttrID]*strmatch.Set
+	// aacs[a] and sacs[a] are attribute a's sets, nil where the summary
+	// holds none: indexed by AttrID, so a Matcher finds the set of an event
+	// attribute with a bounds check rather than a map probe.
+	aacs    []*interval.Set
+	sacs    []*strmatch.Set
 	keys    []uint64
 	targets []uint16 // the c3 match target, its mask's Count (≤ schema.MaxAttributes)
 	groupOf []int32  // index → its group
@@ -104,8 +107,8 @@ func (sm *Summary) Compile() *View {
 	}
 	slices.SortFunc(byMask, func(a, b int32) int { return masks[a].Compare(masks[b]) })
 	v := &View{
-		aacs:    make(map[schema.AttrID]*interval.Set, len(sm.aacs)),
-		sacs:    make(map[schema.AttrID]*strmatch.Set, len(sm.sacs)),
+		aacs:    make([]*interval.Set, attrSlots(sm.aacs)),
+		sacs:    make([]*strmatch.Set, attrSlots(sm.sacs)),
 		keys:    make([]uint64, n),
 		targets: make([]uint16, n),
 		groupOf: make([]int32, n),
@@ -147,6 +150,31 @@ func (sm *Summary) Compile() *View {
 	}
 	lists.sort(len(v.groups))
 	return v
+}
+
+// attrSlots returns the length of a slice indexed by every attribute of m.
+func attrSlots[S any](m map[schema.AttrID]S) int {
+	n := 0
+	for a := range m {
+		n = max(n, int(a)+1)
+	}
+	return n
+}
+
+// arith returns attribute a's AACS set, nil when the view has none.
+func (v *View) arith(a schema.AttrID) *interval.Set {
+	if int(a) < len(v.aacs) {
+		return v.aacs[a]
+	}
+	return nil
+}
+
+// str returns attribute a's SACS set, nil when the view has none.
+func (v *View) str(a schema.AttrID) *strmatch.Set {
+	if int(a) < len(v.sacs) {
+		return v.sacs[a]
+	}
+	return nil
 }
 
 // keyIndex maps a view's keys to their dense indices for Compile's

@@ -249,6 +249,9 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 		entries += len(ids)
 	}
 	for _, set := range v.aacs {
+		if set == nil {
+			continue
+		}
 		for _, r := range set.Rows() {
 			rowIDs(r.IDs)
 		}
@@ -260,6 +263,9 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 		}
 	}
 	for _, set := range v.sacs {
+		if set == nil {
+			continue
+		}
 		for _, r := range set.Rows() {
 			rowIDs(r.IDs)
 		}
@@ -300,6 +306,9 @@ func requireSoundDistinct(t *testing.T, v *View) (repeats, distinctQueries int) 
 		}
 	}
 	for a, set := range v.aacs {
+		if set == nil {
+			continue
+		}
 		values := []float64{-12345.5} // no row names it
 		for _, r := range set.Rows() {
 			values = append(values, r.Interval.Lo, r.Interval.Hi, (r.Interval.Lo+r.Interval.Hi)/2)
@@ -312,10 +321,13 @@ func requireSoundDistinct(t *testing.T, v *View) (repeats, distinctQueries int) 
 		}
 		for _, val := range values {
 			lists, distinct := set.AppendLists(nil, val)
-			check(a, val, lists, distinct)
+			check(schema.AttrID(a), val, lists, distinct)
 		}
 	}
 	for a, set := range v.sacs {
+		if set == nil {
+			continue
+		}
 		values := []string{"no row names this"}
 		for _, r := range set.Rows() {
 			// The text itself, and values only a prefix, suffix or contains
@@ -327,7 +339,7 @@ func requireSoundDistinct(t *testing.T, v *View) (repeats, distinctQueries int) 
 		}
 		for _, val := range values {
 			lists, distinct := set.AppendLists(nil, val)
-			check(a, val, lists, distinct)
+			check(schema.AttrID(a), val, lists, distinct)
 		}
 	}
 	return repeats, distinctQueries

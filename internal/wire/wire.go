@@ -26,12 +26,13 @@
 //	{"type":"delivery","broker":3,"event":"{symbol=\"OTE\", price=8.4}"}
 //	{"type":"reply","op":"publish","error":"..."}
 //
-// Write path: a delivery appends its line to its connection's buffer on
-// the owning broker's goroutine. While a wire publish is in flight the
-// line waits for that publish, which after Flush writes every connection
-// holding lines once and then its own reply; otherwise, or once the buffer
-// reaches 1 MiB, the delivering goroutine writes it at once. Either way a
-// publish's deliveries are written before its reply.
+// Write path: a delivery appends its line to its connection's buffer
+// inside the owning broker's handler, on the bus worker running it. While
+// a wire publish is in flight the line waits for that publish, which after
+// Flush writes every connection holding lines once and then its own reply;
+// otherwise, or once the buffer reaches 1 MiB, the delivering worker writes
+// it at once (see broker.DeliveryFunc for what a write that blocks costs).
+// Either way a publish's deliveries are written before its reply.
 package wire
 
 import (
@@ -149,7 +150,7 @@ func (cc *conn) send(resp *Response) error {
 }
 
 // deliver is the DeliveryFunc of every subscription made over cc; it runs
-// on the owning broker's goroutine. The event's text is rendered once per
+// in the owning broker's handler. The event's text is rendered once per
 // connection however many of its subscriptions match. The line is left
 // for the sweep of a wire publish in flight, or written at once when none
 // is or the buffer has reached pendingCap.
