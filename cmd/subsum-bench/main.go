@@ -105,10 +105,8 @@ var experimentSpecs = []experimentSpec{
 			hcfg.Seed = e.seed
 			e.show(experiments.HealthBaseline(hcfg))
 		}},
-	{"ablations", "forwarding/folding/subsumption/batch ablations", true,
+	{"ablations", "subsumption/batch ablations", true,
 		func(e *benchEnv) {
-			e.show(experiments.AblationForwarding(e.cfg))
-			e.show(experiments.AblationEqualityFolding(e.cfg))
 			e.show(experiments.AblationSubsumptionCombo(e.cfg))
 			e.show(experiments.AblationBatch(e.cfg))
 		}},

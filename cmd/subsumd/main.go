@@ -48,7 +48,6 @@ import (
 	"github.com/subsum/subsum/internal/broker"
 	"github.com/subsum/subsum/internal/core"
 	"github.com/subsum/subsum/internal/flight"
-	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/slo"
@@ -65,7 +64,6 @@ func main() {
 		topoName = flag.String("topology", "cw24", "cw24, fig7, or ring:<n>")
 		every    = flag.Duration("propagate-every", 5*time.Second, "summary propagation period (0 disables)")
 		fullSync = flag.Int("full-sync-every", 0, "ship the full merged summary every k-th propagation period instead of the delta (0 disables; recovers coverage lost to message loss)")
-		exact    = flag.Bool("exact", false, "use exact AACS equality handling instead of the paper's lossy folding")
 		snapshot = flag.String("snapshot", "", "path to write a snapshot of all subscriptions on shutdown (and load on startup if present)")
 		httpAddr = flag.String("http", "", "debug listen address serving /metrics, /trace, /debug/pprof (empty disables)")
 		traceN   = flag.Int("trace-sample", 0, "record a hop trace for every Nth published event (0 disables)")
@@ -103,10 +101,6 @@ func main() {
 	if err != nil {
 		fatal("bad -topology", "err", err)
 	}
-	mode := interval.Lossy
-	if *exact {
-		mode = interval.Exact
-	}
 	reg := metrics.NewRegistry()
 	var rec *flight.Recorder
 	if *journalKB > 0 {
@@ -129,7 +123,7 @@ func main() {
 			// matched and counted but delivered nowhere until a client
 			// re-subscribes. Operators typically pair snapshots with
 			// durable consumer queues; this daemon logs instead.
-			network, err = core.LoadSnapshot(f, core.Config{Topology: topo, Mode: mode, FullSyncEvery: *fullSync, Metrics: reg, Flight: rec},
+			network, err = core.LoadSnapshot(f, core.Config{Topology: topo, FullSyncEvery: *fullSync, Metrics: reg, Flight: rec},
 				func(id subid.ID, sub *schema.Subscription) broker.DeliveryFunc {
 					blog := logger.With("broker", int(id.Broker), "local", uint32(id.Local))
 					return func(id subid.ID, ev *schema.Event) {
@@ -151,7 +145,7 @@ func main() {
 	}
 	if network == nil {
 		var err error
-		network, err = core.New(core.Config{Topology: topo, Schema: s, Mode: mode, FullSyncEvery: *fullSync, Metrics: reg, Flight: rec})
+		network, err = core.New(core.Config{Topology: topo, Schema: s, FullSyncEvery: *fullSync, Metrics: reg, Flight: rec})
 		if err != nil {
 			fatal("building network", "err", err)
 		}

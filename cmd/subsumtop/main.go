@@ -9,7 +9,7 @@
 // Each frame shows event flow (published/routed/forwarded/suppressed
 // with rates), propagation traffic, bus health, watchdog status, a
 // summary-health pane (convergence staleness, top false-positive
-// sources, subgroup digest analytics when present), and a per-broker
+// sources), and a per-broker
 // table (subscriptions, merged coverage, deliveries, false positives,
 // staleness, match latency p95). Rates come from the server's history
 // ring, so they reflect the sampler's interval, not subsumtop's.
@@ -168,7 +168,7 @@ func renderFrame(w io.Writer, addr string, frame int, m map[string]float64, hist
 	fmt.Fprintf(w, "  checks %.0f    violations %.0f    %s\n", m["watchdog_checks"], m["watchdog_violations"], status)
 
 	renderSLO(w, sloRep)
-	renderHealth(w, m, health)
+	renderHealth(w, health)
 
 	rows := brokerRows(m)
 	if len(rows) > 0 {
@@ -202,11 +202,10 @@ func renderSLO(w io.Writer, rep *slo.Report) {
 	}
 }
 
-// renderHealth writes the summary-health pane: convergence staleness,
-// the top false-positive attributions with per-attribute precision, and
-// subgroup digest analytics when those gauges are present. Skipped
-// entirely against servers without the convergence op.
-func renderHealth(w io.Writer, m map[string]float64, health *core.HealthReport) {
+// renderHealth writes the summary-health pane: convergence staleness and
+// the top false-positive attributions with per-attribute precision.
+// Skipped entirely against servers without the convergence op.
+func renderHealth(w io.Writer, health *core.HealthReport) {
 	if health == nil {
 		return
 	}
@@ -225,12 +224,6 @@ func renderHealth(w io.Writer, m map[string]float64, health *core.HealthReport) 
 			fmt.Fprintf(w, "    attr=%-12s class=%-8s owner=%-4d %8d  (attr precision %.1f%%)\n",
 				t.Attr, t.Class, t.Owner, t.Count, 100*prec[t.Attr])
 		}
-	}
-	if passes := sumLabeled(m, "subgroup_digest_passes"); passes > 0 || sumLabeled(m, "subgroup_digest_pruned") > 0 {
-		fmt.Fprintf(w, "  subgroup digests: prune %.1f%%    measured FP %.2f%%    leader skew %.2f\n",
-			m["subgroup_digest_prune_rate_ppm"]/1e4,
-			m["subgroup_digest_fp_rate_ppm"]/1e4,
-			m["subgroup_leader_skew_milli"]/1e3)
 	}
 }
 

@@ -45,7 +45,7 @@ func CrossTopology(cfg Config) (*metrics.Table, error) {
 		bc := broadcast.Propagate(g, sigma, cfg.SubSize)
 		sn := siena.PropagateModel(g, sigma, cfg.SubSize, 0.5, cfg.Seed)
 
-		router, err := routing.NewRouter(g, prop, routing.Config{Strategy: routing.HighestDegree})
+		router, err := routing.NewRouter(g, prop)
 		if err != nil {
 			return nil, err
 		}

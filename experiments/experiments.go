@@ -193,7 +193,7 @@ func Fig10(cfg Config) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	router, err := routing.NewRouter(cfg.Topo, prop, routing.Config{Strategy: routing.HighestDegree})
+	router, err := routing.NewRouter(cfg.Topo, prop)
 	if err != nil {
 		return nil, err
 	}
@@ -208,8 +208,8 @@ func Fig10(cfg Config) (*metrics.Table, error) {
 		// Pre-draw each event's matched-broker set serially, in the same
 		// origin-major order as the original loop, so the generator's
 		// random sequence — and therefore the figure — is identical at any
-		// worker count. Routing is read-only (HighestDegree consults no
-		// rng) and sweeps the events in parallel.
+		// worker count. Routing is read-only and sweeps the events in
+		// parallel.
 		events := n * cfg.EventsPerBroker
 		matchedSets := make([][]topology.NodeID, events)
 		for i := range matchedSets {
@@ -370,7 +370,7 @@ func Fig7Trace() (string, error) {
 		return "", err
 	}
 	out := "Propagation phase (Algorithm 2) on the Figure 7 tree:\n" + res.FormatTrace()
-	router, err := routing.NewRouter(g, res, routing.Config{Strategy: routing.HighestDegree})
+	router, err := routing.NewRouter(g, res)
 	if err != nil {
 		return "", err
 	}

@@ -200,52 +200,6 @@ func TestTable2(t *testing.T) {
 	}
 }
 
-func TestAblationForwarding(t *testing.T) {
-	cfg := quick()
-	cfg.EventsPerBroker = 30
-	tab, err := AblationForwarding(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := cells(t, tab.CSV())
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Virtual degree must reduce the hottest broker's load share relative
-	// to plain highest-degree.
-	if rows[2][2] >= rows[0][2] {
-		t.Errorf("virtual degree load share %.1f%% not < highest-degree %.1f%%",
-			rows[2][2], rows[0][2])
-	}
-}
-
-func TestAblationEqualityFolding(t *testing.T) {
-	tab, err := AblationEqualityFolding(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := cells(t, tab.CSV())
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	lossyFP, exactFP := rows[0][3], rows[1][3]
-	if exactFP > lossyFP {
-		t.Errorf("exact mode has more false positives (%.3f) than lossy (%.3f)", exactFP, lossyFP)
-	}
-	if exactFP != 0 {
-		t.Errorf("exact mode false positives = %.3f, want 0 on an arithmetic-only workload", exactFP)
-	}
-	if lossyFP <= 0 {
-		t.Errorf("lossy mode produced no false positives; the ablation workload is vacuous")
-	}
-	// Exact mode pays for precision with more range rows (splits at
-	// equality points).
-	lossyRows, exactRows := rows[0][2], rows[1][2]
-	if exactRows <= lossyRows {
-		t.Errorf("exact rows %.0f not > lossy rows %.0f", exactRows, lossyRows)
-	}
-}
-
 func TestAblationBatch(t *testing.T) {
 	tab, err := AblationBatch(quick())
 	if err != nil {

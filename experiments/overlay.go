@@ -204,7 +204,7 @@ func runOverlayFlat(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, [][]topo
 			row.PeakMergedBytes = sz
 		}
 	}
-	r, err := routing.NewRouter(fx.g, prop, routing.Config{Strategy: routing.HighestDegree})
+	r, err := routing.NewRouter(fx.g, prop)
 	if err != nil {
 		return row, nil, err
 	}

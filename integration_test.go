@@ -43,13 +43,11 @@ func TestChurnIntegration(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		topo   *subsum.Graph
-		mode   subsum.SummaryMode
 		filter bool
 	}{
-		{name: "backbone-lossy", topo: subsum.Backbone24(), mode: subsum.Lossy},
-		{name: "backbone-exact", topo: subsum.Backbone24(), mode: subsum.Exact},
-		{name: "random-filtered", topo: subsum.RandomOverlay(16, 6, 3), mode: subsum.Lossy, filter: true},
-		{name: "tree", topo: subsum.ExampleTree13(), mode: subsum.Lossy},
+		{name: "backbone-lossy", topo: subsum.Backbone24()},
+		{name: "random-filtered", topo: subsum.RandomOverlay(16, 6, 3), filter: true},
+		{name: "tree", topo: subsum.ExampleTree13()},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,7 +60,7 @@ func TestChurnIntegration(t *testing.T) {
 			net, err := subsum.NewNetwork(subsum.NetworkConfig{
 				Topology:             tc.topo,
 				Schema:               s,
-				Mode:                 tc.mode,
+				Mode:                 subsum.Lossy,
 				FilterSubsumedDeltas: tc.filter,
 			})
 			if err != nil {

@@ -13,7 +13,7 @@
 //
 // The overlay is fixed at New: the Algorithm 2 send schedule
 // (propagation.Schedule) and the Algorithm 3 examination order
-// (routing.Order) are derived from Config.Topology there, once, and
+// (Graph.NodesByDegreeDesc) are derived from Config.Topology there, once, and
 // neither the period engine nor the event path looks at the graph again —
 // an edge added to it afterwards is seen by neither.
 //
@@ -54,13 +54,6 @@ type Config struct {
 	Schema   *schema.Schema
 	// Mode selects AACS equality handling (interval.Lossy = the paper).
 	Mode interval.Mode
-	// Strategy selects the Algorithm 3 forwarding choice. The live engine
-	// supports HighestDegree (the paper) and VirtualDegree (load
-	// balancing); RandomUnvisited is only available in the deterministic
-	// router.
-	Strategy routing.Strategy
-	// VirtualDegreeCap caps advertised degrees under VirtualDegree.
-	VirtualDegreeCap int
 	// MaxSubscriptionsPerBroker bounds c2 (0 = unbounded).
 	MaxSubscriptionsPerBroker int
 	// FilterSubsumedDeltas enables the Section 6 summarization+subsumption
@@ -199,9 +192,6 @@ func newOnBus(cfg Config, newBus func(n int) *netsim.Bus) (*Network, error) {
 	if cfg.Topology == nil || cfg.Schema == nil {
 		return nil, fmt.Errorf("core: topology and schema are required")
 	}
-	if cfg.Strategy == routing.RandomUnvisited {
-		return nil, fmt.Errorf("core: RandomUnvisited is not supported by the live engine")
-	}
 	n := cfg.Topology.Len()
 	reg := cfg.Metrics
 	if reg == nil {
@@ -239,7 +229,7 @@ func newOnBus(cfg Config, newBus func(n int) *netsim.Bus) (*Network, error) {
 		net.brokers[i] = b
 	}
 	net.schedule = propagation.Schedule(cfg.Topology)
-	net.order = routing.Order(cfg.Topology, cfg.Strategy, cfg.VirtualDegreeCap)
+	net.order = cfg.Topology.NodesByDegreeDesc()
 	net.scratch = make([]runScratch, n)
 	for i := 0; i < n; i++ {
 		node := topology.NodeID(i)
@@ -406,7 +396,9 @@ func (net *Network) Propagate() (hops int, err error) {
 		}
 		for i, h := range round.Sends {
 			payloadLen := int64(len(bufs[i].B))
-			err := net.bus.SendShared(netsim.Message{
+			// Propagate runs outside every handler: its sends must not take
+			// the hand-off slot of a worker running h.From.
+			err := net.bus.PostShared(netsim.Message{
 				From: h.From, To: h.To, Kind: netsim.KindSummary,
 			}, bufs[i])
 			if err != nil {

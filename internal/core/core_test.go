@@ -6,7 +6,6 @@ import (
 
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/netsim"
-	"github.com/subsum/subsum/internal/routing"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/topology"
@@ -304,9 +303,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Topology: topology.Ring(3)}); err == nil {
 		t.Fatal("nil schema accepted")
-	}
-	if _, err := New(Config{Topology: topology.Ring(3), Schema: s, Strategy: routing.RandomUnvisited}); err == nil {
-		t.Fatal("RandomUnvisited accepted by live engine")
 	}
 }
 

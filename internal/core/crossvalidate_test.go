@@ -55,7 +55,7 @@ func TestLiveEngineHopsMatchDeterministicRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := routing.NewRouter(g, prop, routing.Config{Strategy: routing.HighestDegree})
+	router, err := routing.NewRouter(g, prop)
 	if err != nil {
 		t.Fatal(err)
 	}

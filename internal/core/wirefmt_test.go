@@ -10,7 +10,6 @@ import (
 
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/netsim"
-	"github.com/subsum/subsum/internal/routing"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/summary"
@@ -187,24 +186,53 @@ func TestStraySummaryBitIsCounted(t *testing.T) {
 	}
 }
 
+// TestRetiredModeByteIsCounted: a summary whose AACS mode byte is not
+// Lossy's — 1 was the retired exact mode — is refused before anything
+// merges, and the refusal is a counted summary decode error.
+func TestRetiredModeByteIsCounted(t *testing.T) {
+	s := stockSchema(t)
+	net := newNetwork(t, topology.Star(3), s)
+	remote := summary.New(s, interval.Lossy)
+	if err := remote.Insert(subid.ID{Broker: 2, Local: 0}, mustSub(t, s, `price > 100`)); err != nil {
+		t.Fatal(err)
+	}
+	set := subid.NewMask(3)
+	set.Set(2)
+	payload, err := encodeSummaryMsg(nil, remote, set, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(payload, []byte("SSM2"))
+	if at < 0 || payload[at+4] != byte(interval.Lossy) {
+		t.Fatalf("fixture: no lossy summary body in the payload")
+	}
+	payload[at+4] = 1
+	if err := net.bus.Send(netsim.Message{From: starOther, To: starHub, Kind: netsim.KindSummary, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	net.Flush()
+	st := net.Stats()
+	if got := net.Broker(starHub).MergedBrokers().Count(); got != 1 || st.DecodeErrors[netsim.KindSummary] != 1 {
+		t.Fatalf("hub holds %d brokers, decode errors %v; want 1 (its own) and one summary decode error", got, st.DecodeErrors)
+	}
+	if n := net.Broker(starHub).Stats().MergedSummarySubs; n != 0 {
+		t.Fatalf("hub merged %d subscriptions from a refused summary", n)
+	}
+}
+
 // TestEffectiveOrderSorted checks the forwarding-preference invariant on
-// several topologies: effective degree descending, id ascending on ties.
+// several topologies: degree descending, id ascending on ties.
 func TestEffectiveOrderSorted(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		g        *topology.Graph
-		strategy routing.Strategy
+		name string
+		g    *topology.Graph
 	}{
-		{"cw24-highest", topology.CW24(), routing.HighestDegree},
-		{"cw24-virtual", topology.CW24(), routing.VirtualDegree},
-		{"tree-highest", topology.Figure7Tree(), routing.HighestDegree},
-		{"ring", topology.Ring(9), routing.HighestDegree},
+		{"cw24-highest", topology.CW24()},
+		{"tree-highest", topology.Figure7Tree()},
+		{"ring", topology.Ring(9)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net, err := New(Config{
-				Topology: tc.g, Schema: stockSchema(t),
-				Mode: interval.Lossy, Strategy: tc.strategy,
-			})
+			net, err := New(Config{Topology: tc.g, Schema: stockSchema(t), Mode: interval.Lossy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,26 +242,12 @@ func TestEffectiveOrderSorted(t *testing.T) {
 				t.Fatalf("order has %d entries, want %d", len(order), tc.g.Len())
 			}
 			seen := make(map[topology.NodeID]bool, len(order))
-			eff := func(id topology.NodeID) int {
-				// Reconstruct the advertised degree the same way the engine
-				// does (VirtualDegree caps maximum-degree nodes).
-				d := tc.g.Degree(id)
-				if tc.strategy == routing.VirtualDegree && d == tc.g.MaxDegree() {
-					cap := int(tc.g.MeanDegree() + 0.5)
-					if cap < 1 {
-						cap = 1
-					}
-					if d > cap {
-						d = cap
-					}
-				}
-				return d
-			}
+			deg := tc.g.Degree
 			for i := 1; i < len(order); i++ {
 				a, b := order[i-1], order[i]
-				if eff(a) < eff(b) || (eff(a) == eff(b) && a >= b) {
+				if deg(a) < deg(b) || (deg(a) == deg(b) && a >= b) {
 					t.Fatalf("order[%d..%d] = %d(deg %d), %d(deg %d): not (degree desc, id asc)",
-						i-1, i, a, eff(a), b, eff(b))
+						i-1, i, a, deg(a), b, deg(b))
 				}
 			}
 			for _, id := range order {

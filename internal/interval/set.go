@@ -7,23 +7,18 @@ import (
 	"strings"
 )
 
-// Mode selects how the AACS treats equality constraints whose value falls
-// inside an existing sub-range.
+// Mode names how the AACS treats equality constraints whose value falls
+// inside an existing sub-range. Lossy is its one value; the parameter stays
+// only so that callers keep compiling.
 type Mode uint8
 
-const (
-	// Lossy is the paper's behaviour (Section 3.1): the subscription id is
-	// folded into the covering sub-range row, so the summary may report the
-	// subscription for any value of the sub-range (a pre-filter false
-	// positive, resolved by exact matching at the owning broker). Queries
-	// consult AACSE only when no sub-range contains the value, exactly as
-	// Check_for_a_value_match prescribes.
-	Lossy Mode = iota
-	// Exact splits sub-ranges at equality points instead of folding, and
-	// queries consult both arrays, eliminating arithmetic false positives.
-	// Used by the equality-folding ablation.
-	Exact
-)
+// Lossy is the paper's behaviour (Section 3.1): the subscription id is
+// folded into the covering sub-range row, so the summary may report the
+// subscription for any value of the sub-range (a pre-filter false
+// positive, resolved by exact matching at the owning broker). Queries
+// consult AACSE only when no sub-range contains the value, exactly as
+// Check_for_a_value_match prescribes.
+const Lossy Mode = 0
 
 // row is one AACSSR entry: a sub-range plus the ids of subscriptions whose
 // constraint is satisfied throughout it.
@@ -42,9 +37,8 @@ type neEntry struct {
 // rows sorted by lower bound (AACSSR), equality values outside the ranges
 // (AACSE), and not-equal entries. The zero value is not ready; use NewSet.
 type Set struct {
-	mode Mode
 	rows []row                // disjoint, sorted by lower bound
-	eq   map[float64][]uint64 // equality values (see Mode for semantics)
+	eq   map[float64][]uint64 // equality values no sub-range contains
 	ne   []neEntry            // sorted by value
 
 	// distinct records that no single query can return one id twice, so a
@@ -77,13 +71,10 @@ func (s *Set) slabCopy(ids []uint64) []uint64 {
 	return out
 }
 
-// NewSet returns an empty AACS with the given equality-handling mode.
-func NewSet(mode Mode) *Set {
-	return &Set{mode: mode, eq: make(map[float64][]uint64)}
+// NewSet returns an empty AACS.
+func NewSet(Mode) *Set {
+	return &Set{eq: make(map[float64][]uint64)}
 }
-
-// Mode returns the set's equality-handling mode.
-func (s *Set) Mode() Mode { return s.mode }
 
 // Insert records that subscription id constrains this attribute to iv.
 // The caller has already intersected all of the subscription's constraints
@@ -158,13 +149,8 @@ func (s *Set) MergePoint(v float64, ids []uint64) {
 		return
 	}
 	if i, ok := s.findRow(v); ok {
-		if s.mode == Lossy {
-			// Paper behaviour: fold the ids into the covering sub-range.
-			s.rows[i].ids = mergeInto(s.rows[i].ids, ids)
-			return
-		}
-		// Exact: split the covering row at the point.
-		s.insertRange(Point(v), ids)
+		// Paper behaviour: fold the ids into the covering sub-range.
+		s.rows[i].ids = mergeInto(s.rows[i].ids, ids)
 		return
 	}
 	if existing, ok := s.eq[v]; ok {
@@ -265,13 +251,8 @@ func (s *Set) InsertNotEqual(v float64, id uint64) {
 
 func (s *Set) insertPoint(v float64, id uint64) {
 	if i, ok := s.findRow(v); ok {
-		if s.mode == Lossy {
-			// Paper behaviour: fold the id into the covering sub-range.
-			s.rows[i].ids = addID(s.rows[i].ids, id)
-			return
-		}
-		// Exact: split the covering row at the point.
-		s.insertRange(Point(v), []uint64{id})
+		// Paper behaviour: fold the id into the covering sub-range.
+		s.rows[i].ids = addID(s.rows[i].ids, id)
 		return
 	}
 	s.eq[v] = addID(s.eq[v], id)
@@ -352,18 +333,16 @@ func (s *Set) insertRange(x Interval, ids []uint64) {
 		grown = append(grown, s.rows[end:]...)
 		s.rows = grown
 	}
-	if s.mode == Lossy {
-		// Fold equality entries that the new range now covers into the
-		// covering rows, so that queries that stop at the range array
-		// (Check_for_a_value_match's "Else") still find them.
-		for v, eqIDs := range s.eq {
-			if !x.Contains(v) {
-				continue
-			}
-			if i, ok := s.findRow(v); ok {
-				s.rows[i].ids = mergeIDs(s.rows[i].ids, eqIDs)
-				delete(s.eq, v)
-			}
+	// Fold equality entries that the new range now covers into the covering
+	// rows, so that queries that stop at the range array
+	// (Check_for_a_value_match's "Else") still find them.
+	for v, eqIDs := range s.eq {
+		if !x.Contains(v) {
+			continue
+		}
+		if i, ok := s.findRow(v); ok {
+			s.rows[i].ids = mergeIDs(s.rows[i].ids, eqIDs)
+			delete(s.eq, v)
 		}
 	}
 }
@@ -394,9 +373,9 @@ func (s *Set) findRow(v float64) (int, bool) {
 // Query returns the ids of all subscriptions whose constraint on this
 // attribute is satisfied by value v, deduplicated, in ascending order.
 // This is Check_for_a_value_match (type arithmetic): scan the sub-range
-// array; in Lossy mode fall back to the equality array only when no
-// sub-range contains v (the paper's "Else"); in Exact mode consult both.
-// Not-equal entries contribute for every value other than their own.
+// array; fall back to the equality array only when no sub-range contains
+// v (the paper's "Else"). Not-equal entries contribute for every value
+// other than their own.
 func (s *Set) Query(v float64) []uint64 {
 	// Collect once, then sort and dedup once — not a merge per ≠ entry.
 	out := s.AppendMatches(nil, v)
@@ -410,21 +389,16 @@ func (s *Set) Query(v float64) []uint64 {
 // AppendLists appends to dst the id lists a query for v consults, in
 // place — the one statement of Check_for_a_value_match (type arithmetic):
 // the sub-range row containing v; the equality row of v when no sub-range
-// contains it (Lossy, the paper's "Else") or always (Exact); every ≠ entry
-// of another value. The lists are the set's own and must not be written.
+// contains it (the paper's "Else"); every ≠ entry of another value. The lists are the set's own and must not be written.
 // distinct reports that no id occurs in two of the appended lists; it is
 // known only for a CloneMapped copy, and false means "may repeat". Beyond
 // growing dst it does not allocate, and it is safe for concurrent readers.
 func (s *Set) AppendLists(dst [][]uint64, v float64) (lists [][]uint64, distinct bool) {
 	n := len(dst)
-	i, inRange := s.findRow(v)
-	if inRange {
+	if i, inRange := s.findRow(v); inRange {
 		dst = append(dst, s.rows[i].ids)
-	}
-	if !inRange || s.mode == Exact {
-		if ids := s.eq[v]; len(ids) > 0 {
-			dst = append(dst, ids)
-		}
+	} else if ids := s.eq[v]; len(ids) > 0 {
+		dst = append(dst, ids)
 	}
 	for _, ne := range s.ne {
 		if ne.value != v {
@@ -464,11 +438,9 @@ func (s *Set) QueryInto(v float64, dst map[uint64]struct{}) int {
 			}
 		}
 	}
-	i, inRange := s.findRow(v)
-	if inRange {
+	if i, inRange := s.findRow(v); inRange {
 		note(s.rows[i].ids)
-	}
-	if !inRange || s.mode == Exact {
+	} else {
 		note(s.eq[v])
 	}
 	for _, ne := range s.ne {
@@ -603,7 +575,7 @@ func (s *Set) Merge(o *Set) {
 
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
-	out := NewSet(s.mode)
+	out := NewSet(Lossy)
 	out.rows = make([]row, len(s.rows))
 	for i, r := range s.rows {
 		out.rows[i] = row{iv: r.iv, ids: append([]uint64(nil), r.ids...)}
@@ -629,19 +601,17 @@ func (s *Set) Clone() *Set {
 // mutated.
 //
 // The same pass decides the copy's distinct flag (see AppendLists) over a
-// bitmap of the n mapped ids. A query consults at most one sub-range row
-// and one equality row but every ≠ entry save one, so an id can come back
-// twice only if it sits in a ≠ entry and in any other list, or (Exact,
-// where a row and an equality entry are both consulted) in an equality
-// entry and a row. The test is by id, not by value — `x != 5` beside
-// `x = 5` can never be consulted together and still clears the flag — so
-// it errs only towards false, the side that costs the reader a check per
-// id and not a match.
+// bitmap of the n mapped ids. A query consults one sub-range row or one
+// equality row, never both, but every ≠ entry save one, so an id can come
+// back twice only if it sits in a ≠ entry and in any other list. The test
+// is by id, not by value — `x != 5` beside `x = 5` can never be consulted
+// together and still clears the flag — so it errs only towards false, the
+// side that costs the reader a check per id and not a match.
 func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uint64)) *Set {
-	out := &Set{mode: s.mode, eq: make(map[float64][]uint64, len(s.eq)), distinct: true}
+	out := &Set{eq: make(map[float64][]uint64, len(s.eq)), distinct: true}
 	slab := make([]uint64, 0, s.idEntries())
 	var seen []uint64 // bitmap of the mapped ids copied so far; nil when no repeat is possible
-	if len(s.ne) > 0 || (s.mode == Exact && len(s.eq) > 0) {
+	if len(s.ne) > 0 {
 		seen = make([]uint64, (n+63)/64)
 	}
 	mapIDs := func(ids []uint64, check bool) []uint64 {
@@ -673,7 +643,7 @@ func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uin
 		}
 	}
 	for v, ids := range s.eq {
-		if ids = mapIDs(ids, s.mode == Exact); len(ids) > 0 {
+		if ids = mapIDs(ids, false); len(ids) > 0 {
 			out.eq[v] = ids
 		}
 	}
@@ -753,8 +723,8 @@ func (s *Set) idEntries() int {
 // pairwise disjoint, non-empty, and carry sorted non-empty id lists. This
 // bypasses Insert's splicing so a decoded set is structurally identical to
 // the encoded one (point rows stay rows; they do not migrate to AACSE).
-func NewSetFromRows(mode Mode, rows []RowView, eq, ne []EqView) (*Set, error) {
-	s := NewSet(mode)
+func NewSetFromRows(rows []RowView, eq, ne []EqView) (*Set, error) {
+	s := NewSet(Lossy)
 	for i, r := range rows {
 		if r.Interval.Empty() {
 			return nil, fmt.Errorf("interval: row %d empty", i)
@@ -779,7 +749,7 @@ func NewSetFromRows(mode Mode, rows []RowView, eq, ne []EqView) (*Set, error) {
 		if len(e.IDs) == 0 {
 			return nil, fmt.Errorf("interval: equality row %g has no ids", e.Value)
 		}
-		if _, inRow := s.findRow(e.Value); inRow && mode == Lossy {
+		if _, inRow := s.findRow(e.Value); inRow {
 			return nil, fmt.Errorf("interval: equality value %g inside a sub-range (lossy invariant)", e.Value)
 		}
 		if _, dup := s.eq[e.Value]; dup {

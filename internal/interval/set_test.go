@@ -7,8 +7,8 @@ import (
 )
 
 // checkInvariants asserts the AACSSR structural invariants: rows sorted,
-// pairwise disjoint, none empty, all id lists non-empty and sorted, and (in
-// Lossy mode) no equality value inside any row.
+// pairwise disjoint, none empty, all id lists non-empty and sorted, and no
+// equality value inside any row.
 func checkInvariants(t *testing.T, s *Set) {
 	t.Helper()
 	rows := s.Rows()
@@ -31,12 +31,10 @@ func checkInvariants(t *testing.T, s *Set) {
 			t.Fatalf("rows %d and %d out of order", i-1, i)
 		}
 	}
-	if s.Mode() == Lossy {
-		for _, e := range s.EqRows() {
-			for _, r := range rows {
-				if r.Interval.Contains(e.Value) {
-					t.Fatalf("Lossy: equality value %g inside row %v", e.Value, r.Interval)
-				}
+	for _, e := range s.EqRows() {
+		for _, r := range rows {
+			if r.Interval.Contains(e.Value) {
+				t.Fatalf("equality value %g inside row %v", e.Value, r.Interval)
 			}
 		}
 	}
@@ -175,30 +173,19 @@ func TestLossyRangeInsertMigratesEqualities(t *testing.T) {
 	}
 }
 
-func TestExactEqualitySplitsRange(t *testing.T) {
-	s := NewSet(Exact)
-	s.Insert(Range(8, 9, false, false), 1)
-	s.Insert(Point(8.5), 2)
-	checkInvariants(t, s)
-	// Exact mode: id 2 only at exactly 8.5.
-	if got := s.Query(8.5); !reflect.DeepEqual(got, []uint64{1, 2}) {
-		t.Fatalf("Query(8.5) = %v", got)
-	}
-	if got := s.Query(8.7); !reflect.DeepEqual(got, []uint64{1}) {
-		t.Fatalf("Query(8.7) = %v, want exact", got)
-	}
-	if got := s.Query(8.20); !reflect.DeepEqual(got, []uint64{1}) {
-		t.Fatalf("Query(8.20) = %v", got)
-	}
-}
-
+// TestExactEqualityOutsideRanges: an equality no sub-range covers stays in
+// AACSE and matches its own value only — folding is lossy inside ranges,
+// exact outside them.
 func TestExactEqualityOutsideRanges(t *testing.T) {
-	s := NewSet(Exact)
+	s := NewSet(Lossy)
 	s.Insert(Point(8.20), 2)
 	s.Insert(Range(8.5, 9, false, false), 1)
 	checkInvariants(t, s)
 	if got := s.Query(8.20); !reflect.DeepEqual(got, []uint64{2}) {
 		t.Fatalf("Query(8.20) = %v", got)
+	}
+	if got := s.Query(8.7); !reflect.DeepEqual(got, []uint64{1}) {
+		t.Fatalf("Query(8.7) = %v", got)
 	}
 }
 
@@ -360,24 +347,39 @@ func (c constraintRef) satisfied(v float64) bool {
 }
 
 // TestRandomizedAgainstReference drives random inserts/removes and checks
-// Query against a brute-force reference: Exact mode must agree exactly;
-// Lossy mode must never produce a false negative.
+// Query against a brute-force reference. In "lossy" equalities land among
+// the ranges: the fold may over-report, but must never produce a false
+// negative. In "exact" every equality lies apart from every range (ranges
+// stay inside [-20, 20], equalities at 80 and up, as the workload generator
+// places its equalities): the fold never fires, so Query must agree with
+// the reference exactly.
 func TestRandomizedAgainstReference(t *testing.T) {
-	for _, mode := range []Mode{Lossy, Exact} {
-		mode := mode
-		name := map[Mode]string{Lossy: "lossy", Exact: "exact"}[mode]
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		apart bool
+	}{{"lossy", false}, {"exact", true}} {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			s := NewSet(mode)
+			s := NewSet(Lossy)
 			var refs []constraintRef
 			nextID := uint64(1)
 			randVal := func() float64 { return float64(rng.Intn(41) - 20) }
+			// pointVal is where equalities go, probeShift where a probe may
+			// be moved to reach them.
+			pointVal, probeShift := randVal, func() float64 { return 0 }
+			if tc.apart {
+				pointVal = func() float64 { return 100 + randVal() }
+				probeShift = func() float64 { return float64(rng.Intn(2)) * 100 }
+			}
 			for step := 0; step < 3000; step++ {
 				switch op := rng.Intn(10); {
 				case op < 5: // range insert
 					lo, hi := randVal(), randVal()
 					if lo > hi {
 						lo, hi = hi, lo
+					}
+					if tc.apart && lo == hi {
+						hi++ // [v, v] is an equality, and it would land among the ranges
 					}
 					iv := Range(lo, hi, rng.Intn(2) == 0, rng.Intn(2) == 0)
 					id := nextID
@@ -387,7 +389,7 @@ func TestRandomizedAgainstReference(t *testing.T) {
 						refs = append(refs, constraintRef{id: id, iv: iv})
 					}
 				case op < 7: // point insert
-					v := randVal()
+					v := pointVal()
 					id := nextID
 					nextID++
 					s.Insert(Point(v), id)
@@ -411,31 +413,31 @@ func TestRandomizedAgainstReference(t *testing.T) {
 				}
 				// Probe a few random values.
 				for probe := 0; probe < 4; probe++ {
-					v := randVal() + float64(rng.Intn(3))*0.5
+					v := randVal() + float64(rng.Intn(3))*0.5 + probeShift()
 					got := s.Query(v)
 					gotSet := make(map[uint64]bool, len(got))
 					for _, id := range got {
 						gotSet[id] = true
 					}
+					want := 0
 					for _, ref := range refs {
-						if ref.satisfied(v) && !gotSet[ref.id] {
+						if !ref.satisfied(v) {
+							continue
+						}
+						want++
+						if !gotSet[ref.id] {
 							t.Fatalf("step %d: false negative at %g: id %d missing (got %v)\nset: %v",
 								step, v, ref.id, got, s)
 						}
 					}
-					if mode == Exact {
-						want := 0
-						for _, ref := range refs {
-							if ref.satisfied(v) {
-								want++
-							}
-						}
-						if len(got) != want {
-							t.Fatalf("step %d: exact mode mismatch at %g: got %d ids, want %d\nset: %v",
-								step, v, len(got), want, s)
-						}
+					if tc.apart && len(got) != want {
+						t.Fatalf("step %d: no equality lies inside a range, yet Query(%g) = %d ids, want %d\nset: %v",
+							step, v, len(got), want, s)
 					}
 				}
+			}
+			if tc.apart && len(s.EqRows()) == 0 {
+				t.Fatal("fixture is vacuous: no equality row survived to the end")
 			}
 		})
 	}
@@ -541,41 +543,32 @@ func TestCloneMappedDistinct(t *testing.T) {
 	identity := func(id uint64) (uint64, bool) { return id, true }
 	cases := []struct {
 		name  string
-		mode  Mode
 		build func(*Set)
 		probe float64 // a value whose query consults two lists
 		want  bool
 	}{
-		{"ranges, an equality and ≠ entries of different ids", Lossy, func(s *Set) {
+		{"ranges, an equality and ≠ entries of different ids", func(s *Set) {
 			s.Insert(Interval{Lo: 1, Hi: 5}, 1)
 			s.Insert(Interval{Lo: 3, Hi: 9}, 2) // one id in several rows: rows are disjoint
 			s.Insert(Point(20), 1)
 			s.InsertNotEqual(3, 3)
 			s.InsertNotEqual(4, 4)
 		}, 2, true},
-		{"Exact: equality and range of different ids", Exact, func(s *Set) {
-			s.Insert(Point(3), 1)
-			s.Insert(Interval{Lo: 1, Hi: 5}, 2)
-		}, 3, true},
-		{"≠ beside a range of the same id", Lossy, func(s *Set) {
+		{"≠ beside a range of the same id", func(s *Set) {
 			s.Insert(Interval{Lo: 1, Hi: 5}, 1)
 			s.InsertNotEqual(3, 1)
 		}, 2, false},
-		{"≠ beside an equality of the same id", Lossy, func(s *Set) {
+		{"≠ beside an equality of the same id", func(s *Set) {
 			s.Insert(Point(7), 1)
 			s.InsertNotEqual(3, 1)
 		}, 7, false},
-		{"two ≠ entries of one id", Lossy, func(s *Set) {
+		{"two ≠ entries of one id", func(s *Set) {
 			s.InsertNotEqual(3, 1)
 			s.InsertNotEqual(4, 1)
 		}, 5, false},
-		{"Exact: equality inside a range of the same id", Exact, func(s *Set) {
-			s.Insert(Point(3), 1)
-			s.Insert(Interval{Lo: 1, Hi: 5}, 1)
-		}, 3, false},
 	}
 	for _, tc := range cases {
-		s := NewSet(tc.mode)
+		s := NewSet(Lossy)
 		tc.build(s)
 		if _, distinct := s.AppendLists(nil, tc.probe); distinct {
 			t.Errorf("%s: a set built by mutation claims distinct lists", tc.name)

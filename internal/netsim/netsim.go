@@ -453,8 +453,9 @@ func (b *Bus) doneInflight(n int64) {
 // and from any goroutine, concurrently with Quiesce. When the send makes
 // the destination runnable and m.From names a broker whose handler a
 // worker is running, the destination runs next on that worker; otherwise
-// it joins the run queue.
-func (b *Bus) Send(m Message) error { return b.send(m, nil) }
+// it joins the run queue. A caller outside every handler that names a
+// broker as m.From uses PostShared instead.
+func (b *Bus) Send(m Message) error { return b.send(m, nil, true) }
 
 // SendShared enqueues m with its payload backed by the shared buffer sb
 // (m.Payload is set to sb.B, m.Attached to sb.Attached). On successful
@@ -466,10 +467,21 @@ func (b *Bus) Send(m Message) error { return b.send(m, nil) }
 // its AcquireBuf reference and must Release it after the last send.
 func (b *Bus) SendShared(m Message, sb *SharedBuf) error {
 	m.Payload, m.Attached = sb.B, sb.Attached
-	return b.send(m, sb)
+	return b.send(m, sb, true)
 }
 
-func (b *Bus) send(m Message, sb *SharedBuf) error {
+// PostShared is SendShared for a caller outside every handler: a
+// destination the send makes runnable always joins the run queue, even when
+// m.From names a broker whose handler a worker is running at that moment —
+// so an outside send never takes that worker's hand-off slot.
+func (b *Bus) PostShared(m Message, sb *SharedBuf) error {
+	m.Payload, m.Attached = sb.B, sb.Attached
+	return b.send(m, sb, false)
+}
+
+// send enqueues m; fromHandler lets a send naming a running broker as
+// m.From hand the destination to that broker's worker.
+func (b *Bus) send(m Message, sb *SharedBuf, fromHandler bool) error {
 	if int(m.To) < 0 || int(m.To) >= len(b.boxes) {
 		return fmt.Errorf("netsim: destination %d out of range", m.To)
 	}
@@ -496,7 +508,11 @@ func (b *Bus) send(m Message, sb *SharedBuf) error {
 	if sb != nil {
 		sb.refs.Add(1)
 	}
-	if !b.enqueue(m.To, queued{msg: m, sb: sb}, b.runner(m.From)) {
+	var sender *worker
+	if fromHandler {
+		sender = b.runner(m.From)
+	}
+	if !b.enqueue(m.To, queued{msg: m, sb: sb}, sender) {
 		return fmt.Errorf("netsim: mailbox %d closed", m.To)
 	}
 	return nil

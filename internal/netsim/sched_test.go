@@ -136,6 +136,44 @@ func TestBlockedHandlerStopsOnlyItsDependents(t *testing.T) {
 	b.Quiesce()
 }
 
+// TestPostNeverTakesTheSendersSlot: broker 0's handler is blocked, so its
+// worker sits inside a handler with an open hand-off slot. An outside
+// PostShared naming broker 0 as the sender must leave that slot empty and
+// send broker 1 through the run queue, where another worker runs it.
+func TestPostNeverTakesTheSendersSlot(t *testing.T) {
+	b := NewBus(2)
+	defer b.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	b.Start(0, func(Message) {
+		close(entered)
+		<-release
+	})
+	reached := make(chan struct{})
+	b.Start(1, func(Message) { close(reached) })
+	if err := b.Send(Message{From: 0, To: 0, Kind: KindEvent}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	w := b.boxes[0].runner.Load()
+	sb := AcquireBuf()
+	err := b.PostShared(Message{From: 0, To: 1, Kind: KindSummary}, sb)
+	sb.Release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.slot.Load(); got != nil {
+		close(release)
+		t.Fatalf("an outside send took the hand-off slot of broker 0's worker (slot holds broker 1: %v)", got == b.boxes[1])
+	}
+	select {
+	case <-reached:
+	case <-time.After(10 * time.Second):
+		t.Error("broker 1 never ran while broker 0's handler was blocked")
+	}
+	close(release)
+	b.Quiesce()
+}
+
 // TestRunnableBrokerIsNotStarved: with one worker, brokers 0 and 1 resend to
 // themselves from every handler call, so each always has a backlog. Broker
 // 2 must still run: a worker keeps a broker only for a bounded streak

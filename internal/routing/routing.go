@@ -13,54 +13,11 @@ package routing
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"github.com/subsum/subsum/internal/propagation"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/topology"
 )
-
-// Strategy selects the next broker to examine among those not in BROCLIe.
-type Strategy uint8
-
-const (
-	// HighestDegree is the paper's choice: the unexamined broker with the
-	// greatest degree (it has merged the most neighbor summaries, so one
-	// visit covers the most brokers).
-	HighestDegree Strategy = iota
-	// RandomUnvisited picks uniformly among brokers not in BROCLIe — the
-	// load-spreading end of the trade-off the paper mentions.
-	RandomUnvisited
-	// VirtualDegree is the paper's "ongoing work" load-balancing variant:
-	// maximum-degree brokers advertise a reduced virtual degree so they are
-	// not first on every event's path.
-	VirtualDegree
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case HighestDegree:
-		return "highest-degree"
-	case RandomUnvisited:
-		return "random-unvisited"
-	case VirtualDegree:
-		return "virtual-degree"
-	default:
-		return fmt.Sprintf("strategy(%d)", uint8(s))
-	}
-}
-
-// Config parametrizes the router.
-type Config struct {
-	Strategy Strategy
-	// VirtualDegreeCap caps the degree advertised by maximum-degree
-	// brokers under VirtualDegree (0 means mean degree).
-	VirtualDegreeCap int
-	// Seed drives RandomUnvisited.
-	Seed int64
-}
 
 // MatchFunc reports which brokers own subscriptions matching the event,
 // according to the merged summary held at the examining broker. For
@@ -85,58 +42,20 @@ func (t *Trace) Hops() int { return t.ForwardHops + t.DeliveryHops }
 type Router struct {
 	g     *topology.Graph
 	prop  *propagation.Result
-	cfg   Config
-	rng   *rand.Rand
-	order []topology.NodeID // Order(g, strategy, cap)
+	order []topology.NodeID // g.NodesByDegreeDesc()
 }
 
 // NewRouter builds a router for the given overlay and propagation result.
-func NewRouter(g *topology.Graph, prop *propagation.Result, cfg Config) (*Router, error) {
+func NewRouter(g *topology.Graph, prop *propagation.Result) (*Router, error) {
 	if len(prop.MergedBrokers) != g.Len() {
 		return nil, fmt.Errorf("routing: propagation result covers %d brokers, overlay has %d",
 			len(prop.MergedBrokers), g.Len())
 	}
-	return &Router{
-		g: g, prop: prop, cfg: cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		order: Order(g, cfg.Strategy, cfg.VirtualDegreeCap),
-	}, nil
-}
-
-// Order returns the order in which Algorithm 3 examines brokers under a
-// degree-driven strategy: advertised degree descending, id ascending on
-// ties. It depends only on the overlay, so the deterministic Router and
-// the live engine (core.New) each derive it once and share this one
-// definition. HighestDegree advertises true degrees; VirtualDegree makes
-// the maximum-degree brokers advertise degCap instead (<= 0 means the
-// mean degree, at least 1), which drops them among the brokers of that
-// degree — by id, not by their true degree.
-func Order(g *topology.Graph, strategy Strategy, degCap int) []topology.NodeID {
-	if strategy != VirtualDegree {
-		return g.NodesByDegreeDesc()
-	}
-	if degCap <= 0 {
-		degCap = max(1, int(g.MeanDegree()+0.5))
-	}
-	maxDeg := g.MaxDegree()
-	advertised := func(id topology.NodeID) int {
-		d := g.Degree(id)
-		if d == maxDeg {
-			d = min(d, degCap)
-		}
-		return d
-	}
-	order := make([]topology.NodeID, g.Len())
-	for i := range order {
-		order[i] = topology.NodeID(i)
-	}
-	// Stable over ascending ids, so ties stay in id order.
-	sort.SliceStable(order, func(i, j int) bool { return advertised(order[i]) > advertised(order[j]) })
-	return order
+	return &Router{g: g, prop: prop, order: g.NodesByDegreeDesc()}, nil
 }
 
 // NextHop returns the first broker of order not in BROCLIe — Algorithm 3's
-// forwarding choice under the degree-driven strategies.
+// forwarding choice when order is the overlay's NodesByDegreeDesc.
 func NextHop(order []topology.NodeID, brocli subid.Mask) (topology.NodeID, bool) {
 	for _, node := range order {
 		if !brocli.Has(int(node)) {
@@ -177,7 +96,7 @@ func (r *Router) Route(origin topology.NodeID, match MatchFunc) *Trace {
 		if brocli.Count() == n {
 			break
 		}
-		next, ok := r.next(brocli)
+		next, ok := NextHop(r.order, brocli)
 		if !ok {
 			break
 		}
@@ -185,23 +104,6 @@ func (r *Router) Route(origin topology.NodeID, match MatchFunc) *Trace {
 		current = next
 	}
 	return trace
-}
-
-// next picks the strategy's choice among brokers not in BROCLIe.
-func (r *Router) next(brocli subid.Mask) (topology.NodeID, bool) {
-	if r.cfg.Strategy == RandomUnvisited {
-		var candidates []topology.NodeID
-		for i := 0; i < r.g.Len(); i++ {
-			if !brocli.Has(i) {
-				candidates = append(candidates, topology.NodeID(i))
-			}
-		}
-		if len(candidates) == 0 {
-			return 0, false
-		}
-		return candidates[r.rng.Intn(len(candidates))], true
-	}
-	return NextHop(r.order, brocli)
 }
 
 // PopularityMatch returns a MatchFunc for the Figure 10 experiments: the

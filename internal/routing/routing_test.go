@@ -43,7 +43,7 @@ func propagate(t testing.TB, g *topology.Graph) (*propagation.Result, *schema.Sc
 func TestFigure7RoutingExample(t *testing.T) {
 	g := topology.Figure7Tree()
 	prop, _ := propagate(t, g)
-	r, err := NewRouter(g, prop, Config{Strategy: HighestDegree})
+	r, err := NewRouter(g, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAllMatchedAlwaysDelivered(t *testing.T) {
 		topology.Ring(7),
 	} {
 		prop, _ := propagate(t, g)
-		r, err := NewRouter(g, prop, Config{Strategy: HighestDegree})
+		r, err := NewRouter(g, prop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestAllMatchedAlwaysDelivered(t *testing.T) {
 func TestContentDrivenRouting(t *testing.T) {
 	g := topology.CW24()
 	prop, s := propagate(t, g)
-	r, err := NewRouter(g, prop, Config{Strategy: HighestDegree})
+	r, err := NewRouter(g, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestContentDrivenRouting(t *testing.T) {
 func TestNoDuplicateDeliveries(t *testing.T) {
 	g := topology.CW24()
 	prop, _ := propagate(t, g)
-	r, err := NewRouter(g, prop, Config{Strategy: HighestDegree})
+	r, err := NewRouter(g, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,96 +179,43 @@ func TestNoDuplicateDeliveries(t *testing.T) {
 func TestVisitedChainBounded(t *testing.T) {
 	g := topology.CW24()
 	prop, _ := propagate(t, g)
-	for _, strat := range []Strategy{HighestDegree, RandomUnvisited, VirtualDegree} {
-		r, err := NewRouter(g, prop, Config{Strategy: strat, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := r.Route(0, r.PopularityMatch(nil))
-		if len(trace.Visited) > g.Len() {
-			t.Fatalf("%v: visited %d brokers of %d", strat, len(trace.Visited), g.Len())
-		}
-		// The chain must visit distinct brokers.
-		seen := make(map[topology.NodeID]bool)
-		for _, v := range trace.Visited {
-			if seen[v] {
-				t.Fatalf("%v: broker %d examined twice", strat, v)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestVirtualDegreeSpreadsFirstHop(t *testing.T) {
-	g := topology.Figure7Tree() // broker 5 (node 4) has degree 5, others ≤ 3
-	prop, _ := propagate(t, g)
-	plain, err := NewRouter(g, prop, Config{Strategy: HighestDegree})
+	r, err := NewRouter(g, prop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	virtual, err := NewRouter(g, prop, Config{Strategy: VirtualDegree, VirtualDegreeCap: 1})
-	if err != nil {
-		t.Fatal(err)
+	trace := r.Route(0, r.PopularityMatch(nil))
+	if len(trace.Visited) > g.Len() {
+		t.Fatalf("visited %d brokers of %d", len(trace.Visited), g.Len())
 	}
-	// Under plain highest-degree, node 4 is always the first forward target
-	// from node 0; under virtual degree (cap 1) it is not.
-	pt := plain.Route(0, plain.PopularityMatch(nil))
-	if pt.Visited[1] != 4 {
-		t.Fatalf("plain: second visit = %d, want 4", pt.Visited[1])
-	}
-	vt := virtual.Route(0, virtual.PopularityMatch(nil))
-	if vt.Visited[1] == 4 {
-		t.Fatal("virtual degree did not displace the max-degree broker")
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if HighestDegree.String() != "highest-degree" ||
-		RandomUnvisited.String() != "random-unvisited" ||
-		VirtualDegree.String() != "virtual-degree" {
-		t.Fatal("strategy names wrong")
+	// The chain must visit distinct brokers.
+	seen := make(map[topology.NodeID]bool)
+	for _, v := range trace.Visited {
+		if seen[v] {
+			t.Fatalf("broker %d examined twice", v)
+		}
+		seen[v] = true
 	}
 }
 
 func TestNewRouterValidation(t *testing.T) {
 	g := topology.Ring(4)
 	prop := &propagation.Result{MergedBrokers: make([]propagation.BrokerSet, 3)}
-	if _, err := NewRouter(g, prop, Config{}); err == nil {
+	if _, err := NewRouter(g, prop); err == nil {
 		t.Fatal("mismatched propagation result accepted")
 	}
 }
 
-// TestOrder pins the examination order and its next-hop step. True degrees
-// are the overlay's own NodesByDegreeDesc. Under VirtualDegree the Figure 7
-// hub (node 4, degree 5) advertises the cap and ranks among the brokers of
-// that degree by its id — not first among them, as a stable re-sort of the
-// true-degree order would leave it.
+// TestOrder pins the examination order and its next-hop step: the Figure 7
+// hub (node 4, degree 5) comes first, ties break by ascending id, and
+// NextHop walks that order past BROCLIe.
 func TestOrder(t *testing.T) {
 	tree := topology.Figure7Tree()
-	for _, g := range []*topology.Graph{tree, topology.CW24(), topology.Ring(9)} {
-		for _, strategy := range []Strategy{HighestDegree, RandomUnvisited} {
-			if got := Order(g, strategy, 0); !slices.Equal(got, g.NodesByDegreeDesc()) {
-				t.Errorf("%s %v: order = %v, want NodesByDegreeDesc %v", g.Name(), strategy, got, g.NodesByDegreeDesc())
-			}
-		}
-	}
-	for _, tc := range []struct {
-		name   string
-		degCap int
-		want   []topology.NodeID
-	}{
-		{"cap 1", 1, []topology.NodeID{7, 10, 1, 6, 9, 0, 2, 3, 4, 5, 8, 11, 12}},
-		{"cap 2 (the mean degree)", 0, []topology.NodeID{7, 10, 1, 4, 6, 9, 0, 2, 3, 5, 8, 11, 12}},
-		{"cap 3", 3, []topology.NodeID{4, 7, 10, 1, 6, 9, 0, 2, 3, 5, 8, 11, 12}},
-		{"cap at the maximum degree", 5, tree.NodesByDegreeDesc()},
-	} {
-		if got := Order(tree, VirtualDegree, tc.degCap); !slices.Equal(got, tc.want) {
-			t.Errorf("figure7 virtual-degree %s: order = %v, want %v", tc.name, got, tc.want)
-		}
+	order := tree.NodesByDegreeDesc()
+	if want := []topology.NodeID{4, 7, 10, 1, 6, 9, 0, 2, 3, 5, 8, 11, 12}; !slices.Equal(order, want) {
+		t.Fatalf("figure7 order = %v, want %v", order, want)
 	}
 
 	// NextHop is the first broker of the order outside BROCLIe.
-	order := Order(tree, HighestDegree, 0)
 	brocli := subid.NewMask(tree.Len())
 	for _, want := range order {
 		got, ok := NextHop(order, brocli)

@@ -282,13 +282,6 @@ func (f *SubsumptionFilter) Remove(sub *schema.Subscription) bool {
 	return false
 }
 
-// SubsumedBy reports whether prior (a subscription previously Added, now
-// being withdrawn) subsumes sub — the check a broker uses to find
-// subscriptions whose delta suppression depended on the dead entry.
-func (f *SubsumptionFilter) SubsumedBy(prior, sub *schema.Subscription) bool {
-	return Subsumes(f.s, prior, sub)
-}
-
 // Len returns the number of retained subscriptions.
 func (f *SubsumptionFilter) Len() int { return len(f.history) }
 

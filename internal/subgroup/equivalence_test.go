@@ -18,7 +18,7 @@ func flatSetup(t testing.TB, g *topology.Graph, own []*summary.Summary) (*propag
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := routing.NewRouter(g, prop, routing.Config{Strategy: routing.HighestDegree})
+	r, err := routing.NewRouter(g, prop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func (sm *Summary) Encode(buf []byte) []byte {
 		version = versionV3
 	}
 	buf = append(buf, magicPrefix[:]...)
-	buf = append(buf, version, byte(sm.mode))
+	buf = append(buf, version, byte(interval.Lossy))
 
 	// Registry, sorted by key for determinism and for the delta encoding.
 	keys := append([]uint64(nil), sm.keys...)
@@ -378,22 +378,22 @@ func (d *decoder) ids(dst []uint64) []uint64 {
 	return dst
 }
 
-// header validates the magic, version, and mode bytes.
-func (d *decoder) header() (interval.Mode, error) {
+// header validates the magic, version, and mode bytes. The mode byte must
+// be interval.Lossy's; any other is refused.
+func (d *decoder) header() error {
 	m := d.bytes(3)
 	if m == nil || string(m) != string(magicPrefix[:]) {
-		return 0, fmt.Errorf("summary: bad magic")
+		return fmt.Errorf("summary: bad magic")
 	}
 	version := d.u8()
 	if version != versionV2 && version != versionV3 {
-		return 0, fmt.Errorf("summary: unsupported wire version %q", version)
+		return fmt.Errorf("summary: unsupported wire version %q", version)
 	}
 	d.retractions = version == versionV3
-	mode := interval.Mode(d.u8())
-	if mode != interval.Lossy && mode != interval.Exact {
-		return 0, fmt.Errorf("summary: bad mode %d", mode)
+	if mode := interval.Mode(d.u8()); mode != interval.Lossy {
+		return fmt.Errorf("summary: bad mode %d", mode)
 	}
-	return mode, nil
+	return nil
 }
 
 // registryEntry decodes one registry entry: the id key (delta-decoded
@@ -426,11 +426,10 @@ func (d *decoder) registryEntry(i int, prev uint64, maskScratch subid.Mask) (uin
 // encoder's (attribute ids are schema indexes).
 func Decode(s *schema.Schema, buf []byte) (*Summary, error) {
 	d := &decoder{buf: buf}
-	mode, err := d.header()
-	if err != nil {
+	if err := d.header(); err != nil {
 		return nil, err
 	}
-	sm := New(s, mode)
+	sm := New(s, interval.Lossy)
 
 	nIDs := d.count(2)
 	prev := uint64(0)
@@ -475,7 +474,7 @@ func Decode(s *schema.Schema, buf []byte) (*Summary, error) {
 		if d.err != nil {
 			break
 		}
-		set, err := interval.NewSetFromRows(mode, rows, eqs, nes)
+		set, err := interval.NewSetFromRows(rows, eqs, nes)
 		if err != nil {
 			d.fail("AACS for attribute %d: %v", a, err)
 			break
@@ -558,9 +557,7 @@ func Decode(s *schema.Schema, buf []byte) (*Summary, error) {
 // messages.
 func (sm *Summary) MergeEncoded(buf []byte) error {
 	d := &decoder{buf: buf}
-	// The payload's mode is validated and dropped: the receiver's own mode
-	// governs merged semantics, as in Merge.
-	if _, err := d.header(); err != nil {
+	if err := d.header(); err != nil {
 		return err // refused before the summary is touched
 	}
 	// The payload may re-register keys this summary has tombstoned; purge

@@ -55,24 +55,22 @@ func TestCodecRoundTripSmall(t *testing.T) {
 func TestCodecRoundTripRandomized(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(31))
-	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
-		sm := New(s, mode)
-		for i := 0; i < 150; i++ {
-			sub := randomSubscription(rng, s)
-			if err := sm.Insert(subid.ID{Broker: subid.BrokerID(rng.Intn(10)), Local: subid.LocalID(i)}, sub); err != nil {
-				t.Fatal(err)
-			}
+	sm := New(s, interval.Lossy)
+	for i := 0; i < 150; i++ {
+		sub := randomSubscription(rng, s)
+		if err := sm.Insert(subid.ID{Broker: subid.BrokerID(rng.Intn(10)), Local: subid.LocalID(i)}, sub); err != nil {
+			t.Fatal(err)
 		}
-		buf := sm.Encode(nil)
-		got, err := Decode(s, buf)
-		if err != nil {
-			t.Fatalf("Decode: %v", err)
-		}
-		for i := 0; i < 500; i++ {
-			ev := randomEvent(rng, s)
-			if !reflect.DeepEqual(got.MatchKeys(ev), sm.MatchKeys(ev)) {
-				t.Fatalf("mode %v: decoded summary diverges on %s", mode, ev.Format(s))
-			}
+	}
+	buf := sm.Encode(nil)
+	got, err := Decode(s, buf)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	for i := 0; i < 500; i++ {
+		ev := randomEvent(rng, s)
+		if !reflect.DeepEqual(got.MatchKeys(ev), sm.MatchKeys(ev)) {
+			t.Fatalf("decoded summary diverges on %s", ev.Format(s))
 		}
 	}
 }
@@ -95,10 +93,16 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := Decode(s, bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	bad = append([]byte(nil), buf...)
-	bad[4] = 99 // mode
-	if _, err := Decode(s, bad); err == nil {
-		t.Fatal("bad mode accepted")
+	// Lossy (0) is the only mode byte; 1 was the retired exact mode's.
+	for _, mode := range []byte{1, 99} {
+		bad = append([]byte(nil), buf...)
+		bad[4] = mode
+		if _, err := Decode(s, bad); err == nil {
+			t.Fatalf("mode byte %d accepted by Decode", mode)
+		}
+		if err := New(s, interval.Lossy).MergeEncoded(bad); err == nil {
+			t.Fatalf("mode byte %d accepted by MergeEncoded", mode)
+		}
 	}
 	for cut := 5; cut < len(buf); cut += 7 {
 		if _, err := Decode(s, buf[:cut]); err == nil {
@@ -128,12 +132,15 @@ func TestEncodeAppendsToPrefix(t *testing.T) {
 
 func TestEmptySummaryRoundTrip(t *testing.T) {
 	s := stockSchema(t)
-	sm := New(s, interval.Exact)
-	got, err := Decode(s, sm.Encode(nil))
+	buf := New(s, interval.Lossy).Encode(nil)
+	if buf[4] != byte(interval.Lossy) {
+		t.Fatalf("mode byte = %d, want %d", buf[4], interval.Lossy)
+	}
+	got, err := Decode(s, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumSubscriptions() != 0 || got.Mode() != interval.Exact {
-		t.Fatalf("got %d subs, mode %v", got.NumSubscriptions(), got.Mode())
+	if got.NumSubscriptions() != 0 {
+		t.Fatalf("got %d subs", got.NumSubscriptions())
 	}
 }

@@ -13,10 +13,10 @@ import (
 // randomSummary builds a summary with n random subscriptions spread over a
 // handful of brokers, mimicking the per-broker id locality the delta
 // encoding exploits.
-func randomSummary(t *testing.T, rng *rand.Rand, mode interval.Mode, n int) *Summary {
+func randomSummary(t *testing.T, rng *rand.Rand, n int) *Summary {
 	t.Helper()
 	s := stockSchema(t)
-	sm := New(s, mode)
+	sm := New(s, interval.Lossy)
 	for i := 0; i < n; i++ {
 		sub := randomSubscription(rng, s)
 		id := subid.ID{Broker: subid.BrokerID(rng.Intn(8)), Local: subid.LocalID(i)}
@@ -29,20 +29,18 @@ func randomSummary(t *testing.T, rng *rand.Rand, mode interval.Mode, n int) *Sum
 
 func TestEncodedSizeMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
-		for _, n := range []int{0, 1, 10, 120} {
-			sm := randomSummary(t, rng, mode, n)
-			if got, want := sm.EncodedSize(), len(sm.Encode(nil)); got != want {
-				t.Errorf("mode %v n=%d: EncodedSize = %d, len(Encode) = %d", mode, n, got, want)
-			}
-			// The same summary carrying retractions (wire version 3).
-			for _, key := range sm.IDs()[:n/4] {
-				sm.AddRetraction(key.Key())
-			}
-			if got, want := sm.EncodedSize(), len(sm.Encode(nil)); got != want {
-				t.Errorf("mode %v n=%d with %d retractions: EncodedSize = %d, len(Encode) = %d",
-					mode, n, sm.NumRetractions(), got, want)
-			}
+	for _, n := range []int{0, 1, 10, 120} {
+		sm := randomSummary(t, rng, n)
+		if got, want := sm.EncodedSize(), len(sm.Encode(nil)); got != want {
+			t.Errorf("n=%d: EncodedSize = %d, len(Encode) = %d", n, got, want)
+		}
+		// The same summary carrying retractions (wire version 3).
+		for _, key := range sm.IDs()[:n/4] {
+			sm.AddRetraction(key.Key())
+		}
+		if got, want := sm.EncodedSize(), len(sm.Encode(nil)); got != want {
+			t.Errorf("n=%d with %d retractions: EncodedSize = %d, len(Encode) = %d",
+				n, sm.NumRetractions(), got, want)
 		}
 	}
 }
@@ -59,7 +57,7 @@ func TestV1PayloadRefused(t *testing.T) {
 		t.Fatalf("Decode of a v1 payload: err = %v, want %q", err, refusal)
 	}
 	build := func() *Summary {
-		sm := randomSummary(t, rand.New(rand.NewSource(13)), interval.Lossy, 40)
+		sm := randomSummary(t, rand.New(rand.NewSource(13)), 40)
 		sm.AddRetraction(sm.keys[5])
 		sm.RemoveKey(sm.keys[3])
 		return sm
@@ -83,41 +81,39 @@ func TestV1PayloadRefused(t *testing.T) {
 func TestMergeEncodedEquivalentToDecodeMerge(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(17))
-	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
-		base := randomSummary(t, rng, mode, 80)
-		other := randomSummary(t, rng, mode, 80)
-		v2 := other.Encode(nil)
-		other.AddRetraction(other.keys[0])
-		other.AddRetraction(base.keys[0]) // retracts a key the receiver holds
-		for _, encode := range []struct {
-			name string
-			wire []byte
-		}{
-			{"v2", v2},
-			{"v3", other.Encode(nil)},
-		} {
-			viaDecode := base.Clone()
-			decoded, err := Decode(s, encode.wire)
-			if err != nil {
-				t.Fatalf("mode %v %s: %v", mode, encode.name, err)
-			}
-			if err := viaDecode.Merge(decoded); err != nil {
-				t.Fatalf("mode %v %s: Merge: %v", mode, encode.name, err)
-			}
-			direct := base.Clone()
-			if err := direct.MergeEncoded(encode.wire); err != nil {
-				t.Fatalf("mode %v %s: MergeEncoded: %v", mode, encode.name, err)
-			}
-			if !bytes.Equal(direct.Encode(nil), viaDecode.Encode(nil)) {
-				t.Fatalf("mode %v %s: MergeEncoded state differs from Decode+Merge", mode, encode.name)
-			}
-			// Merging the same payload again must be idempotent, as Merge is.
-			if err := direct.MergeEncoded(encode.wire); err != nil {
-				t.Fatalf("mode %v %s: repeated MergeEncoded: %v", mode, encode.name, err)
-			}
-			if !bytes.Equal(direct.Encode(nil), viaDecode.Encode(nil)) {
-				t.Fatalf("mode %v %s: repeated MergeEncoded not idempotent", mode, encode.name)
-			}
+	base := randomSummary(t, rng, 80)
+	other := randomSummary(t, rng, 80)
+	v2 := other.Encode(nil)
+	other.AddRetraction(other.keys[0])
+	other.AddRetraction(base.keys[0]) // retracts a key the receiver holds
+	for _, encode := range []struct {
+		name string
+		wire []byte
+	}{
+		{"v2", v2},
+		{"v3", other.Encode(nil)},
+	} {
+		viaDecode := base.Clone()
+		decoded, err := Decode(s, encode.wire)
+		if err != nil {
+			t.Fatalf("%s: %v", encode.name, err)
+		}
+		if err := viaDecode.Merge(decoded); err != nil {
+			t.Fatalf("%s: Merge: %v", encode.name, err)
+		}
+		direct := base.Clone()
+		if err := direct.MergeEncoded(encode.wire); err != nil {
+			t.Fatalf("%s: MergeEncoded: %v", encode.name, err)
+		}
+		if !bytes.Equal(direct.Encode(nil), viaDecode.Encode(nil)) {
+			t.Fatalf("%s: MergeEncoded state differs from Decode+Merge", encode.name)
+		}
+		// Merging the same payload again must be idempotent, as Merge is.
+		if err := direct.MergeEncoded(encode.wire); err != nil {
+			t.Fatalf("%s: repeated MergeEncoded: %v", encode.name, err)
+		}
+		if !bytes.Equal(direct.Encode(nil), viaDecode.Encode(nil)) {
+			t.Fatalf("%s: repeated MergeEncoded not idempotent", encode.name)
 		}
 	}
 }
@@ -127,7 +123,7 @@ func TestMergeEncodedEquivalentToDecodeMerge(t *testing.T) {
 func TestMergeEncodedIntoEmpty(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(23))
-	sm := randomSummary(t, rng, interval.Lossy, 60)
+	sm := randomSummary(t, rng, 60)
 	wire := sm.Encode(nil)
 	into := New(s, interval.Lossy)
 	if err := into.MergeEncoded(wire); err != nil {
@@ -141,7 +137,7 @@ func TestMergeEncodedIntoEmpty(t *testing.T) {
 func TestMergeEncodedRejectsCorrupt(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(29))
-	sm := randomSummary(t, rng, interval.Lossy, 20)
+	sm := randomSummary(t, rng, 20)
 	wire := sm.Encode(nil)
 	for cut := 0; cut < len(wire); cut += 5 {
 		into := New(s, interval.Lossy)

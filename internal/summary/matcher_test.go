@@ -17,9 +17,9 @@ import (
 // buildRandomSummary inserts n random subscriptions for broker 1, then
 // churns a fraction of them (remove) and merges in a second broker's
 // summary, so the registry has seen swap-deletes and merge registration.
-func buildRandomSummary(t testing.TB, rng *rand.Rand, s *schema.Schema, mode interval.Mode, n int) *Summary {
+func buildRandomSummary(t testing.TB, rng *rand.Rand, s *schema.Schema, n int) *Summary {
 	t.Helper()
-	sm := New(s, mode)
+	sm := New(s, interval.Lossy)
 	for i := 0; i < n; i++ {
 		if err := sm.Insert(subid.ID{Broker: 1, Local: subid.LocalID(i)}, randomSubscription(rng, s)); err != nil {
 			t.Fatal(err)
@@ -28,7 +28,7 @@ func buildRandomSummary(t testing.TB, rng *rand.Rand, s *schema.Schema, mode int
 	for i := 0; i < n/5; i++ {
 		sm.Remove(subid.ID{Broker: 1, Local: subid.LocalID(rng.Intn(n))})
 	}
-	other := New(s, mode)
+	other := New(s, interval.Lossy)
 	for i := 0; i < n/3; i++ {
 		if err := other.Insert(subid.ID{Broker: 2, Local: subid.LocalID(i)}, randomSubscription(rng, s)); err != nil {
 			t.Fatal(err)
@@ -54,45 +54,43 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(31))
 	events, restricted := 0, 0
-	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
-		for trial := 0; trial < 6; trial++ {
-			sm := buildRandomSummary(t, rng, s, mode, 60+rng.Intn(60))
-			m := sm.NewMatcher()
-			for probe := 0; probe < 150; probe++ {
-				ev := randomEvent(rng, s)
-				events++
-				wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
-				gotKeys, gotCost := m.MatchKeysWithCost(ev)
-				if !equalKeys(wantKeys, gotKeys) {
-					t.Fatalf("mode %v trial %d: keys diverge on %s\nlegacy  %v\nmatcher %v",
-						mode, trial, ev.Format(s), wantKeys, gotKeys)
-				}
-				if wantCost != gotCost {
-					t.Fatalf("mode %v trial %d: cost diverges on %s\nlegacy  %+v\nmatcher %+v",
-						mode, trial, ev.Format(s), wantCost, gotCost)
-				}
-				if all := sm.unadmittedMatchKeys(ev); !equalKeys(all, wantKeys) {
-					t.Fatalf("mode %v trial %d: admission changed the keys on %s: %v, counting every id %v",
-						mode, trial, ev.Format(s), wantKeys, all)
-				}
-				if m.admit(ev) {
-					restricted++
-				}
+	for trial := 0; trial < 6; trial++ {
+		sm := buildRandomSummary(t, rng, s, 60+rng.Intn(60))
+		m := sm.NewMatcher()
+		for probe := 0; probe < 150; probe++ {
+			ev := randomEvent(rng, s)
+			events++
+			wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
+			gotKeys, gotCost := m.MatchKeysWithCost(ev)
+			if !equalKeys(wantKeys, gotKeys) {
+				t.Fatalf("trial %d: keys diverge on %s\nlegacy  %v\nmatcher %v",
+					trial, ev.Format(s), wantKeys, gotKeys)
 			}
-			// Mutating the summary mid-stream must not confuse the matcher's
-			// dense scratch (registry growth and swap-deletes).
-			if err := sm.Insert(subid.ID{Broker: 3, Local: 1}, randomSubscription(rng, s)); err != nil {
-				t.Fatal(err)
+			if wantCost != gotCost {
+				t.Fatalf("trial %d: cost diverges on %s\nlegacy  %+v\nmatcher %+v",
+					trial, ev.Format(s), wantCost, gotCost)
 			}
-			sm.Remove(subid.ID{Broker: 1, Local: 0})
-			for probe := 0; probe < 50; probe++ {
-				ev := randomEvent(rng, s)
-				events++
-				wantKeys := sm.referenceMatchKeys(ev)
-				gotKeys, _ := m.MatchKeysWithCost(ev)
-				if !equalKeys(wantKeys, gotKeys) {
-					t.Fatalf("mode %v trial %d post-mutation: keys diverge on %s", mode, trial, ev.Format(s))
-				}
+			if all := sm.unadmittedMatchKeys(ev); !equalKeys(all, wantKeys) {
+				t.Fatalf("trial %d: admission changed the keys on %s: %v, counting every id %v",
+					trial, ev.Format(s), wantKeys, all)
+			}
+			if m.admit(ev) {
+				restricted++
+			}
+		}
+		// Mutating the summary mid-stream must not confuse the matcher's
+		// dense scratch (registry growth and swap-deletes).
+		if err := sm.Insert(subid.ID{Broker: 3, Local: 1}, randomSubscription(rng, s)); err != nil {
+			t.Fatal(err)
+		}
+		sm.Remove(subid.ID{Broker: 1, Local: 0})
+		for probe := 0; probe < 50; probe++ {
+			ev := randomEvent(rng, s)
+			events++
+			wantKeys := sm.referenceMatchKeys(ev)
+			gotKeys, _ := m.MatchKeysWithCost(ev)
+			if !equalKeys(wantKeys, gotKeys) {
+				t.Fatalf("trial %d post-mutation: keys diverge on %s", trial, ev.Format(s))
 			}
 		}
 	}
@@ -109,7 +107,7 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 func TestMatcherMatchIDs(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(32))
-	sm := buildRandomSummary(t, rng, s, interval.Lossy, 80)
+	sm := buildRandomSummary(t, rng, s, 80)
 	m := sm.NewMatcher()
 	for probe := 0; probe < 200; probe++ {
 		ev := randomEvent(rng, s)
@@ -180,7 +178,7 @@ func TestMatchOrderByKey(t *testing.T) {
 func TestMatcherPoolConcurrent(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(33))
-	sm := buildRandomSummary(t, rng, s, interval.Lossy, 120)
+	sm := buildRandomSummary(t, rng, s, 120)
 	const nEvents = 400
 	events := make([]*schema.Event, nEvents)
 	want := make([][]uint64, nEvents)
@@ -250,19 +248,16 @@ func listsRepeat(lists [][]uint64) bool {
 // runs.
 func TestMatcherRepeatedIDs(t *testing.T) {
 	s := stockSchema(t)
-	priceID, _ := s.ID("price")
 	bystanders := []string{
 		`price > 1`, `price < 100 && volume < 50`, `symbol = OTE`, `symbol = "O*"`,
 		`exchange = NYSE && price >= 2`, `volume = 4`, `exchange != LSE`, `symbol != IBM && volume > 1`,
 	}
 	cases := []struct {
 		name   string
-		mode   interval.Mode
-		sub    string                 // the subscription whose id repeats
-		edit   func(*Summary, uint64) // hand-built rows no single subscription yields
-		attr   string                 // the attribute whose query repeats the id
-		event  string                 // an event that matches sub and repeats its id
-		events []string               // further probes around the repeated rows
+		sub    string   // the subscription whose id repeats
+		attr   string   // the attribute whose query repeats the id
+		event  string   // an event that matches sub and repeats its id
+		events []string // further probes around the repeated rows
 	}{
 		{
 			name: "≠ beside a range", sub: `price != 5 && price > 3 && volume < 9`,
@@ -273,14 +268,6 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 			name: "two ≠ on one attribute", sub: `price != 5 && price != 6`,
 			attr: "price", event: `price=7`,
 			events: []string{`price=5`, `price=6`, `price=0 volume=3`},
-		},
-		{
-			name: "Exact: equality inside a range", mode: interval.Exact, sub: `price = 5 && volume < 9`,
-			edit: func(sm *Summary, key uint64) {
-				sm.arithSet(priceID).Insert(interval.Interval{Lo: 3, LoOpen: true, Hi: 8, HiOpen: true}, key)
-			},
-			attr: "price", event: `price=5 volume=2`,
-			events: []string{`price=4 volume=2`, `price=5`, `price=8 volume=2`},
 		},
 		{
 			name: "prefix row and suffix row", sub: `symbol = "OT*" && symbol = "*TE" && price > 3`,
@@ -300,7 +287,7 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sm := New(s, tc.mode)
+			sm := New(s, interval.Lossy)
 			repeated := id(3, 1)
 			if err := sm.Insert(repeated, mustSub(t, s, tc.sub)); err != nil {
 				t.Fatal(err)
@@ -309,9 +296,6 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 				if err := sm.Insert(id(subid.BrokerID(i%5), subid.LocalID(10+i)), mustSub(t, s, text)); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if tc.edit != nil {
-				tc.edit(sm, repeated.Key())
 			}
 
 			probe := mustEvent(t, s, tc.event)
@@ -401,65 +385,63 @@ func withAllAttrs(t testing.TB, s *schema.Schema, e *schema.Event) *schema.Event
 func TestMatcherCountersReturnToZero(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(36))
-	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
-		sm := New(s, mode)
-		follower := sm.NewMatcher()
-		nextLocal := subid.LocalID(0)
-		insert := func(target *Summary, broker subid.BrokerID) {
-			nextLocal++
-			if err := target.Insert(id(broker, nextLocal), randomSubscription(rng, s)); err != nil {
+	sm := New(s, interval.Lossy)
+	follower := sm.NewMatcher()
+	nextLocal := subid.LocalID(0)
+	insert := func(target *Summary, broker subid.BrokerID) {
+		nextLocal++
+		if err := target.Insert(id(broker, nextLocal), randomSubscription(rng, s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		insert(sm, 1)
+	}
+	matched := 0
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(10); {
+		case op < 3:
+			insert(sm, subid.BrokerID(1+rng.Intn(3)))
+		case op < 5 && len(sm.keys) > 10:
+			sm.RemoveKey(sm.keys[rng.Intn(len(sm.keys))])
+		case op == 5:
+			other := New(s, interval.Lossy)
+			for i := 0; i < 1+rng.Intn(30); i++ {
+				insert(other, 7)
+			}
+			if err := sm.Merge(other); err != nil {
 				t.Fatal(err)
 			}
-		}
-		for i := 0; i < 40; i++ {
-			insert(sm, 1)
-		}
-		matched := 0
-		for step := 0; step < 400; step++ {
-			switch op := rng.Intn(10); {
-			case op < 3:
-				insert(sm, subid.BrokerID(1+rng.Intn(3)))
-			case op < 5 && len(sm.keys) > 10:
-				sm.RemoveKey(sm.keys[rng.Intn(len(sm.keys))])
-			case op == 5:
-				other := New(s, mode)
-				for i := 0; i < 1+rng.Intn(30); i++ {
-					insert(other, 7)
-				}
-				if err := sm.Merge(other); err != nil {
-					t.Fatal(err)
-				}
-			case op == 6:
-				// A snapshot, as a broker publishes one: a matcher bound to a
-				// fresh compile, reused across leases.
-				m := sm.Compile().NewMatcher()
-				for lease := 0; lease < 3; lease++ {
-					batch := []*schema.Event{randomEvent(rng, s), randomEvent(rng, s), randomEvent(rng, s), randomEvent(rng, s)}
-					for i, keys := range m.MatchBatch(batch) {
-						if want := sm.referenceMatchKeys(batch[i]); !slices.Equal(keys, want) {
-							t.Fatalf("mode %v step %d lease %d: batch matched %v, reference %v", mode, step, lease, keys, want)
-						}
+		case op == 6:
+			// A snapshot, as a broker publishes one: a matcher bound to a
+			// fresh compile, reused across leases.
+			m := sm.Compile().NewMatcher()
+			for lease := 0; lease < 3; lease++ {
+				batch := []*schema.Event{randomEvent(rng, s), randomEvent(rng, s), randomEvent(rng, s), randomEvent(rng, s)}
+				for i, keys := range m.MatchBatch(batch) {
+					if want := sm.referenceMatchKeys(batch[i]); !slices.Equal(keys, want) {
+						t.Fatalf("step %d lease %d: batch matched %v, reference %v", step, lease, keys, want)
 					}
-					requireCountersZero(t, fmt.Sprintf("mode %v step %d lease %d, after MatchBatch", mode, step, lease), m)
-					ev := randomEvent(rng, s)
-					if got, want := m.MatchKeys(ev), sm.referenceMatchKeys(ev); !slices.Equal(got, want) {
-						t.Fatalf("mode %v step %d lease %d: matched %v, reference %v", mode, step, lease, got, want)
-					}
-					requireCountersZero(t, fmt.Sprintf("mode %v step %d lease %d, after MatchKeys", mode, step, lease), m)
 				}
-			default:
+				requireCountersZero(t, fmt.Sprintf("step %d lease %d, after MatchBatch", step, lease), m)
 				ev := randomEvent(rng, s)
-				got, want := follower.MatchKeys(ev), sm.referenceMatchKeys(ev)
-				if !slices.Equal(got, want) {
-					t.Fatalf("mode %v step %d: follower matched %v, reference %v", mode, step, got, want)
+				if got, want := m.MatchKeys(ev), sm.referenceMatchKeys(ev); !slices.Equal(got, want) {
+					t.Fatalf("step %d lease %d: matched %v, reference %v", step, lease, got, want)
 				}
-				matched += len(want)
-				requireCountersZero(t, fmt.Sprintf("mode %v step %d", mode, step), follower)
+				requireCountersZero(t, fmt.Sprintf("step %d lease %d, after MatchKeys", step, lease), m)
 			}
+		default:
+			ev := randomEvent(rng, s)
+			got, want := follower.MatchKeys(ev), sm.referenceMatchKeys(ev)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: follower matched %v, reference %v", step, got, want)
+			}
+			matched += len(want)
+			requireCountersZero(t, fmt.Sprintf("step %d", step), follower)
 		}
-		if matched == 0 {
-			t.Fatalf("mode %v: no event matched anything; the invariant was never at risk", mode)
-		}
+	}
+	if matched == 0 {
+		t.Fatalf("no event matched anything; the invariant was never at risk")
 	}
 }
 
@@ -535,7 +517,7 @@ func matcherFixture(tb testing.TB, withObs bool) (*Matcher, []*schema.Event) {
 	tb.Helper()
 	s := stockSchema(tb)
 	rng := rand.New(rand.NewSource(34))
-	sm := buildRandomSummary(tb, rng, s, interval.Lossy, 150)
+	sm := buildRandomSummary(tb, rng, s, 150)
 	events := make([]*schema.Event, 64)
 	for i := range events {
 		events[i] = randomEvent(rng, s)
@@ -597,7 +579,7 @@ func restrictedFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 	tb.Helper()
 	s := stockSchema(tb)
 	rng := rand.New(rand.NewSource(37))
-	sm := buildRandomSummary(tb, rng, s, interval.Lossy, 150)
+	sm := buildRandomSummary(tb, rng, s, 150)
 	m := sm.NewMatcher()
 	var events []*schema.Event
 	for len(events) < 64 {

@@ -30,7 +30,6 @@ import (
 // merging, of a set of brokers (a multi-broker summary).
 type Summary struct {
 	schema *schema.Schema
-	mode   interval.Mode
 	aacs   map[schema.AttrID]*interval.Set
 	sacs   map[schema.AttrID]*strmatch.Set
 
@@ -68,12 +67,11 @@ type Summary struct {
 	view atomic.Pointer[View]
 }
 
-// New returns an empty summary over the given schema. mode selects the
-// AACS equality handling (interval.Lossy is the paper's behaviour).
-func New(s *schema.Schema, mode interval.Mode) *Summary {
+// New returns an empty summary over the given schema. The AACS equality
+// handling is always interval.Lossy, the paper's behaviour.
+func New(s *schema.Schema, _ interval.Mode) *Summary {
 	return &Summary{
 		schema: s,
-		mode:   mode,
 		aacs:   make(map[schema.AttrID]*interval.Set),
 		sacs:   make(map[schema.AttrID]*strmatch.Set),
 		ids:    make(map[uint64]int32),
@@ -103,9 +101,6 @@ func (sm *Summary) maskOf(key uint64) subid.Mask {
 
 // Schema returns the schema the summary was built over.
 func (sm *Summary) Schema() *schema.Schema { return sm.schema }
-
-// Mode returns the AACS equality-handling mode.
-func (sm *Summary) Mode() interval.Mode { return sm.mode }
 
 // NumSubscriptions returns the number of distinct subscription ids
 // summarized.
@@ -232,7 +227,7 @@ func intervalOf(op schema.Op, v float64) (interval.Interval, bool) {
 func (sm *Summary) arithSet(a schema.AttrID) *interval.Set {
 	s, ok := sm.aacs[a]
 	if !ok {
-		s = interval.NewSet(sm.mode)
+		s = interval.NewSet(interval.Lossy)
 		sm.aacs[a] = s
 	}
 	return s
@@ -426,7 +421,7 @@ func (sm *Summary) Merge(other *Summary) error {
 // Clone returns a deep copy of the summary.
 func (sm *Summary) Clone() *Summary {
 	sm.purgeDead()
-	out := New(sm.schema, sm.mode)
+	out := New(sm.schema, interval.Lossy)
 	for a, s := range sm.aacs {
 		out.aacs[a] = s.Clone()
 	}

@@ -285,22 +285,30 @@ func TestStatsAndSizeBytes(t *testing.T) {
 
 // TestNoFalseNegativesRandomized is the load-bearing summary property: for
 // random subscriptions and events, every exact match is reported by the
-// summary pre-filter (in both AACS modes).
+// summary pre-filter. In "lossy" arithmetic equalities land among the
+// ranges and fold; in "exact" they lie apart from every range, as the
+// workload generator places them, so they stay AACSE rows and the matcher
+// must count them beside the string constraints.
 func TestNoFalseNegativesRandomized(t *testing.T) {
 	s := stockSchema(t)
-	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
-		mode := mode
-		name := map[interval.Mode]string{interval.Lossy: "lossy", interval.Exact: "exact"}[mode]
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sub   func(*rand.Rand, *schema.Schema) *schema.Subscription
+		event func(*rand.Rand, *schema.Schema) *schema.Event
+	}{
+		{"lossy", randomSubscription, randomEvent},
+		{"exact", randomApartSubscription, randomApartEvent},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(2024))
-			sm := New(s, mode)
+			sm := New(s, interval.Lossy)
 			type entry struct {
 				id  subid.ID
 				sub *schema.Subscription
 			}
 			var subs []entry
 			for i := 0; i < 400; i++ {
-				sub := randomSubscription(rng, s)
+				sub := tc.sub(rng, s)
 				sid := subid.ID{Broker: subid.BrokerID(rng.Intn(8)), Local: subid.LocalID(i)}
 				if err := sm.Insert(sid, sub); err != nil {
 					t.Fatalf("insert %d: %v", i, err)
@@ -308,7 +316,7 @@ func TestNoFalseNegativesRandomized(t *testing.T) {
 				subs = append(subs, entry{id: sid, sub: sub})
 			}
 			for i := 0; i < 2000; i++ {
-				ev := randomEvent(rng, s)
+				ev := tc.event(rng, s)
 				got := sm.MatchKeys(ev)
 				gotSet := make(map[uint64]bool, len(got))
 				for _, k := range got {
@@ -325,28 +333,35 @@ func TestNoFalseNegativesRandomized(t *testing.T) {
 	}
 }
 
-// TestExactModeNoArithmeticFalsePositives: with Exact AACS mode and only
-// equality/range arithmetic subscriptions (no string generalization in
-// play), the summary match equals the exact match.
+// TestExactModeNoArithmeticFalsePositives: with only bounded ranges and
+// equalities placed apart from them (the shape of every benchmark
+// workload), the lossy AACS never folds and is exact — the summary match
+// equals the exact match, with no false positive.
 func TestExactModeNoArithmeticFalsePositives(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(77))
-	sm := New(s, interval.Exact)
+	sm := New(s, interval.Lossy)
 	type entry struct {
 		id  subid.ID
 		sub *schema.Subscription
 	}
 	var subs []entry
 	for i := 0; i < 200; i++ {
-		sub := randomArithmeticSubscription(rng, s)
+		sub, err := schema.NewSubscription(s, apartConstraints(rng, s)...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sid := subid.ID{Broker: 1, Local: subid.LocalID(i)}
 		if err := sm.Insert(sid, sub); err != nil {
 			t.Fatal(err)
 		}
 		subs = append(subs, entry{id: sid, sub: sub})
 	}
+	if sm.Stats().Arithmetic.NumEq == 0 {
+		t.Fatal("fixture is vacuous: every equality folded into a range")
+	}
 	for i := 0; i < 1000; i++ {
-		ev := randomArithmeticEvent(rng, s)
+		ev := randomApartEvent(rng, s)
 		got := sm.MatchKeys(ev)
 		want := make(map[uint64]bool)
 		for _, e := range subs {
@@ -363,6 +378,70 @@ func TestExactModeNoArithmeticFalsePositives(t *testing.T) {
 			}
 		}
 	}
+}
+
+// apartConstraints constrains price, low or both, each to a bounded range
+// (lo, hi] inside [0, 20] or to an equality in [30, 34] — apart from every
+// range, so the lossy fold never fires on them.
+func apartConstraints(rng *rand.Rand, s *schema.Schema) []schema.Constraint {
+	priceID, _ := s.ID("price")
+	lowID, _ := s.ID("low")
+	attrs := []schema.AttrID{priceID, lowID}
+	var cs []schema.Constraint
+	for _, a := range attrs[:1+rng.Intn(2)] {
+		if rng.Intn(3) == 0 {
+			cs = append(cs, schema.Constraint{Attr: a, Op: schema.OpEQ, Value: schema.FloatValue(float64(30 + rng.Intn(5)))})
+			continue
+		}
+		lo := float64(rng.Intn(15))
+		hi := lo + 1 + float64(rng.Intn(6))
+		cs = append(cs,
+			schema.Constraint{Attr: a, Op: schema.OpGT, Value: schema.FloatValue(lo)},
+			schema.Constraint{Attr: a, Op: schema.OpLE, Value: schema.FloatValue(hi)})
+	}
+	return cs
+}
+
+// randomApartSubscription is apartConstraints plus, one time in two, a
+// prefix or equality on symbol.
+func randomApartSubscription(rng *rand.Rand, s *schema.Schema) *schema.Subscription {
+	cs := apartConstraints(rng, s)
+	if rng.Intn(2) == 0 {
+		symbolID, _ := s.ID("symbol")
+		words := []string{"OTE", "NASDAQ", "micronet", "microsoft"}
+		w := words[rng.Intn(len(words))]
+		c := schema.Constraint{Attr: symbolID, Op: schema.OpEQ, Value: schema.StringValue(w)}
+		if rng.Intn(2) == 0 {
+			c.Op, c.Value = schema.OpPrefix, schema.StringValue(w[:2])
+		}
+		cs = append(cs, c)
+	}
+	sub, err := schema.NewSubscription(s, cs...)
+	if err != nil {
+		panic(err)
+	}
+	return sub
+}
+
+// randomApartEvent sets price and low in [0, 35), reaching both the ranges
+// and the equalities of apartConstraints, and symbol two times in three.
+func randomApartEvent(rng *rand.Rand, s *schema.Schema) *schema.Event {
+	priceID, _ := s.ID("price")
+	lowID, _ := s.ID("low")
+	symbolID, _ := s.ID("symbol")
+	fields := []schema.Field{
+		{Attr: priceID, Value: schema.FloatValue(float64(rng.Intn(35)))},
+		{Attr: lowID, Value: schema.FloatValue(float64(rng.Intn(35)))},
+	}
+	if rng.Intn(3) != 0 {
+		words := []string{"OTE", "NASDAQ", "micronet", "microsoft", "LSE"}
+		fields = append(fields, schema.Field{Attr: symbolID, Value: schema.StringValue(words[rng.Intn(len(words))])})
+	}
+	e, err := schema.EventFromFields(s, fields)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }
 
 // randomSubscription constrains one to four distinct attributes, and one
@@ -453,46 +532,6 @@ func randomEvent(rng *rand.Rand, s *schema.Schema) *schema.Event {
 	}
 	if len(fields) == 0 {
 		fields = append(fields, schema.Field{Attr: 3, Value: schema.FloatValue(1)})
-	}
-	e, err := schema.EventFromFields(s, fields)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-func randomArithmeticSubscription(rng *rand.Rand, s *schema.Schema) *schema.Subscription {
-	priceID, _ := s.ID("price")
-	lowID, _ := s.ID("low")
-	attrs := []schema.AttrID{priceID, lowID}
-	var cs []schema.Constraint
-	for _, a := range attrs[:1+rng.Intn(2)] {
-		lo := float64(rng.Intn(15))
-		hi := lo + float64(rng.Intn(6))
-		switch rng.Intn(3) {
-		case 0:
-			cs = append(cs, schema.Constraint{Attr: a, Op: schema.OpEQ, Value: schema.FloatValue(lo)})
-		case 1:
-			cs = append(cs,
-				schema.Constraint{Attr: a, Op: schema.OpGT, Value: schema.FloatValue(lo)},
-				schema.Constraint{Attr: a, Op: schema.OpLE, Value: schema.FloatValue(hi)})
-		default:
-			cs = append(cs, schema.Constraint{Attr: a, Op: schema.OpGE, Value: schema.FloatValue(lo)})
-		}
-	}
-	sub, err := schema.NewSubscription(s, cs...)
-	if err != nil {
-		panic(err)
-	}
-	return sub
-}
-
-func randomArithmeticEvent(rng *rand.Rand, s *schema.Schema) *schema.Event {
-	priceID, _ := s.ID("price")
-	lowID, _ := s.ID("low")
-	fields := []schema.Field{
-		{Attr: priceID, Value: schema.FloatValue(float64(rng.Intn(25)))},
-		{Attr: lowID, Value: schema.FloatValue(float64(rng.Intn(25)))},
 	}
 	e, err := schema.EventFromFields(s, fields)
 	if err != nil {

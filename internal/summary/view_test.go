@@ -17,9 +17,9 @@ import (
 // a live merged summary looks between purge points: a fifth of its ids
 // tombstoned (RemoveKey without Compact, rows still in the structures),
 // plus rows naming an id no registry ever held.
-func dirtySummary(t testing.TB, rng *rand.Rand, s *schema.Schema, mode interval.Mode, n int) *Summary {
+func dirtySummary(t testing.TB, rng *rand.Rand, s *schema.Schema, n int) *Summary {
 	t.Helper()
-	sm := New(s, mode)
+	sm := New(s, interval.Lossy)
 	for i := 0; i < n; i++ {
 		id := subid.ID{Broker: subid.BrokerID(i % 5), Local: subid.LocalID(i / 5)}
 		if err := sm.Insert(id, randomSubscription(rng, s)); err != nil {
@@ -42,7 +42,7 @@ func dirtySummary(t testing.TB, rng *rand.Rand, s *schema.Schema, mode interval.
 }
 
 // TestViewMatchesReference is the differential test of the compiled view:
-// on seeded random summaries in both modes, the summary-following matcher
+// on seeded random summaries, the summary-following matcher
 // and a matcher bound to the compiled view, one event at a time and
 // batched, return the keys and the MatchCost of the map-based reference,
 // with unpurged tombstones and a stray row id in the structures; the keys
@@ -54,75 +54,73 @@ func TestViewMatchesReference(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(61))
 	matched := 0
-	for _, mode := range []interval.Mode{interval.Lossy, interval.Exact} {
-		for trial := 0; trial < 4; trial++ {
-			sm := dirtySummary(t, rng, s, mode, 80+rng.Intn(80))
-			events := make([]*schema.Event, 120)
-			for i := range events {
-				events[i] = randomEvent(rng, s)
-			}
-			check := func(name string, match func(*schema.Event) ([]uint64, MatchCost)) {
-				t.Helper()
-				for _, ev := range events {
-					wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
-					gotKeys, gotCost := match(ev)
-					if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
-						t.Fatalf("mode %v trial %d %s on %s:\nreference %v %+v\nview      %v %+v",
-							mode, trial, name, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
-					}
-					if all := sm.unadmittedMatchKeys(ev); !slices.Equal(all, wantKeys) {
-						t.Fatalf("mode %v trial %d on %s: admission changed the keys: %v, counting every id %v",
-							mode, trial, ev.Format(s), wantKeys, all)
-					}
-					matched += len(wantKeys)
-				}
-			}
-			check("Summary.NewMatcher", sm.NewMatcher().MatchKeysWithCost)
-			bound := sm.Compile().NewMatcher()
-			check("View.NewMatcher", bound.MatchKeysWithCost)
-			res := bound.MatchBatch(events)
-			if len(res) != len(events) {
-				t.Fatalf("MatchBatch returned %d results for %d events", len(res), len(events))
-			}
-			for i, keys := range res {
-				if want := sm.referenceMatchKeys(events[i]); !slices.Equal(keys, want) {
-					t.Fatalf("mode %v trial %d MatchBatch event %d: %v, reference %v", mode, trial, i, keys, want)
-				}
-			}
-			checkWrappers := func(stage string) {
-				t.Helper()
-				for _, ev := range events {
-					if got, want := sm.MatchKeys(ev), sm.referenceMatchKeys(ev); !slices.Equal(got, want) {
-						t.Fatalf("mode %v trial %d Summary.MatchKeys %s on %s:\nreference %v\nwrapper   %v",
-							mode, trial, stage, ev.Format(s), want, got)
-					}
-					if got, want := sm.Match(ev), sm.referenceMatch(ev); !reflect.DeepEqual(got, want) {
-						t.Fatalf("mode %v trial %d Summary.Match %s on %s:\nreference %v\nwrapper   %v",
-							mode, trial, stage, ev.Format(s), want, got)
-					}
-				}
-			}
-			checkWrappers("as built")
-			if len(sm.dead) == 0 {
-				t.Fatal("compiling a view purged the summary: Compile must only read")
-			}
-			if err := sm.Insert(id(8, 1), randomSubscription(rng, s)); err != nil {
-				t.Fatal(err)
-			}
-			checkWrappers("after Insert")
-			sm.RemoveKey(sm.keys[rng.Intn(len(sm.keys))])
-			checkWrappers("after RemoveKey")
-			other := New(s, mode)
-			for i := 0; i < 10; i++ {
-				if err := other.Insert(id(9, subid.LocalID(i)), randomSubscription(rng, s)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sm.MergeEncoded(other.Encode(nil)); err != nil {
-				t.Fatal(err)
-			}
-			checkWrappers("after MergeEncoded")
+	for trial := 0; trial < 4; trial++ {
+		sm := dirtySummary(t, rng, s, 80+rng.Intn(80))
+		events := make([]*schema.Event, 120)
+		for i := range events {
+			events[i] = randomEvent(rng, s)
 		}
+		check := func(name string, match func(*schema.Event) ([]uint64, MatchCost)) {
+			t.Helper()
+			for _, ev := range events {
+				wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
+				gotKeys, gotCost := match(ev)
+				if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
+					t.Fatalf("trial %d %s on %s:\nreference %v %+v\nview      %v %+v",
+						trial, name, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
+				}
+				if all := sm.unadmittedMatchKeys(ev); !slices.Equal(all, wantKeys) {
+					t.Fatalf("trial %d on %s: admission changed the keys: %v, counting every id %v",
+						trial, ev.Format(s), wantKeys, all)
+				}
+				matched += len(wantKeys)
+			}
+		}
+		check("Summary.NewMatcher", sm.NewMatcher().MatchKeysWithCost)
+		bound := sm.Compile().NewMatcher()
+		check("View.NewMatcher", bound.MatchKeysWithCost)
+		res := bound.MatchBatch(events)
+		if len(res) != len(events) {
+			t.Fatalf("MatchBatch returned %d results for %d events", len(res), len(events))
+		}
+		for i, keys := range res {
+			if want := sm.referenceMatchKeys(events[i]); !slices.Equal(keys, want) {
+				t.Fatalf("trial %d MatchBatch event %d: %v, reference %v", trial, i, keys, want)
+			}
+		}
+		checkWrappers := func(stage string) {
+			t.Helper()
+			for _, ev := range events {
+				if got, want := sm.MatchKeys(ev), sm.referenceMatchKeys(ev); !slices.Equal(got, want) {
+					t.Fatalf("trial %d Summary.MatchKeys %s on %s:\nreference %v\nwrapper   %v",
+						trial, stage, ev.Format(s), want, got)
+				}
+				if got, want := sm.Match(ev), sm.referenceMatch(ev); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d Summary.Match %s on %s:\nreference %v\nwrapper   %v",
+						trial, stage, ev.Format(s), want, got)
+				}
+			}
+		}
+		checkWrappers("as built")
+		if len(sm.dead) == 0 {
+			t.Fatal("compiling a view purged the summary: Compile must only read")
+		}
+		if err := sm.Insert(id(8, 1), randomSubscription(rng, s)); err != nil {
+			t.Fatal(err)
+		}
+		checkWrappers("after Insert")
+		sm.RemoveKey(sm.keys[rng.Intn(len(sm.keys))])
+		checkWrappers("after RemoveKey")
+		other := New(s, interval.Lossy)
+		for i := 0; i < 10; i++ {
+			if err := other.Insert(id(9, subid.LocalID(i)), randomSubscription(rng, s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sm.MergeEncoded(other.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		checkWrappers("after MergeEncoded")
 	}
 	if matched == 0 {
 		t.Fatal("no event matched anything; the differential would be vacuous")
@@ -130,7 +128,7 @@ func TestViewMatchesReference(t *testing.T) {
 }
 
 // TestViewInvariants checks what a compiled view promises about its own
-// shape, in both modes: every registered id at exactly one index, in
+// shape: every registered id at exactly one index, in
 // strictly ascending (mask, key) order; groups that partition the indices
 // into one run per mask, and a union that is the OR of their masks; every
 // id list strictly ascending by index, and no tombstone or stray surviving
@@ -140,49 +138,26 @@ func TestViewMatchesReference(t *testing.T) {
 // may err the other way.
 func TestViewInvariants(t *testing.T) {
 	s := stockSchema(t)
-	lossy := dirtySummary(t, rand.New(rand.NewSource(62)), s, interval.Lossy, 150)
-	// The Exact summary also gets the one repeat only that mode consults
-	// together and no subscription yields: an id in an equality row and in
-	// the sub-range row around it.
-	exact := dirtySummary(t, rand.New(rand.NewSource(66)), s, interval.Exact, 150)
-	edited := false
-	for a := 0; a < s.Len() && !edited; a++ {
-		set := exact.aacs[schema.AttrID(a)]
-		if set == nil {
-			continue
-		}
-		for _, eq := range set.EqRows() {
-			if _, live := exact.ids[eq.IDs[0]]; live {
-				set.Insert(interval.Interval{Lo: eq.Value - 1, Hi: eq.Value + 1}, eq.IDs[0])
-				edited = true
-				break
-			}
+	sm := dirtySummary(t, rand.New(rand.NewSource(62)), s, 150)
+	v := sm.Compile()
+	requireViewShape(t, sm, v)
+	repeats, distinctQueries := requireSoundDistinct(t, v)
+	// No id of this one is listed twice on an attribute, and its ≠ entries
+	// sit beside other ids' rows: sets that rightly claim distinct lists,
+	// consulted several lists at a time.
+	disjoint := New(s, interval.Lossy)
+	for i, text := range []string{`price != 3`, `price > 5`, `price = 4`, `symbol != OTE`, `symbol >* OT`, `symbol = LSE`} {
+		if err := disjoint.Insert(id(6, subid.LocalID(i)), mustSub(t, s, text)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !edited {
-		t.Fatal("fixture: the Exact summary has no live equality row to put a range around")
-	}
-	for _, sm := range []*Summary{lossy, exact} {
-		v := sm.Compile()
-		requireViewShape(t, sm, v)
-		repeats, distinctQueries := requireSoundDistinct(t, v)
-		// No id of this one is listed twice on an attribute, and its ≠
-		// entries sit beside other ids' rows: sets that rightly claim
-		// distinct lists, consulted several lists at a time.
-		disjoint := New(s, sm.mode)
-		for i, text := range []string{`price != 3`, `price > 5`, `price = 4`, `symbol != OTE`, `symbol >* OT`, `symbol = LSE`} {
-			if err := disjoint.Insert(id(6, subid.LocalID(i)), mustSub(t, s, text)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r, d := requireSoundDistinct(t, disjoint.Compile())
-		repeats, distinctQueries = repeats+r, distinctQueries+d
-		// Both sides of the flag were exercised: queries that do repeat an
-		// id, and multi-list queries of sets that rightly claim none can.
-		if repeats == 0 || distinctQueries == 0 {
-			t.Fatalf("mode %v: fixture exercised %d repeating queries and %d multi-list distinct ones; want both",
-				sm.mode, repeats, distinctQueries)
-		}
+	r, d := requireSoundDistinct(t, disjoint.Compile())
+	repeats, distinctQueries = repeats+r, distinctQueries+d
+	// Both sides of the flag were exercised: queries that do repeat an id,
+	// and multi-list queries of sets that rightly claim none can.
+	if repeats == 0 || distinctQueries == 0 {
+		t.Fatalf("fixture exercised %d repeating queries and %d multi-list distinct ones; want both",
+			repeats, distinctQueries)
 	}
 }
 
@@ -192,36 +167,36 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 	t.Helper()
 	n := len(v.keys)
 	if n != len(sm.keys) || len(v.groupOf) != n || len(v.targets) != n {
-		t.Fatalf("mode %v: view holds %d keys, %d group numbers, %d targets for %d registered ids",
-			sm.mode, n, len(v.groupOf), len(v.targets), len(sm.keys))
+		t.Fatalf("view holds %d keys, %d group numbers, %d targets for %d registered ids",
+			n, len(v.groupOf), len(v.targets), len(sm.keys))
 	}
 	maskAt := func(i int) subid.Mask { return v.groups[v.groupOf[i]].mask }
 	for i, key := range v.keys {
 		if ri, ok := sm.ids[key]; !ok || sm.targets[ri] != int32(v.targets[i]) || !sm.masks[ri].Equal(maskAt(i)) {
-			t.Fatalf("mode %v: index %d (key %d) disagrees with the registry", sm.mode, i, key)
+			t.Fatalf("index %d (key %d) disagrees with the registry", i, key)
 		}
 		if i > 0 {
 			if c := maskAt(i - 1).Compare(maskAt(i)); c > 0 || c == 0 && v.keys[i-1] >= v.keys[i] {
-				t.Fatalf("mode %v: indices %d, %d not in strictly ascending (mask, key) order: %v %d, %v %d",
-					sm.mode, i-1, i, maskAt(i-1), v.keys[i-1], maskAt(i), v.keys[i])
+				t.Fatalf("indices %d, %d not in strictly ascending (mask, key) order: %v %d, %v %d",
+					i-1, i, maskAt(i-1), v.keys[i-1], maskAt(i), v.keys[i])
 			}
 		}
 	}
 	if len(v.groups) < 2 {
-		t.Fatalf("mode %v: fixture compiles to %d groups; want several", sm.mode, len(v.groups))
+		t.Fatalf("fixture compiles to %d groups; want several", len(v.groups))
 	}
 	var union subid.Mask
 	next := uint64(0)
 	for gi, g := range v.groups {
 		if g.lo != next || g.hi <= g.lo {
-			t.Fatalf("mode %v: group %d covers [%d, %d), want a non-empty run from %d", sm.mode, gi, g.lo, g.hi, next)
+			t.Fatalf("group %d covers [%d, %d), want a non-empty run from %d", gi, g.lo, g.hi, next)
 		}
 		if gi > 0 && g.mask.Equal(v.groups[gi-1].mask) {
-			t.Fatalf("mode %v: groups %d and %d share mask %v", sm.mode, gi-1, gi, g.mask)
+			t.Fatalf("groups %d and %d share mask %v", gi-1, gi, g.mask)
 		}
 		for i := g.lo; i < g.hi; i++ {
 			if v.groupOf[i] != int32(gi) {
-				t.Fatalf("mode %v: index %d is in group %d, inside group %d's run", sm.mode, i, v.groupOf[i], gi)
+				t.Fatalf("index %d is in group %d, inside group %d's run", i, v.groupOf[i], gi)
 			}
 		}
 		for _, b := range g.mask.Bits() {
@@ -230,20 +205,20 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 		next = g.hi
 	}
 	if next != uint64(n) {
-		t.Fatalf("mode %v: groups end at %d of %d indices", sm.mode, next, n)
+		t.Fatalf("groups end at %d of %d indices", next, n)
 	}
 	if !union.Equal(v.union) {
-		t.Fatalf("mode %v: union %v, want the OR of the group masks %v", sm.mode, v.union, union)
+		t.Fatalf("union %v, want the OR of the group masks %v", v.union, union)
 	}
 
 	entries := 0
 	rowIDs := func(ids []uint64) {
 		for j, id := range ids {
 			if id >= uint64(n) {
-				t.Fatalf("mode %v: row id %d beyond the view's %d keys", sm.mode, id, n)
+				t.Fatalf("row id %d beyond the view's %d keys", id, n)
 			}
 			if j > 0 && ids[j-1] >= id {
-				t.Fatalf("mode %v: row ids not strictly ascending by index: %v", sm.mode, ids)
+				t.Fatalf("row ids not strictly ascending by index: %v", ids)
 			}
 		}
 		entries += len(ids)
@@ -283,7 +258,7 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 	clean.sacs[symbolID].RemoveAll(stray)
 	st := clean.Stats()
 	if live := st.Arithmetic.IDEntries + st.Strings.IDEntries; entries != live {
-		t.Fatalf("mode %v: view holds %d row entries, the purged summary %d", sm.mode, entries, live)
+		t.Fatalf("view holds %d row entries, the purged summary %d", entries, live)
 	}
 }
 
@@ -396,7 +371,7 @@ func TestViewReRegisteredID(t *testing.T) {
 // group, which matches nothing, at the reference's cost.
 func TestViewEmptySummary(t *testing.T) {
 	s := stockSchema(t)
-	sm := New(s, interval.Exact)
+	sm := New(s, interval.Lossy)
 	ev := randomEvent(rand.New(rand.NewSource(63)), s)
 	_, want := sm.referenceMatchKeysWithCost(ev)
 	v := sm.Compile()
@@ -416,7 +391,7 @@ func TestViewEmptySummary(t *testing.T) {
 func TestMatchRecoversMasks(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(64))
-	sm := dirtySummary(t, rng, s, interval.Lossy, 160)
+	sm := dirtySummary(t, rng, s, 160)
 	matchers := []*Matcher{sm.NewMatcher(), sm.Compile().NewMatcher()}
 	matched := 0
 	for probe := 0; probe < 200; probe++ {
@@ -448,7 +423,7 @@ func TestMatchRecoversMasks(t *testing.T) {
 func TestViewImmutableUnderMutation(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(65))
-	sm := dirtySummary(t, rng, s, interval.Lossy, 200)
+	sm := dirtySummary(t, rng, s, 200)
 	events := make([]*schema.Event, 100)
 	want := make([][]uint64, len(events))
 	for i := range events {

@@ -15,8 +15,9 @@
 //     summaries (Section 4.1), and a binary wire codec.
 //   - Graph — broker overlay topologies, including the 24-node backbone
 //     used by the paper's evaluation and the Figure 7 example tree.
-//   - Network — the live engine: goroutine-per-broker actors exchanging
-//     real messages; periodic summary propagation (Algorithm 2) and
+//   - Network — the live engine: broker actors exchanging real messages
+//     over an in-process bus that runs their handlers on a bounded worker
+//     pool; periodic summary propagation (Algorithm 2) and
 //     distributed event routing (Algorithm 3) with exact re-matching at
 //     owning brokers, so consumers see no false deliveries.
 //
@@ -159,12 +160,9 @@ type (
 	SummaryMode = interval.Mode
 )
 
-// Summary modes: Lossy is the paper's equality folding (pre-filter false
-// positives resolved at owners); Exact splits ranges at equality points.
-const (
-	Lossy = interval.Lossy
-	Exact = interval.Exact
-)
+// Lossy is the paper's AACS equality folding (pre-filter false positives
+// resolved at owners), the one summary mode.
+const Lossy = interval.Lossy
 
 // NewSummary returns an empty summary over the schema.
 func NewSummary(s *Schema, mode SummaryMode) *Summary { return summary.New(s, mode) }
@@ -246,16 +244,6 @@ type (
 	NetworkConfig = core.Config
 	// DeliveryFunc receives matched events for a subscription.
 	DeliveryFunc = broker.DeliveryFunc
-	// ForwardingStrategy selects the Algorithm 3 next-broker choice.
-	ForwardingStrategy = routing.Strategy
-)
-
-// Forwarding strategies.
-const (
-	// HighestDegree is the paper's Algorithm 3 choice.
-	HighestDegree = routing.HighestDegree
-	// VirtualDegree is the paper's load-balancing extension.
-	VirtualDegree = routing.VirtualDegree
 )
 
 // NewNetwork builds and starts a broker network.
@@ -281,8 +269,6 @@ type (
 	PropagationCost = propagation.CostModel
 	// Router routes events over a propagation result (Algorithm 3).
 	Router = routing.Router
-	// RouterConfig selects the forwarding strategy.
-	RouterConfig = routing.Config
 	// RouteTrace records the processing of one event.
 	RouteTrace = routing.Trace
 )
@@ -300,8 +286,8 @@ func RunPropagationWithCost(g *Graph, own []*Summary, cost PropagationCost) (*Pr
 
 // NewRouter builds a deterministic Algorithm 3 router over a propagation
 // result.
-func NewRouter(g *Graph, prop *PropagationResult, cfg RouterConfig) (*Router, error) {
-	return routing.NewRouter(g, prop, cfg)
+func NewRouter(g *Graph, prop *PropagationResult) (*Router, error) {
+	return routing.NewRouter(g, prop)
 }
 
 // Workload generation (Section 5.2 / Table 2).
