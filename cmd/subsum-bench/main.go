@@ -88,7 +88,7 @@ var experimentSpecs = []experimentSpec{
 		func(e *benchEnv) { e.show(experiments.Fig11(e.cfg)) }},
 	{"matching", "matching cost vs summary size", true,
 		func(e *benchEnv) { e.show(experiments.MatchingCost(e.cfg)) }},
-	{"overlay", "flat vs subgrouped propagation and routing, 24-1000 brokers", true,
+	{"overlay", "propagation and routing on 24-1000-broker overlays, checked per event", true,
 		func(e *benchEnv) {
 			ocfg := experiments.DefaultOverlay()
 			ocfg.Workers = e.workers

@@ -1,21 +1,20 @@
-// Overlay-scaling experiment: flat degree-ordered propagation and
-// Algorithm 3 routing versus summary-similarity subgrouping, swept over
-// generated transit-stub overlays from tens to a thousand brokers. This
-// is the harness behind `subsum-bench -experiment overlay`;
-// TestOverlayScalingReduced pins its seeded ≤128-broker numbers exactly.
+// Overlay-scaling experiment: degree-ordered Algorithm 2 propagation and
+// Algorithm 3 routing, swept over generated transit-stub overlays from
+// tens to a thousand brokers, with every event's delivery set checked
+// against brute force. This is the harness behind
+// `subsum-bench -experiment overlay`; TestOverlayScalingReduced pins its
+// seeded ≤128-broker numbers exactly.
 package experiments
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/propagation"
 	"github.com/subsum/subsum/internal/routing"
 	"github.com/subsum/subsum/internal/schema"
-	"github.com/subsum/subsum/internal/subgroup"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/summary"
 	"github.com/subsum/subsum/internal/topology"
@@ -46,47 +45,25 @@ func DefaultOverlay() OverlayConfig {
 	}
 }
 
-// OverlayRow is one (size, mode) measurement of the sweep.
+// OverlayRow is one size's measurement of the sweep.
 type OverlayRow struct {
 	Brokers int
-	Mode    string // "flat" or "subgrouped"
-	Groups  int    // subgroups (1 for flat)
-	// BytesPerPeriod is the summary traffic of one propagation period:
-	// full wire bytes for flat, intra-group uploads plus cross-border
-	// digests for subgrouped.
+	// BytesPerPeriod is the summary wire traffic of one propagation
+	// period.
 	BytesPerPeriod int64
-	// IntraBytes / DigestBytes split BytesPerPeriod for subgrouped mode:
-	// member→leader full-summary uploads stay inside a subgroup (stub-
-	// domain-local in the transit-stub model); only DigestBytes cross
-	// subgroup borders. Flat has no locality — every byte is border
-	// traffic — so its IntraBytes is 0 and DigestBytes equals the total.
-	IntraBytes  int64
-	DigestBytes int64
 	// PeriodHops counts broker-to-broker messages in the period.
 	PeriodHops int
 	// HopsPerEvent is the mean routing cost (forward + delivery hops).
 	HopsPerEvent float64
-	// ForwardHopsPerEvent isolates the examination-walk messages the
-	// digest pruning attacks.
+	// ForwardHopsPerEvent isolates the examination-walk messages.
 	ForwardHopsPerEvent float64
-	// PropagationNs is the wall time of one propagation period,
-	// including (for subgrouped) signature extraction and clustering.
-	PropagationNs int64
-	// PeakMergedBytes is the largest per-broker merged summary: flat
-	// merges grow toward whole-network size, subgroups stay region-sized.
+	// PeakMergedBytes is the largest per-broker merged summary; merges
+	// grow toward whole-network size.
 	PeakMergedBytes int
 	// Delivered and Spurious count owner-verified deliveries and pruned
 	// false-positive candidates over the event batch.
 	Delivered int
 	Spurious  int
-	// PruneRate / DigestFPRate / LeaderSkew are the subgrouped router's
-	// digest analytics over the event batch (zero for flat mode): the
-	// fraction of digest consultations that pruned a whole subgroup, the
-	// measured pass-but-no-delivery rate (held against the Bloom design
-	// point, subgroup.DesignDigestFPRate), and max/mean leader load.
-	PruneRate    float64
-	DigestFPRate float64
-	LeaderSkew   float64
 }
 
 // overlayWorkload is the regional workload the sweep routes: short
@@ -104,9 +81,8 @@ func overlayWorkload(region int, seed int64) (workload.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// overlayFixture is one generated size's shared input: the overlay, the
-// per-broker summaries, the region generators, and the event batch both
-// modes route.
+// overlayFixture is one generated size's input: the overlay, the
+// per-broker summaries, and the event batch with each event's origin.
 type overlayFixture struct {
 	g      *topology.Graph
 	own    []*summary.Summary
@@ -186,18 +162,40 @@ func verifiedOwners(candidates []topology.NodeID, own []*summary.Matcher, ev *sc
 	return out
 }
 
-// runOverlayFlat measures one flat period and the event batch, returning
-// the row and each event's owner-verified delivery set.
-func runOverlayFlat(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, [][]topology.NodeID, error) {
-	row := OverlayRow{Brokers: fx.g.Len(), Mode: "flat", Groups: 1}
-	start := time.Now()
+// checkDelivered holds one event's owner-verified delivery set to the
+// paper's contract: it must be exactly the brokers whose own summary
+// matches the event, found by asking every broker. A broker missing from
+// the delivery set is an Algorithm 2/3 false negative.
+func checkDelivered(k int, delivered []topology.NodeID, own []*summary.Matcher, ev *schema.Event) error {
+	got := make(map[topology.NodeID]bool, len(delivered))
+	var missing, extra []topology.NodeID
+	for _, b := range delivered {
+		if got[b] || len(own[b].MatchKeys(ev)) == 0 {
+			extra = append(extra, b)
+		}
+		got[b] = true
+	}
+	for b := range own {
+		if !got[topology.NodeID(b)] && len(own[b].MatchKeys(ev)) > 0 {
+			missing = append(missing, topology.NodeID(b))
+		}
+	}
+	if len(missing) > 0 || len(extra) > 0 {
+		return fmt.Errorf("event %d: delivered %v, missing brokers %v, extra brokers %v",
+			k, delivered, missing, extra)
+	}
+	return nil
+}
+
+// runOverlay measures one propagation period and the event batch, and
+// checks every event's delivery set against brute force.
+func runOverlay(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, error) {
+	row := OverlayRow{Brokers: fx.g.Len()}
 	prop, err := propagation.RunWorkers(fx.g, fx.own, propagation.DefaultCostModel(), cfg.Workers)
 	if err != nil {
-		return row, nil, err
+		return row, err
 	}
-	row.PropagationNs = time.Since(start).Nanoseconds()
 	row.BytesPerPeriod = prop.WireBytes
-	row.DigestBytes = prop.WireBytes
 	row.PeriodHops = prop.Hops
 	for _, sm := range prop.Merged {
 		if sz := sm.EncodedSize(); sz > row.PeakMergedBytes {
@@ -206,9 +204,8 @@ func runOverlayFlat(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, [][]topo
 	}
 	r, err := routing.NewRouter(fx.g, prop)
 	if err != nil {
-		return row, nil, err
+		return row, err
 	}
-	delivered := make([][]topology.NodeID, len(fx.events))
 	merged, own := followers(prop.Merged), followers(fx.own)
 	var hops, fwd int
 	for k, ev := range fx.events {
@@ -223,69 +220,21 @@ func runOverlayFlat(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, [][]topo
 		trace := r.Route(fx.origin[k], match)
 		hops += trace.Hops()
 		fwd += trace.ForwardHops
-		delivered[k] = verifiedOwners(trace.Delivered, own, ev)
-		row.Delivered += len(delivered[k])
-		row.Spurious += len(trace.Delivered) - len(delivered[k])
+		delivered := verifiedOwners(trace.Delivered, own, ev)
+		if err := checkDelivered(k, delivered, own, ev); err != nil {
+			return row, err
+		}
+		row.Delivered += len(delivered)
+		row.Spurious += len(trace.Delivered) - len(delivered)
 	}
 	row.HopsPerEvent = float64(hops) / float64(len(fx.events))
 	row.ForwardHopsPerEvent = float64(fwd) / float64(len(fx.events))
-	return row, delivered, nil
+	return row, nil
 }
 
-// runOverlaySubgrouped measures one subgrouped period (signatures +
-// clustering + intra-group exchange + digest mesh) and the same event
-// batch through the digest-first router.
-func runOverlaySubgrouped(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, [][]topology.NodeID, error) {
-	row := OverlayRow{Brokers: fx.g.Len(), Mode: "subgrouped"}
-	start := time.Now()
-	sigs := make([]*summary.Signature, len(fx.own))
-	for i, sm := range fx.own {
-		sigs[i] = sm.Signature(0)
-	}
-	plan, err := subgroup.Cluster(fx.g, sigs, subgroup.Options{})
-	if err != nil {
-		return row, nil, err
-	}
-	res, err := subgroup.Propagate(fx.g, fx.own, plan, cfg.Workers)
-	if err != nil {
-		return row, nil, err
-	}
-	res.StampEpoch(1) // single measured period
-	row.PropagationNs = time.Since(start).Nanoseconds()
-	row.Groups = plan.NumGroups()
-	row.BytesPerPeriod = res.WireBytes
-	row.IntraBytes = res.IntraWireBytes
-	row.DigestBytes = res.DigestWireBytes
-	row.PeriodHops = res.Hops
-	row.PeakMergedBytes = res.PeakMergedBytes
-	r, err := subgroup.NewRouter(fx.g, res)
-	if err != nil {
-		return row, nil, err
-	}
-	delivered := make([][]topology.NodeID, len(fx.events))
-	own := followers(fx.own)
-	var hops, fwd int
-	for k, ev := range fx.events {
-		trace := r.Route(fx.origin[k], ev)
-		hops += trace.Hops()
-		fwd += trace.ForwardHops
-		delivered[k] = verifiedOwners(trace.Delivered, own, ev)
-		row.Delivered += len(delivered[k])
-		row.Spurious += len(trace.Delivered) - len(delivered[k])
-	}
-	row.HopsPerEvent = float64(hops) / float64(len(fx.events))
-	row.ForwardHopsPerEvent = float64(fwd) / float64(len(fx.events))
-	an := r.Analytics()
-	row.PruneRate = an.PruneRate
-	row.DigestFPRate = an.DigestFPRate
-	row.LeaderSkew = an.LeaderSkew
-	return row, delivered, nil
-}
-
-// OverlayScaling runs the sweep: for each size, one flat and one
-// subgrouped period plus the shared event batch, asserting per event
-// that both modes deliver to exactly the same owner-verified broker set
-// (a differential equivalence check, so no row is printed unverified).
+// OverlayScaling runs the sweep: for each size, one propagation period
+// plus the event batch. An event whose delivery set differs from brute
+// force fails the sweep, so no row is printed unverified.
 func OverlayScaling(cfg OverlayConfig) ([]OverlayRow, error) {
 	if len(cfg.Sizes) == 0 {
 		cfg.Sizes = DefaultOverlay().Sizes
@@ -302,45 +251,28 @@ func OverlayScaling(cfg OverlayConfig) ([]OverlayRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("overlay n=%d: %w", n, err)
 		}
-		flatRow, flatDel, err := runOverlayFlat(fx, cfg)
+		row, err := runOverlay(fx, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("overlay n=%d flat: %w", n, err)
+			return nil, fmt.Errorf("overlay n=%d: %w", n, err)
 		}
-		subRow, subDel, err := runOverlaySubgrouped(fx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("overlay n=%d subgrouped: %w", n, err)
-		}
-		for k := range fx.events {
-			if len(flatDel[k]) != len(subDel[k]) {
-				return nil, fmt.Errorf("overlay n=%d event %d: flat delivered %v, subgrouped %v",
-					n, k, flatDel[k], subDel[k])
-			}
-			for i := range flatDel[k] {
-				if flatDel[k][i] != subDel[k][i] {
-					return nil, fmt.Errorf("overlay n=%d event %d: flat delivered %v, subgrouped %v",
-						n, k, flatDel[k], subDel[k])
-				}
-			}
-		}
-		rows = append(rows, flatRow, subRow)
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// OverlayTable runs OverlayScaling and tabulates one row per (size, mode).
-// Propagation wall time is left out: one period per size is too short to
-// time stably, and every other column is seeded-deterministic.
+// OverlayTable runs OverlayScaling and tabulates one row per size. Every
+// column is seeded-deterministic.
 func OverlayTable(cfg OverlayConfig) (*metrics.Table, error) {
 	rows, err := OverlayScaling(cfg)
 	if err != nil {
 		return nil, err
 	}
 	tab := metrics.NewTable(
-		"Overlay scaling — flat vs subgrouped on transit-stub overlays (delivery sets verified identical per event)",
-		"brokers", "mode", "groups", "bytes/period", "intra B", "cross-border B", "period hops",
-		"hops/event", "fwd hops/event", "peak merged B", "delivered", "spurious")
+		"Overlay scaling — Algorithms 2 and 3 on transit-stub overlays (delivery sets verified against brute force per event)",
+		"brokers", "bytes/period", "period hops", "hops/event", "fwd hops/event",
+		"peak merged B", "delivered", "spurious")
 	for _, r := range rows {
-		tab.AddRow(r.Brokers, r.Mode, r.Groups, r.BytesPerPeriod, r.IntraBytes, r.DigestBytes, r.PeriodHops,
+		tab.AddRow(r.Brokers, r.BytesPerPeriod, r.PeriodHops,
 			fmt.Sprintf("%.2f", r.HopsPerEvent), fmt.Sprintf("%.2f", r.ForwardHopsPerEvent),
 			r.PeakMergedBytes, r.Delivered, r.Spurious)
 	}

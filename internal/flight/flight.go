@@ -75,10 +75,6 @@ const (
 	// attributor's top-K had room (broker = owner, A = attribute id, B =
 	// operator class); the note names the attribute and operator class.
 	EvFPAttribution
-	// EvSubgroupDigest: per-subgroup digest analytics snapshot (A =
-	// group, B = pruned checks, C = digest passes that delivered
-	// nothing — the measured bloom false-positive count).
-	EvSubgroupDigest
 	// EvPhaseStart: a scenario phase began (A = phase index, B = planned
 	// periods); the note names the phase.
 	EvPhaseStart
@@ -126,8 +122,6 @@ func (t EventType) String() string {
 		return "convergence"
 	case EvFPAttribution:
 		return "fp-attribution"
-	case EvSubgroupDigest:
-		return "subgroup-digest"
 	case EvPhaseStart:
 		return "phase-start"
 	case EvPhaseEnd:

@@ -1,6 +1,6 @@
 // Package par is the repo's single bounded-worker-pool primitive, a leaf
-// package so that propagation, subgroup and the experiment sweeps can fan
-// work out without importing the live engine.
+// package so that propagation and the experiment sweeps can fan work out
+// without importing the live engine.
 package par
 
 import (

@@ -24,9 +24,8 @@ func TransitStub(n int, seed int64) *Graph {
 // TransitStubRegions is TransitStub exposing the region assignment: the
 // second return value maps each node to the index of the transit node
 // whose subtree it belongs to (transit node i is its own region i).
-// Workloads that want geographically correlated interests — the setting
-// where summary-similarity subgrouping pays off — key their interest
-// regions off this assignment.
+// Workloads that want geographically correlated interests, such as the
+// overlay-scaling sweep, key their interest regions off this assignment.
 //
 // The shape scales with n: ~√n/2 transit nodes, each anchoring several
 // stub domains of ~n/(4·transit) nodes (a random attachment tree plus a

@@ -42,9 +42,9 @@ type Config struct {
 	// generators with different regions produce subscriptions (and
 	// events) over disjoint value populations, while region 0 is
 	// byte-identical to the historical generator. All regions share one
-	// schema shape, so summaries from different regions still merge —
-	// this is the knob the overlay-scaling experiment uses to give
-	// summary-similarity subgrouping something real to cluster on.
+	// schema shape, so summaries from different regions still merge. The
+	// overlay-scaling experiment sets it per transit-stub region, so each
+	// region's brokers share interests and events mostly match near home.
 	Region int
 }
 
@@ -149,8 +149,8 @@ func NewGenerator(cfg Config) (*Generator, error) {
 			ps := make([]string, cfg.NumPatterns)
 			for k := range ps {
 				if cfg.Region > 0 {
-					// Region-tagged 8-byte prefix: regions diverge within
-					// the first SigPrefixLen bytes.
+					// Region-tagged prefix: regions diverge within the
+					// first three bytes.
 					ps[k] = fmt.Sprintf("r%02da%02dp%02d", cfg.Region%100, i, k)
 				} else {
 					ps[k] = fmt.Sprintf("a%02dp%02d", i, k) // 6-byte canonical prefix

@@ -50,7 +50,6 @@ import (
 	"github.com/subsum/subsum/internal/broker"
 	"github.com/subsum/subsum/internal/core"
 	"github.com/subsum/subsum/internal/interval"
-	"github.com/subsum/subsum/internal/par"
 	"github.com/subsum/subsum/internal/propagation"
 	"github.com/subsum/subsum/internal/routing"
 	"github.com/subsum/subsum/internal/schema"
@@ -185,11 +184,6 @@ type (
 // NewMatcherPool returns a pool whose matchers are bound to sm.
 func NewMatcherPool(sm *Summary) *MatcherPool { return summary.NewMatcherPool(sm) }
 
-// Sweep runs fn(i) for every i in [0, n) across a bounded worker pool
-// (workers <= 0 means one per CPU, 1 runs inline). Results are
-// deterministic as long as fn(i) writes only to index-i state.
-func Sweep(n, workers int, fn func(i int)) { par.Sweep(n, workers, fn) }
-
 // DecodeSummary parses a summary from its binary wire form.
 func DecodeSummary(s *Schema, buf []byte) (*Summary, error) { return summary.Decode(s, buf) }
 
@@ -222,7 +216,8 @@ var (
 	GridOverlay = topology.Grid
 	// TransitStubOverlay builds a GT-ITM-style two-level hierarchy for
 	// the 100–1000-broker scaling experiments; TransitStubRegions also
-	// exposes the stub-region assignment workloads key interests off.
+	// returns each broker's region, so a workload can give the brokers of
+	// one region shared interests.
 	TransitStubOverlay = topology.TransitStub
 	TransitStubRegions = topology.TransitStubRegions
 	// GeometricOverlay builds a random geometric overlay (radius ≤ 0
