@@ -1,28 +1,27 @@
 // False-positive attribution: when an event that some summary admitted
 // reaches a broker's exact-match stage and no raw subscription matches,
-// the broker walks the candidate rows that admitted it and charges the
-// miss to the responsible (attribute, operator-class, owner-broker)
-// triple. The paper's §5 precision metric becomes a live, per-row
-// diagnostic: which attribute's summary rows over-approximate, under
-// which operator class, owned by whom.
+// the miss is charged to the responsible (attribute, operator-class,
+// owner-broker) triple. The paper's §5 precision metric becomes a live,
+// per-row diagnostic: which attribute's summary rows over-approximate,
+// under which operator class, owned by whom.
 //
-// Attribution is best-effort by construction. The candidates are the ids
-// the routing broker's match named for this owner (its deliver record, or
-// the local hop's own match result) — the rows that actually admitted the
-// event there; the first failing constraint of each live candidate is the
-// charge, and a candidate with no live raw subscription behind it
-// (snapshot lag, a stale remote row after an unsubscribe) is charged to
-// the "stale" class. The charge never panics and never blocks the hot
-// path beyond one nil check: the space-saving counter is bounded (top-K
-// with documented overestimates), the per-attribute tallies are plain
-// atomics, and everything runs only on the false-positive branch —
-// delivery credits on the hit branch are a handful of atomic adds.
+// The candidates are the ids the routing broker's match named for this
+// owner (its deliver record, or the local hop's own match result) — the
+// rows that actually admitted the event there. The owner's one exact pass
+// over them keeps each live candidate's first failing constraint; a
+// candidate with no live raw subscription behind it (snapshot lag, a
+// stale remote row after an unsubscribe) is charged to the "stale" class.
+// Counts are exact: each owner broker has its own row of counters, so a
+// charge is one atomic add no other broker contends on, and a report sums
+// the rows. On delivery-heavy workloads most deliver sends are false
+// positives, so this is a hot path, not a rare one. Delivery credits on
+// the hit branch are a handful of atomic adds.
 package broker
 
 import (
 	"math/bits"
 	"sort"
-	"sync"
+	"strconv"
 	"sync/atomic"
 
 	"github.com/subsum/subsum/internal/flight"
@@ -101,149 +100,161 @@ func ClassifyOp(op schema.Op) FPClass {
 // candidate at all (the sender's merged view of this broker was stale).
 const FPNoAttr = schema.AttrID(^uint16(0))
 
-// FPKey is one attribution bucket.
-type FPKey struct {
-	Attr  schema.AttrID
-	Class FPClass
-	Owner subid.BrokerID
-}
+// An owner's row of charge counters is indexed by (attribute slot,
+// class). Attribute slots run over every id a schema can hold, plus one
+// for FPNoAttr, in chunks of fpChunkAttrs slots allocated on the chunk's
+// first charge: an attribute ExtendSchema adds later is counted like any
+// other, and a row costs its 2 KB header plus 4 KB per chunk in use.
+const (
+	fpClasses    = int(FPClassStale) + 1
+	fpChunkAttrs = 64
+	fpNoAttrSlot = schema.MaxAttributes
+	fpRowChunks  = fpNoAttrSlot/fpChunkAttrs + 1
+	fpJournalCap = 64 // first sightings journaled per attributor
+	attrHeadroom = 16 // delivery-tally slots beyond the construction-time schema
+)
 
-// packed folds the key into one word, so the slot index hashes an
-// integer instead of a padded struct.
-func (k FPKey) packed() uint64 {
-	return uint64(k.Attr)<<40 | uint64(k.Class)<<32 | uint64(k.Owner)
-}
+type (
+	fpChunk [fpChunkAttrs * fpClasses]atomic.Int64
+	fpRow   [fpRowChunks]atomic.Pointer[fpChunk]
+)
 
-// fpEntry is one space-saving bucket: count may overestimate the true
-// frequency by at most err (the count of the entry it evicted).
-type fpEntry struct {
-	key   FPKey
-	count int64
-	err   int64
-}
-
-// attrHeadroom is how many attribute slots beyond the construction-time
-// schema the per-attribute tallies reserve, so ExtendSchema'd attributes
-// keep counting without reallocation. Attributes beyond the headroom are
-// silently untallied (best-effort; the top-K still names them).
-const attrHeadroom = 16
-
-// FPAttributor aggregates false-positive attributions network-wide: a
-// bounded space-saving top-K over (attribute, operator-class, owner)
-// triples plus per-attribute delivered/false-positive tallies from which
-// per-attribute precision derives. One attributor is shared by every
-// broker of a network; all methods are safe for concurrent use and a
-// nil receiver is valid and records nothing.
+// FPAttributor aggregates false-positive attributions network-wide:
+// exact counts per (attribute, operator-class, owner) triple, plus
+// per-attribute delivered/false-positive tallies from which per-attribute
+// precision derives. Each owner broker has its own row of counters,
+// allocated on its first charge, so a charge is one atomic add to a
+// counter no other broker writes: brokers never contend on it, whichever
+// bus worker runs them. One attributor is shared by every broker of a
+// network; all methods are safe for concurrent use and a nil receiver is
+// valid and records nothing.
 type FPAttributor struct {
-	schema *schema.Schema
-	rec    *flight.Recorder
-	k      int
+	schema    *schema.Schema
+	rec       *flight.Recorder
+	rows      []atomic.Pointer[fpRow] // by owner broker id
+	journaled atomic.Int64            // first sightings offered to rec
 
-	// The top-K table is a slice of at most k entries plus a packed-key →
-	// slot index. A charge to an established triple is one integer-keyed
-	// lookup; a space-saving eviction finds the smallest count by scanning
-	// the slice's contiguous entries (k = 64: 2 KB) and rewrites one slot.
-	// Every broker's false-positive branch shares mu, so both are kept
-	// short: a min-heap was tried and lost at this k (238 against 120 ns
-	// per eviction) to the index entries each sift step rewrites.
-	mu    sync.Mutex
-	top   []fpEntry
-	pos   map[uint64]int
-	total atomic.Int64
-
-	// Per-attribute tallies, indexed by AttrID; fixed at construction
-	// (schema size + headroom) so the observation path never grows them.
-	fpByAttr  []atomic.Int64
+	// Per-attribute delivery tallies, indexed by AttrID; fixed at
+	// construction (schema size + headroom) so the credit path never grows
+	// them. Attributes beyond the headroom are silently untallied.
 	delByAttr []atomic.Int64
-	// Registry counters per construction-time attribute (nil entries when
-	// no registry was given or the attribute arrived later).
-	fpCounters  []*metrics.Counter
+	// Registry delivery counters per construction-time attribute (nil
+	// entries when no registry was given or the attribute arrived later).
 	delCounters []*metrics.Counter
-	evictions   *metrics.Counter // space-saving evictions (nil without a registry)
 }
 
-// NewFPAttributor builds an attributor over the schema's attributes.
-// reg and rec may be nil; k bounds the top-K table (<= 0 selects 64).
-func NewFPAttributor(s *schema.Schema, reg *metrics.Registry, rec *flight.Recorder, k int) *FPAttributor {
-	if k <= 0 {
-		k = 64
-	}
+// NewFPAttributor builds an attributor over the schema's attributes for
+// the owner brokers 0..brokers-1 (charges to other owners are dropped).
+// reg and rec may be nil.
+func NewFPAttributor(s *schema.Schema, reg *metrics.Registry, rec *flight.Recorder, brokers int) *FPAttributor {
 	n := s.Len() + attrHeadroom
 	a := &FPAttributor{
 		schema:      s,
 		rec:         rec,
-		k:           k,
-		top:         make([]fpEntry, 0, k),
-		pos:         make(map[uint64]int, k),
-		fpByAttr:    make([]atomic.Int64, n),
+		rows:        make([]atomic.Pointer[fpRow], max(brokers, 0)),
 		delByAttr:   make([]atomic.Int64, n),
-		fpCounters:  make([]*metrics.Counter, n),
 		delCounters: make([]*metrics.Counter, n),
 	}
 	if reg != nil {
-		a.evictions = reg.Counter("fp_attr_evictions")
-		fpVec := reg.CounterVec("fp_attr_false_positives")
 		delVec := reg.CounterVec("fp_attr_deliveries")
 		for i, attr := range s.Attributes() {
-			a.fpCounters[i] = fpVec.With(attr.Name)
+			id := schema.AttrID(i)
+			reg.CounterFunc(metrics.Label("fp_attr_false_positives", attr.Name), func() int64 { return a.falsePositives(id) })
 			a.delCounters[i] = delVec.With(attr.Name)
 		}
 	}
 	return a
 }
 
+// fpSlot maps an attribute to its row slot; false for ids no schema holds.
+func fpSlot(attr schema.AttrID) (int, bool) {
+	if attr == FPNoAttr {
+		return fpNoAttrSlot, true
+	}
+	return int(attr), int(attr) < fpNoAttrSlot
+}
+
 // ObserveFP charges one false positive to the (attr, class, owner)
 // triple. attr may be FPNoAttr for charges with no responsible
-// attribute.
+// attribute. Once the owner's row and chunk exist, the charge is one
+// atomic add; the first sighting of a triple is journaled, up to
+// fpJournalCap per attributor.
 func (a *FPAttributor) ObserveFP(attr schema.AttrID, class FPClass, owner subid.BrokerID) {
-	if a == nil {
+	slot, ok := fpSlot(attr)
+	if a == nil || !ok || int(owner) >= len(a.rows) || int(class) >= fpClasses {
 		return
 	}
-	a.total.Add(1)
-	if int(attr) < len(a.fpByAttr) {
-		a.fpByAttr[attr].Add(1)
-		if c := a.fpCounters[attr]; c != nil {
-			c.Inc()
-		}
+	row := a.rows[owner].Load()
+	if row == nil {
+		row = loadOrStore(&a.rows[owner])
 	}
-	key := FPKey{Attr: attr, Class: class, Owner: owner}
-	admitted, evicted := false, false
-	a.mu.Lock()
-	if i, ok := a.pos[key.packed()]; ok {
-		a.top[i].count++
-	} else if len(a.top) < a.k {
-		a.pos[key.packed()] = len(a.top)
-		a.top = append(a.top, fpEntry{key: key, count: 1})
-		admitted = true
-	} else {
-		// Space-saving eviction: the new triple takes the place of the
-		// smallest count and inherits it plus one, with that count as its
-		// documented error bound.
-		at := 0
-		for i := range a.top {
-			if a.top[i].count < a.top[at].count {
-				at = i
-			}
-		}
-		least := a.top[at]
-		delete(a.pos, least.key.packed())
-		a.top[at] = fpEntry{key: key, count: least.count + 1, err: least.count}
-		a.pos[key.packed()] = at
-		evicted = true
+	chunk := row[slot/fpChunkAttrs].Load()
+	if chunk == nil {
+		chunk = loadOrStore(&row[slot/fpChunkAttrs])
 	}
-	a.mu.Unlock()
-	if admitted {
-		// First sighting of this triple while the table has room: journal it
-		// so a post-mortem can line new over-approximation sources up against
-		// churn and period boundaries. Once the table is full, triples swap
-		// in and out on nearly every observation; those are only counted, or
-		// they would push everything else out of the bounded journal.
+	if chunk[slot%fpChunkAttrs*fpClasses+int(class)].Add(1) == 1 && a.rec != nil && a.journaled.Add(1) <= fpJournalCap {
+		// First sighting: journal it so a post-mortem can line new
+		// over-approximation sources up against churn and period
+		// boundaries. Capped, so a wide triple mix cannot flush the
+		// bounded flight ring.
 		a.rec.Record(flight.EvFPAttribution, int(owner), int64(attr), int64(class), 0,
 			a.attrName(attr)+" "+class.String())
 	}
-	if evicted && a.evictions != nil {
-		a.evictions.Inc()
+}
+
+// loadOrStore returns *p, installing a zero T first if it is nil. Of
+// concurrent installers one wins and the others use its value, so no
+// charge lands in a discarded table.
+func loadOrStore[T any](p *atomic.Pointer[T]) *T {
+	p.CompareAndSwap(nil, new(T))
+	return p.Load()
+}
+
+// eachCharge calls fn for every nonzero (attr, class, owner) count.
+func (a *FPAttributor) eachCharge(fn func(attr schema.AttrID, class FPClass, owner subid.BrokerID, n int64)) {
+	for owner := range a.rows {
+		row := a.rows[owner].Load()
+		if row == nil {
+			continue
+		}
+		for ci := range row {
+			chunk := row[ci].Load()
+			if chunk == nil {
+				continue
+			}
+			for i := range chunk {
+				if n := chunk[i].Load(); n != 0 {
+					slot := ci*fpChunkAttrs + i/fpClasses
+					attr := schema.AttrID(slot)
+					if slot == fpNoAttrSlot {
+						attr = FPNoAttr
+					}
+					fn(attr, FPClass(i%fpClasses), subid.BrokerID(owner), n)
+				}
+			}
+		}
 	}
+}
+
+// falsePositives sums the charges to one attribute over owners and
+// classes.
+func (a *FPAttributor) falsePositives(attr schema.AttrID) int64 {
+	slot, _ := fpSlot(attr)
+	var sum int64
+	for owner := range a.rows {
+		row := a.rows[owner].Load()
+		if row == nil {
+			continue
+		}
+		chunk := row[slot/fpChunkAttrs].Load()
+		if chunk == nil {
+			continue
+		}
+		for c := range fpClasses {
+			sum += chunk[slot%fpChunkAttrs*fpClasses+c].Load()
+		}
+	}
+	return sum
 }
 
 // CreditDelivery credits one exact delivery to every attribute the
@@ -276,10 +287,11 @@ func (a *FPAttributor) attrName(attr schema.AttrID) string {
 	if at, ok := a.schema.Attr(attr); ok {
 		return at.Name
 	}
-	return "attr(?)"
+	return "attr(" + strconv.Itoa(int(attr)) + ")"
 }
 
-// FPAttribution is one top-K entry of the attribution report.
+// FPAttribution is one top-K entry of the attribution report. Counts are
+// exact: ErrBound is always 0, kept for readers of the report's JSON.
 type FPAttribution struct {
 	Attr     string `json:"attr"`
 	AttrID   int    `json:"attr_id"`
@@ -309,27 +321,29 @@ type FPReport struct {
 
 // Report snapshots the attributor: the top n triples by charged count
 // (descending; ties by attr, class, owner for determinism) and the
-// per-attribute precision table. n <= 0 returns every tracked triple.
+// per-attribute precision table. n <= 0 returns every charged triple.
 // A nil attributor reports an empty snapshot.
 func (a *FPAttributor) Report(n int) *FPReport {
 	r := &FPReport{}
 	if a == nil {
 		return r
 	}
-	r.Total = a.total.Load()
-	a.mu.Lock()
-	entries := make([]FPAttribution, 0, len(a.top))
-	for _, e := range a.top {
+	attrs := a.schema.Attributes()
+	fpByAttr := make([]int64, len(attrs))
+	entries := []FPAttribution{}
+	a.eachCharge(func(attr schema.AttrID, class FPClass, owner subid.BrokerID, count int64) {
+		r.Total += count
+		if int(attr) < len(fpByAttr) {
+			fpByAttr[attr] += count
+		}
 		entries = append(entries, FPAttribution{
-			Attr:     a.attrName(e.key.Attr),
-			AttrID:   int(e.key.Attr),
-			Class:    e.key.Class.String(),
-			Owner:    int(e.key.Owner),
-			Count:    e.count,
-			ErrBound: e.err,
+			Attr:   a.attrName(attr),
+			AttrID: int(attr),
+			Class:  class.String(),
+			Owner:  int(owner),
+			Count:  count,
 		})
-	}
-	a.mu.Unlock()
+	})
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Count != entries[j].Count {
 			return entries[i].Count > entries[j].Count
@@ -346,11 +360,12 @@ func (a *FPAttributor) Report(n int) *FPReport {
 		entries = entries[:n]
 	}
 	r.TopK = entries
-	for i, attr := range a.schema.Attributes() {
-		if i >= len(a.fpByAttr) {
-			break // beyond the tallied headroom
+	for i, attr := range attrs {
+		var del int64
+		if i < len(a.delByAttr) {
+			del = a.delByAttr[i].Load()
 		}
-		del, fp := a.delByAttr[i].Load(), a.fpByAttr[i].Load()
+		fp := fpByAttr[i]
 		if del == 0 && fp == 0 {
 			continue
 		}

@@ -1,7 +1,13 @@
 package broker
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/subsum/subsum/internal/flight"
@@ -181,32 +187,211 @@ func TestFPAttributionStaleCharges(t *testing.T) {
 	}
 }
 
-// TestFPAttributorSpaceSavingBound exercises eviction: with k=2, a
-// third distinct triple evicts the smallest and inherits its count as
-// the documented error bound, keeping space bounded while the heavy
-// hitter stays exact.
-func TestFPAttributorSpaceSavingBound(t *testing.T) {
+// collectExactTwoPass is the owner step as it was before the charge was
+// fused into the exact pass, kept as the differential oracle of
+// collectExact: Subscription.Matches decides each candidate, and a record
+// with no hit walks the candidates a second time for the first failing
+// constraint, charging ref.
+func collectExactTwoPass(b *Broker, ev *schema.Event, keys []uint64, ref *FPAttributor) []*subEntry {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	self := subid.BrokerID(b.id)
+	var hits []*subEntry
+	for _, key := range keys {
+		owner, local := subid.KeyParts(key)
+		if owner != self {
+			continue
+		}
+		if e, ok := b.subs[local]; ok && e.sub.Matches(ev) {
+			hits = append(hits, e)
+		}
+	}
+	if len(hits) > 0 {
+		return hits
+	}
+	charged := false
+	for _, key := range keys {
+		owner, local := subid.KeyParts(key)
+		if owner != self {
+			continue
+		}
+		e, ok := b.subs[local]
+		if !ok {
+			ref.ObserveFP(FPNoAttr, FPClassStale, owner)
+			charged = true
+			continue
+		}
+		for _, c := range e.sub.Constraints {
+			v, present := ev.Value(c.Attr)
+			if !present || !c.Satisfied(v) {
+				ref.ObserveFP(c.Attr, ClassifyOp(c.Op), owner)
+				charged = true
+				break
+			}
+		}
+	}
+	if !charged {
+		ref.ObserveFP(FPNoAttr, FPClassStale, self)
+	}
+	return nil
+}
+
+// TestCollectExactMatchesTwoPass is the seeded differential of the fused
+// owner pass against collectExactTwoPass: over range∋eq and prefix⊃eq
+// folds, candidate lists that mix the broker's own match with dead ids
+// and other owners' keys, and records with and without hits, both find
+// the same hits and charge the same multiset of triples.
+func TestCollectExactMatchesTwoPass(t *testing.T) {
 	s := testSchema(t)
-	a := NewFPAttributor(s, nil, nil, 2)
+	got, ref := NewFPAttributor(s, nil, nil, 3), NewFPAttributor(s, nil, nil, 3)
+	b, err := New(Config{ID: 1, Schema: s, Mode: interval.Lossy, NumBrokers: 3, Attribution: got})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(33))
+	symbols := []string{"OTE", "OTA", "OTX", "AAA", "AAB", "BBC"}
+	prefixes := []string{"OT", "OTE", "AA", "B"} // OT covers OTE
+	templates := []string{
+		"symbol = %s && price > %d",  // a range row that covers eq points
+		"symbol = %s && price = %d",  // an eq point a range may fold
+		"symbol >* %s && price < %d", // a prefix row that covers eq strings
+		"symbol = %s && price < %d",
+		"price < %[2]d && symbol >* %[1]s", // the range is checked first
+	}
+	var dead []uint64
+	for i := 0; i < 40; i++ {
+		tmpl := templates[rng.Intn(len(templates))]
+		sym := symbols[rng.Intn(len(symbols))]
+		if strings.Contains(tmpl, ">* %") {
+			sym = prefixes[rng.Intn(len(prefixes))]
+		}
+		sub, err := schema.ParseSubscription(s, fmt.Sprintf(tmpl, sym, rng.Intn(300)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := b.Subscribe(sub, noDeliver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(5) == 0 {
+			if err := b.Unsubscribe(id); err != nil {
+				t.Fatal(err)
+			}
+			dead = append(dead, id.Key())
+		}
+	}
+	withHits, withoutHits := 0, 0
+	for r := 0; r < 600; r++ {
+		ev, err := schema.ParseEvent(s, fmt.Sprintf("symbol=%s price=%d", symbols[rng.Intn(len(symbols))], rng.Intn(400)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := b.AcquireMatcher()
+		var keys []uint64
+		for _, k := range l.m.MatchKeys(ev) {
+			if rng.Intn(4) != 0 { // a sender names a subset of the owner's rows
+				keys = append(keys, k)
+			}
+		}
+		l.Release()
+		for n := rng.Intn(3); n > 0; n-- {
+			keys = append(keys, dead[rng.Intn(len(dead))])
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			owner := subid.BrokerID(2 * rng.Intn(2)) // 0 or 2: never this broker
+			keys = append(keys, subid.ID{Broker: owner, Local: subid.LocalID(rng.Intn(40))}.Key())
+		}
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+
+		want := collectExactTwoPass(b, ev, keys, ref)
+		hits, complete := b.collectExact(ev, keys, false)
+		if !complete || !slices.Equal(hits, want) {
+			t.Fatalf("record %d (%v): fused pass hits %d (complete %v), two-pass %d", r, keys, len(hits), complete, len(want))
+		}
+		if len(hits) > 0 {
+			withHits++
+		} else {
+			withoutHits++
+		}
+		if g, w := got.Report(0), ref.Report(0); !reflect.DeepEqual(g, w) {
+			t.Fatalf("record %d: charges diverge\nfused:    %+v\ntwo-pass: %+v", r, g.TopK, w.TopK)
+		}
+	}
+	if withHits < 50 || withoutHits < 50 {
+		t.Fatalf("records with/without hits = %d/%d; the differential needs both", withHits, withoutHits)
+	}
+	// The range∋eq fold charges price/eq, the prefix⊃eq fold symbol/eq,
+	// OT covering OTE symbol/prefix; dead ids and empty records charge stale.
+	charged := map[string]bool{}
+	for _, e := range got.Report(0).TopK {
+		charged[e.Attr+"/"+e.Class] = true
+	}
+	for _, c := range []string{"price/eq", "symbol/eq", "symbol/prefix", "-/stale"} {
+		if !charged[c] {
+			t.Fatalf("no %s charge among %v: the differential missed a fold", c, got.Report(0).TopK)
+		}
+	}
+}
+
+// TestFPAttributorConcurrentExact charges from goroutines × owners at
+// once (run it under -race): every count and the total must come out
+// exact, and the report in its fixed order — count descending, then
+// attribute id, class name and owner.
+func TestFPAttributorConcurrentExact(t *testing.T) {
+	s := testSchema(t)
 	priceID, _ := s.ID("price")
 	symbolID, _ := s.ID("symbol")
-	for i := 0; i < 5; i++ {
-		a.ObserveFP(priceID, FPClassRange, 0) // heavy hitter
+	const owners, goroutines, rounds = 6, 4, 500
+	a := NewFPAttributor(s, nil, nil, owners)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for o := 0; o < owners; o++ {
+					owner := subid.BrokerID(o)
+					// Owner o takes o+2 price/range charges per round, so
+					// those counts differ by owner and lead; symbol/eq and
+					// stale tie.
+					for k := 0; k < o+2; k++ {
+						a.ObserveFP(priceID, FPClassRange, owner)
+					}
+					a.ObserveFP(symbolID, FPClassEq, owner)
+					a.ObserveFP(FPNoAttr, FPClassStale, owner)
+				}
+			}
+		}()
 	}
-	a.ObserveFP(symbolID, FPClassEq, 0)   // light entry, count 1
-	a.ObserveFP(symbolID, FPClassGlob, 1) // evicts the light entry
+	wg.Wait()
 	rep := a.Report(0)
-	if rep.Total != 7 {
-		t.Fatalf("total = %d, want 7", rep.Total)
+	var want []FPAttribution
+	for o := owners - 1; o >= 0; o-- {
+		want = append(want, FPAttribution{Attr: "price", AttrID: int(priceID), Class: "range", Owner: o,
+			Count: int64(goroutines * rounds * (o + 2))})
 	}
-	if len(rep.TopK) != 2 {
-		t.Fatalf("topK size = %d, want 2 (bounded)", len(rep.TopK))
+	// The ties: symbol (id 0) before the sentinel, then by owner.
+	for o := 0; o < owners; o++ {
+		want = append(want, FPAttribution{Attr: "symbol", AttrID: int(symbolID), Class: "eq", Owner: o,
+			Count: goroutines * rounds})
 	}
-	if top := rep.TopK[0]; top.Class != "range" || top.Count != 5 || top.ErrBound != 0 {
-		t.Fatalf("heavy hitter = %+v, want exact count 5", top)
+	for o := 0; o < owners; o++ {
+		want = append(want, FPAttribution{Attr: "-", AttrID: int(FPNoAttr), Class: "stale", Owner: o,
+			Count: goroutines * rounds})
 	}
-	if ev := rep.TopK[1]; ev.Class != "glob" || ev.Count != 2 || ev.ErrBound != 1 {
-		t.Fatalf("evictor = %+v, want count 2 with error bound 1", ev)
+	if !reflect.DeepEqual(rep.TopK, want) {
+		t.Fatalf("report:\n got %+v\nwant %+v", rep.TopK, want)
+	}
+	var total int64
+	for _, e := range want {
+		total += e.Count
+	}
+	if rep.Total != total {
+		t.Fatalf("total = %d, want %d", rep.Total, total)
+	}
+	if top := a.Report(2).TopK; len(top) != 2 || top[0] != want[0] || top[1] != want[1] {
+		t.Fatalf("Report(2) = %+v, want the first two of the full report", top)
 	}
 	// Nil attributor is valid everywhere.
 	var nilA *FPAttributor
@@ -217,84 +402,80 @@ func TestFPAttributorSpaceSavingBound(t *testing.T) {
 	}
 }
 
-// TestFPAttributorSpaceSavingInvariants drives a skewed random triple
-// stream through a small table and checks, after every observation, what
-// space-saving promises whichever minimum an eviction picks: the counts
-// sum to the observations, a tracked triple's true frequency lies in
-// [count-err, count], an untracked one's is at most the smallest count —
-// and that the table and its slot index agree.
-func TestFPAttributorSpaceSavingInvariants(t *testing.T) {
+// TestFPAttributorUnknownAndExtendedAttrs pins the names and counts of
+// attributes the construction-time schema did not hold: one the schema
+// gains later (Schema.Add, as Network.ExtendSchema does) is named and
+// counted exactly, past the delivery tallies' headroom too, and an id the
+// schema does not know reports as attr(N).
+func TestFPAttributorUnknownAndExtendedAttrs(t *testing.T) {
 	s := testSchema(t)
-	priceID, _ := s.ID("price")
-	const k = 8
-	a := NewFPAttributor(s, nil, nil, k)
-	rng := rand.New(rand.NewSource(9))
-	truth := make(map[FPKey]int64)
-	for n := int64(1); n <= 5000; n++ {
-		owner := subid.BrokerID(rng.Intn(4)) // heavy hitters
-		if rng.Intn(3) == 0 {
-			owner = subid.BrokerID(4 + rng.Intn(60)) // a long tail that keeps evicting
+	a := NewFPAttributor(s, nil, nil, 2)
+	for i := 0; i < attrHeadroom+3; i++ {
+		if _, err := s.Add(fmt.Sprintf("x%d", i), schema.TypeInt); err != nil {
+			t.Fatal(err)
 		}
-		a.ObserveFP(priceID, FPClassRange, owner)
-		truth[FPKey{Attr: priceID, Class: FPClassRange, Owner: owner}]++
-
-		if len(a.top) > k || len(a.pos) != len(a.top) {
-			t.Fatalf("after %d: %d entries, %d indexed, bound %d", n, len(a.top), len(a.pos), k)
+	}
+	last := schema.AttrID(s.Len() - 1)
+	unknown := schema.AttrID(s.Len() + 70) // in a chunk no charge touched yet
+	for i := 0; i < 3; i++ {
+		a.ObserveFP(last, FPClassRange, 1)
+	}
+	a.ObserveFP(unknown, FPClassEq, 0)
+	rep := a.Report(0)
+	want := []FPAttribution{
+		{Attr: fmt.Sprintf("x%d", attrHeadroom+2), AttrID: int(last), Class: "range", Owner: 1, Count: 3},
+		{Attr: fmt.Sprintf("attr(%d)", unknown), AttrID: int(unknown), Class: "eq", Owner: 0, Count: 1},
+	}
+	if !reflect.DeepEqual(rep.TopK, want) || rep.Total != 4 {
+		t.Fatalf("report: total %d, %+v; want 4, %+v", rep.Total, rep.TopK, want)
+	}
+	found := false
+	for _, p := range rep.Attrs {
+		if p.AttrID == int(last) {
+			found = p.FalsePos == 3
 		}
-		var sum int64
-		least := a.top[0].count
-		for i, e := range a.top {
-			sum += e.count
-			least = min(least, e.count)
-			if a.pos[e.key.packed()] != i {
-				t.Fatalf("after %d: index says %v is at %d, found at %d", n, e.key, a.pos[e.key.packed()], i)
-			}
-			if tc := truth[e.key]; tc > e.count || tc < e.count-e.err {
-				t.Fatalf("after %d: %v true count %d outside [%d, %d]", n, e.key, tc, e.count-e.err, e.count)
-			}
-		}
-		if sum != n {
-			t.Fatalf("after %d: counts sum to %d", n, sum)
-		}
-		for key, tc := range truth {
-			if _, tracked := a.pos[key.packed()]; !tracked && tc > least {
-				t.Fatalf("after %d: untracked %v has true count %d above the minimum %d", n, key, tc, least)
-			}
-		}
+	}
+	if !found {
+		t.Fatalf("precision rows %+v lack the extended attribute's 3 false positives", rep.Attrs)
+	}
+	// Owners outside the construction-time broker count are dropped.
+	a.ObserveFP(last, FPClassRange, 2)
+	if got := a.Report(0).Total; got != 4 {
+		t.Fatalf("charge to owner 2 of 2 counted: total %d", got)
 	}
 }
 
-// TestFPAttributorJournalsAdmissionsOnly pins the journal-thrash fix: a
-// triple is journaled when it is first admitted while the top-K has room;
-// once the table is full, triples swapping in and out are counted in
-// fp_attr_evictions and write nothing, so a wide triple mix cannot flush
-// the bounded flight ring.
+// TestFPAttributorJournalsAdmissionsOnly pins the journal cap: the first
+// sighting of a triple is journaled, repeat charges are not, and at most
+// fpJournalCap first sightings per attributor reach the flight ring, so a
+// wide triple mix cannot flush it (the bounded ring once lost the first
+// phase-start record of the smoke scenario that way).
 func TestFPAttributorJournalsAdmissionsOnly(t *testing.T) {
 	s := testSchema(t)
-	reg := metrics.NewRegistry()
 	rec := flight.NewRecorder(1 << 16)
-	a := NewFPAttributor(s, reg, rec, 2)
+	const owners = 3 * fpJournalCap
+	a := NewFPAttributor(s, nil, rec, owners)
 	priceID, _ := s.ID("price")
-	const rounds = 100
+	const rounds = 5
 	for i := 0; i < rounds; i++ {
-		// Four triples rotating through two slots: every observation after
-		// the first two evicts.
-		a.ObserveFP(priceID, FPClassRange, subid.BrokerID(i%4))
+		for o := 0; o < owners; o++ {
+			a.ObserveFP(priceID, FPClassRange, subid.BrokerID(o))
+		}
 	}
 	journaled := 0
 	for _, r := range rec.Records() {
 		if r.Type == flight.EvFPAttribution {
+			if r.Broker != journaled {
+				t.Fatalf("journal record %d names owner %d, want the first sightings in order", journaled, r.Broker)
+			}
 			journaled++
 		}
 	}
-	if journaled != 2 {
-		t.Fatalf("journaled %d attribution records, want 2 (one per admission)", journaled)
+	if journaled != fpJournalCap {
+		t.Fatalf("journaled %d attribution records, want the cap %d", journaled, fpJournalCap)
 	}
-	if got := reg.Map()["fp_attr_evictions"]; got != rounds-2 {
-		t.Fatalf("fp_attr_evictions = %v, want %d", got, rounds-2)
-	}
-	if rep := a.Report(0); rep.Total != rounds || len(rep.TopK) != 2 {
-		t.Fatalf("report total %d / %d entries, want %d / 2", rep.Total, len(rep.TopK), rounds)
+	if rep := a.Report(0); rep.Total != rounds*owners || len(rep.TopK) != owners {
+		t.Fatalf("report total %d / %d entries, want %d / %d", rep.Total, len(rep.TopK), rounds*owners, owners)
 	}
 }
 
@@ -322,8 +503,8 @@ func attribMask(t testing.TB) (*FPAttributor, subid.Mask) {
 
 // TestAttributionZeroAllocs holds both attribution hot paths at zero
 // allocations: crediting a delivery (a manual bit-walk over the c3 mask
-// plus atomic adds) and charging a false positive once its triple is
-// established in the top-K (the common case under a sustained
+// plus atomic adds) and charging a false positive once the owner's row
+// holds its triple's chunk (the common case under a sustained
 // over-approximation).
 func TestAttributionZeroAllocs(t *testing.T) {
 	a, mask := attribMask(t)
@@ -348,7 +529,7 @@ func BenchmarkCreditDelivery(b *testing.B) {
 	}
 }
 
-// BenchmarkObserveFPSteadyState is the established-triple false-positive
+// BenchmarkObserveFPSteadyState is the established-row false-positive
 // charge TestAttributionZeroAllocs holds at zero allocations.
 func BenchmarkObserveFPSteadyState(b *testing.B) {
 	a, _ := attribMask(b)
@@ -361,20 +542,21 @@ func BenchmarkObserveFPSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkObserveFPEvicting is the other steady state: the table is full
-// and four times as many triples rotate through it, so every observation
-// evicts the current minimum.
-func BenchmarkObserveFPEvicting(b *testing.B) {
+// BenchmarkObserveFPParallel charges from every processor at once, each
+// goroutine to its own owner's row — the bus workers running different
+// brokers' false positives.
+func BenchmarkObserveFPParallel(b *testing.B) {
 	s := testSchema(b)
-	const k = 64
-	a := NewFPAttributor(s, metrics.NewRegistry(), nil, k)
+	const owners = 64
+	a := NewFPAttributor(s, metrics.NewRegistry(), nil, owners)
 	priceID, _ := s.ID("price")
-	for i := 0; i < 4*k; i++ {
-		a.ObserveFP(priceID, FPClassRange, subid.BrokerID(i))
-	}
+	var next atomic.Int32
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.ObserveFP(priceID, FPClassRange, subid.BrokerID(i%(4*k)))
-	}
+	b.RunParallel(func(pb *testing.PB) {
+		owner := subid.BrokerID(next.Add(1) % owners)
+		for pb.Next() {
+			a.ObserveFP(priceID, FPClassRange, owner)
+		}
+	})
 }

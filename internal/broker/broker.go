@@ -101,6 +101,7 @@ type Broker struct {
 	obs         *brokerObs       // nil unless Config.Metrics was set
 	rec         *flight.Recorder // nil unless Config.Flight was set
 	attrib      *FPAttributor    // nil unless Config.Attribution was set
+	fpCharges   []fpCharge       // collectExact's scratch (under b.mu)
 
 	// Convergence epoch vector (under b.mu): peerEpochs[p] is the highest
 	// epoch of any successfully applied summary payload whose
@@ -788,6 +789,13 @@ func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64) int {
 // filter holds subscriptions back (filteredSubs > 0), and when a named id
 // is dead on a filtering broker: it may have been the anchor of
 // subscriptions promoted into a delta no remote broker has merged yet.
+//
+// One pass over each candidate's constraints both decides the match and,
+// until a hit is found, keeps the first failing constraint's (attribute,
+// class) in b.fpCharges. If no candidate matches, those are the false
+// positive's charges: one per live candidate, a stale one per dead
+// candidate, and one stale charge to this broker when it had no
+// candidate at all (the sender's merged view of it was stale).
 func (b *Broker) collectExact(ev *schema.Event, keys []uint64, own bool) (hits []*subEntry, complete bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -795,9 +803,12 @@ func (b *Broker) collectExact(ev *schema.Event, keys []uint64, own bool) (hits [
 	if named && b.filteredSubs > 0 {
 		return nil, false
 	}
+	self := subid.BrokerID(b.id)
+	charge := b.attrib != nil
+	charges := b.fpCharges[:0]
 	for _, key := range keys {
 		owner, local := subid.KeyParts(key)
-		if owner != subid.BrokerID(b.id) {
+		if owner != self {
 			continue
 		}
 		e, ok := b.subs[local]
@@ -806,51 +817,42 @@ func (b *Broker) collectExact(ev *schema.Event, keys []uint64, own bool) (hits [
 			if named {
 				return nil, false
 			}
+			if charge {
+				charges = append(charges, fpCharge{FPNoAttr, FPClassStale})
+			}
 			continue
 		}
-		if e.sub.Matches(ev) {
+		failed := -1
+		for i, c := range e.sub.Constraints {
+			if v, present := ev.Value(c.Attr); !present || !c.Satisfied(v) {
+				failed = i
+				break
+			}
+		}
+		if failed < 0 {
 			hits = append(hits, e)
+			charge = false
+		} else if charge {
+			c := e.sub.Constraints[failed]
+			charges = append(charges, fpCharge{c.Attr, ClassifyOp(c.Op)})
 		}
 	}
-	if len(hits) == 0 && b.attrib != nil {
-		b.attributeFPLocked(ev, keys)
+	b.fpCharges = charges[:0]
+	if charge {
+		if len(charges) == 0 {
+			charges = append(charges, fpCharge{FPNoAttr, FPClassStale})
+		}
+		for _, c := range charges {
+			b.attrib.ObserveFP(c.attr, c.class, self)
+		}
 	}
 	return hits, true
 }
 
-// attributeFPLocked charges a false positive to the candidate rows that
-// admitted the event — for a remote delivery, the rows the sender's match
-// named: for each live local candidate, the first failing constraint
-// names the responsible (attribute, operator-class, owner); a candidate
-// with no live subscription behind it — and the case of no local
-// candidate at all (the sender's merged view of this broker was stale) —
-// is charged to the "stale" class. Callers hold b.mu and have established
-// that no raw subscription matched.
-func (b *Broker) attributeFPLocked(ev *schema.Event, keys []uint64) {
-	charged := false
-	for _, key := range keys {
-		owner, local := subid.KeyParts(key)
-		if owner != subid.BrokerID(b.id) {
-			continue
-		}
-		e, ok := b.subs[local]
-		if !ok {
-			b.attrib.ObserveFP(FPNoAttr, FPClassStale, owner)
-			charged = true
-			continue
-		}
-		for _, c := range e.sub.Constraints {
-			v, present := ev.Value(c.Attr)
-			if !present || !c.Satisfied(v) {
-				b.attrib.ObserveFP(c.Attr, ClassifyOp(c.Op), owner)
-				charged = true
-				break
-			}
-		}
-	}
-	if !charged {
-		b.attrib.ObserveFP(FPNoAttr, FPClassStale, subid.BrokerID(b.id))
-	}
+// fpCharge is one pending false-positive charge of collectExact's pass.
+type fpCharge struct {
+	attr  schema.AttrID
+	class FPClass
 }
 
 // deliverHits counts and performs the consumer deliveries, outside any

@@ -141,6 +141,8 @@ type runScratch struct {
 	sends   []uint64
 	recs    []deliverRecord
 	keys    []uint64
+	enc     []byte // the run's sent events, encoded once (encodeSent)
+	encEnd  []int
 }
 
 // netObs holds the engine-level instruments, resolved once in New.
@@ -206,7 +208,7 @@ func newOnBus(cfg Config, newBus func(n int) *netsim.Bus) (*Network, error) {
 	}
 	net.obs = newNetObs(reg)
 	net.conv = newConvObs(reg, n)
-	net.attrib = broker.NewFPAttributor(cfg.Schema, reg, cfg.Flight, 0)
+	net.attrib = broker.NewFPAttributor(cfg.Schema, reg, cfg.Flight, n)
 	net.tracer.depth = reg.Gauge("trace_store_depth")
 	net.tracer.initLatency(reg, n)
 	net.bus.Instrument(reg)
@@ -652,17 +654,19 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 // for that owner) and the event — so the bytes a delivery puts on the wire
 // do not depend on what it happened to be batched with. The id lists make
 // every owner's payload its own, so each is encoded into its own buffer,
-// with each record's event attached in record order.
+// with each record's event attached in record order. An event goes to
+// several owners, so it is encoded once and its bytes copied into each
+// record.
 func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, res [][]uint64, traceID uint64) {
+	sc.encodeSent()
 	slices.Sort(sc.sends)
 	for lo := 0; lo < len(sc.sends); {
 		owner := sc.sends[lo] >> 32
 		hi := ownerRunEnd(sc.sends, lo)
 		sb := netsim.AcquireBuf()
+		sb.B = sc.appendDelivers(sb.B, traceID, res, sc.sends[lo:hi])
 		for _, s := range sc.sends[lo:hi] {
-			i := uint32(s)
-			sb.B = appendDeliverRecord(sb.B, traceID, ownerKeys(res[i], owner), sc.events[i])
-			sb.Attached = append(sb.Attached, sc.events[i])
+			sb.Attached = append(sb.Attached, sc.events[uint32(s)])
 		}
 		if net.bus.SendShared(netsim.Message{From: node, To: topology.NodeID(owner), Kind: netsim.KindDeliver}, sb) == nil {
 			net.obs.deliverSends.Add(int64(hi - lo))
@@ -670,6 +674,42 @@ func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, res [][]u
 		sb.Release()
 		lo = hi
 	}
+}
+
+// encodeSent encodes each event of the run that has a remote deliver
+// send, once, into sc.enc: sc.encEnd[i] ends event i's bytes, which start
+// where the previous event's end (events with no send take none).
+func (sc *runScratch) encodeSent() {
+	sc.enc, sc.encEnd = sc.enc[:0], sc.encEnd[:0]
+	if len(sc.sends) == 0 {
+		return
+	}
+	j := 0 // sc.sends is still in event order
+	for i, ev := range sc.events {
+		if j < len(sc.sends) && int(uint32(sc.sends[j])) == i {
+			sc.enc = schema.EncodeEvent(sc.enc, ev)
+			for j < len(sc.sends) && int(uint32(sc.sends[j])) == i {
+				j++
+			}
+		}
+		sc.encEnd = append(sc.encEnd, len(sc.enc))
+	}
+}
+
+// appendDelivers appends the deliver records of one owner's sends (owner
+// in the high half, event index in the low) to buf, copying each event's
+// bytes from sc.enc.
+func (sc *runScratch) appendDelivers(buf []byte, traceID uint64, res [][]uint64, sends []uint64) []byte {
+	for _, s := range sends {
+		i := uint32(s)
+		start := 0
+		if i > 0 {
+			start = sc.encEnd[i-1]
+		}
+		buf = appendDeliverHead(buf, traceID, ownerKeys(res[i], s>>32))
+		buf = append(buf, sc.enc[start:sc.encEnd[i]]...)
+	}
+	return buf
 }
 
 // ownerRunEnd returns the end of the run of entries that share keys[lo]'s
@@ -980,9 +1020,10 @@ type deliverRecord struct {
 	lo, hi int
 }
 
-// appendDeliverRecord appends one record to buf. keys are ascending id
-// keys of a single owner; only their local halves travel.
-func appendDeliverRecord(buf []byte, traceID uint64, keys []uint64, ev *schema.Event) []byte {
+// appendDeliverHead appends a record's header and id list to buf; the
+// packed event follows. keys are ascending id keys of a single owner; only
+// their local halves travel.
+func appendDeliverHead(buf []byte, traceID uint64, keys []uint64) []byte {
 	buf = appendMsgHeader(buf, traceID)
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	prev := subid.LocalID(0)
@@ -991,7 +1032,7 @@ func appendDeliverRecord(buf []byte, traceID uint64, keys []uint64, ev *schema.E
 		buf = binary.AppendUvarint(buf, uint64(local-prev))
 		prev = local
 	}
-	return schema.EncodeEvent(buf, ev)
+	return buf
 }
 
 // decodeDeliverRecord decodes the record at the head of buf, appending

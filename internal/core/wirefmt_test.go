@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -267,6 +269,88 @@ func ownerIDKeys(owner subid.BrokerID, locals ...uint32) []uint64 {
 		keys[i] = subid.ID{Broker: owner, Local: subid.LocalID(l)}.Key()
 	}
 	return keys
+}
+
+// appendDeliverRecord appends one whole deliver record to buf, encoding
+// the event in place: the per-record encoder sendDelivers replaced with
+// its encode-once run scratch, kept as the oracle of those bytes.
+func appendDeliverRecord(buf []byte, traceID uint64, keys []uint64, ev *schema.Event) []byte {
+	return schema.EncodeEvent(appendDeliverHead(buf, traceID, keys), ev)
+}
+
+// TestDeliverPayloadsEncodeEachEventOnce drives seeded multi-event,
+// multi-owner runs through one reused runScratch: every owner's payload
+// must be byte-identical to appendDeliverRecord's, record by record, while
+// each sent event is encoded once per run however many owners it goes to.
+func TestDeliverPayloadsEncodeEachEventOnce(t *testing.T) {
+	s := stockSchema(t)
+	rng := rand.New(rand.NewSource(14))
+	symbols := []string{"OTE", "IBM", "AAA"}
+	var sc runScratch
+	multi := 0
+	for run := 0; run < 200; run++ {
+		k := 1 + rng.Intn(8)
+		traceID := uint64(0)
+		if k == 1 && rng.Intn(2) == 0 {
+			traceID = uint64(run + 1)
+		}
+		sc.events, sc.sends = sc.events[:0], sc.sends[:0]
+		res := make([][]uint64, k)
+		for i := 0; i < k; i++ {
+			ev, err := schema.ParseEvent(s, fmt.Sprintf("symbol=%s price=%d volume=%d",
+				symbols[rng.Intn(len(symbols))], rng.Intn(1000), rng.Intn(1<<20)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.events = append(sc.events, ev)
+			for owner := uint64(0); owner < 6; owner++ {
+				if rng.Intn(3) != 0 {
+					continue
+				}
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					res[i] = append(res[i], owner<<32|uint64(rng.Intn(500)))
+				}
+				if rng.Intn(4) != 0 { // else: owner already delivered, or local
+					sc.sends = append(sc.sends, owner<<32|uint64(i))
+				}
+			}
+			slices.Sort(res[i])
+			res[i] = slices.Compact(res[i])
+		}
+		sc.encodeSent()
+		slices.Sort(sc.sends)
+		encoded := map[uint32]bool{}
+		perEvent := map[uint32]int{}
+		for lo := 0; lo < len(sc.sends); {
+			owner := sc.sends[lo] >> 32
+			hi := ownerRunEnd(sc.sends, lo)
+			got := sc.appendDelivers(nil, traceID, res, sc.sends[lo:hi])
+			var want []byte
+			for _, snd := range sc.sends[lo:hi] {
+				i := uint32(snd)
+				want = appendDeliverRecord(want, traceID, ownerKeys(res[i], owner), sc.events[i])
+				encoded[i] = true
+				perEvent[i]++
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("run %d, owner %d: payload %x, want %x", run, owner, got, want)
+			}
+			lo = hi
+		}
+		size := 0
+		for i := range encoded {
+			size += schema.EncodedEventSize(sc.events[i])
+			if perEvent[i] > 1 {
+				multi++
+			}
+		}
+		if len(sc.enc) != size {
+			t.Fatalf("run %d: encoded %d bytes for %d sent events of %d bytes", run, len(sc.enc), len(encoded), size)
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no event went to two owners; the test would not see a second encode")
+	}
 }
 
 // deliverFixture is the deliver-codec test vocabulary: an owner, three

@@ -71,9 +71,9 @@ const (
 	// more).
 	EvConvergence
 	// EvFPAttribution: a false positive was charged to a new
-	// (attribute, operator-class, owner) triple, admitted while the
-	// attributor's top-K had room (broker = owner, A = attribute id, B =
-	// operator class); the note names the attribute and operator class.
+	// (attribute, operator-class, owner) triple, one of the first 64 its
+	// attributor saw (broker = owner, A = attribute id, B = operator
+	// class); the note names the attribute and operator class.
 	EvFPAttribution
 	// EvPhaseStart: a scenario phase began (A = phase index, B = planned
 	// periods); the note names the phase.

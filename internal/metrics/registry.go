@@ -34,7 +34,8 @@ import (
 // Counter is a monotonically increasing atomic counter. The zero value is
 // ready to use; instruments obtained from a Registry are shared by name.
 type Counter struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn func() int64 // set by CounterFunc: Value reads fn instead of v
 }
 
 // Inc adds 1.
@@ -50,7 +51,12 @@ func (c *Counter) Add(d int64) {
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c.fn != nil {
+		return c.fn()
+	}
+	return c.v.Load()
+}
 
 // Gauge is an instantaneous atomic value (a level, not a rate).
 type Gauge struct {
@@ -239,6 +245,17 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// CounterFunc registers a counter whose value is fn's, read at snapshot
+// time: for a monotonic count its owner already keeps elsewhere, so the
+// owner's hot path pays no second increment. fn must not call back into
+// the registry. It replaces any counter of the same name; Inc and Add on
+// it have no visible effect, and Reset leaves it alone.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[name] = &Counter{fn: fn}
 }
 
 // Gauge returns the named gauge, creating it on first use.

@@ -38,6 +38,25 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestCounterFunc: a function counter reads its source at every
+// snapshot, replaces a plain counter of the same name, and Reset leaves
+// it alone (its owner keeps the count).
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("fp{price}").Add(9)
+	var n int64
+	r.CounterFunc("fp{price}", func() int64 { return n })
+	n = 3
+	if got := r.Map()["fp{price}"]; got != 3 {
+		t.Fatalf("snapshot = %v, want the function's 3", got)
+	}
+	r.Reset()
+	n = 4
+	if got := r.Counter("fp{price}").Value(); got != 4 {
+		t.Fatalf("after Reset = %d, want the function's 4", got)
+	}
+}
+
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4, 8})
 	// Uniform 0..8 in 0.5 steps: quantiles are known to bucket precision.

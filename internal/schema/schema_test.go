@@ -591,3 +591,55 @@ func TestAppendFormatMatchesFmt(t *testing.T) {
 		t.Fatalf("invalid Value renders %q", got)
 	}
 }
+
+// sparseEvent builds an event carrying every third attribute of a
+// 30-attribute integer schema, so lookups probe present and absent ids.
+func sparseEvent(t testing.TB) (*Schema, *Event) {
+	t.Helper()
+	attrs := make([]Attribute, 30)
+	for i := range attrs {
+		attrs[i] = Attribute{Name: fmt.Sprintf("a%d", i), Type: TypeInt}
+	}
+	s := MustNew(attrs...)
+	var fields []Field
+	for i := 0; i < len(attrs); i += 3 {
+		fields = append(fields, Field{Attr: AttrID(i), Value: IntValue(int64(i * 10))})
+	}
+	ev, err := EventFromFields(s, fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, ev
+}
+
+// TestEventValueProbes checks Value against a linear scan of the fields
+// for every id of the schema and one past it.
+func TestEventValueProbes(t *testing.T) {
+	s, ev := sparseEvent(t)
+	for id := AttrID(0); int(id) <= s.Len(); id++ {
+		want, wantOK := Value{}, false
+		for _, f := range ev.Fields() {
+			if f.Attr == id {
+				want, wantOK = f.Value, true
+			}
+		}
+		if got, ok := ev.Value(id); ok != wantOK || got != want {
+			t.Fatalf("Value(%d) = %v, %v; want %v, %v", id, got, ok, want, wantOK)
+		}
+	}
+	if _, ok := (&Event{}).Value(0); ok {
+		t.Fatal("empty event reports a value")
+	}
+}
+
+// BenchmarkEventValue is the per-constraint lookup of the exact re-match:
+// one probe of each schema id, half of them absent.
+func BenchmarkEventValue(b *testing.B) {
+	s, ev := sparseEvent(b)
+	n := AttrID(s.Len())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.Value(AttrID(i) % n)
+	}
+}
