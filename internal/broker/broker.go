@@ -29,15 +29,14 @@ import (
 
 // DeliveryFunc is invoked for every event matching a subscription, inside
 // the owning broker's handler, on whichever bus worker runs it. It must
-// not call back into the Broker and should not block: a blocked delivery
-// holds its bus worker until it returns. The other workers keep running
-// the other brokers; once every worker has sat in one call across two of
-// the bus's 10 ms stall checks, a spare starts. So a delivery that blocks
-// stalls its own broker for as long as it blocks, and may stall the rest
-// for 10–20 ms. The event is shared: the
-// live engine decodes a published event once and hands that one value to
-// every consumer and every broker it reaches, concurrently — it may be
-// kept, and must not be modified (Event.Fields says the same of its slice).
+// not call back into the Broker and must not block: the bus has a fixed
+// set of workers, so a delivery that waits on its consumer stalls brokers
+// that have nothing to do with that consumer. A consumer that can fall
+// behind queues or sheds at its own edge (the wire server does both). The
+// event is shared: the live engine decodes a published event once and
+// hands that one value to every consumer and every broker it reaches,
+// concurrently — it may be kept, and must not be modified (Event.Fields
+// says the same of its slice).
 type DeliveryFunc func(id subid.ID, ev *schema.Event)
 
 // subEntry is one raw subscription with its consumer.

@@ -572,10 +572,9 @@ type BatchHandler func([]Message)
 // none.
 //
 // h runs on whichever worker takes the broker, never on two at once. A
-// broker h makes runnable usually runs next on the same worker. A call of
-// h that blocks holds its worker; once every worker is held while brokers
-// wait, a spare worker starts, so only brokers that wait on the blocked
-// one stall.
+// broker h makes runnable usually runs next on the same worker. h must not
+// block: the bus has no more workers than GOMAXPROCS, so a call that waits
+// on something outside the bus stalls every broker queued behind it.
 func (b *Bus) StartBatch(node topology.NodeID, h BatchHandler) {
 	box := b.boxes[node]
 	box.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Scheduling. No broker owns a goroutine. A broker is runnable when its
@@ -35,12 +34,6 @@ const maxBatch = 64
 // waits without bound while others keep their workers. 16 is the one value
 // tried.
 const maxStreak = 16
-
-// stallCheck is how often the watcher looks for workers stuck in one
-// handler call (see sched.watching). It is the Go scheduler's time slice,
-// so that a worker preempted for a slice is seldom taken for a stuck one;
-// a blocked handler call costs the brokers behind it 10–20 ms.
-const stallCheck = 10 * time.Millisecond
 
 // queued is one mailbox entry: the message plus its shared buffer, if
 // the sender used one (released after the handler runs).
@@ -127,9 +120,7 @@ type worker struct {
 	// slot is the hand-off slot: open — nil, or the broker a send handed
 	// over — only while the worker is inside a handler, slotShut otherwise,
 	// so nothing is ever handed to a worker that will not look.
-	slot  atomic.Pointer[mailbox]
-	calls atomic.Uint64 // handler calls begun
-	seen  uint64        // calls at the watcher's last check, under sched.mu
+	slot atomic.Pointer[mailbox]
 	// streak counts runs since the worker last took from the run queue.
 	streak int
 	buf    []queued
@@ -168,7 +159,6 @@ func (w *worker) run(mb *mailbox, limit int) (handed *mailbox, backlog bool) {
 		for i := range w.buf {
 			w.msgs = append(w.msgs, w.buf[i].msg)
 		}
-		w.calls.Add(1)
 		mb.runner.Store(w)
 		w.slot.Store(nil)
 		mb.h(w.msgs)
@@ -189,8 +179,10 @@ func (w *worker) run(mb *mailbox, limit int) (handed *mailbox, backlog bool) {
 }
 
 // sched is the bus's scheduler. Pooled (rng nil), up to GOMAXPROCS workers
-// start as the run queue needs them and park when it is empty. Stepped,
-// there is one worker, driven by Quiesce on the caller's goroutine, which
+// start as the run queue needs them, park when it is empty and exit when
+// the bus closes; a handler never blocks (see StartBatch), so a worker
+// inside one always comes back and no spare is needed. Stepped, there is
+// one worker, driven by Quiesce on the caller's goroutine, which
 // draws each (broker, run length) pair from rng.
 type sched struct {
 	bus  *Bus
@@ -203,21 +195,10 @@ type sched struct {
 	waiting atomic.Int32
 	closed  bool
 
-	max     int       // GOMAXPROCS when the bus was made
-	workers []*worker // live workers
-	idle    int       // parked workers no enqueue has woken yet
-	blocked int       // workers the watcher last found stuck
-	// The watcher runs every stallCheck while any worker is out of the idle
-	// set. A worker inside the same handler call at two checks in a row is
-	// stuck, and a broker in its hand-off slot moves to the run queue. When
-	// every worker is stuck while the queue waits, a spare worker starts, so
-	// a blocking handler stops no broker that does not depend on it. A
-	// worker that is merely descheduled looks stuck too; requiring all of
-	// them keeps spares rare under load. Workers beyond max plus the stuck
-	// ones retire once idle.
-	watching bool
-	watch    *time.Timer
-	done     sync.WaitGroup
+	max     int // GOMAXPROCS when the bus was made
+	workers int // workers started
+	idle    int // parked workers no enqueue has woken yet
+	done    sync.WaitGroup
 
 	rng     *rand.Rand // stepped mode's choices; nil when pooled
 	stepper *worker
@@ -276,16 +257,8 @@ func (s *sched) pushLocked(mb *mailbox) {
 	case s.idle > 0:
 		s.idle--
 		s.wake.Signal()
-	case len(s.workers) < s.max:
+	case s.workers < s.max:
 		s.spawn()
-	}
-	if !s.watching {
-		s.watching = true
-		if s.watch == nil {
-			s.watch = time.AfterFunc(stallCheck, s.check)
-		} else {
-			s.watch.Reset(stallCheck)
-		}
 	}
 }
 
@@ -306,10 +279,9 @@ func (s *sched) take(i int) *mailbox {
 
 // spawn starts a worker. The caller holds mu.
 func (s *sched) spawn() {
-	w := s.newWorker()
-	s.workers = append(s.workers, w)
+	s.workers++
 	s.done.Add(1)
-	go s.work(w)
+	go s.work(s.newWorker())
 }
 
 func (s *sched) work(w *worker) {
@@ -327,7 +299,7 @@ func (s *sched) work(w *worker) {
 }
 
 // next blocks until the run queue has a broker for w and takes it. It
-// returns nil, and retires w, once the bus is closed or w is surplus.
+// returns nil, and retires w, once the bus is closed.
 func (s *sched) next(w *worker) *mailbox {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -336,17 +308,8 @@ func (s *sched) next(w *worker) *mailbox {
 			w.streak = 0
 			return s.take(0)
 		}
-		if len(s.workers)-s.blocked > s.max {
-			break
-		}
 		s.idle++
 		s.wake.Wait()
-	}
-	for i, x := range s.workers {
-		if x == w {
-			s.workers = append(s.workers[:i], s.workers[i+1:]...)
-			break
-		}
 	}
 	return nil
 }
@@ -376,50 +339,12 @@ func (s *sched) follow(w *worker, mb, handed *mailbox, backlog bool) *mailbox {
 	return keep
 }
 
-// check is the watcher's tick (see sched.watching).
-func (s *sched) check() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	stuck := 0
-	for _, w := range s.workers {
-		calls, mb := w.calls.Load(), w.slot.Load()
-		if calls != w.seen || mb == slotShut {
-			w.seen = calls
-			continue
-		}
-		stuck++
-		if mb != nil && w.slot.CompareAndSwap(mb, nil) {
-			s.pushLocked(mb)
-		}
-	}
-	if stuck < s.blocked && s.idle > 0 {
-		// A worker came unstuck: let the surplus retire.
-		s.idle = 0
-		s.wake.Broadcast()
-	}
-	s.blocked = stuck
-	if stuck > 0 && stuck == len(s.workers) && s.head < len(s.q) {
-		s.spawn()
-	}
-	if s.idle == len(s.workers) {
-		s.watching = false
-		return
-	}
-	s.watch.Reset(stallCheck)
-}
-
 // close retires every worker once its current run returns.
 func (s *sched) close() {
 	s.mu.Lock()
 	s.closed = true
 	s.idle = 0
 	s.wake.Broadcast()
-	if s.watch != nil {
-		s.watch.Stop()
-	}
 	s.mu.Unlock()
 	s.done.Wait()
 }

@@ -17,9 +17,11 @@ import (
 // canonical form and hands anything else to encoding/json, so no wire byte
 // differs from the reflective codec and any JSON client still works.
 
-// pendingCap bounds the delivery lines a connection holds for a sweep; a
-// delivery that takes its connection's pending bytes to the cap writes
-// them at once.
+// pendingCap bounds the delivery lines a connection holds behind a write
+// in progress: a delivery that finds this many bytes waiting behind one is
+// shed, so a subscriber that stops reading holds at most this much, beside
+// the write it stalls. Lines waiting with no write in progress, such as a
+// wire publish's before its sweep, are not shed.
 const pendingCap = 1 << 20
 
 // appendRequestLine appends r as one protocol line.

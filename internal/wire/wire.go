@@ -27,12 +27,15 @@
 //	{"type":"reply","op":"publish","error":"..."}
 //
 // Write path: a delivery appends its line to its connection's buffer
-// inside the owning broker's handler, on the bus worker running it. While
+// inside the owning broker's handler, on the bus worker running it, and
+// never writes or waits there (broker.DeliveryFunc must not block). While
 // a wire publish is in flight the line waits for that publish, which after
 // Flush writes every connection holding lines once and then its own reply;
-// otherwise, or once the buffer reaches 1 MiB, the delivering worker writes
-// it at once (see broker.DeliveryFunc for what a write that blocks costs).
-// Either way a publish's deliveries are written before its reply.
+// otherwise the delivery wakes the connection's writer goroutine. A
+// delivery that finds pendingCap bytes waiting behind a write in progress
+// is shed. Only the writer, a sweep and the connection's own replies write
+// its socket, one at a time, so a publish's deliveries are written before
+// its reply.
 package wire
 
 import (
@@ -42,7 +45,6 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/subsum/subsum/internal/core"
 	"github.com/subsum/subsum/internal/metrics"
@@ -95,6 +97,7 @@ type Server struct {
 	ln      net.Listener
 	sampler *metrics.Sampler   // nil unless SetSampler was called
 	sloFn   func() *slo.Report // nil unless SetSLO was called
+	shed    *metrics.Counter   // wire_deliveries_shed: lines a full connection dropped
 
 	mu    sync.Mutex
 	conns map[*conn]struct{}
@@ -120,15 +123,21 @@ type conn struct {
 	srv *Server
 	c   net.Conn
 
-	mu     sync.Mutex    // guards the fields below; held across writes, which keeps lines in order
-	out    []byte        // lines not yet written
-	dead   bool          // a write failed: later lines are dropped
-	ev     *schema.Event // the event evJSON renders; holding it keeps its address from reuse
-	evJSON []byte        // ev's text as a JSON string
-	text   []byte        // scratch for the text
+	// wmu is held across every write to c. A write takes all of out, so
+	// lines leave in the order they were appended.
+	wmu   sync.Mutex
+	spare []byte // the last write's buffer, out's next array; guarded by wmu
 
-	queued bool         // on srv.dirty; guarded by srv.pendMu
-	peak   atomic.Int64 // the largest len(out) after a delivery, readable while a write blocks
+	mu      sync.Mutex    // guards the fields below; never held across a write
+	out     []byte        // lines not yet written
+	writing bool          // a write of earlier lines is in progress
+	dead    bool          // a write failed or the serve loop ended: later lines are dropped
+	ev      *schema.Event // the event evJSON renders; holding it keeps its address from reuse
+	evJSON  []byte        // ev's text as a JSON string
+	text    []byte        // scratch for the text
+
+	queued bool          // on srv.dirty; guarded by srv.pendMu
+	wake   chan struct{} // holds one wake-up for the writer
 
 	subs []uint64 // keys of the ids subscribed over this connection; serve goroutine only
 }
@@ -138,26 +147,36 @@ var errDead = errors.New("wire: connection write failed earlier")
 // send appends one line and writes everything pending.
 func (cc *conn) send(resp *Response) error {
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
 	if cc.dead {
+		cc.mu.Unlock()
 		return errDead
 	}
 	var err error
-	if cc.out, err = appendResponseLine(cc.out, resp); err != nil {
+	cc.out, err = appendResponseLine(cc.out, resp)
+	cc.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	return cc.flushLocked()
+	return cc.flush()
 }
 
 // deliver is the DeliveryFunc of every subscription made over cc; it runs
-// in the owning broker's handler. The event's text is rendered once per
-// connection however many of its subscriptions match. The line is left
-// for the sweep of a wire publish in flight, or written at once when none
-// is or the buffer has reached pendingCap.
+// in the owning broker's handler and never blocks. The event's text is
+// rendered once per connection however many of its subscriptions match.
+// The line is left for the sweep of a wire publish in flight, or else for
+// the writer. A line that finds pendingCap bytes waiting behind a write in
+// progress is shed: that write is stalled on a peer that is not keeping
+// up. Lines that build up before a sweep, with no write in progress, are
+// never shed, however many a publish delivers.
 func (cc *conn) deliver(id subid.ID, ev *schema.Event) {
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
 	if cc.dead {
+		cc.mu.Unlock()
+		return
+	}
+	if cc.writing && len(cc.out) >= pendingCap {
+		cc.mu.Unlock()
+		cc.srv.shed.Inc()
 		return
 	}
 	if ev != cc.ev {
@@ -166,28 +185,61 @@ func (cc *conn) deliver(id subid.ID, ev *schema.Event) {
 		cc.ev = ev
 	}
 	cc.out = appendDeliveryLine(cc.out, int(id.Broker), uint32(id.Local), cc.evJSON)
-	if n := int64(len(cc.out)); n > cc.peak.Load() {
-		cc.peak.Store(n)
+	cc.mu.Unlock()
+	if !cc.srv.queue(cc) {
+		cc.wakeWriter()
 	}
-	if len(cc.out) < pendingCap && cc.srv.queue(cc) {
-		return
-	}
-	_ = cc.flushLocked() // a failure marks cc dead; its serve loop ends on its next reply
 }
 
-// flushLocked writes the pending lines. A write error marks cc dead.
-func (cc *conn) flushLocked() error {
-	if len(cc.out) == 0 {
+// wakeWriter wakes cc's writer. A wake-up already pending covers this one:
+// the writer's next flush takes every line appended so far.
+func (cc *conn) wakeWriter() {
+	select {
+	case cc.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop is cc's writer: it writes the lines deliveries leave while no
+// wire publish is in flight, so that only it waits on a peer that stopped
+// reading. It exits once cc is dead: after a failed write, or when the
+// serve loop ends and wakes it.
+func (cc *conn) writeLoop() {
+	defer cc.srv.wg.Done()
+	for range cc.wake {
+		if cc.flush() != nil {
+			return // cc is dead; its serve loop ends on its next reply
+		}
+	}
+}
+
+// flush writes the pending lines. A write error marks cc dead.
+func (cc *conn) flush() error {
+	cc.wmu.Lock()
+	defer cc.wmu.Unlock()
+	cc.mu.Lock()
+	if cc.dead {
+		cc.mu.Unlock()
+		return errDead
+	}
+	buf := cc.out
+	cc.out = cc.spare[:0]
+	cc.writing = len(buf) > 0
+	cc.mu.Unlock()
+	cc.spare = buf[:0]
+	if len(buf) == 0 {
 		return nil
 	}
-	_, err := cc.c.Write(cc.out)
-	cc.out = cc.out[:0]
-	if cap(cc.out) > pendingCap { // a large stats or history reply: do not keep its buffer
-		cc.out = nil
+	_, err := cc.c.Write(buf)
+	if cap(buf) > pendingCap { // a large stats or history reply: do not keep its buffer
+		cc.spare = nil
 	}
+	cc.mu.Lock()
+	cc.writing = false
 	if err != nil {
-		cc.dead = true
+		cc.dead, cc.out = true, nil
 	}
+	cc.mu.Unlock()
 	return err
 }
 
@@ -230,9 +282,7 @@ func (srv *Server) sweep(own *conn) {
 	srv.pendMu.Unlock()
 	for i, cc := range dirty {
 		if cc != own {
-			cc.mu.Lock()
-			_ = cc.flushLocked() // a failure marks cc dead; its serve loop ends on its next reply
-			cc.mu.Unlock()
+			_ = cc.flush() // a failure marks cc dead; its serve loop ends on its next reply
 		}
 		dirty[i] = nil
 	}
@@ -242,7 +292,8 @@ func (srv *Server) sweep(own *conn) {
 // NewServer wraps an already-running network. The caller retains ownership
 // of the network (Close does not stop it).
 func NewServer(network *core.Network, s *schema.Schema) *Server {
-	return &Server{net: network, schema: s, conns: make(map[*conn]struct{})}
+	return &Server{net: network, schema: s, conns: make(map[*conn]struct{}),
+		shed: network.Metrics().Counter("wire_deliveries_shed")}
 }
 
 // SetSampler attaches a metrics sampler whose retained time-series the
@@ -275,12 +326,13 @@ func (srv *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		cc := &conn{srv: srv, c: c}
+		cc := &conn{srv: srv, c: c, wake: make(chan struct{}, 1)}
 		srv.mu.Lock()
 		srv.conns[cc] = struct{}{}
 		srv.mu.Unlock()
-		srv.wg.Add(1)
+		srv.wg.Add(2)
 		go srv.serve(cc)
+		go cc.writeLoop()
 	}
 }
 
@@ -305,6 +357,10 @@ func (srv *Server) serve(cc *conn) {
 		srv.mu.Lock()
 		delete(srv.conns, cc)
 		srv.mu.Unlock()
+		cc.mu.Lock()
+		cc.dead, cc.out = true, nil
+		cc.mu.Unlock()
+		cc.wakeWriter()
 		cc.c.Close()
 		// Nobody can receive these subscriptions' deliveries any more.
 		for _, key := range cc.subs {

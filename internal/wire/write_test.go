@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -95,8 +96,10 @@ func (d *deliveryCounter) check(want [][3]float64) {
 // TestDeliveriesNeverStranded: subscribers that send nothing after
 // subscribing — so no reply of their own ever carries their lines out —
 // get every delivery exactly once, round after round, while two wire
-// publishers and two in-process publishers run at once. A delivery left
-// for a sweep that has already run is never written: its round times out.
+// publishers and two in-process publishers run at once, and then while
+// four in-process publishers do. A delivery left for a sweep that has
+// already run, or whose writer missed its wake-up, is never written: its
+// round times out.
 func TestDeliveriesNeverStranded(t *testing.T) {
 	for _, g := range []*topology.Graph{topology.Figure7Tree(), topology.CW24()} {
 		t.Run(g.Name(), func(t *testing.T) {
@@ -130,9 +133,9 @@ func TestDeliveriesNeverStranded(t *testing.T) {
 				}
 				defer pubs[i].Close()
 			}
-			const rounds = 40
+			const rounds = 40 // mixed, then as many in-process only
 			var want [][3]float64
-			for k := 0; k < rounds; k++ {
+			for k := 0; k < 2*rounds; k++ {
 				var wg sync.WaitGroup
 				for p := 0; p < 4; p++ {
 					price := 1000*(p+1) + k
@@ -142,14 +145,19 @@ func TestDeliveriesNeverStranded(t *testing.T) {
 						defer wg.Done()
 						text := fmt.Sprintf("symbol=S%d price=%d", p, price)
 						var err error
-						if p < len(pubs) {
-							err = pubs[p].Publish((p*7+k)%n, text)
+						at := (p*7 + k) % n
+						if p < len(pubs) && k < rounds {
+							err = pubs[p].Publish(at, text)
 						} else {
-							// At the owner, some time into the wire publishes.
+							// Some time into the other publishes; beside wire
+							// publishes at the owner, without them anywhere.
+							if k < rounds {
+								at = subs[p][0]
+							}
 							var ev *schema.Event
 							if ev, err = schema.ParseEvent(srv.schema, text); err == nil {
 								time.Sleep(time.Duration(rand.Intn(300)) * time.Microsecond)
-								err = srv.net.Publish(topology.NodeID(subs[p][0]), ev)
+								err = srv.net.Publish(topology.NodeID(at), ev)
 							}
 						}
 						if err != nil {
@@ -215,107 +223,213 @@ func TestDeliveriesWrittenBeforeReply(t *testing.T) {
 	d.check(want)
 }
 
-// TestPendingBufferBounded: with a wire publish in flight, a subscriber
-// that does not read holds at most pendingCap plus one line unwritten
-// however many deliveries arrive; all of them reach it once it reads.
-func TestPendingBufferBounded(t *testing.T) {
+// TestSilentSubscriberSheds: at GOMAXPROCS=1, one worker runs every
+// broker. A subscriber that never reads gets several MiB of ~60 KB
+// deliveries from in-process publishes beside one that reads. Every round's
+// Flush returns, since no delivery waits on a socket; once its writer's
+// write stalls, the silent connection holds at most pendingCap plus one
+// line behind it and sheds the rest;
+// the reading subscriber, whose rounds fit under the cap, gets every
+// delivery exactly once.
+func TestSilentSubscriberSheds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	srv, addr := startServerOn(t, topology.Figure7Tree())
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	rd := bufio.NewReaderSize(raw, 1<<20)
-	if _, err := raw.Write([]byte(`{"op":"subscribe","expr":"price > 0"}` + "\n")); err != nil {
+	rd := bufio.NewReader(raw)
+	if _, err := raw.Write([]byte(`{"op":"subscribe","broker":3,"expr":"price > 0"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	if line, err := rd.ReadString('\n'); err != nil || strings.Contains(line, "error") {
 		t.Fatalf("subscribe reply %q, %v", line, err)
 	}
 	srv.mu.Lock()
-	var cc *conn
+	var silent *conn
 	for c := range srv.conns {
-		cc = c
+		silent = c
 	}
 	srv.mu.Unlock()
+	d := newDeliveryCounter(t)
+	sub, err := Dial(addr, d.on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	broker, local, err := sub.Subscribe(5, `price > 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.net.Propagate(); err != nil {
+		t.Fatal(err)
+	}
 
-	// ~60 KB lines: the buffer reaches the cap every ~17 deliveries, and the
-	// whole run is more than loopback buffers hold unread.
-	const events = 120
+	const rounds, perRound = 16, 12 // 192 events of ~60 KB: 11 MiB, 700 KiB a round
 	big := strings.Repeat("x", 60000)
 	maxLine := 0
-	srv.beginPublish()
-	for k := 1; k <= events; k++ {
-		ev, err := schema.NewEvent(srv.schema, map[string]schema.Value{
-			"symbol": schema.StringValue(big), "price": schema.FloatValue(float64(k)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		line := appendDeliveryLine(nil, 0, 0, appendString(nil, ev.AppendFormat(nil, srv.schema)))
-		maxLine = max(maxLine, len(line))
-		if err := srv.net.Publish(0, ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for deadline := time.Now().Add(10 * time.Second); int(cc.peak.Load()) < pendingCap; {
-		if time.Now().After(deadline) {
-			t.Fatalf("pending peak %d never reached the cap %d", int(cc.peak.Load()), pendingCap)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	read := make(chan error, 1)
-	go func() {
-		for k := 1; k <= events; k++ {
-			line, err := rd.ReadString('\n')
+	var want [][3]float64
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < perRound; i++ {
+			price := float64(1 + r*perRound + i)
+			ev, err := schema.NewEvent(srv.schema, map[string]schema.Value{
+				"symbol": schema.StringValue(big), "price": schema.FloatValue(price),
+			})
 			if err != nil {
-				read <- err
-				return
+				t.Fatal(err)
 			}
-			var resp Response
-			if err := parseResponse([]byte(line[:len(line)-1]), &resp); err != nil || resp.Type != "delivery" ||
-				!strings.HasSuffix(resp.Event, fmt.Sprintf("price=%d}", k)) {
-				read <- fmt.Errorf("line %d: %.80q…, %v", k, line, err)
-				return
+			line := appendDeliveryLine(nil, 0, 0, appendString(nil, ev.AppendFormat(nil, srv.schema)))
+			maxLine = max(maxLine, len(line))
+			want = append(want, [3]float64{float64(broker), float64(local), price})
+			if err := srv.net.Publish(topology.NodeID(i%srv.net.Len()), ev); err != nil {
+				t.Fatal(err)
 			}
 		}
-		read <- nil
-	}()
-	srv.net.Flush()
-	srv.sweep(nil)
-	select {
-	case err := <-read:
+		flushed := make(chan struct{})
+		go func() {
+			srv.net.Flush()
+			close(flushed)
+		}()
+		select {
+		case <-flushed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Flush did not return beside a subscriber that does not read", r)
+		}
+		silent.mu.Lock()
+		pending := len(silent.out)
+		silent.mu.Unlock()
+		if pending > pendingCap+maxLine {
+			t.Fatalf("round %d: the silent connection holds %d bytes > cap %d + one line %d", r, pending, pendingCap, maxLine)
+		}
+		d.await(len(want))
+	}
+	if shed := srv.net.Metrics().Map()["wire_deliveries_shed"]; shed == 0 {
+		t.Fatal("no delivery to the silent connection was shed")
+	}
+	d.check(want)
+}
+
+// TestWirePublishBurstNotShed: one wire publish whose deliveries to a
+// subscriber that reads come to more than pendingCap — 20 subscriptions
+// on one connection, each matching a ~60 KB event — loses nothing. The
+// lines build up before the publish's sweep with no write in progress, so
+// none is shed; the sweep's write, which the publisher waits on, carries
+// them all.
+func TestWirePublishBurstNotShed(t *testing.T) {
+	srv, addr := startServerOn(t, topology.Figure7Tree())
+	d := newDeliveryCounter(t)
+	sub, err := Dial(addr, d.on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	const subs, events = 20, 4
+	var ids [][2]int
+	for i := 0; i < subs; i++ {
+		broker, local, err := sub.Subscribe(3, `price > 0`)
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("deliveries did not arrive")
+		ids = append(ids, [2]int{broker, int(local)})
 	}
-	if peak := int(cc.peak.Load()); peak > pendingCap+maxLine {
-		t.Fatalf("pending peak %d > cap %d + one line %d", peak, pendingCap, maxLine)
+	pub, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	if _, err := pub.Propagate(); err != nil {
+		t.Fatal(err)
+	}
+	// The subscriber's last reply is read once its write returns, but the
+	// write counts as in progress until its goroutine runs again, which
+	// under load can take past the first publish. Lines that find 1 MiB
+	// behind a write in progress are shed by design; this test is about
+	// lines that build up with none. A sweep ends its writes before its
+	// publish's reply, so later publishes need no such wait.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		writing := false
+		srv.mu.Lock()
+		for cc := range srv.conns {
+			cc.mu.Lock()
+			writing = writing || cc.writing
+			cc.mu.Unlock()
+		}
+		srv.mu.Unlock()
+		if !writing {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a reply write stayed in progress")
+		}
+	}
+	big := strings.Repeat("x", 60000)
+	var want [][3]float64
+	for k := 1; k <= events; k++ {
+		text := fmt.Sprintf("symbol=%s price=%d", big, k)
+		ev, err := schema.ParseEvent(srv.schema, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := appendDeliveryLine(nil, 3, 0, appendString(nil, ev.AppendFormat(nil, srv.schema)))
+		if k == 1 && subs*len(line) <= pendingCap {
+			t.Fatalf("a publish delivers %d bytes to the subscriber, want more than %d", subs*len(line), pendingCap)
+		}
+		if err := pub.Publish(k%srv.net.Len(), text); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			want = append(want, [3]float64{float64(id[0]), float64(id[1]), float64(k)})
+		}
+	}
+	d.await(len(want))
+	d.check(want)
+	if shed := srv.net.Metrics().Map()["wire_deliveries_shed"]; shed != 0 {
+		t.Fatalf("%v deliveries to a reading subscriber were shed", shed)
 	}
 }
 
-// TestWriteErrorDropsLines: a failed write marks the connection dead;
-// later lines to it are dropped, not buffered or queued for a sweep.
+// TestWriteErrorDropsLines: a write by the connection's writer that fails
+// marks the connection dead and ends the writer; later lines to it are
+// dropped, not buffered or queued for a sweep, and a reply reports the
+// failure.
 func TestWriteErrorDropsLines(t *testing.T) {
 	s := schema.MustNew(schema.Attribute{Name: "price", Type: schema.TypeFloat})
 	srv := &Server{schema: s}
 	near, far := net.Pipe()
 	far.Close()
-	cc := &conn{srv: srv, c: near}
+	cc := &conn{srv: srv, c: near, wake: make(chan struct{}, 1)}
+	srv.wg.Add(1)
+	go cc.writeLoop()
 	ev, err := schema.ParseEvent(s, "price=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc.deliver(subid.ID{Broker: 1}, ev) // no publish in flight: written at once, and fails
-	if !cc.dead || len(cc.out) != 0 {
-		t.Fatalf("after a failed write: dead=%v pending=%d", cc.dead, len(cc.out))
+	cc.deliver(subid.ID{Broker: 1}, ev) // no publish in flight: the writer writes it, fails and exits
+	exited := make(chan struct{})
+	go func() {
+		srv.wg.Wait()
+		close(exited)
+	}()
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the writer did not exit after its write failed")
 	}
-	srv.beginPublish()
+	cc.mu.Lock()
+	dead, pending := cc.dead, len(cc.out)
+	cc.mu.Unlock()
+	if !dead || pending != 0 {
+		t.Fatalf("after a failed write: dead=%v pending=%d", dead, pending)
+	}
 	cc.deliver(subid.ID{Broker: 1, Local: 2}, ev)
-	if len(cc.out) != 0 || len(srv.dirty) != 0 {
-		t.Fatalf("line to a dead connection kept: pending=%d dirty=%d", len(cc.out), len(srv.dirty))
+	srv.beginPublish()
+	cc.deliver(subid.ID{Broker: 1, Local: 3}, ev)
+	cc.mu.Lock()
+	pending = len(cc.out)
+	cc.mu.Unlock()
+	if pending != 0 || len(srv.dirty) != 0 {
+		t.Fatalf("line to a dead connection kept: pending=%d dirty=%d", pending, len(srv.dirty))
 	}
 	srv.sweep(nil)
 	if err := cc.send(&Response{Type: "reply", Op: "ping"}); err == nil {

@@ -237,7 +237,8 @@ type (
 	Network = core.Network
 	// NetworkConfig parametrizes a Network.
 	NetworkConfig = core.Config
-	// DeliveryFunc receives matched events for a subscription.
+	// DeliveryFunc receives matched events for a subscription. It runs on a
+	// bus worker and must not block (see broker.DeliveryFunc).
 	DeliveryFunc = broker.DeliveryFunc
 )
 
