@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/propagation"
@@ -45,12 +47,11 @@ func AblationSubsumptionCombo(cfg Config) (*metrics.Table, error) {
 			filtered := 0
 			for i := range own {
 				own[i] = summary.New(gen.Schema(), interval.Lossy)
-				var f *siena.SubsumptionFilter
-				if filter {
-					f = siena.NewSubsumptionFilter(gen.Schema(), 0)
-				}
+				var batched []*schema.Subscription // this broker's delta so far
 				for j, sub := range batches[i] {
-					if f != nil && f.Subsumed(sub) {
+					if filter && slices.ContainsFunc(batched, func(prior *schema.Subscription) bool {
+						return siena.Subsumes(gen.Schema(), prior, sub)
+					}) {
 						filtered++
 						continue
 					}
@@ -58,9 +59,7 @@ func AblationSubsumptionCombo(cfg Config) (*metrics.Table, error) {
 					if err := own[i].Insert(id, sub); err != nil {
 						return 0, 0, err
 					}
-					if f != nil {
-						f.Add(sub)
-					}
+					batched = append(batched, sub)
 				}
 			}
 			res, err := propagation.Run(cfg.Topo, own, cfg.cost())

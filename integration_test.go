@@ -41,12 +41,11 @@ func (l *deliveryLog) get(id subsum.SubscriptionID) int {
 // correctness gate.
 func TestChurnIntegration(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		topo   *subsum.Graph
-		filter bool
+		name string
+		topo *subsum.Graph
 	}{
 		{name: "backbone-lossy", topo: subsum.Backbone24()},
-		{name: "random-filtered", topo: subsum.RandomOverlay(16, 6, 3), filter: true},
+		{name: "random", topo: subsum.RandomOverlay(16, 6, 3)},
 		{name: "tree", topo: subsum.ExampleTree13()},
 	} {
 		tc := tc
@@ -58,10 +57,9 @@ func TestChurnIntegration(t *testing.T) {
 			}
 			s := gen.Schema()
 			net, err := subsum.NewNetwork(subsum.NetworkConfig{
-				Topology:             tc.topo,
-				Schema:               s,
-				Mode:                 subsum.Lossy,
-				FilterSubsumedDeltas: tc.filter,
+				Topology: tc.topo,
+				Schema:   s,
+				Mode:     subsum.Lossy,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -305,9 +305,9 @@ func TestCollectExactMatchesTwoPass(t *testing.T) {
 		keys = slices.Compact(keys)
 
 		want := collectExactTwoPass(b, ev, keys, ref)
-		hits, complete := b.collectExact(ev, keys, false)
-		if !complete || !slices.Equal(hits, want) {
-			t.Fatalf("record %d (%v): fused pass hits %d (complete %v), two-pass %d", r, keys, len(hits), complete, len(want))
+		hits := b.collectExact(ev, keys)
+		if !slices.Equal(hits, want) {
+			t.Fatalf("record %d (%v): fused pass hits %d, two-pass %d", r, keys, len(hits), len(want))
 		}
 		if len(hits) > 0 {
 			withHits++

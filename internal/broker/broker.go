@@ -21,7 +21,6 @@ import (
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/schema"
-	"github.com/subsum/subsum/internal/siena"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/summary"
 	"github.com/subsum/subsum/internal/topology"
@@ -49,10 +48,6 @@ type subEntry struct {
 	// Unsubscribing a propagated subscription must queue a retraction;
 	// unsubscribing an unpropagated one is purely local.
 	propagated bool
-	// skipped marks a subscription the subsumption filter kept out of
-	// deltas (Section 6 combination); it is matched locally but routed via
-	// its subsuming subscription.
-	skipped bool
 }
 
 // Broker is one node's state. All methods are safe for concurrent use.
@@ -78,11 +73,9 @@ type Broker struct {
 	// (double-checked) and swap. Matching therefore never blocks
 	// behind a concurrent Subscribe/MergeEncodedSummary, and mutators never
 	// wait for matchers.
-	matchGen     atomic.Uint64
-	snap         atomic.Pointer[matchSnapshot]
-	filter       *siena.SubsumptionFilter // nil unless delta filtering is on
-	filteredSubs int                      // subscriptions kept out of deltas
-	numBrokers   int
+	matchGen   atomic.Uint64
+	snap       atomic.Pointer[matchSnapshot]
+	numBrokers int
 	// retired fences local ids whose retraction is still in flight: reusing
 	// the id before every remote merged summary has dropped the old rows
 	// would attach stale coverage to the new subscription. The fence lifts
@@ -172,15 +165,6 @@ type Config struct {
 	NumBrokers int
 	// MaxSubscriptions bounds c2 (0 means no bound).
 	MaxSubscriptions int
-	// FilterSubsumedDeltas enables the Section 6 summarization+subsumption
-	// combination: subscriptions subsumed by an already-propagated
-	// subscription of this broker are kept out of future deltas (they are
-	// still matched locally and delivered via the subsuming subscription's
-	// routing).
-	FilterSubsumedDeltas bool
-	// FilterHistory bounds the filter's retained subscriptions (0 =
-	// unbounded). Only used with FilterSubsumedDeltas.
-	FilterHistory int
 	// Metrics, when non-nil, wires this broker's match/merge latency
 	// histograms, delivery and false-positive counters, and subscription
 	// gauges into the registry under "name{broker-id}" labels. Nil keeps
@@ -229,9 +213,6 @@ func New(cfg Config) (*Broker, error) {
 		lastRetractEpoch:  -1,
 	}
 	b.mergedBrokers.Set(int(cfg.ID))
-	if cfg.FilterSubsumedDeltas {
-		b.filter = siena.NewSubsumptionFilter(cfg.Schema, cfg.FilterHistory)
-	}
 	if cfg.Metrics != nil {
 		b.obs = newBrokerObs(cfg.Metrics, cfg.ID)
 		label := strconv.Itoa(int(cfg.ID))
@@ -302,25 +283,14 @@ func (b *Broker) Subscribe(sub *schema.Subscription, deliver DeliveryFunc) (subi
 	for _, a := range sub.AttrSet() {
 		id.Attrs.Set(int(a))
 	}
-	// Section 6 combination: a subscription subsumed by one this broker
-	// already propagates need not enter the delta at all — events matching
-	// it match the subsuming subscription too, so they still reach us.
-	skipDelta := b.filter != nil && b.filter.Subsumed(sub)
-	if skipDelta {
-		b.filteredSubs++
-	} else {
-		if err := b.delta.Insert(id, sub); err != nil {
-			return subid.ID{}, err
-		}
-		if b.filter != nil {
-			b.filter.Add(sub)
-		}
+	if err := b.delta.Insert(id, sub); err != nil {
+		return subid.ID{}, err
 	}
 	if err := b.merged.Insert(id, sub); err != nil {
 		return subid.ID{}, fmt.Errorf("broker %d: delta/merged diverged: %w", b.id, err)
 	}
 	b.nextLocal++
-	b.subs[id.Local] = &subEntry{id: id, sub: sub, deliver: deliver, skipped: skipDelta}
+	b.subs[id.Local] = &subEntry{id: id, sub: sub, deliver: deliver}
 	b.invalidateMatch()
 	b.updateSubGauges()
 	b.rec.Record(flight.EvSubscribe, int(b.id), int64(id.Local), int64(len(sub.AttrSet())), 0, "")
@@ -388,9 +358,6 @@ func (b *Broker) Restore(local subid.LocalID, sub *schema.Subscription, deliver 
 	if err := b.merged.Insert(id, sub); err != nil {
 		return fmt.Errorf("broker %d: delta/merged diverged: %w", b.id, err)
 	}
-	if b.filter != nil {
-		b.filter.Add(sub)
-	}
 	if local >= b.nextLocal {
 		b.nextLocal = local + 1
 	}
@@ -404,9 +371,7 @@ func (b *Broker) Restore(local subid.LocalID, sub *schema.Subscription, deliver 
 // retraction is queued in the delta (shipped next period) so remote
 // merged summaries shrink, and the local id is fenced against reuse until
 // the next full sync; an unpropagated subscription is removed purely
-// locally. If the subscription anchored the subsumption filter, covered
-// subscriptions it was suppressing are re-checked and, when no live cover
-// remains, promoted back into the delta so their routing is restored.
+// locally.
 func (b *Broker) Unsubscribe(id subid.ID) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -425,40 +390,11 @@ func (b *Broker) Unsubscribe(id subid.ID) error {
 		b.delta.Remove(id)
 	}
 	b.merged.Remove(id)
-	if e.skipped {
-		b.filteredSubs--
-	} else if b.filter != nil {
-		// The dead subscription may have been suppressing covered
-		// subscriptions: drop it from the filter history and re-establish
-		// routing for anything it alone was covering.
-		b.filter.Remove(e.sub)
-		b.promoteUncovered()
-	}
 	b.maybeCompact()
 	b.invalidateMatch()
 	b.updateSubGauges()
 	b.rec.Record(flight.EvUnsubscribe, int(b.id), int64(id.Local), 0, 0, "")
 	return nil
-}
-
-// promoteUncovered re-checks filtered subscriptions after a filter entry
-// died: any no longer subsumed by a surviving entry re-enters the delta
-// (and the filter, since it now propagates). Callers hold b.mu.
-func (b *Broker) promoteUncovered() {
-	if b.filteredSubs == 0 {
-		return
-	}
-	for _, o := range b.subs {
-		if !o.skipped || b.filter.Subsumed(o.sub) {
-			continue
-		}
-		if err := b.delta.Insert(o.id, o.sub); err != nil {
-			continue // cannot happen: skipped ids never enter the delta
-		}
-		b.filter.Add(o.sub)
-		o.skipped = false
-		b.filteredSubs--
-	}
 }
 
 // compactMinRemovals floors the amortized-compaction trigger so small
@@ -531,10 +467,10 @@ func (b *Broker) TakePeriodSummary(fullSync bool) *summary.Summary {
 		b.updateSubGauges()
 		return m.Clone()
 	}
+	// Subscribe and Restore put every subscription into the delta, so each
+	// live one has now left this broker.
 	for _, e := range b.subs {
-		if !e.propagated && d.Contains(e.id) {
-			e.propagated = true
-		}
+		e.propagated = true
 	}
 	return d
 }
@@ -741,22 +677,16 @@ func (b *Broker) ObserveMatchRun(elapsed time.Duration, events int) {
 	}
 }
 
-// DeliverExact re-matches the event against everything this broker owns
-// and invokes the consumers of the raw subscriptions that truly match. It
-// returns the number of deliveries.
-//
-// The candidate set is pruned through the broker's own summary rows
-// first: the published match snapshot (which always covers every owned
-// subscription — the watchdog's coverage invariant) yields the candidate
-// keys, and only this broker's candidates are exact-matched under b.mu.
-// Summaries never produce false negatives, so pruning cannot lose a
-// delivery. The event path calls it only through DeliverExactCandidates,
-// on brokers whose subsumption filter makes named candidates incomplete.
+// DeliverExact is the owner step with the pre-filter run here: this
+// broker's own published snapshot names the candidates (it always covers
+// every owned subscription — the watchdog's coverage invariant), and
+// DeliverExactCandidates exact-matches them. It returns the number of
+// deliveries. The event path routes through DeliverExactCandidates with
+// the candidates the routing broker named.
 func (b *Broker) DeliverExact(ev *schema.Event) int {
 	l := b.AcquireMatcher()
-	hits, _ := b.collectExact(ev, l.m.MatchKeys(ev), true)
-	l.Release()
-	return b.deliverHits(ev, hits)
+	defer l.Release()
+	return b.DeliverExactCandidates(ev, l.m.MatchKeys(ev))
 }
 
 // DeliverExactCandidates is the owner step of Algorithm 3 with the
@@ -767,27 +697,14 @@ func (b *Broker) DeliverExact(ev *schema.Event) int {
 // Subscription.Matches per key, against the current raw subscription, so
 // a named id that was unsubscribed or reused in the meantime can never
 // produce an unsound delivery. Keys owned by other brokers are ignored.
-//
-// A broker whose subsumption filter keeps subscriptions out of deltas has
-// no remote rows for them: events reach them under their subsuming
-// subscription's id, so such a broker re-matches everything it owns
-// (DeliverExact) instead of trusting the names.
+// Every owned subscription has its own summary rows, so the names are
+// complete: summaries never produce false negatives.
 func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64) int {
-	hits, complete := b.collectExact(ev, keys, false)
-	if !complete {
-		return b.DeliverExact(ev)
-	}
-	return b.deliverHits(ev, hits)
+	return b.deliverHits(ev, b.collectExact(ev, keys))
 }
 
 // collectExact exact-matches this broker's candidate keys against the
-// raw subscriptions; keys of other owners are skipped. own says the keys
-// come from this broker's own snapshot, which has rows for every owned
-// subscription. Keys named by anyone else are incomplete — reported by a
-// false second result, with nothing collected or charged — while the
-// filter holds subscriptions back (filteredSubs > 0), and when a named id
-// is dead on a filtering broker: it may have been the anchor of
-// subscriptions promoted into a delta no remote broker has merged yet.
+// raw subscriptions; keys of other owners are skipped.
 //
 // One pass over each candidate's constraints both decides the match and,
 // until a hit is found, keeps the first failing constraint's (attribute,
@@ -795,13 +712,9 @@ func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64) int {
 // positive's charges: one per live candidate, a stale one per dead
 // candidate, and one stale charge to this broker when it had no
 // candidate at all (the sender's merged view of it was stale).
-func (b *Broker) collectExact(ev *schema.Event, keys []uint64, own bool) (hits []*subEntry, complete bool) {
+func (b *Broker) collectExact(ev *schema.Event, keys []uint64) (hits []*subEntry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	named := !own && b.filter != nil
-	if named && b.filteredSubs > 0 {
-		return nil, false
-	}
 	self := subid.BrokerID(b.id)
 	charge := b.attrib != nil
 	charges := b.fpCharges[:0]
@@ -813,9 +726,6 @@ func (b *Broker) collectExact(ev *schema.Event, keys []uint64, own bool) (hits [
 		e, ok := b.subs[local]
 		if !ok {
 			// Retired candidate: snapshot lag or a stale remote row.
-			if named {
-				return nil, false
-			}
 			if charge {
 				charges = append(charges, fpCharge{FPNoAttr, FPClassStale})
 			}
@@ -845,7 +755,7 @@ func (b *Broker) collectExact(ev *schema.Event, keys []uint64, own bool) (hits [
 			b.attrib.ObserveFP(c.attr, c.class, self)
 		}
 	}
-	return hits, true
+	return hits
 }
 
 // fpCharge is one pending false-positive charge of collectExact's pass.
@@ -885,7 +795,6 @@ type Stats struct {
 	MergedSummarySubs int
 	MergedBrokerCount int
 	ModelBytes        int   // merged summary size under the paper's cost model
-	FilteredSubs      int   // subscriptions kept out of deltas by subsumption
 	Compactions       int64 // amortized merged-summary compactions
 	PendingRetracts   int   // retractions queued for the next period
 	FencedIDs         int   // local ids fenced until the next full sync
@@ -945,7 +854,6 @@ func (b *Broker) Stats() Stats {
 		MergedSummarySubs: b.merged.NumSubscriptions(),
 		MergedBrokerCount: b.mergedBrokers.Count(),
 		ModelBytes:        b.merged.SizeBytes(4, 4),
-		FilteredSubs:      b.filteredSubs,
 		Compactions:       b.compactions,
 		PendingRetracts:   b.delta.NumRetractions(),
 		FencedIDs:         len(b.retired),

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
 )
@@ -65,91 +64,6 @@ func TestUnsubscribeUnpropagatedIsLocal(t *testing.T) {
 	}
 	if err := b.Restore(id1.Local, sub, noDeliver); err != nil {
 		t.Fatalf("Restore of never-propagated id: %v", err)
-	}
-}
-
-// TestFilterLeakOnUnsubscribe is the regression test for the subsumption
-// filter leak: unsubscribing a filter anchor used to leave it in the
-// filter history, so subscriptions it covered stayed suppressed forever —
-// events for them were no longer routed here by anyone. The anchor's
-// removal must drop it from the filter and promote the subscriptions it
-// alone covered back into the next delta.
-func TestFilterLeakOnUnsubscribe(t *testing.T) {
-	s := testSchema(t)
-	b, err := New(Config{ID: 0, Schema: s, Mode: interval.Lossy, NumBrokers: 2, FilterSubsumedDeltas: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	anchor, _ := schema.ParseSubscription(s, `price > 0`)
-	covered, _ := schema.ParseSubscription(s, `price > 5`)
-
-	anchorID, err := b.Subscribe(anchor, noDeliver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.TakeDelta() // anchor propagates and anchors the filter
-
-	coveredID, err := b.Subscribe(covered, noDeliver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := b.Stats(); st.FilteredSubs != 1 {
-		t.Fatalf("FilteredSubs = %d, want the covered subscription suppressed", st.FilteredSubs)
-	}
-
-	if err := b.Unsubscribe(anchorID); err != nil {
-		t.Fatal(err)
-	}
-	if st := b.Stats(); st.FilteredSubs != 0 {
-		t.Fatalf("FilteredSubs = %d after the anchor died, want 0", st.FilteredSubs)
-	}
-	d := b.TakeDelta()
-	if !d.Contains(coveredID) {
-		t.Fatalf("covered subscription was not promoted into the next delta — its routing is lost")
-	}
-	// The promoted subscription now anchors the filter itself.
-	narrower, _ := schema.ParseSubscription(s, `price > 9`)
-	if _, err := b.Subscribe(narrower, noDeliver); err != nil {
-		t.Fatal(err)
-	}
-	if st := b.Stats(); st.FilteredSubs != 1 {
-		t.Fatalf("FilteredSubs = %d, want the narrower subscription filtered by the promoted one", st.FilteredSubs)
-	}
-}
-
-// TestFilteredUnsubscribeKeepsAnchor: withdrawing a covered (skipped)
-// subscription must not disturb the filter or queue a retraction — its
-// rows never propagated.
-func TestFilteredUnsubscribeKeepsAnchor(t *testing.T) {
-	s := testSchema(t)
-	b, err := New(Config{ID: 0, Schema: s, Mode: interval.Lossy, NumBrokers: 2, FilterSubsumedDeltas: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	anchor, _ := schema.ParseSubscription(s, `price > 0`)
-	covered, _ := schema.ParseSubscription(s, `price > 5`)
-	if _, err := b.Subscribe(anchor, noDeliver); err != nil {
-		t.Fatal(err)
-	}
-	b.TakeDelta()
-	coveredID, err := b.Subscribe(covered, noDeliver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Unsubscribe(coveredID); err != nil {
-		t.Fatal(err)
-	}
-	st := b.Stats()
-	if st.FilteredSubs != 0 || st.PendingRetracts != 0 || st.FencedIDs != 0 {
-		t.Fatalf("FilteredSubs=%d PendingRetracts=%d FencedIDs=%d, want all 0", st.FilteredSubs, st.PendingRetracts, st.FencedIDs)
-	}
-	// The anchor still filters.
-	another, _ := schema.ParseSubscription(s, `price > 7`)
-	if _, err := b.Subscribe(another, noDeliver); err != nil {
-		t.Fatal(err)
-	}
-	if st := b.Stats(); st.FilteredSubs != 1 {
-		t.Fatalf("anchor stopped filtering after a covered unsubscribe")
 	}
 }
 

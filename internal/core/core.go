@@ -56,10 +56,6 @@ type Config struct {
 	Mode interval.Mode
 	// MaxSubscriptionsPerBroker bounds c2 (0 = unbounded).
 	MaxSubscriptionsPerBroker int
-	// FilterSubsumedDeltas enables the Section 6 summarization+subsumption
-	// combination at every broker: locally subsumed subscriptions stay out
-	// of propagation deltas (pure bandwidth saving; delivery is unchanged).
-	FilterSubsumedDeltas bool
 	// FullSyncEvery makes every k-th Propagate period ship the full merged
 	// summary (with the full Merged_Brokers set) instead of the per-period
 	// delta, so peers that lost summary messages in earlier periods recover
@@ -215,15 +211,14 @@ func newOnBus(cfg Config, newBus func(n int) *netsim.Bus) (*Network, error) {
 	net.bus.SetFlight(cfg.Flight)
 	for i := 0; i < n; i++ {
 		b, err := broker.New(broker.Config{
-			ID:                   topology.NodeID(i),
-			Schema:               cfg.Schema,
-			Mode:                 cfg.Mode,
-			NumBrokers:           n,
-			MaxSubscriptions:     cfg.MaxSubscriptionsPerBroker,
-			FilterSubsumedDeltas: cfg.FilterSubsumedDeltas,
-			Metrics:              reg,
-			Flight:               cfg.Flight,
-			Attribution:          net.attrib,
+			ID:               topology.NodeID(i),
+			Schema:           cfg.Schema,
+			Mode:             cfg.Mode,
+			NumBrokers:       n,
+			MaxSubscriptions: cfg.MaxSubscriptionsPerBroker,
+			Metrics:          reg,
+			Flight:           cfg.Flight,
+			Attribution:      net.attrib,
 		})
 		if err != nil {
 			return nil, err

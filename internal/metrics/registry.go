@@ -60,7 +60,8 @@ func (c *Counter) Value() int64 {
 
 // Gauge is an instantaneous atomic value (a level, not a rate).
 type Gauge struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn func() int64 // set by GaugeFunc: Value reads fn instead of v
 }
 
 // Set stores v.
@@ -70,7 +71,12 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 {
+	if g.fn != nil {
+		return g.fn()
+	}
+	return g.v.Load()
+}
 
 // Histogram accumulates observations into fixed upper-bound buckets.
 // Observe is lock-free and allocation-free: one linear scan over the
@@ -256,6 +262,14 @@ func (r *Registry) CounterFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters[name] = &Counter{fn: fn}
+}
+
+// GaugeFunc is CounterFunc for a level: it registers a gauge whose value
+// is fn's, read at snapshot time, replacing any gauge of the same name.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gauges[name] = &Gauge{fn: fn}
 }
 
 // Gauge returns the named gauge, creating it on first use.

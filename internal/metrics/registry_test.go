@@ -38,22 +38,27 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-// TestCounterFunc: a function counter reads its source at every
-// snapshot, replaces a plain counter of the same name, and Reset leaves
-// it alone (its owner keeps the count).
+// TestCounterFunc: a function counter or gauge reads its source at
+// every snapshot, replaces a plain instrument of the same name, and Reset
+// leaves it alone (its owner keeps the count).
 func TestCounterFunc(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("fp{price}").Add(9)
+	r.Gauge("depth").Set(9)
 	var n int64
 	r.CounterFunc("fp{price}", func() int64 { return n })
+	r.GaugeFunc("depth", func() int64 { return -n })
 	n = 3
-	if got := r.Map()["fp{price}"]; got != 3 {
-		t.Fatalf("snapshot = %v, want the function's 3", got)
+	if m := r.Map(); m["fp{price}"] != 3 || m["depth"] != -3 {
+		t.Fatalf("snapshot = %v, %v, want the functions' 3, -3", m["fp{price}"], m["depth"])
 	}
 	r.Reset()
 	n = 4
 	if got := r.Counter("fp{price}").Value(); got != 4 {
 		t.Fatalf("after Reset = %d, want the function's 4", got)
+	}
+	if got := r.Gauge("depth").Value(); got != -4 {
+		t.Fatalf("gauge after Reset = %d, want the function's -4", got)
 	}
 }
 

@@ -22,8 +22,7 @@
 // path (drop layers first, pause last), and each mutator touches only
 // its own layer — concurrent scenario phases cannot clobber each other.
 // Drops are accounted exactly like SetDropFunc drops always were:
-// Dropped/DroppedBytes counters, registry instruments, and a flight
-// EvDrop record.
+// Dropped/DroppedBytes counters and a flight EvDrop record.
 package netsim
 
 import (
@@ -108,9 +107,8 @@ func (b *Bus) refreshFaultGate() {
 // when the message was consumed (dropped or parked); the caller then
 // skips normal delivery. Drop accounting runs inside the faultMu
 // critical section so a custom hook's own counters always agree with
-// Stats.Dropped; instrument and journal mirroring run outside it, as
-// the plain drop path always did.
-func (b *Bus) applyFaults(m Message, sb *SharedBuf, in *busInstruments) bool {
+// Stats.Dropped; journaling runs outside it.
+func (b *Bus) applyFaults(m Message, sb *SharedBuf) bool {
 	b.faultMu.Lock()
 	fs := &b.faults
 	drop := fs.custom != nil && fs.custom(m)
@@ -131,14 +129,6 @@ func (b *Bus) applyFaults(m Message, sb *SharedBuf, in *busInstruments) bool {
 		b.dropped.add(m.Kind, 1)
 		b.droppedBytes.add(m.Kind, int64(len(m.Payload)))
 		b.faultMu.Unlock()
-		if in != nil {
-			if c := kindCounter(&in.dropped, m.Kind); c != nil {
-				c.Inc()
-			}
-			if c := kindCounter(&in.droppedBytes, m.Kind); c != nil {
-				c.Add(int64(len(m.Payload)))
-			}
-		}
 		if rec := b.rec.Load(); rec != nil {
 			rec.Record(flight.EvDrop, int(m.To), int64(m.Kind), int64(len(m.Payload)), int64(m.From), m.Kind.String())
 		}
@@ -154,14 +144,6 @@ func (b *Bus) applyFaults(m Message, sb *SharedBuf, in *busInstruments) bool {
 		// byte accounting still reconciles against sender-side counters.
 		b.messages.add(m.Kind, 1)
 		b.bytes.add(m.Kind, int64(len(m.Payload)))
-		if in != nil {
-			if c := kindCounter(&in.messages, m.Kind); c != nil {
-				c.Inc()
-			}
-			if c := kindCounter(&in.bytes, m.Kind); c != nil {
-				c.Add(int64(len(m.Payload)))
-			}
-		}
 		return true
 	}
 	b.faultMu.Unlock()
@@ -262,7 +244,7 @@ func (f Faults) Resume(id topology.NodeID) error {
 		return nil
 	}
 	for _, q := range qs {
-		b.addInflight()
+		b.inflight.Add(1)
 		b.enqueue(id, q, nil) // never a hand-off: the caller is no worker
 	}
 	return nil

@@ -215,55 +215,28 @@ func (s Stats) Counters() *metrics.CounterSet {
 	return c
 }
 
-// busInstruments mirrors the bus accounting into a metrics.Registry so a
-// live daemon can watch traffic without polling Stats. Instruments are
-// resolved once at Instrument time; the per-kind arrays are indexed by
-// Kind so the send path pays one atomic pointer load, one bounds check,
-// and one atomic add per counter.
-type busInstruments struct {
-	messages     [KindControl + 1]*metrics.Counter
-	bytes        [KindControl + 1]*metrics.Counter
-	dropped      [KindControl + 1]*metrics.Counter
-	droppedBytes [KindControl + 1]*metrics.Counter
-	decodeErrs   [KindControl + 1]*metrics.Counter
-	handlerErrs  [KindControl + 1]*metrics.Counter
-	inflight     *metrics.Gauge
-}
-
-// Instrument mirrors bus counters into r under "bus_*{kind}" families and
-// exposes the in-flight message depth as the "bus_inflight" gauge. Pass
-// nil to detach. Safe to call at any time; accounting before the call is
-// not back-filled.
+// Instrument exposes the bus accounting in r: the per-kind counters as
+// the "bus_messages", "bus_bytes", "bus_dropped", "bus_dropped_bytes",
+// "bus_decode_errors" and "bus_handler_errors" {kind} families, and the
+// in-flight message depth as the "bus_inflight" gauge. Each is read from
+// the bus's own atomics at snapshot time, so a send counts once.
 func (b *Bus) Instrument(r *metrics.Registry) {
-	if r == nil {
-		b.instr.Store(nil)
-		return
+	for _, f := range []struct {
+		name string
+		c    *kindCounters
+	}{
+		{"bus_messages", &b.messages},
+		{"bus_bytes", &b.bytes},
+		{"bus_dropped", &b.dropped},
+		{"bus_dropped_bytes", &b.droppedBytes},
+		{"bus_decode_errors", &b.decodeErrs},
+		{"bus_handler_errors", &b.handlerErrs},
+	} {
+		for k := KindSummary; k <= KindControl; k++ {
+			r.CounterFunc(metrics.Label(f.name, k.String()), f.c[k].Load)
+		}
 	}
-	in := &busInstruments{inflight: r.Gauge("bus_inflight")}
-	msgs := r.CounterVec("bus_messages")
-	bts := r.CounterVec("bus_bytes")
-	drop := r.CounterVec("bus_dropped")
-	dropB := r.CounterVec("bus_dropped_bytes")
-	dec := r.CounterVec("bus_decode_errors")
-	han := r.CounterVec("bus_handler_errors")
-	for k := KindSummary; k <= KindControl; k++ {
-		in.messages[k] = msgs.With(k.String())
-		in.bytes[k] = bts.With(k.String())
-		in.dropped[k] = drop.With(k.String())
-		in.droppedBytes[k] = dropB.With(k.String())
-		in.decodeErrs[k] = dec.With(k.String())
-		in.handlerErrs[k] = han.With(k.String())
-	}
-	b.instr.Store(in)
-}
-
-// kindCounter fetches the per-kind counter, tolerating out-of-range kinds
-// (counted nowhere rather than panicking on a corrupt tag).
-func kindCounter(arr *[KindControl + 1]*metrics.Counter, k Kind) *metrics.Counter {
-	if int(k) >= len(arr) {
-		return nil
-	}
-	return arr[k]
+	r.GaugeFunc("bus_inflight", b.inflight.Load)
 }
 
 // kindCounters is a lock-free per-kind counter array, indexed by Kind.
@@ -311,10 +284,6 @@ type Bus struct {
 	qmu      sync.Mutex
 	qcond    *sync.Cond
 	inflight atomic.Int64
-
-	// instr optionally mirrors accounting into a metrics registry; nil
-	// (the default) costs one atomic load and branch per event.
-	instr atomic.Pointer[busInstruments]
 
 	// rec optionally journals drops and decode errors into a flight
 	// recorder; nil (the default) costs one atomic load and branch.
@@ -397,11 +366,6 @@ func (b *Bus) RecordDecodeError(k Kind) { b.RecordDecodeErrorAt(k, -1) }
 // (pass -1 when unknown).
 func (b *Bus) RecordDecodeErrorAt(k Kind, at topology.NodeID) {
 	b.decodeErrs.add(k, 1)
-	if in := b.instr.Load(); in != nil {
-		if c := kindCounter(&in.decodeErrs, k); c != nil {
-			c.Inc()
-		}
-	}
 	if rec := b.rec.Load(); rec != nil {
 		rec.Record(flight.EvDecodeError, int(at), int64(k), 0, 0, k.String())
 	}
@@ -411,21 +375,6 @@ func (b *Bus) RecordDecodeErrorAt(k Kind, at topology.NodeID) {
 // processing failed at the handler (e.g. a rejected summary merge).
 func (b *Bus) RecordHandlerError(k Kind) {
 	b.handlerErrs.add(k, 1)
-	if in := b.instr.Load(); in != nil {
-		if c := kindCounter(&in.handlerErrs, k); c != nil {
-			c.Inc()
-		}
-	}
-}
-
-// addInflight registers one undelivered message.
-func (b *Bus) addInflight() {
-	b.inflight.Add(1)
-	if in := b.instr.Load(); in != nil {
-		// Gauge updates go through Add so concurrent adjustments commute
-		// and the gauge converges to the true depth.
-		in.inflight.Add(1)
-	}
 }
 
 // doneInflight retires n delivered (or discarded) messages.
@@ -436,9 +385,6 @@ func (b *Bus) doneInflight(n int64) {
 	v := b.inflight.Add(-n)
 	if v < 0 {
 		panic("netsim: negative in-flight count")
-	}
-	if in := b.instr.Load(); in != nil {
-		in.inflight.Add(-n)
 	}
 	if v == 0 {
 		// Broadcast under qmu so a Quiesce between its counter check and
@@ -488,23 +434,14 @@ func (b *Bus) send(m Message, sb *SharedBuf, fromHandler bool) error {
 	if b.closed.Load() {
 		return fmt.Errorf("netsim: bus closed")
 	}
-	in := b.instr.Load()
 	if b.hasFault.Load() {
-		if handled := b.applyFaults(m, sb, in); handled {
+		if handled := b.applyFaults(m, sb); handled {
 			return nil
 		}
 	}
 	b.messages.add(m.Kind, 1)
 	b.bytes.add(m.Kind, int64(len(m.Payload)))
-	if in != nil {
-		if c := kindCounter(&in.messages, m.Kind); c != nil {
-			c.Inc()
-		}
-		if c := kindCounter(&in.bytes, m.Kind); c != nil {
-			c.Add(int64(len(m.Payload)))
-		}
-	}
-	b.addInflight()
+	b.inflight.Add(1)
 	if sb != nil {
 		sb.refs.Add(1)
 	}

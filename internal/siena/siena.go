@@ -224,67 +224,6 @@ func stringSubsumed(aCons, bCons []schema.Constraint) bool {
 	return true
 }
 
-// SubsumptionFilter retains the subscriptions a broker has already
-// propagated and reports whether a new subscription is subsumed by any of
-// them. This implements the paper's Section 6 "combining summarization and
-// subsumption": a subsumed subscription can be dropped from the next
-// summary delta — events matching it necessarily match the subsuming
-// subscription of the same broker, so routing still reaches the owner,
-// whose exact re-match delivers to both consumers.
-//
-// The zero value is not ready; use NewSubsumptionFilter. Not safe for
-// concurrent use; callers serialize (the broker lock does).
-type SubsumptionFilter struct {
-	s       *schema.Schema
-	history []*schema.Subscription
-	max     int
-}
-
-// NewSubsumptionFilter creates a filter retaining at most maxHistory
-// subscriptions (0 means unbounded). A bounded history trades memory for
-// missed subsumptions — misses only cost bandwidth, never correctness.
-func NewSubsumptionFilter(s *schema.Schema, maxHistory int) *SubsumptionFilter {
-	return &SubsumptionFilter{s: s, max: maxHistory}
-}
-
-// Subsumed reports whether sub is subsumed by a retained subscription.
-func (f *SubsumptionFilter) Subsumed(sub *schema.Subscription) bool {
-	for _, prior := range f.history {
-		if Subsumes(f.s, prior, sub) {
-			return true
-		}
-	}
-	return false
-}
-
-// Add retains sub for future checks (call for every subscription that WAS
-// propagated). When the history is full, the oldest entry is evicted.
-func (f *SubsumptionFilter) Add(sub *schema.Subscription) {
-	if f.max > 0 && len(f.history) >= f.max {
-		copy(f.history, f.history[1:])
-		f.history = f.history[:len(f.history)-1]
-	}
-	f.history = append(f.history, sub)
-}
-
-// Remove forgets a retained subscription (identity comparison), reporting
-// whether it was present. Call on unsubscription of a propagated
-// subscription: a dead entry left behind would keep suppressing future
-// subscriptions it subsumes even though its routing no longer exists —
-// a permanent false-negative hole, not a bandwidth miss.
-func (f *SubsumptionFilter) Remove(sub *schema.Subscription) bool {
-	for i, prior := range f.history {
-		if prior == sub {
-			f.history = append(f.history[:i], f.history[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of retained subscriptions.
-func (f *SubsumptionFilter) Len() int { return len(f.history) }
-
 // OwnedSub pairs a subscription with its owner for real propagation.
 type OwnedSub struct {
 	Owner topology.NodeID
