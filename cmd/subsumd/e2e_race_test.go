@@ -20,12 +20,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/subsum/subsum/internal/core"
+	"github.com/subsum/subsum/internal/debughttp"
 	"github.com/subsum/subsum/internal/flight"
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
@@ -74,14 +76,13 @@ func TestEndToEndObservabilityRace(t *testing.T) {
 	wd := network.StartWatchdog(10 * time.Millisecond)
 
 	srv := wire.NewServer(network, s)
-	srv.SetSampler(sampler)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	ts := httptest.NewServer(newDebugMux(debugState{network: network, sampler: sampler, rec: rec}))
+	ts := httptest.NewServer(debughttp.NewMux(debughttp.State{Network: network, Sampler: sampler, Rec: rec}))
 	defer ts.Close()
 
 	// Subscribers on a few leaves; deliveries are counted so the run
@@ -152,8 +153,8 @@ func TestEndToEndObservabilityRace(t *testing.T) {
 		}
 	}()
 
-	// Concurrent /debug/* scrapers, one per endpoint, polling until the
-	// publishers finish.
+	// Concurrent /debug/* scrapers, one per endpoint, polling at least
+	// once and then until the publishers finish.
 	scrape := func(path string) error {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -173,6 +174,7 @@ func TestEndToEndObservabilityRace(t *testing.T) {
 		"/metrics?format=json",
 		"/metrics?format=prometheus",
 		"/debug/history",
+		"/debug/convergence",
 		"/debug/journal",
 		"/debug/journal?format=text",
 		"/trace",
@@ -182,21 +184,21 @@ func TestEndToEndObservabilityRace(t *testing.T) {
 		go func(path string) {
 			defer wg.Done()
 			for {
+				if err := scrape(path); err != nil {
+					errs <- err
+					return
+				}
 				select {
 				case <-publishersDone:
 					return
 				default:
 				}
-				if err := scrape(path); err != nil {
-					errs <- err
-					return
-				}
 			}
 		}(path)
 	}
 
-	// A wire client exercising the stats and history ops over real TCP
-	// while everything above runs.
+	// A wire client exercising the stats op over real TCP while everything
+	// above runs.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -207,18 +209,14 @@ func TestEndToEndObservabilityRace(t *testing.T) {
 		}
 		defer cl.Close()
 		for {
+			if _, err := cl.Stats(); err != nil {
+				errs <- fmt.Errorf("wire stats: %w", err)
+				return
+			}
 			select {
 			case <-publishersDone:
 				return
 			default:
-			}
-			if _, err := cl.Metrics(); err != nil {
-				errs <- fmt.Errorf("wire metrics: %w", err)
-				return
-			}
-			if _, err := cl.History(); err != nil {
-				errs <- fmt.Errorf("wire history: %w", err)
-				return
 			}
 		}
 	}()
@@ -240,8 +238,10 @@ func TestEndToEndObservabilityRace(t *testing.T) {
 	if violations := wd.RunOnce(); len(violations) > 0 {
 		t.Errorf("watchdog violations on healthy engine: %v", violations)
 	}
-	if v := reg.Map()["watchdog_violations"]; v != 0 {
-		t.Errorf("watchdog_violations = %v during the run, want 0", v)
+	for name, v := range reg.Map() {
+		if strings.HasPrefix(name, "watchdog_violations_total{") && v != 0 {
+			t.Errorf("%s = %v during the run, want 0", name, v)
+		}
 	}
 
 	// The run must have moved real traffic and retained real telemetry.

@@ -20,12 +20,14 @@
 // and receive replies plus pushed {"type":"delivery",...} lines for their
 // subscriptions. Try it interactively with `nc`.
 //
-// With -http set, a debug listener serves /metrics (instrument-registry
-// snapshot, text, ?format=json, or Prometheus exposition via the Accept
-// header), /debug/history (metrics time-series), /debug/journal (the
-// flight-recorder journal), /trace (sampled hop traces; ?sample=N
-// adjusts the rate, ?format=chrome exports for chrome://tracing),
-// /debug/pprof/ and /debug/vars.
+// Operator telemetry is served only by the -http debug listener
+// (internal/debughttp), which subsumtop polls: /metrics
+// (instrument-registry snapshot, text, ?format=json, or Prometheus
+// exposition via the Accept header), /debug/history (metrics
+// time-series), /debug/convergence (summary health), /debug/slo (error
+// budgets), /debug/journal (the flight-recorder journal), /trace (sampled
+// hop traces; ?sample=N adjusts the rate, ?format=chrome exports for
+// chrome://tracing), /debug/pprof/ and /debug/vars.
 //
 // The daemon keeps a bounded flight-recorder journal of engine events
 // (-journal-kb), samples the metrics registry into ring-buffer
@@ -47,6 +49,7 @@ import (
 
 	"github.com/subsum/subsum/internal/broker"
 	"github.com/subsum/subsum/internal/core"
+	"github.com/subsum/subsum/internal/debughttp"
 	"github.com/subsum/subsum/internal/flight"
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/schema"
@@ -65,13 +68,13 @@ func main() {
 		every    = flag.Duration("propagate-every", 5*time.Second, "summary propagation period (0 disables)")
 		fullSync = flag.Int("full-sync-every", 0, "ship the full merged summary every k-th propagation period instead of the delta (0 disables; recovers coverage lost to message loss)")
 		snapshot = flag.String("snapshot", "", "path to write a snapshot of all subscriptions on shutdown (and load on startup if present)")
-		httpAddr = flag.String("http", "", "debug listen address serving /metrics, /trace, /debug/pprof (empty disables)")
+		httpAddr = flag.String("http", "", "debug listen address serving /metrics, /debug/*, /trace to subsumtop and scrapers (empty disables)")
 		traceN   = flag.Int("trace-sample", 0, "record a hop trace for every Nth published event (0 disables)")
 		logJSON  = flag.Bool("log-json", false, "emit structured JSON logs instead of text")
 
-		sampleEvery = flag.Duration("sample-interval", time.Second, "metrics time-series sampling interval (0 disables /debug/history and the history wire op)")
+		sampleEvery = flag.Duration("sample-interval", time.Second, "metrics time-series sampling interval (0 disables /debug/history)")
 		historyCap  = flag.Int("history-cap", 300, "points retained per metrics time-series")
-		sloEvery    = flag.Duration("slo-interval", 5*time.Second, "SLO error-budget evaluation interval (0 disables /debug/slo and the slo wire op; requires a sampler)")
+		sloEvery    = flag.Duration("slo-interval", 5*time.Second, "SLO error-budget evaluation interval (0 disables /debug/slo; requires a sampler)")
 		sloLatency  = flag.Duration("slo-latency-p99", 50*time.Millisecond, "publish→deliver p99 latency target")
 		sloBytes    = flag.Float64("slo-bytes-per-period", 64*1024, "propagation bytes-per-period ceiling")
 		journalKB   = flag.Int("journal-kb", 256, "flight-recorder journal capacity in KiB (0 disables /debug/journal and crash-dump journals)")
@@ -183,12 +186,6 @@ func main() {
 	}
 
 	srv := wire.NewServer(network, s)
-	if sampler != nil {
-		srv.SetSampler(sampler)
-	}
-	if monitor != nil {
-		srv.SetSLO(monitor.Last)
-	}
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fatal("listen", "addr", *addr, "err", err)
@@ -197,17 +194,17 @@ func main() {
 	logger.Info("listening", "addr", bound, "topology", topo.String(), "schema", s.String())
 
 	if *httpAddr != "" {
-		st := debugState{network: network, sampler: sampler, rec: rec}
+		st := debughttp.State{Network: network, Sampler: sampler, Rec: rec}
 		if monitor != nil {
-			st.slo = monitor.Last
+			st.SLO = monitor.Last
 		}
-		dbgAddr, stopDebug, err := startDebugServer(*httpAddr, st, logger)
+		dbgAddr, stopDebug, err := debughttp.Start(*httpAddr, st, logger)
 		if err != nil {
 			fatal("debug listen", "addr", *httpAddr, "err", err)
 		}
 		defer stopDebug()
 		logger.Info("debug http listening", "addr", dbgAddr,
-			"endpoints", "/metrics /debug/history /debug/journal /debug/slo /trace /debug/pprof/ /debug/vars")
+			"endpoints", "/metrics /debug/history /debug/convergence /debug/slo /debug/journal /trace /debug/pprof/ /debug/vars")
 	}
 
 	stop := make(chan os.Signal, 1)

@@ -1,10 +1,12 @@
 // Command subsumtop is a polling terminal dashboard for a running
-// subsumd. It speaks the same line-delimited JSON protocol as any other
-// client, combining the "stats" op (instrument-registry snapshot) with
-// the "history" op (the server-side sampler's retained time-series) to
-// show both current totals and per-interval rates:
+// subsumd. It reads the daemon's -http debug listener (internal/debughttp),
+// so subsumd must run with -http: GET /metrics?format=json (the
+// instrument-registry snapshot) and /debug/history (the server-side
+// sampler's retained time-series) give current totals and per-interval
+// rates, /debug/convergence the health pane and /debug/slo the SLO pane:
 //
-//	subsumtop -addr 127.0.0.1:7070 -every 2s
+//	subsumd -http 127.0.0.1:7071 &
+//	subsumtop -addr 127.0.0.1:7071 -every 2s
 //
 // Each frame shows event flow (published/routed/forwarded/suppressed
 // with rates), propagation traffic, bus health, watchdog status, a
@@ -24,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -33,12 +36,11 @@ import (
 	"github.com/subsum/subsum/internal/core"
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/slo"
-	"github.com/subsum/subsum/internal/wire"
 )
 
 func main() {
 	var (
-		addr   = flag.String("addr", "127.0.0.1:7070", "subsumd wire address")
+		addr   = flag.String("addr", "127.0.0.1:7071", "subsumd -http debug listener address")
 		every  = flag.Duration("every", 2*time.Second, "refresh interval")
 		frames = flag.Int("frames", 0, "number of frames to render before exiting (0 = run until interrupted)")
 		once   = flag.Bool("once", false, "render one frame and exit (same as -frames 1)")
@@ -75,26 +77,23 @@ type jsonSnapshot struct {
 	SLO     *slo.Report        `json:"slo,omitempty"`
 }
 
-// run dials the server and renders frames until cfg.frames is exhausted
-// or a poll fails. The first frame renders immediately.
+// run polls the debug listener and renders frames until cfg.frames is
+// exhausted or a poll of /metrics fails. The first frame renders
+// immediately.
 func run(w io.Writer, cfg topConfig) error {
-	cl, err := wire.Dial(cfg.addr, nil)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-
+	base := "http://" + cfg.addr
 	for frame := 1; ; frame++ {
-		m, err := cl.Metrics()
+		mp, err := getJSON[map[string]float64](base + "/metrics?format=json")
 		if err != nil {
 			return fmt.Errorf("stats: %w", err)
 		}
-		// History is optional server-side (-sample-interval 0); the
-		// dashboard still works, just without rates. Health degrades the
-		// same way against servers predating the convergence op.
-		hist, _ := cl.History()
-		health, _ := cl.Health()
-		sloRep, _ := cl.SLO()
+		m := *mp
+		// History and SLO are optional server-side (-sample-interval 0,
+		// -slo-interval 0: 404; no evaluation yet: 503). A failed poll
+		// leaves its pane off: no rates, no SLO or HEALTH pane.
+		hist, _ := getJSON[metrics.History](base + "/debug/history")
+		health, _ := getJSON[core.HealthReport](base + "/debug/convergence")
+		sloRep, _ := getJSON[slo.Report](base + "/debug/slo")
 		if cfg.json {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
@@ -109,6 +108,24 @@ func run(w io.Writer, cfg topConfig) error {
 		}
 		time.Sleep(cfg.every)
 	}
+}
+
+// getJSON decodes the document a GET of url returns; any status but 200 is
+// an error.
+func getJSON[T any](url string) (*T, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	v := new(T)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return nil, fmt.Errorf("GET %s: %w", url, err)
+	}
+	return v, nil
 }
 
 // renderFrame writes one dashboard frame from a registry snapshot, an
@@ -160,12 +177,13 @@ func renderFrame(w io.Writer, addr string, frame int, m map[string]float64, hist
 		m["bus_inflight"], sumLabeled(m, "bus_messages"), sumLabeled(m, "bus_dropped"),
 		sumLabeled(m, "bus_dropped_bytes"), sumLabeled(m, "bus_decode_errors"), sumLabeled(m, "bus_handler_errors"))
 
+	violations := sumLabeled(m, "watchdog_violations_total")
 	status := "OK"
-	if m["watchdog_violations"] > 0 {
+	if violations > 0 {
 		status = "VIOLATIONS"
 	}
 	fmt.Fprintf(w, "\nWATCHDOG\n")
-	fmt.Fprintf(w, "  checks %.0f    violations %.0f    %s\n", m["watchdog_checks"], m["watchdog_violations"], status)
+	fmt.Fprintf(w, "  checks %.0f    violations %.0f    %s\n", m["watchdog_checks"], violations, status)
 
 	renderSLO(w, sloRep)
 	renderHealth(w, health)
@@ -188,7 +206,7 @@ func renderFrame(w io.Writer, addr string, frame int, m map[string]float64, hist
 
 // renderSLO writes the error-budget pane: one line per objective with
 // state, current SLI vs target, burn rates, and remaining budget.
-// Skipped entirely against servers without the slo op.
+// Skipped entirely when /debug/slo has no report.
 func renderSLO(w io.Writer, rep *slo.Report) {
 	if rep == nil {
 		return
@@ -204,7 +222,7 @@ func renderSLO(w io.Writer, rep *slo.Report) {
 
 // renderHealth writes the summary-health pane: convergence staleness and
 // the top false-positive attributions with per-attribute precision.
-// Skipped entirely against servers without the convergence op.
+// Skipped entirely when /debug/convergence did not answer.
 func renderHealth(w io.Writer, health *core.HealthReport) {
 	if health == nil {
 		return

@@ -3,23 +3,34 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/subsum/subsum/internal/core"
+	"github.com/subsum/subsum/internal/debughttp"
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/slo"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/topology"
-	"github.com/subsum/subsum/internal/wire"
 )
 
-// TestRunRendersLiveServer is the subsumtop e2e: a real network behind a
-// real wire server with a sampler attached, polled over TCP via the
-// stats and history ops.
+// serveDebug serves st through subsumd's own debug handler and returns
+// the listener's host:port, the form -addr takes.
+func serveDebug(t *testing.T, st debughttp.State) string {
+	t.Helper()
+	ts := httptest.NewServer(debughttp.NewMux(st))
+	t.Cleanup(ts.Close)
+	return strings.TrimPrefix(ts.URL, "http://")
+}
+
+// TestRunRendersLiveServer is the subsumtop e2e: a real network behind
+// the real debug handler with a sampler and SLO monitor attached, polled
+// over HTTP.
 func TestRunRendersLiveServer(t *testing.T) {
 	s := schema.MustNew(
 		schema.Attribute{Name: "symbol", Type: schema.TypeString},
@@ -44,14 +55,7 @@ func TestRunRendersLiveServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	monitor := slo.NewMonitor(eng, sampler, reg, nil)
-	srv := wire.NewServer(network, s)
-	srv.SetSampler(sampler)
-	srv.SetSLO(monitor.Last)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	addr := serveDebug(t, debughttp.State{Network: network, Sampler: sampler, SLO: monitor.Last})
 
 	sub, err := schema.ParseSubscription(s, `symbol = OTE`)
 	if err != nil {
@@ -86,8 +90,8 @@ func TestRunRendersLiveServer(t *testing.T) {
 	for _, want := range []string{
 		"subsumtop — " + addr,
 		"frame 2",                 // both frames rendered
-		"history: 2 ticks",        // the history op answered
-		"published             3", // registry totals made it across the wire
+		"history: 2 ticks",        // /debug/history answered
+		"published             3", // registry totals made it across HTTP
 		"WATCHDOG",
 		"SLO",
 		"publish_deliver_p99",
@@ -117,7 +121,7 @@ func TestRunRendersLiveServer(t *testing.T) {
 	}
 }
 
-// TestRunJSONSnapshot is the -json e2e: one shot over real TCP must
+// TestRunJSONSnapshot is the -json e2e: one shot over real HTTP must
 // yield a parseable document carrying the stats map and the health
 // report (convergence + false-positive attribution).
 func TestRunJSONSnapshot(t *testing.T) {
@@ -134,12 +138,7 @@ func TestRunJSONSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer network.Close()
-	srv := wire.NewServer(network, s)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	addr := serveDebug(t, debughttp.State{Network: network})
 
 	sub, err := schema.ParseSubscription(s, `symbol = OTE && price > 100`)
 	if err != nil {
@@ -192,6 +191,44 @@ func TestRunJSONSnapshot(t *testing.T) {
 	}
 }
 
+// TestRunLargeHistory: a fully warmed history document on a large
+// registry is several MiB. Over the wire protocol it once overran the
+// client's line limit and the dashboard silently showed "history: off";
+// the frame must show every tick.
+func TestRunLargeHistory(t *testing.T) {
+	s := schema.MustNew(schema.Attribute{Name: "price", Type: schema.TypeFloat})
+	network, err := core.New(core.Config{Topology: topology.Figure7Tree(), Schema: s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer network.Close()
+	const extraSeries, capacity = 1500, 64
+	for i := 0; i < extraSeries; i++ {
+		network.Metrics().Counter(fmt.Sprintf("synthetic_series_%04d", i)).Inc()
+	}
+	sampler := metrics.NewSampler(network.Metrics(), time.Second, capacity)
+	now := time.Now()
+	for i := 0; i < capacity; i++ {
+		sampler.Tick(now.Add(time.Duration(i) * time.Second))
+	}
+	var doc bytes.Buffer
+	if err := sampler.WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Len() < 1<<20 {
+		t.Fatalf("history doc only %d bytes — not a regression-sized document", doc.Len())
+	}
+	addr := serveDebug(t, debughttp.State{Network: network, Sampler: sampler})
+
+	var buf bytes.Buffer
+	if err := run(&buf, topConfig{addr: addr, frames: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("history: %d ticks", capacity); !strings.Contains(buf.String(), want) {
+		t.Fatalf("frame missing %q:\n%s", want, buf.String())
+	}
+}
+
 func TestRunDialFailure(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, topConfig{addr: "127.0.0.1:1", every: time.Millisecond, frames: 1}); err == nil {
@@ -210,7 +247,7 @@ func TestRenderFrameWithoutHistory(t *testing.T) {
 		t.Errorf("missing published total:\n%s", out)
 	}
 	if strings.Contains(out, "SLO") {
-		t.Errorf("SLO pane rendered against a server without the op:\n%s", out)
+		t.Errorf("SLO pane rendered without an SLO report:\n%s", out)
 	}
 }
 

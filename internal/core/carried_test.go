@@ -315,6 +315,6 @@ func TestSharedEventsUnderConcurrentReaders(t *testing.T) {
 		t.Fatalf("%d deliveries, field sum %d; nothing was shared", total, fieldSum)
 	}
 	if st := net.Stats(); st.TotalDropped() != 0 || st.TotalErrors() != 0 {
-		t.Fatalf("loss counters non-zero: %+v", st.Counters().Snapshot())
+		t.Fatalf("loss counters non-zero: %+v", st)
 	}
 }

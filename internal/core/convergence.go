@@ -3,8 +3,8 @@
 // maintains a per-peer vector of last-applied epochs, and this file turns
 // those vectors into the network-level health surface — per-broker
 // staleness/full-sync-age/retraction-lag gauges refreshed at the end of
-// every period, a structured report for the wire op and debug endpoint,
-// and the journal's per-period convergence record.
+// every period, a structured report for /debug/convergence, and the
+// journal's per-period convergence record.
 package core
 
 import (
@@ -106,8 +106,8 @@ type BrokerConvergence struct {
 	RetractionLag int64       `json:"retraction_lag"`
 }
 
-// ConvergenceReport is the network-wide convergence snapshot served by
-// the {"op":"convergence"} wire op and /debug/convergence.
+// ConvergenceReport is the network-wide convergence snapshot served, in
+// a HealthReport, by /debug/convergence.
 type ConvergenceReport struct {
 	Period         int64               `json:"period"`
 	FullSyncEvery  int                 `json:"full_sync_every"`
@@ -166,7 +166,7 @@ func (net *Network) Convergence() *ConvergenceReport {
 }
 
 // HealthReport bundles the summary-health surfaces: convergence epochs
-// and false-positive attribution. Served by the "convergence" wire op.
+// and false-positive attribution. Served by /debug/convergence.
 type HealthReport struct {
 	Convergence    *ConvergenceReport `json:"convergence"`
 	FalsePositives *broker.FPReport   `json:"false_positives"`

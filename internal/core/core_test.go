@@ -251,7 +251,7 @@ func TestRandomizedEndToEnd(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.TotalDropped() != 0 || st.TotalErrors() != 0 {
-		t.Fatalf("loss counters non-zero on clean run: %+v", st.Counters().Snapshot())
+		t.Fatalf("loss counters non-zero on clean run: %+v", st)
 	}
 }
 

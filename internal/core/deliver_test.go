@@ -138,7 +138,7 @@ func TestNamedIDRetiredBeforeDelivery(t *testing.T) {
 			heirMiss.count(), heirHit.count(), dying.count(), staying.count())
 	}
 	if st := net.Stats(); st.TotalDropped() != 0 || st.TotalErrors() != 0 {
-		t.Fatalf("loss counters non-zero: %+v", st.Counters().Snapshot())
+		t.Fatalf("loss counters non-zero: %+v", st)
 	}
 }
 

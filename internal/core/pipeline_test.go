@@ -92,7 +92,7 @@ func (f *stressFixture) assertCleanRun(t *testing.T) {
 	t.Helper()
 	st := f.net.Stats()
 	if st.TotalDropped() != 0 || st.TotalErrors() != 0 {
-		t.Fatalf("loss counters non-zero: %+v", st.Counters().Snapshot())
+		t.Fatalf("loss counters non-zero: %+v", st)
 	}
 	if vs := f.net.CheckInvariants(); len(vs) != 0 {
 		t.Fatalf("watchdog violations: %v", vs)

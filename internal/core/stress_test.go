@@ -135,7 +135,7 @@ func TestConcurrentPublishPropagateStress(t *testing.T) {
 	// Clean run: every loss/error counter must be exactly zero.
 	st := f.net.Stats()
 	if st.TotalDropped() != 0 || st.TotalErrors() != 0 {
-		t.Fatalf("loss counters non-zero on clean run: %+v", st.Counters().Snapshot())
+		t.Fatalf("loss counters non-zero on clean run: %+v", st)
 	}
 
 	// The extended schema is immediately usable: subscribe on a new
@@ -242,7 +242,7 @@ func TestConcurrentStressWithFaultInjection(t *testing.T) {
 		t.Fatalf("unexpected non-summary drops: %+v", st.Dropped)
 	}
 	if st.TotalErrors() != 0 {
-		t.Fatalf("decode/handler errors on uncorrupted traffic: %+v", st.Counters().Snapshot())
+		t.Fatalf("decode/handler errors on uncorrupted traffic: %+v", st)
 	}
 }
 

@@ -44,7 +44,7 @@ import (
 	"github.com/subsum/subsum/internal/subid"
 )
 
-// Violation names for the watchdog_violations{check} counter family.
+// Violation names for the watchdog_violations_total{check} counter family.
 const (
 	CheckCoverage    = "coverage"
 	CheckFlow        = "flow"
@@ -264,9 +264,8 @@ type Watchdog struct {
 	net      *Network
 	interval time.Duration
 
-	checks     *metrics.Counter
-	violations *metrics.Counter
-	perCheck   *metrics.CounterVec
+	checks   *metrics.Counter
+	perCheck *metrics.CounterVec
 
 	mu   sync.Mutex
 	last []Violation
@@ -278,7 +277,7 @@ type Watchdog struct {
 
 // StartWatchdog launches the invariant watchdog, checking every
 // `every` (clamped to ≥ 10ms). Results land in the network's registry as
-// watchdog_checks, watchdog_violations, and watchdog_violations_total{check},
+// watchdog_checks and watchdog_violations_total{check},
 // and each violation is journaled. Stop it with Watchdog.Stop (Close does
 // so automatically). Only one watchdog per network.
 func (net *Network) StartWatchdog(every time.Duration) *Watchdog {
@@ -289,13 +288,12 @@ func (net *Network) StartWatchdog(every time.Duration) *Watchdog {
 		every = 10 * time.Millisecond
 	}
 	w := &Watchdog{
-		net:        net,
-		interval:   every,
-		checks:     net.metrics.Counter("watchdog_checks"),
-		violations: net.metrics.Counter("watchdog_violations"),
-		perCheck:   net.metrics.CounterVec("watchdog_violations_total"),
-		done:       make(chan struct{}),
-		stopped:    make(chan struct{}),
+		net:      net,
+		interval: every,
+		checks:   net.metrics.Counter("watchdog_checks"),
+		perCheck: net.metrics.CounterVec("watchdog_violations_total"),
+		done:     make(chan struct{}),
+		stopped:  make(chan struct{}),
 	}
 	net.watchdog = w
 	go w.run()
@@ -323,7 +321,6 @@ func (w *Watchdog) RunOnce() []Violation {
 	violations := w.net.CheckInvariants()
 	w.checks.Inc()
 	for _, v := range violations {
-		w.violations.Inc()
 		w.perCheck.With(v.Check).Inc()
 		w.net.rec.Record(flight.EvWatchdogViolation, v.Broker, 0, 0, 0, v.String())
 	}

@@ -124,13 +124,13 @@ func TestWatchdogCatchesCorruptedSummary(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := net.Metrics().Counter("watchdog_violations").Value(); got != 0 {
-		t.Fatalf("violations before corruption: %d", got)
+	if got := violationCount(net); got != 0 {
+		t.Fatalf("violations before corruption: %v", got)
 	}
 
 	net.Broker(2).CorruptMerged(id)
 	corrupted := time.Now()
-	for net.Metrics().Counter("watchdog_violations").Value() == 0 {
+	for violationCount(net) == 0 {
 		if time.Since(corrupted) > 2*interval+time.Second {
 			t.Fatal("watchdog missed the corrupted summary")
 		}
@@ -171,6 +171,17 @@ func TestWatchdogCatchesCorruptedSummary(t *testing.T) {
 }
 
 // TestWatchdogViolationStrings pins the operator-facing formatting.
+// violationCount sums the watchdog_violations_total{check} family.
+func violationCount(net *Network) float64 {
+	var n float64
+	for name, v := range net.Metrics().Map() {
+		if strings.HasPrefix(name, "watchdog_violations_total{") {
+			n += v
+		}
+	}
+	return n
+}
+
 func TestWatchdogViolationStrings(t *testing.T) {
 	v := Violation{Check: CheckCoverage, Broker: 3, Detail: "x"}
 	if got := v.String(); got != "coverage[broker 3]: x" {

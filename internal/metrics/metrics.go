@@ -1,71 +1,14 @@
-// Package metrics provides the small statistics and table-rendering
-// helpers the experiment harness uses to print the paper's figures as
-// aligned text tables and CSV.
+// Package metrics holds the live engine's instrument registry, its
+// sampler and Prometheus exposition, and the table renderer the
+// experiment harness uses to print the paper's figures as aligned text
+// and CSV.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Summary holds aggregate statistics of a sample.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-	P50, P95, P99  float64
-	StdDev         float64
-}
-
-// Summarize computes aggregate statistics; it returns the zero Summary for
-// an empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	variance := sumSq/float64(len(xs)) - s.Mean*s.Mean
-	if variance > 0 {
-		s.StdDev = math.Sqrt(variance)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = percentile(sorted, 0.50)
-	s.P95 = percentile(sorted, 0.95)
-	s.P99 = percentile(sorted, 0.99)
-	return s
-}
-
-// percentile reads the p-quantile from a sorted sample (nearest rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p*float64(len(sorted)-1) + 0.5)
-	return sorted[i]
-}
-
-// SummarizeInts is Summarize for integer samples.
-func SummarizeInts(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
 
 // Table renders experiment results as an aligned text table (the shape the
 // paper's figures report: one row per x value, one column per series).
@@ -176,21 +119,4 @@ func csvQuote(cell string) string {
 		return cell
 	}
 	return `"` + strings.ReplaceAll(cell, `"`, `""`) + `"`
-}
-
-// HumanBytes renders a byte count with binary-ish magnitude suffixes as
-// used in log-scale figures (powers of 1000 for readability).
-func HumanBytes(n int64) string {
-	switch {
-	case n >= 1e12:
-		return fmt.Sprintf("%.2fTB", float64(n)/1e12)
-	case n >= 1e9:
-		return fmt.Sprintf("%.2fGB", float64(n)/1e9)
-	case n >= 1e6:
-		return fmt.Sprintf("%.2fMB", float64(n)/1e6)
-	case n >= 1e3:
-		return fmt.Sprintf("%.2fKB", float64(n)/1e3)
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }

@@ -1,56 +1,9 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if s.P50 != 3 {
-		t.Fatalf("P50 = %v", s.P50)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(2)) > 1e-9 {
-		t.Fatalf("StdDev = %v", s.StdDev)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
-		t.Fatalf("empty Summary = %+v", z)
-	}
-}
-
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{2, 4, 6})
-	if s.Mean != 4 || s.N != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-}
-
-func TestSummarizeProperties(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		s := Summarize(clean)
-		return s.Min <= s.Mean && s.Mean <= s.Max &&
-			s.Min <= s.P50 && s.P50 <= s.Max &&
-			s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max &&
-			s.StdDev >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("Figure X", "sigma", "broadcast", "summary")
@@ -79,36 +32,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSummarizeP99(t *testing.T) {
-	// 1..100: nearest-rank percentiles of the integer ramp are exact.
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	s := Summarize(xs)
-	if s.P50 != 51 {
-		t.Errorf("P50 = %v, want 51", s.P50)
-	}
-	if s.P95 != 95 {
-		t.Errorf("P95 = %v, want 95", s.P95)
-	}
-	if s.P99 != 99 {
-		t.Errorf("P99 = %v, want 99", s.P99)
-	}
-	// A heavy-tailed sample: P99 must see the tail that P95 misses.
-	tail := append(make([]float64, 0, 208), xs...)
-	for i := 0; i < 98; i++ {
-		tail = append(tail, 10)
-	}
-	for i := 0; i < 10; i++ {
-		tail = append(tail, 5000+float64(i)*400)
-	}
-	st := Summarize(tail)
-	if st.P99 < 1000 || st.P95 > 101 {
-		t.Errorf("heavy tail: P95 = %v, P99 = %v", st.P95, st.P99)
-	}
-}
-
 func TestCSVQuoting(t *testing.T) {
 	tab := NewTable("", "pattern", "count")
 	tab.AddRow(`contains "a,b"`, 3)
@@ -134,20 +57,5 @@ func TestCSVQuoting(t *testing.T) {
 	tab2.AddRow("x")
 	if !strings.HasPrefix(tab2.CSV(), `"a,b"`+"\n") {
 		t.Fatalf("header quoting: %q", tab2.CSV())
-	}
-}
-
-func TestHumanBytes(t *testing.T) {
-	cases := map[int64]string{
-		500:           "500B",
-		1500:          "1.50KB",
-		2_500_000:     "2.50MB",
-		3_000_000_000: "3.00GB",
-		4e12:          "4.00TB",
-	}
-	for in, want := range cases {
-		if got := HumanBytes(in); got != want {
-			t.Errorf("HumanBytes(%d) = %q, want %q", in, got, want)
-		}
 	}
 }

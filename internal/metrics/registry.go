@@ -1,10 +1,9 @@
 // Instrument registry: lightweight, concurrent runtime metrics for the
-// live engine. Unlike CounterSet (a map under a mutex, fine for
-// experiment-harness accounting), the registry's instruments are
-// preallocated atomics: callers look an instrument up once at wiring time
-// and increment a pointer on the hot path — zero allocations, zero locks,
-// matching the allocation discipline of the matcher and propagation fast
-// paths they observe.
+// live engine. The registry's instruments are preallocated atomics:
+// callers look an instrument up once at wiring time and increment a
+// pointer on the hot path — zero allocations, zero locks, matching the
+// allocation discipline of the matcher and propagation fast paths they
+// observe.
 //
 // Three instrument kinds cover the engine's needs:
 //

@@ -194,27 +194,6 @@ func (s Stats) TotalErrors() int64 {
 	return n
 }
 
-// Counters flattens the snapshot into a metrics.CounterSet with
-// "<kind>.<field>" names (e.g. "summary.dropped", "event.decode_errors"),
-// ready for table rendering in experiment reports.
-func (s Stats) Counters() *metrics.CounterSet {
-	c := metrics.NewCounterSet()
-	add := func(field string, m map[Kind]int64) {
-		for k, v := range m {
-			if v != 0 {
-				c.Add(k.String()+"."+field, v)
-			}
-		}
-	}
-	add("messages", s.Messages)
-	add("bytes", s.Bytes)
-	add("dropped", s.Dropped)
-	add("dropped_bytes", s.DroppedBytes)
-	add("decode_errors", s.DecodeErrors)
-	add("handler_errors", s.HandlerErrors)
-	return c
-}
-
 // Instrument exposes the bus accounting in r: the per-kind counters as
 // the "bus_messages", "bus_bytes", "bus_dropped", "bus_dropped_bytes",
 // "bus_decode_errors" and "bus_handler_errors" {kind} families, and the

@@ -200,34 +200,6 @@ func TestErrorCountersAndTotals(t *testing.T) {
 	}
 }
 
-func TestStatsCountersFlatten(t *testing.T) {
-	b := NewBus(1)
-	defer b.Close()
-	b.Start(0, func(Message) {})
-	_ = b.Send(Message{To: 0, Kind: KindSummary, Payload: []byte("abcd")})
-	b.SetDropFunc(func(m Message) bool { return true })
-	_ = b.Send(Message{To: 0, Kind: KindEvent})
-	b.SetDropFunc(nil)
-	b.RecordDecodeError(KindDeliver)
-	b.Quiesce()
-	c := b.Stats().Counters()
-	checks := map[string]int64{
-		"summary.messages":      1,
-		"summary.bytes":         4,
-		"event.dropped":         1,
-		"deliver.decode_errors": 1,
-	}
-	for name, want := range checks {
-		if got := c.Get(name); got != want {
-			t.Fatalf("counter %q = %d, want %d (all: %v)", name, got, want, c.Snapshot())
-		}
-	}
-	// Zero-valued counters are omitted from the flattened set.
-	if got := c.Snapshot(); len(got) != len(checks) {
-		t.Fatalf("unexpected extra counters: %v", got)
-	}
-}
-
 // TestQuiesceRacesSenders is the regression test for the quiescence
 // counter: with sync.WaitGroup-based tracking, a Send from one goroutine
 // racing a Quiesce on another could trip "WaitGroup misuse" (Add called

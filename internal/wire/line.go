@@ -9,13 +9,13 @@ import (
 	"unicode/utf8"
 )
 
-// Flat lines — every Request, and every Response that carries no Stats,
-// Metrics, History, Health or SLO — are written and read by hand here,
-// without reflection. The encoder writes json.Marshal's bytes exactly:
-// keys in struct order, zero fields omitted, strings escaped as
-// encoding/json escapes them (HTML-safe). The parser accepts only that
-// canonical form and hands anything else to encoding/json, so no wire byte
-// differs from the reflective codec and any JSON client still works.
+// Flat lines — every Request, and every Response but a stats reply — are
+// written and read by hand here, without reflection. The encoder writes
+// json.Marshal's bytes exactly: keys in struct order, zero fields omitted,
+// strings escaped as encoding/json escapes them (HTML-safe). The parser
+// accepts only that canonical form and hands anything else to
+// encoding/json, so no wire byte differs from the reflective codec and any
+// JSON client still works.
 
 // pendingCap bounds the delivery lines a connection holds behind a write
 // in progress: a delivery that finds this many bytes waiting behind one is
@@ -39,7 +39,7 @@ func appendRequestLine(dst []byte, r *Request) []byte {
 
 // flat reports whether r is a flat line: one the hand codec handles.
 func (r *Response) flat() bool {
-	return len(r.Stats) == 0 && len(r.Metrics) == 0 && r.History == nil && r.Health == nil && r.SLO == nil
+	return len(r.Stats) == 0
 }
 
 // appendResponseLine appends r as one protocol line: by hand when r is

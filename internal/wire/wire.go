@@ -1,6 +1,9 @@
 // Package wire implements the TCP front end of the broker network: a
 // line-delimited JSON protocol through which remote clients subscribe,
 // publish, trigger propagation periods, and receive event deliveries.
+// The stats op carries the bus accounting; the rest of the operator
+// telemetry (registry, history, health, SLO) is served over HTTP by
+// internal/debughttp.
 //
 // Requests, one JSON object per line, as Client writes them (zero fields
 // are omitted, and < > & are escaped, as json.Marshal does; any JSON
@@ -11,9 +14,6 @@
 //	{"op":"publish","event":"symbol=OTE price=8.40"}
 //	{"op":"propagate"}
 //	{"op":"stats"}
-//	{"op":"history"}
-//	{"op":"convergence"}
-//	{"op":"slo"}
 //	{"op":"extend","attr":"newattr","attrtype":"float"}
 //	{"op":"ping"}
 //
@@ -50,7 +50,6 @@ import (
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/netsim"
 	"github.com/subsum/subsum/internal/schema"
-	"github.com/subsum/subsum/internal/slo"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/topology"
 )
@@ -76,28 +75,14 @@ type Response struct {
 	Event  string           `json:"event,omitempty"`
 	Hops   int              `json:"hops,omitempty"`
 	Stats  map[string]int64 `json:"stats,omitempty"`
-	// Metrics carries the network's full instrument-registry snapshot
-	// (counters, gauges, and histogram-derived quantiles) on stats replies.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// History carries the sampler's retained time-series on history
-	// replies (nil when the server has no sampler attached).
-	History *metrics.History `json:"history,omitempty"`
-	// Health carries the summary-health snapshot (convergence epoch
-	// vectors plus false-positive attribution) on convergence replies.
-	Health *core.HealthReport `json:"health,omitempty"`
-	// SLO carries the error-budget report (per-objective verdicts with
-	// burn rates and evidence) on slo replies.
-	SLO *slo.Report `json:"slo,omitempty"`
 }
 
 // Server exposes a core.Network over TCP.
 type Server struct {
-	net     *core.Network
-	schema  *schema.Schema
-	ln      net.Listener
-	sampler *metrics.Sampler   // nil unless SetSampler was called
-	sloFn   func() *slo.Report // nil unless SetSLO was called
-	shed    *metrics.Counter   // wire_deliveries_shed: lines a full connection dropped
+	net    *core.Network
+	schema *schema.Schema
+	ln     net.Listener
+	shed   *metrics.Counter // wire_deliveries_shed: lines a full connection dropped
 
 	mu    sync.Mutex
 	conns map[*conn]struct{}
@@ -231,7 +216,7 @@ func (cc *conn) flush() error {
 		return nil
 	}
 	_, err := cc.c.Write(buf)
-	if cap(buf) > pendingCap { // a large stats or history reply: do not keep its buffer
+	if cap(buf) > pendingCap { // a large burst of lines: do not keep its buffer
 		cc.spare = nil
 	}
 	cc.mu.Lock()
@@ -295,16 +280,6 @@ func NewServer(network *core.Network, s *schema.Schema) *Server {
 	return &Server{net: network, schema: s, conns: make(map[*conn]struct{}),
 		shed: network.Metrics().Counter("wire_deliveries_shed")}
 }
-
-// SetSampler attaches a metrics sampler whose retained time-series the
-// "history" op serves. The caller owns the sampler's lifecycle. Must be
-// called before Listen.
-func (srv *Server) SetSampler(s *metrics.Sampler) { srv.sampler = s }
-
-// SetSLO attaches the provider the "slo" op serves — typically
-// slo.Monitor.Last, so replies carry the monitor's most recent
-// evaluation without recomputing. Must be called before Listen.
-func (srv *Server) SetSLO(fn func() *slo.Report) { srv.sloFn = fn }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
 // returns the bound address. Serve loops run in background goroutines.
@@ -484,26 +459,6 @@ func (srv *Server) handle(cc *conn, req *Request) Response {
 		resp.Stats["pending_retracts"] = pendingRetracts
 		resp.Stats["fenced_ids"] = fencedIDs
 		resp.Stats["compactions"] = compactions
-		resp.Metrics = srv.net.Metrics().Map()
-		return resp
-	case "history":
-		if srv.sampler == nil {
-			return fail(fmt.Errorf("no sampler attached"))
-		}
-		resp.History = srv.sampler.History()
-		return resp
-	case "convergence":
-		resp.Health = srv.net.Health()
-		return resp
-	case "slo":
-		if srv.sloFn == nil {
-			return fail(fmt.Errorf("no slo monitor attached"))
-		}
-		rep := srv.sloFn()
-		if rep == nil {
-			return fail(fmt.Errorf("slo monitor has not evaluated yet"))
-		}
-		resp.SLO = rep
 		return resp
 	default:
 		return fail(fmt.Errorf("unknown op %q", req.Op))
@@ -538,10 +493,9 @@ func Dial(addr string, onEvent func(broker int, local uint32, event string)) (*C
 		done:    make(chan struct{}),
 	}
 	cl.scanner = bufio.NewScanner(c)
-	// Replies can be large: a history document is capacity × series
-	// points (a 24-broker network with default -history-cap 300 is
-	// several MiB), so the reply limit is far above the server's 1 MiB
-	// request limit.
+	// A delivery line echoes an event text that arrived in a request of
+	// up to 1 MiB, and JSON escaping can grow that text up to six-fold, so
+	// the line limit is far above the server's request limit.
 	cl.scanner.Buffer(make([]byte, 0, 64*1024), 64<<20)
 	go cl.readLoop()
 	return cl, nil
@@ -632,56 +586,6 @@ func (cl *Client) Propagate() (int, error) {
 func (cl *Client) Stats() (map[string]int64, error) {
 	resp, err := cl.roundTrip(Request{Op: "stats"})
 	return resp.Stats, err
-}
-
-// Metrics fetches the server's instrument-registry snapshot: every
-// counter, gauge, and histogram aggregate the engine maintains, as a
-// flat name → value map.
-func (cl *Client) Metrics() (map[string]float64, error) {
-	resp, err := cl.roundTrip(Request{Op: "stats"})
-	return resp.Metrics, err
-}
-
-// History fetches the server's retained metrics time-series (per-series
-// ring buffers of values, deltas, and rates). Fails when the server has
-// no sampler attached.
-func (cl *Client) History() (*metrics.History, error) {
-	resp, err := cl.roundTrip(Request{Op: "history"})
-	if err != nil {
-		return nil, err
-	}
-	if resp.History == nil {
-		return nil, errors.New("wire: empty history reply")
-	}
-	return resp.History, nil
-}
-
-// Health fetches the server's summary-health snapshot: per-broker
-// convergence epoch vectors with derived staleness, and the
-// false-positive attribution report.
-func (cl *Client) Health() (*core.HealthReport, error) {
-	resp, err := cl.roundTrip(Request{Op: "convergence"})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Health == nil {
-		return nil, errors.New("wire: empty convergence reply")
-	}
-	return resp.Health, nil
-}
-
-// SLO fetches the server's error-budget report: one verdict per
-// objective with burn rates, remaining budget, and evidence. Fails when
-// the server has no SLO monitor attached or it has not evaluated yet.
-func (cl *Client) SLO() (*slo.Report, error) {
-	resp, err := cl.roundTrip(Request{Op: "slo"})
-	if err != nil {
-		return nil, err
-	}
-	if resp.SLO == nil {
-		return nil, errors.New("wire: empty slo reply")
-	}
-	return resp.SLO, nil
 }
 
 // ExtendSchema appends an attribute to the server's schema at runtime

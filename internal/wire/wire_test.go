@@ -1,18 +1,13 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/subsum/subsum/internal/core"
 	"github.com/subsum/subsum/internal/interval"
-	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/topology"
 )
@@ -331,11 +326,11 @@ func TestServerSurvivesGarbage(t *testing.T) {
 }
 
 // TestStatsMetricsEndToEnd drives the full wire path — subscribe,
-// propagate, publish, deliver — and asserts the stats reply carries the
-// engine's instrument-registry snapshot with the counters that workload
-// must have moved.
+// propagate, publish, deliver — and asserts the engine's
+// instrument-registry snapshot has the counters that workload must have
+// moved, and that the stats reply's bus accounting agrees with it.
 func TestStatsMetricsEndToEnd(t *testing.T) {
-	addr, _ := startServer(t)
+	srv, addr := startServerOn(t, topology.Figure7Tree())
 	var d deliveries
 	cl, err := Dial(addr, d.on)
 	if err != nil {
@@ -356,10 +351,7 @@ func TestStatsMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("deliveries = %v", got)
 	}
 
-	m, err := cl.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := srv.net.Metrics().Map()
 	// Counters this workload must have moved.
 	for _, name := range []string{
 		"events_published",
@@ -384,8 +376,8 @@ func TestStatsMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The legacy bus-accounting stats ride the same reply and must agree
-	// with the registry's view of event traffic.
+	// The stats reply's bus accounting must agree with the registry's
+	// view of event traffic.
 	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -396,140 +388,5 @@ func TestStatsMetricsEndToEnd(t *testing.T) {
 	if float64(st["event_messages"]) != m["bus_messages{event}"] {
 		t.Fatalf("bus accounting disagrees: stats=%d registry=%v",
 			st["event_messages"], m["bus_messages{event}"])
-	}
-}
-
-// TestHistoryOp exercises the history op end-to-end: a sampler ticking
-// over the network's registry, fetched through the wire client.
-func TestHistoryOp(t *testing.T) {
-	s := schema.MustNew(
-		schema.Attribute{Name: "symbol", Type: schema.TypeString},
-		schema.Attribute{Name: "price", Type: schema.TypeFloat},
-	)
-	network, err := core.New(core.Config{
-		Topology: topology.Figure7Tree(),
-		Schema:   s,
-		Mode:     interval.Lossy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler := metrics.NewSampler(network.Metrics(), 10*time.Millisecond, 32)
-	srv := NewServer(network, s)
-	srv.SetSampler(sampler)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		network.Close()
-	})
-
-	cl, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if err := cl.Publish(0, "symbol=OTE price=9"); err != nil {
-		t.Fatal(err)
-	}
-	sampler.Tick(time.Now())
-	if err := cl.Publish(0, "symbol=OTE price=10"); err != nil {
-		t.Fatal(err)
-	}
-	sampler.Tick(time.Now().Add(time.Second))
-
-	h, err := cl.History()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Ticks != 2 || len(h.Series) == 0 {
-		t.Fatalf("history: ticks=%d series=%d", h.Ticks, len(h.Series))
-	}
-	p, ok := h.Latest("events_published")
-	if !ok || p.Value != 2 {
-		t.Fatalf("events_published latest = %+v ok=%v", p, ok)
-	}
-	if p.Delta != 1 {
-		t.Fatalf("events_published delta = %v, want 1", p.Delta)
-	}
-}
-
-// TestHistoryOpLargeReply is the regression test for the client's reply
-// buffer: a fully-warmed history document on a real network is several
-// MiB on one line (capacity × series points), which overran the old
-// 1 MiB scanner limit and killed the connection with "token too long" —
-// subsumtop then silently degraded to "history: off".
-func TestHistoryOpLargeReply(t *testing.T) {
-	s := schema.MustNew(
-		schema.Attribute{Name: "symbol", Type: schema.TypeString},
-		schema.Attribute{Name: "price", Type: schema.TypeFloat},
-	)
-	network, err := core.New(core.Config{
-		Topology: topology.Figure7Tree(),
-		Schema:   s,
-		Mode:     interval.Lossy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inflate the series namespace the way a big broker fleet would, then
-	// fill every ring to capacity.
-	const extraSeries, capacity = 1500, 64
-	for i := 0; i < extraSeries; i++ {
-		network.Metrics().Counter(fmt.Sprintf("synthetic_series_%04d", i)).Inc()
-	}
-	sampler := metrics.NewSampler(network.Metrics(), 10*time.Millisecond, capacity)
-	now := time.Now()
-	for i := 0; i < capacity; i++ {
-		sampler.Tick(now.Add(time.Duration(i) * time.Second))
-	}
-	srv := NewServer(network, s)
-	srv.SetSampler(sampler)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		network.Close()
-	})
-
-	cl, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	h, err := cl.History()
-	if err != nil {
-		t.Fatalf("history over the wire: %v", err)
-	}
-	if len(h.Series) < extraSeries {
-		t.Fatalf("series = %d, want ≥ %d", len(h.Series), extraSeries)
-	}
-	var doc bytes.Buffer
-	if err := json.NewEncoder(&doc).Encode(h); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Len() < 1<<20 {
-		t.Fatalf("history doc only %d bytes — not a regression-sized reply", doc.Len())
-	}
-	// The connection must survive the big reply for subsequent ops.
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("ping after large history: %v", err)
-	}
-}
-
-func TestHistoryOpWithoutSampler(t *testing.T) {
-	addr, _ := startServer(t)
-	cl, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.History(); err == nil || !strings.Contains(err.Error(), "no sampler") {
-		t.Fatalf("history without sampler: err = %v, want 'no sampler'", err)
 	}
 }
