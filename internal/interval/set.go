@@ -2,6 +2,7 @@ package interval
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -41,11 +42,10 @@ type Set struct {
 	eq   map[float64][]uint64 // equality values no sub-range contains
 	ne   []neEntry            // sorted by value
 
-	// distinct records that no single query can return one id twice, so a
-	// reader may count the consulted lists without deduplicating. Only
-	// CloneMapped establishes it, for its read-only copy; on every set
-	// built by mutation it is false: unknown, assume repeats.
-	distinct bool
+	// words is ⌈n/64⌉ on a CloneMapped copy over n ids, where an id list of
+	// exactly words entries is a bitset (see CloneMapped); 0 on a set built
+	// by mutation, whose lists are never empty.
+	words int
 
 	// slab backs the id lists the wire-merge paths (MergePoint,
 	// MergeNotEqual) retain, so a merge that adds many rows costs one
@@ -389,12 +389,12 @@ func (s *Set) Query(v float64) []uint64 {
 // AppendLists appends to dst the id lists a query for v consults, in
 // place — the one statement of Check_for_a_value_match (type arithmetic):
 // the sub-range row containing v; the equality row of v when no sub-range
-// contains it (the paper's "Else"); every ≠ entry of another value. The lists are the set's own and must not be written.
-// distinct reports that no id occurs in two of the appended lists; it is
-// known only for a CloneMapped copy, and false means "may repeat". Beyond
-// growing dst it does not allocate, and it is safe for concurrent readers.
-func (s *Set) AppendLists(dst [][]uint64, v float64) (lists [][]uint64, distinct bool) {
-	n := len(dst)
+// contains it (the paper's "Else"); every ≠ entry of another value. The
+// lists are the set's own and must not be written; on a CloneMapped copy
+// some are bitsets. One id may sit in two of them (a range row and a ≠
+// entry). Beyond growing dst it does not allocate, and it is safe for
+// concurrent readers.
+func (s *Set) AppendLists(dst [][]uint64, v float64) [][]uint64 {
 	if i, inRange := s.findRow(v); inRange {
 		dst = append(dst, s.rows[i].ids)
 	} else if ids := s.eq[v]; len(ids) > 0 {
@@ -405,22 +405,45 @@ func (s *Set) AppendLists(dst [][]uint64, v float64) (lists [][]uint64, distinct
 			dst = append(dst, ne.ids)
 		}
 	}
-	return dst, s.distinct || len(dst)-n < 2
+	return dst
 }
 
 // AppendMatches appends the ids of all subscriptions whose constraint on
 // this attribute is satisfied by v to dst and returns the extended slice:
-// the lists of AppendLists, copied. Unlike Query it performs no sorting or
-// deduplication — an id may repeat when it appears in more than one
-// consulted list — and beyond growing dst (and the list headers, past
-// eight lists) it does not allocate. Safe for concurrent readers.
+// the lists of AppendLists, copied (a bitset as its ids, ascending).
+// Unlike Query it performs no sorting or deduplication — an id may repeat
+// when it appears in more than one consulted list — and beyond growing dst
+// (and the list headers, past eight lists) it does not allocate. Safe for
+// concurrent readers.
 func (s *Set) AppendMatches(dst []uint64, v float64) []uint64 {
 	var hdr [8][]uint64
-	lists, _ := s.AppendLists(hdr[:0], v)
-	for _, ids := range lists {
-		dst = append(dst, ids...)
+	for _, ids := range s.AppendLists(hdr[:0], v) {
+		dst = s.appendIDs(dst, ids)
 	}
 	return dst
+}
+
+// appendIDs appends the ids one list of the set holds to dst: the list
+// itself, or the ids a bitset of a CloneMapped copy has set.
+func (s *Set) appendIDs(dst, ids []uint64) []uint64 {
+	if len(ids) != s.words {
+		return append(dst, ids...)
+	}
+	for w, word := range ids {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, uint64(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
+// idList returns the ids of one list of the set as a list, expanding a
+// bitset into a new slice.
+func (s *Set) idList(ids []uint64) []uint64 {
+	if len(ids) != s.words {
+		return ids
+	}
+	return s.appendIDs(nil, ids)
 }
 
 // QueryInto is Query without the final allocation: it merges results into
@@ -431,7 +454,7 @@ func (s *Set) AppendMatches(dst []uint64, v float64) []uint64 {
 func (s *Set) QueryInto(v float64, dst map[uint64]struct{}) int {
 	added := 0
 	note := func(ids []uint64) {
-		for _, id := range ids {
+		for _, id := range s.idList(ids) {
 			if _, ok := dst[id]; !ok {
 				dst[id] = struct{}{}
 				added++
@@ -593,63 +616,61 @@ func (s *Set) Clone() *Set {
 // CloneMapped returns a deep copy of the set with every id translated by
 // f; ids f rejects are dropped, and so are rows left without ids. f must
 // be one-to-one on the ids it keeps, and every id it returns must be below
-// n. The set never interprets ids beyond their order: when f is strictly
-// increasing its lists stay sorted; otherwise order, if non-nil, is handed
-// each list of two or more ids as f left it, and the caller must sort
-// them in place before it reads the copy. The receiver is only read. The
-// copy's id lists share one backing array: it is meant to be read, not
-// mutated.
+// n. The receiver is only read. The copy is meant to be read, not mutated:
+// its lists share one backing array.
 //
-// The same pass decides the copy's distinct flag (see AppendLists) over a
-// bitmap of the n mapped ids. A query consults one sub-range row or one
-// equality row, never both, but every ≠ entry save one, so an id can come
-// back twice only if it sits in a ≠ entry and in any other list. The test
-// is by id, not by value — `x != 5` beside `x = 5` can never be consulted
-// together and still clears the flag — so it errs only towards false, the
-// side that costs the reader a check per id and not a match.
+// Each list of the copy takes the smaller of two forms. With W = ⌈n/64⌉,
+// a list of at least W ids is stored as the W-word bitset of them (id i is
+// bit i&63 of word i>>6): n/8 bytes instead of 8 per id. Every other list
+// keeps fewer than W ids, so a reader of AppendLists tells the forms apart
+// by length; AppendMatches, Query, QueryInto and the row accessors hand
+// out a bitset as its ids, ascending. The set never interprets the ids of
+// a list beyond their order: when f is strictly increasing the lists stay
+// sorted; otherwise order, if non-nil, is handed each list of two or more
+// ids as f left it, and the caller must sort them in place before it
+// reads the copy.
 func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uint64)) *Set {
-	out := &Set{eq: make(map[float64][]uint64, len(s.eq)), distinct: true}
+	words := (n + 63) / 64
+	out := &Set{eq: make(map[float64][]uint64, len(s.eq)), words: words}
+	// A bitset takes the place of at least as many ids as it has words, so
+	// the ids bound the slab.
 	slab := make([]uint64, 0, s.idEntries())
-	var seen []uint64 // bitmap of the mapped ids copied so far; nil when no repeat is possible
-	if len(s.ne) > 0 {
-		seen = make([]uint64, (n+63)/64)
-	}
-	mapIDs := func(ids []uint64, check bool) []uint64 {
+	bitset := make([]uint64, words)
+	mapIDs := func(ids []uint64) []uint64 {
 		start := len(slab)
 		for _, id := range ids {
-			m, ok := f(id)
-			if !ok {
-				continue
-			}
-			slab = append(slab, m)
-			if seen != nil {
-				w, bit := m>>6, uint64(1)<<(m&63)
-				if check && seen[w]&bit != 0 {
-					out.distinct = false
-				}
-				seen[w] |= bit
+			if m, ok := f(id); ok {
+				slab = append(slab, m)
 			}
 		}
-		ids = slab[start:len(slab):len(slab)]
-		if order != nil && len(ids) > 1 {
-			order(ids)
+		if len(slab)-start < words {
+			ids = slab[start:len(slab):len(slab)]
+			if order != nil && len(ids) > 1 {
+				order(ids)
+			}
+			return ids
 		}
-		return ids
+		clear(bitset)
+		for _, m := range slab[start:] {
+			bitset[m>>6] |= 1 << (m & 63)
+		}
+		slab = slab[:start+copy(slab[start:], bitset)]
+		return slab[start:len(slab):len(slab)]
 	}
 	out.rows = make([]row, 0, len(s.rows))
 	for _, r := range s.rows {
-		if ids := mapIDs(r.ids, false); len(ids) > 0 {
+		if ids := mapIDs(r.ids); len(ids) > 0 {
 			out.rows = append(out.rows, row{iv: r.iv, ids: ids})
 		}
 	}
 	for v, ids := range s.eq {
-		if ids = mapIDs(ids, false); len(ids) > 0 {
+		if ids = mapIDs(ids); len(ids) > 0 {
 			out.eq[v] = ids
 		}
 	}
 	out.ne = make([]neEntry, 0, len(s.ne))
 	for _, e := range s.ne {
-		if ids := mapIDs(e.ids, true); len(ids) > 0 {
+		if ids := mapIDs(e.ids); len(ids) > 0 {
 			out.ne = append(out.ne, neEntry{value: e.value, ids: ids})
 		}
 	}
@@ -771,12 +792,13 @@ type RowView struct {
 	IDs      []uint64
 }
 
-// Rows returns the sub-range rows in order. The id slices are shared;
-// callers must not mutate them.
+// Rows returns the sub-range rows in order. The id slices are shared
+// (a bitset of a CloneMapped copy is expanded into a new list); callers
+// must not mutate them.
 func (s *Set) Rows() []RowView {
 	out := make([]RowView, len(s.rows))
 	for i, r := range s.rows {
-		out[i] = RowView{Interval: r.iv, IDs: r.ids}
+		out[i] = RowView{Interval: r.iv, IDs: s.idList(r.ids)}
 	}
 	return out
 }
@@ -791,7 +813,7 @@ type EqView struct {
 func (s *Set) EqRows() []EqView {
 	out := make([]EqView, 0, len(s.eq))
 	for v, ids := range s.eq {
-		out = append(out, EqView{Value: v, IDs: ids})
+		out = append(out, EqView{Value: v, IDs: s.idList(ids)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out
@@ -801,7 +823,7 @@ func (s *Set) EqRows() []EqView {
 func (s *Set) NeRows() []EqView {
 	out := make([]EqView, 0, len(s.ne))
 	for _, e := range s.ne {
-		out = append(out, EqView{Value: e.value, IDs: e.ids})
+		out = append(out, EqView{Value: e.value, IDs: s.idList(e.ids)})
 	}
 	return out
 }
@@ -811,7 +833,7 @@ func (s *Set) String() string {
 	var b strings.Builder
 	b.WriteString("ranges:")
 	for _, r := range s.rows {
-		fmt.Fprintf(&b, " %s→%v", r.iv, r.ids)
+		fmt.Fprintf(&b, " %s→%v", r.iv, s.idList(r.ids))
 	}
 	b.WriteString(" eq:")
 	for _, e := range s.EqRows() {
@@ -820,7 +842,7 @@ func (s *Set) String() string {
 	if len(s.ne) > 0 {
 		b.WriteString(" ne:")
 		for _, e := range s.ne {
-			fmt.Fprintf(&b, " %g→%v", e.value, e.ids)
+			fmt.Fprintf(&b, " %g→%v", e.value, s.idList(e.ids))
 		}
 	}
 	return b.String()

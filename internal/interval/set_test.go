@@ -3,6 +3,7 @@ package interval
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -534,51 +535,83 @@ func TestCompactBehaviourPreservedRandomized(t *testing.T) {
 	}
 }
 
-// TestCloneMappedDistinct pins the distinct flag CloneMapped decides, both
-// ways: false wherever one query can list an id twice (a wrong true makes
-// the summary matcher count the id twice for one attribute and lose a
-// match), and true for the everyday shapes (a wrong false only costs the
-// matcher its fast path, which no correctness test would notice).
-func TestCloneMappedDistinct(t *testing.T) {
-	identity := func(id uint64) (uint64, bool) { return id, true }
-	cases := []struct {
-		name  string
-		build func(*Set)
-		probe float64 // a value whose query consults two lists
-		want  bool
-	}{
-		{"ranges, an equality and ≠ entries of different ids", func(s *Set) {
-			s.Insert(Interval{Lo: 1, Hi: 5}, 1)
-			s.Insert(Interval{Lo: 3, Hi: 9}, 2) // one id in several rows: rows are disjoint
-			s.Insert(Point(20), 1)
-			s.InsertNotEqual(3, 3)
-			s.InsertNotEqual(4, 4)
-		}, 2, true},
-		{"≠ beside a range of the same id", func(s *Set) {
-			s.Insert(Interval{Lo: 1, Hi: 5}, 1)
-			s.InsertNotEqual(3, 1)
-		}, 2, false},
-		{"≠ beside an equality of the same id", func(s *Set) {
-			s.Insert(Point(7), 1)
-			s.InsertNotEqual(3, 1)
-		}, 7, false},
-		{"two ≠ entries of one id", func(s *Set) {
-			s.InsertNotEqual(3, 1)
-			s.InsertNotEqual(4, 1)
-		}, 5, false},
+// TestCloneMappedForms: a CloneMapped copy over n ids keeps a list of
+// fewer than ⌈n/64⌉ kept ids as an ascending list and stores a longer one
+// as the bitset of its ids, and every reader of the copy — Query (through
+// AppendMatches), QueryInto and the row accessors — returns what the
+// original returns under the mapping.
+func TestCloneMappedForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 200 // four words: lists of one to three kept ids stay lists
+	s := NewSet(Lossy)
+	for i := 0; i < 300; i++ {
+		key := uint64(1000 + rng.Intn(2*n))
+		v := float64(rng.Intn(40))
+		switch rng.Intn(4) {
+		case 0:
+			s.Insert(Point(v), key)
+		case 1:
+			s.InsertNotEqual(v, key)
+		default:
+			s.Insert(Interval{Lo: v, Hi: v + float64(1+rng.Intn(8))}, key)
+		}
 	}
-	for _, tc := range cases {
-		s := NewSet(Lossy)
-		tc.build(s)
-		if _, distinct := s.AppendLists(nil, tc.probe); distinct {
-			t.Errorf("%s: a set built by mutation claims distinct lists", tc.name)
+	// Odd keys are dropped; the rest map in reverse, so lists reach the
+	// order hook descending.
+	f := func(key uint64) (uint64, bool) { return n - 1 - (key-1000)/2, key%2 == 0 }
+	mapped := func(keys []uint64) []uint64 {
+		var out []uint64
+		for _, key := range keys {
+			if m, ok := f(key); ok {
+				out = append(out, m)
+			}
 		}
-		lists, distinct := s.CloneMapped(8, identity, nil).AppendLists(nil, tc.probe)
-		if len(lists) < 2 {
-			t.Fatalf("%s: probe %g consults %v, want two lists", tc.name, tc.probe, lists)
+		slices.Sort(out)
+		return out
+	}
+	c := s.CloneMapped(n, f, slices.Sort[[]uint64])
+	words := (n + 63) / 64
+	lists, bitsets := 0, 0
+	for v := -0.5; v <= 50; v += 0.5 {
+		for _, ids := range c.AppendLists(nil, v) {
+			if len(ids) == words {
+				bitsets++
+				continue
+			}
+			lists++
+			if len(ids) >= words || !slices.IsSorted(ids) || ids[len(ids)-1] >= n {
+				t.Fatalf("value %g consults list %v: want fewer than %d ascending ids below %d", v, ids, words, n)
+			}
 		}
-		if distinct != tc.want {
-			t.Errorf("%s: distinct = %v, want %v (probe %g consults %v)", tc.name, distinct, tc.want, tc.probe, lists)
+		if got, want := c.Query(v), mapped(s.Query(v)); !slices.Equal(got, want) {
+			t.Fatalf("copy's Query(%g) = %v, original mapped %v", v, got, want)
+		}
+		into := map[uint64]struct{}{}
+		if c.QueryInto(v, into); len(into) != len(mapped(s.Query(v))) {
+			t.Fatalf("copy's QueryInto(%g) added %d ids, want %d", v, len(into), len(mapped(s.Query(v))))
+		}
+	}
+	if lists == 0 || bitsets == 0 {
+		t.Fatalf("fixture consulted %d lists and %d bitsets; want both forms", lists, bitsets)
+	}
+	var want []RowView
+	for _, r := range s.Rows() {
+		if ids := mapped(r.IDs); len(ids) > 0 {
+			want = append(want, RowView{Interval: r.Interval, IDs: ids})
+		}
+	}
+	if got := c.Rows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("copy's rows %v, original mapped %v", got, want)
+	}
+	for name, views := range map[string][2][]EqView{"equality": {s.EqRows(), c.EqRows()}, "≠": {s.NeRows(), c.NeRows()}} {
+		var want []EqView
+		for _, e := range views[0] {
+			if ids := mapped(e.IDs); len(ids) > 0 {
+				want = append(want, EqView{Value: e.Value, IDs: ids})
+			}
+		}
+		if len(views[1])+len(want) > 0 && !reflect.DeepEqual(views[1], want) {
+			t.Fatalf("copy's %s rows %v, original mapped %v", name, views[1], want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package strmatch
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -34,11 +35,10 @@ type Set struct {
 	// stay benign (both build identical values).
 	idx atomic.Pointer[opIndex]
 
-	// distinct records that no single query can return one id twice, so a
-	// reader may count the consulted lists without deduplicating. Only
-	// CloneMapped establishes it, for its read-only copy; on every set
-	// built by mutation it is false: unknown, assume repeats.
-	distinct bool
+	// words is ⌈n/64⌉ on a CloneMapped copy over n ids, where an id list of
+	// exactly words entries is a bitset (see CloneMapped); 0 on a set built
+	// by mutation, whose lists are never empty.
+	words int
 
 	// slab backs the id lists MergeRowBytes retains, so a wire merge that
 	// adds many rows costs one allocation per chunk instead of one per
@@ -347,12 +347,11 @@ func (s *Set) index() *opIndex {
 // another text. Lookup cost scales with the rows that can match v:
 // equality by hash, prefix and suffix by one binary search per distinct
 // pattern length, and a linear scan only over contains/glob rows and ≠
-// entries. The lists are the set's own and must not be written. distinct
-// reports that no id occurs in two of the appended lists; it is known only
-// for a CloneMapped copy, and false means "may repeat". Beyond growing dst
+// entries. The lists are the set's own and must not be written; on a
+// CloneMapped copy some are bitsets. One id may sit in two of them (a
+// prefix row and a suffix row, or a row and a ≠ entry). Beyond growing dst
 // it does not allocate.
-func (s *Set) AppendLists(dst [][]uint64, v string) (lists [][]uint64, distinct bool) {
-	n := len(dst)
+func (s *Set) AppendLists(dst [][]uint64, v string) [][]uint64 {
 	if ids, ok := s.eq[v]; ok {
 		dst = append(dst, ids)
 	}
@@ -385,22 +384,44 @@ func (s *Set) AppendLists(dst [][]uint64, v string) (lists [][]uint64, distinct 
 			dst = append(dst, ids)
 		}
 	}
-	return dst, s.distinct || len(dst)-n < 2
+	return dst
 }
 
 // AppendMatches appends the ids of all subscriptions whose constraint is
 // satisfied by v to dst and returns the extended slice: the lists of
-// AppendLists, copied. Unlike Match it performs no sorting or
-// deduplication — an id may repeat when several rows match — and beyond
-// growing dst (and the list headers, past eight lists) it does not
-// allocate.
+// AppendLists, copied (a bitset as its ids, ascending). Unlike Match it
+// performs no sorting or deduplication — an id may repeat when several
+// rows match — and beyond growing dst (and the list headers, past eight
+// lists) it does not allocate.
 func (s *Set) AppendMatches(dst []uint64, v string) []uint64 {
 	var hdr [8][]uint64
-	lists, _ := s.AppendLists(hdr[:0], v)
-	for _, ids := range lists {
-		dst = append(dst, ids...)
+	for _, ids := range s.AppendLists(hdr[:0], v) {
+		dst = s.appendIDs(dst, ids)
 	}
 	return dst
+}
+
+// appendIDs appends the ids one list of the set holds to dst: the list
+// itself, or the ids a bitset of a CloneMapped copy has set.
+func (s *Set) appendIDs(dst, ids []uint64) []uint64 {
+	if len(ids) != s.words {
+		return append(dst, ids...)
+	}
+	for w, word := range ids {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, uint64(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
+// idList returns the ids of one list of the set as a list, expanding a
+// bitset into a new slice.
+func (s *Set) idList(ids []uint64) []uint64 {
+	if len(ids) != s.words {
+		return ids
+	}
+	return s.appendIDs(nil, ids)
 }
 
 // MatchInto merges matching ids into dst and returns how many distinct ids
@@ -411,7 +432,7 @@ func (s *Set) AppendMatches(dst []uint64, v string) []uint64 {
 func (s *Set) MatchInto(v string, dst map[uint64]struct{}) int {
 	added := 0
 	note := func(ids []uint64) {
-		for _, id := range ids {
+		for _, id := range s.idList(ids) {
 			if _, ok := dst[id]; !ok {
 				dst[id] = struct{}{}
 				added++
@@ -541,71 +562,64 @@ func (s *Set) Clone() *Set {
 // CloneMapped returns a deep copy of the set with every id translated by
 // f; ids f rejects are dropped, and so are rows left without ids. f must
 // be one-to-one on the ids it keeps, and every id it returns must be below
-// n. The set never interprets ids beyond their order: when f is strictly
-// increasing its lists stay sorted; otherwise order, if non-nil, is handed
-// each list of two or more ids as f left it, and the caller must sort
-// them in place before it reads the copy. The receiver is only read. The
-// copy's id lists share one backing array: it is meant to be read, not
-// mutated.
+// n. The receiver is only read. The copy is meant to be read, not mutated:
+// its lists share one backing array.
 //
-// The same pass decides the copy's distinct flag (see AppendLists) over a
-// bitmap of the n mapped ids. A query consults one equality row at most
-// but any number of pattern rows and ≠ entries, so an id can come back
-// twice only if it sits in two of the pattern and ≠ lists, or in one of
-// them and an equality row (a wire merge can fold one id into a prefix
-// row in one period and a suffix row in the next). The test is by id, not
-// by text, so it errs only towards false, the side that costs the reader
-// a check per id and not a match.
+// Each list of the copy takes the smaller of two forms. With W = ⌈n/64⌉,
+// a list of at least W ids is stored as the W-word bitset of them (id i is
+// bit i&63 of word i>>6): n/8 bytes instead of 8 per id. Every other list
+// keeps fewer than W ids, so a reader of AppendLists tells the forms apart
+// by length; AppendMatches, Match, MatchInto and the row accessors hand
+// out a bitset as its ids, ascending. The set never interprets the ids of
+// a list beyond their order: when f is strictly increasing the lists stay
+// sorted; otherwise order, if non-nil, is handed each list of two or more
+// ids as f left it, and the caller must sort them in place before it
+// reads the copy.
 func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uint64)) *Set {
+	words := (n + 63) / 64
 	out := &Set{
-		pats:     make([]Row, 0, len(s.pats)),
-		eq:       make(map[string][]uint64, len(s.eq)),
-		ne:       make(map[string][]uint64, len(s.ne)),
-		distinct: true,
+		pats:  make([]Row, 0, len(s.pats)),
+		eq:    make(map[string][]uint64, len(s.eq)),
+		ne:    make(map[string][]uint64, len(s.ne)),
+		words: words,
 	}
+	// A bitset takes the place of at least as many ids as it has words, so
+	// the ids bound the slab.
 	slab := make([]uint64, 0, s.Stats().IDEntries)
-	var seen []uint64 // bitmap of the mapped pattern and ≠ ids; nil when there are none
-	if len(s.pats)+len(s.ne) > 0 {
-		seen = make([]uint64, (n+63)/64)
-	}
-	mapIDs := func(ids []uint64, mark bool) []uint64 {
+	bitset := make([]uint64, words)
+	mapIDs := func(ids []uint64) []uint64 {
 		start := len(slab)
 		for _, id := range ids {
-			m, ok := f(id)
-			if !ok {
-				continue
-			}
-			slab = append(slab, m)
-			if seen != nil {
-				w, bit := m>>6, uint64(1)<<(m&63)
-				if seen[w]&bit != 0 {
-					out.distinct = false
-				}
-				if mark {
-					seen[w] |= bit
-				}
+			if m, ok := f(id); ok {
+				slab = append(slab, m)
 			}
 		}
-		ids = slab[start:len(slab):len(slab)]
-		if order != nil && len(ids) > 1 {
-			order(ids)
+		if len(slab)-start < words {
+			ids = slab[start:len(slab):len(slab)]
+			if order != nil && len(ids) > 1 {
+				order(ids)
+			}
+			return ids
 		}
-		return ids
+		clear(bitset)
+		for _, m := range slab[start:] {
+			bitset[m>>6] |= 1 << (m & 63)
+		}
+		slab = slab[:start+copy(slab[start:], bitset)]
+		return slab[start:len(slab):len(slab)]
 	}
 	for _, r := range s.pats {
-		if ids := mapIDs(r.IDs, true); len(ids) > 0 {
+		if ids := mapIDs(r.IDs); len(ids) > 0 {
 			out.pats = append(out.pats, Row{Pattern: r.Pattern, IDs: ids})
 		}
 	}
 	for text, ids := range s.ne {
-		if ids = mapIDs(ids, true); len(ids) > 0 {
+		if ids = mapIDs(ids); len(ids) > 0 {
 			out.ne[text] = ids
 		}
 	}
-	// Equality rows last, tested but not marked: two of them are never
-	// consulted together.
 	for text, ids := range s.eq {
-		if ids = mapIDs(ids, false); len(ids) > 0 {
+		if ids = mapIDs(ids); len(ids) > 0 {
 			out.eq[text] = ids
 		}
 	}
@@ -613,17 +627,20 @@ func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uin
 }
 
 // Rows returns all rows — pattern rows in insertion order followed by
-// equality rows sorted by text. ID slices are shared; do not mutate.
+// equality rows sorted by text. ID slices are shared (a bitset of a
+// CloneMapped copy is expanded into a new list); do not mutate.
 func (s *Set) Rows() []Row {
 	out := make([]Row, 0, len(s.pats)+len(s.eq))
-	out = append(out, s.pats...)
+	for _, r := range s.pats {
+		out = append(out, Row{Pattern: r.Pattern, IDs: s.idList(r.IDs)})
+	}
 	texts := make([]string, 0, len(s.eq))
 	for text := range s.eq {
 		texts = append(texts, text)
 	}
 	sort.Strings(texts)
 	for _, text := range texts {
-		out = append(out, Row{Pattern: Pattern{Op: schema.OpEQ, Text: text}, IDs: s.eq[text]})
+		out = append(out, Row{Pattern: Pattern{Op: schema.OpEQ, Text: text}, IDs: s.idList(s.eq[text])})
 	}
 	return out
 }
@@ -637,7 +654,7 @@ func (s *Set) NeRows() []Row {
 	}
 	sort.Strings(texts)
 	for _, text := range texts {
-		out = append(out, Row{Pattern: Pattern{Op: schema.OpNE, Text: text}, IDs: s.ne[text]})
+		out = append(out, Row{Pattern: Pattern{Op: schema.OpNE, Text: text}, IDs: s.idList(s.ne[text])})
 	}
 	return out
 }

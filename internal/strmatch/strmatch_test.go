@@ -3,6 +3,7 @@ package strmatch
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -355,54 +356,71 @@ func TestSACSNoFalseNegativesRandomized(t *testing.T) {
 	}
 }
 
-// TestCloneMappedDistinct pins the distinct flag CloneMapped decides, both
-// ways: false wherever one query can list an id twice (a wrong true makes
-// the summary matcher count the id twice for one attribute and lose a
-// match), and true for the everyday shapes (a wrong false only costs the
-// matcher its fast path, which no correctness test would notice).
-func TestCloneMappedDistinct(t *testing.T) {
-	identity := func(id uint64) (uint64, bool) { return id, true }
-	cases := []struct {
-		name  string
-		build func(*Set)
-		probe string // a value whose query consults two lists
-		want  bool
-	}{
-		{"equalities, a prefix and a ≠ of different ids", func(s *Set) {
-			s.Insert(pat(schema.OpEQ, "OTE"), 1)
-			s.Insert(pat(schema.OpEQ, "NYSE"), 1) // two equality rows are never consulted together
-			s.Insert(pat(schema.OpPrefix, "LS"), 2)
-			s.Insert(pat(schema.OpNE, "IBM"), 3)
-		}, "LSE", true},
-		{"prefix and suffix of the same id", func(s *Set) {
-			s.Insert(pat(schema.OpPrefix, "OT"), 1)
-			s.Insert(pat(schema.OpSuffix, "TE"), 1)
-		}, "OTE", false},
-		{"equality beside a ≠ of the same id", func(s *Set) {
-			s.Insert(pat(schema.OpEQ, "OTE"), 1)
-			s.Insert(pat(schema.OpNE, "IBM"), 1)
-		}, "OTE", false},
-		{"two ≠ entries of one id", func(s *Set) {
-			s.Insert(pat(schema.OpNE, "IBM"), 1)
-			s.Insert(pat(schema.OpNE, "LSE"), 1)
-		}, "OTE", false},
-		{"contains beside a ≠ of the same id", func(s *Set) {
-			s.Insert(pat(schema.OpContains, "YS"), 1)
-			s.Insert(pat(schema.OpNE, "IBM"), 1)
-		}, "NYSE", false},
+// TestCloneMappedForms: a CloneMapped copy over n ids keeps a list of
+// fewer than ⌈n/64⌉ kept ids as an ascending list and stores a longer one
+// as the bitset of its ids, and every reader of the copy — Match (through
+// AppendMatches), MatchInto and the row accessors — returns what the
+// original returns under the mapping.
+func TestCloneMappedForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const n = 200 // four words: lists of one to three kept ids stay lists
+	words := []string{"NYSE", "OTE", "LSE", "NASDAQ", "OTTO", "SE", "micronet", "microsoft"}
+	ops := []schema.Op{schema.OpEQ, schema.OpEQ, schema.OpNE, schema.OpPrefix, schema.OpSuffix, schema.OpContains}
+	s := NewSet()
+	for i := 0; i < 300; i++ {
+		w, op := words[rng.Intn(len(words))], ops[rng.Intn(len(ops))]
+		if op != schema.OpEQ && op != schema.OpNE {
+			w = w[:1+rng.Intn(len(w))]
+		}
+		s.Insert(pat(op, w), uint64(1000+rng.Intn(2*n)))
 	}
-	for _, tc := range cases {
-		s := NewSet()
-		tc.build(s)
-		if _, distinct := s.AppendLists(nil, tc.probe); distinct {
-			t.Errorf("%s: a set built by mutation claims distinct lists", tc.name)
+	// Odd keys are dropped; the rest map in reverse, so lists reach the
+	// order hook descending.
+	f := func(key uint64) (uint64, bool) { return n - 1 - (key-1000)/2, key%2 == 0 }
+	mapped := func(keys []uint64) []uint64 {
+		var out []uint64
+		for _, key := range keys {
+			if m, ok := f(key); ok {
+				out = append(out, m)
+			}
 		}
-		lists, distinct := s.CloneMapped(8, identity, nil).AppendLists(nil, tc.probe)
-		if len(lists) < 2 {
-			t.Fatalf("%s: probe %q consults %v, want two lists", tc.name, tc.probe, lists)
+		slices.Sort(out)
+		return out
+	}
+	c := s.CloneMapped(n, f, slices.Sort[[]uint64])
+	nw := (n + 63) / 64
+	lists, bitsets := 0, 0
+	for _, v := range append(words, "unnamed", "micro", "OT") {
+		for _, ids := range c.AppendLists(nil, v) {
+			if len(ids) == nw {
+				bitsets++
+				continue
+			}
+			lists++
+			if len(ids) >= nw || !slices.IsSorted(ids) || ids[len(ids)-1] >= n {
+				t.Fatalf("%q consults list %v: want fewer than %d ascending ids below %d", v, ids, nw, n)
+			}
 		}
-		if distinct != tc.want {
-			t.Errorf("%s: distinct = %v, want %v (probe %q consults %v)", tc.name, distinct, tc.want, tc.probe, lists)
+		if got, want := c.Match(v), mapped(s.Match(v)); !slices.Equal(got, want) {
+			t.Fatalf("copy's Match(%q) = %v, original mapped %v", v, got, want)
+		}
+		into := map[uint64]struct{}{}
+		if c.MatchInto(v, into); len(into) != len(mapped(s.Match(v))) {
+			t.Fatalf("copy's MatchInto(%q) added %d ids, want %d", v, len(into), len(mapped(s.Match(v))))
+		}
+	}
+	if lists == 0 || bitsets == 0 {
+		t.Fatalf("fixture consulted %d lists and %d bitsets; want both forms", lists, bitsets)
+	}
+	for name, rows := range map[string][2][]Row{"pattern and equality": {s.Rows(), c.Rows()}, "≠": {s.NeRows(), c.NeRows()}} {
+		var want []Row
+		for _, r := range rows[0] {
+			if ids := mapped(r.IDs); len(ids) > 0 {
+				want = append(want, Row{Pattern: r.Pattern, IDs: ids})
+			}
+		}
+		if len(rows[1])+len(want) > 0 && !reflect.DeepEqual(rows[1], want) {
+			t.Fatalf("copy's %s rows %v, original mapped %v", name, rows[1], want)
 		}
 	}
 }

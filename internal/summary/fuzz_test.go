@@ -241,8 +241,10 @@ func admissionSeed(events ...byte) []byte {
 // contains rows, repeated ids, tombstones — the compiled matcher returns
 // the keys and the MatchCost of the map-based reference, admission never
 // changes the keys Algorithm 1 finds when it counts every listed id, and
-// every counter is left zero. The first two are the paper's contract (no
-// false negative); the last is what the next event's answer rests on.
+// every scratch set is left zero. The first two are the paper's contract
+// (no false negative); the last is what the next event's answer rests on.
+// Its summaries hold at most 16 ids, one word, where every row is a
+// bitset; TestMatcherMultiWord covers list rows and views of many words.
 func FuzzMatchKeys(f *testing.F) {
 	s := stockSchema(f)
 	f.Add([]byte{})
@@ -269,7 +271,7 @@ func FuzzMatchKeys(f *testing.F) {
 			if all := sm.unadmittedMatchKeys(ev); !slices.Equal(all, wantKeys) {
 				t.Fatalf("on %s: admission changed the keys: %v, counting every id %v", ev.Format(s), wantKeys, all)
 			}
-			requireCountersZero(t, "after "+ev.Format(s), m)
+			requireScratchZero(t, "after "+ev.Format(s), m)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -11,28 +12,34 @@ import (
 )
 
 // Matcher is Algorithm 1 (PAPER.md §3.2), run against a compiled View with
-// zero steady-state allocations. Step 1: for every attribute of the event,
-// walk the id lists of the AACS/SACS rows its value satisfies where they
-// lie (interval.Set.AppendLists, strmatch.Set.AppendLists) and bump one
-// counter per listed subscription. Step 2: report the ids whose counter
-// equals their c3 attribute count, sorted by id key. A View's lists hold
-// dense registry indices, so both steps address plain slices at the listed
-// index, with no lookup per candidate.
+// zero steady-state allocations, 64 dense ids at a time. The paper counts,
+// per id, the event attributes whose satisfied rows list it, and reports
+// the ids whose count reaches their c3 attribute count. Here step 1 takes,
+// per event attribute, the set of ids its value satisfies (the rows
+// interval.Set.AppendLists and strmatch.Set.AppendLists consult, read
+// where they lie) and folds it, 64 ids a word, into two sets: the ids some
+// attribute satisfies, and the ids an attribute their mask names
+// (attrView.cons) misses. Step 2 is one pass per word: the ids of the
+// first set and not the second match.
 //
-// Only admitted ids are counted: those whose c3 mask lies within the
-// event's attributes. Any other id misses an attribute it constrains, so it
-// could never reach its target. When the event carries every attribute of
-// the view's union, every id is admitted and the lists are walked whole.
-// Otherwise the runs of the groups the event covers are coalesced, and
-// each list is walked only inside them.
+// That is the paper's counter test, exactly, because a View lists an id
+// only under attributes its mask names: each of the id's attributes then
+// counts it once (a union has no repeats, however many rows list it), and
+// the count reaches the target just when every attribute of the mask lists
+// the id. An id whose mask is empty is listed nowhere and never matches.
 //
-// The counters are all zero between events: an id is first sighted when
-// its counter reads 0, and step 2 zeroes every counter it examines. A
-// counter left non-zero would be a silent false negative on a later event.
-// An id must be counted once per attribute; a set whose single query can
-// list one id twice says so (the walks' distinct result), and only then
-// does the walk check each id against a per-attribute mark, the counter's
-// top bit, cleared again before the next attribute.
+// Only admitted ids are examined: those whose c3 mask lies within the
+// event's attributes. Any other id misses an attribute it constrains, so
+// it could never match. When the event carries every attribute of the
+// view's union, every id is admitted and both steps cover every word.
+// Otherwise the runs of the groups the event covers are coalesced, list
+// rows are cut to them, and both steps cover only their words, masked to
+// the runs.
+//
+// A set a value satisfies through one bitset row is that row; the others
+// are merged in scratch. The scratch is all zero between events: each
+// step zeroes again the words it wrote. A bit left set would
+// satisfy a later event's attribute for an id its value does not satisfy.
 //
 // A matcher from Summary.NewMatcher follows its summary: each match reads
 // the summary's current view, recompiled on the first match after a
@@ -44,11 +51,15 @@ type Matcher struct {
 	sm *Summary // non-nil: re-read sm's current view on every match
 	v  *View    // the view of the last match
 
-	count   []uint16   // per dense id; at least len(v.keys) long, all zero between events
-	touched []int32    // dense ids seen this event, in first-seen order; len(count)+1 slots
-	hit     []int32    // dense ids that reached their target
-	lists   [][]uint64 // headers of the id lists one attribute consults
-	parts   [][]uint64 // the same lists cut to the eligible runs
+	// scratch holds five sets of the view's words words each, all zero
+	// between events: the empty set (never written), the admitted ids, the
+	// ids some attribute satisfies, the ids some attribute misses, and the
+	// set one attribute's rows are merged into.
+	scratch []uint64
+	words   []span     // the words the fold and the pass cover, ascending and disjoint
+	hit     []int32    // dense ids that matched
+	lists   [][]uint64 // the rows one attribute consults
+	parts   [][]uint64 // the list rows cut to the eligible runs
 	attrs   subid.Mask // the event's attributes
 	runs    []span     // eligible index runs, ascending and coalesced
 	out     []uint64   // matched keys of the last call
@@ -75,15 +86,6 @@ type MatcherObs struct {
 // When detached the steady-state overhead is a single nil check per
 // event, preserving the matcher's zero-allocation hot path.
 func (m *Matcher) SetObs(obs *MatcherObs) { m.obs = obs }
-
-// countedBit marks a counter already bumped for the attribute being walked
-// (see MatchKeysWithCost). A counter counts attributes, so it stays below
-// the bit; the second constant fails to compile if a schema could grow
-// past that.
-const (
-	countedBit = 1 << 15
-	_          = uint(countedBit - 1 - schema.MaxAttributes)
-)
 
 // NewMatcher returns a Matcher that follows sm through its mutations.
 func (sm *Summary) NewMatcher() *Matcher { return &Matcher{sm: sm} }
@@ -165,90 +167,125 @@ func (m *Matcher) match(e *schema.Event) ([]uint64, MatchCost) {
 }
 
 // collect runs Algorithm 1 on e and leaves the dense ids that matched in
-// m.hit, in the order they were first sighted: neither key nor index order.
+// m.hit, in index order: not key order.
 func (m *Matcher) collect(e *schema.Event) MatchCost {
 	if m.sm != nil {
 		m.v = m.sm.compiled()
 	}
-	v := m.v
-	if n := len(v.keys); len(m.count) < n {
-		// The view grew (or this is the first event). Old counters are zero
-		// and stay valid whatever the new view's indices mean.
-		m.count = append(m.count, make([]uint16, n-len(m.count))...)
-		m.touched = make([]int32, len(m.count)+1)
+	v, fields := m.v, e.Fields()
+	words := v.words
+	if len(m.scratch) < 5*words {
+		// The view grew, or this is the first event. Zero sets mean the
+		// same whatever the view's indices mean, so the old ones are simply
+		// replaced.
+		m.scratch = make([]uint64, 5*words)
 	}
+	zero, keep, or, miss, merged := m.scratch[:words], m.scratch[words:2*words],
+		m.scratch[2*words:3*words], m.scratch[3*words:4*words], m.scratch[4*words:5*words]
 	restricted := m.admit(e)
-	var cost MatchCost
-	count, touched, seen := m.count, m.touched, 0
-	for _, f := range e.Fields() {
-		// Step 1: count the id lists this attribute's value satisfies.
-		cost.EventAttrs++
-		lists, distinct := m.lists[:0], true
-		if f.Value.Arithmetic() {
-			if s := v.arith(f.Attr); s != nil {
-				lists, distinct = s.AppendLists(lists, f.Value.Num)
-			}
-		} else if s := v.str(f.Attr); s != nil {
-			lists, distinct = s.AppendLists(lists, f.Value.Str)
+	m.cover(restricted, keep)
+
+	// Step 1: fold in, per attribute an id can be listed under, the ids its
+	// value satisfies. The counts are the paper's: each attribute's admitted
+	// ids (its counter bumps), their union (the ids counted), the matches.
+	cost := MatchCost{EventAttrs: len(fields)}
+	for _, f := range fields {
+		a := v.attr(f.Attr)
+		if a == nil {
+			continue // no mask names it, so no row of it lists an id
 		}
-		m.lists = lists
+		rows := m.lists[:0]
+		if f.Value.Arithmetic() {
+			if a.aacs != nil {
+				rows = a.aacs.AppendLists(rows, f.Value.Num)
+			}
+		} else if a.sacs != nil {
+			rows = a.sacs.AppendLists(rows, f.Value.Str)
+		}
+		m.lists = rows
+		nl := 0 // list rows first, then bitset rows
+		for r, ids := range rows {
+			if len(ids) != words {
+				rows[nl], rows[r] = ids, rows[nl]
+				nl++
+			}
+		}
+		lists, bitsets := rows[:nl], rows[nl:]
 		if restricted {
 			lists = m.cut(lists)
 		}
-		if distinct {
+		sat, built := zero, false
+		switch {
+		case len(lists) == 0 && len(bitsets) == 1:
+			sat = bitsets[0]
+		case len(lists)+len(bitsets) > 0:
+			sat, built = merged, true
 			for _, ids := range lists {
-				cost.CollectedIDs += len(ids)
-				for _, idx := range ids {
-					// The slot is written whether or not idx is new and kept
-					// only if it is (at most len(v.keys) ids are, hence the
-					// spare slot): "new" is unpredictable, and a branch on it
-					// costs more than the store.
-					c := count[idx]
-					touched[seen] = int32(idx)
-					if c == 0 {
-						seen++
+				for _, i := range ids {
+					sat[i>>6] |= 1 << (i & 63)
+				}
+			}
+			for _, b := range bitsets {
+				for _, sp := range m.words {
+					for w := sp.lo; w < sp.hi; w++ {
+						sat[w] |= b[w]
 					}
-					count[idx] = c + 1
 				}
 			}
-			continue
 		}
-		// One id may sit in two of the lists and must count once: mark each
-		// counter bumped for this attribute, skip marked ones, and unmark in
-		// a second pass over the same lists.
-		for _, ids := range lists {
-			for _, idx := range ids {
-				c := count[idx]
-				if c&countedBit != 0 {
-					continue
-				}
-				if c == 0 {
-					touched[seen] = int32(idx)
-					seen++
-				}
-				count[idx] = c + 1 | countedBit
-				cost.CollectedIDs++
+		for _, sp := range m.words {
+			for w := sp.lo; w < sp.hi; w++ {
+				s := sat[w] & keep[w]
+				cost.CollectedIDs += bits.OnesCount64(s)
+				or[w] |= s
+				miss[w] |= a.cons[w] &^ s
 			}
-		}
-		for _, ids := range lists {
-			for _, idx := range ids {
-				count[idx] &^= countedBit
+			if built {
+				clear(merged[sp.lo:sp.hi])
 			}
 		}
 	}
-	// Step 2: keep ids whose counter equals their c3 attribute count, and
-	// restore the all-zero state.
-	cost.UniqueIDs = seen
-	hit, targets := m.hit[:0], v.targets
-	for _, idx := range touched[:seen] {
-		if count[idx] == targets[idx] {
-			hit = append(hit, idx)
+
+	// Step 2: the admitted ids some attribute satisfies and none misses.
+	hit := m.hit[:0]
+	for _, sp := range m.words {
+		for w := sp.lo; w < sp.hi; w++ {
+			cost.UniqueIDs += bits.OnesCount64(or[w])
+			for h := or[w] &^ miss[w]; h != 0; h &= h - 1 {
+				hit = append(hit, int32(w<<6)+int32(bits.TrailingZeros64(h)))
+			}
 		}
-		count[idx] = 0
+		// Restore the all-zero state where this event wrote.
+		clear(keep[sp.lo:sp.hi])
+		clear(or[sp.lo:sp.hi])
+		clear(miss[sp.lo:sp.hi])
 	}
 	m.hit = hit
 	cost.Matched = len(hit)
 	return cost
+}
+
+// cover leaves in m.words the words the fold and the pass read, and sets
+// the admitted ids in keep: every id of the view for an event that covers
+// its union, otherwise the ids of the eligible runs. Two runs can share a
+// word; it is listed once.
+func (m *Matcher) cover(restricted bool, keep []uint64) {
+	words := m.words[:0]
+	if !restricted {
+		setBits(keep, 0, uint64(len(m.v.keys)))
+		m.words = append(words, span{0, uint64(m.v.words)})
+		return
+	}
+	for _, r := range m.runs {
+		setBits(keep, r.lo, r.hi)
+		lo, hi := r.lo>>6, (r.hi+63)>>6
+		if n := len(words); n > 0 && words[n-1].hi >= lo {
+			words[n-1].hi = hi
+		} else {
+			words = append(words, span{lo, hi})
+		}
+	}
+	m.words = words
 }
 
 // admit builds the event's attribute mask and reports whether the match

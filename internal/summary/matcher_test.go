@@ -2,6 +2,7 @@ package summary
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
+	"github.com/subsum/subsum/internal/workload"
 )
 
 // buildRandomSummary inserts n random subscriptions for broker 1, then
@@ -207,18 +209,37 @@ func TestMatcherPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// requireCountersZero checks the matcher's resting state: every counter
-// zero. A counter left standing makes its id miss its c3 target on a later
-// event — a false negative nothing else would report.
-func requireCountersZero(t testing.TB, when string, ms ...*Matcher) {
+// requireScratchZero checks the matcher's resting state: every scratch
+// set zero. A bit left standing satisfies a later event's attribute for an
+// id its value does not satisfy — a false positive of the summary, or,
+// beside a miss the bit hides, a match MatchCost does not account for —
+// that nothing else would report.
+func requireScratchZero(t testing.TB, when string, ms ...*Matcher) {
 	t.Helper()
 	for mi, m := range ms {
-		for i, c := range m.count {
-			if c != 0 {
-				t.Fatalf("%s: matcher %d left counter %d at %d", when, mi, i, c)
+		for w, word := range m.scratch {
+			if word != 0 {
+				t.Fatalf("%s: matcher %d left scratch word %d at %#x", when, mi, w, word)
 			}
 		}
 	}
+}
+
+// rowIDs returns the rows of v as id lists, each bitset row expanded.
+func rowIDs(v *View, rows [][]uint64) [][]uint64 {
+	out := make([][]uint64, len(rows))
+	for r, ids := range rows {
+		if len(ids) != v.words {
+			out[r] = ids
+			continue
+		}
+		for w, word := range ids {
+			for ; word != 0; word &= word - 1 {
+				out[r] = append(out[r], uint64(w<<6+bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	return out
 }
 
 // listsRepeat reports whether one id occurs in two of the lists.
@@ -303,17 +324,13 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 			val, _ := probe.Value(attr)
 			v := sm.Compile()
 			var lists [][]uint64
-			var distinct bool
 			if val.Arithmetic() {
-				lists, distinct = v.aacs[attr].AppendLists(nil, val.Num)
+				lists = rowIDs(v, v.attr(attr).aacs.AppendLists(nil, val.Num))
 			} else {
-				lists, distinct = v.sacs[attr].AppendLists(nil, val.Str)
+				lists = rowIDs(v, v.attr(attr).sacs.AppendLists(nil, val.Str))
 			}
 			if !listsRepeat(lists) {
 				t.Fatalf("fixture is vacuous: %s=%v consults %v, no id twice", tc.attr, val, lists)
-			}
-			if distinct {
-				t.Fatalf("compiled %s set claims distinct lists, yet %v consults %v", tc.attr, val, lists)
 			}
 			if !slices.Contains(sm.referenceMatchKeys(probe), repeated.Key()) {
 				t.Fatalf("fixture: %s does not match the repeated subscription", tc.event)
@@ -341,7 +358,7 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 							t.Fatalf("%s on %s (%s):\nreference %v %+v\nmatcher   %v %+v",
 								name, ev.Format(s), coverage, wantKeys, wantCost, gotKeys, gotCost)
 						}
-						requireCountersZero(t, name+" after "+ev.Format(s), m)
+						requireScratchZero(t, name+" after "+ev.Format(s), m)
 					}
 				}
 			}
@@ -376,8 +393,8 @@ func withAllAttrs(t testing.TB, s *schema.Schema, e *schema.Event) *schema.Event
 	return out
 }
 
-// TestMatcherCountersReturnToZero pins the invariant the counter array
-// rests on: after every match, every counter is zero — on a matcher that
+// TestMatcherCountersReturnToZero pins the invariant the word pass rests
+// on: after every match, every scratch set is zero — on a matcher that
 // follows a summary through a seeded interleaving of inserts, removals and
 // merges (its view growing, shrinking and being recompiled under it, dense
 // indices changing meaning each time), and on a matcher bound to a
@@ -423,12 +440,12 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 						t.Fatalf("step %d lease %d: batch matched %v, reference %v", step, lease, keys, want)
 					}
 				}
-				requireCountersZero(t, fmt.Sprintf("step %d lease %d, after MatchBatch", step, lease), m)
+				requireScratchZero(t, fmt.Sprintf("step %d lease %d, after MatchBatch", step, lease), m)
 				ev := randomEvent(rng, s)
 				if got, want := m.MatchKeys(ev), sm.referenceMatchKeys(ev); !slices.Equal(got, want) {
 					t.Fatalf("step %d lease %d: matched %v, reference %v", step, lease, got, want)
 				}
-				requireCountersZero(t, fmt.Sprintf("step %d lease %d, after MatchKeys", step, lease), m)
+				requireScratchZero(t, fmt.Sprintf("step %d lease %d, after MatchKeys", step, lease), m)
 			}
 		default:
 			ev := randomEvent(rng, s)
@@ -437,11 +454,115 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 				t.Fatalf("step %d: follower matched %v, reference %v", step, got, want)
 			}
 			matched += len(want)
-			requireCountersZero(t, fmt.Sprintf("step %d", step), follower)
+			requireScratchZero(t, fmt.Sprintf("step %d", step), follower)
 		}
 	}
 	if matched == 0 {
 		t.Fatalf("no event matched anything; the invariant was never at risk")
+	}
+}
+
+// TestMatcherMultiWord is the differential test of the word pass over
+// views of many words: on seeded random summaries of 64, 65 and 3 000 ids,
+// a summary-following matcher and a matcher bound to the compiled view
+// return the reference's keys and MatchCost on events as drawn (most miss
+// an attribute some subscription names, so the pass is cut to eligible
+// runs) and on the same events with every attribute added (the union
+// path), and leave every scratch set zero. FuzzMatchKeys' summaries fit
+// one word, where every row is a bitset; here rows shorter than the
+// view's word count stay lists. The test fails unless the draw reached
+// each shape the pass distinguishes: an attribute consulting one bitset
+// row, several, and bitset and list rows together; groups straddling a
+// word boundary; two eligible runs sharing one word.
+func TestMatcherMultiWord(t *testing.T) {
+	s := stockSchema(t)
+	rng := rand.New(rand.NewSource(38))
+	// A ≠ entry is consulted by every value but its own, so on an attribute
+	// that has one no query consults a single row: keep high and low free
+	// of them.
+	high, _ := s.ID("high")
+	low, _ := s.ID("low")
+	noNE := func(sub *schema.Subscription) bool {
+		for _, c := range sub.Constraints {
+			if c.Op == schema.OpNE && (c.Attr == high || c.Attr == low) {
+				return false
+			}
+		}
+		return true
+	}
+	var oneBitset, bitsets, mixed, straddling, sharedWord, restricted, union int
+	for _, n := range []int{64, 65, 3000} {
+		sm := New(s, interval.Lossy)
+		for i := 0; i < n; i++ {
+			sub := randomSubscription(rng, s)
+			for !noNE(sub) {
+				sub = randomSubscription(rng, s)
+			}
+			if err := sm.Insert(id(subid.BrokerID(i%5), subid.LocalID(i)), sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := sm.Compile()
+		if v.NumSubscriptions() != n || v.words != (n+63)/64 {
+			t.Fatalf("%d ids compiled to %d ids in %d-word bitsets", n, v.NumSubscriptions(), v.words)
+		}
+		for _, g := range v.groups {
+			if g.lo>>6 != (g.hi-1)>>6 {
+				straddling++
+			}
+		}
+		follower, bound := sm.NewMatcher(), v.NewMatcher()
+		for probe := 0; probe < 300; probe++ {
+			drawn := randomEvent(rng, s)
+			for _, ev := range []*schema.Event{drawn, withAllAttrs(t, s, drawn)} {
+				wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
+				for name, m := range map[string]*Matcher{"follower": follower, "compiled view": bound} {
+					gotKeys, gotCost := m.MatchKeysWithCost(ev)
+					if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
+						t.Fatalf("%d ids, %s on %s:\nreference %v %+v\nmatcher   %v %+v",
+							n, name, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
+					}
+					requireScratchZero(t, fmt.Sprintf("%d ids, %s after %s", n, name, ev.Format(s)), m)
+				}
+				if !bound.admit(ev) {
+					union++
+				} else {
+					restricted++
+					for r := 1; r < len(bound.runs); r++ {
+						if (bound.runs[r-1].hi-1)>>6 == bound.runs[r].lo>>6 {
+							sharedWord++
+						}
+					}
+				}
+				for _, f := range ev.Fields() {
+					var rows [][]uint64
+					if a := v.attr(f.Attr); a != nil && a.aacs != nil && f.Value.Arithmetic() {
+						rows = a.aacs.AppendLists(nil, f.Value.Num)
+					} else if a != nil && a.sacs != nil && !f.Value.Arithmetic() {
+						rows = a.sacs.AppendLists(nil, f.Value.Str)
+					}
+					nb := 0
+					for _, ids := range rows {
+						if len(ids) == v.words {
+							nb++
+						}
+					}
+					switch {
+					case nb == 1 && len(rows) == 1:
+						oneBitset++
+					case nb > 1 && nb == len(rows):
+						bitsets++
+					case nb > 0 && nb < len(rows):
+						mixed++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("attributes with one bitset row %d, several %d, bitsets and lists %d; %d straddling groups; "+
+		"%d shared words; %d restricted and %d union events", oneBitset, bitsets, mixed, straddling, sharedWord, restricted, union)
+	if oneBitset == 0 || bitsets == 0 || mixed == 0 || straddling == 0 || sharedWord == 0 || restricted == 0 || union == 0 {
+		t.Fatal("the draw missed a shape the word pass distinguishes")
 	}
 }
 
@@ -464,6 +585,10 @@ func TestMatcherZeroAllocs(t *testing.T) {
 		{"MatchKeysRepeats", repeatsFixture, false},
 		{"MatchKeysRestricted", restrictedFixture, false},
 		{"MatchBatch", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, true) }, true},
+		{"MatchKeysHub", func(tb testing.TB) (*Matcher, []*schema.Event) { return hubFixture(tb, fanoutShape(), 2400) }, false},
+		{"MatchKeysHub24k", func(tb testing.TB) (*Matcher, []*schema.Event) {
+			return hubFixture(tb, workload.DefaultConfig(), 24000)
+		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, events := tc.fixture(t)
@@ -537,9 +662,9 @@ func matcherFixture(tb testing.TB, withObs bool) (*Matcher, []*schema.Event) {
 
 // repeatsFixture is the matcher's other path: every subscription
 // constrains price twice (a range and a ≠) and symbol twice (a prefix and
-// a suffix), so each event's price and symbol queries may list an id
-// twice and are merged, sorted and compacted before counting. The merge
-// scratch and the list headers are the matcher's own, so
+// a suffix), so each event's price and symbol queries consult several
+// rows that list one id twice, and their sets are built in scratch. The
+// scratch and the row headers are the matcher's own, so
 // TestMatcherZeroAllocs holds this path at 0 allocations too.
 func repeatsFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 	tb.Helper()
@@ -561,10 +686,9 @@ func repeatsFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 	for _, ev := range events {
 		price, _ := ev.Value(priceID)
 		symbol, _ := ev.Value(symbolID)
-		_, distinctPrice := v.aacs[priceID].AppendLists(nil, price.Num)
-		_, distinctSymbol := v.sacs[symbolID].AppendLists(nil, symbol.Str)
-		if distinctPrice || distinctSymbol {
-			tb.Fatalf("fixture: %s does not take the merge path on both attributes", ev.Format(s))
+		if !listsRepeat(rowIDs(v, v.attr(priceID).aacs.AppendLists(nil, price.Num))) ||
+			!listsRepeat(rowIDs(v, v.attr(symbolID).sacs.AppendLists(nil, symbol.Str))) {
+			tb.Fatalf("fixture: %s does not list an id twice on both attributes", ev.Format(s))
 		}
 	}
 	m := sm.NewMatcher()
@@ -589,6 +713,42 @@ func restrictedFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 			events = append(events, ev)
 		}
 	}
+	warmMatcher(tb, m, events)
+	return m, events
+}
+
+// fanoutShape is the generator shape of the fanout-cw24 workload: ten
+// attributes, three per subscription, all ten in every event.
+func fanoutShape() workload.Config {
+	c := workload.DefaultConfig()
+	c.AttrsPerEvent, c.AttrsPerSub = 10, 3
+	return c
+}
+
+// hubFixture is the view a CW24 hub matches against: the subscriptions of
+// 24 brokers, subs in all, drawn by the workload generator in shape cfg,
+// with events of that shape at the repository benchmark's hit rate. In
+// the fanout shape every event covers the view's union, and each
+// attribute's value consults about one long row; in the Table 2 shape
+// (five of ten attributes per subscription and per event) an event covers
+// about one mask group.
+func hubFixture(tb testing.TB, cfg workload.Config, subs int) (*Matcher, []*schema.Event) {
+	tb.Helper()
+	gen, err := workload.NewGenerator(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sm := New(gen.Schema(), interval.Lossy)
+	for i := 0; i < subs; i++ {
+		if err := sm.Insert(id(subid.BrokerID(i%24), subid.LocalID(i/24)), gen.Subscription()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	events := make([]*schema.Event, 256)
+	for i := range events {
+		events[i] = gen.Event(0.9)
+	}
+	m := sm.NewMatcher()
 	warmMatcher(tb, m, events)
 	return m, events
 }
@@ -620,5 +780,15 @@ func BenchmarkMatcherMatchKeysRepeats(b *testing.B) {
 
 func BenchmarkMatcherMatchKeysRestricted(b *testing.B) {
 	m, events := restrictedFixture(b)
+	benchmarkMatchKeys(b, m, events)
+}
+
+func BenchmarkMatcherMatchKeysHub(b *testing.B) {
+	m, events := hubFixture(b, fanoutShape(), 2400)
+	benchmarkMatchKeys(b, m, events)
+}
+
+func BenchmarkMatcherMatchKeysHub24k(b *testing.B) {
+	m, events := hubFixture(b, workload.DefaultConfig(), 24000)
 	benchmarkMatchKeys(b, m, events)
 }

@@ -350,8 +350,10 @@ func (sm *Summary) MatchKeys(e *schema.Event) []uint64 { return sm.NewMatcher().
 // MatchCost instruments one Algorithm 1 run with the operation counts of
 // the Section 5.2.4 analysis: step 1's id-list collection work (the T1
 // term) and step 2's counter scan over the P collected subscriptions (T2).
-// It counts the work done, so only admitted ids count (see Matcher): an id
-// whose c3 mask names an attribute the event lacks is never collected.
+// The Matcher works a word of ids at a time and keeps no counters, but it
+// reports these counts exactly as counting would find them. Only admitted
+// ids count (see Matcher): an id whose c3 mask names an attribute the
+// event lacks is never collected.
 type MatchCost struct {
 	// EventAttrs is the number of event attributes examined (n_ae + n_se).
 	EventAttrs int

@@ -15,38 +15,49 @@ import (
 // It holds what Algorithm 1 reads and nothing else: a private copy of the
 // AACS/SACS rows whose id lists carry each subscription's dense index into
 // the view's registry slices instead of its c1‖c2 key, so the key→index
-// translation is paid once per row entry at build time and a Matcher
-// addresses its counters straight from the row entry.
+// translation is paid once per row entry at build time, and a Matcher
+// works on sets of dense indices a machine word at a time.
 //
 // Invariants, all fixed when Compile returns:
 //   - index order is (c3 mask, key) order (subid.Mask.Compare, then key):
 //     the ids of one mask form one contiguous run of indices, listed in
 //     groups, and within a run index order is key order. A mask is kept
 //     once, in its group; groupOf names each index's group.
-//   - every id list is strictly ascending by index, so the part of a list
-//     inside a run is found by binary search.
+//   - attrs[a].cons is the bitset of the ids whose mask names attribute a.
+//   - a row of attribute a lists only ids whose mask names a. Ids the
+//     registry did not hold at build time — tombstoned rows not yet
+//     purged, strays in a hand-built summary — are dropped then, and so
+//     are entries of a registered id under an attribute its mask lacks (a
+//     corrupt peer payload can carry them): neither can be part of a
+//     match, and neither is counted in MatchCost.
+//   - a row of at least words ids is a bitset of words words (see
+//     interval.Set.CloneMapped); every other row is a list of fewer ids,
+//     each below len(keys) and strictly ascending by index, so the part of
+//     it inside a run is found by binary search.
 //   - union is the OR of every group's mask: an event carrying all of its
 //     attributes can be matched with no run consulted at all.
-//   - every row id is below len(keys). Ids the registry did not hold at
-//     build time — tombstoned rows not yet purged, strays in a hand-built
-//     summary — are dropped then: they cannot match, and are not counted
-//     in MatchCost either.
-//   - each set knows whether one of its queries can list an id twice
-//     (CloneMapped's distinct flag, decided in the same pass), so a Matcher
-//     counts the lists of most attributes with no per-id dedupe check.
 //   - nothing is written afterwards: any number of Matchers read one View
 //     concurrently while the Summary it was built from keeps mutating.
 type View struct {
-	// aacs[a] and sacs[a] are attribute a's sets, nil where the summary
-	// holds none: indexed by AttrID, so a Matcher finds the set of an event
-	// attribute with a bounds check rather than a map probe.
-	aacs    []*interval.Set
-	sacs    []*strmatch.Set
+	// attrs is indexed by AttrID up to the union's last attribute, so a
+	// Matcher finds what the view holds for an event attribute with a
+	// bounds check rather than a map probe, in one place.
+	attrs   []attrView
 	keys    []uint64
-	targets []uint16 // the c3 match target, its mask's Count (≤ schema.MaxAttributes)
-	groupOf []int32  // index → its group
-	groups  []group  // one per distinct mask, in index order; their runs partition [0, len(keys))
+	groupOf []int32 // index → its group
+	groups  []group // one per distinct mask, in index order; their runs partition [0, len(keys))
 	union   subid.Mask
+	words   int // ⌈len(keys)/64⌉, the length of every bitset of the view
+}
+
+// attrView is what a view holds for one attribute: cons, the bitset of
+// the ids whose c3 mask names it, and its sets, nil where the summary
+// holds none. Where no mask names the attribute, cons is nil and so are
+// the sets: none of their rows could list an id.
+type attrView struct {
+	cons []uint64
+	aacs *interval.Set
+	sacs *strmatch.Set
 }
 
 // group is the index run of the ids whose c3 mask is mask (shared with the
@@ -107,20 +118,17 @@ func (sm *Summary) Compile() *View {
 	}
 	slices.SortFunc(byMask, func(a, b int32) int { return masks[a].Compare(masks[b]) })
 	v := &View{
-		aacs:    make([]*interval.Set, attrSlots(sm.aacs)),
-		sacs:    make([]*strmatch.Set, attrSlots(sm.sacs)),
 		keys:    make([]uint64, n),
-		targets: make([]uint16, n),
 		groupOf: make([]int32, n),
 		groups:  make([]group, len(masks)),
+		words:   (n + 63) / 64,
 	}
 	next := make([]uint64, len(masks)) // per bucket, its next dense index
 	lo := uint64(0)
 	for g, b := range byMask {
 		v.groups[g] = group{mask: masks[b], span: span{lo, lo + sizes[b]}}
-		target := uint16(masks[b].Count())
 		for r := lo; r < lo+sizes[b]; r++ {
-			v.targets[r], v.groupOf[r] = target, int32(g)
+			v.groupOf[r] = int32(g)
 		}
 		next[b], lo = lo, lo+sizes[b]
 		v.union = append(v.union, make(subid.Mask, max(0, len(masks[b])-len(v.union)))...)
@@ -128,6 +136,7 @@ func (sm *Summary) Compile() *View {
 			v.union[w] |= word
 		}
 	}
+	v.fillCons()
 	order := make([]int32, n) // dense index → registry index
 	for i, b := range bucket {
 		order[next[b]] = int32(i)
@@ -141,38 +150,61 @@ func (sm *Summary) Compile() *View {
 		}
 	}
 	lists := &groupSort{groupOf: v.groupOf}
-	index, add := newKeyIndex(v.keys).get, lists.add
+	index := newKeyIndex(v.keys)
 	for a, set := range sm.aacs {
-		v.aacs[a] = set.CloneMapped(n, index, add)
+		if at := v.attr(a); at != nil {
+			at.aacs = set.CloneMapped(n, index.naming(at.cons), lists.add)
+		}
 	}
 	for a, set := range sm.sacs {
-		v.sacs[a] = set.CloneMapped(n, index, add)
+		if at := v.attr(a); at != nil {
+			at.sacs = set.CloneMapped(n, index.naming(at.cons), lists.add)
+		}
 	}
 	lists.sort(len(v.groups))
 	return v
 }
 
-// attrSlots returns the length of a slice indexed by every attribute of m.
-func attrSlots[S any](m map[schema.AttrID]S) int {
-	n := 0
-	for a := range m {
-		n = max(n, int(a)+1)
+// fillCons sizes attrs to the union and builds every cons from the group
+// table: each group's run, set in the bitset of every attribute its mask
+// names, a word at a time.
+func (v *View) fillCons() {
+	top := 0 // one past the union's last attribute
+	for w, word := range v.union {
+		if word != 0 {
+			top = w<<6 + bits.Len64(word)
+		}
 	}
-	return n
+	v.attrs = make([]attrView, top)
+	slab := make([]uint64, v.union.Count()*v.words)
+	for a := range v.attrs {
+		if v.union.Has(a) {
+			v.attrs[a].cons, slab = slab[:v.words:v.words], slab[v.words:]
+		}
+	}
+	for _, g := range v.groups {
+		for w, word := range g.mask {
+			for ; word != 0; word &= word - 1 {
+				setBits(v.attrs[w<<6+bits.TrailingZeros64(word)].cons, g.lo, g.hi)
+			}
+		}
+	}
 }
 
-// arith returns attribute a's AACS set, nil when the view has none.
-func (v *View) arith(a schema.AttrID) *interval.Set {
-	if int(a) < len(v.aacs) {
-		return v.aacs[a]
+// setBits sets bits [lo, hi) of the bitset bs.
+func setBits(bs []uint64, lo, hi uint64) {
+	for lo < hi {
+		end := min(hi, lo|63+1) // the end of lo's word, or hi
+		bs[lo>>6] |= ^uint64(0) >> (64 - (end - lo)) << (lo & 63)
+		lo = end
 	}
-	return nil
 }
 
-// str returns attribute a's SACS set, nil when the view has none.
-func (v *View) str(a schema.AttrID) *strmatch.Set {
-	if int(a) < len(v.sacs) {
-		return v.sacs[a]
+// attr returns what the view holds for attribute a, nil when no c3 mask
+// names it.
+func (v *View) attr(a schema.AttrID) *attrView {
+	if int(a) < len(v.attrs) && v.attrs[a].cons != nil {
+		return &v.attrs[a]
 	}
 	return nil
 }
@@ -202,6 +234,16 @@ func newKeyIndex(keys []uint64) *keyIndex {
 }
 
 func (t *keyIndex) slot(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> t.shift }
+
+// naming returns Compile's translation for the rows of one attribute, whose
+// ids are cons: a key's dense index, refused for a key the view does not
+// hold and for one whose c3 mask does not name the attribute.
+func (t *keyIndex) naming(cons []uint64) func(uint64) (uint64, bool) {
+	return func(key uint64) (uint64, bool) {
+		i, ok := t.get(key)
+		return i, ok && cons[i>>6]&(1<<(i&63)) != 0
+	}
+}
 
 // get returns key's dense index, or false for a key the view does not hold.
 func (t *keyIndex) get(key uint64) (uint64, bool) {

@@ -130,35 +130,14 @@ func TestViewMatchesReference(t *testing.T) {
 // TestViewInvariants checks what a compiled view promises about its own
 // shape: every registered id at exactly one index, in
 // strictly ascending (mask, key) order; groups that partition the indices
-// into one run per mask, and a union that is the OR of their masks; every
-// id list strictly ascending by index, and no tombstone or stray surviving
-// in any of them. And that each compiled set's distinct flag is sound:
-// brute force over every value a row names (and one no row names), no
-// query of a set that claims distinct lists returns an id twice. The flag
-// may err the other way.
+// into one run per mask, and a union that is the OR of their masks; cons
+// bitsets that name the ids of each attribute; the ids of every row
+// strictly ascending by index, and no tombstone or stray surviving in any
+// of them.
 func TestViewInvariants(t *testing.T) {
 	s := stockSchema(t)
 	sm := dirtySummary(t, rand.New(rand.NewSource(62)), s, 150)
-	v := sm.Compile()
-	requireViewShape(t, sm, v)
-	repeats, distinctQueries := requireSoundDistinct(t, v)
-	// No id of this one is listed twice on an attribute, and its ≠ entries
-	// sit beside other ids' rows: sets that rightly claim distinct lists,
-	// consulted several lists at a time.
-	disjoint := New(s, interval.Lossy)
-	for i, text := range []string{`price != 3`, `price > 5`, `price = 4`, `symbol != OTE`, `symbol >* OT`, `symbol = LSE`} {
-		if err := disjoint.Insert(id(6, subid.LocalID(i)), mustSub(t, s, text)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, d := requireSoundDistinct(t, disjoint.Compile())
-	repeats, distinctQueries = repeats+r, distinctQueries+d
-	// Both sides of the flag were exercised: queries that do repeat an id,
-	// and multi-list queries of sets that rightly claim none can.
-	if repeats == 0 || distinctQueries == 0 {
-		t.Fatalf("fixture exercised %d repeating queries and %d multi-list distinct ones; want both",
-			repeats, distinctQueries)
-	}
+	requireViewShape(t, sm, sm.Compile())
 }
 
 // requireViewShape checks v, compiled from the dirty summary sm, against
@@ -166,14 +145,20 @@ func TestViewInvariants(t *testing.T) {
 func requireViewShape(t *testing.T, sm *Summary, v *View) {
 	t.Helper()
 	n := len(v.keys)
-	if n != len(sm.keys) || len(v.groupOf) != n || len(v.targets) != n {
-		t.Fatalf("view holds %d keys, %d group numbers, %d targets for %d registered ids",
-			n, len(v.groupOf), len(v.targets), len(sm.keys))
+	if n != len(sm.keys) || len(v.groupOf) != n || v.words != (n+63)/64 {
+		t.Fatalf("view holds %d keys, %d group numbers and %d-word bitsets for %d registered ids",
+			n, len(v.groupOf), v.words, len(sm.keys))
 	}
 	maskAt := func(i int) subid.Mask { return v.groups[v.groupOf[i]].mask }
 	for i, key := range v.keys {
-		if ri, ok := sm.ids[key]; !ok || sm.targets[ri] != int32(v.targets[i]) || !sm.masks[ri].Equal(maskAt(i)) {
+		if ri, ok := sm.ids[key]; !ok || !sm.masks[ri].Equal(maskAt(i)) {
 			t.Fatalf("index %d (key %d) disagrees with the registry", i, key)
+		}
+		for a := 0; a < sm.schema.Len(); a++ {
+			at := v.attr(schema.AttrID(a))
+			if named := at != nil && at.cons[i>>6]&(1<<(i&63)) != 0; named != maskAt(i).Has(a) {
+				t.Fatalf("index %d: cons of attribute %d holds it %v, its mask %v", i, a, named, maskAt(i))
+			}
 		}
 		if i > 0 {
 			if c := maskAt(i - 1).Compare(maskAt(i)); c > 0 || c == 0 && v.keys[i-1] >= v.keys[i] {
@@ -223,7 +208,8 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 		}
 		entries += len(ids)
 	}
-	for _, set := range v.aacs {
+	for _, at := range v.attrs {
+		set := at.aacs
 		if set == nil {
 			continue
 		}
@@ -237,7 +223,8 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 			rowIDs(r.IDs)
 		}
 	}
-	for _, set := range v.sacs {
+	for _, at := range v.attrs {
+		set := at.sacs
 		if set == nil {
 			continue
 		}
@@ -262,62 +249,53 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 	}
 }
 
-// requireSoundDistinct brute-forces every compiled set of v: each value a
-// row names and one no row names is queried, and a query that returns an
-// id twice must come from a set that does not claim distinct lists. It
-// returns how many queries repeated an id and how many consulted several
-// lists under a distinct claim.
-func requireSoundDistinct(t *testing.T, v *View) (repeats, distinctQueries int) {
-	t.Helper()
-	check := func(a schema.AttrID, val any, lists [][]uint64, distinct bool) {
-		t.Helper()
-		switch {
-		case listsRepeat(lists) && distinct:
-			t.Fatalf("attribute %d claims distinct lists, but %v consults %v", a, val, lists)
-		case listsRepeat(lists):
-			repeats++
-		case distinct && len(lists) > 1:
-			distinctQueries++
+// TestViewDropsEntriesOutsideMask merges a crafted payload that lists
+// registered ids under an attribute their c3 mask lacks: one whose mask
+// names price, and one whose mask is empty. Validate calls such a payload
+// invalid, but MergeEncoded takes it. Counted, the stray entries would
+// push the first id past its target (a false negative), report the
+// second although it constrains nothing, and inflate MatchCost. The
+// compiled view drops them, so the first id matches every event that
+// satisfies its real constraint, the second none, at the cost of the
+// live entries alone.
+func TestViewDropsEntriesOutsideMask(t *testing.T) {
+	s := stockSchema(t)
+	priceID, _ := s.ID("price")
+	crafted := New(s, interval.Lossy)
+	x := subid.ID{Broker: 2, Local: 1, Attrs: subid.MaskOf(s.Len(), int(priceID))}
+	if err := crafted.Insert(x, mustSub(t, s, `price > 10 && volume < 50`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := crafted.Insert(subid.ID{Broker: 2, Local: 2, Attrs: subid.NewMask(s.Len())}, mustSub(t, s, `volume < 50`)); err != nil {
+		t.Fatal(err)
+	}
+	if crafted.Validate() == nil {
+		t.Fatal("fixture: the payload lists ids under volume, which Validate should refuse")
+	}
+	sm := New(s, interval.Lossy)
+	if err := sm.Insert(id(1, 1), mustSub(t, s, `volume < 50`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.MergeEncoded(crafted.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*Matcher{"follower": sm.NewMatcher(), "compiled view": sm.Compile().NewMatcher()} {
+		for _, tc := range []struct {
+			event string
+			want  []uint64
+			cost  MatchCost
+		}{
+			// price lists x; volume lists id 1/1 alone once the strays go.
+			{`price=20 volume=5`, []uint64{id(1, 1).Key(), x.Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 2, UniqueIDs: 2, Matched: 2}},
+			{`price=20 volume=70`, []uint64{x.Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
+			{`price=20`, []uint64{x.Key()}, MatchCost{EventAttrs: 1, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
+			{`price=5 volume=5`, []uint64{id(1, 1).Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
+		} {
+			if got, cost := m.MatchKeysWithCost(mustEvent(t, s, tc.event)); !slices.Equal(got, tc.want) || cost != tc.cost {
+				t.Errorf("%s on %s: matched %v at %+v, want %v at %+v", name, tc.event, got, cost, tc.want, tc.cost)
+			}
 		}
 	}
-	for a, set := range v.aacs {
-		if set == nil {
-			continue
-		}
-		values := []float64{-12345.5} // no row names it
-		for _, r := range set.Rows() {
-			values = append(values, r.Interval.Lo, r.Interval.Hi, (r.Interval.Lo+r.Interval.Hi)/2)
-		}
-		for _, r := range set.EqRows() {
-			values = append(values, r.Value)
-		}
-		for _, r := range set.NeRows() {
-			values = append(values, r.Value)
-		}
-		for _, val := range values {
-			lists, distinct := set.AppendLists(nil, val)
-			check(schema.AttrID(a), val, lists, distinct)
-		}
-	}
-	for a, set := range v.sacs {
-		if set == nil {
-			continue
-		}
-		values := []string{"no row names this"}
-		for _, r := range set.Rows() {
-			// The text itself, and values only a prefix, suffix or contains
-			// row of that text reaches.
-			values = append(values, r.Pattern.Text, r.Pattern.Text+"~", "~"+r.Pattern.Text, "~"+r.Pattern.Text+"~")
-		}
-		for _, r := range set.NeRows() {
-			values = append(values, r.Pattern.Text)
-		}
-		for _, val := range values {
-			lists, distinct := set.AppendLists(nil, val)
-			check(schema.AttrID(a), val, lists, distinct)
-		}
-	}
-	return repeats, distinctQueries
 }
 
 // TestViewReRegisteredID retracts an id and registers it again with
