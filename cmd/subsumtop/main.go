@@ -8,8 +8,9 @@
 //	subsumd -http 127.0.0.1:7071 &
 //	subsumtop -addr 127.0.0.1:7071 -every 2s
 //
-// Each frame shows event flow (published/routed/forwarded/suppressed
-// with rates), propagation traffic, bus health, watchdog status, a
+// Each frame shows event flow (published/routed/forwarded/suppressed and
+// deliver sends with rates, then consumer deliveries and false positives),
+// propagation traffic, bus health, watchdog status, a
 // summary-health pane (convergence staleness, top false-positive
 // sources), and a per-broker
 // table (subscriptions, merged coverage, deliveries, false positives,
@@ -154,9 +155,9 @@ func renderFrame(w io.Writer, addr string, frame int, m map[string]float64, hist
 		{"routed", "events_routed"},
 		{"forwarded", "events_forwarded"},
 		{"suppressed", "events_suppressed"},
-		{"delivered", "deliver_sends"},
+		{"deliver sends", "deliver_sends"},
 	} {
-		fmt.Fprintf(w, "  %-10s %12.0f %s\n", row.label, m[row.name], rate(row.name))
+		fmt.Fprintf(w, "  %-13s %9.0f %s\n", row.label, m[row.name], rate(row.name))
 	}
 	fp := sumLabeled(m, "broker_false_positives")
 	del := sumLabeled(m, "broker_deliveries")
@@ -164,7 +165,8 @@ func renderFrame(w io.Writer, addr string, frame int, m map[string]float64, hist
 	if fp+del > 0 {
 		ratio = fp / (fp + del)
 	}
-	fmt.Fprintf(w, "  %-10s %12.0f   (%.1f%% of exact matches)\n", "false pos", fp, 100*ratio)
+	fmt.Fprintf(w, "  %-13s %9.0f\n", "delivered", del)
+	fmt.Fprintf(w, "  %-13s %9.0f   (%.1f%% of exact matches)\n", "false pos", fp, 100*ratio)
 
 	fmt.Fprintf(w, "\nPROPAGATION\n")
 	fmt.Fprintf(w, "  periods %.0f    hops %.0f    wire bytes %.0f %s\n",

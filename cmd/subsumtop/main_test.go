@@ -61,8 +61,13 @@ func TestRunRendersLiveServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := network.Subscribe(5, sub, func(subid.ID, *schema.Event) {}); err != nil {
-		t.Fatal(err)
+	// Broker 5's subscription is reached by deliver sends; broker 0's, at
+	// the publisher, is delivered without one, so the two EVENTS rows
+	// differ.
+	for _, at := range []topology.NodeID{5, 0} {
+		if _, err := network.Subscribe(at, sub, func(subid.ID, *schema.Event) {}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := network.Propagate(); err != nil {
 		t.Fatal(err)
@@ -87,11 +92,17 @@ func TestRunRendersLiveServer(t *testing.T) {
 	}
 	out := buf.String()
 
+	sends := reg.Map()["deliver_sends"]
+	if sends == 6 {
+		t.Fatalf("deliver_sends = %v equals the deliveries; the rows are indistinguishable", sends)
+	}
 	for _, want := range []string{
 		"subsumtop — " + addr,
 		"frame 2",                 // both frames rendered
 		"history: 2 ticks",        // /debug/history answered
 		"published             3", // registry totals made it across HTTP
+		fmt.Sprintf("deliver sends %9.0f", sends),
+		"delivered             6", // Σ broker_deliveries, not deliver_sends
 		"WATCHDOG",
 		"SLO",
 		"publish_deliver_p99",

@@ -138,9 +138,6 @@ type FPAttributor struct {
 	// construction (schema size + headroom) so the credit path never grows
 	// them. Attributes beyond the headroom are silently untallied.
 	delByAttr []atomic.Int64
-	// Registry delivery counters per construction-time attribute (nil
-	// entries when no registry was given or the attribute arrived later).
-	delCounters []*metrics.Counter
 }
 
 // NewFPAttributor builds an attributor over the schema's attributes for
@@ -149,18 +146,16 @@ type FPAttributor struct {
 func NewFPAttributor(s *schema.Schema, reg *metrics.Registry, rec *flight.Recorder, brokers int) *FPAttributor {
 	n := s.Len() + attrHeadroom
 	a := &FPAttributor{
-		schema:      s,
-		rec:         rec,
-		rows:        make([]atomic.Pointer[fpRow], max(brokers, 0)),
-		delByAttr:   make([]atomic.Int64, n),
-		delCounters: make([]*metrics.Counter, n),
+		schema:    s,
+		rec:       rec,
+		rows:      make([]atomic.Pointer[fpRow], max(brokers, 0)),
+		delByAttr: make([]atomic.Int64, n),
 	}
 	if reg != nil {
-		delVec := reg.CounterVec("fp_attr_deliveries")
 		for i, attr := range s.Attributes() {
 			id := schema.AttrID(i)
 			reg.CounterFunc(metrics.Label("fp_attr_false_positives", attr.Name), func() int64 { return a.falsePositives(id) })
-			a.delCounters[i] = delVec.With(attr.Name)
+			reg.CounterFunc(metrics.Label("fp_attr_deliveries", attr.Name), a.delByAttr[i].Load)
 		}
 	}
 	return a
@@ -270,9 +265,6 @@ func (a *FPAttributor) CreditDelivery(attrs subid.Mask) {
 			w &= w - 1
 			if bit < len(a.delByAttr) {
 				a.delByAttr[bit].Add(1)
-				if c := a.delCounters[bit]; c != nil {
-					c.Inc()
-				}
 			}
 		}
 	}

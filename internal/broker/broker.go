@@ -87,9 +87,8 @@ type Broker struct {
 	// FinishFullSync — an id retired mid-period was in that payload and
 	// must stay fenced until the next sync.
 	syncing     []subid.LocalID
-	removals    int   // merged-summary removals since the last compact
-	compactions int64 // amortized compactions performed
-	matcherObs  *summary.MatcherObs
+	removals    int              // merged-summary removals since the last compact
+	compactions int64            // amortized compactions performed
 	obs         *brokerObs       // nil unless Config.Metrics was set
 	rec         *flight.Recorder // nil unless Config.Flight was set
 	attrib      *FPAttributor    // nil unless Config.Attribution was set
@@ -117,25 +116,12 @@ type EpochInfo struct {
 	Retract  bool
 }
 
-// EpochState is a snapshot of the broker's convergence epoch vector.
-type EpochState struct {
-	// Peers[p] is the last applied epoch claiming coverage of peer p
-	// (-1 = no stamped payload has ever claimed p).
-	Peers []int64
-	// LastFullSync / LastRetract are the last applied full-sync and
-	// retraction-carrying payload epochs (-1 = never).
-	LastFullSync int64
-	LastRetract  int64
-}
-
 // brokerObs holds this broker's registry instruments, resolved once at
-// New under "name{broker}" labels. The histogram observations bracket the
-// two latency-sensitive operations (merged-summary matching and wire-form
-// merges); everything else is counter/gauge updates on paths already
+// New under "name{broker}" labels. The histogram times merged-summary
+// matching; everything else is counter/gauge updates on paths already
 // holding b.mu.
 type brokerObs struct {
 	matchSeconds   *metrics.Histogram // MatchMerged latency
-	mergeSeconds   *metrics.Histogram // MergeEncodedSummary latency
 	deliveries     *metrics.Counter   // exact consumer deliveries
 	falsePositives *metrics.Counter   // events reaching exact match with 0 hits
 	summaryMerges  *metrics.Counter   // received summaries folded in
@@ -148,7 +134,6 @@ func newBrokerObs(r *metrics.Registry, id topology.NodeID) *brokerObs {
 	label := strconv.Itoa(int(id))
 	return &brokerObs{
 		matchSeconds:   r.HistogramVec("broker_match_seconds", metrics.DefLatencyBuckets).With(label),
-		mergeSeconds:   r.HistogramVec("broker_merge_seconds", metrics.DefLatencyBuckets).With(label),
 		deliveries:     r.CounterVec("broker_deliveries").With(label),
 		falsePositives: r.CounterVec("broker_false_positives").With(label),
 		summaryMerges:  r.CounterVec("broker_summary_merges").With(label),
@@ -165,8 +150,8 @@ type Config struct {
 	NumBrokers int
 	// MaxSubscriptions bounds c2 (0 means no bound).
 	MaxSubscriptions int
-	// Metrics, when non-nil, wires this broker's match/merge latency
-	// histograms, delivery and false-positive counters, and subscription
+	// Metrics, when non-nil, wires this broker's match latency
+	// histogram, delivery and false-positive counters, and subscription
 	// gauges into the registry under "name{broker-id}" labels. Nil keeps
 	// the broker entirely uninstrumented (the pre-observability behavior).
 	Metrics *metrics.Registry
@@ -215,12 +200,6 @@ func New(cfg Config) (*Broker, error) {
 	b.mergedBrokers.Set(int(cfg.ID))
 	if cfg.Metrics != nil {
 		b.obs = newBrokerObs(cfg.Metrics, cfg.ID)
-		label := strconv.Itoa(int(cfg.ID))
-		b.matcherObs = &summary.MatcherObs{
-			Events:    cfg.Metrics.CounterVec("broker_match_events").With(label),
-			Collected: cfg.Metrics.CounterVec("broker_collected_ids").With(label),
-			Matched:   cfg.Metrics.CounterVec("broker_filter_hits").With(label),
-		}
 	}
 	return b, nil
 }
@@ -253,13 +232,9 @@ func (b *Broker) matchSnapshot() *matchSnapshot {
 	if s := b.snap.Load(); s != nil && s.gen == gen {
 		return s
 	}
-	view, obs := b.merged.Compile(), b.matcherObs
+	view := b.merged.Compile()
 	s := &matchSnapshot{gen: gen, brokers: b.mergedBrokers.Clone()}
-	s.pool.New = func() any {
-		m := view.NewMatcher()
-		m.SetObs(obs)
-		return m
-	}
+	s.pool.New = func() any { return view.NewMatcher() }
 	b.snap.Store(s)
 	return s
 }
@@ -533,10 +508,6 @@ func (b *Broker) MergeEncodedSummary(payload []byte, brokers subid.Mask) error {
 func (b *Broker) MergeEncodedSummaryEpoch(payload []byte, brokers subid.Mask, info EpochInfo) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var start time.Time
-	if b.obs != nil {
-		start = time.Now()
-	}
 	if err := b.merged.MergeEncoded(payload); err != nil {
 		b.rec.Record(flight.EvMergeError, int(b.id), int64(len(payload)), 0, 0, err.Error())
 		return err
@@ -561,7 +532,6 @@ func (b *Broker) MergeEncodedSummaryEpoch(payload []byte, brokers subid.Mask, in
 	}
 	b.invalidateMatch()
 	if b.obs != nil {
-		b.obs.mergeSeconds.Observe(time.Since(start).Seconds())
 		b.obs.summaryMerges.Inc()
 		b.updateSubGauges()
 	}
@@ -578,21 +548,11 @@ func newEpochVector(n int) []int64 {
 	return v
 }
 
-// EpochState returns a snapshot of the broker's convergence epoch
-// vector.
-func (b *Broker) EpochState() EpochState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return EpochState{
-		Peers:        append([]int64(nil), b.peerEpochs...),
-		LastFullSync: b.lastFullSyncEpoch,
-		LastRetract:  b.lastRetractEpoch,
-	}
-}
-
-// ReadEpochs invokes fn with the live epoch vector under the broker
-// lock — the allocation-free read used by the per-period gauge refresh.
-// fn must not retain peers or call back into the Broker.
+// ReadEpochs invokes fn with the live convergence epoch vector under the
+// broker lock: peers[p] is the last applied epoch claiming coverage of
+// peer p, and lastFullSync / lastRetract are the last applied full-sync
+// and retraction-carrying payload epochs (-1 = never, in all three). fn
+// must not retain peers or call back into the Broker.
 func (b *Broker) ReadEpochs(fn func(peers []int64, lastFullSync, lastRetract int64)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -93,9 +93,9 @@ type Network struct {
 	periodMu sync.Mutex
 	period   atomic.Pointer[periodState]
 	// periods counts completed Propagate calls (under periodMu), driving
-	// the FullSyncEvery schedule. periodCount mirrors it atomically so the
-	// convergence report and staleness gauges can read the current period
-	// without contending for the period lock.
+	// the FullSyncEvery schedule. periodCount mirrors it atomically so
+	// Convergence can read the current period without contending for the
+	// period lock.
 	periods     int
 	periodCount atomic.Int64
 	// churnSeq counts Subscribe/Unsubscribe calls; the watchdog's
@@ -107,12 +107,12 @@ type Network struct {
 	lastPeriodFullSync bool
 	churnAtPeriodStart int64
 
-	metrics *metrics.Registry
-	obs     netObs
-	conv    []convObs            // per-broker convergence gauges
-	attrib  *broker.FPAttributor // shared false-positive attribution sink
-	tracer  tracer
-	rec     *flight.Recorder // nil unless Config.Flight was set
+	metrics   *metrics.Registry
+	obs       netObs
+	staleness []*metrics.Gauge     // per-broker convergence_staleness_periods
+	attrib    *broker.FPAttributor // shared false-positive attribution sink
+	tracer    tracer
+	rec       *flight.Recorder // nil unless Config.Flight was set
 
 	// scratch[i] is broker i's event-run working set, owned by broker i's
 	// handler: the bus runs it on one worker at a time — no locking.
@@ -203,9 +203,8 @@ func newOnBus(cfg Config, newBus func(n int) *netsim.Bus) (*Network, error) {
 		rec:     cfg.Flight,
 	}
 	net.obs = newNetObs(reg)
-	net.conv = newConvObs(reg, n)
+	net.staleness = newStalenessGauges(reg, n)
 	net.attrib = broker.NewFPAttributor(cfg.Schema, reg, cfg.Flight, n)
-	net.tracer.depth = reg.Gauge("trace_store_depth")
 	net.tracer.initLatency(reg, n)
 	net.bus.Instrument(reg)
 	net.bus.SetFlight(cfg.Flight)
@@ -417,7 +416,7 @@ func (net *Network) Propagate() (hops int, err error) {
 		}
 	}
 	net.lastPeriodFullSync = fullSync
-	net.refreshConvergenceGauges()
+	net.refreshConvergence()
 	return hops, nil
 }
 
@@ -839,7 +838,8 @@ func carried(att []any, i int) *schema.Event {
 // epoch header exists so receivers can maintain per-peer convergence
 // vectors: every payload names the sender's period sequence number, and
 // the flags say whether it was a full sync and whether it carried
-// retractions — the two signals the staleness gauges distinguish.
+// retractions — the full-sync and retraction ages of the convergence
+// report.
 const (
 	sumFlagFullSync = 0x01 // payload is a full-sync merged summary
 	sumFlagRetract  = 0x02 // payload carries a retraction section

@@ -80,8 +80,7 @@ type tracer struct {
 	mu       sync.Mutex
 	capacity int // 0 means defaultTraceCapacity
 	traces   map[uint64]*Trace
-	order    []uint64       // insertion order for FIFO eviction
-	depth    *metrics.Gauge // retained-trace count; nil when unwired
+	order    []uint64 // insertion order for FIFO eviction
 
 	// latency[b] observes publish→deliver wall time whenever a traced
 	// event's exact re-match delivers at broker b. The timestamp rides the
@@ -108,15 +107,11 @@ func (t *tracer) cap() int {
 	return defaultTraceCapacity
 }
 
-// evictTo shrinks the store to at most n traces (FIFO) and refreshes the
-// depth gauge; callers hold t.mu.
+// evictTo shrinks the store to at most n traces (FIFO); callers hold t.mu.
 func (t *tracer) evictTo(n int) {
 	for len(t.order) > n {
 		delete(t.traces, t.order[0])
 		t.order = t.order[1:]
-	}
-	if t.depth != nil {
-		t.depth.Set(int64(len(t.order)))
 	}
 }
 
@@ -143,9 +138,6 @@ func (t *tracer) begin(id uint64, origin topology.NodeID, event string) {
 	t.evictTo(t.cap() - 1)
 	t.traces[id] = &Trace{ID: id, Origin: int(origin), Event: event, StartUnixNanos: time.Now().UnixNano()}
 	t.order = append(t.order, id)
-	if t.depth != nil {
-		t.depth.Set(int64(len(t.order)))
-	}
 }
 
 // visit records the routed event arriving at a broker carrying `bytes` of

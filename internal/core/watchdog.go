@@ -239,21 +239,16 @@ func (net *Network) checkStaleness() []Violation {
 		return nil // too early for any entry to legitimately exceed the bound
 	}
 	var out []Violation
-	for i, b := range net.brokers {
-		b.ReadEpochs(func(peers []int64, _, _ int64) {
-			for p, e := range peers {
-				if p == i || e < 0 {
-					continue
-				}
-				if lag := period - e; lag > bound {
-					out = append(out, Violation{
-						Check:  CheckStaleness,
-						Broker: i,
-						Detail: fmt.Sprintf("view of peer %d last refreshed at period %d, %d periods behind (bound %d)", p, e, lag, bound),
-					})
-				}
+	for _, bc := range net.convergence(period).Brokers {
+		for _, pe := range bc.Peers {
+			if pe.Staleness > bound {
+				out = append(out, Violation{
+					Check:  CheckStaleness,
+					Broker: bc.Broker,
+					Detail: fmt.Sprintf("view of peer %d last refreshed at period %d, %d periods behind (bound %d)", pe.Peer, pe.Epoch, pe.Staleness, bound),
+				})
 			}
-		})
+		}
 	}
 	return out
 }
@@ -277,8 +272,9 @@ type Watchdog struct {
 
 // StartWatchdog launches the invariant watchdog, checking every
 // `every` (clamped to ≥ 10ms). Results land in the network's registry as
-// watchdog_checks and watchdog_violations_total{check},
-// and each violation is journaled. Stop it with Watchdog.Stop (Close does
+// watchdog_checks and watchdog_violations_total{check}, registered at
+// zero for every check so a healthy run exports the family too, and each
+// violation is journaled. Stop it with Watchdog.Stop (Close does
 // so automatically). Only one watchdog per network.
 func (net *Network) StartWatchdog(every time.Duration) *Watchdog {
 	if net.watchdog != nil {
@@ -294,6 +290,9 @@ func (net *Network) StartWatchdog(every time.Duration) *Watchdog {
 		perCheck: net.metrics.CounterVec("watchdog_violations_total"),
 		done:     make(chan struct{}),
 		stopped:  make(chan struct{}),
+	}
+	for _, c := range []string{CheckCoverage, CheckFlow, CheckBytes, CheckConvergence, CheckStaleness} {
+		w.perCheck.With(c)
 	}
 	net.watchdog = w
 	go w.run()

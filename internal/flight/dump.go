@@ -24,7 +24,6 @@ func Dump(w io.Writer, rec *Recorder, reg *metrics.Registry) error {
 		Metrics   map[string]float64 `json:"metrics,omitempty"`
 	}{WrittenAt: time.Now().UTC().Format(time.RFC3339Nano)}
 	if rec != nil {
-		rec.Record(EvCrashDump, -1, 0, 0, 0, "")
 		doc.Stats = rec.Stats()
 		doc.Records = rec.Records()
 	}

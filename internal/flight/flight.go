@@ -60,8 +60,6 @@ const (
 	// EvWatchdogViolation: an invariant check failed; the note carries the
 	// check name and detail.
 	EvWatchdogViolation
-	// EvCrashDump: a crash dump was requested (panic or SIGQUIT).
-	EvCrashDump
 	// EvRetract: an unsubscribe queued a retraction for a subscription
 	// that had already been propagated (A = local id).
 	EvRetract
@@ -114,8 +112,6 @@ func (t EventType) String() string {
 		return "decode-error"
 	case EvWatchdogViolation:
 		return "watchdog-violation"
-	case EvCrashDump:
-		return "crash-dump"
 	case EvRetract:
 		return "retract"
 	case EvConvergence:

@@ -195,17 +195,17 @@ func (s Stats) TotalErrors() int64 {
 }
 
 // Instrument exposes the bus accounting in r: the per-kind counters as
-// the "bus_messages", "bus_bytes", "bus_dropped", "bus_dropped_bytes",
+// the "bus_messages", "bus_dropped", "bus_dropped_bytes",
 // "bus_decode_errors" and "bus_handler_errors" {kind} families, and the
 // in-flight message depth as the "bus_inflight" gauge. Each is read from
-// the bus's own atomics at snapshot time, so a send counts once.
+// the bus's own atomics at snapshot time, so a send counts once. Bytes
+// sent per kind are served by Stats (the wire protocol's stats reply).
 func (b *Bus) Instrument(r *metrics.Registry) {
 	for _, f := range []struct {
 		name string
 		c    *kindCounters
 	}{
 		{"bus_messages", &b.messages},
-		{"bus_bytes", &b.bytes},
 		{"bus_dropped", &b.dropped},
 		{"bus_dropped_bytes", &b.droppedBytes},
 		{"bus_decode_errors", &b.decodeErrs},

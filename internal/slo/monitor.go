@@ -145,7 +145,7 @@ func DefaultSpecs(tg Targets) []Spec {
 }
 
 // Monitor drives an engine over a sampler's history, mirrors each
-// verdict into slo_* gauges, journals breach/recover transitions into
+// verdict's state into the slo_state gauge, journals breach/recover transitions into
 // the flight recorder, and retains the latest report for the wire and
 // debug surfaces. Drive it with Start/Stop (background goroutine) or
 // EvalOnce (manual — scenarios evaluate in lockstep with their ticks).
@@ -154,12 +154,7 @@ type Monitor struct {
 	sampler *metrics.Sampler
 	rec     *flight.Recorder // optional
 
-	// Per-spec gauge mirrors: state 0/1/2, burns and budget in milli
-	// units (gauges are integers).
-	state    []*metrics.Gauge
-	fastBurn []*metrics.Gauge
-	slowBurn []*metrics.Gauge
-	budget   []*metrics.Gauge
+	state []*metrics.Gauge // per spec: its State.Severity (0/1/2)
 
 	mu   sync.Mutex
 	last *Report
@@ -171,7 +166,7 @@ type Monitor struct {
 	stopped   chan struct{}
 }
 
-// NewMonitor wires a monitor. reg receives the slo_* gauge mirrors (nil
+// NewMonitor wires a monitor. reg receives the slo_state gauge mirror (nil
 // to skip mirroring); rec receives breach/recover records (nil to skip
 // journaling).
 func NewMonitor(eng *Engine, sampler *metrics.Sampler, reg *metrics.Registry, rec *flight.Recorder) *Monitor {
@@ -188,24 +183,14 @@ func NewMonitor(eng *Engine, sampler *metrics.Sampler, reg *metrics.Registry, re
 	}
 	if reg != nil {
 		st := reg.GaugeVec("slo_state")
-		fb := reg.GaugeVec("slo_fast_burn_milli")
-		sb := reg.GaugeVec("slo_slow_burn_milli")
-		bu := reg.GaugeVec("slo_budget_remaining_milli")
 		for _, spec := range eng.specs {
 			m.state = append(m.state, st.With(spec.Name))
-			m.fastBurn = append(m.fastBurn, fb.With(spec.Name))
-			m.slowBurn = append(m.slowBurn, sb.With(spec.Name))
-			m.budget = append(m.budget, bu.With(spec.Name))
-		}
-		// Budget starts whole.
-		for _, g := range m.budget {
-			g.Set(1000)
 		}
 	}
 	return m
 }
 
-// milli converts a burn/budget fraction to an integer gauge value,
+// milli converts a burn/budget fraction to an integer journal argument,
 // clamped so a runaway burn cannot overflow the display.
 func milli(v float64) int64 {
 	const ceiling = 1_000_000
@@ -219,7 +204,7 @@ func milli(v float64) int64 {
 }
 
 // EvalOnce evaluates every objective against the sampler's current
-// history, updates the gauge mirrors, journals state transitions, and
+// history, updates the state gauges, journals state transitions, and
 // returns the report.
 func (m *Monitor) EvalOnce() *Report {
 	rep := m.eng.Evaluate(m.sampler.History())
@@ -230,9 +215,6 @@ func (m *Monitor) EvalOnce() *Report {
 		v := &rep.Verdicts[i]
 		if m.state != nil {
 			m.state[i].Set(int64(v.State.Severity()))
-			m.fastBurn[i].Set(milli(v.FastBurn))
-			m.slowBurn[i].Set(milli(v.SlowBurn))
-			m.budget[i].Set(milli(v.BudgetRemaining))
 		}
 		was, now := m.prev[i], v.State
 		if now == StateBreach && was != StateBreach {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
 )
@@ -66,26 +65,7 @@ type Matcher struct {
 
 	batch []uint64   // MatchBatch: every event's keys back to back
 	res   [][]uint64 // MatchBatch: per-event windows into batch
-
-	obs *MatcherObs // optional cost instrumentation; nil = one branch per event
 }
-
-// MatcherObs aggregates the Section 5.2.4 operation counts of every match
-// into registry counters: Events counts matched events, Collected the
-// per-attribute id-list entries counted (admitted ids only), and Matched
-// the ids that reached their c3 attribute count (the summary filter hits
-// forwarded for exact re-matching). All fields are optional; nil counters
-// are skipped.
-type MatcherObs struct {
-	Events    *metrics.Counter
-	Collected *metrics.Counter
-	Matched   *metrics.Counter
-}
-
-// SetObs attaches cost instrumentation to the matcher (nil detaches).
-// When detached the steady-state overhead is a single nil check per
-// event, preserving the matcher's zero-allocation hot path.
-func (m *Matcher) SetObs(obs *MatcherObs) { m.obs = obs }
 
 // NewMatcher returns a Matcher that follows sm through its mutations.
 func (sm *Summary) NewMatcher() *Matcher { return &Matcher{sm: sm} }
@@ -97,7 +77,7 @@ func (v *View) NewMatcher() *Matcher { return &Matcher{v: v} }
 // ascending key order, each with its c3 mask. The returned ids are freshly
 // allocated and owned by the caller.
 func (m *Matcher) Match(e *schema.Event) []subid.ID {
-	m.record(1, m.collect(e))
+	m.collect(e)
 	out := make([]subid.ID, len(m.hit))
 	for i, idx := range m.hit {
 		out[i] = m.v.idAt(idx)
@@ -108,20 +88,16 @@ func (m *Matcher) Match(e *schema.Event) []subid.ID {
 
 // MatchBatch matches a run of events in order: res[i] is events[i]'s
 // matched keys, ascending. The slices are scratch owned by the matcher,
-// valid until the next call. The cost observers see the run once.
+// valid until the next call.
 func (m *Matcher) MatchBatch(events []*schema.Event) [][]uint64 {
 	m.batch, m.res = m.batch[:0], m.res[:0]
-	var total MatchCost
 	for _, e := range events {
-		keys, cost := m.match(e)
-		total.CollectedIDs += cost.CollectedIDs
-		total.Matched += cost.Matched
+		keys := m.MatchKeys(e)
 		start := len(m.batch)
 		m.batch = append(m.batch, keys...)
 		// A later append may move batch; this window keeps the old array.
 		m.res = append(m.res, m.batch[start:len(m.batch):len(m.batch)])
 	}
-	m.record(len(events), total)
 	return m.res
 }
 
@@ -134,29 +110,6 @@ func (m *Matcher) MatchKeys(e *schema.Event) []uint64 {
 
 // MatchKeysWithCost is MatchKeys with the Section 5.2.4 operation counts.
 func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
-	keys, cost := m.match(e)
-	m.record(1, cost)
-	return keys, cost
-}
-
-// record adds a run of events' counts to the attached observers.
-func (m *Matcher) record(events int, cost MatchCost) {
-	if m.obs == nil {
-		return
-	}
-	if m.obs.Events != nil {
-		m.obs.Events.Add(int64(events))
-	}
-	if m.obs.Collected != nil {
-		m.obs.Collected.Add(int64(cost.CollectedIDs))
-	}
-	if m.obs.Matched != nil {
-		m.obs.Matched.Add(int64(cost.Matched))
-	}
-}
-
-// match is MatchKeysWithCost without the observers.
-func (m *Matcher) match(e *schema.Event) ([]uint64, MatchCost) {
 	cost := m.collect(e)
 	m.out = m.out[:0]
 	for _, idx := range m.hit {

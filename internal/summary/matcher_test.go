@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/subsum/subsum/internal/interval"
-	"github.com/subsum/subsum/internal/metrics"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/workload"
@@ -567,8 +566,8 @@ func TestMatcherMultiWord(t *testing.T) {
 }
 
 // TestMatcherZeroAllocs asserts the acceptance criterion: once warmed up,
-// a matcher does not allocate per matched event — plain, with the cost
-// observers attached, on the merge path, on the restricted walk, and for
+// a matcher does not allocate per matched event — plain, on the merge
+// path, on the restricted walk, and for
 // the eight-event run a broker's lease matches. Each case runs the fixture
 // of the benchmark it names.
 func TestMatcherZeroAllocs(t *testing.T) {
@@ -580,11 +579,10 @@ func TestMatcherZeroAllocs(t *testing.T) {
 		fixture func(testing.TB) (*Matcher, []*schema.Event)
 		batch   bool
 	}{
-		{"MatchKeys", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, false) }, false},
-		{"MatchKeysInstrumented", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, true) }, false},
+		{"MatchKeys", matcherFixture, false},
 		{"MatchKeysRepeats", repeatsFixture, false},
 		{"MatchKeysRestricted", restrictedFixture, false},
-		{"MatchBatch", func(tb testing.TB) (*Matcher, []*schema.Event) { return matcherFixture(tb, true) }, true},
+		{"MatchBatch", matcherFixture, true},
 		{"MatchKeysHub", func(tb testing.TB) (*Matcher, []*schema.Event) { return hubFixture(tb, fanoutShape(), 2400) }, false},
 		{"MatchKeysHub24k", func(tb testing.TB) (*Matcher, []*schema.Event) {
 			return hubFixture(tb, workload.DefaultConfig(), 24000)
@@ -636,9 +634,9 @@ func warmMatcher(tb testing.TB, m *Matcher, events []*schema.Event) {
 }
 
 // matcherFixture builds the warmed matcher + event set of the
-// summary-match hot path, optionally with the cost observers attached.
-// TestMatcherZeroAllocs holds it at 0 allocations per event.
-func matcherFixture(tb testing.TB, withObs bool) (*Matcher, []*schema.Event) {
+// summary-match hot path. TestMatcherZeroAllocs holds it at 0 allocations
+// per event.
+func matcherFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 	tb.Helper()
 	s := stockSchema(tb)
 	rng := rand.New(rand.NewSource(34))
@@ -648,14 +646,6 @@ func matcherFixture(tb testing.TB, withObs bool) (*Matcher, []*schema.Event) {
 		events[i] = randomEvent(rng, s)
 	}
 	m := sm.NewMatcher()
-	if withObs {
-		reg := metrics.NewRegistry()
-		m.SetObs(&MatcherObs{
-			Events:    reg.Counter("match_events"),
-			Collected: reg.Counter("match_collected"),
-			Matched:   reg.Counter("match_matched"),
-		})
-	}
 	warmMatcher(tb, m, events)
 	return m, events
 }
@@ -764,12 +754,7 @@ func benchmarkMatchKeys(b *testing.B, m *Matcher, events []*schema.Event) {
 }
 
 func BenchmarkMatcherMatchKeys(b *testing.B) {
-	m, events := matcherFixture(b, false)
-	benchmarkMatchKeys(b, m, events)
-}
-
-func BenchmarkMatcherMatchKeysInstrumented(b *testing.B) {
-	m, events := matcherFixture(b, true)
+	m, events := matcherFixture(b)
 	benchmarkMatchKeys(b, m, events)
 }
 

@@ -358,7 +358,6 @@ func TestStatsMetricsEndToEnd(t *testing.T) {
 		"events_routed",
 		"events_forwarded",
 		"broker_deliveries{7}",
-		"broker_filter_hits{7}",
 		"propagation_periods",
 		"bus_messages{event}",
 		"bus_messages{summary}",
