@@ -281,6 +281,7 @@ func TestCollectExactMatchesTwoPass(t *testing.T) {
 		}
 	}
 	withHits, withoutHits := 0, 0
+	var hits []*subEntry // one scratch for every record, as the event path reuses it
 	for r := 0; r < 600; r++ {
 		ev, err := schema.ParseEvent(s, fmt.Sprintf("symbol=%s price=%d", symbols[rng.Intn(len(symbols))], rng.Intn(400)))
 		if err != nil {
@@ -305,7 +306,7 @@ func TestCollectExactMatchesTwoPass(t *testing.T) {
 		keys = slices.Compact(keys)
 
 		want := collectExactTwoPass(b, ev, keys, ref)
-		hits := b.collectExact(ev, keys)
+		hits = b.collectExact(ev, keys, hits[:0])
 		if !slices.Equal(hits, want) {
 			t.Fatalf("record %d (%v): fused pass hits %d, two-pass %d", r, keys, len(hits), len(want))
 		}

@@ -32,10 +32,10 @@ import (
 // set of workers, so a delivery that waits on its consumer stalls brokers
 // that have nothing to do with that consumer. A consumer that can fall
 // behind queues or sheds at its own edge (the wire server does both). The
-// event is shared: the live engine decodes a published event once and
-// hands that one value to every consumer and every broker it reaches,
-// concurrently — it may be kept, and must not be modified (Event.Fields
-// says the same of its slice).
+// event is shared and read-only: in-process, the live engine hands the
+// publisher's own event — the value Publish was given — to every broker
+// and every consumer it reaches, concurrently. It may be kept, and must
+// not be modified (Event.Fields says the same of its slice).
 type DeliveryFunc func(id subid.ID, ev *schema.Event)
 
 // subEntry is one raw subscription with its consumer.
@@ -646,8 +646,15 @@ func (b *Broker) ObserveMatchRun(elapsed time.Duration, events int) {
 func (b *Broker) DeliverExact(ev *schema.Event) int {
 	l := b.AcquireMatcher()
 	defer l.Release()
-	return b.DeliverExactCandidates(ev, l.m.MatchKeys(ev))
+	var hits Hits
+	return b.DeliverExactCandidates(ev, l.m.MatchKeys(ev), &hits)
 }
+
+// Hits is reusable storage for the subscriptions one exact pass matched:
+// a caller that passes the same Hits to every DeliverExactCandidates call
+// makes the pass allocate nothing once it has grown. The zero value is
+// ready for use; a Hits serves one call at a time.
+type Hits struct{ subs []*subEntry }
 
 // DeliverExactCandidates is the owner step of Algorithm 3 with the
 // summary pre-filter already run by whoever routed the event here: keys
@@ -658,13 +665,19 @@ func (b *Broker) DeliverExact(ev *schema.Event) int {
 // a named id that was unsubscribed or reused in the meantime can never
 // produce an unsound delivery. Keys owned by other brokers are ignored.
 // Every owned subscription has its own summary rows, so the names are
-// complete: summaries never produce false negatives.
-func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64) int {
-	return b.deliverHits(ev, b.collectExact(ev, keys))
+// complete: summaries never produce false negatives. The matched
+// subscriptions are collected in hits.
+func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64, hits *Hits) int {
+	subs := b.collectExact(ev, keys, hits.subs[:0])
+	n := b.deliverHits(ev, subs)
+	clear(subs) // pin no subscription past its delivery
+	hits.subs = subs[:0]
+	return n
 }
 
 // collectExact exact-matches this broker's candidate keys against the
-// raw subscriptions; keys of other owners are skipped.
+// raw subscriptions, appending the matches to hits; keys of other owners
+// are skipped.
 //
 // One pass over each candidate's constraints both decides the match and,
 // until a hit is found, keeps the first failing constraint's (attribute,
@@ -672,7 +685,7 @@ func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64) int {
 // positive's charges: one per live candidate, a stale one per dead
 // candidate, and one stale charge to this broker when it had no
 // candidate at all (the sender's merged view of it was stale).
-func (b *Broker) collectExact(ev *schema.Event, keys []uint64) (hits []*subEntry) {
+func (b *Broker) collectExact(ev *schema.Event, keys []uint64, hits []*subEntry) []*subEntry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	self := subid.BrokerID(b.id)

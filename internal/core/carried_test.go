@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,7 +26,8 @@ func sameEventBytes(a, b *schema.Event) bool {
 
 // TestCarriedEventsEqualTheirBytes is the differential over every message:
 // whatever a sender attached must be what the unchanged decoders read out
-// of the payload bytes, record by record. It runs on the two benchmark
+// of the payload bytes, record by record — a publish included, which
+// carries the caller's event as its one attachment. It runs on the two benchmark
 // overlays after one period, with runs of one (a Flush per event) and with
 // full runs behind a paused origin (multi-record deliver payloads), and
 // ends on the brute-force delivered-set oracle.
@@ -41,26 +44,24 @@ func TestCarriedEventsEqualTheirBytes(t *testing.T) {
 			f := newPipelineFixture(t, tp.g, 3*tp.g.Len(), 0, nEvents)
 			mustPropagate(t, f.net)
 			n := f.net.Len()
-			var forwards, delivers, records int
+			var publishes, forwards, delivers, records int
 			// The hook runs serialized under the bus's fault lock, so it may
 			// decode and count without further locking. It drops nothing.
 			f.net.InjectFaults(func(m netsim.Message) bool {
 				switch m.Kind {
 				case netsim.KindEvent:
 					if m.From == m.To {
-						if len(m.Attached) != 0 {
-							t.Errorf("publish at %d carries %d attachments; ingress must decode", m.To, len(m.Attached))
-						}
-						return false
+						publishes++
+					} else {
+						forwards++
 					}
-					forwards++
 					ev, _, _, _, err := decodeEventMsg(f.schema, m.Payload, nil, n, nil, nil)
 					if err != nil {
-						t.Errorf("forward %d→%d does not decode: %v", m.From, m.To, err)
+						t.Errorf("event %d→%d does not decode: %v", m.From, m.To, err)
 						return false
 					}
 					if len(m.Attached) != 1 || !sameEventBytes(carried(m.Attached, 0), ev) {
-						t.Errorf("forward %d→%d: attachments %v are not the event in the bytes", m.From, m.To, m.Attached)
+						t.Errorf("event %d→%d: attachments %v are not the event in the bytes", m.From, m.To, m.Attached)
 					}
 				case netsim.KindDeliver:
 					delivers++
@@ -109,17 +110,17 @@ func TestCarriedEventsEqualTheirBytes(t *testing.T) {
 				t.Fatal("oracle expects no deliveries; the differential is vacuous")
 			}
 			f.assertCleanRun(t)
-			if forwards == 0 || delivers == 0 || records <= delivers {
-				t.Fatalf("saw %d forwards and %d deliver payloads of %d records; want forwards, and a multi-record payload",
-					forwards, delivers, records)
+			if publishes != nEvents || forwards == 0 || delivers == 0 || records <= delivers {
+				t.Fatalf("saw %d publishes, %d forwards and %d deliver payloads of %d records; "+
+					"want every publish, forwards, and a multi-record payload", publishes, forwards, delivers, records)
 			}
 		})
 	}
 }
 
-// TestOneDecodePerEvent: the hub decodes a published event once and every
-// owner it matches is handed that same event — not a copy each, and not
-// the publisher's own value, which never passed the ingress checks.
+// TestOneDecodePerEvent: nothing decodes a published event in the
+// process. Every owner it matches, at the hub and beyond it, is handed the
+// publisher's own event, one pointer, not a copy each.
 func TestOneDecodePerEvent(t *testing.T) {
 	s := stockSchema(t)
 	net := newNetwork(t, topology.Star(3), s)
@@ -147,20 +148,16 @@ func TestOneDecodePerEvent(t *testing.T) {
 	if a == nil || b == nil {
 		t.Fatalf("deliveries: owner %v, other %v; want both", a, b)
 	}
-	if a != b {
-		t.Fatalf("two owners of one publish were handed different events (%p, %p): decoded more than once", a, b)
-	}
-	if a == published {
-		t.Fatal("consumers were handed the publisher's own event: ingress did not decode")
-	}
-	if !sameEventBytes(a, published) {
-		t.Fatalf("delivered %s, published %s", a.Format(s), published.Format(s))
+	if a != published || b != published {
+		t.Fatalf("owners were handed %p and %p, the publisher's event is %p: the event was decoded on the way",
+			a, b, published)
 	}
 }
 
-// TestIngressStillValidates: an event built against a wider schema than
-// the network's is refused where it enters — one counted decode error, no
-// delivery — because the first hop always decodes the bytes.
+// TestIngressStillValidates: an event that is not of the network's schema —
+// built against a wider one, or nil — never reaches a broker. Publish
+// returns the schema error: nothing is sent, no decode error is counted,
+// nothing is delivered.
 func TestIngressStillValidates(t *testing.T) {
 	s := stockSchema(t)
 	net := newNetwork(t, topology.Star(3), s)
@@ -172,14 +169,40 @@ func TestIngressStillValidates(t *testing.T) {
 	}
 	mustPropagate(t, net)
 	wide := schema.MustNew(append(s.Attributes(), schema.Attribute{Name: "venue", Type: schema.TypeString})...)
-	if err := net.Publish(starHub, mustEvent(t, wide, "price=150 venue=ATHEX")); err != nil {
+	attrs := s.Attributes()
+	attrs[2] = schema.Attribute{Name: "price", Type: schema.TypeString}
+	retyped := schema.MustNew(attrs...)
+	for _, tc := range []struct {
+		name string
+		ev   *schema.Event
+	}{
+		{"attribute beyond the schema", mustEvent(t, wide, "price=150 venue=ATHEX")},
+		{"attribute of another type", mustEvent(t, retyped, "price=high")},
+		{"string beyond the codec", mustEvent(t, s, "symbol="+strings.Repeat("X", math.MaxUint16+1)+" price=150")},
+		{"nil event", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, sampling := range []int{0, 1} { // a sampled publish formats the event first
+				net.SetTraceSampling(sampling)
+				if err := net.Publish(starHub, tc.ev); err == nil {
+					t.Fatalf("sampling %d: Publish accepted the event", sampling)
+				}
+			}
+			net.SetTraceSampling(0)
+			net.Flush()
+			st := net.Stats()
+			if st.Messages[netsim.KindEvent] != 0 || st.TotalErrors() != 0 || c.count() != 0 {
+				t.Fatalf("event messages %d, errors %v, deliveries %d; want nothing sent, counted or delivered",
+					st.Messages[netsim.KindEvent], st.DecodeErrors, c.count())
+			}
+		})
+	}
+	if err := net.Publish(starHub, mustEvent(t, s, "symbol=OTE price=150")); err != nil {
 		t.Fatal(err)
 	}
 	net.Flush()
-	st := net.Stats()
-	if st.DecodeErrors[netsim.KindEvent] != 1 || st.TotalErrors() != 1 || c.count() != 0 {
-		t.Fatalf("decode errors %v, total errors %d, deliveries %d; want one event decode error and no delivery",
-			st.DecodeErrors, st.TotalErrors(), c.count())
+	if c.count() != 2 {
+		t.Fatalf("a valid event after the refused ones reached %d consumers, want 2", c.count())
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -117,28 +118,48 @@ type Network struct {
 	// scratch[i] is broker i's event-run working set, owned by broker i's
 	// handler: the bus runs it on one worker at a time — no locking.
 	scratch []runScratch
+	// zero is the empty BROCLI and delivered set every publish encodes,
+	// sized for the broker count; read-only.
+	zero subid.Mask
 
 	watchdog *Watchdog // nil until StartWatchdog
 }
 
 // runScratch is one broker handler's reusable working set for a run of
-// events: the decoded events with their per-event masks, and the remote
-// deliveries the run owes as a flat list of owner<<32|event-index pairs,
-// sorted per run so each owner's events are contiguous. The masks are
-// decoded into the storage earlier runs left in broclis/delivs beyond their
-// length, so they must not outlive the run. recs and keys hold a decoded
-// deliver payload (the handler is never inside a run when it decodes one).
-// Everything grows on demand, so a broker that routes short runs holds
-// little.
+// events: the events with their per-event masks, and the remote deliver
+// records the run owes, chained per owner in event order. A record names
+// its event, the owner's ids in that event's match result
+// (res[ev][lo:hi]) and where the event's bytes start in enc: a sent event
+// is encoded once per run, at its first record. heads[o] and tails[o] are
+// owner o's first and last record, meaningful only while owners holds o;
+// drainOwners visits the owners in ascending order and leaves every chain
+// empty. The masks are decoded into the storage earlier runs left in
+// broclis/delivs beyond their length, so they must not outlive the run.
+// recs and keys hold a decoded deliver payload (the handler is never
+// inside a run when it decodes one), and hits an exact pass's matches.
+// Everything grows on demand — the owner-indexed slices to the highest
+// owner a run sends to — so a broker that routes short runs holds little.
 type runScratch struct {
-	events  []*schema.Event
-	broclis []subid.Mask
-	delivs  []subid.Mask
-	sends   []uint64
-	recs    []deliverRecord
-	keys    []uint64
-	enc     []byte // the run's sent events, encoded once (encodeSent)
-	encEnd  []int
+	events       []*schema.Event
+	broclis      []subid.Mask
+	delivs       []subid.Mask
+	sends        []deliverSend
+	owners       subid.Mask
+	heads, tails []int32
+	enc          []byte
+	encoded      int // the run's event last encoded into enc, -1 for none
+	encStart     int // where its bytes start in enc
+	recs         []deliverRecord
+	keys         []uint64
+	hits         broker.Hits
+}
+
+// deliverSend is one remote deliver record of a run, a link of its
+// owner's chain.
+type deliverSend struct {
+	ev, lo, hi int32 // the event's index in the run and its ids res[ev][lo:hi]
+	next       int32 // the owner's next record, -1 at the chain's end
+	start      int   // the event's bytes start at enc[start]
 }
 
 // netObs holds the engine-level instruments, resolved once in New.
@@ -227,6 +248,7 @@ func newOnBus(cfg Config, newBus func(n int) *netsim.Bus) (*Network, error) {
 	net.schedule = propagation.Schedule(cfg.Topology)
 	net.order = cfg.Topology.NodesByDegreeDesc()
 	net.scratch = make([]runScratch, n)
+	net.zero = subid.NewMask(n)
 	for i := 0; i < n; i++ {
 		node := topology.NodeID(i)
 		net.bus.StartBatch(node, func(ms []netsim.Message) { net.handleBatch(node, ms) })
@@ -422,25 +444,33 @@ func (net *Network) Propagate() (hops int, err error) {
 
 // Publish injects an event at the given broker and returns immediately;
 // Algorithm 3 runs asynchronously. Call Flush to wait for all deliveries.
-// When trace sampling is on (SetTraceSampling), every Nth publish carries
-// a trace context recording its hop-by-hop walk; with sampling off the
-// only cost here is one atomic load.
+// The event must be one of the network's schema: one that is not (built
+// against another schema, or nil) is refused here, and nothing is sent.
+// It is encoded once, for the bytes on the wire, and travels beside its
+// bytes: every broker and every consumer it reaches in this process is
+// handed the caller's own event, concurrently, so it must not be modified
+// after Publish. When trace sampling is on (SetTraceSampling), every Nth
+// publish carries a trace context recording its hop-by-hop walk; with
+// sampling off the only cost here is one atomic load.
 func (net *Network) Publish(at topology.NodeID, ev *schema.Event) error {
 	if int(at) < 0 || int(at) >= len(net.brokers) {
 		return fmt.Errorf("core: broker %d out of range", at)
+	}
+	if err := net.cfg.Schema.CheckEvent(ev); err != nil {
+		return fmt.Errorf("core: publish: %w", err)
 	}
 	traceID := net.tracer.sample()
 	if traceID != 0 {
 		net.tracer.begin(traceID, at, ev.Format(net.cfg.Schema))
 	}
-	n := len(net.brokers)
 	sb := netsim.AcquireBuf()
 	var err error
-	sb.B, err = encodeEventMsg(sb.B, ev, subid.NewMask(n), subid.NewMask(n), traceID)
+	sb.B, err = encodeEventMsg(sb.B, ev, net.zero, net.zero, traceID)
 	if err != nil {
 		sb.Release()
 		return fmt.Errorf("core: encode event: %w", err)
 	}
+	sb.Attached = append(sb.Attached, ev)
 	sendErr := net.bus.SendShared(netsim.Message{From: at, To: at, Kind: netsim.KindEvent}, sb)
 	sb.Release()
 	if sendErr == nil {
@@ -496,7 +526,7 @@ func (net *Network) handleDeliver(node topology.NodeID, m netsim.Message) {
 	}
 	hits := 0
 	for _, r := range recs {
-		hits += net.brokers[node].DeliverExactCandidates(r.ev, keys[r.lo:r.hi])
+		hits += net.brokers[node].DeliverExactCandidates(r.ev, keys[r.lo:r.hi], &sc.hits)
 	}
 	if traceID != 0 {
 		net.tracer.addBytes(traceID, len(m.Payload))
@@ -562,7 +592,7 @@ func (net *Network) handleSummary(node topology.NodeID, m netsim.Message) {
 // the Merged_Brokers set of that same generation.
 func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 	sc := &net.scratch[node]
-	sc.events, sc.broclis, sc.delivs, sc.sends = sc.events[:0], sc.broclis[:0], sc.delivs[:0], sc.sends[:0]
+	sc.startRun()
 	// Nonzero only for a run of one: handleBatch makes every traced event
 	// a run of its own.
 	var traceID uint64
@@ -602,22 +632,22 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 		// Step 2: update BROCLIe.
 		orMask(&sc.broclis[i], shared)
 		// Step 3: hand the event to each newly matched owner, with the ids
-		// that matched it — keys ascend, so an owner's are contiguous.
+		// that matched it — keys ascend, so an owner's are contiguous. Only
+		// a corrupt peer summary names an owner beyond the overlay; there is
+		// no broker to hand it to.
 		keys := res[i]
-		for lo := 0; lo < len(keys); {
-			owner := keys[lo] >> 32
-			hi := ownerRunEnd(keys, lo)
-			named := keys[lo:hi]
-			lo = hi
-			if sc.delivs[i].Has(int(owner)) {
+		for lo, hi := 0, 0; lo < len(keys); lo = hi {
+			hi = ownerRunEnd(keys, lo)
+			owner := int(keys[lo] >> 32)
+			if owner >= len(net.brokers) || sc.delivs[i].Has(owner) {
 				continue
 			}
-			sc.delivs[i].Set(int(owner))
+			sc.delivs[i].Set(owner)
 			if topology.NodeID(owner) != node {
-				sc.sends = append(sc.sends, owner<<32|uint64(i))
+				sc.chain(owner, i, lo, hi)
 				continue
 			}
-			hits := b.DeliverExactCandidates(ev, named)
+			hits := b.DeliverExactCandidates(ev, keys[lo:hi], &sc.hits)
 			if traceID != 0 {
 				net.tracer.hop(traceID, node, deliveryDecision(hits), matched, 0)
 			}
@@ -642,86 +672,90 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 	}
 }
 
-// sendDelivers sends the run's remote deliveries: per owner, one payload
-// holding a record for every event of the run that newly matched it — the
-// message header, the owner's matched local ids (res[event]'s sub-range
-// for that owner) and the event — so the bytes a delivery puts on the wire
-// do not depend on what it happened to be batched with. The id lists make
-// every owner's payload its own, so each is encoded into its own buffer,
-// with each record's event attached in record order. An event goes to
-// several owners, so it is encoded once and its bytes copied into each
-// record.
+// sendDelivers sends the run's remote deliveries: per owner, in ascending
+// owner order, one payload holding the owner's chain — a record for every
+// event of the run that newly matched it, in event order: the message
+// header, the owner's matched local ids and the event — so the bytes a
+// delivery puts on the wire do not depend on what it happened to be
+// batched with. The id lists make every owner's payload its own, so each
+// is encoded into its own buffer, with each record's event attached in
+// record order; the event's bytes are copied from the run's one encoding.
 func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, res [][]uint64, traceID uint64) {
-	sc.encodeSent()
-	slices.Sort(sc.sends)
-	for lo := 0; lo < len(sc.sends); {
-		owner := sc.sends[lo] >> 32
-		hi := ownerRunEnd(sc.sends, lo)
+	sc.drainOwners(func(owner int) {
 		sb := netsim.AcquireBuf()
-		sb.B = sc.appendDelivers(sb.B, traceID, res, sc.sends[lo:hi])
-		for _, s := range sc.sends[lo:hi] {
-			sb.Attached = append(sb.Attached, sc.events[uint32(s)])
-		}
+		records := sc.appendChain(sb, traceID, res, owner)
 		if net.bus.SendShared(netsim.Message{From: node, To: topology.NodeID(owner), Kind: netsim.KindDeliver}, sb) == nil {
-			net.obs.deliverSends.Add(int64(hi - lo))
+			net.obs.deliverSends.Add(int64(records))
 		}
 		sb.Release()
-		lo = hi
-	}
+	})
 }
 
-// encodeSent encodes each event of the run that has a remote deliver
-// send, once, into sc.enc: sc.encEnd[i] ends event i's bytes, which start
-// where the previous event's end (events with no send take none).
-func (sc *runScratch) encodeSent() {
-	sc.enc, sc.encEnd = sc.enc[:0], sc.encEnd[:0]
-	if len(sc.sends) == 0 {
-		return
-	}
-	j := 0 // sc.sends is still in event order
-	for i, ev := range sc.events {
-		if j < len(sc.sends) && int(uint32(sc.sends[j])) == i {
-			sc.enc = schema.EncodeEvent(sc.enc, ev)
-			for j < len(sc.sends) && int(uint32(sc.sends[j])) == i {
-				j++
-			}
-		}
-		sc.encEnd = append(sc.encEnd, len(sc.enc))
-	}
+// startRun empties the run's events, masks and encoded bytes.
+func (sc *runScratch) startRun() {
+	sc.events, sc.broclis, sc.delivs = sc.events[:0], sc.broclis[:0], sc.delivs[:0]
+	sc.enc, sc.encoded = sc.enc[:0], -1
 }
 
-// appendDelivers appends the deliver records of one owner's sends (owner
-// in the high half, event index in the low) to buf, copying each event's
-// bytes from sc.enc.
-func (sc *runScratch) appendDelivers(buf []byte, traceID uint64, res [][]uint64, sends []uint64) []byte {
-	for _, s := range sends {
-		i := uint32(s)
-		start := 0
-		if i > 0 {
-			start = sc.encEnd[i-1]
-		}
-		buf = appendDeliverHead(buf, traceID, ownerKeys(res[i], s>>32))
-		buf = append(buf, sc.enc[start:sc.encEnd[i]]...)
+// chain adds a deliver record for event ev of the run to the end of
+// owner's chain, naming the ids res[ev][lo:hi]. A run chains its events
+// in order, so the event is encoded at its first record.
+func (sc *runScratch) chain(owner, ev, lo, hi int) {
+	if ev != sc.encoded {
+		sc.encoded, sc.encStart = ev, len(sc.enc)
+		sc.enc = schema.EncodeEvent(sc.enc, sc.events[ev])
 	}
-	return buf
+	if owner >= len(sc.heads) {
+		grow := owner + 1 - len(sc.heads)
+		sc.heads = append(sc.heads, make([]int32, grow)...)
+		sc.tails = append(sc.tails, make([]int32, grow)...)
+	}
+	r := int32(len(sc.sends))
+	sc.sends = append(sc.sends, deliverSend{ev: int32(ev), lo: int32(lo), hi: int32(hi), next: -1, start: sc.encStart})
+	if sc.owners.Has(owner) {
+		sc.sends[sc.tails[owner]].next = r
+	} else {
+		sc.owners.Set(owner)
+		sc.heads[owner] = r
+	}
+	sc.tails[owner] = r
+}
+
+// drainOwners calls fn for every owner with a chain, in ascending order,
+// then leaves every chain empty.
+func (sc *runScratch) drainOwners(fn func(owner int)) {
+	for w, word := range sc.owners {
+		for ; word != 0; word &= word - 1 {
+			fn(w<<6 + bits.TrailingZeros64(word))
+		}
+		sc.owners[w] = 0
+	}
+	sc.sends = sc.sends[:0]
+}
+
+// appendChain appends owner's chain to sb — each record's bytes, with its
+// event attached in record order — and returns the number of records.
+func (sc *runScratch) appendChain(sb *netsim.SharedBuf, traceID uint64, res [][]uint64, owner int) int {
+	n := 0
+	for r := sc.heads[owner]; r >= 0; r = sc.sends[r].next {
+		s := sc.sends[r]
+		ev := sc.events[s.ev]
+		sb.B = appendDeliverHead(sb.B, traceID, res[s.ev][s.lo:s.hi])
+		sb.B = append(sb.B, sc.enc[s.start:s.start+schema.EncodedEventSize(ev)]...)
+		sb.Attached = append(sb.Attached, ev)
+		n++
+	}
+	return n
 }
 
 // ownerRunEnd returns the end of the run of entries that share keys[lo]'s
-// high half. Match results and the send list both sort with the owner
-// there, so that is one owner's entries.
+// high half: in an ascending match result, one owner's ids.
 func ownerRunEnd(keys []uint64, lo int) int {
 	hi := lo + 1
 	for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
 		hi++
 	}
 	return hi
-}
-
-// ownerKeys returns the sub-range of the ascending id keys that owner
-// owns; the caller knows there is one.
-func ownerKeys(keys []uint64, owner uint64) []uint64 {
-	lo, _ := slices.BinarySearch(keys, owner<<32)
-	return keys[lo:ownerRunEnd(keys, lo)]
 }
 
 // forwardEvent sends the event to the first unvisited broker in

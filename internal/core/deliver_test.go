@@ -6,6 +6,7 @@ import (
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
+	"github.com/subsum/subsum/internal/summary"
 	"github.com/subsum/subsum/internal/topology"
 )
 
@@ -223,5 +224,38 @@ func TestVisibilityIsPeriodGranular(t *testing.T) {
 	publishFlush(t, net, starOther, "price=10")
 	if old.count() != 4 || fresh.count() != 2 {
 		t.Fatalf("published remotely after the period: old %d, fresh %d, want 4 and 2", old.count(), fresh.count())
+	}
+}
+
+// TestOwnerBeyondTheOverlay: a merged view names an owner the overlay
+// lacks only when a peer's summary was corrupt. The walk hands that owner
+// nothing — no deliver record, no bit in the delivered set it forwards,
+// which the next hop would refuse — so the event still reaches every
+// matching consumer, and no error is counted.
+func TestOwnerBeyondTheOverlay(t *testing.T) {
+	s := stockSchema(t)
+	net := newNetwork(t, topology.Star(3), s)
+	var c collector
+	for _, at := range []topology.NodeID{starOwner, starOther} {
+		if _, err := net.Subscribe(at, mustSub(t, s, `price > 100`), c.deliver(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stray := summary.New(s, interval.Lossy)
+	if err := stray.Insert(subid.ID{Broker: 1 << 20}, mustSub(t, s, `price > 100`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Broker(starOwner).MergeSummary(stray, nil); err != nil {
+		t.Fatal(err)
+	}
+	// No period has run, so the walk leaves the owner for the hub and the
+	// other leaf, carrying the delivered set the owner's match built.
+	if err := net.Publish(starOwner, mustEvent(t, s, "symbol=OTE price=150")); err != nil {
+		t.Fatal(err)
+	}
+	net.Flush()
+	if st := net.Stats(); c.count() != 2 || st.TotalErrors() != 0 || st.TotalDropped() != 0 {
+		t.Fatalf("%d deliveries, errors %v, dropped %v; want both consumers and no loss",
+			c.count(), st.DecodeErrors, st.Dropped)
 	}
 }

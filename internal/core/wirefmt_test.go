@@ -279,23 +279,39 @@ func appendDeliverRecord(buf []byte, traceID uint64, keys []uint64, ev *schema.E
 }
 
 // TestDeliverPayloadsEncodeEachEventOnce drives seeded multi-event,
-// multi-owner runs through one reused runScratch: every owner's payload
-// must be byte-identical to appendDeliverRecord's, record by record, while
-// each sent event is encoded once per run however many owners it goes to.
+// multi-owner runs through one reused runScratch, chaining each event's
+// owners in an order of their own: drainOwners must visit exactly the
+// run's owners, ascending, and every owner's payload must be
+// byte-identical to appendDeliverRecord's, record by record in event
+// order, with the records' events attached in that order — while each
+// sent event is encoded once per run however many owners it goes to. Some
+// runs name an owner beyond what the scratch has grown to, and every run
+// must start with every chain empty.
 func TestDeliverPayloadsEncodeEachEventOnce(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(14))
 	symbols := []string{"OTE", "IBM", "AAA"}
 	var sc runScratch
-	multi := 0
-	for run := 0; run < 200; run++ {
+	multi, reordered, grown := 0, 0, 0
+	for run := 0; run < 300; run++ {
 		k := 1 + rng.Intn(8)
 		traceID := uint64(0)
 		if k == 1 && rng.Intn(2) == 0 {
 			traceID = uint64(run + 1)
 		}
-		sc.events, sc.sends = sc.events[:0], sc.sends[:0]
+		// Owners 0–5, and now and then one far past them.
+		owners := []uint64{0, 1, 2, 3, 4, 5}
+		if rng.Intn(10) == 0 {
+			owners = append(owners, uint64(len(sc.heads)+rng.Intn(300)))
+		}
+		if slices.ContainsFunc(sc.owners, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("run %d starts with chains of owners %v", run, sc.owners.Bits())
+		}
+		sc.startRun()
 		res := make([][]uint64, k)
+		want := map[int][]byte{}    // per owner, the oracle payload
+		attached := map[int][]any{} // per owner, the events in record order
+		perEvent := map[int]int{}   // per sent event, its records
 		for i := 0; i < k; i++ {
 			ev, err := schema.ParseEvent(s, fmt.Sprintf("symbol=%s price=%d volume=%d",
 				symbols[rng.Intn(len(symbols))], rng.Intn(1000), rng.Intn(1<<20)))
@@ -303,53 +319,78 @@ func TestDeliverPayloadsEncodeEachEventOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.events = append(sc.events, ev)
-			for owner := uint64(0); owner < 6; owner++ {
+			for _, owner := range owners {
 				if rng.Intn(3) != 0 {
 					continue
 				}
 				for n := 1 + rng.Intn(3); n > 0; n-- {
 					res[i] = append(res[i], owner<<32|uint64(rng.Intn(500)))
 				}
-				if rng.Intn(4) != 0 { // else: owner already delivered, or local
-					sc.sends = append(sc.sends, owner<<32|uint64(i))
-				}
 			}
 			slices.Sort(res[i])
 			res[i] = slices.Compact(res[i])
-		}
-		sc.encodeSent()
-		slices.Sort(sc.sends)
-		encoded := map[uint32]bool{}
-		perEvent := map[uint32]int{}
-		for lo := 0; lo < len(sc.sends); {
-			owner := sc.sends[lo] >> 32
-			hi := ownerRunEnd(sc.sends, lo)
-			got := sc.appendDelivers(nil, traceID, res, sc.sends[lo:hi])
-			var want []byte
-			for _, snd := range sc.sends[lo:hi] {
-				i := uint32(snd)
-				want = appendDeliverRecord(want, traceID, ownerKeys(res[i], owner), sc.events[i])
-				encoded[i] = true
+			type send struct{ owner, lo, hi int }
+			var sends []send
+			for lo, hi := 0, 0; lo < len(res[i]); lo = hi {
+				hi = ownerRunEnd(res[i], lo)
+				if rng.Intn(4) != 0 { // else: owner already delivered, or local
+					sends = append(sends, send{int(res[i][lo] >> 32), lo, hi})
+				}
+			}
+			for _, snd := range sends {
+				want[snd.owner] = appendDeliverRecord(want[snd.owner], traceID, res[i][snd.lo:snd.hi], ev)
+				attached[snd.owner] = append(attached[snd.owner], ev)
 				perEvent[i]++
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("run %d, owner %d: payload %x, want %x", run, owner, got, want)
+			// The routing walk meets an event's owners in match order; chain
+			// them in any order, which must not change a payload.
+			rng.Shuffle(len(sends), func(a, b int) { sends[a], sends[b] = sends[b], sends[a] })
+			if !slices.IsSortedFunc(sends, func(a, b send) int { return a.owner - b.owner }) {
+				reordered++
 			}
-			lo = hi
+			for _, snd := range sends {
+				if len(sc.heads) > 0 && snd.owner >= len(sc.heads) {
+					grown++
+				}
+				sc.chain(snd.owner, i, snd.lo, snd.hi)
+			}
+		}
+		var visited []int
+		sc.drainOwners(func(owner int) {
+			visited = append(visited, owner)
+			var sb netsim.SharedBuf
+			if n := sc.appendChain(&sb, traceID, res, owner); n != len(attached[owner]) {
+				t.Fatalf("run %d, owner %d: %d records, want %d", run, owner, n, len(attached[owner]))
+			}
+			if !bytes.Equal(sb.B, want[owner]) {
+				t.Fatalf("run %d, owner %d: payload %x, want %x", run, owner, sb.B, want[owner])
+			}
+			if !slices.Equal(sb.Attached, attached[owner]) {
+				t.Fatalf("run %d, owner %d: attached %v, want %v", run, owner, sb.Attached, attached[owner])
+			}
+		})
+		var wantOwners []int
+		for owner := range want {
+			wantOwners = append(wantOwners, owner)
+		}
+		slices.Sort(wantOwners)
+		if !slices.Equal(visited, wantOwners) {
+			t.Fatalf("run %d: drained owners %v, want %v", run, visited, wantOwners)
 		}
 		size := 0
-		for i := range encoded {
+		for i, records := range perEvent {
 			size += schema.EncodedEventSize(sc.events[i])
-			if perEvent[i] > 1 {
+			if records > 1 {
 				multi++
 			}
 		}
 		if len(sc.enc) != size {
-			t.Fatalf("run %d: encoded %d bytes for %d sent events of %d bytes", run, len(sc.enc), len(encoded), size)
+			t.Fatalf("run %d: encoded %d bytes for %d sent events of %d bytes", run, len(sc.enc), len(perEvent), size)
 		}
 	}
-	if multi == 0 {
-		t.Fatal("no event went to two owners; the test would not see a second encode")
+	if multi == 0 || reordered == 0 || grown == 0 {
+		t.Fatalf("%d events went to two owners, %d chained owners out of order, %d owners grew the scratch; the test needs all three",
+			multi, reordered, grown)
 	}
 }
 

@@ -63,18 +63,10 @@ func EncodeEvent(buf []byte, e *Event) []byte {
 	return buf
 }
 
-// EncodedEventSize returns len(EncodeEvent(nil, e)) without encoding.
-func EncodedEventSize(e *Event) int {
-	n := 2
-	for _, f := range e.fields {
-		if f.Value.Type == TypeString {
-			n += 2 + 1 + 2 + len(f.Value.Str)
-		} else {
-			n += 2 + 1 + 8
-		}
-	}
-	return n
-}
+// EncodedEventSize returns len(EncodeEvent(nil, e)) without encoding: the
+// size fixed when the event was built. The zero Event, which has no
+// fields, encodes to its 2-byte field count.
+func EncodedEventSize(e *Event) int { return max(e.size, 2) }
 
 // minFieldWire is the smallest encoded field: attr:u16, type:u8, and an
 // empty string's len:u16.
@@ -123,7 +115,7 @@ func DecodeEvent(s *Schema, buf []byte) (*Event, int, error) {
 			return nil, 0, err
 		}
 	}
-	return &Event{fields: fields}, off, nil
+	return newEvent(fields), off, nil
 }
 
 // EncodeSubscription appends the subscription's binary form to buf.

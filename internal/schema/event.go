@@ -2,6 +2,8 @@ package schema
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -14,15 +16,30 @@ type Field struct {
 // Event is a published notification: a set of typed attribute values
 // (Section 2.1, Figure 2). An event may carry more attributes than any
 // subscription mentions. Fields are kept sorted by attribute id, with at
-// most one field per attribute.
+// most one field per attribute. An event is immutable once built, so its
+// encoded size is fixed then too.
 type Event struct {
 	fields []Field
+	size   int // EncodedEventSize, computed when the event is built
+}
+
+// newEvent wraps fields that are already sorted and validated.
+func newEvent(fields []Field) *Event {
+	n := 2
+	for _, f := range fields {
+		if f.Value.Type == TypeString {
+			n += 2 + 1 + 2 + len(f.Value.Str)
+		} else {
+			n += 2 + 1 + 8
+		}
+	}
+	return &Event{fields: fields, size: n}
 }
 
 // NewEvent builds an event over the given schema from name/value pairs,
 // validating names, types, and duplicates.
 func NewEvent(s *Schema, fields map[string]Value) (*Event, error) {
-	e := &Event{fields: make([]Field, 0, len(fields))}
+	fs := make([]Field, 0, len(fields))
 	for name, v := range fields {
 		id, ok := s.ID(name)
 		if !ok {
@@ -31,27 +48,46 @@ func NewEvent(s *Schema, fields map[string]Value) (*Event, error) {
 		if err := checkValueType(s, id, v); err != nil {
 			return nil, err
 		}
-		e.fields = append(e.fields, Field{Attr: id, Value: v})
+		fs = append(fs, Field{Attr: id, Value: v})
 	}
-	sort.Slice(e.fields, func(i, j int) bool { return e.fields[i].Attr < e.fields[j].Attr })
-	return e, nil
+	sort.Slice(fs, func(i, j int) bool { return fs[i].Attr < fs[j].Attr })
+	return newEvent(fs), nil
 }
 
 // EventFromFields builds an event from pre-resolved fields, validating
 // against the schema. Duplicate attributes are an error.
 func EventFromFields(s *Schema, fields []Field) (*Event, error) {
-	e := &Event{fields: make([]Field, len(fields))}
-	copy(e.fields, fields)
-	sort.Slice(e.fields, func(i, j int) bool { return e.fields[i].Attr < e.fields[j].Attr })
-	for i, f := range e.fields {
+	fs := slices.Clone(fields)
+	sort.Slice(fs, func(i, j int) bool { return fs[i].Attr < fs[j].Attr })
+	for i, f := range fs {
 		if err := checkValueType(s, f.Attr, f.Value); err != nil {
 			return nil, err
 		}
-		if i > 0 && e.fields[i-1].Attr == f.Attr {
+		if i > 0 && fs[i-1].Attr == f.Attr {
 			return nil, fmt.Errorf("schema: duplicate event attribute %q", s.Name(f.Attr))
 		}
 	}
-	return e, nil
+	return newEvent(fs), nil
+}
+
+// CheckEvent reports whether e is an event of this schema, as DecodeEvent
+// would accept its encoding: every attribute is defined here with the type
+// of its value, and every string fits the codec's 16-bit length. An event
+// built against another schema can name an attribute this one lacks, or
+// give it another type.
+func (s *Schema) CheckEvent(e *Event) error {
+	if e == nil {
+		return fmt.Errorf("schema: nil event")
+	}
+	for _, f := range e.fields {
+		if err := checkValueType(s, f.Attr, f.Value); err != nil {
+			return err
+		}
+		if f.Value.Type == TypeString && len(f.Value.Str) > math.MaxUint16 {
+			return fmt.Errorf("schema: attribute %q: string of %d bytes exceeds the codec's %d", s.Name(f.Attr), len(f.Value.Str), math.MaxUint16)
+		}
+	}
+	return nil
 }
 
 func checkValueType(s *Schema, id AttrID, v Value) error {

@@ -116,6 +116,27 @@ func TestEventCodecRoundTrip(t *testing.T) {
 	if empty := (&Event{}); EncodedEventSize(empty) != len(EncodeEvent(nil, empty)) {
 		t.Fatalf("EncodedEventSize of the empty event = %d", EncodedEventSize(empty))
 	}
+	// Every constructor fixes the size: built from fields, and decoded
+	// from fields out of order.
+	fields := ev.Fields()
+	reversed := []Field{fields[3], fields[2], fields[1], fields[0]}
+	built, err := EventFromFields(s, reversed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted := binary.LittleEndian.AppendUint16(nil, uint16(len(reversed)))
+	for _, f := range reversed {
+		unsorted = appendValue(binary.LittleEndian.AppendUint16(unsorted, uint16(f.Attr)), f.Value)
+	}
+	decoded, _, err := DecodeEvent(s, unsorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Event{got, built, decoded} {
+		if EncodedEventSize(e) != len(buf) {
+			t.Fatalf("EncodedEventSize %d, want %d", EncodedEventSize(e), len(buf))
+		}
+	}
 	if !reflect.DeepEqual(got.Fields(), ev.Fields()) {
 		t.Fatalf("round trip mismatch: %v vs %v", got.Fields(), ev.Fields())
 	}
@@ -281,4 +302,40 @@ func randWord(rng *rand.Rand) string {
 		b[i] = letters[rng.Intn(len(letters))]
 	}
 	return string(b)
+}
+
+// TestCheckEvent: an event passes its own schema's check, and fails one
+// that lacks an attribute it names or types it otherwise, as well as a
+// string the codec's 16-bit length cannot carry, and nil.
+func TestCheckEvent(t *testing.T) {
+	s := paperSchema(t)
+	ev, err := ParseEvent(s, `exchange=NYSE symbol=OTE price=8.40 volume=132700`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckEvent(ev); err != nil {
+		t.Fatalf("own event refused: %v", err)
+	}
+	narrow := MustNew(Attribute{Name: "exchange", Type: TypeString})
+	attrs := s.Attributes()
+	attrs[3].Type = TypeInt // price
+	retyped := MustNew(attrs...)
+	long, err := EventFromFields(s, []Field{{Attr: 0, Value: StringValue(string(make([]byte, 1<<16)))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Schema
+		ev   *Event
+	}{
+		{"attribute beyond the schema", narrow, ev},
+		{"attribute of another type", retyped, ev},
+		{"string beyond the codec", s, long},
+		{"nil", s, nil},
+	} {
+		if err := tc.s.CheckEvent(tc.ev); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
 }

@@ -62,6 +62,8 @@ type Matcher struct {
 	attrs   subid.Mask // the event's attributes
 	runs    []span     // eligible index runs, ascending and coalesced
 	out     []uint64   // matched keys of the last call
+	owners  subid.Mask // inKeyOrder: the owners the hits name
+	next    []int32    // inKeyOrder, indexed by owner: its next slot in out
 
 	batch []uint64   // MatchBatch: every event's keys back to back
 	res   [][]uint64 // MatchBatch: per-event windows into batch
@@ -111,12 +113,73 @@ func (m *Matcher) MatchKeys(e *schema.Event) []uint64 {
 // MatchKeysWithCost is MatchKeys with the Section 5.2.4 operation counts.
 func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
 	cost := m.collect(e)
-	m.out = m.out[:0]
-	for _, idx := range m.hit {
-		m.out = append(m.out, m.v.keys[idx])
-	}
-	slices.Sort(m.out)
+	m.inKeyOrder()
 	return m.out, cost
+}
+
+// inKeyOrder leaves the keys of the hits in m.out, ascending, with no
+// comparison sort over them all. The hits are dealt into one bucket per
+// owner (a key's high half), in ascending owner order, stably: a bucket
+// then holds its owner's keys in index order, which ascends within each
+// mask group. An insertion pass finishes the order; it moves a key only
+// past keys of its own owner's other groups, never across a bucket.
+func (m *Matcher) inKeyOrder() {
+	keys := m.v.keys
+	out := slices.Grow(m.out[:0], len(m.hit))[:len(m.hit)]
+	m.out = out
+	if m.countOwners() {
+		at := int32(0) // each owner's count becomes its first slot
+		for w, word := range m.owners {
+			for ; word != 0; word &= word - 1 {
+				o := w<<6 + bits.TrailingZeros64(word)
+				at, m.next[o] = at+m.next[o], at
+			}
+			m.owners[w] = 0
+		}
+		for _, idx := range m.hit {
+			key := keys[idx]
+			out[m.next[key>>32]] = key
+			m.next[key>>32]++
+		}
+	} else {
+		for i, idx := range m.hit {
+			out[i] = keys[idx]
+		}
+	}
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j] < out[j-1]; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+}
+
+// countOwners counts each owner's hits in next and notes the owners in
+// owners, reporting false — with owners left empty — where there is
+// nothing to bucket: fewer than two hits, or an owner past the view's key
+// count plus 64. next is indexed by owner and grows on demand, so that
+// bound keeps a sparse owner space, or a corrupt peer's id, from sizing
+// it beyond the view; the insertion pass alone orders those hits.
+func (m *Matcher) countOwners() bool {
+	if len(m.hit) < 2 {
+		return false
+	}
+	limit := len(m.v.keys) + 64
+	for _, idx := range m.hit {
+		o := int(m.v.keys[idx] >> 32)
+		if o >= limit {
+			clear(m.owners)
+			return false
+		}
+		if o >= len(m.next) {
+			m.next = append(m.next, make([]int32, o+1-len(m.next))...)
+		}
+		if !m.owners.Has(o) {
+			m.owners.Set(o)
+			m.next[o] = 0
+		}
+		m.next[o]++
+	}
+	return true
 }
 
 // collect runs Algorithm 1 on e and leaves the dense ids that matched in

@@ -172,6 +172,41 @@ func TestMatchOrderByKey(t *testing.T) {
 	}
 }
 
+// TestMatchKeysOwnerBuckets: MatchKeys puts its hits in key order by
+// bucketing them per owner and an insertion pass. Here three owners' ids
+// interleave across mask groups, so every bucket holds keys of several
+// groups; with one owner id far past the view's key count the hits are
+// ordered without buckets, which never grow to that owner. Either way the
+// keys equal the reference's, and the owner set is left empty.
+func TestMatchKeysOwnerBuckets(t *testing.T) {
+	s := stockSchema(t)
+	texts := []string{`volume > 0`, `price > 0`, `price > 0 && volume > 0`, `price > 0`}
+	ev := mustEvent(t, s, `price=1 volume=1`)
+	for _, far := range []subid.BrokerID{2, 1 << 20} {
+		sm := New(s, interval.Lossy)
+		for _, owner := range []subid.BrokerID{0, far, 1} {
+			for local, text := range texts {
+				if err := sm.Insert(id(owner, subid.LocalID(local)), mustSub(t, s, text)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m := sm.NewMatcher()
+		for rep := 0; rep < 2; rep++ {
+			got, want := m.MatchKeys(ev), sm.referenceMatchKeys(ev)
+			if len(want) != 3*len(texts) || !slices.Equal(got, want) {
+				t.Fatalf("owner %d: MatchKeys = %v, want %v", far, got, want)
+			}
+			if limit := len(m.v.keys) + 64; len(m.next) > limit {
+				t.Fatalf("owner %d: bucket scratch of %d owners, bound %d", far, len(m.next), limit)
+			}
+			if slices.ContainsFunc(m.owners, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("owner %d: owners %v left set", far, m.owners.Bits())
+			}
+		}
+	}
+}
+
 // TestMatcherPoolConcurrent runs pooled matchers from many goroutines
 // against one shared summary and checks every result against the serial
 // answer. Run under -race this also exercises the SACS index's lazy build
