@@ -15,22 +15,66 @@ import (
 )
 
 // The tests here pin the carried path: an event forwarded or delivered
-// inside the process rides beside its bytes and is not decoded again, and
-// nothing about that can change what is delivered, what is counted, or
-// what a hostile payload can do.
+// inside the process travels as a value and is never encoded or decoded,
+// and nothing about that can change what is delivered or what is counted.
 
 // sameEventBytes reports whether two events encode to the same bytes.
 func sameEventBytes(a, b *schema.Event) bool {
 	return bytes.Equal(schema.EncodeEvent(nil, a), schema.EncodeEvent(nil, b))
 }
 
-// TestCarriedEventsEqualTheirBytes is the differential over every message:
-// whatever a sender attached must be what the unchanged decoders read out
-// of the payload bytes, record by record — a publish included, which
-// carries the caller's event as its one attachment. It runs on the two benchmark
-// overlays after one period, with runs of one (a Flush per event) and with
-// full runs behind a paused origin (multi-record deliver payloads), and
-// ends on the brute-force delivered-set oracle.
+// checkMessageSize is the size differential for one message of the event
+// path: its Size must be the length of the oracle's encoding of its body,
+// and that encoding must decode back to the body. It reports the number of
+// deliver records the message holds.
+func checkMessageSize(t *testing.T, s *schema.Schema, brokers int, m netsim.Message) int {
+	t.Helper()
+	switch d := m.Body.(type) {
+	case *eventMsg:
+		b, err := encodeEventMsg(nil, d)
+		if err != nil {
+			t.Errorf("event %d→%d does not encode: %v", m.From, m.To, err)
+			return 0
+		}
+		if m.Size != len(b) {
+			t.Errorf("event %d→%d: Size %d, wire form %d bytes", m.From, m.To, m.Size, len(b))
+		}
+		back, err := decodeEventMsg(s, b, brokers)
+		if err != nil || back.traceID != d.traceID || !sameEventBytes(back.ev, d.ev) ||
+			!slices.Equal(back.brocli, d.brocli) || !slices.Equal(back.delivered, d.delivered) {
+			t.Errorf("event %d→%d: wire form decodes to %+v (%v), the message is %+v", m.From, m.To, back, err, d)
+		}
+	case *deliverMsg:
+		b := encodeDeliverMsg(nil, d)
+		if m.Size != len(b) {
+			t.Errorf("deliver %d→%d: Size %d, wire form %d bytes", m.From, m.To, m.Size, len(b))
+		}
+		// The ids decode as the recipient's: every one the sender named
+		// belongs to it.
+		back, err := decodeDeliverMsg(s, b, subid.BrokerID(m.To))
+		if err != nil || back.traceID != d.traceID || !slices.Equal(back.keys, d.keys) || len(back.recs) != len(d.recs) {
+			t.Errorf("deliver %d→%d: wire form decodes to %+v (%v), the message is %+v", m.From, m.To, back, err, d)
+			return len(d.recs)
+		}
+		for i, r := range d.recs {
+			if back.recs[i].lo != r.lo || back.recs[i].hi != r.hi || !sameEventBytes(back.recs[i].ev, r.ev) {
+				t.Errorf("deliver %d→%d record %d: decodes as %+v, is %+v", m.From, m.To, i, back.recs[i], r)
+			}
+		}
+		return len(d.recs)
+	default:
+		t.Errorf("%s message %d→%d has a body of type %T", m.Kind, m.From, m.To, m.Body)
+	}
+	return 0
+}
+
+// TestCarriedEventsEqualTheirBytes is the seeded differential over every
+// message of the event path: each is counted at exactly the length of the
+// oracle's encoding of its body (a publish included), and that encoding
+// decodes back to the body. It runs on the two benchmark overlays after
+// one period with trace sampling on, with runs of one (a Flush per event)
+// and with full runs behind a paused origin (multi-record deliver
+// messages), and ends on the brute-force delivered-set oracle.
 func TestCarriedEventsEqualTheirBytes(t *testing.T) {
 	const nEvents = 400
 	for _, tp := range []struct {
@@ -43,10 +87,12 @@ func TestCarriedEventsEqualTheirBytes(t *testing.T) {
 		t.Run(tp.name, func(t *testing.T) {
 			f := newPipelineFixture(t, tp.g, 3*tp.g.Len(), 0, nEvents)
 			mustPropagate(t, f.net)
+			f.net.SetTraceSampling(7)
 			n := f.net.Len()
-			var publishes, forwards, delivers, records int
-			// The hook runs serialized under the bus's fault lock, so it may
-			// decode and count without further locking. It drops nothing.
+			var publishes, forwards, delivers, records, sampled int
+			// The hook runs serialized under the bus's fault lock, before the
+			// recipient has the message, so it may read the body and count
+			// without further locking. It drops nothing.
 			f.net.InjectFaults(func(m netsim.Message) bool {
 				switch m.Kind {
 				case netsim.KindEvent:
@@ -55,33 +101,15 @@ func TestCarriedEventsEqualTheirBytes(t *testing.T) {
 					} else {
 						forwards++
 					}
-					ev, _, _, _, err := decodeEventMsg(f.schema, m.Payload, nil, n, nil, nil)
-					if err != nil {
-						t.Errorf("event %d→%d does not decode: %v", m.From, m.To, err)
-						return false
-					}
-					if len(m.Attached) != 1 || !sameEventBytes(carried(m.Attached, 0), ev) {
-						t.Errorf("event %d→%d: attachments %v are not the event in the bytes", m.From, m.To, m.Attached)
+					if traced(m) {
+						sampled++
 					}
 				case netsim.KindDeliver:
 					delivers++
-					recs, _, _, err := decodeDeliverMsg(f.schema, m.Payload, nil, subid.BrokerID(m.To), nil, nil)
-					if err != nil {
-						t.Errorf("deliver %d→%d does not decode: %v", m.From, m.To, err)
-						return false
-					}
-					if len(m.Attached) != len(recs) {
-						t.Errorf("deliver %d→%d: %d attachments for %d records", m.From, m.To, len(m.Attached), len(recs))
-						return false
-					}
-					for i, r := range recs {
-						records++
-						if !sameEventBytes(carried(m.Attached, i), r.ev) {
-							t.Errorf("deliver %d→%d record %d: attached %v, bytes say %s",
-								m.From, m.To, i, m.Attached[i], r.ev.Format(f.schema))
-						}
-					}
+				default:
+					return false
 				}
+				records += checkMessageSize(t, f.schema, n, m)
 				return false
 			})
 			half := nEvents / 2
@@ -110,9 +138,9 @@ func TestCarriedEventsEqualTheirBytes(t *testing.T) {
 				t.Fatal("oracle expects no deliveries; the differential is vacuous")
 			}
 			f.assertCleanRun(t)
-			if publishes != nEvents || forwards == 0 || delivers == 0 || records <= delivers {
-				t.Fatalf("saw %d publishes, %d forwards and %d deliver payloads of %d records; "+
-					"want every publish, forwards, and a multi-record payload", publishes, forwards, delivers, records)
+			if publishes != nEvents || forwards == 0 || delivers == 0 || records <= delivers || sampled == 0 {
+				t.Fatalf("saw %d publishes, %d forwards, %d deliver messages of %d records and %d traced event messages; "+
+					"want every publish, forwards, a multi-record delivery and traced events", publishes, forwards, delivers, records, sampled)
 			}
 		})
 	}
@@ -203,65 +231,6 @@ func TestIngressStillValidates(t *testing.T) {
 	net.Flush()
 	if c.count() != 2 {
 		t.Fatalf("a valid event after the refused ones reached %d consumers, want 2", c.count())
-	}
-}
-
-// TestAttachmentMustFitItsBytes: an attachment stands in for parsing the
-// event bytes, never for checking where they end. A payload whose
-// attachment disagrees with its bytes is a decode error like any other:
-// nothing is delivered and nothing is charged.
-func TestAttachmentMustFitItsBytes(t *testing.T) {
-	s := stockSchema(t)
-	evA, evB := mustEvent(t, s, "symbol=OTE price=150"), mustEvent(t, s, "symbol=IBM price=200")
-	id := subid.ID{Broker: subid.BrokerID(starOwner), Local: 0}
-
-	clean, err := encodeEventMsg(nil, evA, subid.NewMask(3), subid.NewMask(3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recA := appendDeliverRecord(nil, 0, []uint64{id.Key()}, evA)
-	recB := appendDeliverRecord(nil, 0, []uint64{id.Key()}, evB)
-	// One byte shorter than evA, so the second record is looked for at the
-	// last byte of evA's price (0x40 of float64 150): unknown header flags.
-	shorter := mustEvent(t, s, "symbol=OT price=150")
-
-	for _, tc := range []struct {
-		name string
-		msg  netsim.Message
-		ok   bool
-	}{
-		{"event, attachment fits", netsim.Message{Kind: netsim.KindEvent, Payload: clean, Attached: []any{evA}}, true},
-		{"event, trailing byte", netsim.Message{Kind: netsim.KindEvent, Payload: append(slices.Clone(clean), 0), Attached: []any{evA}}, false},
-		{"event, attachment longer than the bytes", netsim.Message{Kind: netsim.KindEvent, Payload: clean[:len(clean)-1], Attached: []any{evA}}, false},
-		{"deliver, attachments fit", netsim.Message{Kind: netsim.KindDeliver, Payload: slices.Concat(recA, recB), Attached: []any{evA, evB}}, true},
-		{"deliver, second record shifted", netsim.Message{Kind: netsim.KindDeliver, Payload: slices.Concat(recA, recB), Attached: []any{shorter, evB}}, false},
-		{"deliver, attachment runs past the payload", netsim.Message{Kind: netsim.KindDeliver, Payload: recA[:len(recA)-1], Attached: []any{evA}}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			net := newNetwork(t, topology.Star(3), s)
-			var c collector
-			if _, err := net.Subscribe(starOwner, mustSub(t, s, `price > 100`), c.deliver(s)); err != nil {
-				t.Fatal(err)
-			}
-			tc.msg.From, tc.msg.To = starHub, starOwner
-			if err := net.bus.Send(tc.msg); err != nil {
-				t.Fatal(err)
-			}
-			net.Flush()
-			st := net.Stats()
-			if tc.ok {
-				if c.count() == 0 || st.TotalErrors() != 0 {
-					t.Fatalf("well-formed carried message: %d deliveries, errors %v", c.count(), st.DecodeErrors)
-				}
-				return
-			}
-			if st.DecodeErrors[tc.msg.Kind] != 1 || st.TotalErrors() != 1 {
-				t.Fatalf("errors %v (total %d), want one %s decode error", st.DecodeErrors, st.TotalErrors(), tc.msg.Kind)
-			}
-			if c.count() != 0 || net.attrib.Report(0).Total != 0 {
-				t.Fatalf("%d deliveries and %d charges from a refused payload", c.count(), net.attrib.Report(0).Total)
-			}
-		})
 	}
 }
 

@@ -8,8 +8,11 @@
 //
 // The deterministic experiment harness lives in the propagation, routing,
 // siena, and broadcast packages; this engine demonstrates the same
-// algorithms running asynchronously with real wire-format payloads and
-// per-kind byte accounting.
+// algorithms running asynchronously, with per-kind byte accounting of
+// every message. A summary message travels as its wire form, which the
+// receiver folds in (MergeEncoded); event and deliver messages travel as
+// values inside the process and are counted at the size their wire forms
+// would have (eventMsgSize, deliverMsgSize).
 //
 // The overlay is fixed at New: the Algorithm 2 send schedule
 // (propagation.Schedule) and the Algorithm 3 examination order
@@ -22,14 +25,13 @@
 // bus hands a broker between workers under its mailbox lock), so the
 // handler owns the broker's run scratch; Propagate owns the period state
 // and publishes it to handlers through an atomic pointer; every message
-// that cannot be processed (undecodable payload, rejected merge) is
-// counted on the bus rather than silently discarded.
+// that cannot be processed (undecodable summary, a body of the wrong type,
+// rejected merge) is counted on the bus rather than silently discarded.
 package core
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -118,39 +120,26 @@ type Network struct {
 	// scratch[i] is broker i's event-run working set, owned by broker i's
 	// handler: the bus runs it on one worker at a time — no locking.
 	scratch []runScratch
-	// zero is the empty BROCLI and delivered set every publish encodes,
-	// sized for the broker count; read-only.
-	zero subid.Mask
 
 	watchdog *Watchdog // nil until StartWatchdog
 }
 
 // runScratch is one broker handler's reusable working set for a run of
-// events: the events with their per-event masks, and the remote deliver
+// events: the event messages and their events, and the remote deliver
 // records the run owes, chained per owner in event order. A record names
-// its event, the owner's ids in that event's match result
-// (res[ev][lo:hi]) and where the event's bytes start in enc: a sent event
-// is encoded once per run, at its first record. heads[o] and tails[o] are
-// owner o's first and last record, meaningful only while owners holds o;
-// drainOwners visits the owners in ascending order and leaves every chain
-// empty. The masks are decoded into the storage earlier runs left in
-// broclis/delivs beyond their length, so they must not outlive the run.
-// recs and keys hold a decoded deliver payload (the handler is never
-// inside a run when it decodes one), and hits an exact pass's matches.
-// Everything grows on demand — the owner-indexed slices to the highest
-// owner a run sends to — so a broker that routes short runs holds little.
+// its event and the owner's ids in that event's match result
+// (res[ev][lo:hi]). heads[o] and tails[o] are owner o's first and last
+// record, meaningful only while owners holds o; drainOwners visits the
+// owners in ascending order and leaves every chain empty. hits holds an
+// exact pass's matches. Everything grows on demand — the owner-indexed
+// slices to the highest owner a run sends to — so a broker that routes
+// short runs holds little.
 type runScratch struct {
+	walks        []*eventMsg
 	events       []*schema.Event
-	broclis      []subid.Mask
-	delivs       []subid.Mask
 	sends        []deliverSend
 	owners       subid.Mask
 	heads, tails []int32
-	enc          []byte
-	encoded      int // the run's event last encoded into enc, -1 for none
-	encStart     int // where its bytes start in enc
-	recs         []deliverRecord
-	keys         []uint64
 	hits         broker.Hits
 }
 
@@ -159,7 +148,6 @@ type runScratch struct {
 type deliverSend struct {
 	ev, lo, hi int32 // the event's index in the run and its ids res[ev][lo:hi]
 	next       int32 // the owner's next record, -1 at the chain's end
-	start      int   // the event's bytes start at enc[start]
 }
 
 // netObs holds the engine-level instruments, resolved once in New.
@@ -248,7 +236,6 @@ func newOnBus(cfg Config, newBus func(n int) *netsim.Bus) (*Network, error) {
 	net.schedule = propagation.Schedule(cfg.Topology)
 	net.order = cfg.Topology.NodesByDegreeDesc()
 	net.scratch = make([]runScratch, n)
-	net.zero = subid.NewMask(n)
 	for i := 0; i < n; i++ {
 		node := topology.NodeID(i)
 		net.bus.StartBatch(node, func(ms []netsim.Message) { net.handleBatch(node, ms) })
@@ -318,8 +305,10 @@ func (net *Network) Broker(id topology.NodeID) *broker.Broker { return net.broke
 // Len returns the number of brokers.
 func (net *Network) Len() int { return len(net.brokers) }
 
-// Stats returns the bus accounting (real bytes on the wire per kind, plus
-// per-kind drop/decode-error/handler-error counters).
+// Stats returns the bus accounting: per kind, messages and the bytes
+// their wire forms take (a summary's encoded bytes; an event's or a
+// delivery's, the length its values encode to), plus drop, decode-error and
+// handler-error counters.
 func (net *Network) Stats() netsim.Stats { return net.bus.Stats() }
 
 // Metrics returns the network's instrument registry: engine counters,
@@ -389,43 +378,32 @@ func (net *Network) Propagate() (hops int, err error) {
 	net.period.Store(period)
 	defer net.period.Store(nil)
 
-	// bufs[i] is the encoded payload of the round's i-th send: encoded once
-	// into a pooled buffer, which the bus shares with the recipient and
-	// recycles after handling. An error return releases every buffer the
-	// period still holds.
-	var bufs []*netsim.SharedBuf
-	releaseFrom := func(i int) {
-		for _, sb := range bufs[i:] {
-			sb.Release()
-		}
-	}
+	// payloads[i] is the round's i-th message, every one encoded before any
+	// is sent: a receiver folds what it gets into its own period summary,
+	// which its own send of the round must not carry yet.
+	var payloads [][]byte
 	for _, round := range net.schedule {
-		bufs = bufs[:0]
+		payloads = payloads[:0]
 		for _, h := range round.Sends {
-			sb := netsim.AcquireBuf()
-			bufs = append(bufs, sb)
 			period.mu.Lock()
-			sb.B, err = encodeSummaryMsg(sb.B, period.sums[h.From], period.sets[h.From], uint64(net.periods), fullSync)
+			p, err := encodeSummaryMsg(nil, period.sums[h.From], period.sets[h.From], uint64(net.periods), fullSync)
 			period.mu.Unlock()
 			if err != nil {
-				releaseFrom(0)
 				return hops, fmt.Errorf("core: broker %d summary: %w", h.From, err)
 			}
+			payloads = append(payloads, p)
 		}
 		for i, h := range round.Sends {
-			payloadLen := int64(len(bufs[i].B))
 			// Propagate runs outside every handler: its sends must not take
 			// the hand-off slot of a worker running h.From.
-			err := net.bus.PostShared(netsim.Message{
-				From: h.From, To: h.To, Kind: netsim.KindSummary,
-			}, bufs[i])
+			err := net.bus.Post(netsim.Message{
+				From: h.From, To: h.To, Kind: netsim.KindSummary, Body: payloads[i], Size: len(payloads[i]),
+			})
 			if err != nil {
-				releaseFrom(i)
 				return hops, err
 			}
-			bufs[i].Release()
 			hops++
-			periodBytes += payloadLen
+			periodBytes += int64(len(payloads[i]))
 		}
 		// Deliveries land before the next iteration, as in Algorithm 2.
 		net.bus.Quiesce()
@@ -446,12 +424,11 @@ func (net *Network) Propagate() (hops int, err error) {
 // Algorithm 3 runs asynchronously. Call Flush to wait for all deliveries.
 // The event must be one of the network's schema: one that is not (built
 // against another schema, or nil) is refused here, and nothing is sent.
-// It is encoded once, for the bytes on the wire, and travels beside its
-// bytes: every broker and every consumer it reaches in this process is
-// handed the caller's own event, concurrently, so it must not be modified
-// after Publish. When trace sampling is on (SetTraceSampling), every Nth
-// publish carries a trace context recording its hop-by-hop walk; with
-// sampling off the only cost here is one atomic load.
+// Every broker and every consumer it reaches is handed the caller's own
+// event, concurrently, so it must not be modified after Publish. When
+// trace sampling is on (SetTraceSampling), every Nth publish carries a
+// trace context recording its hop-by-hop walk; with sampling off the only
+// cost here is one atomic load.
 func (net *Network) Publish(at topology.NodeID, ev *schema.Event) error {
 	if int(at) < 0 || int(at) >= len(net.brokers) {
 		return fmt.Errorf("core: broker %d out of range", at)
@@ -463,20 +440,13 @@ func (net *Network) Publish(at topology.NodeID, ev *schema.Event) error {
 	if traceID != 0 {
 		net.tracer.begin(traceID, at, ev.Format(net.cfg.Schema))
 	}
-	sb := netsim.AcquireBuf()
-	var err error
-	sb.B, err = encodeEventMsg(sb.B, ev, net.zero, net.zero, traceID)
-	if err != nil {
-		sb.Release()
-		return fmt.Errorf("core: encode event: %w", err)
+	m := newEventMsg(ev, len(net.brokers), traceID)
+	if err := net.bus.Send(netsim.Message{From: at, To: at, Kind: netsim.KindEvent, Body: m, Size: eventMsgSize(m)}); err != nil {
+		m.recycle()
+		return err
 	}
-	sb.Attached = append(sb.Attached, ev)
-	sendErr := net.bus.SendShared(netsim.Message{From: at, To: at, Kind: netsim.KindEvent}, sb)
-	sb.Release()
-	if sendErr == nil {
-		net.obs.eventsPublished.Inc()
-	}
-	return sendErr
+	net.obs.eventsPublished.Inc()
+	return nil
 }
 
 // Flush blocks until every in-flight message (propagation, routing,
@@ -499,8 +469,8 @@ func (net *Network) handleBatch(node topology.NodeID, msgs []netsim.Message) {
 		case netsim.KindDeliver:
 			net.handleDeliver(node, msgs[i])
 		case netsim.KindEvent:
-			if !isTraced(msgs[i].Payload) {
-				for j < len(msgs) && msgs[j].Kind == netsim.KindEvent && !isTraced(msgs[j].Payload) {
+			if !traced(msgs[i]) {
+				for j < len(msgs) && msgs[j].Kind == netsim.KindEvent && !traced(msgs[j]) {
 					j++
 				}
 			}
@@ -510,28 +480,34 @@ func (net *Network) handleBatch(node topology.NodeID, msgs []netsim.Message) {
 	}
 }
 
-// handleDeliver exact-matches the subscriptions an owner-delivery payload
-// names and notifies their consumers. The payload carries one record per
-// event of the sender's run that matched this owner; a traced payload
-// always carries one. No summary is matched here: the sender's match
-// already named the candidates, and the broker looks each one up in its
-// current raw subscriptions.
+// traced reports whether m is the message of a traced event.
+func traced(m netsim.Message) bool {
+	em, _ := m.Body.(*eventMsg)
+	return em != nil && em.traceID != 0
+}
+
+// handleDeliver exact-matches the subscriptions an owner delivery names
+// and notifies their consumers. The delivery holds one record per event of
+// the sender's run that matched this owner; a traced one always holds one.
+// No summary is matched here: the sender's match already named the
+// candidates, and the broker looks each one up in its current raw
+// subscriptions.
 func (net *Network) handleDeliver(node topology.NodeID, m netsim.Message) {
-	sc := &net.scratch[node]
-	recs, keys, traceID, err := decodeDeliverMsg(net.cfg.Schema, m.Payload, m.Attached, subid.BrokerID(node), sc.recs[:0], sc.keys[:0])
-	sc.recs, sc.keys = recs, keys // keep what they grew to
-	if err != nil {
+	dm, _ := m.Body.(*deliverMsg)
+	if dm == nil {
 		net.bus.RecordDecodeErrorAt(netsim.KindDeliver, node)
 		return
 	}
+	sc := &net.scratch[node]
 	hits := 0
-	for _, r := range recs {
-		hits += net.brokers[node].DeliverExactCandidates(r.ev, keys[r.lo:r.hi], &sc.hits)
+	for _, r := range dm.recs {
+		hits += net.brokers[node].DeliverExactCandidates(r.ev, dm.keys[r.lo:r.hi], &sc.hits)
 	}
-	if traceID != 0 {
-		net.tracer.addBytes(traceID, len(m.Payload))
-		net.tracer.hop(traceID, node, deliveryDecision(hits), hits, len(m.Payload))
+	if dm.traceID != 0 {
+		net.tracer.addBytes(dm.traceID, m.Size)
+		net.tracer.hop(dm.traceID, node, deliveryDecision(hits), hits, m.Size)
 	}
+	dm.recycle()
 }
 
 // deliveryDecision names the outcome of an exact re-match for a trace.
@@ -543,21 +519,22 @@ func deliveryDecision(hits int) string {
 }
 
 func (net *Network) handleSummary(node topology.NodeID, m netsim.Message) {
-	// The payload is an epoch header, a Merged_Brokers mask, then a
-	// wire-form summary; mask and summary fold in directly, so no
-	// intermediate Summary is materialized and nothing of m.Payload (a
-	// pooled shared buffer) is retained.
-	h, n0, err := decodeSummaryHeader(m.Payload)
+	// The body is the message's wire form (any other body decodes as no
+	// bytes): an epoch header, a Merged_Brokers mask, then a wire-form
+	// summary. Mask and summary fold in directly, so no intermediate
+	// Summary is materialized.
+	payload, _ := m.Body.([]byte)
+	h, n0, err := decodeSummaryHeader(payload)
 	if err != nil {
 		net.bus.RecordDecodeErrorAt(netsim.KindSummary, node)
 		return
 	}
-	set, off, err := decodeMask(nil, m.Payload[n0:], len(net.brokers))
+	set, off, err := decodeMask(payload[n0:], len(net.brokers))
 	if err != nil {
 		net.bus.RecordDecodeErrorAt(netsim.KindSummary, node)
 		return
 	}
-	sumWire := m.Payload[n0+off:]
+	sumWire := payload[n0+off:]
 	b := net.brokers[node]
 	if err := b.MergeEncodedSummaryEpoch(sumWire, set, broker.EpochInfo{
 		Epoch:    int64(h.Epoch),
@@ -597,17 +574,14 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 	// a run of its own.
 	var traceID uint64
 	for _, m := range msgs {
-		k := len(sc.events)
-		ev, brocli, delivered, id, err := decodeEventMsg(net.cfg.Schema, m.Payload, carried(m.Attached, 0),
-			len(net.brokers), spareMask(sc.broclis, k), spareMask(sc.delivs, k))
-		if err != nil {
+		em, _ := m.Body.(*eventMsg)
+		if em == nil {
 			net.bus.RecordDecodeErrorAt(netsim.KindEvent, node)
 			continue
 		}
-		traceID = id
-		sc.events = append(sc.events, ev)
-		sc.broclis = append(sc.broclis, brocli)
-		sc.delivs = append(sc.delivs, delivered)
+		traceID = em.traceID
+		sc.walks = append(sc.walks, em)
+		sc.events = append(sc.events, em.ev)
 	}
 	k := len(sc.events)
 	if k == 0 {
@@ -618,7 +592,7 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 	// reads terminals first, routed last).
 	net.obs.eventsRouted.Add(int64(k))
 	if traceID != 0 {
-		net.tracer.visit(traceID, node, len(msgs[0].Payload))
+		net.tracer.visit(traceID, node, msgs[0].Size)
 	}
 	b := net.brokers[node]
 	// Step 1: match the local merged summary.
@@ -628,9 +602,9 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 	b.ObserveMatchRun(time.Since(start), k)
 	shared := lease.MergedBrokers()
 	matched := len(res[0]) // reported by trace hops only
-	for i, ev := range sc.events {
+	for i, w := range sc.walks {
 		// Step 2: update BROCLIe.
-		orMask(&sc.broclis[i], shared)
+		orMask(&w.brocli, shared)
 		// Step 3: hand the event to each newly matched owner, with the ids
 		// that matched it — keys ascend, so an owner's are contiguous. Only
 		// a corrupt peer summary names an owner beyond the overlay; there is
@@ -639,79 +613,74 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 		for lo, hi := 0, 0; lo < len(keys); lo = hi {
 			hi = ownerRunEnd(keys, lo)
 			owner := int(keys[lo] >> 32)
-			if owner >= len(net.brokers) || sc.delivs[i].Has(owner) {
+			if owner >= len(net.brokers) || w.delivered.Has(owner) {
 				continue
 			}
-			sc.delivs[i].Set(owner)
+			w.delivered.Set(owner)
 			if topology.NodeID(owner) != node {
 				sc.chain(owner, i, lo, hi)
 				continue
 			}
-			hits := b.DeliverExactCandidates(ev, keys[lo:hi], &sc.hits)
+			hits := b.DeliverExactCandidates(w.ev, keys[lo:hi], &sc.hits)
 			if traceID != 0 {
 				net.tracer.hop(traceID, node, deliveryDecision(hits), matched, 0)
 			}
 		}
 	}
-	// The deliver records name ids straight out of the match result, so the
-	// lease is held until they are encoded.
+	// The deliver records copy their ids out of the match result, so the
+	// lease is held until they are sent.
 	net.sendDelivers(node, sc, res, traceID)
 	lease.Release()
 	// Step 4: forward while BROCLIe is incomplete. Every routed event ends
 	// in exactly one terminal counter — forwarded, suppressed, or handler
 	// error — which is the flow-conservation invariant the watchdog checks.
-	for i, ev := range sc.events {
-		if sc.broclis[i].Count() < len(net.brokers) {
-			net.forwardEvent(node, ev, sc.broclis[i], sc.delivs[i], traceID, matched)
+	for _, w := range sc.walks {
+		if w.brocli.Count() < len(net.brokers) {
+			net.forwardEvent(node, w, matched)
 			continue
 		}
 		net.obs.eventsSuppressed.Inc()
 		if traceID != 0 {
 			net.tracer.hop(traceID, node, DecisionSuppressed, matched, 0)
 		}
+		w.recycle()
 	}
 }
 
 // sendDelivers sends the run's remote deliveries: per owner, in ascending
-// owner order, one payload holding the owner's chain — a record for every
-// event of the run that newly matched it, in event order: the message
-// header, the owner's matched local ids and the event — so the bytes a
-// delivery puts on the wire do not depend on what it happened to be
-// batched with. The id lists make every owner's payload its own, so each
-// is encoded into its own buffer, with each record's event attached in
-// record order; the event's bytes are copied from the run's one encoding.
+// owner order, one message holding the owner's chain — a record for every
+// event of the run that newly matched it, in event order, with the owner's
+// matched ids.
 func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, res [][]uint64, traceID uint64) {
 	sc.drainOwners(func(owner int) {
-		sb := netsim.AcquireBuf()
-		records := sc.appendChain(sb, traceID, res, owner)
-		if net.bus.SendShared(netsim.Message{From: node, To: topology.NodeID(owner), Kind: netsim.KindDeliver}, sb) == nil {
-			net.obs.deliverSends.Add(int64(records))
+		dm := deliverMsgPool.Get().(*deliverMsg)
+		dm.traceID = traceID
+		sc.appendChain(dm, res, owner)
+		records := len(dm.recs)
+		m := netsim.Message{From: node, To: topology.NodeID(owner), Kind: netsim.KindDeliver, Body: dm, Size: deliverMsgSize(dm)}
+		if net.bus.Send(m) != nil {
+			dm.recycle()
+			return
 		}
-		sb.Release()
+		net.obs.deliverSends.Add(int64(records))
 	})
 }
 
-// startRun empties the run's events, masks and encoded bytes.
+// startRun empties the run's messages and events.
 func (sc *runScratch) startRun() {
-	sc.events, sc.broclis, sc.delivs = sc.events[:0], sc.broclis[:0], sc.delivs[:0]
-	sc.enc, sc.encoded = sc.enc[:0], -1
+	sc.walks, sc.events = sc.walks[:0], sc.events[:0]
 }
 
 // chain adds a deliver record for event ev of the run to the end of
-// owner's chain, naming the ids res[ev][lo:hi]. A run chains its events
-// in order, so the event is encoded at its first record.
+// owner's chain, naming the ids res[ev][lo:hi].
 func (sc *runScratch) chain(owner, ev, lo, hi int) {
-	if ev != sc.encoded {
-		sc.encoded, sc.encStart = ev, len(sc.enc)
-		sc.enc = schema.EncodeEvent(sc.enc, sc.events[ev])
-	}
 	if owner >= len(sc.heads) {
 		grow := owner + 1 - len(sc.heads)
 		sc.heads = append(sc.heads, make([]int32, grow)...)
 		sc.tails = append(sc.tails, make([]int32, grow)...)
 	}
 	r := int32(len(sc.sends))
-	sc.sends = append(sc.sends, deliverSend{ev: int32(ev), lo: int32(lo), hi: int32(hi), next: -1, start: sc.encStart})
+	sc.sends = append(sc.sends, deliverSend{ev: int32(ev), lo: int32(lo), hi: int32(hi), next: -1})
 	if sc.owners.Has(owner) {
 		sc.sends[sc.tails[owner]].next = r
 	} else {
@@ -733,19 +702,15 @@ func (sc *runScratch) drainOwners(fn func(owner int)) {
 	sc.sends = sc.sends[:0]
 }
 
-// appendChain appends owner's chain to sb — each record's bytes, with its
-// event attached in record order — and returns the number of records.
-func (sc *runScratch) appendChain(sb *netsim.SharedBuf, traceID uint64, res [][]uint64, owner int) int {
-	n := 0
+// appendChain appends owner's chain to dm's records, copying each
+// record's ids out of the match result.
+func (sc *runScratch) appendChain(dm *deliverMsg, res [][]uint64, owner int) {
 	for r := sc.heads[owner]; r >= 0; r = sc.sends[r].next {
 		s := sc.sends[r]
-		ev := sc.events[s.ev]
-		sb.B = appendDeliverHead(sb.B, traceID, res[s.ev][s.lo:s.hi])
-		sb.B = append(sb.B, sc.enc[s.start:s.start+schema.EncodedEventSize(ev)]...)
-		sb.Attached = append(sb.Attached, ev)
-		n++
+		lo := len(dm.keys)
+		dm.keys = append(dm.keys, res[s.ev][s.lo:s.hi]...)
+		dm.recs = append(dm.recs, deliverRecord{ev: sc.events[s.ev], lo: lo, hi: len(dm.keys)})
 	}
-	return n
 }
 
 // ownerRunEnd returns the end of the run of entries that share keys[lo]'s
@@ -758,36 +723,26 @@ func ownerRunEnd(keys []uint64, lo int) int {
 	return hi
 }
 
-// forwardEvent sends the event to the first unvisited broker in
-// forwarding-preference order, ending the hop in exactly one terminal
-// counter (forwarded or handler error). The event rides beside its bytes,
-// so the next broker of this process does not decode it again.
-func (net *Network) forwardEvent(node topology.NodeID, ev *schema.Event, brocli, delivered subid.Mask, traceID uint64, matchedLen int) {
-	next, ok := routing.NextHop(net.order, brocli)
+// forwardEvent sends the event's message on to the first unvisited broker
+// in forwarding-preference order, ending the hop in exactly one terminal
+// counter (forwarded or handler error).
+func (net *Network) forwardEvent(node topology.NodeID, w *eventMsg, matchedLen int) {
+	next, ok := routing.NextHop(net.order, w.brocli)
 	if !ok {
 		return // not reached: the caller forwards only while BROCLIe is incomplete
 	}
-	sb := netsim.AcquireBuf()
-	var err error
-	sb.B, err = encodeEventMsg(sb.B, ev, brocli, delivered, traceID)
-	if err != nil {
-		sb.Release()
-		net.bus.RecordHandlerError(netsim.KindEvent)
-		return
-	}
-	sb.Attached = append(sb.Attached, ev)
-	payloadLen := len(sb.B)
-	if net.bus.SendShared(netsim.Message{From: node, To: next, Kind: netsim.KindEvent}, sb) == nil {
-		net.obs.eventsForwarded.Inc()
-		if traceID != 0 {
-			net.tracer.hop(traceID, node, DecisionForwarded, matchedLen, payloadLen)
-		}
-	} else {
+	traceID, size := w.traceID, eventMsgSize(w) // w is the next broker's once sent
+	if net.bus.Send(netsim.Message{From: node, To: next, Kind: netsim.KindEvent, Body: w, Size: size}) != nil {
 		// A failed forward send (bus closing) still terminates this
 		// event's walk; count it so flow conservation holds.
 		net.bus.RecordHandlerError(netsim.KindEvent)
+		w.recycle()
+		return
 	}
-	sb.Release()
+	net.obs.eventsForwarded.Inc()
+	if traceID != 0 {
+		net.tracer.hop(traceID, node, DecisionForwarded, matchedLen, size)
+	}
 }
 
 // orMask folds src's bits into *dst, growing dst as needed.
@@ -818,13 +773,13 @@ func encodeMask(buf []byte, m subid.Mask) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeMask reads a mask of broker ids into dst's storage (nil allocates)
-// and returns it with the bytes consumed. Any word count is accepted, a set
-// bit at or beyond the broker count is not: no encoder here writes one, and
-// taken at face value it would count towards a complete BROCLI — ending a
-// walk before every broker was examined — or sit in a Merged_Brokers set
-// for good.
-func decodeMask(dst subid.Mask, buf []byte, brokers int) (subid.Mask, int, error) {
+// decodeMask reads a mask of broker ids and returns it with the bytes
+// consumed. Any word count is accepted, a set bit at or beyond the broker
+// count is not: no encoder here writes one, and taken at face value it
+// would sit in a Merged_Brokers set for good and, through the BROCLI sets
+// built from it, count towards a complete BROCLI — ending a walk before
+// every broker was examined.
+func decodeMask(buf []byte, brokers int) (subid.Mask, int, error) {
 	if len(buf) < 2 {
 		return nil, 0, fmt.Errorf("core: short mask")
 	}
@@ -832,7 +787,7 @@ func decodeMask(dst subid.Mask, buf []byte, brokers int) (subid.Mask, int, error
 	if len(buf) < 2+8*words {
 		return nil, 0, fmt.Errorf("core: truncated mask")
 	}
-	m := slices.Grow(dst[:0], words)[:words]
+	m := make(subid.Mask, words)
 	for i := range m {
 		m[i] = binary.LittleEndian.Uint64(buf[2+8*i:])
 	}
@@ -846,26 +801,6 @@ func decodeMask(dst subid.Mask, buf []byte, brokers int) (subid.Mask, int, error
 		}
 	}
 	return m, 2 + 8*words, nil
-}
-
-// spareMask returns the storage a previous run left at masks[k], nil when
-// masks never grew that far.
-func spareMask(masks []subid.Mask, k int) subid.Mask {
-	if k < cap(masks) {
-		return masks[:k+1][k]
-	}
-	return nil
-}
-
-// carried returns the i-th attachment of a message if it is an event — the
-// one a sender in this process encoded at that place of the payload — else
-// nil, and the bytes are decoded.
-func carried(att []any, i int) *schema.Event {
-	if i >= len(att) {
-		return nil
-	}
-	ev, _ := att[i].(*schema.Event)
-	return ev
 }
 
 // Summary-payload flags (the first byte of every summary message). The
@@ -904,10 +839,9 @@ func appendSummaryHeader(buf []byte, h summaryEpochHeader) []byte {
 }
 
 // decodeSummaryHeader reads the flags byte and epoch uvarint, returning
-// the consumed length. Unknown flag bits are a decode error, same as the
-// event-message header: old payloads must fail loudly, not merge wrongly.
-// The epoch must be in its shortest form, so a header that decodes has
-// exactly one encoding.
+// the consumed length. Unknown flag bits are a decode error: old payloads
+// must fail loudly, not merge wrongly. The epoch must be in its shortest
+// form, so a header that decodes has exactly one encoding.
 func decodeSummaryHeader(buf []byte) (h summaryEpochHeader, n int, err error) {
 	if len(buf) < 1 {
 		return h, 0, fmt.Errorf("core: short summary header")
@@ -942,190 +876,123 @@ func encodeSummaryMsg(buf []byte, sum *summary.Summary, set subid.Mask, epoch ui
 	return sum.Encode(buf), nil
 }
 
-// msgFlagTrace marks an event/deliver payload carrying a trace id (u64,
-// little-endian) right after the flags byte. Untraced messages cost one
-// flag byte; the trace context itself travels only on sampled events.
-const msgFlagTrace = 0x01
-
-// appendMsgHeader writes the flags byte and optional trace id.
-func appendMsgHeader(buf []byte, traceID uint64) []byte {
-	if traceID == 0 {
-		return append(buf, 0)
-	}
-	buf = append(buf, msgFlagTrace)
-	return binary.LittleEndian.AppendUint64(buf, traceID)
-}
-
-// decodeMsgHeader reads the flags byte and optional trace id, returning
-// the consumed length.
-func decodeMsgHeader(buf []byte) (traceID uint64, n int, err error) {
-	if len(buf) < 1 {
-		return 0, 0, fmt.Errorf("core: short message header")
-	}
-	flags := buf[0]
-	if flags&^msgFlagTrace != 0 {
-		return 0, 0, fmt.Errorf("core: unknown message flags %#x", flags)
-	}
-	n = 1
-	if flags&msgFlagTrace != 0 {
-		if len(buf) < 9 {
-			return 0, 0, fmt.Errorf("core: truncated trace id")
-		}
-		traceID = binary.LittleEndian.Uint64(buf[1:9])
-		if traceID == 0 {
-			return 0, 0, fmt.Errorf("core: zero trace id")
-		}
-		n = 9
-	}
-	return traceID, n, nil
-}
-
-// encodeEventMsg appends a packed event with its BROCLI and delivered
-// sets to buf, carrying the trace context of sampled events (traceID 0 =
-// untraced).
-func encodeEventMsg(buf []byte, ev *schema.Event, brocli, delivered subid.Mask, traceID uint64) ([]byte, error) {
-	buf = appendMsgHeader(buf, traceID)
-	buf, err := encodeMask(buf, brocli)
-	if err != nil {
-		return nil, err
-	}
-	buf, err = encodeMask(buf, delivered)
-	if err != nil {
-		return nil, err
-	}
-	return schema.EncodeEvent(buf, ev), nil
-}
-
-// decodeEventMsg decodes a routed-event payload, the masks into the storage
-// of brocli and delivered (nil allocates). A non-nil ev is the event as the
-// sender attached it: the event bytes are not parsed again, but must still
-// be exactly as long as it encodes.
-func decodeEventMsg(s *schema.Schema, buf []byte, ev *schema.Event, brokers int, brocli, delivered subid.Mask) (*schema.Event, subid.Mask, subid.Mask, uint64, error) {
-	traceID, n0, err := decodeMsgHeader(buf)
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	buf = buf[n0:]
-	brocli, n1, err := decodeMask(brocli, buf, brokers)
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	delivered, n2, err := decodeMask(delivered, buf[n1:], brokers)
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	used := 0
-	if ev != nil {
-		used = schema.EncodedEventSize(ev)
-	} else if ev, used, err = schema.DecodeEvent(s, buf[n1+n2:]); err != nil {
-		return nil, nil, nil, 0, err
-	}
-	if n1+n2+used != len(buf) {
-		return nil, nil, nil, 0, fmt.Errorf("core: %d bytes after the event", len(buf)-n1-n2-used)
-	}
-	return ev, brocli, delivered, traceID, nil
-}
-
-// isTraced reports whether an event/deliver payload carries a trace id,
-// from the flags byte alone.
-func isTraced(payload []byte) bool {
-	return len(payload) > 0 && payload[0]&msgFlagTrace != 0
-}
-
-// An owner-delivery payload is one or more records, one per event of the
-// sender's run that matched this owner:
+// Event and deliver messages travel as values (eventMsg, deliverMsg) and
+// are counted at the length of a wire form that nothing in this process
+// writes:
 //
-//	record: message header, n:uvarint (≥ 1), n local ids (c2) as strictly
-//	        ascending delta-uvarints — the first absolute —, packed event
+//	header:  flags byte (bit 0: traced), then a traced message's trace id
+//	         (u64, little-endian)
+//	mask:    word count (u16, little-endian), then the words (u64 each)
+//	event:   header, BROCLI mask, delivered mask, packed event
+//	deliver: one record per event: header, n:uvarint (≥ 1), n local ids
+//	         (c2) as strictly ascending delta-uvarints — the first
+//	         absolute —, packed event
 //
-// The ids are the owner's subscriptions the sender's Algorithm 1 pass
-// matched: the candidates the owner exact-matches, instead of running the
-// pass again over its whole merged view.
+// where a packed event is schema.EncodeEvent's form.
 
-// deliverRecord is one decoded record: the event and its named ids as the
-// keys[lo:hi] range of the slice decodeDeliverMsg filled beside it.
+// eventMsg is a routed event's message: the event, its BROCLI and
+// delivered sets, and the trace id of a sampled event (0 for none). One
+// value travels the whole walk: each hop updates it in place and sends it
+// on, and the hop that ends the walk recycles it.
+type eventMsg struct {
+	ev                *schema.Event
+	brocli, delivered subid.Mask
+	traceID           uint64
+}
+
+var eventMsgPool = sync.Pool{New: func() any { return new(eventMsg) }}
+
+// newEventMsg returns a pooled message for ev with empty sets sized for n
+// brokers.
+func newEventMsg(ev *schema.Event, n int, traceID uint64) *eventMsg {
+	m := eventMsgPool.Get().(*eventMsg)
+	m.ev, m.traceID = ev, traceID
+	m.brocli = emptyMask(m.brocli, n)
+	m.delivered = emptyMask(m.delivered, n)
+	return m
+}
+
+// recycle returns m to the pool; nothing may use it afterwards.
+func (m *eventMsg) recycle() {
+	m.ev = nil
+	eventMsgPool.Put(m)
+}
+
+// emptyMask returns a zero mask of n bits in dst's storage.
+func emptyMask(dst subid.Mask, n int) subid.Mask {
+	words := (n + 63) / 64
+	dst = slices.Grow(dst[:0], words)[:words]
+	clear(dst)
+	return dst
+}
+
+// eventMsgSize is the length of m's wire form.
+func eventMsgSize(m *eventMsg) int {
+	return headerSize(m.traceID) + maskSize(m.brocli) + maskSize(m.delivered) + schema.EncodedEventSize(m.ev)
+}
+
+// deliverMsg is an owner delivery: a record for every event of the
+// sender's run that matched the owner, in event order, naming the owner's
+// ids the sender's Algorithm 1 pass matched — the candidates the owner
+// exact-matches, instead of running the pass again over its whole merged
+// view. The receiver recycles it.
+type deliverMsg struct {
+	traceID uint64 // a traced event travels alone: one record
+	recs    []deliverRecord
+	keys    []uint64 // the records' ascending id keys
+}
+
+// deliverRecord is one record of a deliverMsg: the event and its ids,
+// keys[lo:hi] of the message.
 type deliverRecord struct {
 	ev     *schema.Event
 	lo, hi int
 }
 
-// appendDeliverHead appends a record's header and id list to buf; the
-// packed event follows. keys are ascending id keys of a single owner; only
-// their local halves travel.
-func appendDeliverHead(buf []byte, traceID uint64, keys []uint64) []byte {
-	buf = appendMsgHeader(buf, traceID)
-	buf = binary.AppendUvarint(buf, uint64(len(keys)))
-	prev := subid.LocalID(0)
-	for _, key := range keys {
-		_, local := subid.KeyParts(key)
-		buf = binary.AppendUvarint(buf, uint64(local-prev))
-		prev = local
-	}
-	return buf
+// deliverMsgPool makes messages with room for a record per event of a
+// full run (a bus run drains at most 64 messages) and four ids a record,
+// so that one made at a new peak of deliveries in flight seldom grows.
+var deliverMsgPool = sync.Pool{New: func() any {
+	return &deliverMsg{recs: make([]deliverRecord, 0, 64), keys: make([]uint64, 0, 4*64)}
+}}
+
+// recycle empties d and returns it to the pool; nothing may use it
+// afterwards.
+func (d *deliverMsg) recycle() {
+	clear(d.recs)
+	d.recs, d.keys = d.recs[:0], d.keys[:0]
+	deliverMsgPool.Put(d)
 }
 
-// decodeDeliverRecord decodes the record at the head of buf, appending
-// its ids to keys as id keys of owner, and returns the bytes consumed. A
-// non-nil ev is the record's event as the sender attached it: its bytes
-// are stepped over, not parsed, and must lie inside buf.
-func decodeDeliverRecord(s *schema.Schema, buf []byte, ev *schema.Event, owner subid.BrokerID, keys []uint64) (_ *schema.Event, _ []uint64, traceID uint64, n int, err error) {
-	traceID, n, err = decodeMsgHeader(buf)
-	if err != nil {
-		return nil, keys, 0, 0, err
-	}
-	count, used := canonicalUvarint(buf[n:])
-	n += used
-	// Every id takes at least a byte, which bounds what a hostile count
-	// can make the key slice grow to.
-	if used == 0 || count == 0 || count > uint64(len(buf)-n) {
-		return nil, keys, 0, 0, fmt.Errorf("core: bad deliver id count")
-	}
-	local := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		delta, used := canonicalUvarint(buf[n:])
-		n += used
-		local += delta
-		if used == 0 || (delta == 0 && i > 0) || delta > math.MaxUint32 || local > math.MaxUint32 {
-			return nil, keys, 0, 0, fmt.Errorf("core: bad deliver id list")
+// deliverMsgSize is the length of d's wire form: only the local halves
+// of its ids travel.
+func deliverMsgSize(d *deliverMsg) int {
+	n := 0
+	for _, r := range d.recs {
+		n += headerSize(d.traceID) + uvarintSize(uint64(r.hi-r.lo)) + schema.EncodedEventSize(r.ev)
+		prev := subid.LocalID(0)
+		for _, key := range d.keys[r.lo:r.hi] {
+			_, local := subid.KeyParts(key)
+			n += uvarintSize(uint64(local - prev))
+			prev = local
 		}
-		keys = append(keys, subid.ID{Broker: owner, Local: subid.LocalID(local)}.Key())
 	}
-	if ev == nil {
-		ev, used, err = schema.DecodeEvent(s, buf[n:])
-	} else if used = schema.EncodedEventSize(ev); used > len(buf)-n {
-		err = fmt.Errorf("core: attached event of %d bytes, %d left", used, len(buf)-n)
-	}
-	if err != nil {
-		return nil, keys, 0, 0, err
-	}
-	return ev, keys, traceID, n + used, nil
+	return n
 }
 
-// decodeDeliverMsg decodes an owner-delivery payload into recs and keys
-// (pass scratch to reuse it); att holds the events the sender attached, one
-// per record in record order, or nothing. The trace id returned is the
-// first record's: a traced event travels alone. A decode error anywhere
-// discards the whole payload (the caller records it), matching the
-// lost-message semantics of any corrupt message; so does an empty payload.
-func decodeDeliverMsg(s *schema.Schema, buf []byte, att []any, owner subid.BrokerID, recs []deliverRecord, keys []uint64) (_ []deliverRecord, _ []uint64, traceID uint64, err error) {
-	if len(buf) == 0 {
-		return recs, keys, 0, fmt.Errorf("core: empty deliver payload")
+// headerSize is the length of an event or deliver record header.
+func headerSize(traceID uint64) int {
+	if traceID == 0 {
+		return 1
 	}
-	for i := 0; len(buf) > 0; i++ {
-		lo := len(keys)
-		ev, ks, id, n, err := decodeDeliverRecord(s, buf, carried(att, i), owner, keys)
-		if err != nil {
-			return recs, keys, 0, err
-		}
-		if i == 0 {
-			traceID = id
-		}
-		keys = ks
-		recs = append(recs, deliverRecord{ev: ev, lo: lo, hi: len(keys)})
-		buf = buf[n:]
-	}
-	return recs, keys, traceID, nil
+	return 9
 }
+
+// maskSize is the length of m's wire form.
+func maskSize(m subid.Mask) int { return 2 + 8*len(m) }
+
+// uvarintSize is the length of x as a uvarint.
+func uvarintSize(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // canonicalUvarint reads a uvarint in its shortest form and returns the
 // bytes consumed, 0 for a truncated, overlong or padded one — so a payload

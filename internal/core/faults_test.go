@@ -146,9 +146,7 @@ func TestEventLossLosesOnlyAffectedEvents(t *testing.T) {
 // TestPropagateOnClosedNetwork pins Propagate's send-error return: on a
 // closed bus the first send of the period fails, the bus error comes back
 // with no hop counted and no summary message accounted, and nothing
-// panics. Every payload of that iteration was already encoded into a
-// pooled buffer by then; the return path releases them all (the pool has
-// no counter to assert that on).
+// panics.
 func TestPropagateOnClosedNetwork(t *testing.T) {
 	s := stockSchema(t)
 	net := newNetwork(t, topology.CW24(), s)
@@ -173,5 +171,64 @@ func TestPropagateOnClosedNetwork(t *testing.T) {
 	// A second period fails the same way: the first left no period state behind.
 	if _, err := net.Propagate(); err == nil {
 		t.Fatal("second Propagate on a closed network succeeded")
+	}
+}
+
+// TestByteAccountingReconcilesUnderFaults: with event and deliver messages
+// lost at random and a broker paused while events queue for it, every
+// byte a sender put on the wire is counted exactly once, as sent (Bytes,
+// parked messages included) or dropped (DroppedBytes): per kind, the two
+// sum to the Size of every message the fault hook saw.
+func TestByteAccountingReconcilesUnderFaults(t *testing.T) {
+	f := newPipelineFixture(t, topology.CW24(), 72, 0, 300)
+	mustPropagate(t, f.net)
+	// The hook is the fault plane's first layer, so it sees every message,
+	// the ones the loss rules then drop and the pause parks included. It
+	// runs serialized under the bus's fault lock.
+	var seen [netsim.KindControl + 1]int64
+	f.net.InjectFaults(func(m netsim.Message) bool {
+		seen[m.Kind] += int64(m.Size)
+		return false
+	})
+	faults := f.net.Faults()
+	faults.SetLoss(netsim.KindDeliver, 0.3, 1)
+	faults.SetLoss(netsim.KindEvent, 0.1, 2)
+	n := f.net.Len()
+	half := len(f.events) / 2
+	for i, ev := range f.events[:half] {
+		if err := f.net.Publish(topology.NodeID(i%n), ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.net.Flush()
+	paused := f.net.order[0] // the first broker walks are forwarded to
+	if err := faults.Pause(paused); err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range f.events[half:] {
+		if err := f.net.Publish(topology.NodeID(i%n), ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.net.Flush()
+	_, parked := faults.Paused(paused)
+	if err := faults.Resume(paused); err != nil {
+		t.Fatal(err)
+	}
+	f.net.Flush()
+	f.net.InjectFaults(nil)
+	faults.Clear()
+
+	if parked == 0 {
+		t.Fatal("nothing was parked at the paused broker; the pause is vacuous")
+	}
+	st := f.net.Stats()
+	for _, k := range []netsim.Kind{netsim.KindEvent, netsim.KindDeliver} {
+		if st.Dropped[k] == 0 || st.Messages[k] == 0 {
+			t.Fatalf("%s: %d sent, %d dropped; want both", k, st.Messages[k], st.Dropped[k])
+		}
+		if got := st.Bytes[k] + st.DroppedBytes[k]; got != seen[k] {
+			t.Fatalf("%s: %d bytes sent + %d dropped = %d, the hook saw %d", k, st.Bytes[k], st.DroppedBytes[k], got, seen[k])
+		}
 	}
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/subsum/subsum/internal/broker"
@@ -64,8 +67,9 @@ func sameButFieldOrder(s *schema.Schema, wire, again []byte, ev *schema.Event) b
 	return err == nil && got.Format(s) == ev.Format(s)
 }
 
-// FuzzDecodeDeliverMsg: the deliver decoder never panics, and a payload
-// that decodes re-encodes, record by record, to the bytes it came from.
+// FuzzDecodeDeliverMsg: the oracle's deliver decoder never panics, and a
+// payload that decodes re-encodes, record by record, to the bytes it came
+// from, which are as many as deliverMsgSize counts.
 func FuzzDecodeDeliverMsg(f *testing.F) {
 	fx := newDeliverFixture(f)
 	f.Add(fx.payload(1, 0))
@@ -75,23 +79,27 @@ func FuzzDecodeDeliverMsg(f *testing.F) {
 		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, keys, traceID, err := decodeDeliverMsg(fx.s, data, nil, fx.owner, nil, nil)
+		d, err := decodeDeliverMsg(fx.s, data, fx.owner)
 		if err != nil {
 			return
 		}
-		if len(recs) == 0 {
+		if len(d.recs) == 0 {
 			t.Fatal("decoded a payload of no records")
 		}
+		if size := deliverMsgSize(d); size != len(data) {
+			t.Fatalf("decoded %d bytes into a message of size %d", len(data), size)
+		}
 		rest := data
-		for i, r := range recs {
-			if r.lo >= r.hi || !slices.IsSorted(keys[r.lo:r.hi]) {
-				t.Fatalf("record %d: ids %v are not a non-empty ascending list", i, keys[r.lo:r.hi])
+		for i, r := range d.recs {
+			keys := d.keys[r.lo:r.hi]
+			if len(keys) == 0 || !slices.IsSorted(keys) {
+				t.Fatalf("record %d: ids %v are not a non-empty ascending list", i, keys)
 			}
-			_, _, id, n, err := decodeDeliverRecord(fx.s, rest, nil, fx.owner, nil)
-			if err != nil || (i == 0 && id != traceID) {
+			_, _, id, n, err := decodeDeliverRecord(fx.s, rest, fx.owner, nil)
+			if err != nil || id != d.traceID {
 				t.Fatalf("record %d: decoded alone: trace %d, %v", i, id, err)
 			}
-			again := appendDeliverRecord(nil, id, keys[r.lo:r.hi], r.ev)
+			again := appendDeliverRecord(nil, id, keys, r.ev)
 			if !sameButFieldOrder(fx.s, rest[:n], again, r.ev) {
 				t.Fatalf("record %d: %x re-encodes to %x", i, rest[:n], again)
 			}
@@ -103,15 +111,16 @@ func FuzzDecodeDeliverMsg(f *testing.F) {
 	})
 }
 
-// FuzzDecodeEventMsg: the routed-event decoder never panics, and a
-// payload that decodes re-encodes to the bytes it came from.
+// FuzzDecodeEventMsg: the oracle's event decoder never panics, and a
+// payload that decodes re-encodes to the bytes it came from, which are as
+// many as eventMsgSize counts.
 func FuzzDecodeEventMsg(f *testing.F) {
 	fx := newDeliverFixture(f)
 	for i, traceID := range []uint64{0, 77, 0} {
-		brocli, delivered := subid.NewMask(3), subid.NewMask(3)
-		brocli.Set(i)
-		delivered.Set(2 - i)
-		msg, err := encodeEventMsg(nil, fx.evs[i], brocli, delivered, traceID)
+		m := &eventMsg{ev: fx.evs[i], brocli: subid.NewMask(3), delivered: subid.NewMask(3), traceID: traceID}
+		m.brocli.Set(i)
+		m.delivered.Set(2 - i)
+		msg, err := encodeEventMsg(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -125,28 +134,112 @@ func FuzzDecodeEventMsg(f *testing.F) {
 	stray := subid.NewMask(128)  // names brokers 64–66 of a three-broker network
 	stray[1] = 7
 	for _, masks := range [][2]subid.Mask{{stray, subid.NewMask(3)}, {subid.NewMask(3), stray}} {
-		msg, err := encodeEventMsg(nil, fx.evs[0], masks[0], masks[1], 0)
+		msg, err := encodeEventMsg(nil, &eventMsg{ev: fx.evs[0], brocli: masks[0], delivered: masks[1]})
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(msg)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ev, brocli, delivered, traceID, err := decodeEventMsg(fx.s, data, nil, 3, nil, nil)
+		m, err := decodeEventMsg(fx.s, data, 3)
 		if err != nil {
 			return
 		}
-		for _, m := range []subid.Mask{brocli, delivered} {
-			if bits := m.Bits(); len(bits) > 0 && bits[len(bits)-1] >= 3 {
+		for _, mask := range []subid.Mask{m.brocli, m.delivered} {
+			if bits := mask.Bits(); len(bits) > 0 && bits[len(bits)-1] >= 3 {
 				t.Fatalf("decoded a mask naming broker %d of 3", bits[len(bits)-1])
 			}
 		}
-		again, err := encodeEventMsg(nil, ev, brocli, delivered, traceID)
+		if size := eventMsgSize(m); size != len(data) {
+			t.Fatalf("decoded %d bytes into a message of size %d", len(data), size)
+		}
+		again, err := encodeEventMsg(nil, m)
 		if err != nil {
 			t.Fatalf("decoded message does not encode: %v", err)
 		}
-		if !sameButFieldOrder(fx.s, data, again, ev) {
+		if !sameButFieldOrder(fx.s, data, again, m.ev) {
 			t.Fatalf("%x re-encodes to %x", data, again)
+		}
+	})
+}
+
+// FuzzMessageSize: eventMsgSize and deliverMsgSize are the lengths of the
+// oracle's encodings, for messages built from fuzz input — masks of any
+// word count the wire form allows, trace ids zero or not, ascending id
+// lists with gaps up to the whole 32-bit local range, split into records
+// at will, and strings up to the codec's 65 535-byte bound. A deliver
+// message's wire form also decodes back to its ids.
+func FuzzMessageSize(f *testing.F) {
+	s := stockSchema(f)
+	f.Add([]byte{}, uint64(0), uint16(1), uint16(1), uint16(0))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}, uint64(77), uint16(0), uint16(maxMaskWords), uint16(math.MaxUint16))
+	f.Add([]byte{0, 1, 0, 0, 0, 63, 0x80, 0, 0, 0, 1, 7, 7, 7, 7}, uint64(1<<63), uint16(300), uint16(4), uint16(math.MaxUint16-1))
+	f.Fuzz(func(t *testing.T, data []byte, traceID uint64, brocliWords, delivWords, strLen uint16) {
+		symbol, _ := s.ID("symbol")
+		price, _ := s.ID("price")
+		big, err := schema.EventFromFields(s, []schema.Field{
+			{Attr: symbol, Value: schema.StringValue(strings.Repeat("S", int(strLen)))},
+			{Attr: price, Value: schema.FloatValue(float64(len(data)))},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		small, err := schema.EventFromFields(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := func(words uint16) subid.Mask {
+			m := make(subid.Mask, words)
+			for i := range m {
+				if len(data) > 0 {
+					m[i] = uint64(data[i%len(data)]) << (i % 57)
+				}
+			}
+			return m
+		}
+		em := &eventMsg{ev: big, brocli: mask(brocliWords), delivered: mask(delivWords), traceID: traceID}
+		b, err := encodeEventMsg(nil, em)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size := eventMsgSize(em); size != len(b) {
+			t.Fatalf("event message: size %d, wire form %d bytes", size, len(b))
+		}
+		// Five bytes per id: a flag byte (bit 0 starts a new record, the
+		// rest shift the gap) and a 32-bit gap to the previous id.
+		const owner = subid.BrokerID(5)
+		d := &deliverMsg{traceID: traceID}
+		local := uint64(0)
+		for i := 0; i+5 <= len(data); i += 5 {
+			gap := uint64(binary.LittleEndian.Uint32(data[i+1:])) >> (data[i] >> 1 & 31)
+			if len(d.keys) > 0 {
+				gap = max(gap, 1)
+			}
+			if local+gap > math.MaxUint32 {
+				break
+			}
+			local += gap
+			if len(d.recs) == 0 || data[i]&1 != 0 {
+				ev := big
+				if len(d.recs)%2 == 1 {
+					ev = small
+				}
+				d.recs = append(d.recs, deliverRecord{ev: ev, lo: len(d.keys), hi: len(d.keys)})
+				local = gap // a record's list starts afresh
+			}
+			d.keys = append(d.keys, subid.ID{Broker: owner, Local: subid.LocalID(local)}.Key())
+			d.recs[len(d.recs)-1].hi = len(d.keys)
+		}
+		if len(d.recs) == 0 {
+			return
+		}
+		b = encodeDeliverMsg(nil, d)
+		if size := deliverMsgSize(d); size != len(b) {
+			t.Fatalf("deliver message: size %d, wire form %d bytes", size, len(b))
+		}
+		back, err := decodeDeliverMsg(s, b, owner)
+		if err != nil || !slices.Equal(back.keys, d.keys) || len(back.recs) != len(d.recs) {
+			t.Fatalf("deliver message of ids %v decodes to %v (%v)", d.keys, back, err)
 		}
 	})
 }
@@ -203,7 +296,7 @@ func FuzzDecodeSummaryMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
-		set, n1, err := decodeMask(nil, data[n0:], 70)
+		set, n1, err := decodeMask(data[n0:], 70)
 		if err != nil {
 			return
 		}

@@ -8,7 +8,6 @@ import (
 
 	"github.com/subsum/subsum/internal/netsim"
 	"github.com/subsum/subsum/internal/schema"
-	"github.com/subsum/subsum/internal/subid"
 	"github.com/subsum/subsum/internal/topology"
 	"github.com/subsum/subsum/internal/workload"
 )
@@ -200,11 +199,8 @@ func TestMixedRunKeepsArrivalOrder(t *testing.T) {
 			traceID = 77
 			net.tracer.begin(traceID, 0, text)
 		}
-		payload, err := encodeEventMsg(nil, ev, subid.NewMask(2), subid.NewMask(2), traceID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msgs = append(msgs, netsim.Message{From: 0, To: 0, Kind: netsim.KindEvent, Payload: payload})
+		m := newEventMsg(ev, 2, traceID)
+		msgs = append(msgs, netsim.Message{From: 0, To: 0, Kind: netsim.KindEvent, Body: m, Size: eventMsgSize(m)})
 		want = append(want, ev.Format(s))
 	}
 	// One drained batch [untraced, traced, untraced] at broker 0. Nothing

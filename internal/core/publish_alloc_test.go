@@ -80,14 +80,14 @@ func TestPublishZeroAllocs(t *testing.T) {
 		t.Skip("allocation counts are distorted under -race")
 	}
 	l := newFanoutLoop(t)
-	// A collection empties every sync.Pool, and the payload buffers are
-	// pooled. A path that allocates nothing never triggers one; the garbage
-	// of the fixture and of earlier tests would, so collect it now and
-	// allow no other collection until the test ends.
+	// A collection empties every sync.Pool, and the event and deliver
+	// messages are pooled. A path that allocates nothing never triggers
+	// one; the garbage of the fixture and of earlier tests would, so
+	// collect it now and allow no other collection until the test ends.
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for range 200 {
-		l.batch(t) // grow every scratch and pooled buffer to its steady size
+		l.batch(t) // grow every scratch and pooled message to its steady size
 	}
 	if l.deliveries.Load() == 0 {
 		t.Fatal("the fixture delivers nothing; the allocation assertion would be vacuous")

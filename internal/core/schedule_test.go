@@ -47,7 +47,7 @@ func TestLiveEngineSendsTheSchedule(t *testing.T) {
 			net.InjectFaults(func(m netsim.Message) bool {
 				if m.Kind == netsim.KindSummary {
 					got = append(got, propagation.Hop{From: m.From, To: m.To})
-					if m.Payload[0]&sumFlagFullSync != 0 {
+					if m.Body.([]byte)[0]&sumFlagFullSync != 0 {
 						fullSyncs++
 					}
 				}

@@ -246,15 +246,17 @@ func TestConcurrentStressWithFaultInjection(t *testing.T) {
 	}
 }
 
-// TestDecodeErrorsAreCounted feeds each message kind a corrupt payload
-// directly on the bus and checks the per-kind decode-error counters: an
-// undecodable message must never vanish without being accounted.
+// TestDecodeErrorsAreCounted feeds each message kind a body it cannot
+// read — bytes too short for a summary header, bytes where an event or a
+// delivery belongs — directly on the bus and checks the per-kind
+// decode-error counters: an unreadable message must never vanish without
+// being accounted.
 func TestDecodeErrorsAreCounted(t *testing.T) {
 	s := stockSchema(t)
 	net := newNetwork(t, topology.Ring(4), s)
 	garbage := []byte{0xff} // too short for even the u16 mask header
 	for _, k := range []netsim.Kind{netsim.KindSummary, netsim.KindEvent, netsim.KindDeliver} {
-		if err := net.bus.Send(netsim.Message{From: 0, To: 1, Kind: k, Payload: garbage}); err != nil {
+		if err := net.bus.Send(netsim.Message{From: 0, To: 1, Kind: k, Body: garbage, Size: len(garbage)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,7 +41,7 @@ type TraceHop struct {
 	// Matched is the number of summary-filter hits at this hop (owner ids
 	// the merged summary admitted), recorded on delivery/forward decisions.
 	Matched int `json:"matched"`
-	// Bytes is the payload size of the message this decision emitted
+	// Bytes is the wire size of the message this decision emitted
 	// (forward/remote-delivery sends) or consumed (terminal decisions: 0).
 	Bytes int `json:"bytes"`
 }
@@ -59,8 +59,8 @@ type Trace struct {
 	// routing walk and appear in Hops instead).
 	Path []int      `json:"path"`
 	Hops []TraceHop `json:"hops"`
-	// CumBytes accumulates the payload bytes of every message that
-	// carried this event (routing messages and remote deliveries).
+	// CumBytes accumulates the wire size of every message that carried
+	// this event (routing messages and remote deliveries).
 	CumBytes int `json:"cum_bytes"`
 }
 
@@ -140,8 +140,8 @@ func (t *tracer) begin(id uint64, origin topology.NodeID, event string) {
 	t.order = append(t.order, id)
 }
 
-// visit records the routed event arriving at a broker carrying `bytes` of
-// payload.
+// visit records the routed event arriving at a broker in a message of
+// wire size `bytes`.
 func (t *tracer) visit(id uint64, broker topology.NodeID, bytes int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -151,7 +151,7 @@ func (t *tracer) visit(id uint64, broker topology.NodeID, bytes int) {
 	}
 }
 
-// addBytes accounts a remote-delivery payload against the trace.
+// addBytes accounts a remote delivery's wire size against the trace.
 func (t *tracer) addBytes(id uint64, bytes int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -197,6 +197,9 @@ func TestTraceStoreBounded(t *testing.T) {
 	}
 }
 
+// TestEventMsgHeaderRoundTrip: an event message's trace id survives its
+// wire form, which is as long as eventMsgSize counts; corrupt headers are
+// decode errors, not panics.
 func TestEventMsgHeaderRoundTrip(t *testing.T) {
 	s := stockSchema(t)
 	ev, err := schema.ParseEvent(s, "symbol=OTE price=8.40")
@@ -204,19 +207,22 @@ func TestEventMsgHeaderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, traceID := range []uint64{0, 1, 1 << 60} {
-		buf, err := encodeEventMsg(nil, ev, subid.NewMask(8), subid.NewMask(8), traceID)
+		m := newEventMsg(ev, 8, traceID)
+		buf, err := encodeEventMsg(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, gotID, err := decodeEventMsg(s, buf, nil, 8, nil, nil)
+		if size := eventMsgSize(m); size != len(buf) {
+			t.Fatalf("traceID %d: size %d, wire form %d bytes", traceID, size, len(buf))
+		}
+		got, err := decodeEventMsg(s, buf, 8)
 		if err != nil {
 			t.Fatalf("traceID %d: %v", traceID, err)
 		}
-		if gotID != traceID {
-			t.Fatalf("traceID = %d, want %d", gotID, traceID)
+		if got.traceID != traceID {
+			t.Fatalf("traceID = %d, want %d", got.traceID, traceID)
 		}
 	}
-	// Corrupt headers are decode errors, not panics.
 	if _, _, err := decodeMsgHeader(nil); err == nil {
 		t.Fatal("empty header accepted")
 	}

@@ -31,7 +31,7 @@ func TestMaskCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d words: encode: %v", words, err)
 		}
-		got, n, err := decodeMask(nil, buf, 64*words)
+		got, n, err := decodeMask(buf, 64*words)
 		if err != nil {
 			t.Fatalf("%d words: decode: %v", words, err)
 		}
@@ -61,10 +61,10 @@ func TestMaskCodecOverflowIsAnError(t *testing.T) {
 }
 
 func TestMaskCodecTruncationErrors(t *testing.T) {
-	if _, _, err := decodeMask(nil, nil, 128); err == nil {
+	if _, _, err := decodeMask(nil, 128); err == nil {
 		t.Fatal("nil buffer accepted")
 	}
-	if _, _, err := decodeMask(nil, []byte{1}, 128); err == nil {
+	if _, _, err := decodeMask([]byte{1}, 128); err == nil {
 		t.Fatal("1-byte buffer accepted")
 	}
 	// Header claims 2 words but only one follows.
@@ -72,7 +72,7 @@ func TestMaskCodecTruncationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := decodeMask(nil, buf[:len(buf)-1], 128); err == nil {
+	if _, _, err := decodeMask(buf[:len(buf)-1], 128); err == nil {
 		t.Fatal("truncated words accepted")
 	}
 }
@@ -90,62 +90,12 @@ func TestMaskCodecRefusesStrayBits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, _, err = decodeMask(nil, buf, brokers)
+				_, _, err = decodeMask(buf, brokers)
 				if stray := bit >= brokers; stray != (err != nil) {
 					t.Fatalf("%d brokers, %d words, bit %d: err = %v", brokers, words, bit, err)
 				}
 			}
 		}
-	}
-}
-
-// TestStrayBrocliBitIsCounted: an event whose BROCLI names brokers that do
-// not exist used to count as "every broker examined" and retire the walk as
-// suppressed — the matching subscription at broker 2 heard nothing and no
-// counter moved. It is a decode error where it arrives. Star(3), no
-// Propagate, so the walk from broker 1 has to reach broker 2 itself.
-func TestStrayBrocliBitIsCounted(t *testing.T) {
-	s := stockSchema(t)
-	ev := mustEvent(t, s, "price=150")
-	stray := subid.NewMask(128)
-	for _, bit := range []int{64, 65, 66} {
-		stray.Set(bit)
-	}
-	for _, tc := range []struct {
-		name              string
-		brocli, delivered subid.Mask
-		deliveries        int
-		routed, forwarded int64
-		decodeErrors      int64
-	}{
-		{"clean", subid.NewMask(3), subid.NewMask(3), 1, 3, 2, 0},
-		{"stray BROCLI bits", stray, subid.NewMask(3), 0, 0, 0, 1},
-		{"stray delivered bits", subid.NewMask(3), stray, 0, 0, 0, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			net := newNetwork(t, topology.Star(3), s)
-			var c collector
-			if _, err := net.Subscribe(starOther, mustSub(t, s, `price > 100`), c.deliver(s)); err != nil {
-				t.Fatal(err)
-			}
-			payload, err := encodeEventMsg(nil, ev, tc.brocli, tc.delivered, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := net.bus.Send(netsim.Message{From: starOwner, To: starOwner, Kind: netsim.KindEvent, Payload: payload}); err != nil {
-				t.Fatal(err)
-			}
-			net.Flush()
-			st := net.Stats()
-			routed := net.Metrics().Counter("events_routed").Value()
-			forwarded := net.Metrics().Counter("events_forwarded").Value()
-			if c.count() != tc.deliveries || routed != tc.routed || forwarded != tc.forwarded ||
-				st.DecodeErrors[netsim.KindEvent] != tc.decodeErrors || st.TotalErrors() != tc.decodeErrors {
-				t.Fatalf("deliveries = %d, routed %d, forwarded %d, decode errors %v, TotalErrors = %d; want %d, %d, %d, %d",
-					c.count(), routed, forwarded, st.DecodeErrors, st.TotalErrors(),
-					tc.deliveries, tc.routed, tc.forwarded, tc.decodeErrors)
-			}
-		})
 	}
 }
 
@@ -175,7 +125,7 @@ func TestStraySummaryBitIsCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := net.bus.Send(netsim.Message{From: starOther, To: starHub, Kind: netsim.KindSummary, Payload: payload}); err != nil {
+		if err := net.bus.Send(netsim.Message{From: starOther, To: starHub, Kind: netsim.KindSummary, Body: payload, Size: len(payload)}); err != nil {
 			t.Fatal(err)
 		}
 		net.Flush()
@@ -209,7 +159,7 @@ func TestRetiredModeByteIsCounted(t *testing.T) {
 		t.Fatalf("fixture: no lossy summary body in the payload")
 	}
 	payload[at+4] = 1
-	if err := net.bus.Send(netsim.Message{From: starOther, To: starHub, Kind: netsim.KindSummary, Payload: payload}); err != nil {
+	if err := net.bus.Send(netsim.Message{From: starOther, To: starHub, Kind: netsim.KindSummary, Body: payload, Size: len(payload)}); err != nil {
 		t.Fatal(err)
 	}
 	net.Flush()
@@ -271,22 +221,14 @@ func ownerIDKeys(owner subid.BrokerID, locals ...uint32) []uint64 {
 	return keys
 }
 
-// appendDeliverRecord appends one whole deliver record to buf, encoding
-// the event in place: the per-record encoder sendDelivers replaced with
-// its encode-once run scratch, kept as the oracle of those bytes.
-func appendDeliverRecord(buf []byte, traceID uint64, keys []uint64, ev *schema.Event) []byte {
-	return schema.EncodeEvent(appendDeliverHead(buf, traceID, keys), ev)
-}
-
 // TestDeliverPayloadsEncodeEachEventOnce drives seeded multi-event,
 // multi-owner runs through one reused runScratch, chaining each event's
 // owners in an order of their own: drainOwners must visit exactly the
-// run's owners, ascending, and every owner's payload must be
-// byte-identical to appendDeliverRecord's, record by record in event
-// order, with the records' events attached in that order — while each
-// sent event is encoded once per run however many owners it goes to. Some
-// runs name an owner beyond what the scratch has grown to, and every run
-// must start with every chain empty.
+// run's owners, ascending, and every owner's message must encode
+// byte-identical to appendDeliverRecord's records in event order, with the
+// run's own events, and be counted at that length. Some runs name an owner
+// beyond what the scratch has grown to, and every run must start with
+// every chain empty.
 func TestDeliverPayloadsEncodeEachEventOnce(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(14))
@@ -309,9 +251,9 @@ func TestDeliverPayloadsEncodeEachEventOnce(t *testing.T) {
 		}
 		sc.startRun()
 		res := make([][]uint64, k)
-		want := map[int][]byte{}    // per owner, the oracle payload
-		attached := map[int][]any{} // per owner, the events in record order
-		perEvent := map[int]int{}   // per sent event, its records
+		want := map[int][]byte{}            // per owner, the oracle bytes
+		events := map[int][]*schema.Event{} // per owner, the events in record order
+		perEvent := map[int]int{}           // per sent event, its records
 		for i := 0; i < k; i++ {
 			ev, err := schema.ParseEvent(s, fmt.Sprintf("symbol=%s price=%d volume=%d",
 				symbols[rng.Intn(len(symbols))], rng.Intn(1000), rng.Intn(1<<20)))
@@ -339,11 +281,11 @@ func TestDeliverPayloadsEncodeEachEventOnce(t *testing.T) {
 			}
 			for _, snd := range sends {
 				want[snd.owner] = appendDeliverRecord(want[snd.owner], traceID, res[i][snd.lo:snd.hi], ev)
-				attached[snd.owner] = append(attached[snd.owner], ev)
+				events[snd.owner] = append(events[snd.owner], ev)
 				perEvent[i]++
 			}
 			// The routing walk meets an event's owners in match order; chain
-			// them in any order, which must not change a payload.
+			// them in any order, which must not change a message.
 			rng.Shuffle(len(sends), func(a, b int) { sends[a], sends[b] = sends[b], sends[a] })
 			if !slices.IsSortedFunc(sends, func(a, b send) int { return a.owner - b.owner }) {
 				reordered++
@@ -358,15 +300,20 @@ func TestDeliverPayloadsEncodeEachEventOnce(t *testing.T) {
 		var visited []int
 		sc.drainOwners(func(owner int) {
 			visited = append(visited, owner)
-			var sb netsim.SharedBuf
-			if n := sc.appendChain(&sb, traceID, res, owner); n != len(attached[owner]) {
-				t.Fatalf("run %d, owner %d: %d records, want %d", run, owner, n, len(attached[owner]))
+			d := &deliverMsg{traceID: traceID}
+			sc.appendChain(d, res, owner)
+			got := make([]*schema.Event, len(d.recs))
+			for i, r := range d.recs {
+				got[i] = r.ev
 			}
-			if !bytes.Equal(sb.B, want[owner]) {
-				t.Fatalf("run %d, owner %d: payload %x, want %x", run, owner, sb.B, want[owner])
+			if !slices.Equal(got, events[owner]) {
+				t.Fatalf("run %d, owner %d: records of events %v, want %v", run, owner, got, events[owner])
 			}
-			if !slices.Equal(sb.Attached, attached[owner]) {
-				t.Fatalf("run %d, owner %d: attached %v, want %v", run, owner, sb.Attached, attached[owner])
+			if b := encodeDeliverMsg(nil, d); !bytes.Equal(b, want[owner]) {
+				t.Fatalf("run %d, owner %d: message %x, want %x", run, owner, b, want[owner])
+			}
+			if size := deliverMsgSize(d); size != len(want[owner]) {
+				t.Fatalf("run %d, owner %d: size %d, wire form %d bytes", run, owner, size, len(want[owner]))
 			}
 		})
 		var wantOwners []int
@@ -377,15 +324,10 @@ func TestDeliverPayloadsEncodeEachEventOnce(t *testing.T) {
 		if !slices.Equal(visited, wantOwners) {
 			t.Fatalf("run %d: drained owners %v, want %v", run, visited, wantOwners)
 		}
-		size := 0
-		for i, records := range perEvent {
-			size += schema.EncodedEventSize(sc.events[i])
+		for _, records := range perEvent {
 			if records > 1 {
 				multi++
 			}
-		}
-		if len(sc.enc) != size {
-			t.Fatalf("run %d: encoded %d bytes for %d sent events of %d bytes", run, len(sc.enc), len(perEvent), size)
 		}
 	}
 	if multi == 0 || reordered == 0 || grown == 0 {
@@ -422,14 +364,20 @@ func newDeliverFixture(t testing.TB) deliverFixture {
 	return f
 }
 
-// payload encodes the first k records, the first under traceID.
-func (f deliverFixture) payload(k int, traceID uint64) []byte {
-	var buf []byte
+// msg returns the message of the first k records under traceID.
+func (f deliverFixture) msg(k int, traceID uint64) *deliverMsg {
+	d := &deliverMsg{traceID: traceID}
 	for i := 0; i < k; i++ {
-		buf = appendDeliverRecord(buf, traceID, f.ids[i], f.evs[i])
-		traceID = 0
+		lo := len(d.keys)
+		d.keys = append(d.keys, f.ids[i]...)
+		d.recs = append(d.recs, deliverRecord{ev: f.evs[i], lo: lo, hi: len(d.keys)})
 	}
-	return buf
+	return d
+}
+
+// payload encodes the first k records under traceID.
+func (f deliverFixture) payload(k int, traceID uint64) []byte {
+	return encodeDeliverMsg(nil, f.msg(k, traceID))
 }
 
 // hostile returns deliver payloads a decoder must refuse, by name.
@@ -454,39 +402,37 @@ func (f deliverFixture) hostile() map[string][]byte {
 		"garbage after a record":     append(slices.Clone(valid), 0xFE),
 		"traced with a zero id":      append([]byte{msgFlagTrace, 0, 0, 0, 0, 0, 0, 0, 0}, valid[1:]...),
 		"second record is truncated": append(slices.Clone(valid), valid[:len(valid)-1]...),
+		"second record traced":       append(slices.Clone(valid), f.payload(1, 9)...),
 	}
 }
 
 // TestDeliverRecordRoundTrip: 1 and k records, traced and untraced, come
-// back as the same (trace id, ids, event) records, and re-encode to the
-// same bytes.
+// back as the same (trace id, ids, event) records, re-encode to the same
+// bytes, and are counted at their length.
 func TestDeliverRecordRoundTrip(t *testing.T) {
 	f := newDeliverFixture(t)
 	for _, traceID := range []uint64{0, 9, 1 << 60} {
 		for _, k := range []int{1, 3} {
 			buf := f.payload(k, traceID)
-			recs, keys, gotID, err := decodeDeliverMsg(f.s, buf, nil, f.owner, nil, nil)
+			if size := deliverMsgSize(f.msg(k, traceID)); size != len(buf) {
+				t.Fatalf("trace %d, %d records: size %d, wire form %d bytes", traceID, k, size, len(buf))
+			}
+			d, err := decodeDeliverMsg(f.s, buf, f.owner)
 			if err != nil {
 				t.Fatalf("trace %d, %d records: %v", traceID, k, err)
 			}
-			if gotID != traceID || len(recs) != k {
-				t.Fatalf("trace %d, %d records: decoded trace %d, %d records", traceID, k, gotID, len(recs))
+			if d.traceID != traceID || len(d.recs) != k {
+				t.Fatalf("trace %d, %d records: decoded trace %d, %d records", traceID, k, d.traceID, len(d.recs))
 			}
-			var again []byte
-			for i, r := range recs {
-				if !slices.Equal(keys[r.lo:r.hi], f.ids[i]) {
-					t.Fatalf("record %d ids = %v, want %v", i, keys[r.lo:r.hi], f.ids[i])
+			for i, r := range d.recs {
+				if !slices.Equal(d.keys[r.lo:r.hi], f.ids[i]) {
+					t.Fatalf("record %d ids = %v, want %v", i, d.keys[r.lo:r.hi], f.ids[i])
 				}
 				if got, want := r.ev.Format(f.s), f.evs[i].Format(f.s); got != want {
 					t.Fatalf("record %d event = %s, want %s", i, got, want)
 				}
-				id := uint64(0)
-				if i == 0 {
-					id = gotID
-				}
-				again = appendDeliverRecord(again, id, keys[r.lo:r.hi], r.ev)
 			}
-			if !bytes.Equal(again, buf) {
+			if again := encodeDeliverMsg(nil, d); !bytes.Equal(again, buf) {
 				t.Fatalf("trace %d, %d records: re-encoded %x, want %x", traceID, k, again, buf)
 			}
 		}
@@ -499,9 +445,11 @@ func TestDeliverRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHostileDeliverPayloads: every malformed deliver payload is one
-// KindDeliver decode error at the owner — never a panic, a delivery or a
-// false-positive charge — and does not poison the traffic behind it.
+// TestHostileDeliverPayloads: the codec refuses every malformed deliver
+// payload, and a deliver message whose body is not a delivery — those
+// bytes, nil — is one KindDeliver decode error at the owner: never a
+// panic, a delivery or a false-positive charge, and it does not poison the
+// traffic behind it.
 func TestHostileDeliverPayloads(t *testing.T) {
 	f := newDeliverFixture(t)
 	net := newNetwork(t, topology.Star(3), f.s)
@@ -515,28 +463,32 @@ func TestHostileDeliverPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	hostile := f.hostile()
+	bodies := []any{nil, (*deliverMsg)(nil), f.payload(1, 0)}
 	for name, payload := range hostile {
-		if _, _, _, err := decodeDeliverMsg(f.s, payload, nil, f.owner, nil, nil); err == nil {
+		if _, err := decodeDeliverMsg(f.s, payload, f.owner); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
-		if err := net.bus.Send(netsim.Message{From: 0, To: topology.NodeID(f.owner), Kind: netsim.KindDeliver, Payload: payload}); err != nil {
+		bodies = append(bodies, payload)
+	}
+	for _, body := range bodies {
+		if err := net.bus.Send(netsim.Message{From: 0, To: topology.NodeID(f.owner), Kind: netsim.KindDeliver, Body: body}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	net.Flush()
 	st := net.Stats()
-	if got := st.DecodeErrors[netsim.KindDeliver]; got != int64(len(hostile)) || st.TotalErrors() != got {
-		t.Fatalf("deliver decode errors = %d of %d total, want %d of %d", got, st.TotalErrors(), len(hostile), len(hostile))
+	if got := st.DecodeErrors[netsim.KindDeliver]; got != int64(len(bodies)) || st.TotalErrors() != got {
+		t.Fatalf("deliver decode errors = %d of %d total, want %d of %d", got, st.TotalErrors(), len(bodies), len(bodies))
 	}
 	if c.count() != 0 || net.attrib.Report(0).Total != 0 {
-		t.Fatalf("hostile payloads caused %d deliveries, %d charges", c.count(), net.attrib.Report(0).Total)
+		t.Fatalf("hostile bodies caused %d deliveries, %d charges", c.count(), net.attrib.Report(0).Total)
 	}
-	good := appendDeliverRecord(nil, 0, []uint64{id.Key()}, f.evs[0])
-	if err := net.bus.Send(netsim.Message{From: 0, To: topology.NodeID(f.owner), Kind: netsim.KindDeliver, Payload: good}); err != nil {
+	good := &deliverMsg{recs: []deliverRecord{{ev: f.evs[0], lo: 0, hi: 1}}, keys: []uint64{id.Key()}}
+	if err := net.bus.Send(netsim.Message{From: 0, To: topology.NodeID(f.owner), Kind: netsim.KindDeliver, Body: good, Size: deliverMsgSize(good)}); err != nil {
 		t.Fatal(err)
 	}
 	net.Flush()
 	if c.count() != 1 {
-		t.Fatalf("deliveries after the hostile payloads = %d, want 1", c.count())
+		t.Fatalf("deliveries after the hostile bodies = %d, want 1", c.count())
 	}
 }

@@ -34,11 +34,11 @@ func TestStartBatchDrainsInOrder(t *testing.T) {
 		}
 		batches = append(batches, len(ms))
 		for _, m := range ms {
-			seen = append(seen, m.Payload[0])
+			seen = append(seen, m.Body.([]byte)[0])
 		}
 	})
 	for i := 0; i < n; i++ {
-		if err := b.Send(Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte{byte(i)}}); err != nil {
+		if err := b.Send(Message{From: 0, To: 1, Kind: KindEvent, Body: []byte{byte(i)}, Size: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,10 +75,10 @@ func TestStartBatchDrainsInOrder(t *testing.T) {
 func TestMailboxKeepsOrderAcrossDrains(t *testing.T) {
 	m := new(mailbox)
 	next, want := 0, 0
-	var buf []queued
+	var buf []Message
 	for _, burst := range []int{1, 1, 3, maxBatch + 5, 1, 2 * maxBatch, 1} {
 		for i := 0; i < burst; i++ {
-			if ok, _ := m.push(queued{msg: Message{From: 0, To: 1, Payload: []byte{byte(next)}}}); !ok {
+			if ok, _ := m.push(Message{From: 0, To: 1, Body: []byte{byte(next)}, Size: 1}); !ok {
 				t.Fatal("push on an open mailbox failed")
 			}
 			next++
@@ -89,8 +89,8 @@ func TestMailboxKeepsOrderAcrossDrains(t *testing.T) {
 				t.Fatalf("drain = %d messages", len(buf))
 			}
 			for _, q := range buf {
-				if q.msg.Payload[0] != byte(want) {
-					t.Fatalf("popped message %d, want %d", q.msg.Payload[0], want)
+				if q.Body.([]byte)[0] != byte(want) {
+					t.Fatalf("popped message %d, want %d", q.Body.([]byte)[0], want)
 				}
 				want++
 			}
@@ -99,8 +99,8 @@ func TestMailboxKeepsOrderAcrossDrains(t *testing.T) {
 			t.Fatalf("after a drain: len %d cap %d, want an empty queue that kept its array", len(m.queue), cap(m.queue))
 		}
 		for i, q := range m.queue[:cap(m.queue)] {
-			if q.msg.Payload != nil {
-				t.Fatalf("drained slot %d still references a payload", i)
+			if q.Body != nil {
+				t.Fatalf("drained slot %d still references a body", i)
 			}
 		}
 	}
@@ -110,8 +110,8 @@ func TestMailboxKeepsOrderAcrossDrains(t *testing.T) {
 // one event in flight — push one, drain one — allocates nothing.
 func TestMailboxSteadyStateZeroAllocs(t *testing.T) {
 	m := new(mailbox)
-	q := queued{msg: Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte{1}}}
-	buf := make([]queued, 0, 1)
+	q := Message{From: 0, To: 1, Kind: KindEvent, Body: []byte{1}, Size: 1}
+	buf := make([]Message, 0, 1)
 	avg := testing.AllocsPerRun(1000, func() {
 		m.push(q)
 		buf = m.drain(buf[:0], maxBatch)
@@ -154,8 +154,8 @@ func TestHandOffZeroAllocs(t *testing.T) {
 // TestMailboxSteadyStateZeroAllocs holds at zero allocations.
 func BenchmarkMailboxSteadyState(b *testing.B) {
 	m := new(mailbox)
-	q := queued{msg: Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte{1}}}
-	buf := make([]queued, 0, 1)
+	q := Message{From: 0, To: 1, Kind: KindEvent, Body: []byte{1}, Size: 1}
+	buf := make([]Message, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

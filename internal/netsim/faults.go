@@ -41,7 +41,7 @@ type faultState struct {
 	loss   [KindControl + 1]lossRule
 	// held parks messages destined to paused brokers; map presence marks
 	// the broker paused even while no messages are parked.
-	held map[topology.NodeID][]queued
+	held map[topology.NodeID][]Message
 }
 
 // cut is one partition: traffic between side a and side b is dropped in
@@ -75,17 +75,6 @@ type Faults struct {
 // Faults returns the bus's fault-plane handle.
 func (b *Bus) Faults() Faults { return Faults{b: b} }
 
-// Partition severs traffic between setA and setB (symmetric, both
-// directions) until Heal. Partitions stack: each call adds one cut.
-// The sides must be non-empty, disjoint, and in range.
-func (b *Bus) Partition(setA, setB []topology.NodeID) error {
-	return b.Faults().Partition(setA, setB)
-}
-
-// Heal removes every partition installed with Partition. Loss rates,
-// paused brokers, and the custom drop hook are untouched.
-func (b *Bus) Heal() { b.Faults().Heal() }
-
 // refreshFaultGate recomputes the hot-path "any layer active" bit.
 func (b *Bus) refreshFaultGate() {
 	b.faultMu.Lock()
@@ -108,7 +97,7 @@ func (b *Bus) refreshFaultGate() {
 // skips normal delivery. Drop accounting runs inside the faultMu
 // critical section so a custom hook's own counters always agree with
 // Stats.Dropped; journaling runs outside it.
-func (b *Bus) applyFaults(m Message, sb *SharedBuf) bool {
+func (b *Bus) applyFaults(m Message) bool {
 	b.faultMu.Lock()
 	fs := &b.faults
 	drop := fs.custom != nil && fs.custom(m)
@@ -127,31 +116,29 @@ func (b *Bus) applyFaults(m Message, sb *SharedBuf) bool {
 	}
 	if drop {
 		b.dropped.add(m.Kind, 1)
-		b.droppedBytes.add(m.Kind, int64(len(m.Payload)))
+		b.droppedBytes.add(m.Kind, int64(m.Size))
 		b.faultMu.Unlock()
 		if rec := b.rec.Load(); rec != nil {
-			rec.Record(flight.EvDrop, int(m.To), int64(m.Kind), int64(len(m.Payload)), int64(m.From), m.Kind.String())
+			rec.Record(flight.EvDrop, int(m.To), int64(m.Kind), int64(m.Size), int64(m.From), m.Kind.String())
 		}
 		return true
 	}
 	if qs, paused := fs.held[m.To]; paused {
-		if sb != nil {
-			sb.refs.Add(1)
-		}
-		fs.held[m.To] = append(qs, queued{msg: m, sb: sb})
+		fs.held[m.To] = append(qs, m)
 		b.faultMu.Unlock()
 		// Parked messages count as sent — they are delayed, not lost — so
 		// byte accounting still reconciles against sender-side counters.
 		b.messages.add(m.Kind, 1)
-		b.bytes.add(m.Kind, int64(len(m.Payload)))
+		b.bytes.add(m.Kind, int64(m.Size))
 		return true
 	}
 	b.faultMu.Unlock()
 	return false
 }
 
-// Partition severs traffic between setA and setB until Heal. See
-// Bus.Partition.
+// Partition severs traffic between setA and setB (symmetric, both
+// directions) until Heal. Partitions stack: each call adds one cut. The
+// sides must be non-empty, disjoint, and in range.
 func (f Faults) Partition(setA, setB []topology.NodeID) error {
 	b := f.b
 	if len(setA) == 0 || len(setB) == 0 {
@@ -181,7 +168,8 @@ func (f Faults) Partition(setA, setB []topology.NodeID) error {
 	return nil
 }
 
-// Heal removes every partition. See Bus.Heal.
+// Heal removes every partition. Loss rates, paused brokers, and the
+// custom drop hook are untouched.
 func (f Faults) Heal() {
 	f.b.faultMu.Lock()
 	f.b.faults.cuts = nil
@@ -216,7 +204,7 @@ func (f Faults) Pause(id topology.NodeID) error {
 	}
 	b.faultMu.Lock()
 	if b.faults.held == nil {
-		b.faults.held = make(map[topology.NodeID][]queued)
+		b.faults.held = make(map[topology.NodeID][]Message)
 	}
 	if _, ok := b.faults.held[id]; !ok {
 		b.faults.held[id] = nil
@@ -243,9 +231,9 @@ func (f Faults) Resume(id topology.NodeID) error {
 	if !ok {
 		return nil
 	}
-	for _, q := range qs {
+	for _, m := range qs {
 		b.inflight.Add(1)
-		b.enqueue(id, q, nil) // never a hand-off: the caller is no worker
+		b.enqueue(m, nil) // never a hand-off: the caller is no worker
 	}
 	return nil
 }

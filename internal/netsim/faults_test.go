@@ -26,11 +26,11 @@ func faultBus(t *testing.T, n int) (*Bus, []*atomic.Int64) {
 // restores full connectivity.
 func TestPartitionSymmetricAndHeal(t *testing.T) {
 	b, got := faultBus(t, 4)
-	if err := b.Partition([]topology.NodeID{0, 1}, []topology.NodeID{2, 3}); err != nil {
+	if err := b.Faults().Partition([]topology.NodeID{0, 1}, []topology.NodeID{2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	send := func(from, to topology.NodeID) {
-		if err := b.Send(Message{From: from, To: to, Kind: KindEvent, Payload: []byte("x")}); err != nil {
+		if err := b.Send(Message{From: from, To: to, Kind: KindEvent, Body: []byte("x"), Size: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestPartitionSymmetricAndHeal(t *testing.T) {
 		t.Fatalf("delivered accounting = %+v", s)
 	}
 
-	b.Heal()
+	b.Faults().Heal()
 	send(0, 2)
 	send(3, 1)
 	b.Quiesce()
@@ -67,13 +67,13 @@ func TestPartitionSymmetricAndHeal(t *testing.T) {
 // are rejected before any state changes.
 func TestPartitionValidation(t *testing.T) {
 	b, _ := faultBus(t, 3)
-	if err := b.Partition(nil, []topology.NodeID{1}); err == nil {
+	if err := b.Faults().Partition(nil, []topology.NodeID{1}); err == nil {
 		t.Fatal("empty side accepted")
 	}
-	if err := b.Partition([]topology.NodeID{0, 1}, []topology.NodeID{1}); err == nil {
+	if err := b.Faults().Partition([]topology.NodeID{0, 1}, []topology.NodeID{1}); err == nil {
 		t.Fatal("overlapping sides accepted")
 	}
-	if err := b.Partition([]topology.NodeID{0}, []topology.NodeID{7}); err == nil {
+	if err := b.Faults().Partition([]topology.NodeID{0}, []topology.NodeID{7}); err == nil {
 		t.Fatal("out-of-range node accepted")
 	}
 	if b.hasFault.Load() {
@@ -84,10 +84,10 @@ func TestPartitionValidation(t *testing.T) {
 // TestPartitionsStack: two cuts compose; healing removes both at once.
 func TestPartitionsStack(t *testing.T) {
 	b, got := faultBus(t, 3)
-	if err := b.Partition([]topology.NodeID{0}, []topology.NodeID{1}); err != nil {
+	if err := b.Faults().Partition([]topology.NodeID{0}, []topology.NodeID{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Partition([]topology.NodeID{0}, []topology.NodeID{2}); err != nil {
+	if err := b.Faults().Partition([]topology.NodeID{0}, []topology.NodeID{2}); err != nil {
 		t.Fatal(err)
 	}
 	_ = b.Send(Message{From: 0, To: 1, Kind: KindEvent})
@@ -105,8 +105,8 @@ func TestPerKindLoss(t *testing.T) {
 	b, got := faultBus(t, 2)
 	b.Faults().SetLoss(KindSummary, 1.0, 42)
 	for i := 0; i < 5; i++ {
-		_ = b.Send(Message{From: 0, To: 1, Kind: KindSummary, Payload: []byte("s")})
-		_ = b.Send(Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte("e")})
+		_ = b.Send(Message{From: 0, To: 1, Kind: KindSummary, Body: []byte("s"), Size: 1})
+		_ = b.Send(Message{From: 0, To: 1, Kind: KindEvent, Body: []byte("e"), Size: 1})
 	}
 	b.Quiesce()
 	s := b.Stats()
@@ -120,7 +120,7 @@ func TestPerKindLoss(t *testing.T) {
 	if b.hasFault.Load() {
 		t.Fatal("clearing the only loss rule left the fault gate on")
 	}
-	_ = b.Send(Message{From: 0, To: 1, Kind: KindSummary, Payload: []byte("s")})
+	_ = b.Send(Message{From: 0, To: 1, Kind: KindSummary, Body: []byte("s"), Size: 1})
 	b.Quiesce()
 	if s := b.Stats(); s.Dropped[KindSummary] != 5 {
 		t.Fatalf("summary dropped after rule removed: %+v", s.Dropped)
@@ -157,14 +157,14 @@ func TestPauseResume(t *testing.T) {
 	done := make(chan struct{}, 16)
 	b.Start(0, func(Message) {})
 	b.Start(1, func(m Message) {
-		order = append(order, m.Payload[0])
+		order = append(order, m.Body.([]byte)[0])
 		done <- struct{}{}
 	})
 	if err := b.Faults().Pause(1); err != nil {
 		t.Fatal(err)
 	}
 	for i := byte(0); i < 3; i++ {
-		if err := b.Send(Message{From: 0, To: 1, Kind: KindDeliver, Payload: []byte{i}}); err != nil {
+		if err := b.Send(Message{From: 0, To: 1, Kind: KindDeliver, Body: []byte{i}, Size: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +208,7 @@ func TestLayersCompose(t *testing.T) {
 		}
 		return false
 	})
-	if err := b.Partition([]topology.NodeID{0}, []topology.NodeID{2}); err != nil {
+	if err := b.Faults().Partition([]topology.NodeID{0}, []topology.NodeID{2}); err != nil {
 		t.Fatal(err)
 	}
 	b.Faults().SetLoss(KindSummary, 1.0, 7)
@@ -238,7 +238,7 @@ func TestLayersCompose(t *testing.T) {
 	}
 
 	// Heal must not resurrect the (cleared) custom hook or clear loss.
-	b.Heal()
+	b.Faults().Heal()
 	_ = b.Send(Message{From: 0, To: 2, Kind: KindEvent})
 	b.Quiesce()
 	if got[2].Load() != 1 {
@@ -251,23 +251,26 @@ func TestLayersCompose(t *testing.T) {
 	}
 }
 
-// TestCloseReleasesParked: closing a bus with parked messages releases
-// their shared-buffer references (the over-release panic in Release
-// would fire otherwise) and does not deadlock.
+// TestCloseReleasesParked: closing a bus with parked messages discards
+// them without deadlock, and a Resume after Close delivers nothing.
 func TestCloseReleasesParked(t *testing.T) {
 	b := NewBus(1)
-	b.Start(0, func(Message) {})
+	var handled atomic.Int64
+	b.Start(0, func(Message) { handled.Add(1) })
 	if err := b.Faults().Pause(0); err != nil {
 		t.Fatal(err)
 	}
-	sb := AcquireBuf()
-	sb.B = append(sb.B, "payload"...)
-	if err := b.SendShared(Message{From: 0, To: 0, Kind: KindSummary}, sb); err != nil {
+	if err := b.Send(Message{From: 0, To: 0, Kind: KindSummary, Body: []byte("payload"), Size: 7}); err != nil {
 		t.Fatal(err)
 	}
-	sb.Release()
+	if _, parked := b.Faults().Paused(0); parked != 1 {
+		t.Fatalf("%d messages parked, want 1", parked)
+	}
 	b.Close()
-	if n := sb.refs.Load(); n != 0 {
-		t.Fatalf("parked buffer refs after close = %d, want 0", n)
+	if err := b.Faults().Resume(0); err != nil {
+		t.Fatal(err)
+	}
+	if handled.Load() != 0 || b.Inflight() != 0 {
+		t.Fatalf("after Close: %d handled, %d in flight; want neither", handled.Load(), b.Inflight())
 	}
 }

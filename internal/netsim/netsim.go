@@ -16,18 +16,15 @@
 // brokers block sending to each other's full inboxes; memory is bounded in
 // practice by quiescence between experiment phases.
 //
-// Loss is never silent: fault-injected drops, payloads the receiver could
-// not decode, and handler-side processing failures each have their own
+// Loss is never silent: fault-injected drops, messages the receiver could
+// not read, and handler-side processing failures each have their own
 // per-kind counter in Stats, so experiments can verify that observed
 // bandwidth/coverage figures account for every message sent.
 //
-// The bus is in-memory, so sender and receiver share an address space. A
-// sender that has just encoded immutable values into a shared buffer may
-// attach those values beside the bytes (SharedBuf.Attached); the receiver
-// then need not parse them out again. The bytes stay the message: they
-// are what is counted, dropped and parked. Attachments are opaque here —
-// the bus copies a slice header and clears it with the buffer, nothing
-// more — and a message without them is complete.
+// Every broker lives in this process, so a message carries a value (Body)
+// rather than bytes, together with the length its wire form would have
+// (Size), which the sender computes. The bus counts, drops and parks
+// messages by Size and never looks inside Body.
 package netsim
 
 import (
@@ -72,65 +69,20 @@ func (k Kind) String() string {
 type Message struct {
 	From, To topology.NodeID
 	Kind     Kind
-	Payload  []byte
-	// Attached is the sender's SharedBuf.Attached (nil for a plain Send):
-	// already-decoded values that Payload also encodes, in an order the
-	// two ends agree on. It lives exactly as long as Payload does. Every
-	// recipient of the buffer, and a fault hook looking at the message,
-	// sees the same values, so they are read-only; the slice itself must
-	// not be retained, a value taken from it may be.
-	Attached []any
+	// Body is the message's value, opaque to the bus: sender and receiver
+	// agree on its type per Kind.
+	Body any
+	// Size is the length of the message's wire form, as the sender
+	// computed it: what the bus accounts it by.
+	Size int
 }
 
-// Handler processes one message on a bus worker. Payload and
-// Attached are only valid for the duration of the call when the sender
-// used a shared buffer (SendShared): handlers must decode, not retain,
-// Payload.
+// Handler processes one message on a bus worker. The bus keeps no
+// reference to a message once its handler returns, nor to one it drops
+// or discards, so the handler may keep or recycle what Body points to. A
+// fault hook (SetDropFunc) sees the message before its recipient does: it
+// may read Body, never keep or change it.
 type Handler func(Message)
-
-// SharedBuf is a pooled, reference-counted payload buffer. One encode can
-// be multicast to many recipients: each successful SendShared takes a
-// reference, the bus releases it after the recipient's handler returns
-// (or on drop/close), and the final release returns the buffer to the
-// pool. The sender holds the initial reference from AcquireBuf and gives
-// it up with Release once all sends are issued.
-type SharedBuf struct {
-	// B is the payload. The owner may resize/overwrite it only between
-	// AcquireBuf and the first SendShared.
-	B []byte
-	// Attached optionally carries immutable values B encodes, for
-	// receivers in this process to use instead of parsing them back out
-	// (see Message.Attached). Append under the same rule as B. Its storage
-	// is recycled with the buffer, and the final Release clears it: a
-	// pooled buffer neither keeps an attached value alive nor shows it to
-	// its next owner.
-	Attached []any
-	refs     atomic.Int32
-}
-
-var sharedBufPool = sync.Pool{New: func() any { return new(SharedBuf) }}
-
-// AcquireBuf returns a pooled buffer with one reference (the caller's)
-// and zero length; capacity is recycled from earlier sends.
-func AcquireBuf() *SharedBuf {
-	sb := sharedBufPool.Get().(*SharedBuf)
-	sb.B = sb.B[:0]
-	sb.refs.Store(1)
-	return sb
-}
-
-// Release drops one reference; the last release clears the attachments
-// and recycles the buffer.
-func (sb *SharedBuf) Release() {
-	switch n := sb.refs.Add(-1); {
-	case n == 0:
-		clear(sb.Attached)
-		sb.Attached = sb.Attached[:0]
-		sharedBufPool.Put(sb)
-	case n < 0:
-		panic("netsim: SharedBuf over-released")
-	}
-}
 
 // Stats is a snapshot of bus accounting.
 type Stats struct {
@@ -139,12 +91,13 @@ type Stats struct {
 	// Dropped counts messages removed by the fault-injection hook (they
 	// never reach a mailbox and are excluded from Messages/Bytes).
 	Dropped map[Kind]int64
-	// DroppedBytes counts the payload bytes of dropped messages, so byte
-	// accounting reconciles end-to-end: what a sender put on the wire for a
-	// kind equals Bytes[kind] + DroppedBytes[kind].
+	// DroppedBytes sums the Size of dropped messages, so byte accounting
+	// reconciles end-to-end: what a sender put on the wire for a kind
+	// equals Bytes[kind] + DroppedBytes[kind].
 	DroppedBytes map[Kind]int64
-	// DecodeErrors counts delivered messages whose payload the receiving
-	// handler could not decode (corruption, truncation, version skew).
+	// DecodeErrors counts delivered messages the receiving handler could
+	// not read: bytes that do not decode (a summary carries its wire form)
+	// or a Body of a type the kind does not carry.
 	DecodeErrors map[Kind]int64
 	// HandlerErrors counts delivered, well-formed messages the receiving
 	// handler failed to process (e.g. a summary merge rejection).
@@ -162,7 +115,7 @@ func (s Stats) TotalMessages() int64 {
 	return n
 }
 
-// TotalBytes sums payload bytes over data kinds (control excluded).
+// TotalBytes sums message sizes over data kinds (control excluded).
 func (s Stats) TotalBytes() int64 {
 	var n int64
 	for k, v := range s.Bytes {
@@ -335,14 +288,9 @@ func (b *Bus) SetFlight(rec *flight.Recorder) {
 	b.rec.Store(rec)
 }
 
-// RecordDecodeError counts a delivered message whose payload the handler
-// could not decode. Called by the engine's handlers so that no message
-// vanishes without a counter.
-func (b *Bus) RecordDecodeError(k Kind) { b.RecordDecodeErrorAt(k, -1) }
-
-// RecordDecodeErrorAt is RecordDecodeError with the receiving broker
-// identified, so the flight-recorder entry names where decoding failed
-// (pass -1 when unknown).
+// RecordDecodeErrorAt counts a delivered message the handler at broker
+// at could not read, so that no message vanishes without a counter; the
+// flight-recorder entry names where it failed (pass -1 when unknown).
 func (b *Bus) RecordDecodeErrorAt(k Kind, at topology.NodeID) {
 	b.decodeErrs.add(k, 1)
 	if rec := b.rec.Load(); rec != nil {
@@ -379,56 +327,37 @@ func (b *Bus) doneInflight(n int64) {
 // the destination runnable and m.From names a broker whose handler a
 // worker is running, the destination runs next on that worker; otherwise
 // it joins the run queue. A caller outside every handler that names a
-// broker as m.From uses PostShared instead.
-func (b *Bus) Send(m Message) error { return b.send(m, nil, true) }
+// broker as m.From uses Post instead. When Send returns nil, the message
+// is the bus's and then its recipient's: the sender must not touch Body
+// again.
+func (b *Bus) Send(m Message) error { return b.send(m, true) }
 
-// SendShared enqueues m with its payload backed by the shared buffer sb
-// (m.Payload is set to sb.B, m.Attached to sb.Attached). On successful
-// enqueue the bus takes one reference, released after the recipient's
-// handler returns — so one encoded summary or event can fan out to any
-// number of recipients with zero payload copies, while per-recipient byte
-// accounting still counts the full payload length for every delivery.
-// Dropped and rejected messages take no reference. The caller still owns
-// its AcquireBuf reference and must Release it after the last send.
-func (b *Bus) SendShared(m Message, sb *SharedBuf) error {
-	m.Payload, m.Attached = sb.B, sb.Attached
-	return b.send(m, sb, true)
-}
-
-// PostShared is SendShared for a caller outside every handler: a
-// destination the send makes runnable always joins the run queue, even when
-// m.From names a broker whose handler a worker is running at that moment —
-// so an outside send never takes that worker's hand-off slot.
-func (b *Bus) PostShared(m Message, sb *SharedBuf) error {
-	m.Payload, m.Attached = sb.B, sb.Attached
-	return b.send(m, sb, false)
-}
+// Post is Send for a caller outside every handler: a destination the send
+// makes runnable always joins the run queue, even when m.From names a
+// broker whose handler a worker is running at that moment — so an outside
+// send never takes that worker's hand-off slot.
+func (b *Bus) Post(m Message) error { return b.send(m, false) }
 
 // send enqueues m; fromHandler lets a send naming a running broker as
 // m.From hand the destination to that broker's worker.
-func (b *Bus) send(m Message, sb *SharedBuf, fromHandler bool) error {
+func (b *Bus) send(m Message, fromHandler bool) error {
 	if int(m.To) < 0 || int(m.To) >= len(b.boxes) {
 		return fmt.Errorf("netsim: destination %d out of range", m.To)
 	}
 	if b.closed.Load() {
 		return fmt.Errorf("netsim: bus closed")
 	}
-	if b.hasFault.Load() {
-		if handled := b.applyFaults(m, sb); handled {
-			return nil
-		}
+	if b.hasFault.Load() && b.applyFaults(m) {
+		return nil
 	}
 	b.messages.add(m.Kind, 1)
-	b.bytes.add(m.Kind, int64(len(m.Payload)))
+	b.bytes.add(m.Kind, int64(m.Size))
 	b.inflight.Add(1)
-	if sb != nil {
-		sb.refs.Add(1)
-	}
 	var sender *worker
 	if fromHandler {
 		sender = b.runner(m.From)
 	}
-	if !b.enqueue(m.To, queued{msg: m, sb: sb}, sender) {
+	if !b.enqueue(m, sender) {
 		return fmt.Errorf("netsim: mailbox %d closed", m.To)
 	}
 	return nil
@@ -443,17 +372,15 @@ func (b *Bus) runner(id topology.NodeID) *worker {
 	return b.boxes[id].runner.Load()
 }
 
-// enqueue appends q, already counted in flight, to broker to's mailbox and
-// schedules the broker if that made it runnable: through the hand-off slot
-// of sender when it is a worker inside a handler, else through the run
-// queue. On a closed mailbox it releases q and returns false.
-func (b *Bus) enqueue(to topology.NodeID, q queued, sender *worker) bool {
-	box := b.boxes[to]
-	ok, runnable := box.push(q)
+// enqueue appends m, already counted in flight, to its recipient's
+// mailbox and schedules the recipient if that made it runnable: through
+// the hand-off slot of sender when it is a worker inside a handler, else
+// through the run queue. On a closed mailbox it retires m and returns
+// false.
+func (b *Bus) enqueue(m Message, sender *worker) bool {
+	box := b.boxes[m.To]
+	ok, runnable := box.push(m)
 	if !ok {
-		if q.sb != nil {
-			q.sb.Release()
-		}
 		b.doneInflight(1)
 		return false
 	}
@@ -475,7 +402,8 @@ func (b *Bus) Start(node topology.NodeID, h Handler) {
 }
 
 // BatchHandler processes a batch of messages on a bus worker, in arrival
-// order. Payload lifetime matches Handler's: decode, don't retain.
+// order. The messages are the handler's as Handler's are; the slice is
+// the worker's and must not be retained.
 type BatchHandler func([]Message)
 
 // StartBatch registers the handler for one broker with batched intake:
@@ -536,28 +464,15 @@ func (b *Bus) Close() {
 		return
 	}
 	b.faultMu.Lock()
-	parked := b.faults.held
 	b.faults.held = nil
 	b.faultMu.Unlock()
-	for _, qs := range parked {
-		for _, q := range qs {
-			if q.sb != nil {
-				q.sb.Release()
-			}
-		}
-	}
 	for _, box := range b.boxes {
 		box.mu.Lock()
-		discarded := box.queue[box.head:]
+		discarded := len(box.queue) - box.head
 		box.queue, box.head = nil, 0
 		box.closed = true
 		box.mu.Unlock()
-		for _, q := range discarded {
-			if q.sb != nil {
-				q.sb.Release()
-			}
-		}
-		b.doneInflight(int64(len(discarded)))
+		b.doneInflight(int64(discarded))
 	}
 	b.sched.close()
 }

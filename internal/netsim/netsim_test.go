@@ -15,7 +15,7 @@ func TestSendReceiveAndQuiesce(t *testing.T) {
 	b.Start(0, func(m Message) { got.Add(1) })
 	b.Start(1, func(m Message) { got.Add(1) })
 	for i := 0; i < 100; i++ {
-		if err := b.Send(Message{From: 0, To: topology.NodeID(i % 2), Kind: KindEvent, Payload: []byte("x")}); err != nil {
+		if err := b.Send(Message{From: 0, To: topology.NodeID(i % 2), Kind: KindEvent, Body: []byte("x"), Size: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,17 +41,17 @@ func TestQuiesceCountsCascades(t *testing.T) {
 	// Node 0 forwards a chain of decreasing counters to node 1 and back.
 	relay := func(m Message) {
 		handled.Add(1)
-		n := m.Payload[0]
+		n := m.Body.([]byte)[0]
 		if n == 0 {
 			return
 		}
-		if err := b.Send(Message{From: m.To, To: m.From, Kind: KindEvent, Payload: []byte{n - 1}}); err != nil {
+		if err := b.Send(Message{From: m.To, To: m.From, Kind: KindEvent, Body: []byte{n - 1}, Size: 1}); err != nil {
 			t.Error(err)
 		}
 	}
 	b.Start(0, relay)
 	b.Start(1, relay)
-	if err := b.Send(Message{From: 0, To: 1, Kind: KindEvent, Payload: []byte{50}}); err != nil {
+	if err := b.Send(Message{From: 0, To: 1, Kind: KindEvent, Body: []byte{50}, Size: 1}); err != nil {
 		t.Fatal(err)
 	}
 	b.Quiesce()
@@ -64,8 +64,8 @@ func TestControlExcludedFromTotals(t *testing.T) {
 	b := NewBus(1)
 	defer b.Close()
 	b.Start(0, func(Message) {})
-	_ = b.Send(Message{To: 0, Kind: KindControl, Payload: []byte("ctl")})
-	_ = b.Send(Message{To: 0, Kind: KindSummary, Payload: []byte("data!")})
+	_ = b.Send(Message{To: 0, Kind: KindControl, Body: []byte("ctl"), Size: 3})
+	_ = b.Send(Message{To: 0, Kind: KindSummary, Body: []byte("data!"), Size: 5})
 	b.Quiesce()
 	s := b.Stats()
 	if s.TotalMessages() != 1 || s.TotalBytes() != 5 {
@@ -155,8 +155,8 @@ func TestDropFuncFaultInjection(t *testing.T) {
 	var handled atomic.Int64
 	b.Start(0, func(Message) { handled.Add(1) })
 	b.SetDropFunc(func(m Message) bool { return m.Kind == KindSummary })
-	_ = b.Send(Message{To: 0, Kind: KindSummary, Payload: []byte("drop me")})
-	_ = b.Send(Message{To: 0, Kind: KindEvent, Payload: []byte("keep me")})
+	_ = b.Send(Message{To: 0, Kind: KindSummary, Body: []byte("drop me"), Size: 7})
+	_ = b.Send(Message{To: 0, Kind: KindEvent, Body: []byte("keep me"), Size: 7})
 	b.Quiesce()
 	if handled.Load() != 1 {
 		t.Fatalf("handled %d, want 1", handled.Load())
@@ -181,9 +181,9 @@ func TestErrorCountersAndTotals(t *testing.T) {
 	b := NewBus(1)
 	defer b.Close()
 	b.Start(0, func(Message) {})
-	b.RecordDecodeError(KindSummary)
-	b.RecordDecodeError(KindSummary)
-	b.RecordDecodeError(KindEvent)
+	b.RecordDecodeErrorAt(KindSummary, 0)
+	b.RecordDecodeErrorAt(KindSummary, 0)
+	b.RecordDecodeErrorAt(KindEvent, 0)
 	b.RecordHandlerError(KindSummary)
 	st := b.Stats()
 	if st.DecodeErrors[KindSummary] != 2 || st.DecodeErrors[KindEvent] != 1 {

@@ -22,9 +22,7 @@ import (
 // worker is idle wakes a worker.
 
 // maxBatch bounds how many pending messages one run drains. A bound keeps a
-// deep backlog from pinning its payload buffers (released only after the
-// whole run is handled) and from delaying the in-flight retirement Quiesce
-// waits on. 64 is the one value tried; it was not swept.
+// deep backlog from delaying the in-flight retirement Quiesce waits on. 64 is the one value tried; it was not swept.
 const maxBatch = 64
 
 // maxStreak is how many runs in a row a worker may give brokers it did not
@@ -35,20 +33,13 @@ const maxBatch = 64
 // tried.
 const maxStreak = 16
 
-// queued is one mailbox entry: the message plus its shared buffer, if
-// the sender used one (released after the handler runs).
-type queued struct {
-	msg Message
-	sb  *SharedBuf
-}
-
 // mailbox is one broker's unbounded FIFO and its scheduling state.
 type mailbox struct {
 	mu sync.Mutex
 	// queue[head:] is pending, oldest first. Drained slots are cleared, and
 	// an append to a full array first reclaims them if they are at least
 	// half of it, so a steady backlog reuses one array.
-	queue  []queued
+	queue  []Message
 	head   int
 	closed bool
 	h      BatchHandler // nil until StartBatch
@@ -61,10 +52,10 @@ type mailbox struct {
 	runner atomic.Pointer[worker]
 }
 
-// push appends q. ok is false on a closed mailbox; runnable reports that q
-// made an idle, started broker runnable, which the caller must then
+// push appends msg. ok is false on a closed mailbox; runnable reports that
+// msg made an idle, started broker runnable, which the caller must then
 // schedule.
-func (m *mailbox) push(q queued) (ok, runnable bool) {
+func (m *mailbox) push(msg Message) (ok, runnable bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -75,7 +66,7 @@ func (m *mailbox) push(q queued) (ok, runnable bool) {
 		clear(m.queue[n:])
 		m.queue, m.head = m.queue[:n], 0
 	}
-	m.queue = append(m.queue, q)
+	m.queue = append(m.queue, msg)
 	if m.h != nil && !m.scheduled {
 		m.scheduled = true
 		return true, true
@@ -85,13 +76,13 @@ func (m *mailbox) push(q queued) (ok, runnable bool) {
 
 // drain moves up to limit pending messages into buf, in arrival order,
 // without blocking.
-func (m *mailbox) drain(buf []queued, limit int) []queued {
+func (m *mailbox) drain(buf []Message, limit int) []Message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	pending := m.queue[m.head:]
 	n := min(limit, len(pending))
 	buf = append(buf, pending[:n]...)
-	clear(pending[:n]) // release payload references promptly
+	clear(pending[:n]) // keep no reference to a body the handler now owns
 	m.head += n
 	if m.head == len(m.queue) {
 		// Drained: keep the array, or every push after a drain — each hop
@@ -123,8 +114,7 @@ type worker struct {
 	slot atomic.Pointer[mailbox]
 	// streak counts runs since the worker last took from the run queue.
 	streak int
-	buf    []queued
-	msgs   []Message
+	buf    []Message
 }
 
 // slotShut marks a hand-off slot closed.
@@ -156,21 +146,11 @@ func (w *worker) run(mb *mailbox, limit int) (handed *mailbox, backlog bool) {
 	w.buf = mb.drain(w.buf[:0], limit)
 	n := len(w.buf)
 	if n > 0 {
-		for i := range w.buf {
-			w.msgs = append(w.msgs, w.buf[i].msg)
-		}
 		mb.runner.Store(w)
 		w.slot.Store(nil)
-		mb.h(w.msgs)
+		mb.h(w.buf)
 		handed = w.slot.Swap(slotShut)
 		mb.runner.Store(nil)
-		clear(w.msgs) // both copies of a message reference its payload
-		w.msgs = w.msgs[:0]
-		for i := range w.buf {
-			if w.buf[i].sb != nil {
-				w.buf[i].sb.Release()
-			}
-		}
 		clear(w.buf)
 	}
 	backlog = mb.settle()

@@ -41,7 +41,7 @@ func TestLinkFIFOAndExclusivity(t *testing.T) {
 	}
 	msg := func(from topology.NodeID, to int, source byte, seq uint32) Message {
 		return Message{From: from, To: topology.NodeID(to), Kind: KindEvent,
-			Payload: binary.LittleEndian.AppendUint32([]byte{source}, seq)}
+			Body: binary.LittleEndian.AppendUint32([]byte{source}, seq), Size: 5}
 	}
 	var seen [receivers][senders + outside]int64 // per receiver, the last number from each source
 	for r := range receivers {
@@ -49,7 +49,8 @@ func TestLinkFIFOAndExclusivity(t *testing.T) {
 			seen[r][s] = -1
 		}
 		b.Start(topology.NodeID(r), exclusive(topology.NodeID(r), func(m Message) {
-			source, seq := m.Payload[0], int64(binary.LittleEndian.Uint32(m.Payload[1:]))
+			body := m.Body.([]byte)
+			source, seq := body[0], int64(binary.LittleEndian.Uint32(body[1:]))
 			if seq <= seen[r][source] {
 				t.Errorf("receiver %d: source %d sent %d after %d", r, source, seq, seen[r][source])
 			}
@@ -97,7 +98,7 @@ func TestLinkFIFOAndExclusivity(t *testing.T) {
 
 // TestPostNeverTakesTheSendersSlot: with one worker, broker 0's handler
 // waits on the test, so the worker sits inside a handler with an open
-// hand-off slot. An outside PostShared naming broker 0 as the sender must
+// hand-off slot. An outside Post naming broker 0 as the sender must
 // leave that slot empty and send broker 1 through the run queue, where the
 // same worker takes it once broker 0's handler returns.
 func TestPostNeverTakesTheSendersSlot(t *testing.T) {
@@ -116,9 +117,7 @@ func TestPostNeverTakesTheSendersSlot(t *testing.T) {
 	}
 	<-entered
 	w := b.boxes[0].runner.Load()
-	sb := AcquireBuf()
-	err := b.PostShared(Message{From: 0, To: 1, Kind: KindSummary}, sb)
-	sb.Release()
+	err := b.Post(Message{From: 0, To: 1, Kind: KindSummary})
 	slot := w.slot.Load()
 	close(release)
 	if err != nil {
@@ -179,17 +178,17 @@ func steppedTrace(seed int64) (order [][2]byte, runs []int) {
 		b.StartBatch(i, func(ms []Message) {
 			runs = append(runs, len(ms))
 			for _, m := range ms {
-				order = append(order, [2]byte{byte(i), m.Payload[0]})
-				if hops := m.Payload[0]; hops > 0 {
+				order = append(order, [2]byte{byte(i), m.Body.([]byte)[0]})
+				if hops := m.Body.([]byte)[0]; hops > 0 {
 					for _, to := range []topology.NodeID{(i + 1) % n, (i + n - 1) % n} {
-						_ = b.Send(Message{From: i, To: to, Kind: KindEvent, Payload: []byte{hops - 1}})
+						_ = b.Send(Message{From: i, To: to, Kind: KindEvent, Body: []byte{hops - 1}, Size: 1})
 					}
 				}
 			}
 		})
 	}
 	for i := range topology.NodeID(n) {
-		_ = b.Send(Message{From: i, To: i, Kind: KindEvent, Payload: []byte{6}})
+		_ = b.Send(Message{From: i, To: i, Kind: KindEvent, Body: []byte{6}, Size: 1})
 	}
 	b.Quiesce()
 	return order, runs
