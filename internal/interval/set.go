@@ -2,10 +2,11 @@ package interval
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
+
+	"github.com/subsum/subsum/internal/idlist"
 )
 
 // Mode names how the AACS treats equality constraints whose value falls
@@ -42,33 +43,15 @@ type Set struct {
 	eq   map[float64][]uint64 // equality values no sub-range contains
 	ne   []neEntry            // sorted by value
 
-	// words is ⌈n/64⌉ on a CloneMapped copy over n ids, where an id list of
-	// exactly words entries is a bitset (see CloneMapped); 0 on a set built
-	// by mutation, whose lists are never empty.
+	// words is what the set's id lists are read with (see idlist):
+	// idlist.Words(n) on a CloneMapped copy over n ids, 0 on a set built
+	// by mutation.
 	words int
 
 	// slab backs the id lists the wire-merge paths (MergePoint,
-	// MergeNotEqual) retain, so a merge that adds many rows costs one
-	// allocation per chunk instead of one per row. Never shared between
-	// sets (Clone and NewSetFromRows build fresh sets).
-	slab []uint64
-}
-
-// slabCopy returns a copy of ids carved from the set's slab. The copy has
-// no spare capacity, so a later in-place growth reallocates rather than
-// bleeding into the next carve.
-func (s *Set) slabCopy(ids []uint64) []uint64 {
-	if len(s.slab) < len(ids) {
-		n := 1024
-		if len(ids) > n {
-			n = len(ids)
-		}
-		s.slab = make([]uint64, n)
-	}
-	out := s.slab[:len(ids):len(ids)]
-	s.slab = s.slab[len(ids):]
-	copy(out, ids)
-	return out
+	// MergeNotEqual) retain. Never shared between sets (Clone and
+	// NewSetFromRows build fresh sets).
+	slab idlist.Slab
 }
 
 // NewSet returns an empty AACS.
@@ -91,38 +74,6 @@ func (s *Set) Insert(iv Interval, id uint64) {
 		return
 	}
 	s.insertRange(iv, []uint64{id})
-}
-
-// InsertIDs is Insert for a batch of ids sharing one canonical interval
-// (used when merging or decoding summaries).
-func (s *Set) InsertIDs(iv Interval, ids []uint64) {
-	iv = iv.normalize()
-	if iv.Empty() || len(ids) == 0 {
-		return
-	}
-	if v, isPoint := iv.IsPoint(); isPoint {
-		for _, id := range ids {
-			s.insertPoint(v, id)
-		}
-		return
-	}
-	if !strictlyAscending(ids) {
-		sorted := append([]uint64(nil), ids...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		ids = dedupSorted(sorted)
-	}
-	s.insertRange(iv, ids)
-}
-
-// strictlyAscending reports whether ids is sorted ascending with no
-// duplicates — the invariant every stored id list maintains.
-func strictlyAscending(ids []uint64) bool {
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // MergeRow folds one serialized AACSSR row into the set exactly as Merge
@@ -150,14 +101,14 @@ func (s *Set) MergePoint(v float64, ids []uint64) {
 	}
 	if i, ok := s.findRow(v); ok {
 		// Paper behaviour: fold the ids into the covering sub-range.
-		s.rows[i].ids = mergeInto(s.rows[i].ids, ids)
+		s.rows[i].ids = idlist.UnionInto(s.rows[i].ids, ids)
 		return
 	}
 	if existing, ok := s.eq[v]; ok {
-		s.eq[v] = mergeInto(existing, ids)
+		s.eq[v] = idlist.UnionInto(existing, ids)
 		return
 	}
-	s.eq[v] = s.slabCopy(ids)
+	s.eq[v] = s.slab.Copy(ids)
 }
 
 // MergeNotEqual folds one serialized ≠ row into the set, equivalent to
@@ -169,71 +120,12 @@ func (s *Set) MergeNotEqual(v float64, ids []uint64) {
 	}
 	i := sort.Search(len(s.ne), func(i int) bool { return s.ne[i].value >= v })
 	if i < len(s.ne) && s.ne[i].value == v {
-		s.ne[i].ids = mergeInto(s.ne[i].ids, ids)
+		s.ne[i].ids = idlist.UnionInto(s.ne[i].ids, ids)
 		return
 	}
 	s.ne = append(s.ne, neEntry{})
 	copy(s.ne[i+1:], s.ne[i:])
-	s.ne[i] = neEntry{value: v, ids: s.slabCopy(ids)}
-}
-
-// mergeInto merges sorted id list src into sorted dst in place, returning
-// the union. It allocates only when dst lacks capacity for the ids src
-// adds; in the wire-merge steady state (src ⊆ dst) it is a read-only scan.
-func mergeInto(dst, src []uint64) []uint64 {
-	extra := 0
-	i, j := 0, 0
-	for i < len(dst) && j < len(src) {
-		switch {
-		case dst[i] < src[j]:
-			i++
-		case dst[i] > src[j]:
-			extra++
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	extra += len(src) - j
-	if extra == 0 {
-		return dst
-	}
-	n := len(dst)
-	if cap(dst) < n+extra {
-		grown := make([]uint64, n, n+extra)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:n+extra]
-	// Merge from the back so unshifted dst elements are read before they
-	// are overwritten.
-	for i, j, k := n-1, len(src)-1, n+extra-1; j >= 0; k-- {
-		switch {
-		case i >= 0 && dst[i] > src[j]:
-			dst[k] = dst[i]
-			i--
-		case i >= 0 && dst[i] == src[j]:
-			dst[k] = dst[i]
-			i--
-			j--
-		default:
-			dst[k] = src[j]
-			j--
-		}
-	}
-	return dst
-}
-
-// dedupSorted removes adjacent duplicates from a sorted id list in place.
-func dedupSorted(ids []uint64) []uint64 {
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	s.ne[i] = neEntry{value: v, ids: s.slab.Copy(ids)}
 }
 
 // InsertNotEqual records a ≠ constraint: id is satisfied by any value
@@ -241,7 +133,7 @@ func dedupSorted(ids []uint64) []uint64 {
 func (s *Set) InsertNotEqual(v float64, id uint64) {
 	i := sort.Search(len(s.ne), func(i int) bool { return s.ne[i].value >= v })
 	if i < len(s.ne) && s.ne[i].value == v {
-		s.ne[i].ids = addID(s.ne[i].ids, id)
+		s.ne[i].ids = idlist.Add(s.ne[i].ids, id)
 		return
 	}
 	s.ne = append(s.ne, neEntry{})
@@ -252,10 +144,10 @@ func (s *Set) InsertNotEqual(v float64, id uint64) {
 func (s *Set) insertPoint(v float64, id uint64) {
 	if i, ok := s.findRow(v); ok {
 		// Paper behaviour: fold the id into the covering sub-range.
-		s.rows[i].ids = addID(s.rows[i].ids, id)
+		s.rows[i].ids = idlist.Add(s.rows[i].ids, id)
 		return
 	}
-	s.eq[v] = addID(s.eq[v], id)
+	s.eq[v] = idlist.Add(s.eq[v], id)
 }
 
 // insertRange splices interval x carrying ids into the disjoint row list,
@@ -298,7 +190,7 @@ func (s *Set) insertRange(x Interval, ids []uint64) {
 			seg = append(seg, row{iv: left, ids: append([]uint64(nil), r.ids...)})
 		}
 		// Overlap gets both id sets.
-		seg = append(seg, row{iv: mid, ids: mergeIDs(r.ids, ids)})
+		seg = append(seg, row{iv: mid, ids: idlist.Union(r.ids, ids)})
 		// Part of the row above x keeps the row's ids.
 		right := Intersect(r.iv, Interval{Lo: x.Hi, LoOpen: !x.HiOpen, Hi: r.iv.Hi, HiOpen: r.iv.HiOpen})
 		if !right.Empty() {
@@ -341,7 +233,7 @@ func (s *Set) insertRange(x Interval, ids []uint64) {
 			continue
 		}
 		if i, ok := s.findRow(v); ok {
-			s.rows[i].ids = mergeIDs(s.rows[i].ids, eqIDs)
+			s.rows[i].ids = idlist.Union(s.rows[i].ids, eqIDs)
 			delete(s.eq, v)
 		}
 	}
@@ -418,32 +310,9 @@ func (s *Set) AppendLists(dst [][]uint64, v float64) [][]uint64 {
 func (s *Set) AppendMatches(dst []uint64, v float64) []uint64 {
 	var hdr [8][]uint64
 	for _, ids := range s.AppendLists(hdr[:0], v) {
-		dst = s.appendIDs(dst, ids)
+		dst = idlist.Append(dst, ids, s.words)
 	}
 	return dst
-}
-
-// appendIDs appends the ids one list of the set holds to dst: the list
-// itself, or the ids a bitset of a CloneMapped copy has set.
-func (s *Set) appendIDs(dst, ids []uint64) []uint64 {
-	if len(ids) != s.words {
-		return append(dst, ids...)
-	}
-	for w, word := range ids {
-		for ; word != 0; word &= word - 1 {
-			dst = append(dst, uint64(w<<6+bits.TrailingZeros64(word)))
-		}
-	}
-	return dst
-}
-
-// idList returns the ids of one list of the set as a list, expanding a
-// bitset into a new slice.
-func (s *Set) idList(ids []uint64) []uint64 {
-	if len(ids) != s.words {
-		return ids
-	}
-	return s.appendIDs(nil, ids)
 }
 
 // QueryInto is Query without the final allocation: it merges results into
@@ -454,7 +323,7 @@ func (s *Set) idList(ids []uint64) []uint64 {
 func (s *Set) QueryInto(v float64, dst map[uint64]struct{}) int {
 	added := 0
 	note := func(ids []uint64) {
-		for _, id := range s.idList(ids) {
+		for _, id := range idlist.List(ids, s.words) {
 			if _, ok := dst[id]; !ok {
 				dst[id] = struct{}{}
 				added++
@@ -474,52 +343,23 @@ func (s *Set) QueryInto(v float64, dst map[uint64]struct{}) int {
 	return added
 }
 
-// Remove deletes every occurrence of id (unsubscription maintenance).
-// Rows and entries left without ids are dropped.
-func (s *Set) Remove(id uint64) {
-	rows := s.rows[:0]
-	for _, r := range s.rows {
-		r.ids = removeID(r.ids, id)
-		if len(r.ids) > 0 {
-			rows = append(rows, r)
-		}
-	}
-	s.rows = rows
-	for v, ids := range s.eq {
-		ids = removeID(ids, id)
-		if len(ids) == 0 {
-			delete(s.eq, v)
-		} else {
-			s.eq[v] = ids
-		}
-	}
-	ne := s.ne[:0]
-	for _, e := range s.ne {
-		e.ids = removeID(e.ids, id)
-		if len(e.ids) > 0 {
-			ne = append(ne, e)
-		}
-	}
-	s.ne = ne
-}
-
-// RemoveAll deletes every id in dead from the set in one sweep — the
-// batched form of Remove, so purging n tombstones costs one pass over the
-// structure instead of n.
+// RemoveAll deletes every id in dead from the set in one sweep, so purging
+// n tombstones costs one pass over the structure instead of n. Rows and
+// entries left without ids are dropped.
 func (s *Set) RemoveAll(dead map[uint64]struct{}) {
 	if len(dead) == 0 {
 		return
 	}
 	rows := s.rows[:0]
 	for _, r := range s.rows {
-		r.ids = removeIDs(r.ids, dead)
+		r.ids = idlist.Without(r.ids, dead)
 		if len(r.ids) > 0 {
 			rows = append(rows, r)
 		}
 	}
 	s.rows = rows
 	for v, ids := range s.eq {
-		ids = removeIDs(ids, dead)
+		ids = idlist.Without(ids, dead)
 		if len(ids) == 0 {
 			delete(s.eq, v)
 		} else {
@@ -528,7 +368,7 @@ func (s *Set) RemoveAll(dead map[uint64]struct{}) {
 	}
 	ne := s.ne[:0]
 	for _, e := range s.ne {
-		e.ids = removeIDs(e.ids, dead)
+		e.ids = idlist.Without(e.ids, dead)
 		if len(e.ids) > 0 {
 			ne = append(ne, e)
 		}
@@ -554,7 +394,7 @@ func (s *Set) Compact() int {
 		// r with no value in between: same value with exactly one side
 		// closed.
 		touching := last.iv.Hi == r.iv.Lo && last.iv.HiOpen != r.iv.LoOpen
-		if touching && equalIDs(last.ids, r.ids) {
+		if touching && slices.Equal(last.ids, r.ids) {
 			last.iv.Hi, last.iv.HiOpen = r.iv.Hi, r.iv.HiOpen
 			merged++
 			continue
@@ -563,19 +403,6 @@ func (s *Set) Compact() int {
 	}
 	s.rows = out
 	return merged
-}
-
-// equalIDs compares two sorted id lists.
-func equalIDs(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Merge folds every row of o into s (multi-broker summary construction,
@@ -614,63 +441,29 @@ func (s *Set) Clone() *Set {
 }
 
 // CloneMapped returns a deep copy of the set with every id translated by
-// f; ids f rejects are dropped, and so are rows left without ids. f must
-// be one-to-one on the ids it keeps, and every id it returns must be below
-// n. The receiver is only read. The copy is meant to be read, not mutated:
-// its lists share one backing array.
-//
-// Each list of the copy takes the smaller of two forms. With W = ⌈n/64⌉,
-// a list of at least W ids is stored as the W-word bitset of them (id i is
-// bit i&63 of word i>>6): n/8 bytes instead of 8 per id. Every other list
-// keeps fewer than W ids, so a reader of AppendLists tells the forms apart
-// by length; AppendMatches, Query, QueryInto and the row accessors hand
-// out a bitset as its ids, ascending. The set never interprets the ids of
-// a list beyond their order: when f is strictly increasing the lists stay
-// sorted; otherwise order, if non-nil, is handed each list of two or more
-// ids as f left it, and the caller must sort them in place before it
-// reads the copy.
+// f over n ids, through an idlist.Mapper (whose Map gives what f and
+// order must do); ids f rejects are dropped, and so are rows left without
+// ids. The receiver is only read. The copy is meant to be read, not
+// mutated, and its lists take the forms idlist gives them: AppendLists
+// hands out a bitset as it is, while AppendMatches, Query, QueryInto and
+// the row accessors hand it out as its ids, ascending.
 func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uint64)) *Set {
-	words := (n + 63) / 64
-	out := &Set{eq: make(map[float64][]uint64, len(s.eq)), words: words}
-	// A bitset takes the place of at least as many ids as it has words, so
-	// the ids bound the slab.
-	slab := make([]uint64, 0, s.idEntries())
-	bitset := make([]uint64, words)
-	mapIDs := func(ids []uint64) []uint64 {
-		start := len(slab)
-		for _, id := range ids {
-			if m, ok := f(id); ok {
-				slab = append(slab, m)
-			}
-		}
-		if len(slab)-start < words {
-			ids = slab[start:len(slab):len(slab)]
-			if order != nil && len(ids) > 1 {
-				order(ids)
-			}
-			return ids
-		}
-		clear(bitset)
-		for _, m := range slab[start:] {
-			bitset[m>>6] |= 1 << (m & 63)
-		}
-		slab = slab[:start+copy(slab[start:], bitset)]
-		return slab[start:len(slab):len(slab)]
-	}
+	m := idlist.NewMapper(n, s.idEntries())
+	out := &Set{eq: make(map[float64][]uint64, len(s.eq)), words: idlist.Words(n)}
 	out.rows = make([]row, 0, len(s.rows))
 	for _, r := range s.rows {
-		if ids := mapIDs(r.ids); len(ids) > 0 {
+		if ids := m.Map(r.ids, f, order); len(ids) > 0 {
 			out.rows = append(out.rows, row{iv: r.iv, ids: ids})
 		}
 	}
 	for v, ids := range s.eq {
-		if ids = mapIDs(ids); len(ids) > 0 {
+		if ids = m.Map(ids, f, order); len(ids) > 0 {
 			out.eq[v] = ids
 		}
 	}
 	out.ne = make([]neEntry, 0, len(s.ne))
 	for _, e := range s.ne {
-		if ids := mapIDs(e.ids); len(ids) > 0 {
+		if ids := m.Map(e.ids, f, order); len(ids) > 0 {
 			out.ne = append(out.ne, neEntry{value: e.value, ids: ids})
 		}
 	}
@@ -798,7 +591,7 @@ type RowView struct {
 func (s *Set) Rows() []RowView {
 	out := make([]RowView, len(s.rows))
 	for i, r := range s.rows {
-		out[i] = RowView{Interval: r.iv, IDs: s.idList(r.ids)}
+		out[i] = RowView{Interval: r.iv, IDs: idlist.List(r.ids, s.words)}
 	}
 	return out
 }
@@ -813,7 +606,7 @@ type EqView struct {
 func (s *Set) EqRows() []EqView {
 	out := make([]EqView, 0, len(s.eq))
 	for v, ids := range s.eq {
-		out = append(out, EqView{Value: v, IDs: s.idList(ids)})
+		out = append(out, EqView{Value: v, IDs: idlist.List(ids, s.words)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out
@@ -823,7 +616,7 @@ func (s *Set) EqRows() []EqView {
 func (s *Set) NeRows() []EqView {
 	out := make([]EqView, 0, len(s.ne))
 	for _, e := range s.ne {
-		out = append(out, EqView{Value: e.value, IDs: s.idList(e.ids)})
+		out = append(out, EqView{Value: e.value, IDs: idlist.List(e.ids, s.words)})
 	}
 	return out
 }
@@ -833,7 +626,7 @@ func (s *Set) String() string {
 	var b strings.Builder
 	b.WriteString("ranges:")
 	for _, r := range s.rows {
-		fmt.Fprintf(&b, " %s→%v", r.iv, s.idList(r.ids))
+		fmt.Fprintf(&b, " %s→%v", r.iv, idlist.List(r.ids, s.words))
 	}
 	b.WriteString(" eq:")
 	for _, e := range s.EqRows() {
@@ -842,67 +635,8 @@ func (s *Set) String() string {
 	if len(s.ne) > 0 {
 		b.WriteString(" ne:")
 		for _, e := range s.ne {
-			fmt.Fprintf(&b, " %g→%v", e.value, s.idList(e.ids))
+			fmt.Fprintf(&b, " %g→%v", e.value, idlist.List(e.ids, s.words))
 		}
 	}
 	return b.String()
-}
-
-// addID inserts id into a sorted id list if absent.
-func addID(ids []uint64, id uint64) []uint64 {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return ids
-	}
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
-}
-
-// removeID deletes id from a sorted id list if present.
-func removeID(ids []uint64, id uint64) []uint64 {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return append(ids[:i], ids[i+1:]...)
-	}
-	return ids
-}
-
-// removeIDs deletes every id present in dead from a sorted id list, in
-// place, preserving order.
-func removeIDs(ids []uint64, dead map[uint64]struct{}) []uint64 {
-	out := ids[:0]
-	for _, v := range ids {
-		if _, ok := dead[v]; !ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// mergeIDs returns the sorted union of two sorted id lists.
-func mergeIDs(a, b []uint64) []uint64 {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"github.com/subsum/subsum/internal/idlist"
 )
 
 // checkInvariants asserts the AACSSR structural invariants: rows sorted,
@@ -230,13 +232,17 @@ func TestDuplicateInsertIsIdempotent(t *testing.T) {
 	}
 }
 
+// removeOne deletes id through RemoveAll, the one removal path a Summary
+// takes (its tombstone purge).
+func removeOne(s *Set, id uint64) { s.RemoveAll(map[uint64]struct{}{id: {}}) }
+
 func TestRemove(t *testing.T) {
 	s := NewSet(Lossy)
 	s.Insert(Range(1, 5, false, false), 1)
 	s.Insert(Range(3, 8, false, false), 2)
 	s.Insert(Point(10), 3)
 	s.InsertNotEqual(0, 4)
-	s.Remove(2)
+	removeOne(s, 2)
 	checkInvariants(t, s)
 	if got := s.Query(6); !reflect.DeepEqual(got, []uint64{4}) {
 		t.Fatalf("Query(6) after remove = %v", got)
@@ -244,15 +250,15 @@ func TestRemove(t *testing.T) {
 	if got := s.Query(4); !reflect.DeepEqual(got, []uint64{1, 4}) {
 		t.Fatalf("Query(4) after remove = %v", got)
 	}
-	s.Remove(3)
+	removeOne(s, 3)
 	if len(s.EqRows()) != 0 {
 		t.Fatal("eq row not removed")
 	}
-	s.Remove(4)
+	removeOne(s, 4)
 	if len(s.NeRows()) != 0 {
 		t.Fatal("ne row not removed")
 	}
-	s.Remove(999) // absent id: no-op
+	removeOne(s, 999) // absent id: no-op
 	checkInvariants(t, s)
 }
 
@@ -320,7 +326,7 @@ func TestClone(t *testing.T) {
 	s.InsertNotEqual(3, 4)
 	c := s.Clone()
 	c.Insert(Range(6, 9, false, false), 7)
-	c.Remove(1)
+	removeOne(c, 1)
 	// v=3 hits row [1,5] (id 1) but not the ≠3 entry (id 4).
 	if got := s.Query(3); !reflect.DeepEqual(got, []uint64{1}) {
 		t.Fatalf("clone mutated original: %v", got)
@@ -406,7 +412,7 @@ func TestRandomizedAgainstReference(t *testing.T) {
 						continue
 					}
 					i := rng.Intn(len(refs))
-					s.Remove(refs[i].id)
+					removeOne(s, refs[i].id)
 					refs = append(refs[:i], refs[i+1:]...)
 				}
 				if step%50 == 0 {
@@ -459,7 +465,7 @@ func TestCompactMergesTouchingRowsWithEqualIDs(t *testing.T) {
 	// Build fragmentation: two subs over [1,9], then remove the splitter.
 	s.Insert(Range(1, 9, false, false), 1)
 	s.Insert(Range(3, 5, false, false), 2)
-	s.Remove(2)
+	removeOne(s, 2)
 	if len(s.Rows()) != 3 {
 		t.Fatalf("rows before compact = %v", s.Rows())
 	}
@@ -517,7 +523,7 @@ func TestCompactBehaviourPreservedRandomized(t *testing.T) {
 		}
 		for _, id := range ids {
 			if rng.Intn(3) == 0 {
-				s.Remove(id)
+				removeOne(s, id)
 			}
 		}
 		before := map[float64][]uint64{}
@@ -570,7 +576,7 @@ func TestCloneMappedForms(t *testing.T) {
 		return out
 	}
 	c := s.CloneMapped(n, f, slices.Sort[[]uint64])
-	words := (n + 63) / 64
+	words := idlist.Words(n)
 	lists, bitsets := 0, 0
 	for v := -0.5; v <= 50; v += 0.5 {
 		for _, ids := range c.AppendLists(nil, v) {

@@ -2,13 +2,13 @@ package strmatch
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"github.com/subsum/subsum/internal/idlist"
 	"github.com/subsum/subsum/internal/schema"
 )
 
@@ -35,33 +35,14 @@ type Set struct {
 	// stay benign (both build identical values).
 	idx atomic.Pointer[opIndex]
 
-	// words is ⌈n/64⌉ on a CloneMapped copy over n ids, where an id list of
-	// exactly words entries is a bitset (see CloneMapped); 0 on a set built
-	// by mutation, whose lists are never empty.
+	// words is what the set's id lists are read with (see idlist):
+	// idlist.Words(n) on a CloneMapped copy over n ids, 0 on a set built
+	// by mutation.
 	words int
 
-	// slab backs the id lists MergeRowBytes retains, so a wire merge that
-	// adds many rows costs one allocation per chunk instead of one per
-	// row. Never shared between sets (Clone and NewSetFromRows build
-	// fresh sets).
-	slab []uint64
-}
-
-// slabCopy returns a copy of ids carved from the set's slab. The copy has
-// no spare capacity, so a later in-place growth reallocates rather than
-// bleeding into the next carve.
-func (s *Set) slabCopy(ids []uint64) []uint64 {
-	if len(s.slab) < len(ids) {
-		n := 1024
-		if len(ids) > n {
-			n = len(ids)
-		}
-		s.slab = make([]uint64, n)
-	}
-	out := s.slab[:len(ids):len(ids)]
-	s.slab = s.slab[len(ids):]
-	copy(out, ids)
-	return out
+	// slab backs the id lists MergeRowBytes retains. Never shared between
+	// sets (Clone and NewSetFromRows build fresh sets).
+	slab idlist.Slab
 }
 
 // internPool canonicalizes SACS row texts decoded from wire form. Every
@@ -124,17 +105,17 @@ func (s *Set) InsertMany(p Pattern, ids []uint64) {
 	switch p.Op {
 	case schema.OpNE:
 		for _, id := range ids {
-			s.ne[p.Text] = addID(s.ne[p.Text], id)
+			s.ne[p.Text] = idlist.Add(s.ne[p.Text], id)
 		}
 	case schema.OpEQ:
 		if existing, ok := s.eq[p.Text]; ok {
-			s.eq[p.Text] = mergeIDs(existing, ids)
+			s.eq[p.Text] = idlist.Union(existing, ids)
 			return
 		}
 		// Covered by an existing pattern row: join it (the paper's fold).
 		for i := range s.pats {
 			if s.pats[i].Pattern.Matches(p.Text) {
-				s.pats[i].IDs = mergeIDs(s.pats[i].IDs, ids)
+				s.pats[i].IDs = idlist.Union(s.pats[i].IDs, ids)
 				return
 			}
 		}
@@ -143,7 +124,7 @@ func (s *Set) InsertMany(p Pattern, ids []uint64) {
 		// Covered by an existing pattern row: join it.
 		for i := range s.pats {
 			if Covers(s.pats[i].Pattern, p) {
-				s.pats[i].IDs = mergeIDs(s.pats[i].IDs, ids)
+				s.pats[i].IDs = idlist.Union(s.pats[i].IDs, ids)
 				return
 			}
 		}
@@ -153,7 +134,7 @@ func (s *Set) InsertMany(p Pattern, ids []uint64) {
 		kept := s.pats[:0]
 		for _, r := range s.pats {
 			if Covers(p, r.Pattern) {
-				newRow.IDs = mergeIDs(newRow.IDs, r.IDs)
+				newRow.IDs = idlist.Union(newRow.IDs, r.IDs)
 			} else {
 				kept = append(kept, r)
 			}
@@ -163,7 +144,7 @@ func (s *Set) InsertMany(p Pattern, ids []uint64) {
 		for text, eqIDs := range s.eq {
 			if p.Matches(text) {
 				newRow := &s.pats[len(s.pats)-1]
-				newRow.IDs = mergeIDs(newRow.IDs, eqIDs)
+				newRow.IDs = idlist.Union(newRow.IDs, eqIDs)
 				delete(s.eq, text)
 			}
 		}
@@ -183,15 +164,15 @@ func (s *Set) MergeRowBytes(op schema.Op, text []byte, ids []uint64) {
 	switch op {
 	case schema.OpNE:
 		if existing, ok := s.ne[string(text)]; ok {
-			if merged := mergeInto(existing, ids); len(merged) != len(existing) {
+			if merged := idlist.UnionInto(existing, ids); len(merged) != len(existing) {
 				s.ne[string(text)] = merged
 			}
 			return
 		}
-		s.ne[internText(text)] = s.slabCopy(ids)
+		s.ne[internText(text)] = s.slab.Copy(ids)
 	case schema.OpEQ:
 		if existing, ok := s.eq[string(text)]; ok {
-			if merged := mergeInto(existing, ids); len(merged) != len(existing) {
+			if merged := idlist.UnionInto(existing, ids); len(merged) != len(existing) {
 				s.eq[string(text)] = merged
 			}
 			return
@@ -201,11 +182,11 @@ func (s *Set) MergeRowBytes(op schema.Op, text []byte, ids []uint64) {
 		t := internText(text)
 		for i := range s.pats {
 			if s.pats[i].Pattern.Matches(t) {
-				s.pats[i].IDs = mergeInto(s.pats[i].IDs, ids)
+				s.pats[i].IDs = idlist.UnionInto(s.pats[i].IDs, ids)
 				return
 			}
 		}
-		s.eq[t] = s.slabCopy(ids)
+		s.eq[t] = s.slab.Copy(ids)
 	default:
 		// An exact-match row, when present, is the unique covering row:
 		// pattern rows are pairwise non-covering (Insert folds covered
@@ -213,60 +194,12 @@ func (s *Set) MergeRowBytes(op schema.Op, text []byte, ids []uint64) {
 		// covering this pattern would also cover the identical row.
 		for i := range s.pats {
 			if r := &s.pats[i]; r.Pattern.Op == op && r.Pattern.Text == string(text) {
-				r.IDs = mergeInto(r.IDs, ids)
+				r.IDs = idlist.UnionInto(r.IDs, ids)
 				return
 			}
 		}
 		s.InsertMany(Pattern{Op: op, Text: internText(text)}, ids)
 	}
-}
-
-// mergeInto merges sorted id list src into sorted dst in place, returning
-// the union. It allocates only when dst lacks capacity for the ids src
-// adds; in the wire-merge steady state (src ⊆ dst) it is a read-only scan.
-func mergeInto(dst, src []uint64) []uint64 {
-	extra := 0
-	i, j := 0, 0
-	for i < len(dst) && j < len(src) {
-		switch {
-		case dst[i] < src[j]:
-			i++
-		case dst[i] > src[j]:
-			extra++
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	extra += len(src) - j
-	if extra == 0 {
-		return dst
-	}
-	n := len(dst)
-	if cap(dst) < n+extra {
-		grown := make([]uint64, n, n+extra)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:n+extra]
-	// Merge from the back so unshifted dst elements are read before they
-	// are overwritten.
-	for i, j, k := n-1, len(src)-1, n+extra-1; j >= 0; k-- {
-		switch {
-		case i >= 0 && dst[i] > src[j]:
-			dst[k] = dst[i]
-			i--
-		case i >= 0 && dst[i] == src[j]:
-			dst[k] = dst[i]
-			i--
-			j--
-		default:
-			dst[k] = src[j]
-			j--
-		}
-	}
-	return dst
 }
 
 // NewSetFromRows reconstructs a set exactly from serialized rows (the
@@ -396,32 +329,9 @@ func (s *Set) AppendLists(dst [][]uint64, v string) [][]uint64 {
 func (s *Set) AppendMatches(dst []uint64, v string) []uint64 {
 	var hdr [8][]uint64
 	for _, ids := range s.AppendLists(hdr[:0], v) {
-		dst = s.appendIDs(dst, ids)
+		dst = idlist.Append(dst, ids, s.words)
 	}
 	return dst
-}
-
-// appendIDs appends the ids one list of the set holds to dst: the list
-// itself, or the ids a bitset of a CloneMapped copy has set.
-func (s *Set) appendIDs(dst, ids []uint64) []uint64 {
-	if len(ids) != s.words {
-		return append(dst, ids...)
-	}
-	for w, word := range ids {
-		for ; word != 0; word &= word - 1 {
-			dst = append(dst, uint64(w<<6+bits.TrailingZeros64(word)))
-		}
-	}
-	return dst
-}
-
-// idList returns the ids of one list of the set as a list, expanding a
-// bitset into a new slice.
-func (s *Set) idList(ids []uint64) []uint64 {
-	if len(ids) != s.words {
-		return ids
-	}
-	return s.appendIDs(nil, ids)
 }
 
 // MatchInto merges matching ids into dst and returns how many distinct ids
@@ -432,7 +342,7 @@ func (s *Set) idList(ids []uint64) []uint64 {
 func (s *Set) MatchInto(v string, dst map[uint64]struct{}) int {
 	added := 0
 	note := func(ids []uint64) {
-		for _, id := range s.idList(ids) {
+		for _, id := range idlist.List(ids, s.words) {
 			if _, ok := dst[id]; !ok {
 				dst[id] = struct{}{}
 				added++
@@ -453,46 +363,11 @@ func (s *Set) MatchInto(v string, dst map[uint64]struct{}) int {
 	return added
 }
 
-// Remove deletes every occurrence of id; rows and entries left empty are
-// dropped. Generalized patterns persist for the remaining ids (the summary
-// does not track which id contributed which original constraint — it is
-// summary-centric by design).
-func (s *Set) Remove(id uint64) {
-	pats := s.pats[:0]
-	dropped := false
-	for _, r := range s.pats {
-		r.IDs = removeID(r.IDs, id)
-		if len(r.IDs) > 0 {
-			pats = append(pats, r)
-		} else {
-			dropped = true
-		}
-	}
-	s.pats = pats
-	if dropped {
-		s.idx.Store(nil) // row positions shifted
-	}
-	for text, ids := range s.eq {
-		ids = removeID(ids, id)
-		if len(ids) == 0 {
-			delete(s.eq, text)
-		} else {
-			s.eq[text] = ids
-		}
-	}
-	for text, ids := range s.ne {
-		ids = removeID(ids, id)
-		if len(ids) == 0 {
-			delete(s.ne, text)
-		} else {
-			s.ne[text] = ids
-		}
-	}
-}
-
-// RemoveAll deletes every id in dead from the set in one sweep — the
-// batched form of Remove, so purging n tombstones costs one pass over the
-// structure instead of n.
+// RemoveAll deletes every id in dead from the set in one sweep, so purging
+// n tombstones costs one pass over the structure instead of n. Rows and
+// entries left empty are dropped. Generalized patterns persist for the
+// remaining ids (the summary does not track which id contributed which
+// original constraint — it is summary-centric by design).
 func (s *Set) RemoveAll(dead map[uint64]struct{}) {
 	if len(dead) == 0 {
 		return
@@ -500,7 +375,7 @@ func (s *Set) RemoveAll(dead map[uint64]struct{}) {
 	pats := s.pats[:0]
 	dropped := false
 	for _, r := range s.pats {
-		r.IDs = removeIDs(r.IDs, dead)
+		r.IDs = idlist.Without(r.IDs, dead)
 		if len(r.IDs) > 0 {
 			pats = append(pats, r)
 		} else {
@@ -512,7 +387,7 @@ func (s *Set) RemoveAll(dead map[uint64]struct{}) {
 		s.idx.Store(nil) // row positions shifted
 	}
 	for text, ids := range s.eq {
-		ids = removeIDs(ids, dead)
+		ids = idlist.Without(ids, dead)
 		if len(ids) == 0 {
 			delete(s.eq, text)
 		} else {
@@ -520,7 +395,7 @@ func (s *Set) RemoveAll(dead map[uint64]struct{}) {
 		}
 	}
 	for text, ids := range s.ne {
-		ids = removeIDs(ids, dead)
+		ids = idlist.Without(ids, dead)
 		if len(ids) == 0 {
 			delete(s.ne, text)
 		} else {
@@ -560,66 +435,32 @@ func (s *Set) Clone() *Set {
 }
 
 // CloneMapped returns a deep copy of the set with every id translated by
-// f; ids f rejects are dropped, and so are rows left without ids. f must
-// be one-to-one on the ids it keeps, and every id it returns must be below
-// n. The receiver is only read. The copy is meant to be read, not mutated:
-// its lists share one backing array.
-//
-// Each list of the copy takes the smaller of two forms. With W = ⌈n/64⌉,
-// a list of at least W ids is stored as the W-word bitset of them (id i is
-// bit i&63 of word i>>6): n/8 bytes instead of 8 per id. Every other list
-// keeps fewer than W ids, so a reader of AppendLists tells the forms apart
-// by length; AppendMatches, Match, MatchInto and the row accessors hand
-// out a bitset as its ids, ascending. The set never interprets the ids of
-// a list beyond their order: when f is strictly increasing the lists stay
-// sorted; otherwise order, if non-nil, is handed each list of two or more
-// ids as f left it, and the caller must sort them in place before it
-// reads the copy.
+// f over n ids, through an idlist.Mapper (whose Map gives what f and
+// order must do); ids f rejects are dropped, and so are rows left without
+// ids. The receiver is only read. The copy is meant to be read, not
+// mutated, and its lists take the forms idlist gives them: AppendLists
+// hands out a bitset as it is, while AppendMatches, Match, MatchInto and
+// the row accessors hand it out as its ids, ascending.
 func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uint64)) *Set {
-	words := (n + 63) / 64
+	m := idlist.NewMapper(n, s.Stats().IDEntries)
 	out := &Set{
 		pats:  make([]Row, 0, len(s.pats)),
 		eq:    make(map[string][]uint64, len(s.eq)),
 		ne:    make(map[string][]uint64, len(s.ne)),
-		words: words,
-	}
-	// A bitset takes the place of at least as many ids as it has words, so
-	// the ids bound the slab.
-	slab := make([]uint64, 0, s.Stats().IDEntries)
-	bitset := make([]uint64, words)
-	mapIDs := func(ids []uint64) []uint64 {
-		start := len(slab)
-		for _, id := range ids {
-			if m, ok := f(id); ok {
-				slab = append(slab, m)
-			}
-		}
-		if len(slab)-start < words {
-			ids = slab[start:len(slab):len(slab)]
-			if order != nil && len(ids) > 1 {
-				order(ids)
-			}
-			return ids
-		}
-		clear(bitset)
-		for _, m := range slab[start:] {
-			bitset[m>>6] |= 1 << (m & 63)
-		}
-		slab = slab[:start+copy(slab[start:], bitset)]
-		return slab[start:len(slab):len(slab)]
+		words: idlist.Words(n),
 	}
 	for _, r := range s.pats {
-		if ids := mapIDs(r.IDs); len(ids) > 0 {
+		if ids := m.Map(r.IDs, f, order); len(ids) > 0 {
 			out.pats = append(out.pats, Row{Pattern: r.Pattern, IDs: ids})
 		}
 	}
 	for text, ids := range s.ne {
-		if ids = mapIDs(ids); len(ids) > 0 {
+		if ids = m.Map(ids, f, order); len(ids) > 0 {
 			out.ne[text] = ids
 		}
 	}
 	for text, ids := range s.eq {
-		if ids = mapIDs(ids); len(ids) > 0 {
+		if ids = m.Map(ids, f, order); len(ids) > 0 {
 			out.eq[text] = ids
 		}
 	}
@@ -632,7 +473,7 @@ func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uin
 func (s *Set) Rows() []Row {
 	out := make([]Row, 0, len(s.pats)+len(s.eq))
 	for _, r := range s.pats {
-		out = append(out, Row{Pattern: r.Pattern, IDs: s.idList(r.IDs)})
+		out = append(out, Row{Pattern: r.Pattern, IDs: idlist.List(r.IDs, s.words)})
 	}
 	texts := make([]string, 0, len(s.eq))
 	for text := range s.eq {
@@ -640,7 +481,7 @@ func (s *Set) Rows() []Row {
 	}
 	sort.Strings(texts)
 	for _, text := range texts {
-		out = append(out, Row{Pattern: Pattern{Op: schema.OpEQ, Text: text}, IDs: s.idList(s.eq[text])})
+		out = append(out, Row{Pattern: Pattern{Op: schema.OpEQ, Text: text}, IDs: idlist.List(s.eq[text], s.words)})
 	}
 	return out
 }
@@ -654,7 +495,7 @@ func (s *Set) NeRows() []Row {
 	}
 	sort.Strings(texts)
 	for _, text := range texts {
-		out = append(out, Row{Pattern: Pattern{Op: schema.OpNE, Text: text}, IDs: s.idList(s.ne[text])})
+		out = append(out, Row{Pattern: Pattern{Op: schema.OpNE, Text: text}, IDs: idlist.List(s.ne[text], s.words)})
 	}
 	return out
 }
@@ -723,63 +564,4 @@ func (s *Set) String() string {
 		fmt.Fprintf(&b, " %s→%v", r.Pattern, r.IDs)
 	}
 	return b.String()
-}
-
-// addID inserts id into a sorted id list if absent.
-func addID(ids []uint64, id uint64) []uint64 {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return ids
-	}
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
-}
-
-// removeID deletes id from a sorted id list if present.
-func removeID(ids []uint64, id uint64) []uint64 {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return append(ids[:i], ids[i+1:]...)
-	}
-	return ids
-}
-
-// removeIDs deletes every id present in dead from a sorted id list, in
-// place, preserving order.
-func removeIDs(ids []uint64, dead map[uint64]struct{}) []uint64 {
-	out := ids[:0]
-	for _, v := range ids {
-		if _, ok := dead[v]; !ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// mergeIDs returns the sorted union of two sorted id lists.
-func mergeIDs(a, b []uint64) []uint64 {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

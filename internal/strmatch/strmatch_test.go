@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/subsum/subsum/internal/idlist"
 	"github.com/subsum/subsum/internal/schema"
 )
 
@@ -241,24 +242,28 @@ func TestNotEqualEntries(t *testing.T) {
 	}
 }
 
+// removeOne deletes id through RemoveAll, the one removal path a Summary
+// takes (its tombstone purge).
+func removeOne(s *Set, id uint64) { s.RemoveAll(map[uint64]struct{}{id: {}}) }
+
 func TestRemove(t *testing.T) {
 	s := NewSet()
 	s.Insert(pat(schema.OpPrefix, "OT"), 2)
 	s.Insert(pat(schema.OpEQ, "OTE"), 1)
 	s.Insert(pat(schema.OpNE, "X"), 3)
-	s.Remove(1)
+	removeOne(s, 1)
 	if got := s.Match("OTE"); !reflect.DeepEqual(got, []uint64{2, 3}) {
 		t.Fatalf("Match after remove = %v", got)
 	}
-	s.Remove(2)
+	removeOne(s, 2)
 	if len(s.Rows()) != 0 {
 		t.Fatalf("rows not dropped: %v", s.Rows())
 	}
-	s.Remove(3)
+	removeOne(s, 3)
 	if len(s.NeRows()) != 0 {
 		t.Fatal("ne entry not dropped")
 	}
-	s.Remove(99) // absent: no-op
+	removeOne(s, 99) // absent: no-op
 }
 
 func TestMergeSets(t *testing.T) {
@@ -293,7 +298,7 @@ func TestMatchIntoAndClone(t *testing.T) {
 		t.Fatalf("second MatchInto added %d", added)
 	}
 	c := s.Clone()
-	c.Remove(1)
+	removeOne(c, 1)
 	if got := s.Match("OTE"); !reflect.DeepEqual(got, []uint64{1, 2}) {
 		t.Fatalf("clone mutated original: %v", got)
 	}
@@ -388,7 +393,7 @@ func TestCloneMappedForms(t *testing.T) {
 		return out
 	}
 	c := s.CloneMapped(n, f, slices.Sort[[]uint64])
-	nw := (n + 63) / 64
+	nw := idlist.Words(n)
 	lists, bitsets := 0, 0
 	for _, v := range append(words, "unnamed", "micro", "OT") {
 		for _, ids := range c.AppendLists(nil, v) {

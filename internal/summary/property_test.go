@@ -45,46 +45,79 @@ func TestMergeCommutative(t *testing.T) {
 	}
 }
 
-// TestMergeAssociativeBehaviour: (A⊕B)⊕C ≡ A⊕(B⊕C) behaviourally — on this
-// seed. It is not a law of lossy summaries: an equality value is folded
-// into whichever sub-range covers it when it arrives, so which other values
-// over-report it depends on the order the ranges came in (about a third of
-// seeds differ on some event, with this generator and with the one before
-// it; never in an exactly matching id, only in false positives).
+// TestMergeAssociativeBehaviour: (A⊕B)⊕C and A⊕(B⊕C) agree up to false
+// positives. They need not report the same ids: an equality value is
+// folded into whichever sub-range covers it when it arrives, so which
+// other values over-report it depends on the order the ranges came in
+// (a quarter of these seeds differ on some event). What holds on every seed
+// is the law the owner's exact re-match relies on: both orders report
+// every id whose subscription matches the event, so an id that only one
+// of them reports is a false positive.
 func TestMergeAssociativeBehaviour(t *testing.T) {
 	s := stockSchema(t)
-	rng := rand.New(rand.NewSource(19))
-	build := func(broker subid.BrokerID) *Summary {
-		sm := New(s, interval.Lossy)
-		for i := 0; i < 25; i++ {
-			if err := sm.Insert(subid.ID{Broker: broker, Local: subid.LocalID(i)}, randomSubscription(rng, s)); err != nil {
-				t.Fatal(err)
+	differ := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		subs := make(map[uint64]*schema.Subscription)
+		build := func(broker subid.BrokerID) *Summary {
+			sm := New(s, interval.Lossy)
+			for i := 0; i < 25; i++ {
+				id, sub := subid.ID{Broker: broker, Local: subid.LocalID(i)}, randomSubscription(rng, s)
+				if err := sm.Insert(id, sub); err != nil {
+					t.Fatal(err)
+				}
+				subs[id.Key()] = sub
+			}
+			return sm
+		}
+		a, b, c := build(1), build(2), build(3)
+		left := a.Clone()
+		if err := left.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := left.Merge(c); err != nil {
+			t.Fatal(err)
+		}
+		bc := b.Clone()
+		if err := bc.Merge(c); err != nil {
+			t.Fatal(err)
+		}
+		right := a.Clone()
+		if err := right.Merge(bc); err != nil {
+			t.Fatal(err)
+		}
+		seedDiffers := false
+		for probe := 0; probe < 100; probe++ {
+			ev := randomEvent(rng, s)
+			reported := [2]map[uint64]bool{{}, {}}
+			for side, sm := range []*Summary{left, right} {
+				for _, k := range sm.MatchKeys(ev) {
+					reported[side][k] = true
+				}
+			}
+			for k, sub := range subs {
+				if sub.Matches(ev) && !(reported[0][k] && reported[1][k]) {
+					t.Fatalf("seed %d: id %d matches %s, reported by (A⊕B)⊕C %v, A⊕(B⊕C) %v",
+						seed, k, ev.Format(s), reported[0][k], reported[1][k])
+				}
+			}
+			for side := range reported {
+				for k := range reported[side] {
+					if reported[1-side][k] {
+						continue
+					}
+					seedDiffers = true
+					if sub := subs[k]; sub == nil || sub.Matches(ev) {
+						t.Fatalf("seed %d: id %d, reported by one order only on %s, is not a false positive", seed, k, ev.Format(s))
+					}
+				}
 			}
 		}
-		return sm
-	}
-	a, b, c := build(1), build(2), build(3)
-	left := a.Clone()
-	if err := left.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := left.Merge(c); err != nil {
-		t.Fatal(err)
-	}
-	bc := b.Clone()
-	if err := bc.Merge(c); err != nil {
-		t.Fatal(err)
-	}
-	right := a.Clone()
-	if err := right.Merge(bc); err != nil {
-		t.Fatal(err)
-	}
-	for probe := 0; probe < 500; probe++ {
-		ev := randomEvent(rng, s)
-		if !reflect.DeepEqual(left.MatchKeys(ev), right.MatchKeys(ev)) {
-			t.Fatalf("merge not associative on %s", ev.Format(s))
+		if seedDiffers {
+			differ++
 		}
 	}
+	t.Logf("the two orders differ, in false positives only, on %d of 200 seeds", differ)
 }
 
 // TestRemoveRestoresAbsence: inserting then removing a subscription leaves

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"github.com/subsum/subsum/internal/idlist"
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/strmatch"
@@ -31,9 +32,9 @@ import (
 //     corrupt peer payload can carry them): neither can be part of a
 //     match, and neither is counted in MatchCost.
 //   - a row of at least words ids is a bitset of words words (see
-//     interval.Set.CloneMapped); every other row is a list of fewer ids,
-//     each below len(keys) and strictly ascending by index, so the part of
-//     it inside a run is found by binary search.
+//     idlist); every other row is a list of fewer ids, each below
+//     len(keys) and strictly ascending by index, so the part of it inside
+//     a run is found by binary search.
 //   - union is the OR of every group's mask: an event carrying all of its
 //     attributes can be matched with no run consulted at all.
 //   - nothing is written afterwards: any number of Matchers read one View
@@ -121,7 +122,7 @@ func (sm *Summary) Compile() *View {
 		keys:    make([]uint64, n),
 		groupOf: make([]int32, n),
 		groups:  make([]group, len(masks)),
-		words:   (n + 63) / 64,
+		words:   idlist.Words(n),
 	}
 	next := make([]uint64, len(masks)) // per bucket, its next dense index
 	lo := uint64(0)
