@@ -197,10 +197,10 @@ func runOverlay(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, error) {
 	}
 	row.BytesPerPeriod = prop.WireBytes
 	row.PeriodHops = prop.Hops
+	var enc []byte
 	for _, sm := range prop.Merged {
-		if sz := sm.EncodedSize(); sz > row.PeakMergedBytes {
-			row.PeakMergedBytes = sz
-		}
+		enc = sm.Encode(enc[:0])
+		row.PeakMergedBytes = max(row.PeakMergedBytes, len(enc))
 	}
 	r, err := routing.NewRouter(fx.g, prop)
 	if err != nil {

@@ -464,37 +464,13 @@ func (b *Broker) FinishFullSync() {
 	b.syncing = nil
 }
 
-// MergeSummary folds a received multi-broker summary and its
-// Merged_Brokers set into the broker's merged state.
-func (b *Broker) MergeSummary(sum *summary.Summary, brokers subid.Mask) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.merged.Merge(sum); err != nil {
-		return err
-	}
-	// The merge already dropped the retracted rows; the long-lived merged
-	// summary must not accumulate the retraction sets themselves, or its
-	// memory would grow with total churn instead of live subscriptions.
-	b.merged.ClearRetractions()
-	for _, i := range brokers.Bits() {
-		b.mergedBrokers.Set(i)
-	}
-	b.invalidateMatch()
-	if b.obs != nil {
-		b.obs.summaryMerges.Inc()
-		b.updateSubGauges()
-	}
-	return nil
-}
-
-// MergeEncodedSummary folds a wire-form summary payload directly into the
-// broker's merged state, without materializing an intermediate decoded
-// Summary. On a malformed payload the merged summary may retain a partial
-// merge; that is indistinguishable from the message having been lost in
-// transit — partially inserted ids can never reach their c3 attribute
-// count, so they never match, and the Merged_Brokers bits are applied
-// only after a fully successful merge. Coverage loss, never correctness
-// loss.
+// MergeEncodedSummary folds a received multi-broker summary payload (wire
+// form) and its Merged_Brokers set into the broker's merged state. On a
+// malformed payload the merged summary may retain a partial merge; that
+// is indistinguishable from the message having been lost in transit —
+// partially inserted ids can never reach their c3 attribute count, so
+// they never match, and the Merged_Brokers bits are applied only after a
+// fully successful merge. Coverage loss, never correctness loss.
 func (b *Broker) MergeEncodedSummary(payload []byte, brokers subid.Mask) error {
 	return b.MergeEncodedSummaryEpoch(payload, brokers, EpochInfo{})
 }
@@ -512,7 +488,9 @@ func (b *Broker) MergeEncodedSummaryEpoch(payload []byte, brokers subid.Mask, in
 		b.rec.Record(flight.EvMergeError, int(b.id), int64(len(payload)), 0, 0, err.Error())
 		return err
 	}
-	// See MergeSummary: apply retractions, never retain them.
+	// The merge already dropped the retracted rows; the long-lived merged
+	// summary must not accumulate the retraction sets themselves, or its
+	// memory would grow with total churn instead of live subscriptions.
 	b.merged.ClearRetractions()
 	for _, i := range brokers.Bits() {
 		b.mergedBrokers.Set(i)

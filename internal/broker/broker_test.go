@@ -169,7 +169,7 @@ func TestMergeSummaryAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum, set := b.SnapshotMerged()
-	if err := a.MergeSummary(sum, set); err != nil {
+	if err := a.MergeEncodedSummary(sum.Encode(nil), set); err != nil {
 		t.Fatal(err)
 	}
 	ev, _ := schema.ParseEvent(s, `price=20`)

@@ -120,7 +120,7 @@ func TestDeliverExactPrunedMatchesScan(t *testing.T) {
 }
 
 // TestMatchSnapshotFreshness proves every mutator retires the published
-// snapshot: matches immediately reflect Subscribe, MergeSummary, and
+// snapshot: matches immediately reflect Subscribe, MergeEncodedSummary, and
 // Unsubscribe with no flush or propagation step in between.
 func TestMatchSnapshotFreshness(t *testing.T) {
 	s := testSchema(t)
@@ -146,7 +146,7 @@ func TestMatchSnapshotFreshness(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum, set := remote.SnapshotMerged()
-	if err := a.MergeSummary(sum, set); err != nil {
+	if err := a.MergeEncodedSummary(sum.Encode(nil), set); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(a.MatchMerged(ev)); got != 2 {
@@ -273,7 +273,7 @@ func TestConcurrentMatchAndMutate(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if err := b.MergeSummary(sum, set); err != nil {
+			if err := b.MergeEncodedSummary(sum.Encode(nil), set); err != nil {
 				t.Errorf("merge: %v", err)
 				return
 			}

@@ -62,9 +62,10 @@ func TestTakePeriodSummaryFullSync(t *testing.T) {
 	}
 }
 
-// TestMergeEncodedSummaryMatchesMergeSummary: the wire-form merge is the
-// same state transition as decode-plus-MergeSummary.
-func TestMergeEncodedSummaryMatchesMergeSummary(t *testing.T) {
+// TestMergeEncodedSummaryMergedBrokers: a merged payload's rows are
+// matched at once and its Merged_Brokers set joins the broker's; a
+// malformed payload extends nothing.
+func TestMergeEncodedSummaryMergedBrokers(t *testing.T) {
 	s := testSchema(t)
 	sub, _ := schema.ParseSubscription(s, `price > 10 && symbol = OTE`)
 	remote := summary.New(s, interval.Lossy)
@@ -78,25 +79,16 @@ func TestMergeEncodedSummaryMatchesMergeSummary(t *testing.T) {
 	set := subid.NewMask(3)
 	set.Set(1)
 
-	viaDecode := newBroker(t, 0, 3)
-	decoded, err := summary.Decode(s, wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := viaDecode.MergeSummary(decoded, set); err != nil {
-		t.Fatal(err)
-	}
 	direct := newBroker(t, 0, 3)
 	if err := direct.MergeEncodedSummary(wire, set); err != nil {
 		t.Fatal(err)
 	}
-	a, aSet := viaDecode.SnapshotMerged()
-	b, bSet := direct.SnapshotMerged()
-	if string(a.Encode(nil)) != string(b.Encode(nil)) {
-		t.Fatal("merged state differs between MergeSummary and MergeEncodedSummary")
+	ev, _ := schema.ParseEvent(s, `price=20 symbol=OTE`)
+	if got := direct.MatchMerged(ev); len(got) != 1 || got[0].Key() != rid.Key() {
+		t.Fatalf("matched %v, want the merged id %v", got, rid)
 	}
-	if len(aSet.Bits()) != len(bSet.Bits()) || aSet.Bits()[1] != bSet.Bits()[1] {
-		t.Fatalf("Merged_Brokers differ: %v vs %v", aSet.Bits(), bSet.Bits())
+	if _, got := direct.SnapshotMerged(); !got.Has(0) || !got.Has(1) || got.Has(2) {
+		t.Fatalf("Merged_Brokers = %v, want {0,1}", got.Bits())
 	}
 	// A malformed payload must not extend Merged_Brokers.
 	bad := newBroker(t, 0, 3)

@@ -36,7 +36,7 @@ func BenchmarkSnapshotRebuild(b *testing.B) {
 			for i := 0; i < brokers; i++ {
 				mask.Set(i)
 			}
-			if err := hub.MergeSummary(sum, mask); err != nil {
+			if err := hub.MergeEncodedSummary(sum.Encode(nil), mask); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

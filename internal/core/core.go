@@ -33,7 +33,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -907,8 +906,8 @@ var eventMsgPool = sync.Pool{New: func() any { return new(eventMsg) }}
 func newEventMsg(ev *schema.Event, n int, traceID uint64) *eventMsg {
 	m := eventMsgPool.Get().(*eventMsg)
 	m.ev, m.traceID = ev, traceID
-	m.brocli = emptyMask(m.brocli, n)
-	m.delivered = emptyMask(m.delivered, n)
+	m.brocli = m.brocli.Reset(n)
+	m.delivered = m.delivered.Reset(n)
 	return m
 }
 
@@ -916,14 +915,6 @@ func newEventMsg(ev *schema.Event, n int, traceID uint64) *eventMsg {
 func (m *eventMsg) recycle() {
 	m.ev = nil
 	eventMsgPool.Put(m)
-}
-
-// emptyMask returns a zero mask of n bits in dst's storage.
-func emptyMask(dst subid.Mask, n int) subid.Mask {
-	words := (n + 63) / 64
-	dst = slices.Grow(dst[:0], words)[:words]
-	clear(dst)
-	return dst
 }
 
 // eventMsgSize is the length of m's wire form.

@@ -245,7 +245,7 @@ func TestOwnerBeyondTheOverlay(t *testing.T) {
 	if err := stray.Insert(subid.ID{Broker: 1 << 20}, mustSub(t, s, `price > 100`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Broker(starOwner).MergeSummary(stray, nil); err != nil {
+	if err := net.Broker(starOwner).MergeEncodedSummary(stray.Encode(nil), nil); err != nil {
 		t.Fatal(err)
 	}
 	// No period has run, so the walk leaves the owner for the hub and the

@@ -49,8 +49,8 @@ type Set struct {
 	words int
 
 	// slab backs the id lists the wire-merge paths (MergePoint,
-	// MergeNotEqual) retain. Never shared between sets (Clone and
-	// NewSetFromRows build fresh sets).
+	// MergeNotEqual) retain. Never shared between sets (Clone builds a
+	// fresh set).
 	slab idlist.Slab
 }
 
@@ -76,12 +76,12 @@ func (s *Set) Insert(iv Interval, id uint64) {
 	s.insertRange(iv, []uint64{id})
 }
 
-// MergeRow folds one serialized AACSSR row into the set exactly as Merge
-// folds a row of another set: always through the range-splicing path, even
-// when the interval is a single point (point rows must stay rows, not
-// migrate to the equality map, so that a wire-form merge reproduces Merge
-// byte for byte). ids must be sorted ascending without duplicates; the
-// slice is not retained.
+// MergeRow folds one serialized AACSSR row into the set (multi-broker
+// summary construction, Section 4.1: "values for the same numeric
+// attributes are simply merged"): always through the range-splicing path,
+// even when the interval is a single point, so a point row stays a row and
+// a set merged into an empty one re-encodes to the same rows. ids must be
+// sorted ascending without duplicates; the slice is not retained.
 func (s *Set) MergeRow(iv Interval, ids []uint64) {
 	iv = iv.normalize()
 	if iv.Empty() || len(ids) == 0 {
@@ -90,11 +90,10 @@ func (s *Set) MergeRow(iv Interval, ids []uint64) {
 	s.insertRange(iv, ids)
 }
 
-// MergePoint folds one serialized AACSE row into the set exactly as Merge
-// folds an equality entry of another set (the resulting id lists are the
-// same sorted unions insertPoint would build one id at a time, without the
-// per-id churn). ids must be sorted ascending without duplicates; the
-// slice is not retained.
+// MergePoint folds one serialized AACSE row into the set: the same sorted
+// unions insertPoint would build one id at a time, without the per-id
+// churn. ids must be sorted ascending without duplicates; the slice is not
+// retained.
 func (s *Set) MergePoint(v float64, ids []uint64) {
 	if len(ids) == 0 {
 		return
@@ -155,7 +154,7 @@ func (s *Set) insertPoint(v float64, id uint64) {
 // window of rows interacting with x is rewritten: the rows are disjoint
 // and sorted, so both window bounds are binary searches and an insert that
 // overlaps k rows costs O(log n + k) splice work instead of rebuilding and
-// re-sorting the whole slice (Merge pays this per merged row).
+// re-sorting the whole slice (MergeRow pays this per merged row).
 func (s *Set) insertRange(x Interval, ids []uint64) {
 	// First row not entirely below x.
 	start := sort.Search(len(s.rows), func(i int) bool {
@@ -237,15 +236,6 @@ func (s *Set) insertRange(x Interval, ids []uint64) {
 			delete(s.eq, v)
 		}
 	}
-}
-
-// lowerLess orders intervals by lower bound; a closed bound precedes an
-// open bound at the same value.
-func lowerLess(a, b Interval) bool {
-	if a.Lo != b.Lo {
-		return a.Lo < b.Lo
-	}
-	return !a.LoOpen && b.LoOpen
 }
 
 // findRow returns the index of the row containing v. Rows are disjoint, so
@@ -405,24 +395,6 @@ func (s *Set) Compact() int {
 	return merged
 }
 
-// Merge folds every row of o into s (multi-broker summary construction,
-// Section 4.1: "values for the same numeric attributes are simply merged").
-func (s *Set) Merge(o *Set) {
-	for _, r := range o.rows {
-		s.insertRange(r.iv, r.ids)
-	}
-	for v, ids := range o.eq {
-		for _, id := range ids {
-			s.insertPoint(v, id)
-		}
-	}
-	for _, e := range o.ne {
-		for _, id := range e.ids {
-			s.InsertNotEqual(e.value, id)
-		}
-	}
-}
-
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
 	out := NewSet(Lossy)
@@ -530,53 +502,6 @@ func (s *Set) idEntries() int {
 		entries += len(e.ids)
 	}
 	return entries
-}
-
-// NewSetFromRows reconstructs a set exactly from serialized views (the
-// inverse of Rows/EqRows/NeRows): rows must be sorted by lower bound,
-// pairwise disjoint, non-empty, and carry sorted non-empty id lists. This
-// bypasses Insert's splicing so a decoded set is structurally identical to
-// the encoded one (point rows stay rows; they do not migrate to AACSE).
-func NewSetFromRows(rows []RowView, eq, ne []EqView) (*Set, error) {
-	s := NewSet(Lossy)
-	for i, r := range rows {
-		if r.Interval.Empty() {
-			return nil, fmt.Errorf("interval: row %d empty", i)
-		}
-		if len(r.IDs) == 0 {
-			return nil, fmt.Errorf("interval: row %d has no ids", i)
-		}
-		for j := 1; j < len(r.IDs); j++ {
-			if r.IDs[j-1] >= r.IDs[j] {
-				return nil, fmt.Errorf("interval: row %d ids not sorted", i)
-			}
-		}
-		if i > 0 {
-			prev := rows[i-1].Interval
-			if !lowerLess(prev, r.Interval) || Overlaps(prev, r.Interval) {
-				return nil, fmt.Errorf("interval: rows %d and %d out of order or overlapping", i-1, i)
-			}
-		}
-		s.rows = append(s.rows, row{iv: r.Interval.normalize(), ids: append([]uint64(nil), r.IDs...)})
-	}
-	for _, e := range eq {
-		if len(e.IDs) == 0 {
-			return nil, fmt.Errorf("interval: equality row %g has no ids", e.Value)
-		}
-		if _, inRow := s.findRow(e.Value); inRow {
-			return nil, fmt.Errorf("interval: equality value %g inside a sub-range (lossy invariant)", e.Value)
-		}
-		if _, dup := s.eq[e.Value]; dup {
-			return nil, fmt.Errorf("interval: duplicate equality value %g", e.Value)
-		}
-		s.eq[e.Value] = append([]uint64(nil), e.IDs...)
-	}
-	for _, e := range ne {
-		for _, id := range e.IDs {
-			s.InsertNotEqual(e.Value, id)
-		}
-	}
-	return s, nil
 }
 
 // RowView exposes one AACSSR row for serialization and rendering.

@@ -43,6 +43,15 @@ func checkInvariants(t *testing.T, s *Set) {
 	}
 }
 
+// lowerLess orders intervals by lower bound; a closed bound precedes an
+// open bound at the same value.
+func lowerLess(a, b Interval) bool {
+	if a.Lo != b.Lo {
+		return a.Lo < b.Lo
+	}
+	return !a.LoOpen && b.LoOpen
+}
+
 // TestPaperFigure4 reproduces the AACS of Figure 4: subscription S1 has
 // 8.30 < price < 8.70 and S2 has price = 8.20.
 func TestPaperFigure4(t *testing.T) {
@@ -270,7 +279,16 @@ func TestMerge(t *testing.T) {
 	b.Insert(Range(3, 8, false, false), 3)
 	b.Insert(Point(20), 4)
 	b.InsertNotEqual(0, 5)
-	a.Merge(b)
+	// Fold b's rows in as a wire merge does.
+	for _, r := range b.Rows() {
+		a.MergeRow(r.Interval, r.IDs)
+	}
+	for _, e := range b.EqRows() {
+		a.MergePoint(e.Value, e.IDs)
+	}
+	for _, e := range b.NeRows() {
+		a.MergeNotEqual(e.Value, e.IDs)
+	}
 	checkInvariants(t, a)
 	for v, want := range map[float64][]uint64{
 		2:  {1, 5},

@@ -100,7 +100,7 @@ func TestWireBytesAccounting(t *testing.T) {
 	// so its payload must be exactly its own summary's wire form.
 	ownSize := make([]int, g.Len())
 	for i, sm := range own {
-		ownSize[i] = sm.EncodedSize()
+		ownSize[i] = len(sm.Encode(nil))
 	}
 	res, err := Run(g, own, DefaultCostModel())
 	if err != nil {

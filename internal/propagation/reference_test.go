@@ -8,13 +8,13 @@ import (
 	"github.com/subsum/subsum/internal/topology"
 )
 
-// runReference is the clone-per-send Algorithm 2, the oracle the
+// runReference is the encode-per-send Algorithm 2, the oracle the
 // differential tests hold Run and RunWorkers to. It shares only pickTarget
-// with them: it runs serially, deep-Clones the merged summary for every
-// send, accounts wire bytes by encoding each payload on its own, and folds
-// deliveries in as in-memory Summary values with Merge — no pooled
-// buffers, no MergeEncoded, no copy-on-receive. Both must produce
-// identical merged state and identical send logs.
+// and the summary codec with them: it runs serially, encodes the sender's
+// merged summary afresh for every send, and folds each payload in once the
+// iteration's sends are taken — no pooled buffers, no shared payloads, no
+// copy-on-receive. Both must produce identical merged state and identical
+// send logs.
 func runReference(g *topology.Graph, own []*summary.Summary, cost CostModel) (*Result, error) {
 	n := g.Len()
 	if len(own) != n {
@@ -39,7 +39,7 @@ func runReference(g *topology.Graph, own []*summary.Summary, cost CostModel) (*R
 
 	type delivery struct {
 		to      topology.NodeID
-		payload *summary.Summary
+		payload []byte
 		brokers BrokerSet
 	}
 
@@ -55,7 +55,7 @@ func runReference(g *topology.Graph, own []*summary.Summary, cost CostModel) (*R
 			if !ok {
 				continue
 			}
-			payload := res.Merged[node].Clone()
+			payload := res.Merged[node].Encode(nil)
 			brokers := res.MergedBrokers[node].Clone()
 			communicated[node][target] = true
 			communicated[target][id] = true
@@ -64,8 +64,8 @@ func runReference(g *topology.Graph, own []*summary.Summary, cost CostModel) (*R
 				From:       id,
 				To:         target,
 				Brokers:    brokers.Bits(),
-				ModelBytes: payload.SizeBytes(cost.SST, cost.SID),
-				WireBytes:  len(payload.Encode(nil)),
+				ModelBytes: res.Merged[node].SizeBytes(cost.SST, cost.SID),
+				WireBytes:  len(payload),
 			}
 			res.Sends = append(res.Sends, send)
 			res.ModelBytes += int64(send.ModelBytes)
@@ -73,7 +73,7 @@ func runReference(g *topology.Graph, own []*summary.Summary, cost CostModel) (*R
 			deliveries = append(deliveries, delivery{to: target, payload: payload, brokers: brokers})
 		}
 		for _, d := range deliveries {
-			if err := res.Merged[d.to].Merge(d.payload); err != nil {
+			if err := res.Merged[d.to].MergeEncoded(d.payload); err != nil {
 				return nil, fmt.Errorf("propagation: merging at broker %d: %w", d.to, err)
 			}
 			for _, b := range d.brokers.Bits() {

@@ -51,7 +51,7 @@ func TestRunCarriesRetractions(t *testing.T) {
 	if err := stale.Insert(subid.ID{Broker: 0, Local: 7}, sub); err != nil {
 		t.Fatal(err)
 	}
-	if err := stale.Merge(res.Merged[1]); err != nil {
+	if err := stale.MergeEncoded(res.Merged[1].Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if stale.Contains(subid.ID{Broker: 0, Local: 7}) {
@@ -60,7 +60,7 @@ func TestRunCarriesRetractions(t *testing.T) {
 	if !stale.Contains(subid.ID{Broker: 1, Local: 0}) {
 		t.Fatalf("live rows were lost applying the period result")
 	}
-	stale.ClearRetractions() // the broker.MergeSummary discipline
+	stale.ClearRetractions() // the broker.MergeEncodedSummary discipline
 	if stale.NumRetractions() != 0 {
 		t.Fatalf("retractions not clearable on a long-lived merged summary")
 	}

@@ -41,7 +41,7 @@ type Set struct {
 	words int
 
 	// slab backs the id lists MergeRowBytes retains. Never shared between
-	// sets (Clone and NewSetFromRows build fresh sets).
+	// sets (Clone builds a fresh set).
 	slab idlist.Slab
 }
 
@@ -93,8 +93,7 @@ func NewSet() *Set {
 // new row is added.
 func (s *Set) Insert(p Pattern, id uint64) { s.InsertMany(p, []uint64{id}) }
 
-// InsertMany is Insert for a batch of ids sharing one constraint (used
-// when merging summaries).
+// InsertMany is Insert for a batch of ids sharing one constraint.
 func (s *Set) InsertMany(p Pattern, ids []uint64) {
 	if len(ids) == 0 {
 		return
@@ -112,12 +111,9 @@ func (s *Set) InsertMany(p Pattern, ids []uint64) {
 			s.eq[p.Text] = idlist.Union(existing, ids)
 			return
 		}
-		// Covered by an existing pattern row: join it (the paper's fold).
-		for i := range s.pats {
-			if s.pats[i].Pattern.Matches(p.Text) {
-				s.pats[i].IDs = idlist.Union(s.pats[i].IDs, ids)
-				return
-			}
+		if i := s.coveringRow(p.Text); i >= 0 {
+			s.pats[i].IDs = idlist.Union(s.pats[i].IDs, ids)
+			return
 		}
 		s.eq[p.Text] = append([]uint64(nil), ids...)
 	default:
@@ -151,6 +147,19 @@ func (s *Set) InsertMany(p Pattern, ids []uint64) {
 	}
 }
 
+// coveringRow returns the index of the pattern row that covers equality
+// text, or -1 when none does: the paper's fold (Section 3.1), by which an
+// equality constraint a pattern row covers joins that row's id list
+// instead of taking a row of its own.
+func (s *Set) coveringRow(text string) int {
+	for i := range s.pats {
+		if s.pats[i].Pattern.Matches(text) {
+			return i
+		}
+	}
+	return -1
+}
+
 // MergeRowBytes folds one serialized SACS row into the set with the same
 // result as InsertMany(Pattern{Op: op, Text: string(text)}, ids), but
 // without materializing the text string when the set already has a row
@@ -177,14 +186,10 @@ func (s *Set) MergeRowBytes(op schema.Op, text []byte, ids []uint64) {
 			}
 			return
 		}
-		// Covered by an existing pattern row: join it (the paper's fold),
-		// exactly as InsertMany would.
 		t := internText(text)
-		for i := range s.pats {
-			if s.pats[i].Pattern.Matches(t) {
-				s.pats[i].IDs = idlist.UnionInto(s.pats[i].IDs, ids)
-				return
-			}
+		if i := s.coveringRow(t); i >= 0 {
+			s.pats[i].IDs = idlist.UnionInto(s.pats[i].IDs, ids)
+			return
 		}
 		s.eq[t] = s.slab.Copy(ids)
 	default:
@@ -200,52 +205,6 @@ func (s *Set) MergeRowBytes(op schema.Op, text []byte, ids []uint64) {
 		}
 		s.InsertMany(Pattern{Op: op, Text: internText(text)}, ids)
 	}
-}
-
-// NewSetFromRows reconstructs a set exactly from serialized rows (the
-// inverse of Rows/NeRows): pattern rows keep their order, equality rows go
-// to the equality map verbatim. Covered equality rows are rejected (the
-// insertion-time fold invariant would not have produced them).
-func NewSetFromRows(rows, ne []Row) (*Set, error) {
-	s := NewSet()
-	for i, r := range rows {
-		if len(r.IDs) == 0 {
-			return nil, fmt.Errorf("strmatch: row %d has no ids", i)
-		}
-		if !r.Pattern.Op.StringOp() || r.Pattern.Op == schema.OpNE {
-			return nil, fmt.Errorf("strmatch: row %d has operator %v", i, r.Pattern.Op)
-		}
-		if r.Pattern.Op == schema.OpEQ {
-			if _, dup := s.eq[r.Pattern.Text]; dup {
-				return nil, fmt.Errorf("strmatch: duplicate equality row %q", r.Pattern.Text)
-			}
-			for _, p := range s.pats {
-				if p.Pattern.Matches(r.Pattern.Text) {
-					return nil, fmt.Errorf("strmatch: equality row %q covered by pattern %v", r.Pattern.Text, p.Pattern)
-				}
-			}
-			s.eq[r.Pattern.Text] = append([]uint64(nil), r.IDs...)
-			continue
-		}
-		s.pats = append(s.pats, Row{Pattern: r.Pattern, IDs: append([]uint64(nil), r.IDs...)})
-	}
-	// Pattern rows encoded after equality rows could retroactively cover
-	// them; the encoder emits patterns first, so a violation means corrupt
-	// or adversarial input.
-	for text := range s.eq {
-		for _, p := range s.pats {
-			if p.Pattern.Matches(text) {
-				return nil, fmt.Errorf("strmatch: equality row %q covered by pattern %v", text, p.Pattern)
-			}
-		}
-	}
-	for _, r := range ne {
-		if len(r.IDs) == 0 {
-			return nil, fmt.Errorf("strmatch: ≠ row %q has no ids", r.Pattern.Text)
-		}
-		s.ne[r.Pattern.Text] = append([]uint64(nil), r.IDs...)
-	}
-	return s, nil
 }
 
 // Match returns the ids of all subscriptions whose constraint is satisfied
@@ -401,20 +360,6 @@ func (s *Set) RemoveAll(dead map[uint64]struct{}) {
 		} else {
 			s.ne[text] = ids
 		}
-	}
-}
-
-// Merge folds every row of o into s (multi-broker summary construction:
-// "values for the same string attributes are simply merged").
-func (s *Set) Merge(o *Set) {
-	for _, r := range o.pats {
-		s.InsertMany(r.Pattern, r.IDs)
-	}
-	for text, ids := range o.eq {
-		s.InsertMany(Pattern{Op: schema.OpEQ, Text: text}, ids)
-	}
-	for text, ids := range o.ne {
-		s.InsertMany(Pattern{Op: schema.OpNE, Text: text}, ids)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -34,8 +35,15 @@ type LocalID uint32
 type Mask []uint64
 
 // NewMask returns a mask able to hold attrCount attribute bits.
-func NewMask(attrCount int) Mask {
-	return make(Mask, (attrCount+63)/64)
+func NewMask(attrCount int) Mask { return make(Mask, 0).Reset(attrCount) }
+
+// Reset returns a zero mask able to hold n bits, in m's storage when it
+// has room, so a pooled mask is reused without allocating.
+func (m Mask) Reset(n int) Mask {
+	words := (n + 63) / 64
+	m = slices.Grow(m[:0], words)[:words]
+	clear(m)
+	return m
 }
 
 // MaskOf builds a mask (sized for attrCount) with the given bits set.

@@ -101,6 +101,24 @@ func TestMaskCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestMaskReset: Reset sizes a mask by the word rule NewMask uses, clears
+// every word, and reuses storage with room without allocating.
+func TestMaskReset(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		m := MaskOf(256, 0, 70, 255).Reset(n)
+		if len(m) != len(NewMask(n)) || m.Count() != 0 {
+			t.Fatalf("Reset(%d) = %d words, %d bits set; want %d words, none set", n, len(m), m.Count(), len(NewMask(n)))
+		}
+	}
+	m := NewMask(256)
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.Set(200)
+		m = m.Reset(130)
+	}); allocs != 0 {
+		t.Fatalf("Reset within capacity allocated %v times", allocs)
+	}
+}
+
 func TestIDKeyRoundTrip(t *testing.T) {
 	id := ID{Broker: 12345, Local: 67890}
 	b, l := KeyParts(id.Key())

@@ -4,12 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
-	"github.com/subsum/subsum/internal/strmatch"
 	"github.com/subsum/subsum/internal/subid"
 )
 
@@ -139,69 +137,6 @@ func (sm *Summary) Encode(buf []byte) []byte {
 		buf = appendIDs(buf, sm.Retractions())
 	}
 	return buf
-}
-
-// EncodedSize returns the size in bytes of the wire form Encode would
-// emit, computed directly — no encode buffer is built.
-func (sm *Summary) EncodedSize() int {
-	sm.purgeDead() // size the same rows Encode will write
-	n := 5         // magic + version + mode
-	n += uvarintLen(uint64(len(sm.keys)))
-	// Key deltas depend on sorted order.
-	keys := append([]uint64(nil), sm.keys...)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	prev := uint64(0)
-	for _, key := range keys {
-		n += uvarintLen(key - prev)
-		prev = key
-		n++ // words u8
-		for _, w := range sm.maskOf(key) {
-			n += uvarintLen(w)
-		}
-	}
-
-	n += 2 // AACS count
-	for _, s := range sm.aacs {
-		n += 2 + 4 + 4 + 4 // attr + three row counts
-		for _, r := range s.Rows() {
-			n += 17 + idsLen(r.IDs) // lo + hi + flags + ids
-		}
-		for _, r := range s.EqRows() {
-			n += 8 + idsLen(r.IDs)
-		}
-		for _, r := range s.NeRows() {
-			n += 8 + idsLen(r.IDs)
-		}
-	}
-
-	n += 2 // SACS count
-	for _, s := range sm.sacs {
-		n += 2 + 4 + 4 // attr + two row counts
-		for _, r := range s.Rows() {
-			n += 3 + len(r.Pattern.Text) + idsLen(r.IDs)
-		}
-		for _, r := range s.NeRows() {
-			n += 2 + len(r.Pattern.Text) + idsLen(r.IDs)
-		}
-	}
-	if len(sm.retract) > 0 {
-		n += idsLen(sm.Retractions())
-	}
-	return n
-}
-
-// uvarintLen returns the encoded length of v as a uvarint.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// idsLen returns the encoded size of an id list without building it.
-func idsLen(ids []uint64) int {
-	n := uvarintLen(uint64(len(ids)))
-	prev := uint64(0)
-	for _, id := range ids {
-		n += uvarintLen(id - prev) // first id verbatim: prev is 0
-		prev = id
-	}
-	return n
 }
 
 func sortedAttrs[T any](m map[schema.AttrID]T) []schema.AttrID {
@@ -342,9 +277,8 @@ func (d *decoder) count(minBytes int) int {
 	return int(n)
 }
 
-// ids decodes one id list into dst (reused between calls by MergeEncoded;
-// Decode passes nil to get fresh slices). The returned list is sorted
-// ascending by construction.
+// ids decodes one id list into dst, a scratch list reused between calls.
+// The returned list is sorted ascending by construction.
 func (d *decoder) ids(dst []uint64) []uint64 {
 	n := d.count(1)
 	if d.err != nil || n == 0 {
@@ -422,130 +356,24 @@ func (d *decoder) registryEntry(i int, prev uint64, maskScratch subid.Mask) (uin
 	return key, maskScratch
 }
 
-// Decode parses a summary encoded by Encode. The schema must match the
-// encoder's (attribute ids are schema indexes).
+// Decode parses a summary encoded by Encode over schema s (attribute ids
+// are schema indexes): it is MergeEncoded into an empty summary, so it
+// accepts exactly what a receiving broker accepts, and a well-formed but
+// redundant payload comes back normalised, not refused.
 func Decode(s *schema.Schema, buf []byte) (*Summary, error) {
-	d := &decoder{buf: buf}
-	if err := d.header(); err != nil {
-		return nil, err
-	}
 	sm := New(s, interval.Lossy)
-
-	nIDs := d.count(2)
-	prev := uint64(0)
-	for i := 0; i < nIDs && d.err == nil; i++ {
-		key, mask := d.registryEntry(i, prev, nil)
-		if d.err != nil {
-			break
-		}
-		prev = key
-		if !sm.registerID(key, mask.Clone()) {
-			d.fail("duplicate registry id %d", key)
-			break
-		}
-	}
-
-	nAACS := int(d.u16())
-	for i := 0; i < nAACS && d.err == nil; i++ {
-		a := schema.AttrID(d.u16())
-		if int(a) >= s.Len() || !s.TypeOf(a).Arithmetic() {
-			d.fail("AACS for non-arithmetic attribute %d", a)
-			break
-		}
-		var rows []interval.RowView
-		nRows := int(d.u32())
-		for r := 0; r < nRows && d.err == nil; r++ {
-			lo, hi := d.f64(), d.f64()
-			flags := d.u8()
-			iv := interval.Range(lo, hi, flags&1 != 0, flags&2 != 0)
-			rows = append(rows, interval.RowView{Interval: iv, IDs: d.ids(nil)})
-		}
-		var eqs, nes []interval.EqView
-		nEq := int(d.u32())
-		for r := 0; r < nEq && d.err == nil; r++ {
-			v := d.f64()
-			eqs = append(eqs, interval.EqView{Value: v, IDs: d.ids(nil)})
-		}
-		nNe := int(d.u32())
-		for r := 0; r < nNe && d.err == nil; r++ {
-			v := d.f64()
-			nes = append(nes, interval.EqView{Value: v, IDs: d.ids(nil)})
-		}
-		if d.err != nil {
-			break
-		}
-		set, err := interval.NewSetFromRows(rows, eqs, nes)
-		if err != nil {
-			d.fail("AACS for attribute %d: %v", a, err)
-			break
-		}
-		if _, dup := sm.aacs[a]; dup {
-			d.fail("duplicate AACS section for attribute %d", a)
-			break
-		}
-		sm.aacs[a] = set
-	}
-
-	nSACS := int(d.u16())
-	for i := 0; i < nSACS && d.err == nil; i++ {
-		a := schema.AttrID(d.u16())
-		if int(a) >= s.Len() || s.TypeOf(a) != schema.TypeString {
-			d.fail("SACS for non-string attribute %d", a)
-			break
-		}
-		var rows, nes []strmatch.Row
-		nRows := int(d.u32())
-		for r := 0; r < nRows && d.err == nil; r++ {
-			op := schema.Op(d.u8())
-			if !op.StringOp() {
-				d.fail("bad SACS operator %d", op)
-				break
-			}
-			text := string(d.bytes(int(d.u16())))
-			rows = append(rows, strmatch.Row{Pattern: strmatch.Pattern{Op: op, Text: text}, IDs: d.ids(nil)})
-		}
-		nNe := int(d.u32())
-		for r := 0; r < nNe && d.err == nil; r++ {
-			text := string(d.bytes(int(d.u16())))
-			nes = append(nes, strmatch.Row{Pattern: strmatch.Pattern{Op: schema.OpNE, Text: text}, IDs: d.ids(nil)})
-		}
-		if d.err != nil {
-			break
-		}
-		set, err := strmatch.NewSetFromRows(rows, nes)
-		if err != nil {
-			d.fail("SACS for attribute %d: %v", a, err)
-			break
-		}
-		if _, dup := sm.sacs[a]; dup {
-			d.fail("duplicate SACS section for attribute %d", a)
-			break
-		}
-		sm.sacs[a] = set
-	}
-
-	if d.retractions && d.err == nil {
-		// AddRetraction also drops any rows a malformed payload carried for
-		// a key it simultaneously retracts — retraction wins.
-		for _, key := range d.ids(nil) {
-			sm.AddRetraction(key)
-		}
-	}
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(buf) {
-		return nil, fmt.Errorf("summary: %d trailing bytes", len(buf)-d.off)
+	if err := sm.MergeEncoded(buf); err != nil {
+		return nil, err
 	}
 	return sm, nil
 }
 
-// MergeEncoded folds a wire-form summary directly into sm, with the same
-// semantics as Decode followed by Merge but without materializing the
-// intermediate Summary — the hot path of Algorithm 2 delivery. Scratch
-// buffers are reused across rows, so a merge allocates only what the
-// receiving summary retains.
+// MergeEncoded folds a wire-form summary into sm row by row — the one way
+// rows of another summary enter a summary (multi-broker summary
+// construction, Section 4.1), and the hot path of Algorithm 2 delivery.
+// Ids merge idempotently, and the payload's retractions win over every
+// row merged for the same keys. Scratch buffers are reused across rows,
+// so a merge allocates only what the receiving summary retains.
 //
 // A payload with a bad header (magic, version, mode) is refused with sm
 // untouched. On a later error the summary may hold a partial merge: some

@@ -27,24 +27,6 @@ func randomSummary(t *testing.T, rng *rand.Rand, n int) *Summary {
 	return sm
 }
 
-func TestEncodedSizeMatchesEncode(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 10, 120} {
-		sm := randomSummary(t, rng, n)
-		if got, want := sm.EncodedSize(), len(sm.Encode(nil)); got != want {
-			t.Errorf("n=%d: EncodedSize = %d, len(Encode) = %d", n, got, want)
-		}
-		// The same summary carrying retractions (wire version 3).
-		for _, key := range sm.IDs()[:n/4] {
-			sm.AddRetraction(key.Key())
-		}
-		if got, want := sm.EncodedSize(), len(sm.Encode(nil)); got != want {
-			t.Errorf("n=%d with %d retractions: EncodedSize = %d, len(Encode) = %d",
-				n, sm.NumRetractions(), got, want)
-		}
-	}
-}
-
 // TestV1PayloadRefused: the fixed-width version '1' format is no longer
 // spoken. A well-formed v1 payload (a literal: nothing can emit one any
 // more) is refused at the version byte by both decoders, and MergeEncoded
@@ -75,62 +57,99 @@ func TestV1PayloadRefused(t *testing.T) {
 	}
 }
 
-// TestMergeEncodedEquivalentToDecodeMerge: folding a wire-form summary in
-// directly must produce byte-identical state to Decode-then-Merge, with
-// and without a retraction section, including repeated merges.
-func TestMergeEncodedEquivalentToDecodeMerge(t *testing.T) {
+// TestMergeEncodedNoFalseNegative is the law a multi-broker summary
+// (Section 4.1) owes Algorithm 1: for brokers A and B with disjoint ids,
+// A⊕B reports, for every event, every id that A or B reports, except the
+// ids B's payload retracts; it reports no retracted id and no id neither
+// side holds. B retracts one of its own ids and one of A's, and A⊕B is
+// built on a copy of A that holds a tombstone. Merging the same payload twice leaves the state of one
+// merge.
+func TestMergeEncodedNoFalseNegative(t *testing.T) {
 	s := stockSchema(t)
-	rng := rand.New(rand.NewSource(17))
-	base := randomSummary(t, rng, 80)
-	other := randomSummary(t, rng, 80)
-	v2 := other.Encode(nil)
-	other.AddRetraction(other.keys[0])
-	other.AddRetraction(base.keys[0]) // retracts a key the receiver holds
-	for _, encode := range []struct {
-		name string
-		wire []byte
-	}{
-		{"v2", v2},
-		{"v3", other.Encode(nil)},
-	} {
-		viaDecode := base.Clone()
-		decoded, err := Decode(s, encode.wire)
-		if err != nil {
-			t.Fatalf("%s: %v", encode.name, err)
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		build := func(broker subid.BrokerID) *Summary {
+			sm := New(s, interval.Lossy)
+			for i := 0; i < 20+rng.Intn(30); i++ {
+				if err := sm.Insert(subid.ID{Broker: broker, Local: subid.LocalID(i)}, randomSubscription(rng, s)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return sm
 		}
-		if err := viaDecode.Merge(decoded); err != nil {
-			t.Fatalf("%s: Merge: %v", encode.name, err)
+		a, b := build(1), build(2)
+		ab := a.Clone()
+		removed := a.keys[rng.Intn(len(a.keys))]
+		a.RemoveKey(removed)
+		ab.RemoveKey(removed) // a tombstone the merge meets
+		retracted := map[uint64]bool{
+			b.keys[rng.Intn(len(b.keys))]: true,
+			a.keys[rng.Intn(len(a.keys))]: true,
 		}
-		direct := base.Clone()
-		if err := direct.MergeEncoded(encode.wire); err != nil {
-			t.Fatalf("%s: MergeEncoded: %v", encode.name, err)
+		for k := range retracted {
+			b.AddRetraction(k)
 		}
-		if !bytes.Equal(direct.Encode(nil), viaDecode.Encode(nil)) {
-			t.Fatalf("%s: MergeEncoded state differs from Decode+Merge", encode.name)
+		payload := b.Encode(nil)
+		if err := ab.MergeEncoded(payload); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		// Merging the same payload again must be idempotent, as Merge is.
-		if err := direct.MergeEncoded(encode.wire); err != nil {
-			t.Fatalf("%s: repeated MergeEncoded: %v", encode.name, err)
+		for probe := 0; probe < 50; probe++ {
+			ev := randomEvent(rng, s)
+			got := make(map[uint64]bool)
+			for _, k := range ab.MatchKeys(ev) {
+				_, inA := a.ids[k]
+				_, inB := b.ids[k]
+				if retracted[k] || !(inA || inB) {
+					t.Fatalf("seed %d: A⊕B reports id %d, retracted or held by neither side, on %s", seed, k, ev.Format(s))
+				}
+				got[k] = true
+			}
+			for _, k := range append(a.MatchKeys(ev), b.MatchKeys(ev)...) {
+				if !retracted[k] && !got[k] {
+					t.Fatalf("seed %d: id %d matches %s in A or B but not in A⊕B", seed, k, ev.Format(s))
+				}
+			}
 		}
-		if !bytes.Equal(direct.Encode(nil), viaDecode.Encode(nil)) {
-			t.Fatalf("%s: repeated MergeEncoded not idempotent", encode.name)
+		once := ab.Encode(nil)
+		if err := ab.MergeEncoded(payload); err != nil {
+			t.Fatalf("seed %d: repeated merge: %v", seed, err)
+		}
+		if !bytes.Equal(ab.Encode(nil), once) {
+			t.Fatalf("seed %d: merging the payload twice differs from merging it once", seed)
 		}
 	}
 }
 
-// TestMergeEncodedIntoEmpty: merging into a fresh summary reproduces
-// Decode exactly.
+// TestMergeEncodedIntoEmpty is the round-trip law of the codec: Decode,
+// which is MergeEncoded into an empty summary, re-encodes to the bytes it
+// was given, Encode(Decode(Encode(x))) = Encode(x), for summaries that
+// carry tombstoned rows and pending retractions (of live ids and of ids
+// never inserted).
 func TestMergeEncodedIntoEmpty(t *testing.T) {
 	s := stockSchema(t)
-	rng := rand.New(rand.NewSource(23))
-	sm := randomSummary(t, rng, 60)
-	wire := sm.Encode(nil)
-	into := New(s, interval.Lossy)
-	if err := into.MergeEncoded(wire); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(into.Encode(nil), wire) {
-		t.Fatal("MergeEncoded into empty summary differs from Decode")
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sm := randomSummary(t, rng, rng.Intn(80))
+		for i := 0; i < len(sm.keys)/8; i++ {
+			sm.RemoveKey(sm.keys[rng.Intn(len(sm.keys))])
+		}
+		for i := 0; i < len(sm.keys)/8; i++ {
+			sm.AddRetraction(sm.keys[rng.Intn(len(sm.keys))])
+		}
+		if rng.Intn(2) == 0 {
+			sm.AddRetraction(subid.ID{Broker: 9, Local: subid.LocalID(seed)}.Key())
+		}
+		wire := sm.Encode(nil)
+		dec, err := Decode(s, wire)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := dec.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !bytes.Equal(dec.Encode(nil), wire) {
+			t.Fatalf("seed %d: Encode(Decode(Encode(x))) differs from Encode(x)", seed)
+		}
 	}
 }
 

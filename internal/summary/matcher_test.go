@@ -35,7 +35,7 @@ func buildRandomSummary(t testing.TB, rng *rand.Rand, s *schema.Schema, n int) *
 			t.Fatal(err)
 		}
 	}
-	if err := sm.Merge(other); err != nil {
+	if err := sm.MergeEncoded(other.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sm.Validate(); err != nil {
@@ -460,7 +460,7 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 			for i := 0; i < 1+rng.Intn(30); i++ {
 				insert(other, 7)
 			}
-			if err := sm.Merge(other); err != nil {
+			if err := sm.MergeEncoded(other.Encode(nil)); err != nil {
 				t.Fatal(err)
 			}
 		case op == 6:

@@ -28,11 +28,11 @@ func TestMergeCommutative(t *testing.T) {
 			}
 		}
 		ab := a.Clone()
-		if err := ab.Merge(b); err != nil {
+		if err := ab.MergeEncoded(b.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 		ba := b.Clone()
-		if err := ba.Merge(a); err != nil {
+		if err := ba.MergeEncoded(a.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 		for probe := 0; probe < 200; probe++ {
@@ -72,18 +72,18 @@ func TestMergeAssociativeBehaviour(t *testing.T) {
 		}
 		a, b, c := build(1), build(2), build(3)
 		left := a.Clone()
-		if err := left.Merge(b); err != nil {
+		if err := left.MergeEncoded(b.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
-		if err := left.Merge(c); err != nil {
+		if err := left.MergeEncoded(c.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 		bc := b.Clone()
-		if err := bc.Merge(c); err != nil {
+		if err := bc.MergeEncoded(c.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 		right := a.Clone()
-		if err := right.Merge(bc); err != nil {
+		if err := right.MergeEncoded(bc.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 		seedDiffers := false
@@ -263,7 +263,7 @@ func TestValidateAfterChurn(t *testing.T) {
 	if err := other.Insert(subid.ID{Broker: 9, Local: 1}, randomSubscription(rng, s)); err != nil {
 		t.Fatal(err)
 	}
-	if err := sm.Merge(other); err != nil {
+	if err := sm.MergeEncoded(other.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sm.Validate(); err != nil {

@@ -43,10 +43,10 @@ type Summary struct {
 
 	// retract is the pending-retraction set: id keys whose subscriptions
 	// were withdrawn and whose removal must still reach downstream peers.
-	// The structure maintains the invariant that no retracted key is
-	// visible in the summary (AddRetraction and every merge enforce it),
-	// so a summary carrying retractions is always self-consistent. Nil
-	// until the first retraction (the common, churn-free case).
+	// No retracted key is visible in the summary: AddRetraction removes
+	// the key's rows, and MergeEncoded applies a payload's retractions
+	// after its rows, so a summary carrying retractions is self-consistent.
+	// Nil until the first retraction (the common, churn-free case).
 	retract map[uint64]struct{}
 
 	// dead is the tombstone set: keys removed from the registry whose rows
@@ -54,7 +54,7 @@ type Summary struct {
 	// tombstones instead of sweeping so an unsubscribe is O(1) — the old
 	// per-removal sweep made n removals O(n²). Matching filters dead ids
 	// through the registry for free; every row-reading operation (Compact,
-	// Merge, Clone, encode, Stats, Validate) purges first, and Insert
+	// MergeEncoded, Clone, encode, Stats, Validate) purges first, and Insert
 	// purges when a tombstoned key is re-registered so stale rows can
 	// never over-count a reused id past its c3 target.
 	dead map[uint64]struct{}
@@ -79,16 +79,12 @@ func New(s *schema.Schema, _ interval.Mode) *Summary {
 }
 
 // registerID adds key→mask to the registry, taking ownership of mask.
-// It reports false if the key is already registered.
-func (sm *Summary) registerID(key uint64, mask subid.Mask) bool {
-	if _, dup := sm.ids[key]; dup {
-		return false
-	}
+// The caller has checked that key is not registered yet.
+func (sm *Summary) registerID(key uint64, mask subid.Mask) {
 	sm.ids[key] = int32(len(sm.keys))
 	sm.keys = append(sm.keys, key)
 	sm.masks = append(sm.masks, mask)
 	sm.targets = append(sm.targets, int32(mask.Count()))
-	return true
 }
 
 // maskOf returns the registered c3 mask for key, nil if unregistered.
@@ -383,41 +379,6 @@ func (sm *Summary) IDs() []subid.ID {
 		out[i] = sm.idFromKey(key)
 	}
 	return out
-}
-
-// Merge folds other into sm (multi-broker summary construction,
-// Section 4.1). Both summaries must share the schema; duplicate ids merge
-// idempotently.
-func (sm *Summary) Merge(other *Summary) error {
-	if !sm.schema.Equal(other.schema) {
-		return fmt.Errorf("summary: merging across different schemas")
-	}
-	// Both sides must be row-clean: other's rows are about to be copied
-	// (tombstoned rows must not resurrect), and other's keys may re-enter
-	// sm's registry (stale sm rows must not over-count them).
-	sm.purgeDead()
-	other.purgeDead()
-	sm.view.Store(nil)
-	for a, s := range other.aacs {
-		sm.arithSet(a).Merge(s)
-	}
-	for a, s := range other.sacs {
-		sm.strSet(a).Merge(s)
-	}
-	for i, key := range other.keys {
-		if _, ok := sm.ids[key]; !ok {
-			sm.registerID(key, other.masks[i].Clone())
-		}
-	}
-	// Retractions win over merged rows: a key retracted by either side must
-	// not survive the merge, and the union keeps propagating downstream.
-	for k := range other.retract {
-		sm.AddRetraction(k)
-	}
-	for k := range sm.retract {
-		sm.RemoveKey(k)
-	}
-	return nil
 }
 
 // Clone returns a deep copy of the summary.
