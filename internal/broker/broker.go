@@ -601,18 +601,15 @@ func (l MatchLease) MatchBatch(events []*schema.Event) [][]uint64 {
 func (l MatchLease) Release() { l.snap.pool.Put(l.m) }
 
 // ObserveMatchRun records the match latency of a run of `events` events
-// that took `elapsed` in all: one observation of the mean per event, as
-// MatchMerged records one per call, so the histogram counts matched
-// events and a long run weighs in the percentiles by its length. No-op
-// without metrics.
+// that took `elapsed` in all: the mean, once per event in one histogram
+// update, as MatchMerged records one per call, so the histogram counts
+// matched events and a long run weighs in the percentiles by its length.
+// No-op without metrics.
 func (b *Broker) ObserveMatchRun(elapsed time.Duration, events int) {
 	if b.obs == nil {
 		return
 	}
-	mean := elapsed.Seconds() / float64(events)
-	for i := 0; i < events; i++ {
-		b.obs.matchSeconds.Observe(mean)
-	}
+	b.obs.matchSeconds.ObserveN(elapsed.Seconds()/float64(events), events)
 }
 
 // DeliverExact is the owner step with the pre-filter run here: this

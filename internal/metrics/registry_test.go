@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -290,6 +291,36 @@ func TestRegistryHotPathZeroAllocs(t *testing.T) {
 	h := r.Histogram("lat", nil)
 	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(3e-5) }); allocs != 0 {
 		t.Errorf("Histogram.Observe allocates %v/op", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { h.ObserveN(3e-5, 8) }); allocs != 0 {
+		t.Errorf("Histogram.ObserveN allocates %v/op", allocs)
+	}
+}
+
+// TestHistogramObserveN: ObserveN(v, k) leaves the buckets and count that
+// k Observe(v) calls leave, and a sum within float rounding of theirs, in
+// every bucket including the open one; an n below one records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	bounds := []float64{1e-6, 1e-5, 1e-4}
+	one, batched := NewHistogram(bounds), NewHistogram(bounds)
+	for _, tc := range []struct {
+		v float64
+		k int
+	}{{5e-7, 1}, {3.3e-6, 7}, {1e-5, 3}, {2.7e-5, 11}, {0.5, 5}, {3.3e-6, 0}, {3.3e-6, -2}} {
+		for i := 0; i < tc.k; i++ {
+			one.Observe(tc.v)
+		}
+		batched.ObserveN(tc.v, tc.k)
+	}
+	_, want := one.Buckets()
+	if _, got := batched.Buckets(); !slices.Equal(got, want) {
+		t.Fatalf("ObserveN buckets %v, Observe's %v", got, want)
+	}
+	if batched.Count() != one.Count() || one.Count() != 27 {
+		t.Fatalf("ObserveN count %d, Observe's %d, want 27", batched.Count(), one.Count())
+	}
+	if got, want := batched.Sum(), one.Sum(); math.Abs(got-want) > 1e-12*math.Abs(want) {
+		t.Fatalf("ObserveN sum %v, Observe's %v", got, want)
 	}
 }
 

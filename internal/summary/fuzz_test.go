@@ -221,8 +221,9 @@ func admissionSeed(events ...byte) []byte {
 // FuzzMatchKeys: on any small summary — =, ≠, ranges, prefix, suffix and
 // contains rows, repeated ids, tombstones — the compiled matcher returns
 // the keys and the MatchCost of the map-based reference, admission never
-// changes the keys Algorithm 1 finds when it counts every listed id, and
-// every scratch set is left zero. The first two are the paper's contract
+// changes the keys Algorithm 1 finds when it counts every listed id and
+// leaves the runs the per-group mask scan finds, and every scratch set is
+// left zero. The first two are the paper's contract
 // (no false negative); the last is what the next event's answer rests on.
 // Its summaries hold at most 16 ids, one word, where every row is a
 // bitset; TestMatcherMultiWord covers list rows and views of many words.
@@ -253,6 +254,8 @@ func FuzzMatchKeys(f *testing.F) {
 				t.Fatalf("on %s: admission changed the keys: %v, counting every id %v", ev.Format(s), wantKeys, all)
 			}
 			requireScratchZero(t, "after "+ev.Format(s), m)
+			requireAdmit(t, m, ev)
+			requireScratchZero(t, "after admitting "+ev.Format(s), m)
 		}
 	})
 }

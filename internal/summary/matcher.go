@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"github.com/subsum/subsum/internal/idlist"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
 )
@@ -31,9 +32,10 @@ import (
 // event's attributes. Any other id misses an attribute it constrains, so
 // it could never match. When the event carries every attribute of the
 // view's union, every id is admitted and both steps cover every word.
-// Otherwise the runs of the groups the event covers are coalesced, list
-// rows are cut to them, and both steps cover only their words, masked to
-// the runs.
+// Otherwise the eligible groups are every group less those whose mask
+// names an attribute the event lacks (attrView.groups, a word per 64
+// groups); their runs are coalesced, list rows are cut to them, and both
+// steps cover only their words, masked to the runs.
 //
 // A set a value satisfies through one bitset row is that row; the others
 // are merged in scratch. The scratch is all zero between events: each
@@ -50,10 +52,11 @@ type Matcher struct {
 	sm *Summary // non-nil: re-read sm's current view on every match
 	v  *View    // the view of the last match
 
-	// scratch holds five sets of the view's words words each, all zero
-	// between events: the empty set (never written), the admitted ids, the
-	// ids some attribute satisfies, the ids some attribute misses, and the
-	// set one attribute's rows are merged into.
+	// scratch holds five sets of the view's words words each and one of a
+	// word per 64 groups, all zero between events: the empty set (never
+	// written), the admitted ids, the ids some attribute satisfies, the ids
+	// some attribute misses, the set one attribute's rows are merged into,
+	// and the eligible groups.
 	scratch []uint64
 	words   []span     // the words the fold and the pass cover, ascending and disjoint
 	hit     []int32    // dense ids that matched
@@ -188,17 +191,11 @@ func (m *Matcher) collect(e *schema.Event) MatchCost {
 	if m.sm != nil {
 		m.v = m.sm.compiled()
 	}
+	restricted := m.admit(e) // sizes the scratch to the view
 	v, fields := m.v, e.Fields()
 	words := v.words
-	if len(m.scratch) < 5*words {
-		// The view grew, or this is the first event. Zero sets mean the
-		// same whatever the view's indices mean, so the old ones are simply
-		// replaced.
-		m.scratch = make([]uint64, 5*words)
-	}
 	zero, keep, or, miss, merged := m.scratch[:words], m.scratch[words:2*words],
 		m.scratch[2*words:3*words], m.scratch[3*words:4*words], m.scratch[4*words:5*words]
-	restricted := m.admit(e)
 	m.cover(restricted, keep)
 
 	// Step 1: fold in, per attribute an id can be listed under, the ids its
@@ -307,25 +304,49 @@ func (m *Matcher) cover(restricted bool, keep []uint64) {
 // admit builds the event's attribute mask and reports whether the match
 // must be restricted to eligible runs, which it then leaves in m.runs:
 // false when the event covers the view's union and every id is admitted.
+// The eligible groups start as every group; the group bitset of each
+// union attribute the event lacks is taken out, and the groups left are
+// walked in index order. That costs a word per 64 groups for each absent
+// attribute, plus one step per eligible group.
 func (m *Matcher) admit(e *schema.Event) bool {
+	v := m.v
+	gwords := idlist.Words(len(v.groups))
+	if len(m.scratch) < 5*v.words+gwords {
+		// The view grew, or this is the first event. Zero sets mean the
+		// same whatever the view's indices mean, so the old ones are simply
+		// replaced.
+		m.scratch = make([]uint64, 5*v.words+gwords)
+	}
 	m.attrs = m.attrs[:0]
 	for _, f := range e.Fields() {
 		m.attrs.Set(int(f.Attr))
 	}
-	v := m.v
 	if v.union.Within(m.attrs) {
 		return false
 	}
+	eligible := m.scratch[5*v.words : 5*v.words+gwords]
+	setBits(eligible, 0, uint64(len(v.groups)))
+	for w, absent := range v.union {
+		if w < len(m.attrs) {
+			absent &^= m.attrs[w]
+		}
+		for ; absent != 0; absent &= absent - 1 {
+			for i, named := range v.attrs[w<<6+bits.TrailingZeros64(absent)].groups {
+				eligible[i] &^= named
+			}
+		}
+	}
 	runs := m.runs[:0]
-	for _, g := range v.groups {
-		if !g.mask.Within(m.attrs) {
-			continue
+	for w, word := range eligible {
+		for ; word != 0; word &= word - 1 {
+			g := &v.groups[w<<6+bits.TrailingZeros64(word)]
+			if n := len(runs); n > 0 && runs[n-1].hi == g.lo {
+				runs[n-1].hi = g.hi
+			} else {
+				runs = append(runs, g.span)
+			}
 		}
-		if n := len(runs); n > 0 && runs[n-1].hi == g.lo {
-			runs[n-1].hi = g.hi
-		} else {
-			runs = append(runs, g.span)
-		}
+		eligible[w] = 0
 	}
 	m.runs = runs
 	return true

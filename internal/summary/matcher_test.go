@@ -259,6 +259,43 @@ func requireScratchZero(t testing.TB, when string, ms ...*Matcher) {
 	}
 }
 
+// scanAdmit is the admission oracle: whether e misses an attribute of v's
+// union, and the eligible runs found by testing every group's mask
+// against e's attributes, coalesced in index order.
+func scanAdmit(v *View, e *schema.Event) (restricted bool, runs []span) {
+	var attrs subid.Mask
+	for _, f := range e.Fields() {
+		attrs.Set(int(f.Attr))
+	}
+	if v.union.Within(attrs) {
+		return false, nil
+	}
+	for _, g := range v.groups {
+		if !g.mask.Within(attrs) {
+			continue
+		}
+		if n := len(runs); n > 0 && runs[n-1].hi == g.lo {
+			runs[n-1].hi = g.hi
+		} else {
+			runs = append(runs, g.span)
+		}
+	}
+	return true, runs
+}
+
+// requireAdmit runs m.admit on e and checks its answer, and the runs it
+// leaves, against the scanAdmit oracle. It returns admit's answer.
+func requireAdmit(t testing.TB, m *Matcher, e *schema.Event) bool {
+	t.Helper()
+	restricted := m.admit(e)
+	wantRestricted, wantRuns := scanAdmit(m.v, e)
+	if restricted != wantRestricted || restricted && !slices.Equal(m.runs, wantRuns) {
+		t.Fatalf("admit on %v: restricted %v, runs %v; the group scan says %v, %v",
+			e.Fields(), restricted, m.runs, wantRestricted, wantRuns)
+	}
+	return restricted
+}
+
 // rowIDs returns the rows of v as id lists, each bitset row expanded.
 func rowIDs(v *View, rows [][]uint64) [][]uint64 {
 	out := make([][]uint64, len(rows))
@@ -502,12 +539,14 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 // return the reference's keys and MatchCost on events as drawn (most miss
 // an attribute some subscription names, so the pass is cut to eligible
 // runs) and on the same events with every attribute added (the union
-// path), and leave every scratch set zero. FuzzMatchKeys' summaries fit
-// one word, where every row is a bitset; here rows shorter than the
-// view's word count stay lists. The test fails unless the draw reached
-// each shape the pass distinguishes: an attribute consulting one bitset
-// row, several, and bitset and list rows together; groups straddling a
-// word boundary; two eligible runs sharing one word.
+// path), and leave every scratch set zero; admission leaves the runs the
+// per-group mask scan finds. FuzzMatchKeys' summaries fit one word, where
+// every row is a bitset; here rows shorter than the view's word count stay
+// lists. The test fails unless the draw reached each shape the pass
+// distinguishes: an attribute consulting one bitset row, several, and
+// bitset and list rows together; groups straddling a word boundary; two
+// eligible runs sharing one word; a view of more than 64 groups, whose
+// group bitsets span two words, with an eligible group past the first.
 func TestMatcherMultiWord(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(38))
@@ -524,7 +563,7 @@ func TestMatcherMultiWord(t *testing.T) {
 		}
 		return true
 	}
-	var oneBitset, bitsets, mixed, straddling, sharedWord, restricted, union int
+	var oneBitset, bitsets, mixed, straddling, sharedWord, restricted, union, wideViews, farEligible int
 	for _, n := range []int{64, 65, 3000} {
 		sm := New(s, interval.Lossy)
 		for i := 0; i < n; i++ {
@@ -545,6 +584,9 @@ func TestMatcherMultiWord(t *testing.T) {
 				straddling++
 			}
 		}
+		if len(v.groups) > 64 {
+			wideViews++
+		}
 		follower, bound := sm.NewMatcher(), v.NewMatcher()
 		for probe := 0; probe < 300; probe++ {
 			drawn := randomEvent(rng, s)
@@ -558,7 +600,8 @@ func TestMatcherMultiWord(t *testing.T) {
 					}
 					requireScratchZero(t, fmt.Sprintf("%d ids, %s after %s", n, name, ev.Format(s)), m)
 				}
-				if !bound.admit(ev) {
+				requireAdmit(t, follower, ev)
+				if !requireAdmit(t, bound, ev) {
 					union++
 				} else {
 					restricted++
@@ -567,7 +610,11 @@ func TestMatcherMultiWord(t *testing.T) {
 							sharedWord++
 						}
 					}
+					if n := len(bound.runs); n > 0 && len(v.groups) > 64 && bound.runs[n-1].hi > v.groups[64].lo {
+						farEligible++
+					}
 				}
+				requireScratchZero(t, fmt.Sprintf("%d ids, after admitting %s", n, ev.Format(s)), follower, bound)
 				for _, f := range ev.Fields() {
 					var rows [][]uint64
 					if a := v.attr(f.Attr); a != nil && a.aacs != nil && f.Value.Arithmetic() {
@@ -594,9 +641,14 @@ func TestMatcherMultiWord(t *testing.T) {
 		}
 	}
 	t.Logf("attributes with one bitset row %d, several %d, bitsets and lists %d; %d straddling groups; "+
-		"%d shared words; %d restricted and %d union events", oneBitset, bitsets, mixed, straddling, sharedWord, restricted, union)
+		"%d shared words; %d restricted and %d union events; %d views of over 64 groups, "+
+		"%d events eligible past group 64", oneBitset, bitsets, mixed, straddling, sharedWord, restricted, union,
+		wideViews, farEligible)
 	if oneBitset == 0 || bitsets == 0 || mixed == 0 || straddling == 0 || sharedWord == 0 || restricted == 0 || union == 0 {
 		t.Fatal("the draw missed a shape the word pass distinguishes")
+	}
+	if wideViews == 0 || farEligible == 0 {
+		t.Fatal("the draw missed a shape admission distinguishes")
 	}
 }
 
@@ -731,7 +783,10 @@ func restrictedFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 	sm := buildRandomSummary(tb, rng, s, 150)
 	m := sm.NewMatcher()
 	var events []*schema.Event
-	for len(events) < 64 {
+	for draws := 0; len(events) < 64; draws++ {
+		if draws == 100000 {
+			tb.Fatalf("fixture: %d of %d drawn events take the restricted walk", len(events), draws)
+		}
 		ev := randomEvent(rng, s)
 		m.MatchKeys(ev) // binds m to the view admit reads
 		if m.admit(ev) && len(m.runs) > 0 {

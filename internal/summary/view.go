@@ -24,7 +24,9 @@ import (
 //     the ids of one mask form one contiguous run of indices, listed in
 //     groups, and within a run index order is key order. A mask is kept
 //     once, in its group; groupOf names each index's group.
-//   - attrs[a].cons is the bitset of the ids whose mask names attribute a.
+//   - attrs[a].cons is the bitset of the ids whose mask names attribute a,
+//     and attrs[a].groups the bitset, over group numbers, of the groups
+//     whose mask names it.
 //   - a row of attribute a lists only ids whose mask names a. Ids the
 //     registry did not hold at build time — tombstoned rows not yet
 //     purged, strays in a hand-built summary — are dropped then, and so
@@ -52,13 +54,16 @@ type View struct {
 }
 
 // attrView is what a view holds for one attribute: cons, the bitset of
-// the ids whose c3 mask names it, and its sets, nil where the summary
-// holds none. Where no mask names the attribute, cons is nil and so are
-// the sets: none of their rows could list an id.
+// the ids whose c3 mask names it; groups, the bitset of ⌈groups/64⌉ words
+// of the groups whose mask names it, which an event lacking the attribute
+// rules out; and its sets, nil where the summary holds none. Where no mask
+// names the attribute, cons and groups are nil and so are the sets: none
+// of their rows could list an id.
 type attrView struct {
-	cons []uint64
-	aacs *interval.Set
-	sacs *strmatch.Set
+	cons   []uint64
+	groups []uint64
+	aacs   *interval.Set
+	sacs   *strmatch.Set
 }
 
 // group is the index run of the ids whose c3 mask is mask (shared with the
@@ -166,9 +171,10 @@ func (sm *Summary) Compile() *View {
 	return v
 }
 
-// fillCons sizes attrs to the union and builds every cons from the group
-// table: each group's run, set in the bitset of every attribute its mask
-// names, a word at a time.
+// fillCons sizes attrs to the union and builds every cons and every group
+// bitset from the group table: each group's run, set a word at a time in
+// the cons of every attribute its mask names, and the group's bit in that
+// attribute's group bitset.
 func (v *View) fillCons() {
 	top := 0 // one past the union's last attribute
 	for w, word := range v.union {
@@ -177,16 +183,20 @@ func (v *View) fillCons() {
 		}
 	}
 	v.attrs = make([]attrView, top)
-	slab := make([]uint64, v.union.Count()*v.words)
+	gwords := idlist.Words(len(v.groups))
+	slab := make([]uint64, v.union.Count()*(v.words+gwords))
 	for a := range v.attrs {
 		if v.union.Has(a) {
 			v.attrs[a].cons, slab = slab[:v.words:v.words], slab[v.words:]
+			v.attrs[a].groups, slab = slab[:gwords:gwords], slab[gwords:]
 		}
 	}
-	for _, g := range v.groups {
+	for gi, g := range v.groups {
 		for w, word := range g.mask {
 			for ; word != 0; word &= word - 1 {
-				setBits(v.attrs[w<<6+bits.TrailingZeros64(word)].cons, g.lo, g.hi)
+				at := &v.attrs[w<<6+bits.TrailingZeros64(word)]
+				setBits(at.cons, g.lo, g.hi)
+				at.groups[gi>>6] |= 1 << (gi & 63)
 			}
 		}
 	}

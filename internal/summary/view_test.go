@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/subsum/subsum/internal/idlist"
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/strmatch"
@@ -131,13 +132,20 @@ func TestViewMatchesReference(t *testing.T) {
 // shape: every registered id at exactly one index, in
 // strictly ascending (mask, key) order; groups that partition the indices
 // into one run per mask, and a union that is the OR of their masks; cons
-// bitsets that name the ids of each attribute; the ids of every row
-// strictly ascending by index, and no tombstone or stray surviving in any
-// of them.
+// bitsets that name the ids of each attribute, and group bitsets that name
+// its groups; the ids of every row strictly ascending by index, and no
+// tombstone or stray surviving in any of them. At 3 000 ids the view has
+// more than 64 groups, so the group bitsets span two words.
 func TestViewInvariants(t *testing.T) {
 	s := stockSchema(t)
-	sm := dirtySummary(t, rand.New(rand.NewSource(62)), s, 150)
-	requireViewShape(t, sm, sm.Compile())
+	for _, n := range []int{150, 3000} {
+		sm := dirtySummary(t, rand.New(rand.NewSource(62)), s, n)
+		v := sm.Compile()
+		if n > 1000 && len(v.groups) <= 64 {
+			t.Fatalf("fixture: %d ids compile to %d groups; want more than 64", n, len(v.groups))
+		}
+		requireViewShape(t, sm, v)
+	}
 }
 
 // requireViewShape checks v, compiled from the dirty summary sm, against
@@ -194,6 +202,21 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 	}
 	if !union.Equal(v.union) {
 		t.Fatalf("union %v, want the OR of the group masks %v", v.union, union)
+	}
+	// An attribute without a view is named by no mask: the cons check
+	// above fails otherwise.
+	for a := 0; a < sm.schema.Len(); a++ {
+		if at := v.attr(schema.AttrID(a)); at != nil {
+			want := make([]uint64, idlist.Words(len(v.groups)))
+			for gi, g := range v.groups {
+				if g.mask.Has(a) {
+					want[gi>>6] |= 1 << (gi & 63)
+				}
+			}
+			if !slices.Equal(at.groups, want) {
+				t.Fatalf("attribute %d: group bitset %x, want %x, the groups whose mask names it", a, at.groups, want)
+			}
+		}
 	}
 
 	entries := 0
