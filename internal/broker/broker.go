@@ -11,6 +11,7 @@ package broker
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -64,17 +65,21 @@ type Broker struct {
 	merged        *summary.Summary // own + received (multi-broker summary)
 	mergedBrokers subid.Mask       // Merged_Brokers
 
-	// The lock-free match read path (RCU-style). matchGen counts merged-
-	// summary mutations: every mutator bumps it under b.mu. snap publishes
-	// an immutable snapshot of the matcher state (the compiled view of
-	// merged — summary.View — plus a cloned Merged_Brokers mask) stamped
-	// with the generation it was built from. Readers load snap with one
-	// atomic load; when its generation is stale they rebuild under b.mu
-	// (double-checked) and swap. Matching therefore never blocks
-	// behind a concurrent Subscribe/MergeEncodedSummary, and mutators never
-	// wait for matchers.
+	// The lock-free read paths (RCU-style). matchGen counts merged-summary
+	// mutations and ownerGen counts changes to the set of subs: every
+	// mutator bumps the counters it affects under b.mu. snap publishes an
+	// immutable snapshot of the matcher state (the compiled view of merged —
+	// summary.View — plus a cloned Merged_Brokers mask) and owners one of
+	// subs for the owner's exact pass, each stamped with the generation it
+	// was built from. Readers load them with one atomic load; when the
+	// generation is stale they rebuild under b.mu (double-checked) and
+	// swap. Matching and the exact pass therefore never block behind a
+	// concurrent Subscribe/MergeEncodedSummary, mutators never wait for
+	// readers, and a peer's summary merge leaves the owner table current.
 	matchGen   atomic.Uint64
 	snap       atomic.Pointer[matchSnapshot]
+	ownerGen   atomic.Uint64
+	owners     atomic.Pointer[ownerTable]
 	numBrokers int
 	// retired fences local ids whose retraction is still in flight: reusing
 	// the id before every remote merged summary has dropped the old rows
@@ -92,7 +97,6 @@ type Broker struct {
 	obs         *brokerObs       // nil unless Config.Metrics was set
 	rec         *flight.Recorder // nil unless Config.Flight was set
 	attrib      *FPAttributor    // nil unless Config.Attribution was set
-	fpCharges   []fpCharge       // collectExact's scratch (under b.mu)
 
 	// Convergence epoch vector (under b.mu): peerEpochs[p] is the highest
 	// epoch of any successfully applied summary payload whose
@@ -239,6 +243,38 @@ func (b *Broker) matchSnapshot() *matchSnapshot {
 	return s
 }
 
+// ownerTable is one published generation of subs, read by the owner's
+// exact pass without b.mu: a clone of the map, so its size follows the
+// live subscriptions and not the highest local id ever issued. It shares
+// the entries of subs, whose id, sub and deliver never change once
+// registered, and copies no constraints. Immutable once stored in
+// b.owners.
+type ownerTable struct {
+	gen  uint64
+	subs map[subid.LocalID]*subEntry
+}
+
+// invalidateOwners retires the published owner table; callers hold b.mu
+// and have just added a subscription to subs or removed one.
+func (b *Broker) invalidateOwners() { b.ownerGen.Add(1) }
+
+// ownerSnapshot returns the current owner table, rebuilding it from subs
+// if a mutation retired the published one.
+func (b *Broker) ownerSnapshot() *ownerTable {
+	if t := b.owners.Load(); t != nil && t.gen == b.ownerGen.Load() {
+		return t
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	gen := b.ownerGen.Load()
+	if t := b.owners.Load(); t != nil && t.gen == gen {
+		return t
+	}
+	t := &ownerTable{gen: gen, subs: maps.Clone(b.subs)}
+	b.owners.Store(t)
+	return t
+}
+
 // ID returns the broker's overlay node id.
 func (b *Broker) ID() topology.NodeID { return b.id }
 
@@ -267,6 +303,7 @@ func (b *Broker) Subscribe(sub *schema.Subscription, deliver DeliveryFunc) (subi
 	b.nextLocal++
 	b.subs[id.Local] = &subEntry{id: id, sub: sub, deliver: deliver}
 	b.invalidateMatch()
+	b.invalidateOwners()
 	b.updateSubGauges()
 	b.rec.Record(flight.EvSubscribe, int(b.id), int64(id.Local), int64(len(sub.AttrSet())), 0, "")
 	return id, nil
@@ -338,6 +375,7 @@ func (b *Broker) Restore(local subid.LocalID, sub *schema.Subscription, deliver 
 	}
 	b.subs[local] = &subEntry{id: id, sub: sub, deliver: deliver}
 	b.invalidateMatch()
+	b.invalidateOwners()
 	b.updateSubGauges()
 	return nil
 }
@@ -355,6 +393,7 @@ func (b *Broker) Unsubscribe(id subid.ID) error {
 		return fmt.Errorf("broker %d: unknown subscription %v", b.id, id)
 	}
 	delete(b.subs, id.Local)
+	b.invalidateOwners()
 	if e.propagated {
 		// Remote summaries hold this id: queue a retraction (which also
 		// drops any rows still pending in the delta) and fence the local id.
@@ -635,13 +674,14 @@ type Hits struct{ subs []*subEntry }
 // summary pre-filter already run by whoever routed the event here: keys
 // are the candidate id keys that broker's match named for this owner (the
 // local hop's own match result, or the id list of a deliver record). Only
-// the exact re-match and the delivery remain — a map lookup and
-// Subscription.Matches per key, against the current raw subscription, so
-// a named id that was unsubscribed or reused in the meantime can never
-// produce an unsound delivery. Keys owned by other brokers are ignored.
-// Every owned subscription has its own summary rows, so the names are
-// complete: summaries never produce false negatives. The matched
-// subscriptions are collected in hits.
+// the exact re-match and the delivery remain — an owner-table probe and an
+// exact test of the constraints per key, against the raw subscription of
+// the current owner table, so a named id that was unsubscribed or reused
+// before the call can never produce an unsound delivery. It takes no lock
+// once the table is current (see collectExact). Keys owned by other
+// brokers are ignored. Every owned subscription has its own summary rows,
+// so the names are complete: summaries never produce false negatives. The
+// matched subscriptions are collected in hits.
 func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64, hits *Hits) int {
 	subs := b.collectExact(ev, keys, hits.subs[:0])
 	n := b.deliverHits(ev, subs)
@@ -654,26 +694,35 @@ func (b *Broker) DeliverExactCandidates(ev *schema.Event, keys []uint64, hits *H
 // raw subscriptions, appending the matches to hits; keys of other owners
 // are skipped.
 //
+// It reads the published owner table, with no lock. The table is current
+// while no Subscribe, Restore or Unsubscribe has bumped ownerGen since it
+// was built, and each bumps it, under b.mu, before it returns; so the pass
+// linearizes at the generation check in ownerSnapshot. An Unsubscribe that
+// returned before the call began is seen there — the stale table is
+// rebuilt from subs — and its id is never delivered; one that starts after
+// the check may still see the event delivered. Merges of peer summaries
+// leave the table current, so they never put a rebuild on this path.
+//
 // One pass over each candidate's constraints both decides the match and,
 // until a hit is found, keeps the first failing constraint's (attribute,
-// class) in b.fpCharges. If no candidate matches, those are the false
-// positive's charges: one per live candidate, a stale one per dead
-// candidate, and one stale charge to this broker when it had no
+// class) in a buffer of the call's own. If no candidate matches, those are
+// the false positive's charges: one per live candidate, a stale one per
+// dead candidate, and one stale charge to this broker when it had no
 // candidate at all (the sender's merged view of it was stale).
 func (b *Broker) collectExact(ev *schema.Event, keys []uint64, hits []*subEntry) []*subEntry {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	owned := b.ownerSnapshot().subs
 	self := subid.BrokerID(b.id)
 	charge := b.attrib != nil
-	charges := b.fpCharges[:0]
+	var buf [16]fpCharge // a record names few candidates; more spill to the heap
+	charges := buf[:0]
 	for _, key := range keys {
 		owner, local := subid.KeyParts(key)
 		if owner != self {
 			continue
 		}
-		e, ok := b.subs[local]
+		e, ok := owned[local]
 		if !ok {
-			// Retired candidate: snapshot lag or a stale remote row.
+			// Retired candidate: named from a summary older than the table.
 			if charge {
 				charges = append(charges, fpCharge{FPNoAttr, FPClassStale})
 			}
@@ -694,7 +743,6 @@ func (b *Broker) collectExact(ev *schema.Event, keys []uint64, hits []*subEntry)
 			charges = append(charges, fpCharge{c.Attr, ClassifyOp(c.Op)})
 		}
 	}
-	b.fpCharges = charges[:0]
 	if charge {
 		if len(charges) == 0 {
 			charges = append(charges, fpCharge{FPNoAttr, FPClassStale})

@@ -32,7 +32,8 @@ func FuzzParseSubscription(f *testing.F) {
 	})
 }
 
-// FuzzDecodeEvent: the binary event decoder must never panic.
+// FuzzDecodeEvent: the binary event decoder must never panic, and an
+// accepted event's Value agrees with a scan of its fields for every id.
 func FuzzDecodeEvent(f *testing.F) {
 	s := MustNew(
 		Attribute{Name: "symbol", Type: TypeString},
@@ -43,6 +44,7 @@ func FuzzDecodeEvent(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(EncodeEvent(nil, ev))
+	f.Add(wireFields(ev.Fields()[1], ev.Fields()[0])) // out of order: the EventFromFields path
 	f.Add([]byte{})
 	f.Add([]byte{1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -53,6 +55,7 @@ func FuzzDecodeEvent(f *testing.F) {
 		if n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
+		requireValueMatchesScan(t, s, "decoded", ev)
 		// Accepted events re-encode and decode to the same fields.
 		buf := EncodeEvent(nil, ev)
 		if size := EncodedEventSize(ev); size != len(buf) || size != n {

@@ -220,10 +220,11 @@ func admissionSeed(events ...byte) []byte {
 
 // FuzzMatchKeys: on any small summary — =, ≠, ranges, prefix, suffix and
 // contains rows, repeated ids, tombstones — the compiled matcher returns
-// the keys and the MatchCost of the map-based reference, admission never
-// changes the keys Algorithm 1 finds when it counts every listed id and
-// leaves the runs the per-group mask scan finds, and every scratch set is
-// left zero. The first two are the paper's contract
+// the keys and the MatchCost of the map-based reference, and the
+// reference's keys on the engine's path (MatchKeys, MatchBatch);
+// admission never changes the keys Algorithm 1 finds when it counts every
+// listed id and leaves the runs the per-group mask scan finds, and every
+// scratch set is left zero. The first two are the paper's contract
 // (no false negative); the last is what the next event's answer rests on.
 // Its summaries hold at most 16 ids, one word, where every row is a
 // bitset; TestMatcherMultiWord covers list rows and views of many words.
@@ -257,5 +258,6 @@ func FuzzMatchKeys(f *testing.F) {
 			requireAdmit(t, m, ev)
 			requireScratchZero(t, "after admitting "+ev.Format(s), m)
 		}
+		requireEngineKeys(t, "the engine's path", m, sm, events)
 	})
 }

@@ -17,30 +17,36 @@ import (
 // the ids whose count reaches their c3 attribute count. Here step 1 takes,
 // per event attribute, the set of ids its value satisfies (the rows
 // interval.Set.AppendLists and strmatch.Set.AppendLists consult, read
-// where they lie) and folds it, 64 ids a word, into two sets: the ids some
-// attribute satisfies, and the ids an attribute their mask names
-// (attrView.cons) misses. Step 2 is one pass per word: the ids of the
-// first set and not the second match.
+// where they lie) and folds it, 64 ids a word, into one set: the ids an
+// attribute their mask names (attrView.cons) misses. Step 2 is one pass
+// per word: the admitted ids that set does not hold match.
 //
-// That is the paper's counter test, exactly, because a View lists an id
-// only under attributes its mask names: each of the id's attributes then
-// counts it once (a union has no repeats, however many rows list it), and
-// the count reaches the target just when every attribute of the mask lists
-// the id. An id whose mask is empty is listed nowhere and never matches.
+// That is the paper's counter test, exactly. Only admitted ids are
+// examined: those whose c3 mask is non-empty and lies within the event's
+// attributes. Every attribute of an admitted id's mask is then an event
+// attribute the fold visits, and a View lists an id only under attributes
+// its mask names, so "no attribute misses it" is "every attribute of its
+// mask lists it": each of those attributes counts it once (a union has no
+// repeats, however many rows list it), and the count reaches the target.
+// An id whose mask is empty is listed nowhere and never matches; no
+// attribute could miss it either, so admission leaves it out by name (its
+// group is the view's first, see View.empty).
 //
-// Only admitted ids are examined: those whose c3 mask lies within the
-// event's attributes. Any other id misses an attribute it constrains, so
-// it could never match. When the event carries every attribute of the
-// view's union, every id is admitted and both steps cover every word.
-// Otherwise the eligible groups are every group less those whose mask
-// names an attribute the event lacks (attrView.groups, a word per 64
-// groups); their runs are coalesced, list rows are cut to them, and both
-// steps cover only their words, masked to the runs.
+// Any other id misses an attribute it constrains, so it could never match.
+// When the event carries every attribute of the view's union, every id
+// with a mask is admitted and both steps cover every word. Otherwise the
+// eligible groups are every such group less those whose mask names an
+// attribute the event lacks (attrView.groups, a word per 64 groups); their
+// runs are coalesced, list rows are cut to them, and both steps cover only
+// their words, masked to the runs.
 //
 // A set a value satisfies through one bitset row is that row; the others
 // are merged in scratch. The scratch is all zero between events: each
 // step zeroes again the words it wrote. A bit left set would
 // satisfy a later event's attribute for an id its value does not satisfy.
+//
+// The match computes no operation counts. MatchKeysWithCost adds a
+// counting pass of its own (count) over the same satisfied sets.
 //
 // A matcher from Summary.NewMatcher follows its summary: each match reads
 // the summary's current view, recompiled on the first match after a
@@ -54,9 +60,9 @@ type Matcher struct {
 
 	// scratch holds five sets of the view's words words each and one of a
 	// word per 64 groups, all zero between events: the empty set (never
-	// written), the admitted ids, the ids some attribute satisfies, the ids
-	// some attribute misses, the set one attribute's rows are merged into,
-	// and the eligible groups.
+	// written), the admitted ids, the ids some attribute satisfies (written
+	// by the counting pass alone), the ids some attribute misses, the set
+	// one attribute's rows are merged into, and the eligible groups.
 	scratch []uint64
 	words   []span     // the words the fold and the pass cover, ascending and disjoint
 	hit     []int32    // dense ids that matched
@@ -109,13 +115,18 @@ func (m *Matcher) MatchBatch(events []*schema.Event) [][]uint64 {
 // MatchKeys returns the matched id keys in ascending order. The slice is
 // scratch owned by the matcher, valid until the next call.
 func (m *Matcher) MatchKeys(e *schema.Event) []uint64 {
-	keys, _ := m.MatchKeysWithCost(e)
-	return keys
+	m.collect(e)
+	m.inKeyOrder()
+	return m.out
 }
 
-// MatchKeysWithCost is MatchKeys with the Section 5.2.4 operation counts.
+// MatchKeysWithCost is MatchKeys with the Section 5.2.4 operation counts,
+// found by a counting pass before the match.
 func (m *Matcher) MatchKeysWithCost(e *schema.Event) ([]uint64, MatchCost) {
-	cost := m.collect(e)
+	restricted := m.begin(e)
+	cost := m.count(e, restricted)
+	m.fold(e, restricted)
+	cost.Matched = len(m.hit)
 	m.inKeyOrder()
 	return m.out, cost
 }
@@ -187,106 +198,158 @@ func (m *Matcher) countOwners() bool {
 
 // collect runs Algorithm 1 on e and leaves the dense ids that matched in
 // m.hit, in index order: not key order.
-func (m *Matcher) collect(e *schema.Event) MatchCost {
+func (m *Matcher) collect(e *schema.Event) { m.fold(e, m.begin(e)) }
+
+// begin binds the matcher to the view e is matched against, admits e
+// (sizing the scratch to the view), and sets the admitted ids in keep
+// over the words it leaves in m.words. It reports whether the match is
+// restricted to the eligible runs.
+func (m *Matcher) begin(e *schema.Event) bool {
 	if m.sm != nil {
 		m.v = m.sm.compiled()
 	}
-	restricted := m.admit(e) // sizes the scratch to the view
-	v, fields := m.v, e.Fields()
-	words := v.words
-	zero, keep, or, miss, merged := m.scratch[:words], m.scratch[words:2*words],
-		m.scratch[2*words:3*words], m.scratch[3*words:4*words], m.scratch[4*words:5*words]
-	m.cover(restricted, keep)
+	restricted := m.admit(e)
+	m.cover(restricted)
+	return restricted
+}
 
-	// Step 1: fold in, per attribute an id can be listed under, the ids its
-	// value satisfies. The counts are the paper's: each attribute's admitted
-	// ids (its counter bumps), their union (the ids counted), the matches.
-	cost := MatchCost{EventAttrs: len(fields)}
-	for _, f := range fields {
-		a := v.attr(f.Attr)
+// fold is Algorithm 1 on an admitted event: step 1 folds, per attribute
+// an id can be listed under, the ids its mask names and its value does not
+// satisfy; step 2 leaves in m.hit the admitted ids none of them holds, and
+// zeroes again keep and miss where they were written.
+func (m *Matcher) fold(e *schema.Event, restricted bool) {
+	words := m.v.words
+	keep, miss := m.scratch[words:2*words], m.scratch[3*words:4*words]
+	for _, f := range e.Fields() {
+		a := m.v.attr(f.Attr)
 		if a == nil {
 			continue // no mask names it, so no row of it lists an id
 		}
-		rows := m.lists[:0]
-		if f.Value.Arithmetic() {
-			if a.aacs != nil {
-				rows = a.aacs.AppendLists(rows, f.Value.Num)
+		sat, built := m.satisfied(f, a, restricted)
+		for _, sp := range m.words {
+			ms := miss[sp.lo:sp.hi]
+			cons, s := a.cons[sp.lo:sp.hi], sat[sp.lo:sp.hi]
+			cons, s = cons[:len(ms)], s[:len(ms)]
+			for w := range ms {
+				ms[w] |= cons[w] &^ s[w]
 			}
-		} else if a.sacs != nil {
-			rows = a.sacs.AppendLists(rows, f.Value.Str)
-		}
-		m.lists = rows
-		nl := 0 // list rows first, then bitset rows
-		for r, ids := range rows {
-			if len(ids) != words {
-				rows[nl], rows[r] = ids, rows[nl]
-				nl++
+			if built {
+				clear(s)
 			}
 		}
-		lists, bitsets := rows[:nl], rows[nl:]
-		if restricted {
-			lists = m.cut(lists)
-		}
-		sat, built := zero, false
-		switch {
-		case len(lists) == 0 && len(bitsets) == 1:
-			sat = bitsets[0]
-		case len(lists)+len(bitsets) > 0:
-			sat, built = merged, true
-			for _, ids := range lists {
-				for _, i := range ids {
-					sat[i>>6] |= 1 << (i & 63)
-				}
-			}
-			for _, b := range bitsets {
-				for _, sp := range m.words {
-					for w := sp.lo; w < sp.hi; w++ {
-						sat[w] |= b[w]
-					}
-				}
+	}
+	hit := m.hit[:0]
+	for _, sp := range m.words {
+		for w := sp.lo; w < sp.hi; w++ {
+			for h := keep[w] &^ miss[w]; h != 0; h &= h - 1 {
+				hit = append(hit, int32(w<<6)+int32(bits.TrailingZeros64(h)))
 			}
 		}
+		clear(keep[sp.lo:sp.hi])
+		clear(miss[sp.lo:sp.hi])
+	}
+	m.hit = hit
+}
+
+// count returns the Section 5.2.4 counts of Algorithm 1 on an admitted
+// event, as the paper's counters would find them, but for Matched, which
+// the match that follows supplies: each attribute's admitted ids its value
+// satisfies (its counter bumps) and their union (the ids counted). It
+// reads the satisfied sets fold reads, through the same satisfied, and
+// leaves keep as it found it.
+func (m *Matcher) count(e *schema.Event, restricted bool) MatchCost {
+	words := m.v.words
+	keep, or := m.scratch[words:2*words], m.scratch[2*words:3*words]
+	cost := MatchCost{EventAttrs: e.Len()}
+	for _, f := range e.Fields() {
+		a := m.v.attr(f.Attr)
+		if a == nil {
+			continue
+		}
+		sat, built := m.satisfied(f, a, restricted)
 		for _, sp := range m.words {
 			for w := sp.lo; w < sp.hi; w++ {
 				s := sat[w] & keep[w]
 				cost.CollectedIDs += bits.OnesCount64(s)
 				or[w] |= s
-				miss[w] |= a.cons[w] &^ s
 			}
 			if built {
-				clear(merged[sp.lo:sp.hi])
+				clear(sat[sp.lo:sp.hi])
 			}
 		}
 	}
-
-	// Step 2: the admitted ids some attribute satisfies and none misses.
-	hit := m.hit[:0]
 	for _, sp := range m.words {
 		for w := sp.lo; w < sp.hi; w++ {
 			cost.UniqueIDs += bits.OnesCount64(or[w])
-			for h := or[w] &^ miss[w]; h != 0; h &= h - 1 {
-				hit = append(hit, int32(w<<6)+int32(bits.TrailingZeros64(h)))
-			}
 		}
-		// Restore the all-zero state where this event wrote.
-		clear(keep[sp.lo:sp.hi])
 		clear(or[sp.lo:sp.hi])
-		clear(miss[sp.lo:sp.hi])
 	}
-	m.hit = hit
-	cost.Matched = len(hit)
 	return cost
 }
 
+// satisfied returns the ids f's value satisfies among the rows of a, over
+// the words of m.words: on a restricted match, those of a list row only
+// inside the eligible runs. A lone bitset row is returned as it lies, no
+// row at all as the empty set; otherwise the rows are merged into the
+// merge set, and built reports that the caller must zero it again over
+// m.words.
+func (m *Matcher) satisfied(f schema.Field, a *attrView, restricted bool) (sat []uint64, built bool) {
+	words := m.v.words
+	rows := m.lists[:0]
+	if f.Value.Arithmetic() {
+		if a.aacs != nil {
+			rows = a.aacs.AppendLists(rows, f.Value.Num)
+		}
+	} else if a.sacs != nil {
+		rows = a.sacs.AppendLists(rows, f.Value.Str)
+	}
+	m.lists = rows
+	nl := 0 // list rows first, then bitset rows
+	for r, ids := range rows {
+		if len(ids) != words {
+			rows[nl], rows[r] = ids, rows[nl]
+			nl++
+		}
+	}
+	lists, bitsets := rows[:nl], rows[nl:]
+	if restricted {
+		lists = m.cut(lists)
+	}
+	switch {
+	case len(lists) == 0 && len(bitsets) == 0:
+		return m.scratch[:words], false
+	case len(lists) == 0 && len(bitsets) == 1:
+		return bitsets[0], false
+	}
+	sat = m.scratch[4*words : 5*words]
+	for _, ids := range lists {
+		for _, i := range ids {
+			sat[i>>6] |= 1 << (i & 63)
+		}
+	}
+	for _, b := range bitsets {
+		for _, sp := range m.words {
+			for w := sp.lo; w < sp.hi; w++ {
+				sat[w] |= b[w]
+			}
+		}
+	}
+	return sat, true
+}
+
 // cover leaves in m.words the words the fold and the pass read, and sets
-// the admitted ids in keep: every id of the view for an event that covers
-// its union, otherwise the ids of the eligible runs. Two runs can share a
-// word; it is listed once.
-func (m *Matcher) cover(restricted bool, keep []uint64) {
+// the admitted ids in keep: every id of the view with a non-empty mask for
+// an event that covers its union, otherwise the ids of the eligible runs.
+// Two runs can share a word; it is listed once. Every id a row lists has a
+// mask, so the words of the ids a merge set takes from uncut lists lie in
+// m.words, where it is zeroed again.
+func (m *Matcher) cover(restricted bool) {
+	v := m.v
+	keep := m.scratch[v.words : 2*v.words]
 	words := m.words[:0]
 	if !restricted {
-		setBits(keep, 0, uint64(len(m.v.keys)))
-		m.words = append(words, span{0, uint64(m.v.words)})
+		setBits(keep, v.empty, uint64(len(v.keys)))
+		m.words = append(words, span{v.empty >> 6, uint64(v.words)})
 		return
 	}
 	for _, r := range m.runs {
@@ -303,11 +366,12 @@ func (m *Matcher) cover(restricted bool, keep []uint64) {
 
 // admit builds the event's attribute mask and reports whether the match
 // must be restricted to eligible runs, which it then leaves in m.runs:
-// false when the event covers the view's union and every id is admitted.
-// The eligible groups start as every group; the group bitset of each
-// union attribute the event lacks is taken out, and the groups left are
-// walked in index order. That costs a word per 64 groups for each absent
-// attribute, plus one step per eligible group.
+// false when the event covers the view's union and every id with a mask
+// is admitted. The eligible groups start as every group but the
+// empty-mask one; the group bitset of each union attribute the event
+// lacks is taken out, and the groups left are walked in index order. That
+// costs a word per 64 groups for each absent attribute, plus one step per
+// eligible group.
 func (m *Matcher) admit(e *schema.Event) bool {
 	v := m.v
 	gwords := idlist.Words(len(v.groups))
@@ -325,7 +389,7 @@ func (m *Matcher) admit(e *schema.Event) bool {
 		return false
 	}
 	eligible := m.scratch[5*v.words : 5*v.words+gwords]
-	setBits(eligible, 0, uint64(len(v.groups)))
+	setBits(eligible, min(v.empty, 1), uint64(len(v.groups)))
 	for w, absent := range v.union {
 		if w < len(m.attrs) {
 			absent &^= m.attrs[w]

@@ -47,8 +47,9 @@ func buildRandomSummary(t testing.TB, rng *rand.Rand, s *schema.Schema, n int) *
 // TestMatcherMatchesLegacy is the differential property test: across
 // randomized workloads the pooled Matcher must report byte-identical key
 // sets and identical MatchCost to the map-based reference
-// (reference_test.go), and those keys must be the ones Algorithm 1 finds
-// counting every listed id. Most random events miss an attribute some
+// (reference_test.go), on the counting path and on the engine's
+// (MatchKeys, MatchBatch), and those keys must be the ones Algorithm 1
+// finds counting every listed id. Most random events miss an attribute some
 // subscription names, so most take the restricted walk; the rest take the
 // union path.
 func TestMatcherMatchesLegacy(t *testing.T) {
@@ -58,8 +59,10 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		sm := buildRandomSummary(t, rng, s, 60+rng.Intn(60))
 		m := sm.NewMatcher()
+		var drawn []*schema.Event
 		for probe := 0; probe < 150; probe++ {
 			ev := randomEvent(rng, s)
+			drawn = append(drawn, ev)
 			events++
 			wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
 			gotKeys, gotCost := m.MatchKeysWithCost(ev)
@@ -79,14 +82,17 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 				restricted++
 			}
 		}
+		requireEngineKeys(t, fmt.Sprintf("trial %d", trial), m, sm, drawn)
 		// Mutating the summary mid-stream must not confuse the matcher's
 		// dense scratch (registry growth and swap-deletes).
 		if err := sm.Insert(subid.ID{Broker: 3, Local: 1}, randomSubscription(rng, s)); err != nil {
 			t.Fatal(err)
 		}
 		sm.Remove(subid.ID{Broker: 1, Local: 0})
+		drawn = drawn[:0]
 		for probe := 0; probe < 50; probe++ {
 			ev := randomEvent(rng, s)
+			drawn = append(drawn, ev)
 			events++
 			wantKeys := sm.referenceMatchKeys(ev)
 			gotKeys, _ := m.MatchKeysWithCost(ev)
@@ -94,6 +100,7 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 				t.Fatalf("trial %d post-mutation: keys diverge on %s", trial, ev.Format(s))
 			}
 		}
+		requireEngineKeys(t, fmt.Sprintf("trial %d post-mutation", trial), m, sm, drawn)
 	}
 	if events < 1000 {
 		t.Fatalf("differential test covered only %d events, want ≥1000", events)
@@ -243,6 +250,33 @@ func TestMatcherPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// requireEngineKeys checks the engine's match — MatchKeys per event, and
+// MatchBatch over the whole run — against the reference's keys on
+// events, then the matcher's resting state. The counting path
+// (MatchKeysWithCost) runs a pass of its own before the same fold, so a
+// test that checks it alone would not see a fault only the engine's path
+// has.
+func requireEngineKeys(t testing.TB, when string, m *Matcher, sm *Summary, events []*schema.Event) {
+	t.Helper()
+	want := make([][]uint64, len(events))
+	for i, ev := range events {
+		want[i] = sm.referenceMatchKeys(ev)
+		if got := m.MatchKeys(ev); !slices.Equal(got, want[i]) {
+			t.Fatalf("%s: MatchKeys on %v: %v, reference %v", when, ev.Fields(), got, want[i])
+		}
+	}
+	res := m.MatchBatch(events)
+	if len(res) != len(events) {
+		t.Fatalf("%s: MatchBatch returned %d results for %d events", when, len(res), len(events))
+	}
+	for i, keys := range res {
+		if !slices.Equal(keys, want[i]) {
+			t.Fatalf("%s: MatchBatch event %d (%v): %v, reference %v", when, i, events[i].Fields(), keys, want[i])
+		}
+	}
+	requireScratchZero(t, when+", after the engine's match", m)
+}
+
 // requireScratchZero checks the matcher's resting state: every scratch
 // set zero. A bit left standing satisfies a later event's attribute for an
 // id its value does not satisfy — a false positive of the summary, or,
@@ -261,7 +295,8 @@ func requireScratchZero(t testing.TB, when string, ms ...*Matcher) {
 
 // scanAdmit is the admission oracle: whether e misses an attribute of v's
 // union, and the eligible runs found by testing every group's mask
-// against e's attributes, coalesced in index order.
+// against e's attributes, coalesced in index order. A group whose mask is
+// empty is never eligible: its ids match nothing.
 func scanAdmit(v *View, e *schema.Event) (restricted bool, runs []span) {
 	var attrs subid.Mask
 	for _, f := range e.Fields() {
@@ -271,7 +306,7 @@ func scanAdmit(v *View, e *schema.Event) (restricted bool, runs []span) {
 		return false, nil
 	}
 	for _, g := range v.groups {
-		if !g.mask.Within(attrs) {
+		if g.mask.Count() == 0 || !g.mask.Within(attrs) {
 			continue
 		}
 		if n := len(runs); n > 0 && runs[n-1].hi == g.lo {
@@ -539,10 +574,11 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 // return the reference's keys and MatchCost on events as drawn (most miss
 // an attribute some subscription names, so the pass is cut to eligible
 // runs) and on the same events with every attribute added (the union
-// path), and leave every scratch set zero; admission leaves the runs the
-// per-group mask scan finds. FuzzMatchKeys' summaries fit one word, where
-// every row is a bitset; here rows shorter than the view's word count stay
-// lists. The test fails unless the draw reached each shape the pass
+// path), and leave every scratch set zero; MatchKeys, and MatchBatch over
+// all of a view's events, return the reference's keys too; admission
+// leaves the runs the per-group mask scan finds. FuzzMatchKeys' summaries
+// fit one word, where every row is a bitset; here rows shorter than the
+// view's word count stay lists. The test fails unless the draw reached each shape the pass
 // distinguishes: an attribute consulting one bitset row, several, and
 // bitset and list rows together; groups straddling a word boundary; two
 // eligible runs sharing one word; a view of more than 64 groups, whose
@@ -565,6 +601,7 @@ func TestMatcherMultiWord(t *testing.T) {
 	}
 	var oneBitset, bitsets, mixed, straddling, sharedWord, restricted, union, wideViews, farEligible int
 	for _, n := range []int{64, 65, 3000} {
+		var drawnRun []*schema.Event // each probe's two events, for the engine's path
 		sm := New(s, interval.Lossy)
 		for i := 0; i < n; i++ {
 			sub := randomSubscription(rng, s)
@@ -590,7 +627,8 @@ func TestMatcherMultiWord(t *testing.T) {
 		follower, bound := sm.NewMatcher(), v.NewMatcher()
 		for probe := 0; probe < 300; probe++ {
 			drawn := randomEvent(rng, s)
-			for _, ev := range []*schema.Event{drawn, withAllAttrs(t, s, drawn)} {
+			drawnRun = append(drawnRun, drawn, withAllAttrs(t, s, drawn))
+			for _, ev := range drawnRun[len(drawnRun)-2:] {
 				wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
 				for name, m := range map[string]*Matcher{"follower": follower, "compiled view": bound} {
 					gotKeys, gotCost := m.MatchKeysWithCost(ev)
@@ -638,6 +676,9 @@ func TestMatcherMultiWord(t *testing.T) {
 					}
 				}
 			}
+		}
+		for name, m := range map[string]*Matcher{"follower": follower, "compiled view": bound} {
+			requireEngineKeys(t, fmt.Sprintf("%d ids, %s", n, name), m, sm, drawnRun)
 		}
 	}
 	t.Logf("attributes with one bitset row %d, several %d, bitsets and lists %d; %d straddling groups; "+

@@ -39,6 +39,10 @@ import (
 //     a run is found by binary search.
 //   - union is the OR of every group's mask: an event carrying all of its
 //     attributes can be matched with no run consulted at all.
+//   - empty is the number of ids whose mask is empty. Mask.Compare sorts
+//     the empty mask first, so they are indices [0, empty) and, when
+//     there are any, group 0: the first index and group a match admits is
+//     empty and min(empty, 1).
 //   - nothing is written afterwards: any number of Matchers read one View
 //     concurrently while the Summary it was built from keeps mutating.
 type View struct {
@@ -50,7 +54,8 @@ type View struct {
 	groupOf []int32 // index → its group
 	groups  []group // one per distinct mask, in index order; their runs partition [0, len(keys))
 	union   subid.Mask
-	words   int // ⌈len(keys)/64⌉, the length of every bitset of the view
+	empty   uint64 // ids with an empty mask: indices [0, empty), group 0
+	words   int    // ⌈len(keys)/64⌉, the length of every bitset of the view
 }
 
 // attrView is what a view holds for one attribute: cons, the bitset of
@@ -141,6 +146,9 @@ func (sm *Summary) Compile() *View {
 		for w, word := range masks[b] {
 			v.union[w] |= word
 		}
+	}
+	if len(v.groups) > 0 && v.groups[0].mask.Count() == 0 {
+		v.empty = v.groups[0].hi
 	}
 	v.fillCons()
 	order := make([]int32, n) // dense index → registry index

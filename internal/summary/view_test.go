@@ -280,7 +280,10 @@ func requireViewShape(t *testing.T, sm *Summary, v *View) {
 // second although it constrains nothing, and inflate MatchCost. The
 // compiled view drops them, so the first id matches every event that
 // satisfies its real constraint, the second none, at the cost of the
-// live entries alone.
+// live entries alone. The second id is also never admitted: no attribute
+// can miss an id whose mask is empty, so the engine's match (MatchKeys)
+// would report it for every event if admission took it in; the events
+// take both the union path and the restricted one.
 func TestViewDropsEntriesOutsideMask(t *testing.T) {
 	s := stockSchema(t)
 	priceID, _ := s.ID("price")
@@ -302,6 +305,7 @@ func TestViewDropsEntriesOutsideMask(t *testing.T) {
 	if err := sm.MergeEncoded(crafted.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
+	paths := map[bool]int{} // restricted → events
 	for name, m := range map[string]*Matcher{"follower": sm.NewMatcher(), "compiled view": sm.Compile().NewMatcher()} {
 		for _, tc := range []struct {
 			event string
@@ -313,11 +317,22 @@ func TestViewDropsEntriesOutsideMask(t *testing.T) {
 			{`price=20 volume=70`, []uint64{x.Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
 			{`price=20`, []uint64{x.Key()}, MatchCost{EventAttrs: 1, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
 			{`price=5 volume=5`, []uint64{id(1, 1).Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
+			{`volume=70`, nil, MatchCost{EventAttrs: 1}},
+			{`exchange=NYSE`, nil, MatchCost{EventAttrs: 1}},
 		} {
-			if got, cost := m.MatchKeysWithCost(mustEvent(t, s, tc.event)); !slices.Equal(got, tc.want) || cost != tc.cost {
+			ev := mustEvent(t, s, tc.event)
+			if got, cost := m.MatchKeysWithCost(ev); !slices.Equal(got, tc.want) || cost != tc.cost {
 				t.Errorf("%s on %s: matched %v at %+v, want %v at %+v", name, tc.event, got, cost, tc.want, tc.cost)
 			}
+			if got := m.MatchKeys(ev); !slices.Equal(got, tc.want) {
+				t.Errorf("%s on %s: MatchKeys matched %v, want %v", name, tc.event, got, tc.want)
+			}
+			restricted, _ := scanAdmit(m.v, ev)
+			paths[restricted]++
 		}
+	}
+	if paths[false] == 0 || paths[true] == 0 {
+		t.Fatalf("events by path (restricted → count) %v: want both the union path and the restricted one", paths)
 	}
 }
 
