@@ -85,7 +85,7 @@ type Network struct {
 	// order (Algorithm 3: which broker an event is forwarded to next) are
 	// functions of the overlay, derived once in New and read-only after.
 	schedule []propagation.Round
-	order    []topology.NodeID
+	order    *routing.Order
 
 	// periodMu serializes Propagate calls; period is the working set of the
 	// propagation period currently in flight (nil between periods). It is
@@ -124,7 +124,8 @@ type Network struct {
 }
 
 // runScratch is one broker handler's reusable working set for a run of
-// events: the event messages and their events, and the remote deliver
+// events: the event messages, their events and whether each was forwarded
+// here (rather than published here), and the remote deliver
 // records the run owes, chained per owner in event order. A record names
 // its event and the owner's ids in that event's match result
 // (res[ev][lo:hi]). heads[o] and tails[o] are owner o's first and last
@@ -136,6 +137,7 @@ type Network struct {
 type runScratch struct {
 	walks        []*eventMsg
 	events       []*schema.Event
+	forwarded    []bool
 	sends        []deliverSend
 	owners       subid.Mask
 	heads, tails []int32
@@ -233,7 +235,7 @@ func newOnBus(cfg Config, newBus func(n int) *netsim.Bus) (*Network, error) {
 		net.brokers[i] = b
 	}
 	net.schedule = propagation.Schedule(cfg.Topology)
-	net.order = cfg.Topology.NodesByDegreeDesc()
+	net.order = routing.NewOrder(cfg.Topology)
 	net.scratch = make([]runScratch, n)
 	for i := 0; i < n; i++ {
 		node := topology.NodeID(i)
@@ -581,6 +583,7 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 		traceID = em.traceID
 		sc.walks = append(sc.walks, em)
 		sc.events = append(sc.events, em.ev)
+		sc.forwarded = append(sc.forwarded, m.From != node) // Publish sends from the broker to itself
 	}
 	k := len(sc.events)
 	if k == 0 {
@@ -633,9 +636,9 @@ func (net *Network) routeRun(node topology.NodeID, msgs []netsim.Message) {
 	// Step 4: forward while BROCLIe is incomplete. Every routed event ends
 	// in exactly one terminal counter — forwarded, suppressed, or handler
 	// error — which is the flow-conservation invariant the watchdog checks.
-	for _, w := range sc.walks {
+	for i, w := range sc.walks {
 		if w.brocli.Count() < len(net.brokers) {
-			net.forwardEvent(node, w, matched)
+			net.forwardEvent(node, w, sc.forwarded[i], matched)
 			continue
 		}
 		net.obs.eventsSuppressed.Inc()
@@ -667,7 +670,7 @@ func (net *Network) sendDelivers(node topology.NodeID, sc *runScratch, res [][]u
 
 // startRun empties the run's messages and events.
 func (sc *runScratch) startRun() {
-	sc.walks, sc.events = sc.walks[:0], sc.events[:0]
+	sc.walks, sc.events, sc.forwarded = sc.walks[:0], sc.events[:0], sc.forwarded[:0]
 }
 
 // chain adds a deliver record for event ev of the run to the end of
@@ -722,11 +725,13 @@ func ownerRunEnd(keys []uint64, lo int) int {
 	return hi
 }
 
-// forwardEvent sends the event's message on to the first unvisited broker
-// in forwarding-preference order, ending the hop in exactly one terminal
-// counter (forwarded or handler error).
-func (net *Network) forwardEvent(node topology.NodeID, w *eventMsg, matchedLen int) {
-	next, ok := routing.NextHop(net.order, w.brocli)
+// forwardEvent sends the event's message on to the first broker of the
+// examination order outside its BROCLIe, ending the hop in exactly one
+// terminal counter (forwarded or handler error). forwarded says the event
+// reached node by a forward, which lets the scan resume at node's rank
+// (routing.Order.NextHop).
+func (net *Network) forwardEvent(node topology.NodeID, w *eventMsg, forwarded bool, matchedLen int) {
+	next, ok := net.order.NextHop(node, forwarded, w.brocli)
 	if !ok {
 		return // not reached: the caller forwards only while BROCLIe is incomplete
 	}

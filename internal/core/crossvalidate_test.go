@@ -19,14 +19,28 @@ import (
 // subscriptions go through (a) the deterministic propagation+router
 // pipeline and (b) the live engine, and the total event-processing hop
 // counts must agree exactly — forwards are KindEvent messages beyond the
-// initial publishes, deliveries are KindDeliver messages.
+// initial publishes, deliveries are KindDeliver messages. On CW24 walks
+// are one or two hops; on the 256-broker transit-stub overlay they are
+// long enough that most hops resume the forwarding scan at their own rank
+// (routing.Order.NextHop).
 func TestLiveEngineHopsMatchDeterministicRouter(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"CW24", topology.CW24()},
+		{"TransitStub256", topology.TransitStub(256, 256)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { liveHopsMatchRouter(t, tc.g) })
+	}
+}
+
+func liveHopsMatchRouter(t *testing.T, g *topology.Graph) {
 	gen, err := workload.NewGenerator(workload.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := gen.Schema()
-	g := topology.CW24()
 	n := g.Len()
 
 	subsPerBroker := make([][]*schema.Subscription, n)
@@ -107,6 +121,7 @@ func TestLiveEngineHopsMatchDeterministicRouter(t *testing.T) {
 	st := net.Stats()
 	gotForward := int(st.Messages[netsim.KindEvent]) - len(events) // minus publish injections
 	gotDeliver := int(st.Messages[netsim.KindDeliver])
+	t.Logf("%d events: %d forward hops, %d delivery hops", len(events), wantForward, wantDeliver)
 	if gotForward != wantForward {
 		t.Errorf("forward hops: live %d, deterministic %d", gotForward, wantForward)
 	}

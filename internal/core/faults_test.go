@@ -201,7 +201,7 @@ func TestByteAccountingReconcilesUnderFaults(t *testing.T) {
 		}
 	}
 	f.net.Flush()
-	paused := f.net.order[0] // the first broker walks are forwarded to
+	paused := f.net.order.Nodes()[0] // the first broker walks are forwarded to
 	if err := faults.Pause(paused); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func newPipelineFixture(t *testing.T, g *topology.Graph, nSubs, hubSubs, nEvents
 	for i := 0; i < nSubs+hubSubs; i++ {
 		at := topology.NodeID(i % f.net.Len())
 		if i >= nSubs {
-			at = f.net.order[0]
+			at = f.net.order.Nodes()[0]
 		}
 		sub := gen.Subscription()
 		c := &collector{}
@@ -241,7 +241,7 @@ func TestBatchedPipelineRaceSoak(t *testing.T) {
 	if _, err := f.net.Propagate(); err != nil {
 		t.Fatal(err)
 	}
-	hub := f.net.order[0]
+	hub := f.net.order.Nodes()[0]
 	if got := f.net.Broker(hub).Stats().MergedSummarySubs; got < hubSubs {
 		t.Fatalf("hub merged summary holds %d subscriptions, want ≥ %d", got, hubSubs)
 	}

@@ -28,7 +28,7 @@ func expectedRoute(net *Network, origin topology.NodeID) []int {
 			return route
 		}
 		advanced := false
-		for _, next := range net.order {
+		for _, next := range net.order.Nodes() {
 			if brocli.Has(int(next)) {
 				continue
 			}

@@ -189,7 +189,7 @@ func TestEffectiveOrderSorted(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer net.Close()
-			order := net.order
+			order := net.order.Nodes()
 			if len(order) != tc.g.Len() {
 				t.Fatalf("order has %d entries, want %d", len(order), tc.g.Len())
 			}

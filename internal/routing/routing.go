@@ -42,7 +42,7 @@ func (t *Trace) Hops() int { return t.ForwardHops + t.DeliveryHops }
 type Router struct {
 	g     *topology.Graph
 	prop  *propagation.Result
-	order []topology.NodeID // g.NodesByDegreeDesc()
+	order *Order
 }
 
 // NewRouter builds a router for the given overlay and propagation result.
@@ -51,11 +51,12 @@ func NewRouter(g *topology.Graph, prop *propagation.Result) (*Router, error) {
 		return nil, fmt.Errorf("routing: propagation result covers %d brokers, overlay has %d",
 			len(prop.MergedBrokers), g.Len())
 	}
-	return &Router{g: g, prop: prop, order: g.NodesByDegreeDesc()}, nil
+	return &Router{g: g, prop: prop, order: NewOrder(g)}, nil
 }
 
 // NextHop returns the first broker of order not in BROCLIe — Algorithm 3's
-// forwarding choice when order is the overlay's NodesByDegreeDesc.
+// forwarding choice when order is the overlay's NodesByDegreeDesc. It
+// scans order from its start; Order.NextHop is the scan a hop makes.
 func NextHop(order []topology.NodeID, brocli subid.Mask) (topology.NodeID, bool) {
 	for _, node := range order {
 		if !brocli.Has(int(node)) {
@@ -63,6 +64,41 @@ func NextHop(order []topology.NodeID, brocli subid.Mask) (topology.NodeID, bool)
 		}
 	}
 	return 0, false
+}
+
+// Order is Algorithm 3's examination order over one overlay — its
+// NodesByDegreeDesc — with each broker's rank in it.
+type Order struct {
+	nodes []topology.NodeID
+	rank  []int32 // rank[b]: the index of broker b in nodes
+}
+
+// NewOrder returns the examination order of g.
+func NewOrder(g *topology.Graph) *Order {
+	o := &Order{nodes: g.NodesByDegreeDesc(), rank: make([]int32, g.Len())}
+	for r, b := range o.nodes {
+		o.rank[b] = int32(r)
+	}
+	return o
+}
+
+// Nodes returns the brokers in examination order. The slice is shared; do
+// not modify it.
+func (o *Order) Nodes() []topology.NodeID { return o.nodes }
+
+// NextHop returns the forwarding choice of broker at for an event whose
+// BROCLIe is brocli: the first broker of the order not in it, as NextHop
+// finds it. An event that was forwarded to at (forwarded) reached it
+// because the sender's scan found at first outside the BROCLIe the event
+// carries, so every broker ranked before at is in that BROCLIe. BROCLIe
+// only grows along a walk, so they still are, and the scan resumes at
+// at's rank. An event that entered the system at at scans from the start.
+func (o *Order) NextHop(at topology.NodeID, forwarded bool, brocli subid.Mask) (topology.NodeID, bool) {
+	start := 0
+	if forwarded {
+		start = int(o.rank[at])
+	}
+	return NextHop(o.nodes[start:], brocli)
 }
 
 // Route processes one event entering at origin: Algorithm 3 run to
@@ -96,7 +132,7 @@ func (r *Router) Route(origin topology.NodeID, match MatchFunc) *Trace {
 		if brocli.Count() == n {
 			break
 		}
-		next, ok := NextHop(r.order, brocli)
+		next, ok := r.order.NextHop(current, steps > 0, brocli)
 		if !ok {
 			break
 		}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -227,4 +228,85 @@ func TestOrder(t *testing.T) {
 	if _, ok := NextHop(order, brocli); ok {
 		t.Fatal("NextHop found a broker outside a complete BROCLIe")
 	}
+}
+
+// TestResumedNextHopIsTheFullScan walks seeded events over the Figure 7
+// tree, CW24 and a 256-broker transit-stub overlay. At each hop BROCLIe
+// grows by a random Merged_Brokers set, which holds the hop's own broker
+// three times in four (so a walk is sometimes forwarded to the broker it
+// is at), and the resumed scan, Order.NextHop, must return what the full
+// scan from the order's start returns.
+func TestResumedNextHopIsTheFullScan(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"figure7", topology.Figure7Tree()},
+		{"cw24", topology.CW24()},
+		{"ts256", topology.TransitStub(256, 256)},
+	} {
+		rng := rand.New(rand.NewSource(47))
+		n, o := tc.g.Len(), NewOrder(tc.g)
+		full := tc.g.NodesByDegreeDesc()
+		if !slices.Equal(o.Nodes(), full) {
+			t.Fatalf("%s: order %v, want %v", tc.name, o.Nodes(), full)
+		}
+		hops, longest := 0, 0
+		for walk := 0; walk < 300; walk++ {
+			brocli := subid.NewMask(n)
+			at, forwarded := topology.NodeID(rng.Intn(n)), false
+			for hop := 0; ; hop++ {
+				if rng.Intn(4) > 0 {
+					brocli.Set(int(at))
+				}
+				for k := rng.Intn(1 + n/16); k > 0; k-- {
+					brocli.Set(rng.Intn(n))
+				}
+				want, wantOK := NextHop(full, brocli)
+				got, ok := o.NextHop(at, forwarded, brocli)
+				if got != want || ok != wantOK {
+					t.Fatalf("%s walk %d hop %d at %d (forwarded %v): NextHop = %d,%v; the full scan %d,%v",
+						tc.name, walk, hop, at, forwarded, got, ok, want, wantOK)
+				}
+				if !ok {
+					hops, longest = hops+hop, max(longest, hop)
+					break
+				}
+				at, forwarded = got, true
+			}
+		}
+		t.Logf("%s: %d hops in all, the longest walk %d", tc.name, hops, longest)
+	}
+}
+
+// BenchmarkNextHopWalk times the forwarding scans of a walk over the
+// 256-broker transit-stub overlay in which every hop's broker adds itself
+// and the next two brokers of the order to BROCLIe: a walk of about a
+// third of the brokers, as in a period of partial knowledge.
+func BenchmarkNextHopWalk(b *testing.B) {
+	g := topology.TransitStub(256, 256)
+	o := NewOrder(g)
+	rank := make([]int, g.Len())
+	for r, node := range o.Nodes() {
+		rank[node] = r
+	}
+	brocli := subid.NewMask(g.Len())
+	hops := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(brocli)
+		at, forwarded := o.Nodes()[g.Len()-1], false
+		for {
+			for r := rank[at]; r < min(rank[at]+3, g.Len()); r++ {
+				brocli.Set(int(o.Nodes()[r]))
+			}
+			next, ok := o.NextHop(at, forwarded, brocli)
+			if !ok {
+				break
+			}
+			at, forwarded = next, true
+			hops++
+		}
+	}
+	b.ReportMetric(float64(hops)/float64(b.N), "hops/walk")
 }

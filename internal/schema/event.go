@@ -2,16 +2,50 @@ package schema
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Field is one attribute/value pair of an event.
 type Field struct {
 	Attr  AttrID
 	Value Value
+	hash  uint64 // HashString(Value.Str) for a string field of an Event
 }
+
+// StrHash returns HashString of a string field's value, computed once when
+// its event was built, so that every broker an event visits finds its
+// compiled equality rows without hashing the text again. It is 0 for an
+// arithmetic field and for a Field not taken from an Event.
+func (f Field) StrHash() uint64 { return f.hash }
+
+// hashSeed keys HashString for the life of the process: an event's hashes
+// and the compiled tables they are looked up in are built by one process.
+var hashSeed = maphash.MakeSeed()
+
+// collideHashes is set by CollideStringHashes alone.
+var collideHashes atomic.Bool
+
+// HashString returns the 64-bit hash of a string value that events carry
+// (Field.StrHash) and compiled SACS tables are keyed by. Equal strings hash
+// equal within a process; unequal ones may too, so a lookup confirms the
+// text.
+func HashString(s string) uint64 {
+	if collideHashes.Load() {
+		return 0
+	}
+	return maphash.String(hashSeed, s)
+}
+
+// CollideStringHashes is a test hook: while on, HashString returns one
+// value for every string, so every lookup keyed by it collides and is
+// decided by the text comparison alone. Events and compiled views built
+// while it is on carry those hashes; build the values under test after
+// turning it on and turn it off once they are gone.
+func CollideStringHashes(on bool) { collideHashes.Store(on) }
 
 // Event is a published notification: a set of typed attribute values
 // (Section 2.1, Figure 2). An event may carry more attributes than any
@@ -23,14 +57,17 @@ type Event struct {
 	size   int // EncodedEventSize, computed when the event is built
 }
 
-// newEvent wraps fields that are already sorted and validated.
+// newEvent wraps fields that are already sorted and validated, and hashes
+// their string values.
 func newEvent(fields []Field) *Event {
 	n := 2
-	for _, f := range fields {
+	for i, f := range fields {
 		if f.Value.Type == TypeString {
 			n += 2 + 1 + 2 + len(f.Value.Str)
+			fields[i].hash = HashString(f.Value.Str)
 		} else {
 			n += 2 + 1 + 8
+			fields[i].hash = 0
 		}
 	}
 	return &Event{fields: fields, size: n}

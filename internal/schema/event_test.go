@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -162,5 +163,65 @@ func TestEventSizeFollowsFields(t *testing.T) {
 		if wide > narrow+64 {
 			t.Errorf("%s: an event of attribute %d allocates %d bytes, one of attribute 0 %d", how, MaxAttributes-1, wide, narrow)
 		}
+	}
+}
+
+// TestEventsCarryStringHashes: every constructor leaves each string field
+// of its event carrying HashString of the value (and every arithmetic one
+// 0), so a broker's compiled lookup need not hash the text again; and
+// carrying it costs no allocation: each constructor allocates as many
+// times per event as it did before events carried hashes. A field that
+// arrives with another value's hash is hashed afresh.
+func TestEventsCarryStringHashes(t *testing.T) {
+	s := paperSchema(t)
+	const text = `exchange=NYSE symbol=OTE price=8.40 volume=132700`
+	ev, err := ParseEvent(s, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := ev.Fields()
+	values := map[string]Value{}
+	for _, f := range fs {
+		values[s.Name(f.Attr)] = f.Value
+	}
+	shuffled := []Field{fs[2], fs[0], fs[3], fs[1]}
+	stale := slices.Clone(fs)
+	stale[0].Value = StringValue("LSE") // keeps NYSE's hash
+	asc, mixed := wireFields(fs...), wireFields(shuffled...)
+	for _, c := range []struct {
+		how    string
+		allocs float64 // per event before events carried hashes
+		build  func() (*Event, error)
+	}{
+		{"NewEvent", 5, func() (*Event, error) { return NewEvent(s, values) }},
+		{"EventFromFields", 5, func() (*Event, error) { return EventFromFields(s, shuffled) }},
+		{"EventFromFields, a stale hash", 5, func() (*Event, error) { return EventFromFields(s, stale) }},
+		{"DecodeEvent", 4, func() (*Event, error) { e, _, err := DecodeEvent(s, asc); return e, err }},
+		{"DecodeEvent, fields out of order", 8, func() (*Event, error) { e, _, err := DecodeEvent(s, mixed); return e, err }},
+		{"ParseEvent", 5, func() (*Event, error) { return ParseEvent(s, text) }},
+	} {
+		e, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.how, err)
+		}
+		strs := 0
+		for _, f := range e.Fields() {
+			want := uint64(0)
+			if f.Value.Type == TypeString {
+				want, strs = HashString(f.Value.Str), strs+1
+			}
+			if f.StrHash() != want {
+				t.Errorf("%s: field %s=%v carries hash %#x, want %#x", c.how, s.Name(f.Attr), f.Value, f.StrHash(), want)
+			}
+		}
+		if strs != 2 {
+			t.Fatalf("%s: built %d string fields, want 2", c.how, strs)
+		}
+		if got := testing.AllocsPerRun(100, func() { _, _ = c.build() }); got > c.allocs {
+			t.Errorf("%s: %v allocations per event, want at most %v", c.how, got, c.allocs)
+		}
+	}
+	if HashString("NYSE") == HashString("LSE") {
+		t.Fatal("fixture: NYSE and LSE share a hash, so a stale one would go unseen")
 	}
 }

@@ -12,8 +12,8 @@ import (
 // could match a value: prefix rows are probed by binary search over their
 // sorted texts (one probe per distinct pattern length), suffix rows
 // likewise over their byte-reversed texts, and only contains/glob rows
-// remain on the linear scan path. Equality and ≠ rows already live in
-// hash maps on the Set itself.
+// remain on the linear scan path. Equality and ≠ rows live beside it, in
+// the Set's maps or a Compiled set's table and slice.
 type opIndex struct {
 	prefixTexts []string // prefix pattern texts, sorted
 	prefixRows  []int    // pats index per sorted text
@@ -41,6 +41,35 @@ func buildIndex(pats []Row) *opIndex {
 	ix.prefixLens = sortTexts(ix.prefixTexts, ix.prefixRows)
 	ix.suffixLens = sortTexts(ix.suffixTexts, ix.suffixRows)
 	return ix
+}
+
+// appendLists appends to dst the id lists of the pattern rows pats (the
+// rows ix indexes) that match v.
+func (ix *opIndex) appendLists(dst [][]uint64, pats []Row, v string) [][]uint64 {
+	for _, l := range ix.prefixLens {
+		if l > len(v) {
+			break
+		}
+		lo, hi := ix.prefixMatchRange(v[:l])
+		for ; lo < hi; lo++ {
+			dst = append(dst, pats[ix.prefixRows[lo]].IDs)
+		}
+	}
+	for _, l := range ix.suffixLens {
+		if l > len(v) {
+			break
+		}
+		lo, hi := ix.suffixMatchRange(v, l)
+		for ; lo < hi; lo++ {
+			dst = append(dst, pats[ix.suffixRows[lo]].IDs)
+		}
+	}
+	for _, i := range ix.scan {
+		if pats[i].Pattern.Matches(v) {
+			dst = append(dst, pats[i].IDs)
+		}
+	}
+	return dst
 }
 
 // prefixMatchRange returns the half-open range of sorted prefix texts equal

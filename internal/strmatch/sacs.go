@@ -35,11 +35,6 @@ type Set struct {
 	// stay benign (both build identical values).
 	idx atomic.Pointer[opIndex]
 
-	// words is what the set's id lists are read with (see idlist):
-	// idlist.Words(n) on a CloneMapped copy over n ids, 0 on a set built
-	// by mutation.
-	words int
-
 	// slab backs the id lists MergeRowBytes retains. Never shared between
 	// sets (Clone builds a fresh set).
 	slab idlist.Slab
@@ -234,43 +229,20 @@ func (s *Set) index() *opIndex {
 }
 
 // AppendLists appends to dst the id lists a query for v consults, in
-// place — the one statement of Check_for_a_value_match (type string): the
-// equality row of v, every pattern row matching v, every ≠ entry of
-// another text. Lookup cost scales with the rows that can match v:
-// equality by hash, prefix and suffix by one binary search per distinct
-// pattern length, and a linear scan only over contains/glob rows and ≠
-// entries. The lists are the set's own and must not be written; on a
-// CloneMapped copy some are bitsets. One id may sit in two of them (a
-// prefix row and a suffix row, or a row and a ≠ entry). Beyond growing dst
-// it does not allocate.
+// place — Check_for_a_value_match (type string): the equality row of v,
+// every pattern row matching v, every ≠ entry of another text. Lookup cost
+// scales with the rows that can match v: equality by hash, prefix and
+// suffix by one binary search per distinct pattern length, and a linear
+// scan only over contains/glob rows and ≠ entries. Compiled.AppendLists
+// consults the same rows of a compiled copy, where the event's own hash of
+// v finds its equality row. The lists are the set's own and must not be
+// written. One id may sit in two of them (a prefix row and a suffix row, or
+// a row and a ≠ entry). Beyond growing dst it does not allocate.
 func (s *Set) AppendLists(dst [][]uint64, v string) [][]uint64 {
 	if ids, ok := s.eq[v]; ok {
 		dst = append(dst, ids)
 	}
-	ix := s.index()
-	for _, l := range ix.prefixLens {
-		if l > len(v) {
-			break
-		}
-		lo, hi := ix.prefixMatchRange(v[:l])
-		for ; lo < hi; lo++ {
-			dst = append(dst, s.pats[ix.prefixRows[lo]].IDs)
-		}
-	}
-	for _, l := range ix.suffixLens {
-		if l > len(v) {
-			break
-		}
-		lo, hi := ix.suffixMatchRange(v, l)
-		for ; lo < hi; lo++ {
-			dst = append(dst, s.pats[ix.suffixRows[lo]].IDs)
-		}
-	}
-	for _, i := range ix.scan {
-		if s.pats[i].Pattern.Matches(v) {
-			dst = append(dst, s.pats[i].IDs)
-		}
-	}
+	dst = s.index().appendLists(dst, s.pats, v)
 	for text, ids := range s.ne {
 		if text != v {
 			dst = append(dst, ids)
@@ -281,14 +253,14 @@ func (s *Set) AppendLists(dst [][]uint64, v string) [][]uint64 {
 
 // AppendMatches appends the ids of all subscriptions whose constraint is
 // satisfied by v to dst and returns the extended slice: the lists of
-// AppendLists, copied (a bitset as its ids, ascending). Unlike Match it
-// performs no sorting or deduplication — an id may repeat when several
-// rows match — and beyond growing dst (and the list headers, past eight
-// lists) it does not allocate.
+// AppendLists, copied. Unlike Match it performs no sorting or
+// deduplication — an id may repeat when several rows match — and beyond
+// growing dst (and the list headers, past eight lists) it does not
+// allocate.
 func (s *Set) AppendMatches(dst []uint64, v string) []uint64 {
 	var hdr [8][]uint64
 	for _, ids := range s.AppendLists(hdr[:0], v) {
-		dst = idlist.Append(dst, ids, s.words)
+		dst = append(dst, ids...)
 	}
 	return dst
 }
@@ -301,7 +273,7 @@ func (s *Set) AppendMatches(dst []uint64, v string) []uint64 {
 func (s *Set) MatchInto(v string, dst map[uint64]struct{}) int {
 	added := 0
 	note := func(ids []uint64) {
-		for _, id := range idlist.List(ids, s.words) {
+		for _, id := range ids {
 			if _, ok := dst[id]; !ok {
 				dst[id] = struct{}{}
 				added++
@@ -379,46 +351,12 @@ func (s *Set) Clone() *Set {
 	return out
 }
 
-// CloneMapped returns a deep copy of the set with every id translated by
-// f over n ids, through an idlist.Mapper (whose Map gives what f and
-// order must do); ids f rejects are dropped, and so are rows left without
-// ids. The receiver is only read. The copy is meant to be read, not
-// mutated, and its lists take the forms idlist gives them: AppendLists
-// hands out a bitset as it is, while AppendMatches, Match, MatchInto and
-// the row accessors hand it out as its ids, ascending.
-func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uint64)) *Set {
-	m := idlist.NewMapper(n, s.Stats().IDEntries)
-	out := &Set{
-		pats:  make([]Row, 0, len(s.pats)),
-		eq:    make(map[string][]uint64, len(s.eq)),
-		ne:    make(map[string][]uint64, len(s.ne)),
-		words: idlist.Words(n),
-	}
-	for _, r := range s.pats {
-		if ids := m.Map(r.IDs, f, order); len(ids) > 0 {
-			out.pats = append(out.pats, Row{Pattern: r.Pattern, IDs: ids})
-		}
-	}
-	for text, ids := range s.ne {
-		if ids = m.Map(ids, f, order); len(ids) > 0 {
-			out.ne[text] = ids
-		}
-	}
-	for text, ids := range s.eq {
-		if ids = m.Map(ids, f, order); len(ids) > 0 {
-			out.eq[text] = ids
-		}
-	}
-	return out
-}
-
 // Rows returns all rows — pattern rows in insertion order followed by
-// equality rows sorted by text. ID slices are shared (a bitset of a
-// CloneMapped copy is expanded into a new list); do not mutate.
+// equality rows sorted by text. ID slices are shared; do not mutate.
 func (s *Set) Rows() []Row {
 	out := make([]Row, 0, len(s.pats)+len(s.eq))
 	for _, r := range s.pats {
-		out = append(out, Row{Pattern: r.Pattern, IDs: idlist.List(r.IDs, s.words)})
+		out = append(out, Row{Pattern: r.Pattern, IDs: r.IDs})
 	}
 	texts := make([]string, 0, len(s.eq))
 	for text := range s.eq {
@@ -426,7 +364,7 @@ func (s *Set) Rows() []Row {
 	}
 	sort.Strings(texts)
 	for _, text := range texts {
-		out = append(out, Row{Pattern: Pattern{Op: schema.OpEQ, Text: text}, IDs: idlist.List(s.eq[text], s.words)})
+		out = append(out, Row{Pattern: Pattern{Op: schema.OpEQ, Text: text}, IDs: s.eq[text]})
 	}
 	return out
 }
@@ -440,7 +378,7 @@ func (s *Set) NeRows() []Row {
 	}
 	sort.Strings(texts)
 	for _, text := range texts {
-		out = append(out, Row{Pattern: Pattern{Op: schema.OpNE, Text: text}, IDs: idlist.List(s.ne[text], s.words)})
+		out = append(out, Row{Pattern: Pattern{Op: schema.OpNE, Text: text}, IDs: s.ne[text]})
 	}
 	return out
 }

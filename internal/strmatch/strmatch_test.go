@@ -366,10 +366,21 @@ func TestSACSNoFalseNegativesRandomized(t *testing.T) {
 
 // TestCloneMappedForms: a CloneMapped copy over n ids keeps a list of
 // fewer than ⌈n/64⌉ kept ids as an ascending list and stores a longer one
-// as the bitset of its ids, and every reader of the copy — Match (through
-// AppendMatches), MatchInto and the row accessors — returns what the
-// original returns under the mapping.
+// as the bitset of its ids, and every reader of the copy — AppendLists
+// and the row accessors — returns what the original (Match, and the
+// MatchInto oracle) returns under the mapping. It runs twice: with the
+// process's string hashes, and with every hash forced equal
+// (schema.CollideStringHashes), so each equality lookup is decided by the
+// text comparison alone.
 func TestCloneMappedForms(t *testing.T) {
+	defer schema.CollideStringHashes(false)
+	for _, collide := range []bool{false, true} {
+		schema.CollideStringHashes(collide)
+		testCloneMappedForms(t)
+	}
+}
+
+func testCloneMappedForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	const n = 200 // four words: lists of one to three kept ids stay lists
 	words := []string{"NYSE", "OTE", "LSE", "NASDAQ", "OTTO", "SE", "micronet", "microsoft"}
@@ -381,6 +392,13 @@ func TestCloneMappedForms(t *testing.T) {
 			w = w[:1+rng.Intn(len(w))]
 		}
 		s.Insert(pat(op, w), uint64(1000+rng.Intn(2*n)))
+	}
+	// Equality rows the patterns above cannot cover (their letters appear
+	// in no word), so the copy's table holds several.
+	unfolded := []string{"HKG", "BVX", "ZKW", "HKGX"}
+	for i, w := range unfolded {
+		s.Insert(pat(schema.OpEQ, w), uint64(1000+4*i))
+		s.Insert(pat(schema.OpEQ, w), uint64(1002+4*i))
 	}
 	// Odd keys are dropped; the rest map in reverse, so lists reach the
 	// order hook descending.
@@ -396,10 +414,15 @@ func TestCloneMappedForms(t *testing.T) {
 		return out
 	}
 	c := s.CloneMapped(n, f, slices.Sort[[]uint64])
+	if len(c.eq) < 2 {
+		t.Fatalf("fixture compiled %d equality rows; want several to share a table", len(c.eq))
+	}
 	nw := idlist.Words(n)
 	lists, bitsets := 0, 0
-	for _, v := range append(words, "unnamed", "micro", "OT") {
-		for _, ids := range c.AppendLists(nil, v) {
+	for _, v := range append(append(words, unfolded...), "unnamed", "micro", "OT", "HK") {
+		var got []uint64
+		for _, ids := range c.AppendLists(nil, v, schema.HashString(v)) {
+			got = idlist.Append(got, ids, nw)
 			if len(ids) == nw {
 				bitsets++
 				continue
@@ -409,12 +432,19 @@ func TestCloneMappedForms(t *testing.T) {
 				t.Fatalf("%q consults list %v: want fewer than %d ascending ids below %d", v, ids, nw, n)
 			}
 		}
-		if got, want := c.Match(v), mapped(s.Match(v)); !slices.Equal(got, want) {
-			t.Fatalf("copy's Match(%q) = %v, original mapped %v", v, got, want)
+		slices.Sort(got)
+		got = slices.Compact(got)
+		if want := mapped(s.Match(v)); !slices.Equal(got, want) {
+			t.Fatalf("copy's lists for %q hold %v, original's Match mapped %v", v, got, want)
 		}
 		into := map[uint64]struct{}{}
-		if c.MatchInto(v, into); len(into) != len(mapped(s.Match(v))) {
-			t.Fatalf("copy's MatchInto(%q) added %d ids, want %d", v, len(into), len(mapped(s.Match(v))))
+		s.MatchInto(v, into)
+		var oracle []uint64
+		for key := range into {
+			oracle = append(oracle, key)
+		}
+		if want := mapped(oracle); !slices.Equal(got, want) {
+			t.Fatalf("copy's lists for %q hold %v, original's MatchInto mapped %v", v, got, want)
 		}
 	}
 	if lists == 0 || bitsets == 0 {
@@ -431,4 +461,46 @@ func TestCloneMappedForms(t *testing.T) {
 			t.Fatalf("copy's %s rows %v, original mapped %v", name, rows[1], want)
 		}
 	}
+}
+
+// BenchmarkAppendLists looks up string values in a SACS of 2 000 equality
+// rows, 40 prefix rows and 8 ≠ entries over 4 000 ids, a third of the
+// values missing every equality row: "set" through the mutable Set's
+// string maps, "compiled" through its CloneMapped copy with each value's
+// hash taken beforehand, as an event carries it.
+func BenchmarkAppendLists(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 4000
+	text := func(i int) string {
+		return "SYM" + strings.Repeat("x", i%7) + string(rune('A'+i%26)) + string(rune('a'+i/26%26)) + string(rune('0'+i/676))
+	}
+	s := NewSet()
+	for i := 0; i < 2000; i++ {
+		s.Insert(pat(schema.OpEQ, text(i)), uint64(rng.Intn(n)))
+	}
+	for i := 0; i < 40; i++ {
+		s.Insert(pat(schema.OpPrefix, "P"+text(i)), uint64(rng.Intn(n)))
+	}
+	for i := 0; i < 8; i++ {
+		s.Insert(pat(schema.OpNE, text(i)), uint64(rng.Intn(n)))
+	}
+	values := make([]string, 256)
+	hashes := make([]uint64, len(values))
+	for i := range values {
+		values[i] = text(rng.Intn(3000))
+		hashes[i] = schema.HashString(values[i])
+	}
+	c := s.CloneMapped(n, func(id uint64) (uint64, bool) { return id, true }, slices.Sort[[]uint64])
+	var dst [][]uint64
+	b.Run("set", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dst = s.AppendLists(dst[:0], values[i%len(values)])
+		}
+	})
+	b.Run("compiled", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			k := i % len(values)
+			dst = c.AppendLists(dst[:0], values[k], hashes[k])
+		}
+	})
 }

@@ -16,8 +16,9 @@ import (
 // per id, the event attributes whose satisfied rows list it, and reports
 // the ids whose count reaches their c3 attribute count. Here step 1 takes,
 // per event attribute, the set of ids its value satisfies (the rows
-// interval.Set.AppendLists and strmatch.Set.AppendLists consult, read
-// where they lie) and folds it, 64 ids a word, into one set: the ids an
+// interval.Set.AppendLists and strmatch.Compiled.AppendLists consult, read
+// where they lie; a string value's equality row is found by the hash its
+// event carries, schema.Field.StrHash) and folds it, 64 ids a word, into one set: the ids an
 // attribute their mask names (attrView.cons) misses. Step 2 is one pass
 // per word: the admitted ids that set does not hold match.
 //
@@ -301,7 +302,7 @@ func (m *Matcher) satisfied(f schema.Field, a *attrView, restricted bool) (sat [
 			rows = a.aacs.AppendLists(rows, f.Value.Num)
 		}
 	} else if a.sacs != nil {
-		rows = a.sacs.AppendLists(rows, f.Value.Str)
+		rows = a.sacs.AppendLists(rows, f.Value.Str, f.StrHash())
 	}
 	m.lists = rows
 	nl := 0 // list rows first, then bitset rows

@@ -433,7 +433,7 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 			if val.Arithmetic() {
 				lists = rowIDs(v, v.attr(attr).aacs.AppendLists(nil, val.Num))
 			} else {
-				lists = rowIDs(v, v.attr(attr).sacs.AppendLists(nil, val.Str))
+				lists = rowIDs(v, v.attr(attr).sacs.AppendLists(nil, val.Str, schema.HashString(val.Str)))
 			}
 			if !listsRepeat(lists) {
 				t.Fatalf("fixture is vacuous: %s=%v consults %v, no id twice", tc.attr, val, lists)
@@ -583,7 +583,13 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 // bitset and list rows together; groups straddling a word boundary; two
 // eligible runs sharing one word; a view of more than 64 groups, whose
 // group bitsets span two words, with an eligible group past the first.
+//
+// It runs twice (eachHashing): the second time every string hash collides.
 func TestMatcherMultiWord(t *testing.T) {
+	eachHashing(func() { testMatcherMultiWord(t) })
+}
+
+func testMatcherMultiWord(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(38))
 	// A ≠ entry is consulted by every value but its own, so on an attribute
@@ -658,7 +664,7 @@ func TestMatcherMultiWord(t *testing.T) {
 					if a := v.attr(f.Attr); a != nil && a.aacs != nil && f.Value.Arithmetic() {
 						rows = a.aacs.AppendLists(nil, f.Value.Num)
 					} else if a != nil && a.sacs != nil && !f.Value.Arithmetic() {
-						rows = a.sacs.AppendLists(nil, f.Value.Str)
+						rows = a.sacs.AppendLists(nil, f.Value.Str, f.StrHash())
 					}
 					nb := 0
 					for _, ids := range rows {
@@ -805,7 +811,7 @@ func repeatsFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 		price, _ := ev.Value(priceID)
 		symbol, _ := ev.Value(symbolID)
 		if !listsRepeat(rowIDs(v, v.attr(priceID).aacs.AppendLists(nil, price.Num))) ||
-			!listsRepeat(rowIDs(v, v.attr(symbolID).sacs.AppendLists(nil, symbol.Str))) {
+			!listsRepeat(rowIDs(v, v.attr(symbolID).sacs.AppendLists(nil, symbol.Str, schema.HashString(symbol.Str)))) {
 			tb.Fatalf("fixture: %s does not list an id twice on both attributes", ev.Format(s))
 		}
 	}

@@ -68,7 +68,7 @@ type attrView struct {
 	cons   []uint64
 	groups []uint64
 	aacs   *interval.Set
-	sacs   *strmatch.Set
+	sacs   *strmatch.Compiled
 }
 
 // group is the index run of the ids whose c3 mask is mask (shared with the
