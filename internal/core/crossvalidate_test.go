@@ -19,35 +19,42 @@ import (
 // subscriptions go through (a) the deterministic propagation+router
 // pipeline and (b) the live engine, and the total event-processing hop
 // counts must agree exactly — forwards are KindEvent messages beyond the
-// initial publishes, deliveries are KindDeliver messages. On CW24 walks
+// initial publishes, deliveries are the deliver records the KindDeliver
+// messages carry (one message holds an owner's records for a run of
+// events, so the records are what counts). On CW24 walks
 // are one or two hops; on the 256-broker transit-stub overlay they are
 // long enough that most hops resume the forwarding scan at their own rank
-// (routing.Order.NextHop).
+// (routing.Order.NextHop). Subscriptions of three constraints and events
+// of ten attributes (the fanout shape) make each event reach several
+// remote owners, and a floor on the deliveries keeps the delivery half of
+// the comparison from passing vacuously.
 func TestLiveEngineHopsMatchDeterministicRouter(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		g    *topology.Graph
+		name          string
+		g             *topology.Graph
+		subsPerBroker int
+		minDeliver    int // remote deliveries the 120 events must make at least
 	}{
-		{"CW24", topology.CW24()},
-		{"TransitStub256", topology.TransitStub(256, 256)},
+		{"CW24", topology.CW24(), 40, 300},
+		{"TransitStub256", topology.TransitStub(256, 256), 4, 300},
 	} {
-		t.Run(tc.name, func(t *testing.T) { liveHopsMatchRouter(t, tc.g) })
+		t.Run(tc.name, func(t *testing.T) { liveHopsMatchRouter(t, tc.g, tc.subsPerBroker, tc.minDeliver) })
 	}
 }
 
-func liveHopsMatchRouter(t *testing.T, g *topology.Graph) {
-	gen, err := workload.NewGenerator(workload.DefaultConfig())
+func liveHopsMatchRouter(t *testing.T, g *topology.Graph, subsPerBroker, minDeliver int) {
+	cfg := workload.DefaultConfig()
+	cfg.AttrsPerEvent, cfg.AttrsPerSub = 10, 3
+	gen, err := workload.NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := gen.Schema()
 	n := g.Len()
 
-	subsPerBroker := make([][]*schema.Subscription, n)
-	for i := range subsPerBroker {
-		for j := 0; j < 8; j++ {
-			subsPerBroker[i] = append(subsPerBroker[i], gen.Subscription())
-		}
+	subs := make([][]*schema.Subscription, n)
+	for i := range subs {
+		subs[i] = gen.Subscriptions(subsPerBroker)
 	}
 	events := make([]*schema.Event, 120)
 	for i := range events {
@@ -56,7 +63,7 @@ func liveHopsMatchRouter(t *testing.T, g *topology.Graph) {
 
 	// Path (a): deterministic.
 	own := make([]*summary.Summary, n)
-	for i, list := range subsPerBroker {
+	for i, list := range subs {
 		own[i] = summary.New(s, interval.Lossy)
 		for j, sub := range list {
 			id := subid.ID{Broker: subid.BrokerID(i), Local: subid.LocalID(j)}
@@ -90,7 +97,7 @@ func liveHopsMatchRouter(t *testing.T, g *topology.Graph) {
 		}
 		trace := router.Route(topology.NodeID(i%n), match)
 		wantForward += trace.ForwardHops
-		// The live engine sends one KindDeliver per remote owner; local
+		// The live engine sends one deliver record per remote owner; local
 		// owners deliver in place. Trace.DeliveryHops counts exactly the
 		// remote ones.
 		wantDeliver += trace.DeliveryHops
@@ -102,7 +109,7 @@ func liveHopsMatchRouter(t *testing.T, g *topology.Graph) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	for i, list := range subsPerBroker {
+	for i, list := range subs {
 		for _, sub := range list {
 			if _, err := net.Subscribe(topology.NodeID(i), sub, func(subid.ID, *schema.Event) {}); err != nil {
 				t.Fatal(err)
@@ -120,8 +127,11 @@ func liveHopsMatchRouter(t *testing.T, g *topology.Graph) {
 	net.Flush()
 	st := net.Stats()
 	gotForward := int(st.Messages[netsim.KindEvent]) - len(events) // minus publish injections
-	gotDeliver := int(st.Messages[netsim.KindDeliver])
+	gotDeliver := int(net.Metrics().Counter("deliver_sends").Value())
 	t.Logf("%d events: %d forward hops, %d delivery hops", len(events), wantForward, wantDeliver)
+	if wantDeliver < minDeliver {
+		t.Fatalf("fixture is vacuous: %d remote deliveries, want at least %d", wantDeliver, minDeliver)
+	}
 	if gotForward != wantForward {
 		t.Errorf("forward hops: live %d, deterministic %d", gotForward, wantForward)
 	}

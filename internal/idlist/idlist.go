@@ -13,6 +13,7 @@ package idlist
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -60,9 +61,17 @@ func Union(a, b []uint64) []uint64 {
 
 // UnionInto merges the sorted list src into the sorted list dst in place,
 // returning the union. It allocates only when dst lacks capacity for the
-// ids src adds; in the wire-merge steady state (src ⊆ dst) it is a
-// read-only scan that returns dst itself.
-func UnionInto(dst, src []uint64) []uint64 {
+// ids src adds, and then exactly what the union needs; in the wire-merge
+// steady state (src ⊆ dst) it is a read-only scan that returns dst itself.
+func UnionInto(dst, src []uint64) []uint64 { return unionInto(dst, src, false) }
+
+// Join is UnionInto for a row that subscriptions join a few ids at a
+// time: when dst lacks capacity it grows as append does, so a row joined
+// one id at a time is copied O(log n) times, not at every join.
+func Join(dst, src []uint64) []uint64 { return unionInto(dst, src, true) }
+
+// unionInto is UnionInto, growing dst as append does when amortized.
+func unionInto(dst, src []uint64, amortized bool) []uint64 {
 	extra := 0
 	i, j := 0, 0
 	for i < len(dst) && j < len(src) {
@@ -83,9 +92,13 @@ func UnionInto(dst, src []uint64) []uint64 {
 	}
 	n := len(dst)
 	if cap(dst) < n+extra {
-		grown := make([]uint64, n, n+extra)
-		copy(grown, dst)
-		dst = grown
+		if amortized {
+			dst = slices.Grow(dst, extra)
+		} else {
+			grown := make([]uint64, n, n+extra)
+			copy(grown, dst)
+			dst = grown
+		}
 	}
 	dst = dst[:n+extra]
 	// Merge from the back so unshifted dst elements are read before they

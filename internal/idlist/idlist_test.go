@@ -27,7 +27,7 @@ func sorted(m map[uint64]bool) []uint64 {
 	return ids
 }
 
-// checkOps holds Add, Union, UnionInto and Without on the sorted lists a
+// checkOps holds Add, Union, UnionInto, Join and Without on the sorted lists a
 // and b, and on the ids of dead, to the reference.
 func checkOps(t *testing.T, a, b []uint64, dead map[uint64]struct{}) {
 	t.Helper()
@@ -47,11 +47,16 @@ func checkOps(t *testing.T, a, b []uint64, dead map[uint64]struct{}) {
 	if got := UnionInto(slices.Clone(a), b); !slices.Equal(got, union) {
 		t.Fatalf("UnionInto(%v, %v) = %v, want %v", a, b, got, union)
 	}
-	// With room for the union, UnionInto merges in dst's own array.
+	if got := Join(slices.Clone(a), b); !slices.Equal(got, union) {
+		t.Fatalf("Join(%v, %v) = %v, want %v", a, b, got, union)
+	}
+	// With room for the union, UnionInto and Join merge in dst's own array.
 	if len(union) > 0 {
-		dst := append(make([]uint64, 0, len(union)), a...)
-		if got := UnionInto(dst, b); !slices.Equal(got, union) || &got[0] != &dst[:1][0] {
-			t.Fatalf("UnionInto(%v, %v) with room = %v, want %v in place", a, b, got, union)
+		for _, op := range []func(dst, src []uint64) []uint64{UnionInto, Join} {
+			dst := append(make([]uint64, 0, len(union)), a...)
+			if got := op(dst, b); !slices.Equal(got, union) || &got[0] != &dst[:1][0] {
+				t.Fatalf("UnionInto/Join(%v, %v) with room = %v, want %v in place", a, b, got, union)
+			}
 		}
 	}
 	if !slices.Equal(a, a0) || !slices.Equal(b, b0) {
@@ -161,6 +166,31 @@ func TestUnionIntoSubsetReturnsDst(t *testing.T) {
 	}
 	if len(got) != len(dst) || &got[0] != &dst[0] {
 		t.Errorf("UnionInto with src ⊆ dst = %v, want dst itself", got)
+	}
+}
+
+// TestJoinGrowsAsAppend: a list joined one id at a time is copied a few
+// times, as append grows it, where UnionInto sizes it exactly at each join;
+// a join that adds nothing leaves the list as it is.
+func TestJoinGrowsAsAppend(t *testing.T) {
+	var exact, joined []uint64
+	copiesExact, copiesJoin := 0, 0
+	for id := uint64(0); id < 1000; id++ {
+		e, j := UnionInto(exact, []uint64{id}), Join(joined, []uint64{id})
+		if cap(e) != cap(exact) {
+			copiesExact++
+		}
+		if cap(j) != cap(joined) {
+			copiesJoin++
+		}
+		exact, joined = e, j
+	}
+	if !slices.Equal(exact, joined) || copiesExact != 1000 || copiesJoin > 30 {
+		t.Fatalf("1000 joins: UnionInto copied %d times, Join %d; lists equal: %v", copiesExact, copiesJoin, slices.Equal(exact, joined))
+	}
+	full := joined[:len(joined):len(joined)]
+	if got := Join(full, []uint64{3, 999}); &got[0] != &full[0] || len(got) != len(full) {
+		t.Fatalf("Join of ids already present copied the list")
 	}
 }
 

@@ -114,9 +114,6 @@ func Covers(a, b Interval) bool {
 	return loOK && hiOK
 }
 
-// Overlaps reports whether the intervals share at least one value.
-func Overlaps(a, b Interval) bool { return !Intersect(a, b).Empty() }
-
 // Equal reports whether two intervals denote the same value set (all empty
 // intervals are considered equal).
 func (iv Interval) Equal(o Interval) bool {

@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// Overlaps reports whether the intervals share at least one value: the
+// disjointness the AACSSR rows keep, which only tests check.
+func Overlaps(a, b Interval) bool { return !Intersect(a, b).Empty() }
+
 func TestIntervalConstructorsAndContains(t *testing.T) {
 	cases := []struct {
 		iv   Interval

@@ -37,11 +37,11 @@ type neEntry struct {
 
 // Set is the AACS for a single arithmetic attribute: disjoint sub-range
 // rows sorted by lower bound (AACSSR), equality values outside the ranges
-// (AACSE), and not-equal entries. The zero value is not ready; use NewSet.
+// in value order (AACSE), and not-equal entries. Use NewSet.
 type Set struct {
-	rows []row                // disjoint, sorted by lower bound
-	eq   map[float64][]uint64 // equality values no sub-range contains
-	ne   []neEntry            // sorted by value
+	rows []row     // disjoint, sorted by lower bound
+	eq   points    // equality values no sub-range contains
+	ne   []neEntry // sorted by value
 
 	// words is what the set's id lists are read with (see idlist):
 	// idlist.Words(n) on a CloneMapped copy over n ids, 0 on a set built
@@ -55,9 +55,7 @@ type Set struct {
 }
 
 // NewSet returns an empty AACS.
-func NewSet(Mode) *Set {
-	return &Set{eq: make(map[float64][]uint64)}
-}
+func NewSet(Mode) *Set { return &Set{} }
 
 // Insert records that subscription id constrains this attribute to iv.
 // The caller has already intersected all of the subscription's constraints
@@ -103,11 +101,11 @@ func (s *Set) MergePoint(v float64, ids []uint64) {
 		s.rows[i].ids = idlist.UnionInto(s.rows[i].ids, ids)
 		return
 	}
-	if existing, ok := s.eq[v]; ok {
-		s.eq[v] = idlist.UnionInto(existing, ids)
-		return
+	if e := s.eq.get(v); e.ids != nil {
+		e.ids = idlist.UnionInto(e.ids, ids)
+	} else {
+		e.ids = s.slab.Copy(ids)
 	}
-	s.eq[v] = s.slab.Copy(ids)
 }
 
 // MergeNotEqual folds one serialized ≠ row into the set, equivalent to
@@ -146,7 +144,8 @@ func (s *Set) insertPoint(v float64, id uint64) {
 		s.rows[i].ids = idlist.Add(s.rows[i].ids, id)
 		return
 	}
-	s.eq[v] = idlist.Add(s.eq[v], id)
+	e := s.eq.get(v)
+	e.ids = idlist.Add(e.ids, id)
 }
 
 // insertRange splices interval x carrying ids into the disjoint row list,
@@ -188,12 +187,16 @@ func (s *Set) insertRange(x Interval, ids []uint64) {
 		if !left.Empty() {
 			seg = append(seg, row{iv: left, ids: append([]uint64(nil), r.ids...)})
 		}
-		// Overlap gets both id sets.
-		seg = append(seg, row{iv: mid, ids: idlist.Union(r.ids, ids)})
 		// Part of the row above x keeps the row's ids.
-		right := Intersect(r.iv, Interval{Lo: x.Hi, LoOpen: !x.HiOpen, Hi: r.iv.Hi, HiOpen: r.iv.HiOpen})
-		if !right.Empty() {
-			seg = append(seg, row{iv: right, ids: append([]uint64(nil), r.ids...)})
+		right := row{iv: Intersect(r.iv, Interval{Lo: x.Hi, LoOpen: !x.HiOpen, Hi: r.iv.Hi, HiOpen: r.iv.HiOpen})}
+		if !right.iv.Empty() {
+			right.ids = append([]uint64(nil), r.ids...)
+		}
+		// Overlap gets both id sets, in the row's own list: left and right
+		// hold copies.
+		seg = append(seg, row{iv: mid, ids: idlist.Join(r.ids, ids)})
+		if right.ids != nil {
+			seg = append(seg, right)
 		}
 		// Advance the cursor past this row.
 		cursorLo, cursorOpen = mid.Hi, !mid.HiOpen
@@ -224,18 +227,17 @@ func (s *Set) insertRange(x Interval, ids []uint64) {
 		grown = append(grown, s.rows[end:]...)
 		s.rows = grown
 	}
-	// Fold equality entries that the new range now covers into the covering
+	// Fold the equality rows the new range now covers into the covering
 	// rows, so that queries that stop at the range array
-	// (Check_for_a_value_match's "Else") still find them.
-	for v, eqIDs := range s.eq {
-		if !x.Contains(v) {
-			continue
+	// (Check_for_a_value_match's "Else") still find them. AACSE is in
+	// value order, so they are one run.
+	s.eq.fold(x, func(e point) bool {
+		i, ok := s.findRow(e.v)
+		if ok {
+			s.rows[i].ids = idlist.Join(s.rows[i].ids, e.ids)
 		}
-		if i, ok := s.findRow(v); ok {
-			s.rows[i].ids = idlist.Union(s.rows[i].ids, eqIDs)
-			delete(s.eq, v)
-		}
-	}
+		return ok
+	})
 }
 
 // findRow returns the index of the row containing v. Rows are disjoint, so
@@ -279,7 +281,7 @@ func (s *Set) Query(v float64) []uint64 {
 func (s *Set) AppendLists(dst [][]uint64, v float64) [][]uint64 {
 	if i, inRange := s.findRow(v); inRange {
 		dst = append(dst, s.rows[i].ids)
-	} else if ids := s.eq[v]; len(ids) > 0 {
+	} else if ids := s.eq.find(v); len(ids) > 0 {
 		dst = append(dst, ids)
 	}
 	for _, ne := range s.ne {
@@ -323,7 +325,7 @@ func (s *Set) QueryInto(v float64, dst map[uint64]struct{}) int {
 	if i, inRange := s.findRow(v); inRange {
 		note(s.rows[i].ids)
 	} else {
-		note(s.eq[v])
+		note(s.eq.find(v))
 	}
 	for _, ne := range s.ne {
 		if ne.value != v {
@@ -348,14 +350,7 @@ func (s *Set) RemoveAll(dead map[uint64]struct{}) {
 		}
 	}
 	s.rows = rows
-	for v, ids := range s.eq {
-		ids = idlist.Without(ids, dead)
-		if len(ids) == 0 {
-			delete(s.eq, v)
-		} else {
-			s.eq[v] = ids
-		}
-	}
+	s.eq.removeAll(dead)
 	ne := s.ne[:0]
 	for _, e := range s.ne {
 		e.ids = idlist.Without(e.ids, dead)
@@ -402,9 +397,7 @@ func (s *Set) Clone() *Set {
 	for i, r := range s.rows {
 		out.rows[i] = row{iv: r.iv, ids: append([]uint64(nil), r.ids...)}
 	}
-	for v, ids := range s.eq {
-		out.eq[v] = append([]uint64(nil), ids...)
-	}
+	out.eq = s.eq.clone()
 	out.ne = make([]neEntry, len(s.ne))
 	for i, e := range s.ne {
 		out.ne[i] = neEntry{value: e.value, ids: append([]uint64(nil), e.ids...)}
@@ -418,21 +411,18 @@ func (s *Set) Clone() *Set {
 // ids. The receiver is only read. The copy is meant to be read, not
 // mutated, and its lists take the forms idlist gives them: AppendLists
 // hands out a bitset as it is, while AppendMatches, Query, QueryInto and
-// the row accessors hand it out as its ids, ascending.
+// the row accessors hand it out as its ids, ascending. Its equality rows
+// are one block.
 func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uint64)) *Set {
 	m := idlist.NewMapper(n, s.idEntries())
-	out := &Set{eq: make(map[float64][]uint64, len(s.eq)), words: idlist.Words(n)}
+	out := &Set{words: idlist.Words(n)}
 	out.rows = make([]row, 0, len(s.rows))
 	for _, r := range s.rows {
 		if ids := m.Map(r.ids, f, order); len(ids) > 0 {
 			out.rows = append(out.rows, row{iv: r.iv, ids: ids})
 		}
 	}
-	for v, ids := range s.eq {
-		if ids = m.Map(ids, f, order); len(ids) > 0 {
-			out.eq[v] = ids
-		}
-	}
+	out.eq = s.eq.compile(func(ids []uint64) []uint64 { return m.Map(ids, f, order) })
 	out.ne = make([]neEntry, 0, len(s.ne))
 	for _, e := range s.ne {
 		if ids := m.Map(e.ids, f, order); len(ids) > 0 {
@@ -456,7 +446,7 @@ func (s *Set) Stats() Stats {
 	var st Stats
 	distinct := make(map[uint64]struct{})
 	st.NumRanges = len(s.rows)
-	st.NumEq = len(s.eq)
+	st.NumEq = s.eq.len()
 	st.NumNE = len(s.ne)
 	for _, r := range s.rows {
 		st.IDEntries += len(r.ids)
@@ -464,12 +454,12 @@ func (s *Set) Stats() Stats {
 			distinct[id] = struct{}{}
 		}
 	}
-	for _, ids := range s.eq {
-		st.IDEntries += len(ids)
-		for _, id := range ids {
+	s.eq.all(func(e *point) {
+		st.IDEntries += len(e.ids)
+		for _, id := range e.ids {
 			distinct[id] = struct{}{}
 		}
-	}
+	})
 	for _, e := range s.ne {
 		st.IDEntries += len(e.ids)
 		for _, id := range e.ids {
@@ -486,7 +476,7 @@ func (s *Set) Stats() Stats {
 // from row lengths — the propagation loop calls this every round, so it
 // must not build Stats' DistinctIDs map.
 func (s *Set) SizeBytes(sst, sid int) int {
-	return 2*len(s.rows)*sst + (len(s.eq)+len(s.ne))*sst + s.idEntries()*sid
+	return 2*len(s.rows)*sst + (s.eq.len()+len(s.ne))*sst + s.idEntries()*sid
 }
 
 // idEntries returns ΣL_a: the id-list entries across all rows.
@@ -495,9 +485,7 @@ func (s *Set) idEntries() int {
 	for _, r := range s.rows {
 		entries += len(r.ids)
 	}
-	for _, ids := range s.eq {
-		entries += len(ids)
-	}
+	s.eq.all(func(e *point) { entries += len(e.ids) })
 	for _, e := range s.ne {
 		entries += len(e.ids)
 	}
@@ -527,13 +515,12 @@ type EqView struct {
 	IDs   []uint64
 }
 
-// EqRows returns the equality rows sorted by value.
+// EqRows returns the equality rows in value order.
 func (s *Set) EqRows() []EqView {
-	out := make([]EqView, 0, len(s.eq))
-	for v, ids := range s.eq {
-		out = append(out, EqView{Value: v, IDs: idlist.List(ids, s.words)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
+	out := make([]EqView, 0, s.eq.len())
+	s.eq.all(func(e *point) {
+		out = append(out, EqView{Value: e.v, IDs: idlist.List(e.ids, s.words)})
+	})
 	return out
 }
 

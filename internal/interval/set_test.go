@@ -3,6 +3,7 @@ package interval
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -636,6 +637,95 @@ func TestCloneMappedForms(t *testing.T) {
 		}
 		if len(views[1])+len(want) > 0 && !reflect.DeepEqual(views[1], want) {
 			t.Fatalf("copy's %s rows %v, original mapped %v", name, views[1], want)
+		}
+	}
+}
+
+// TestRangeInsertJoinsRowsInPlace: ids joining an existing range row one
+// at a time grow its list as append does, so a thousand joins allocate
+// what an insert that adds no id does, plus a few lists, not one per join;
+// and so do the points a new range folds in.
+func TestRangeInsertJoinsRowsInPlace(t *testing.T) {
+	s := NewSet(Lossy)
+	iv := Range(0, 100, false, true)
+	s.Insert(iv, 0)
+	base := testing.AllocsPerRun(100, func() { s.Insert(iv, 0) })
+	id := uint64(1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Insert(iv, id)
+		id++
+	})
+	if allocs > base+0.05 {
+		t.Fatalf("joining a range row: %.3f allocations per id, %.3f for an insert adding none", allocs, base)
+	}
+	if rows := s.Rows(); len(rows) != 1 || len(rows[0].IDs) != 1+1001 || !slices.IsSorted(rows[0].IDs) {
+		t.Fatalf("rows = %d, want one row of 1002 sorted ids", len(rows))
+	}
+
+	// The fold: a range over 1 000 points, each of its own id, takes them
+	// into one new row a point at a time.
+	s = NewSet(Lossy)
+	for i := range 1000 {
+		s.Insert(Point(float64(i)), uint64(i))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Insert(Range(-1, 1000, false, false), 1000)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 100 {
+		t.Fatalf("folding 1 000 points into a range row: %d allocations", n)
+	}
+	if rows := s.Rows(); len(rows) != 1 || len(rows[0].IDs) != 1001 || len(s.EqRows()) != 0 {
+		t.Fatalf("after the fold: %d rows, %d equality rows", len(rows), len(s.EqRows()))
+	}
+}
+
+// benchPoints is the number of distinct points the insert benchmarks hold.
+const benchPoints = 100_000
+
+// BenchmarkInsertPointsAscending inserts distinct points in ascending
+// order, as the workload generator's fresh values arrive.
+func BenchmarkInsertPointsAscending(b *testing.B) {
+	for range b.N {
+		s := NewSet(Lossy)
+		for i := range benchPoints {
+			s.Insert(Point(float64(i)), uint64(i))
+		}
+	}
+}
+
+// BenchmarkInsertPointsRandom inserts the same points in random order.
+func BenchmarkInsertPointsRandom(b *testing.B) {
+	order := rand.New(rand.NewSource(1)).Perm(benchPoints)
+	b.ResetTimer()
+	for range b.N {
+		s := NewSet(Lossy)
+		for _, i := range order {
+			s.Insert(Point(float64(i)), uint64(i))
+		}
+	}
+}
+
+// BenchmarkInsertRangesOverPoints inserts 1 000 ranges over a set of
+// distinct points, each range covering a few of them: the fold of AACSE
+// into the new rows, which must cost the points a range covers and not
+// the set's whole AACSE.
+func BenchmarkInsertRangesOverPoints(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	ranges := make([]Interval, 1000)
+	for i := range ranges {
+		lo := float64(rng.Intn(benchPoints))
+		ranges[i] = Range(lo, lo+float64(rng.Intn(4)), rng.Intn(2) == 0, rng.Intn(2) == 0)
+	}
+	for range b.N {
+		b.StopTimer()
+		s := NewSet(Lossy)
+		for i := range benchPoints {
+			s.Insert(Point(float64(i)), uint64(i))
+		}
+		b.StartTimer()
+		for i, iv := range ranges {
+			s.Insert(iv, uint64(benchPoints+i))
 		}
 	}
 }

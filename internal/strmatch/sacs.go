@@ -103,11 +103,13 @@ func (s *Set) InsertMany(p Pattern, ids []uint64) {
 		}
 	case schema.OpEQ:
 		if existing, ok := s.eq[p.Text]; ok {
-			s.eq[p.Text] = idlist.Union(existing, ids)
+			if merged := idlist.Join(existing, ids); len(merged) != len(existing) {
+				s.eq[p.Text] = merged
+			}
 			return
 		}
 		if i := s.coveringRow(p.Text); i >= 0 {
-			s.pats[i].IDs = idlist.Union(s.pats[i].IDs, ids)
+			s.pats[i].IDs = idlist.Join(s.pats[i].IDs, ids)
 			return
 		}
 		s.eq[p.Text] = append([]uint64(nil), ids...)
@@ -115,7 +117,7 @@ func (s *Set) InsertMany(p Pattern, ids []uint64) {
 		// Covered by an existing pattern row: join it.
 		for i := range s.pats {
 			if Covers(s.pats[i].Pattern, p) {
-				s.pats[i].IDs = idlist.Union(s.pats[i].IDs, ids)
+				s.pats[i].IDs = idlist.Join(s.pats[i].IDs, ids)
 				return
 			}
 		}

@@ -207,6 +207,45 @@ func TestInsertGeneralizationSubstitutes(t *testing.T) {
 	}
 }
 
+// TestInsertJoinsRowsInPlace: ids joining an existing equality row, a
+// pattern row covering an equality, or a pattern row covering a pattern
+// grow the row's list as append does, so a thousand joins one id at a
+// time allocate a few lists per row, not one per join (the pattern join
+// may allocate what the coverage test itself does), and every row keeps
+// its ids.
+func TestInsertJoinsRowsInPlace(t *testing.T) {
+	s := NewSet()
+	s.Insert(pat(schema.OpEQ, "NYSE"), 0)
+	s.Insert(pat(schema.OpPrefix, "OT"), 0)
+	covers := testing.AllocsPerRun(100, func() { Covers(pat(schema.OpPrefix, "OT"), pat(schema.OpPrefix, "OTC")) })
+	id := uint64(1)
+	for _, c := range []struct {
+		p     Pattern
+		extra float64
+	}{{pat(schema.OpEQ, "NYSE"), 0}, {pat(schema.OpEQ, "OTC"), 0}, {pat(schema.OpPrefix, "OTC"), covers}} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			s.Insert(c.p, id)
+			id++
+		})
+		if allocs > c.extra+0.05 {
+			t.Fatalf("joining %v: %.3f allocations per id, want at most %.3f", c.p, allocs, c.extra+0.05)
+		}
+	}
+	rows := s.Rows()
+	if len(rows) != 2 {
+		t.Fatalf("rows = %v", rows)
+	}
+	for _, r := range rows {
+		want := 1 + 1001 // id 0 and the warm-up run's
+		if r.Pattern.Op == schema.OpPrefix {
+			want += 1001
+		}
+		if len(r.IDs) != want || !slices.IsSorted(r.IDs) {
+			t.Fatalf("row %v holds %d ids (sorted: %v), want %d", r.Pattern, len(r.IDs), slices.IsSorted(r.IDs), want)
+		}
+	}
+}
+
 func TestInsertUnrelatedAddsRow(t *testing.T) {
 	s := NewSet()
 	s.Insert(pat(schema.OpPrefix, "OT"), 1)
