@@ -302,7 +302,7 @@ func MatchingCost(cfg Config) (*metrics.Table, error) {
 		return nil, err
 	}
 	sm := summary.New(gen.Schema(), interval.Lossy)
-	const probes = 2000
+	const probes, probeBlock = 2000, 100
 	events := make([]*schema.Event, probes)
 	for i := range events {
 		events[i] = gen.Event(0.5)
@@ -315,21 +315,23 @@ func MatchingCost(cfg Config) (*metrics.Table, error) {
 				return nil, err
 			}
 		}
-		// Pooled matchers sweep the probe events across all workers; the
-		// per-event counts are slot-indexed, so the aggregates are
-		// identical at any worker count.
+		// The probe events are swept in blocks across all workers, each
+		// block through its own matcher over one view; the per-event counts
+		// are slot-indexed, so the aggregates are identical at any worker
+		// count.
 		perMatched := make([]int64, probes)
 		perCollected := make([]int64, probes)
 		perUnique := make([]int64, probes)
-		pool := summary.NewMatcherPool(sm)
 		start := time.Now()
-		par.Sweep(probes, cfg.Workers, func(i int) {
-			m := pool.Get()
-			keys, cost := m.MatchKeysWithCost(events[i])
-			perMatched[i] = int64(len(keys))
-			perCollected[i] = int64(cost.CollectedIDs)
-			perUnique[i] = int64(cost.UniqueIDs)
-			pool.Put(m)
+		view := sm.Compile()
+		par.Sweep(probes/probeBlock, cfg.Workers, func(b int) {
+			m := view.NewMatcher()
+			for i := b * probeBlock; i < (b+1)*probeBlock; i++ {
+				keys, cost := m.MatchKeysWithCost(events[i])
+				perMatched[i] = int64(len(keys))
+				perCollected[i] = int64(cost.CollectedIDs)
+				perUnique[i] = int64(cost.UniqueIDs)
+			}
 		})
 		elapsed := time.Since(start)
 		var matched, collected, unique int64

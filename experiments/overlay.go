@@ -137,10 +137,10 @@ func buildOverlayFixture(n int, cfg OverlayConfig) (*overlayFixture, error) {
 	return fx, nil
 }
 
-// followers returns one summary-following matcher per summary, so an
-// event batch reuses each broker's match scratch instead of rebuilding it
-// per event.
-func followers(sms []*summary.Summary) []*summary.Matcher {
+// matchers returns one matcher per summary, each bound to a view of it,
+// so an event batch reuses each broker's view and match scratch instead of
+// rebuilding them per event.
+func matchers(sms []*summary.Summary) []*summary.Matcher {
 	out := make([]*summary.Matcher, len(sms))
 	for i, sm := range sms {
 		out[i] = sm.NewMatcher()
@@ -206,7 +206,7 @@ func runOverlay(fx *overlayFixture, cfg OverlayConfig) (OverlayRow, error) {
 	if err != nil {
 		return row, err
 	}
-	merged, own := followers(prop.Merged), followers(fx.own)
+	merged, own := matchers(prop.Merged), matchers(fx.own)
 	var hops, fwd int
 	for k, ev := range fx.events {
 		match := func(at topology.NodeID) []topology.NodeID {

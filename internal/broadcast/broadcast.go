@@ -33,25 +33,3 @@ func Propagate(g *topology.Graph, sigma, subSize int) Stats {
 		StorageBytes: n * n * sig * sub,
 	}
 }
-
-// PropagateExact walks the overlay instead of using the mean-hops model:
-// each subscription travels the BFS shortest path to every other broker
-// individually (no multicast sharing — the baseline is deliberately
-// naive). It returns the same accounting, exactly.
-func PropagateExact(g *topology.Graph, sigma, subSize int) Stats {
-	var stats Stats
-	n := g.Len()
-	for src := 0; src < n; src++ {
-		dist, _ := g.BFSFrom(topology.NodeID(src))
-		var pathHops int64
-		for dst, d := range dist {
-			if dst != src && d > 0 {
-				pathHops += int64(d)
-			}
-		}
-		stats.Hops += pathHops * int64(sigma)
-	}
-	stats.Bytes = stats.Hops * int64(subSize)
-	stats.StorageBytes = int64(n) * int64(n) * int64(sigma) * int64(subSize)
-	return stats
-}

@@ -61,7 +61,7 @@ type Broker struct {
 	subs          map[subid.LocalID]*subEntry
 	nextLocal     subid.LocalID
 	maxLocal      subid.LocalID
-	delta         *summary.Summary // new subscriptions since the last TakeDelta
+	delta         *summary.Summary // new subscriptions since the last TakePeriodSummary
 	merged        *summary.Summary // own + received (multi-broker summary)
 	mergedBrokers subid.Mask       // Merged_Brokers
 
@@ -290,10 +290,7 @@ func (b *Broker) Subscribe(sub *schema.Subscription, deliver DeliveryFunc) (subi
 	if b.nextLocal > b.maxLocal {
 		return subid.ID{}, fmt.Errorf("broker %d: subscription id space exhausted (c2)", b.id)
 	}
-	id := subid.ID{Broker: subid.BrokerID(b.id), Local: b.nextLocal, Attrs: subid.NewMask(b.schema.Len())}
-	for _, a := range sub.AttrSet() {
-		id.Attrs.Set(int(a))
-	}
+	id := subid.ID{Broker: subid.BrokerID(b.id), Local: b.nextLocal, Attrs: b.maskOf(sub)}
 	if err := b.delta.Insert(id, sub); err != nil {
 		return subid.ID{}, err
 	}
@@ -305,8 +302,17 @@ func (b *Broker) Subscribe(sub *schema.Subscription, deliver DeliveryFunc) (subi
 	b.invalidateMatch()
 	b.invalidateOwners()
 	b.updateSubGauges()
-	b.rec.Record(flight.EvSubscribe, int(b.id), int64(id.Local), int64(len(sub.AttrSet())), 0, "")
+	b.rec.Record(flight.EvSubscribe, int(b.id), int64(id.Local), int64(id.Attrs.Count()), 0, "")
 	return id, nil
+}
+
+// maskOf returns the c3 mask of sub: the attributes it constrains.
+func (b *Broker) maskOf(sub *schema.Subscription) subid.Mask {
+	m := subid.NewMask(b.schema.Len())
+	for _, a := range sub.AttrSet() {
+		m.Set(int(a))
+	}
+	return m
 }
 
 // updateSubGauges refreshes the subscription-level gauges; callers hold
@@ -360,10 +366,7 @@ func (b *Broker) Restore(local subid.LocalID, sub *schema.Subscription, deliver 
 	if local > b.maxLocal {
 		return fmt.Errorf("broker %d: local id %d exceeds c2 capacity", b.id, local)
 	}
-	id := subid.ID{Broker: subid.BrokerID(b.id), Local: local, Attrs: subid.NewMask(b.schema.Len())}
-	for _, a := range sub.AttrSet() {
-		id.Attrs.Set(int(a))
-	}
+	id := subid.ID{Broker: subid.BrokerID(b.id), Local: local, Attrs: b.maskOf(sub)}
 	if err := b.delta.Insert(id, sub); err != nil {
 		return err
 	}
@@ -440,11 +443,6 @@ func (b *Broker) NumSubscriptions() int {
 	defer b.mu.Unlock()
 	return len(b.subs)
 }
-
-// TakeDelta returns the summary of subscriptions accumulated since the
-// previous call and resets the delta (the per-period batch of σ
-// subscriptions that Algorithm 2 propagates).
-func (b *Broker) TakeDelta() *summary.Summary { return b.TakePeriodSummary(false) }
 
 // TakePeriodSummary returns the summary this broker should propagate in
 // the starting period and drains the delta. In a normal period that is

@@ -7,6 +7,7 @@ import (
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
 	"github.com/subsum/subsum/internal/subid"
+	"github.com/subsum/subsum/internal/summary"
 	"github.com/subsum/subsum/internal/topology"
 )
 
@@ -28,6 +29,11 @@ func newBroker(t testing.TB, id topology.NodeID, n int) *Broker {
 }
 
 func noDeliver(subid.ID, *schema.Event) {}
+
+// TakeDelta returns the summary of subscriptions accumulated since the
+// previous call and resets the delta (the per-period batch of σ
+// subscriptions that Algorithm 2 propagates).
+func (b *Broker) TakeDelta() *summary.Summary { return b.TakePeriodSummary(false) }
 
 func TestNewValidation(t *testing.T) {
 	s := testSchema(t)

@@ -80,13 +80,17 @@ func liveHopsMatchRouter(t *testing.T, g *topology.Graph, subsPerBroker, minDeli
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := make([]*summary.Matcher, n)
+	for i, sm := range prop.Merged {
+		merged[i] = sm.NewMatcher()
+	}
 	var wantForward, wantDeliver int
 	for i, ev := range events {
 		ev := ev
 		match := func(at topology.NodeID) []topology.NodeID {
 			var out []topology.NodeID
 			seen := map[topology.NodeID]bool{}
-			for _, id := range prop.Merged[at].Match(ev) {
+			for _, id := range merged[at].Match(ev) {
 				owner := topology.NodeID(id.Broker)
 				if !seen[owner] {
 					seen[owner] = true

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/subsum/subsum/internal/broker"
@@ -109,6 +111,74 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if got := restoredLog.count(); got != want {
 		t.Fatalf("restored deliveries = %d, want %d", got, want)
+	}
+}
+
+// TestLongestStringCarried: every codec a subscription constant crosses
+// (the summary payload of a period, the snapshot) writes its length in 16
+// bits. A 65 535-byte constant subscribed at broker 3 of CW24 propagates
+// with no payload refused, reaches its event from the far side of the
+// overlay, and survives a snapshot; a 65 536-byte one is refused by the
+// parser, before any codec could cut its length.
+func TestLongestStringCarried(t *testing.T) {
+	s := schema.MustNew(
+		schema.Attribute{Name: "symbol", Type: schema.TypeString},
+		schema.Attribute{Name: "price", Type: schema.TypeFloat},
+	)
+	longest := strings.Repeat("X", math.MaxUint16)
+	if _, err := schema.ParseSubscription(s, "symbol = "+longest+"X"); err == nil {
+		t.Fatalf("a constant of %d bytes parsed", math.MaxUint16+1)
+	}
+	sub, err := schema.ParseSubscription(s, "symbol = "+longest+" && price > 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := schema.ParseEvent(s, "symbol="+longest+" price=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := topology.CW24()
+	// deliveries publishes ev at broker 0 after two periods and returns how
+	// many deliveries it made, failing on any message refused on the way.
+	deliveries := func(net *Network, c *collector) int {
+		t.Helper()
+		for period := 0; period < 2; period++ {
+			if _, err := net.Propagate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := net.Publish(0, ev); err != nil {
+			t.Fatal(err)
+		}
+		net.Flush()
+		for kind, n := range net.Stats().DecodeErrors {
+			if n != 0 {
+				t.Fatalf("%d %v messages failed to decode", n, kind)
+			}
+		}
+		return c.count()
+	}
+	var c collector
+	net := newNetwork(t, g, s)
+	if _, err := net.Subscribe(3, sub, c.deliver(s)); err != nil {
+		t.Fatal(err)
+	}
+	if got := deliveries(net, &c); got != 1 {
+		t.Fatalf("%d deliveries of the event, want 1", got)
+	}
+	var buf bytes.Buffer
+	if err := net.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var restoredLog collector
+	restored, err := LoadSnapshot(&buf, Config{Topology: g},
+		func(subid.ID, *schema.Subscription) broker.DeliveryFunc { return restoredLog.deliver(s) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if got := deliveries(restored, &restoredLog); got != 1 {
+		t.Fatalf("restored network: %d deliveries of the event, want 1", got)
 	}
 }
 

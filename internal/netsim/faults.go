@@ -239,7 +239,8 @@ func (f Faults) Resume(id topology.NodeID) error {
 }
 
 // Paused reports whether the broker is currently paused, and how many
-// messages are parked for it.
+// messages are parked for it. A test hook: the netsim and core tests
+// check a pause with it.
 func (f Faults) Paused(id topology.NodeID) (paused bool, parked int) {
 	f.b.faultMu.Lock()
 	defer f.b.faultMu.Unlock()
@@ -249,7 +250,8 @@ func (f Faults) Paused(id topology.NodeID) (paused bool, parked int) {
 
 // Clear resets the whole fault plane: partitions healed, loss rules
 // removed, the custom hook cleared, and every paused broker resumed
-// (delivering its parked messages).
+// (delivering its parked messages). A test hook: the netsim and core
+// tests reset faults with it.
 func (f Faults) Clear() {
 	b := f.b
 	b.faultMu.Lock()

@@ -292,29 +292,6 @@ func pickTarget(g *topology.Graph, node topology.NodeID, degree int, communicate
 	return 0, false
 }
 
-// Coverage returns, for each broker, how many brokers' subscriptions its
-// merged summary covers — useful for diagnostics and tests.
-func (r *Result) Coverage() []int {
-	out := make([]int, len(r.MergedBrokers))
-	for i, set := range r.MergedBrokers {
-		out[i] = set.Count()
-	}
-	return out
-}
-
-// TotalCoverage reports whether the union of all Merged_Brokers sets
-// covers every broker (it always should: each broker is in its own set).
-func (r *Result) TotalCoverage() bool {
-	n := len(r.MergedBrokers)
-	union := subid.NewMask(n)
-	for _, set := range r.MergedBrokers {
-		for _, b := range set.Bits() {
-			union.Set(b)
-		}
-	}
-	return union.Count() == n
-}
-
 // FormatTrace renders the send log like the Figure 7 walkthrough (1-based
 // broker numbers to match the paper's figure).
 func (r *Result) FormatTrace() string {

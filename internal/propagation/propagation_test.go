@@ -384,3 +384,16 @@ func TestSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TotalCoverage reports whether the union of all Merged_Brokers sets
+// covers every broker (it always should: each broker is in its own set).
+func (r *Result) TotalCoverage() bool {
+	n := len(r.MergedBrokers)
+	union := subid.NewMask(n)
+	for _, set := range r.MergedBrokers {
+		for _, b := range set.Bits() {
+			union.Set(b)
+		}
+	}
+	return union.Count() == n
+}

@@ -83,7 +83,7 @@ func NewOrder(g *topology.Graph) *Order {
 }
 
 // Nodes returns the brokers in examination order. The slice is shared; do
-// not modify it.
+// not modify it. A test hook: the routing and core tests read the order.
 func (o *Order) Nodes() []topology.NodeID { return o.nodes }
 
 // NextHop returns the forwarding choice of broker at for an event whose

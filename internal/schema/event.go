@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // Field is one attribute/value pair of an event.
@@ -26,26 +25,11 @@ func (f Field) StrHash() uint64 { return f.hash }
 // and the compiled tables they are looked up in are built by one process.
 var hashSeed = maphash.MakeSeed()
 
-// collideHashes is set by CollideStringHashes alone.
-var collideHashes atomic.Bool
-
 // HashString returns the 64-bit hash of a string value that events carry
 // (Field.StrHash) and compiled SACS tables are keyed by. Equal strings hash
 // equal within a process; unequal ones may too, so a lookup confirms the
 // text.
-func HashString(s string) uint64 {
-	if collideHashes.Load() {
-		return 0
-	}
-	return maphash.String(hashSeed, s)
-}
-
-// CollideStringHashes is a test hook: while on, HashString returns one
-// value for every string, so every lookup keyed by it collides and is
-// decided by the text comparison alone. Events and compiled views built
-// while it is on carry those hashes; build the values under test after
-// turning it on and turn it off once they are gone.
-func CollideStringHashes(on bool) { collideHashes.Store(on) }
+func HashString(s string) uint64 { return maphash.String(hashSeed, s) }
 
 // Event is a published notification: a set of typed attribute values
 // (Section 2.1, Figure 2). An event may carry more attributes than any
@@ -120,9 +104,18 @@ func (s *Schema) CheckEvent(e *Event) error {
 		if err := checkValueType(s, f.Attr, f.Value); err != nil {
 			return err
 		}
-		if f.Value.Type == TypeString && len(f.Value.Str) > math.MaxUint16 {
-			return fmt.Errorf("schema: attribute %q: string of %d bytes exceeds the codec's %d", s.Name(f.Attr), len(f.Value.Str), math.MaxUint16)
+		if err := checkStringLen(s.Name(f.Attr), f.Value); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// checkStringLen refuses a string value longer than the 16-bit length
+// every codec writes for it (summary rows, snapshots, the event codec).
+func checkStringLen(attr string, v Value) error {
+	if v.Type == TypeString && len(v.Str) > math.MaxUint16 {
+		return fmt.Errorf("schema: attribute %q: string of %d bytes exceeds the codec's %d", attr, len(v.Str), math.MaxUint16)
 	}
 	return nil
 }

@@ -2,9 +2,11 @@ package schema
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -336,6 +338,37 @@ func TestCheckEvent(t *testing.T) {
 	} {
 		if err := tc.s.CheckEvent(tc.ev); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestStringsBoundedByCodec: every codec writes a string's length in 16
+// bits, so a subscription constant or an attribute name of 65 536 bytes
+// is refused where it enters — ParseSubscription (the wire subscribe op),
+// NewSubscription and Schema.Add (the wire extend op) — and one of 65 535
+// bytes is taken, and survives the subscription codec.
+func TestStringsBoundedByCodec(t *testing.T) {
+	s := paperSchema(t)
+	for _, n := range []int{math.MaxUint16, math.MaxUint16 + 1} {
+		text := strings.Repeat("X", n)
+		fits := n <= math.MaxUint16
+		sub, err := ParseSubscription(s, "symbol = "+text)
+		if (err == nil) != fits {
+			t.Errorf("ParseSubscription of a %d-byte constant: err = %v", n, err)
+		}
+		symbol, _ := s.ID("symbol")
+		if _, err := NewSubscription(s, Constraint{Attr: symbol, Op: OpPrefix, Value: StringValue(text)}); (err == nil) != fits {
+			t.Errorf("NewSubscription of a %d-byte prefix: err = %v", n, err)
+		}
+		if _, err := s.Add(text, TypeInt); (err == nil) != fits {
+			t.Errorf("Schema.Add of a %d-byte name: err = %v", n, err)
+		}
+		if !fits {
+			continue
+		}
+		back, _, err := DecodeSubscription(s, EncodeSubscription(nil, sub))
+		if err != nil || back.Constraints[0].Value.Str != text {
+			t.Fatalf("a %d-byte constant through the subscription codec: err = %v", n, err)
 		}
 	}
 }

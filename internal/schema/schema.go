@@ -13,8 +13,8 @@ package schema
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -128,6 +128,10 @@ func (d *definition) admit(a Attribute) error {
 	if a.Name == "" {
 		return fmt.Errorf("schema: empty attribute name")
 	}
+	if len(a.Name) > math.MaxUint16 {
+		// The snapshot writes a name's length in 16 bits.
+		return fmt.Errorf("schema: attribute name of %d bytes exceeds the codec's %d", len(a.Name), math.MaxUint16)
+	}
 	if a.Type == TypeInvalid || a.Type > TypeDate {
 		return fmt.Errorf("schema: attribute %q has invalid type", a.Name)
 	}
@@ -222,16 +226,6 @@ func (s *Schema) TypeOf(id AttrID) Type {
 	return a.Type
 }
 
-// Names returns the attribute names in schema order.
-func (s *Schema) Names() []string {
-	attrs := s.load().attrs
-	out := make([]string, len(attrs))
-	for i, a := range attrs {
-		out[i] = a.Name
-	}
-	return out
-}
-
 // Attributes returns a copy of the ordered attribute definitions.
 func (s *Schema) Attributes() []Attribute { return slices.Clone(s.load().attrs) }
 
@@ -267,12 +261,4 @@ func (s *Schema) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// SortedNames returns attribute names in lexicographic order; useful for
-// deterministic rendering of attribute sets.
-func (s *Schema) SortedNames() []string {
-	names := s.Names()
-	sort.Strings(names)
-	return names
 }

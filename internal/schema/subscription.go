@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -121,7 +122,10 @@ func (c Constraint) Validate(s *Schema) error {
 	if a.Type == TypeString && !c.Op.StringOp() {
 		return fmt.Errorf("schema: operator %s not valid for string attribute %q", c.Op, a.Name)
 	}
-	return checkValueType(s, c.Attr, c.Value)
+	if err := checkValueType(s, c.Attr, c.Value); err != nil {
+		return err
+	}
+	return checkStringLen(a.Name, c.Value)
 }
 
 // Satisfied reports whether the event value v satisfies the constraint.
@@ -226,20 +230,12 @@ func (sub *Subscription) Matches(e *Event) bool {
 // subscription, in ascending order. This is the information encoded into
 // the c3 component of the subscription id.
 func (sub *Subscription) AttrSet() []AttrID {
-	seen := make(map[AttrID]bool, len(sub.Constraints))
-	var out []AttrID
-	for _, c := range sub.Constraints {
-		if !seen[c.Attr] {
-			seen[c.Attr] = true
-			out = append(out, c.Attr)
-		}
+	out := make([]AttrID, len(sub.Constraints))
+	for i, c := range sub.Constraints {
+		out[i] = c.Attr
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NumAttrs returns the number of distinct constrained attributes.

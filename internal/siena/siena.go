@@ -2,12 +2,11 @@
 // Siena-style subsumption-based subscription propagation and reverse-path
 // event routing (Section 2.2, Section 5.2).
 //
-// Two propagation variants are provided. PropagateModel follows the
-// paper's experimental model exactly: per-source BFS spanning trees with a
-// probabilistic subsumption cut, where broker B's probability is
-// maxSubsumption × degree(B) ⁄ maxDegree. PropagateReal performs genuine
-// subsumption checks between subscriptions (Subsumes), used by tests and
-// available as an honest-comparator variant.
+// PropagateModel follows the paper's experimental model exactly:
+// per-source BFS spanning trees with a probabilistic subsumption cut, where
+// broker B's probability is maxSubsumption × degree(B) ⁄ maxDegree.
+// Subsumes is the genuine subsumption check between subscriptions; the
+// package's tests propagate with it too (PropagateReal).
 //
 // Event routing follows the reverse paths set up by subscription
 // propagation: an event reaches each matched broker along the spanning
@@ -222,77 +221,4 @@ func stringSubsumed(aCons, bCons []schema.Constraint) bool {
 		}
 	}
 	return true
-}
-
-// OwnedSub pairs a subscription with its owner for real propagation.
-type OwnedSub struct {
-	Owner topology.NodeID
-	Sub   *schema.Subscription
-}
-
-// PropagateReal performs Siena propagation with genuine subsumption: each
-// subscription floods its owner's BFS tree, but a broker does not forward
-// a subscription over a tree edge on which it has already forwarded a
-// subsuming subscription. Subscriptions are processed in the given order
-// (arrival order matters for subsumption, as in Siena). Bytes use each
-// subscription's modelled wire size.
-func PropagateReal(g *topology.Graph, s *schema.Schema, subs []OwnedSub) PropagationStats {
-	n := g.Len()
-	stats := PropagationStats{Stored: make([]int, n)}
-	type edge struct{ from, to topology.NodeID }
-	forwarded := make(map[edge][]*schema.Subscription)
-	children := make([][][]topology.NodeID, n)
-	for src := 0; src < n; src++ {
-		_, parent := g.BFSFrom(topology.NodeID(src))
-		ch := make([][]topology.NodeID, n)
-		for node, p := range parent {
-			if p >= 0 {
-				ch[p] = append(ch[p], topology.NodeID(node))
-			}
-		}
-		children[src] = ch
-	}
-	for _, os := range subs {
-		stats.Stored[os.Owner]++
-		size := int64(os.Sub.WireSize())
-		queue := []topology.NodeID{os.Owner}
-		for len(queue) > 0 {
-			b := queue[0]
-			queue = queue[1:]
-			for _, c := range children[os.Owner][b] {
-				e := edge{from: b, to: c}
-				if covered(s, forwarded[e], os.Sub) {
-					continue
-				}
-				forwarded[e] = append(forwarded[e], os.Sub)
-				stats.Hops++
-				stats.Bytes += size
-				stats.Stored[c]++
-				queue = append(queue, c)
-			}
-		}
-	}
-	// Storage counts each held subscription at the batch's mean modelled
-	// size.
-	var meanSize int64
-	if len(subs) > 0 {
-		var total int64
-		for _, os := range subs {
-			total += int64(os.Sub.WireSize())
-		}
-		meanSize = total / int64(len(subs))
-	}
-	for _, held := range stats.Stored {
-		stats.StorageBytes += int64(held) * meanSize
-	}
-	return stats
-}
-
-func covered(s *schema.Schema, prior []*schema.Subscription, sub *schema.Subscription) bool {
-	for _, p := range prior {
-		if Subsumes(s, p, sub) {
-			return true
-		}
-	}
-	return false
 }

@@ -164,7 +164,8 @@ type Report struct {
 	Warns      int       `json:"warns"`
 }
 
-// Worst returns the most severe state in the report (OK when empty).
+// Worst returns the most severe state in the report (OK when empty). A
+// test hook: the slo and scenario tests read a run's verdict with it.
 func (r *Report) Worst() State {
 	worst := StateOK
 	for i := range r.Verdicts {

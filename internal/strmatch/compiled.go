@@ -63,8 +63,14 @@ func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uin
 			c.eq = append(c.eq, hashedRow{schema.HashString(text), text, ids})
 		}
 	}
-	// A power-of-two table at most two-thirds full, probed linearly; it
-	// always keeps an empty slot, which ends every probe.
+	c.fillSlots()
+	return c
+}
+
+// fillSlots builds the table of the equality rows by their hashes: a
+// power-of-two table at most two-thirds full, probed linearly; it always
+// keeps an empty slot, which ends every probe.
+func (c *Compiled) fillSlots() {
 	size := bits.Len(uint(len(c.eq) + len(c.eq)/2))
 	c.slots, c.shift = make([]int32, 1<<size), uint(64-size)
 	for r, row := range c.eq {
@@ -74,7 +80,6 @@ func (s *Set) CloneMapped(n int, f func(uint64) (uint64, bool), order func([]uin
 		}
 		c.slots[i] = int32(r + 1)
 	}
-	return c
 }
 
 // AppendLists is Set.AppendLists on the compiled copy, for a value v whose

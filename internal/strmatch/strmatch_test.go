@@ -408,18 +408,16 @@ func TestSACSNoFalseNegativesRandomized(t *testing.T) {
 // as the bitset of its ids, and every reader of the copy — AppendLists
 // and the row accessors — returns what the original (Match, and the
 // MatchInto oracle) returns under the mapping. It runs twice: with the
-// process's string hashes, and with every hash forced equal
-// (schema.CollideStringHashes), so each equality lookup is decided by the
-// text comparison alone.
+// process's string hashes, and with every row of the copy given one hash,
+// its table rebuilt and every value probed with that hash, so each
+// equality and ≠ lookup is decided by the text comparison alone.
 func TestCloneMappedForms(t *testing.T) {
-	defer schema.CollideStringHashes(false)
 	for _, collide := range []bool{false, true} {
-		schema.CollideStringHashes(collide)
-		testCloneMappedForms(t)
+		testCloneMappedForms(t, collide)
 	}
 }
 
-func testCloneMappedForms(t *testing.T) {
+func testCloneMappedForms(t *testing.T, collide bool) {
 	rng := rand.New(rand.NewSource(6))
 	const n = 200 // four words: lists of one to three kept ids stay lists
 	words := []string{"NYSE", "OTE", "LSE", "NASDAQ", "OTTO", "SE", "micronet", "microsoft"}
@@ -456,11 +454,23 @@ func testCloneMappedForms(t *testing.T) {
 	if len(c.eq) < 2 {
 		t.Fatalf("fixture compiled %d equality rows; want several to share a table", len(c.eq))
 	}
+	hash := schema.HashString
+	if collide {
+		const h = 0x9E3779B97F4A7C15
+		for i := range c.eq {
+			c.eq[i].hash = h
+		}
+		for i := range c.ne {
+			c.ne[i].hash = h
+		}
+		c.fillSlots()
+		hash = func(string) uint64 { return h }
+	}
 	nw := idlist.Words(n)
 	lists, bitsets := 0, 0
 	for _, v := range append(append(words, unfolded...), "unnamed", "micro", "OT", "HK") {
 		var got []uint64
-		for _, ids := range c.AppendLists(nil, v, schema.HashString(v)) {
+		for _, ids := range c.AppendLists(nil, v, hash(v)) {
 			got = idlist.Append(got, ids, nw)
 			if len(ids) == nw {
 				bitsets++

@@ -391,7 +391,6 @@ func (sm *Summary) MergeEncoded(buf []byte) error {
 	// The payload may re-register keys this summary has tombstoned; purge
 	// first so stale rows cannot over-count them (see Insert).
 	sm.purgeDead()
-	sm.view.Store(nil)
 
 	var idScratch []uint64
 	var maskScratch subid.Mask

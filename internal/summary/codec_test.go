@@ -67,9 +67,10 @@ func TestCodecRoundTripRandomized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
+	mgot, msm := got.NewMatcher(), sm.NewMatcher()
 	for i := 0; i < 500; i++ {
 		ev := randomEvent(rng, s)
-		if !reflect.DeepEqual(got.MatchKeys(ev), sm.MatchKeys(ev)) {
+		if !reflect.DeepEqual(mgot.MatchKeys(ev), msm.MatchKeys(ev)) {
 			t.Fatalf("decoded summary diverges on %s", ev.Format(s))
 		}
 	}

@@ -3,6 +3,7 @@ package summary
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func randomSummary(t *testing.T, rng *rand.Rand, n int) *Summary {
 // spoken. A well-formed v1 payload (a literal: nothing can emit one any
 // more) is refused at the version byte by both decoders, and MergeEncoded
 // refuses it before touching its target: same bytes as a twin that never
-// saw the payload, tombstones unpurged, compiled view still cached.
+// saw the payload, tombstones unpurged.
 func TestV1PayloadRefused(t *testing.T) {
 	s := stockSchema(t)
 	const refusal = "unsupported wire version"
@@ -45,11 +46,11 @@ func TestV1PayloadRefused(t *testing.T) {
 		return sm
 	}
 	sm, twin := build(), build()
-	view, tombstones := sm.compiled(), len(sm.dead)
+	tombstones := len(sm.dead)
 	if err := sm.MergeEncoded([]byte(v1SeedPayload)); err == nil || !strings.Contains(err.Error(), refusal) {
 		t.Fatalf("MergeEncoded of a v1 payload: err = %v, want %q", err, refusal)
 	}
-	if len(sm.dead) != tombstones || sm.view.Load() != view {
+	if len(sm.dead) != tombstones {
 		t.Fatal("MergeEncoded touched its target before refusing the payload")
 	}
 	if !bytes.Equal(sm.Encode(nil), twin.Encode(nil)) {
@@ -93,10 +94,11 @@ func TestMergeEncodedNoFalseNegative(t *testing.T) {
 		if err := ab.MergeEncoded(payload); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		mab, ma, mb := ab.NewMatcher(), a.NewMatcher(), b.NewMatcher()
 		for probe := 0; probe < 50; probe++ {
 			ev := randomEvent(rng, s)
 			got := make(map[uint64]bool)
-			for _, k := range ab.MatchKeys(ev) {
+			for _, k := range mab.MatchKeys(ev) {
 				_, inA := a.ids[k]
 				_, inB := b.ids[k]
 				if retracted[k] || !(inA || inB) {
@@ -104,7 +106,7 @@ func TestMergeEncodedNoFalseNegative(t *testing.T) {
 				}
 				got[k] = true
 			}
-			for _, k := range append(a.MatchKeys(ev), b.MatchKeys(ev)...) {
+			for _, k := range slices.Concat(ma.MatchKeys(ev), mb.MatchKeys(ev)) {
 				if !retracted[k] && !got[k] {
 					t.Fatalf("seed %d: id %d matches %s in A or B but not in A⊕B", seed, k, ev.Format(s))
 				}

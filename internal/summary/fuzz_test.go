@@ -228,9 +228,6 @@ func admissionSeed(events ...byte) []byte {
 // (no false negative); the last is what the next event's answer rests on.
 // Its summaries hold at most 16 ids, one word, where every row is a
 // bitset; TestMatcherMultiWord covers list rows and views of many words.
-// Each input runs twice (eachHashing), the second time with every string
-// hash colliding, so the compiled equality tables are checked on the text
-// comparison that decides a collision.
 func FuzzMatchKeys(f *testing.F) {
 	s := stockSchema(f)
 	f.Add([]byte{})
@@ -245,36 +242,22 @@ func FuzzMatchKeys(f *testing.F) {
 	f.Add(admissionSeed(1<<2 | 1<<4 | 1<<6))   // {when}, {volume}, {low}: three runs apart
 	f.Add(admissionSeed(1<<2|1<<3, 1<<3|1<<5)) // adjacent groups coalesce; then two runs
 	f.Fuzz(func(t *testing.T, data []byte) {
-		eachHashing(func() {
-			sm, events := fuzzSummaryAndEvents(s, data)
-			m := sm.NewMatcher()
-			for _, ev := range events {
-				wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
-				gotKeys, gotCost := m.MatchKeysWithCost(ev)
-				if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
-					t.Fatalf("on %s:\nreference %v %+v\nmatcher   %v %+v",
-						ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
-				}
-				if all := sm.unadmittedMatchKeys(ev); !slices.Equal(all, wantKeys) {
-					t.Fatalf("on %s: admission changed the keys: %v, counting every id %v", ev.Format(s), wantKeys, all)
-				}
-				requireScratchZero(t, "after "+ev.Format(s), m)
-				requireAdmit(t, m, ev)
-				requireScratchZero(t, "after admitting "+ev.Format(s), m)
+		sm, events := fuzzSummaryAndEvents(s, data)
+		m := sm.NewMatcher()
+		for _, ev := range events {
+			wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
+			gotKeys, gotCost := m.MatchKeysWithCost(ev)
+			if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
+				t.Fatalf("on %s:\nreference %v %+v\nmatcher   %v %+v",
+					ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
 			}
-			requireEngineKeys(t, "the engine's path", m, sm, events)
-		})
+			if all := sm.unadmittedMatchKeys(ev); !slices.Equal(all, wantKeys) {
+				t.Fatalf("on %s: admission changed the keys: %v, counting every id %v", ev.Format(s), wantKeys, all)
+			}
+			requireScratchZero(t, "after "+ev.Format(s), m)
+			requireAdmit(t, m, ev)
+			requireScratchZero(t, "after admitting "+ev.Format(s), m)
+		}
+		requireEngineKeys(t, "the engine's path", m, sm, events)
 	})
-}
-
-// eachHashing runs fn twice: with the process's string hashes, then with
-// every hash forced equal (schema.CollideStringHashes), so that each
-// compiled equality lookup collides and the text comparison alone decides
-// it. fn must build the summaries and events it matches itself.
-func eachHashing(fn func()) {
-	defer schema.CollideStringHashes(false)
-	for _, collide := range []bool{false, true} {
-		schema.CollideStringHashes(collide)
-		fn()
-	}
 }

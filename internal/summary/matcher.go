@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"github.com/subsum/subsum/internal/idlist"
 	"github.com/subsum/subsum/internal/schema"
@@ -49,15 +48,12 @@ import (
 // The match computes no operation counts. MatchKeysWithCost adds a
 // counting pass of its own (count) over the same satisfied sets.
 //
-// A matcher from Summary.NewMatcher follows its summary: each match reads
-// the summary's current view, recompiled on the first match after a
-// mutation. A matcher from View.NewMatcher is bound to that view. Either
-// must not be used concurrently with itself or with mutations of its
-// summary, but any number of matchers may match concurrently against the
-// same summary or view (see MatcherPool).
+// A matcher is bound to the view it was made from, and answers as the
+// summary stood when that view was compiled, whatever the summary does
+// afterwards. It must not be used concurrently with itself, but any number
+// of matchers may match concurrently against one view.
 type Matcher struct {
-	sm *Summary // non-nil: re-read sm's current view on every match
-	v  *View    // the view of the last match
+	v *View
 
 	// scratch holds five sets of the view's words words each and one of a
 	// word per 64 groups, all zero between events: the empty set (never
@@ -79,11 +75,14 @@ type Matcher struct {
 	res   [][]uint64 // MatchBatch: per-event windows into batch
 }
 
-// NewMatcher returns a Matcher that follows sm through its mutations.
-func (sm *Summary) NewMatcher() *Matcher { return &Matcher{sm: sm} }
+// NewMatcher returns a Matcher bound to a view of the summary's current
+// contents: sm.Compile().NewMatcher().
+func (sm *Summary) NewMatcher() *Matcher { return sm.Compile().NewMatcher() }
 
 // NewMatcher returns a Matcher bound to v.
-func (v *View) NewMatcher() *Matcher { return &Matcher{v: v} }
+func (v *View) NewMatcher() *Matcher {
+	return &Matcher{v: v, scratch: make([]uint64, 5*v.words+idlist.Words(len(v.groups)))}
+}
 
 // Match returns the ids of the subscriptions the summary says match e, in
 // ascending key order, each with its c3 mask. The returned ids are freshly
@@ -201,14 +200,10 @@ func (m *Matcher) countOwners() bool {
 // m.hit, in index order: not key order.
 func (m *Matcher) collect(e *schema.Event) { m.fold(e, m.begin(e)) }
 
-// begin binds the matcher to the view e is matched against, admits e
-// (sizing the scratch to the view), and sets the admitted ids in keep
-// over the words it leaves in m.words. It reports whether the match is
-// restricted to the eligible runs.
+// begin admits e and sets the admitted ids in keep over the words it
+// leaves in m.words. It reports whether the match is restricted to the
+// eligible runs.
 func (m *Matcher) begin(e *schema.Event) bool {
-	if m.sm != nil {
-		m.v = m.sm.compiled()
-	}
 	restricted := m.admit(e)
 	m.cover(restricted)
 	return restricted
@@ -375,13 +370,6 @@ func (m *Matcher) cover(restricted bool) {
 // eligible group.
 func (m *Matcher) admit(e *schema.Event) bool {
 	v := m.v
-	gwords := idlist.Words(len(v.groups))
-	if len(m.scratch) < 5*v.words+gwords {
-		// The view grew, or this is the first event. Zero sets mean the
-		// same whatever the view's indices mean, so the old ones are simply
-		// replaced.
-		m.scratch = make([]uint64, 5*v.words+gwords)
-	}
 	m.attrs = m.attrs[:0]
 	for _, f := range e.Fields() {
 		m.attrs.Set(int(f.Attr))
@@ -389,7 +377,7 @@ func (m *Matcher) admit(e *schema.Event) bool {
 	if v.union.Within(m.attrs) {
 		return false
 	}
-	eligible := m.scratch[5*v.words : 5*v.words+gwords]
+	eligible := m.scratch[5*v.words:]
 	setBits(eligible, min(v.empty, 1), uint64(len(v.groups)))
 	for w, absent := range v.union {
 		if w < len(m.attrs) {
@@ -445,23 +433,3 @@ func (m *Matcher) cut(lists [][]uint64) [][]uint64 {
 	m.parts = parts
 	return parts
 }
-
-// MatcherPool pools Matchers bound to one summary for concurrent event
-// sweeps: each worker Gets a matcher, matches a batch, and Puts it back,
-// reusing scratch state across events and workers without locking.
-type MatcherPool struct {
-	pool sync.Pool
-}
-
-// NewMatcherPool returns a pool whose matchers are bound to sm.
-func NewMatcherPool(sm *Summary) *MatcherPool {
-	p := &MatcherPool{}
-	p.pool.New = func() any { return sm.NewMatcher() }
-	return p
-}
-
-// Get returns a matcher bound to the pool's summary.
-func (p *MatcherPool) Get() *Matcher { return p.pool.Get().(*Matcher) }
-
-// Put returns m to the pool.
-func (p *MatcherPool) Put(m *Matcher) { p.pool.Put(m) }

@@ -45,7 +45,7 @@ func buildRandomSummary(t testing.TB, rng *rand.Rand, s *schema.Schema, n int) *
 }
 
 // TestMatcherMatchesLegacy is the differential property test: across
-// randomized workloads the pooled Matcher must report byte-identical key
+// randomized workloads the Matcher must report byte-identical key
 // sets and identical MatchCost to the map-based reference
 // (reference_test.go), on the counting path and on the engine's
 // (MatchKeys, MatchBatch), and those keys must be the ones Algorithm 1
@@ -83,12 +83,13 @@ func TestMatcherMatchesLegacy(t *testing.T) {
 			}
 		}
 		requireEngineKeys(t, fmt.Sprintf("trial %d", trial), m, sm, drawn)
-		// Mutating the summary mid-stream must not confuse the matcher's
-		// dense scratch (registry growth and swap-deletes).
+		// A matcher made after a mutation (registry growth and a
+		// swap-delete) matches the summary as it now stands.
 		if err := sm.Insert(subid.ID{Broker: 3, Local: 1}, randomSubscription(rng, s)); err != nil {
 			t.Fatal(err)
 		}
 		sm.Remove(subid.ID{Broker: 1, Local: 0})
+		m = sm.NewMatcher()
 		drawn = drawn[:0]
 		for probe := 0; probe < 50; probe++ {
 			ev := randomEvent(rng, s)
@@ -161,20 +162,19 @@ func TestMatchOrderByKey(t *testing.T) {
 		{`price=1 volume=1 symbol=OTE`, false, wantIDs},
 	} {
 		ev := mustEvent(t, s, tc.event)
-		for name, m := range map[string]*Matcher{"follower": sm.NewMatcher(), "compiled view": sm.Compile().NewMatcher()} {
-			var wantKeys []uint64
-			for _, x := range tc.want {
-				wantKeys = append(wantKeys, x.Key())
-			}
-			if got := m.MatchKeys(ev); !slices.Equal(got, wantKeys) {
-				t.Errorf("%s on %s: MatchKeys = %v, want %v", name, tc.event, got, wantKeys)
-			}
-			if m.admit(ev) != tc.restricted {
-				t.Errorf("%s on %s: restricted walk %v, want %v", name, tc.event, !tc.restricted, tc.restricted)
-			}
-			if got := m.Match(ev); !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("%s on %s: Match = %v, want %v", name, tc.event, got, tc.want)
-			}
+		m := sm.NewMatcher()
+		var wantKeys []uint64
+		for _, x := range tc.want {
+			wantKeys = append(wantKeys, x.Key())
+		}
+		if got := m.MatchKeys(ev); !slices.Equal(got, wantKeys) {
+			t.Errorf("on %s: MatchKeys = %v, want %v", tc.event, got, wantKeys)
+		}
+		if m.admit(ev) != tc.restricted {
+			t.Errorf("on %s: restricted walk %v, want %v", tc.event, !tc.restricted, tc.restricted)
+		}
+		if got := m.Match(ev); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("on %s: Match = %v, want %v", tc.event, got, tc.want)
 		}
 	}
 }
@@ -214,11 +214,11 @@ func TestMatchKeysOwnerBuckets(t *testing.T) {
 	}
 }
 
-// TestMatcherPoolConcurrent runs pooled matchers from many goroutines
-// against one shared summary and checks every result against the serial
-// answer. Run under -race this also exercises the SACS index's lazy build
-// from concurrent readers.
-func TestMatcherPoolConcurrent(t *testing.T) {
+// TestMatchersConcurrent runs one matcher per goroutine, all bound to one
+// compiled view, and checks every result against the serial answer. Run
+// under -race this is the proof that matchers share nothing writable
+// through their view.
+func TestMatchersConcurrent(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(33))
 	sm := buildRandomSummary(t, rng, s, 120)
@@ -229,20 +229,19 @@ func TestMatcherPoolConcurrent(t *testing.T) {
 		events[i] = randomEvent(rng, s)
 		want[i] = sm.referenceMatchKeys(events[i])
 	}
-	pool := NewMatcherPool(sm)
+	view := sm.Compile()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			m := view.NewMatcher()
 			for rep := 0; rep < 3; rep++ {
 				for i := g; i < nEvents; i += 8 {
-					m := pool.Get()
 					got := m.MatchKeys(events[i])
 					if !equalKeys(want[i], got) {
 						t.Errorf("goroutine %d event %d: got %v want %v", g, i, got, want[i])
 					}
-					pool.Put(m)
 				}
 			}
 		}(g)
@@ -366,8 +365,8 @@ func listsRepeat(lists [][]uint64) bool {
 // single query reaches one id through two id lists of the same attribute.
 // The id must be counted once for that attribute — twice overshoots its c3
 // target and loses a match — so keys and every MatchCost field must equal
-// the reference, through the summary-following matcher and a matcher bound
-// to the compiled view, on each event as written (missing attributes the
+// the reference, through a matcher bound to the compiled view, on each
+// event as written (missing attributes the
 // view's subscriptions name, so the walk is cut to eligible runs) and with
 // every missing attribute added (the union path). Each case first proves it
 // is not vacuous: the compiled set really lists the id twice for the probe
@@ -454,18 +453,15 @@ func TestMatcherRepeatedIDs(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				events = append(events, randomEvent(rng, s))
 			}
-			matchers := map[string]*Matcher{"follower": sm.NewMatcher(), "compiled view": bound}
 			for _, written := range events {
 				for coverage, ev := range map[string]*schema.Event{"as written": written, "all attributes": withAllAttrs(t, s, written)} {
 					wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
-					for name, m := range matchers {
-						gotKeys, gotCost := m.MatchKeysWithCost(ev)
-						if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
-							t.Fatalf("%s on %s (%s):\nreference %v %+v\nmatcher   %v %+v",
-								name, ev.Format(s), coverage, wantKeys, wantCost, gotKeys, gotCost)
-						}
-						requireScratchZero(t, name+" after "+ev.Format(s), m)
+					gotKeys, gotCost := bound.MatchKeysWithCost(ev)
+					if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
+						t.Fatalf("on %s (%s):\nreference %v %+v\nmatcher   %v %+v",
+							ev.Format(s), coverage, wantKeys, wantCost, gotKeys, gotCost)
 					}
+					requireScratchZero(t, "after "+ev.Format(s), bound)
 				}
 			}
 		})
@@ -500,16 +496,16 @@ func withAllAttrs(t testing.TB, s *schema.Schema, e *schema.Event) *schema.Event
 }
 
 // TestMatcherCountersReturnToZero pins the invariant the word pass rests
-// on: after every match, every scratch set is zero — on a matcher that
-// follows a summary through a seeded interleaving of inserts, removals and
-// merges (its view growing, shrinking and being recompiled under it, dense
-// indices changing meaning each time), and on a matcher bound to a
-// snapshot of that summary, leased again and again.
+// on: after every match, every scratch set is zero — through a seeded
+// interleaving of inserts, removals and merges, on a matcher made after
+// each mutation and reused until the next (the view growing, shrinking and
+// being recompiled, dense indices changing meaning each time), and on a
+// matcher bound to a snapshot of that summary, leased again and again.
 func TestMatcherCountersReturnToZero(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(36))
 	sm := New(s, interval.Lossy)
-	follower := sm.NewMatcher()
+	var current *Matcher // bound to the summary as it stands; nil after a mutation
 	nextLocal := subid.LocalID(0)
 	insert := func(target *Summary, broker subid.BrokerID) {
 		nextLocal++
@@ -525,8 +521,10 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 3:
 			insert(sm, subid.BrokerID(1+rng.Intn(3)))
+			current = nil
 		case op < 5 && len(sm.keys) > 10:
 			sm.RemoveKey(sm.keys[rng.Intn(len(sm.keys))])
+			current = nil
 		case op == 5:
 			other := New(s, interval.Lossy)
 			for i := 0; i < 1+rng.Intn(30); i++ {
@@ -535,6 +533,7 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 			if err := sm.MergeEncoded(other.Encode(nil)); err != nil {
 				t.Fatal(err)
 			}
+			current = nil
 		case op == 6:
 			// A snapshot, as a broker publishes one: a matcher bound to a
 			// fresh compile, reused across leases.
@@ -554,13 +553,16 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 				requireScratchZero(t, fmt.Sprintf("step %d lease %d, after MatchKeys", step, lease), m)
 			}
 		default:
+			if current == nil {
+				current = sm.NewMatcher()
+			}
 			ev := randomEvent(rng, s)
-			got, want := follower.MatchKeys(ev), sm.referenceMatchKeys(ev)
+			got, want := current.MatchKeys(ev), sm.referenceMatchKeys(ev)
 			if !slices.Equal(got, want) {
-				t.Fatalf("step %d: follower matched %v, reference %v", step, got, want)
+				t.Fatalf("step %d: matched %v, reference %v", step, got, want)
 			}
 			matched += len(want)
-			requireScratchZero(t, fmt.Sprintf("step %d", step), follower)
+			requireScratchZero(t, fmt.Sprintf("step %d", step), current)
 		}
 	}
 	if matched == 0 {
@@ -570,8 +572,7 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 
 // TestMatcherMultiWord is the differential test of the word pass over
 // views of many words: on seeded random summaries of 64, 65 and 3 000 ids,
-// a summary-following matcher and a matcher bound to the compiled view
-// return the reference's keys and MatchCost on events as drawn (most miss
+// a matcher bound to the compiled view returns the reference's keys and MatchCost on events as drawn (most miss
 // an attribute some subscription names, so the pass is cut to eligible
 // runs) and on the same events with every attribute added (the union
 // path), and leave every scratch set zero; MatchKeys, and MatchBatch over
@@ -583,13 +584,7 @@ func TestMatcherCountersReturnToZero(t *testing.T) {
 // bitset and list rows together; groups straddling a word boundary; two
 // eligible runs sharing one word; a view of more than 64 groups, whose
 // group bitsets span two words, with an eligible group past the first.
-//
-// It runs twice (eachHashing): the second time every string hash collides.
 func TestMatcherMultiWord(t *testing.T) {
-	eachHashing(func() { testMatcherMultiWord(t) })
-}
-
-func testMatcherMultiWord(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(38))
 	// A ≠ entry is consulted by every value but its own, so on an attribute
@@ -630,21 +625,18 @@ func testMatcherMultiWord(t *testing.T) {
 		if len(v.groups) > 64 {
 			wideViews++
 		}
-		follower, bound := sm.NewMatcher(), v.NewMatcher()
+		bound := v.NewMatcher()
 		for probe := 0; probe < 300; probe++ {
 			drawn := randomEvent(rng, s)
 			drawnRun = append(drawnRun, drawn, withAllAttrs(t, s, drawn))
 			for _, ev := range drawnRun[len(drawnRun)-2:] {
 				wantKeys, wantCost := sm.referenceMatchKeysWithCost(ev)
-				for name, m := range map[string]*Matcher{"follower": follower, "compiled view": bound} {
-					gotKeys, gotCost := m.MatchKeysWithCost(ev)
-					if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
-						t.Fatalf("%d ids, %s on %s:\nreference %v %+v\nmatcher   %v %+v",
-							n, name, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
-					}
-					requireScratchZero(t, fmt.Sprintf("%d ids, %s after %s", n, name, ev.Format(s)), m)
+				gotKeys, gotCost := bound.MatchKeysWithCost(ev)
+				if !slices.Equal(gotKeys, wantKeys) || gotCost != wantCost {
+					t.Fatalf("%d ids on %s:\nreference %v %+v\nmatcher   %v %+v",
+						n, ev.Format(s), wantKeys, wantCost, gotKeys, gotCost)
 				}
-				requireAdmit(t, follower, ev)
+				requireScratchZero(t, fmt.Sprintf("%d ids, after %s", n, ev.Format(s)), bound)
 				if !requireAdmit(t, bound, ev) {
 					union++
 				} else {
@@ -658,7 +650,7 @@ func testMatcherMultiWord(t *testing.T) {
 						farEligible++
 					}
 				}
-				requireScratchZero(t, fmt.Sprintf("%d ids, after admitting %s", n, ev.Format(s)), follower, bound)
+				requireScratchZero(t, fmt.Sprintf("%d ids, after admitting %s", n, ev.Format(s)), bound)
 				for _, f := range ev.Fields() {
 					var rows [][]uint64
 					if a := v.attr(f.Attr); a != nil && a.aacs != nil && f.Value.Arithmetic() {
@@ -683,9 +675,7 @@ func testMatcherMultiWord(t *testing.T) {
 				}
 			}
 		}
-		for name, m := range map[string]*Matcher{"follower": follower, "compiled view": bound} {
-			requireEngineKeys(t, fmt.Sprintf("%d ids, %s", n, name), m, sm, drawnRun)
-		}
+		requireEngineKeys(t, fmt.Sprintf("%d ids", n), bound, sm, drawnRun)
 	}
 	t.Logf("attributes with one bitset row %d, several %d, bitsets and lists %d; %d straddling groups; "+
 		"%d shared words; %d restricted and %d union events; %d views of over 64 groups, "+
@@ -804,7 +794,7 @@ func repeatsFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 	for i := range events {
 		events[i] = mustEvent(tb, s, fmt.Sprintf(`price=%d symbol=OT%dE volume=3`, 5+i%20, i%4))
 	}
-	v := sm.compiled()
+	v := sm.Compile()
 	priceID, _ := s.ID("price")
 	symbolID, _ := s.ID("symbol")
 	for _, ev := range events {
@@ -835,7 +825,6 @@ func restrictedFixture(tb testing.TB) (*Matcher, []*schema.Event) {
 			tb.Fatalf("fixture: %d of %d drawn events take the restricted walk", len(events), draws)
 		}
 		ev := randomEvent(rng, s)
-		m.MatchKeys(ev) // binds m to the view admit reads
 		if m.admit(ev) && len(m.runs) > 0 {
 			events = append(events, ev)
 		}

@@ -3,6 +3,7 @@ package summary
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/subsum/subsum/internal/interval"
@@ -35,11 +36,12 @@ func TestMergeCommutative(t *testing.T) {
 		if err := ba.MergeEncoded(a.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
+		mab, mba := ab.NewMatcher(), ba.NewMatcher()
 		for probe := 0; probe < 200; probe++ {
 			ev := randomEvent(rng, s)
-			if !reflect.DeepEqual(ab.MatchKeys(ev), ba.MatchKeys(ev)) {
+			if !reflect.DeepEqual(mab.MatchKeys(ev), mba.MatchKeys(ev)) {
 				t.Fatalf("merge not commutative on %s:\nA⊕B %v\nB⊕A %v",
-					ev.Format(s), ab.MatchKeys(ev), ba.MatchKeys(ev))
+					ev.Format(s), mab.MatchKeys(ev), mba.MatchKeys(ev))
 			}
 		}
 	}
@@ -87,11 +89,12 @@ func TestMergeAssociativeBehaviour(t *testing.T) {
 			t.Fatal(err)
 		}
 		seedDiffers := false
+		matchers := []*Matcher{left.NewMatcher(), right.NewMatcher()}
 		for probe := 0; probe < 100; probe++ {
 			ev := randomEvent(rng, s)
 			reported := [2]map[uint64]bool{{}, {}}
-			for side, sm := range []*Summary{left, right} {
-				for _, k := range sm.MatchKeys(ev) {
+			for side, m := range matchers {
+				for _, k := range m.MatchKeys(ev) {
 					reported[side][k] = true
 				}
 			}
@@ -149,9 +152,10 @@ func TestRemoveRestoresAbsence(t *testing.T) {
 	if churned.NumSubscriptions() != base.NumSubscriptions() {
 		t.Fatalf("subscriptions = %d, want %d", churned.NumSubscriptions(), base.NumSubscriptions())
 	}
+	mc, mb := churned.NewMatcher(), base.NewMatcher()
 	for probe := 0; probe < 1000; probe++ {
 		ev := randomEvent(rng, s)
-		got := churned.MatchKeys(ev)
+		got := mc.MatchKeys(ev)
 		gotSet := make(map[uint64]bool, len(got))
 		for _, k := range got {
 			if !subs[k] {
@@ -164,7 +168,7 @@ func TestRemoveRestoresAbsence(t *testing.T) {
 		// subscription can leave a generalized SACS pattern behind, which
 		// is the documented lossy behaviour — precision is restored by the
 		// owner's exact re-match.)
-		for _, k := range base.MatchKeys(ev) {
+		for _, k := range mb.MatchKeys(ev) {
 			if !gotSet[k] {
 				t.Fatalf("false negative after churn on %s: id %d missing", ev.Format(s), k)
 			}
@@ -218,14 +222,16 @@ func TestCompactPreservesMatching(t *testing.T) {
 	}
 	events := make([]*schema.Event, 300)
 	before := make([][]uint64, len(events))
+	m := sm.NewMatcher()
 	for i := range events {
 		events[i] = randomEvent(rng, s)
-		before[i] = sm.MatchKeys(events[i])
+		before[i] = slices.Clone(m.MatchKeys(events[i]))
 	}
 	merged := sm.Compact()
 	t.Logf("Compact eliminated %d rows", merged)
+	m = sm.NewMatcher()
 	for i, ev := range events {
-		if !reflect.DeepEqual(sm.MatchKeys(ev), before[i]) {
+		if !reflect.DeepEqual(m.MatchKeys(ev), before[i]) {
 			t.Fatalf("matching changed after Compact on %s", ev.Format(s))
 		}
 	}

@@ -39,7 +39,7 @@ func (sm *Summary) referenceCount(e *schema.Event, admit bool) ([]uint64, MatchC
 				n++
 			}
 		}
-		return n == int(sm.targets[i])
+		return n == sm.masks[i].Count()
 	}
 	for _, f := range e.Fields() {
 		// Step 1: collect satisfied id lists for this attribute.
@@ -67,7 +67,7 @@ func (sm *Summary) referenceCount(e *schema.Event, admit bool) ([]uint64, MatchC
 	cost.UniqueIDs = len(counters)
 	var out []uint64
 	for key, n := range counters {
-		if n == int(sm.targets[sm.ids[key]]) {
+		if n == sm.masks[sm.ids[key]].Count() {
 			out = append(out, key)
 		}
 	}

@@ -18,7 +18,6 @@ package summary
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"github.com/subsum/subsum/internal/interval"
 	"github.com/subsum/subsum/internal/schema"
@@ -34,12 +33,11 @@ type Summary struct {
 	sacs   map[schema.AttrID]*strmatch.Set
 
 	// Subscription-id registry. ids maps an id key (c1‖c2) to a dense
-	// index into the parallel keys/masks/targets slices (insertion order,
+	// index into the parallel keys/masks slices (insertion order,
 	// swap-deleted). Masks are read-only once registered.
-	ids     map[uint64]int32
-	keys    []uint64
-	masks   []subid.Mask
-	targets []int32 // masks[i].Count(), cached (the c3 match target)
+	ids   map[uint64]int32
+	keys  []uint64
+	masks []subid.Mask
 
 	// retract is the pending-retraction set: id keys whose subscriptions
 	// were withdrawn and whose removal must still reach downstream peers.
@@ -58,13 +56,6 @@ type Summary struct {
 	// purges when a tombstoned key is re-registered so stale rows can
 	// never over-count a reused id past its c3 target.
 	dead map[uint64]struct{}
-
-	// view caches the compiled match view (see View) that
-	// NewMatcher's matchers read. Every mutator that can change a match
-	// result clears it, so a matcher used across sequential mutations
-	// follows the summary; purges and compaction leave results, and so the
-	// cache, alone.
-	view atomic.Pointer[View]
 }
 
 // New returns an empty summary over the given schema. The AACS equality
@@ -84,7 +75,6 @@ func (sm *Summary) registerID(key uint64, mask subid.Mask) {
 	sm.ids[key] = int32(len(sm.keys))
 	sm.keys = append(sm.keys, key)
 	sm.masks = append(sm.masks, mask)
-	sm.targets = append(sm.targets, int32(mask.Count()))
 }
 
 // maskOf returns the registered c3 mask for key, nil if unregistered.
@@ -123,7 +113,6 @@ func (sm *Summary) Insert(id subid.ID, sub *schema.Subscription) error {
 	if _, dup := sm.ids[key]; dup {
 		return fmt.Errorf("summary: duplicate subscription id %v", id)
 	}
-	sm.view.Store(nil)
 	if _, tomb := sm.dead[key]; tomb {
 		// The key is being reused before its old rows were purged: sweep
 		// now, or the stale rows would count extra attributes against the
@@ -251,19 +240,16 @@ func (sm *Summary) RemoveKey(key uint64) {
 	if !ok {
 		return
 	}
-	sm.view.Store(nil)
 	// Swap-delete from the dense registry: the last key takes the vacated
 	// index so the slices stay dense.
 	last := int32(len(sm.keys) - 1)
 	if i != last {
 		sm.keys[i] = sm.keys[last]
 		sm.masks[i] = sm.masks[last]
-		sm.targets[i] = sm.targets[last]
 		sm.ids[sm.keys[i]] = i
 	}
 	sm.keys = sm.keys[:last]
 	sm.masks = sm.masks[:last]
-	sm.targets = sm.targets[:last]
 	delete(sm.ids, key)
 	if sm.dead == nil {
 		sm.dead = make(map[uint64]struct{})
@@ -334,9 +320,9 @@ func (sm *Summary) NumRetractions() int { return len(sm.retract) }
 func (sm *Summary) ClearRetractions() { sm.retract = nil }
 
 // Match runs Algorithm 1 (see Matcher) on the event once, through a
-// matcher made for the call: the ids whose subscriptions the summary says
+// view compiled for the call: the ids whose subscriptions the summary says
 // match, sorted by id key. Callers matching many events against one
-// summary hold a Matcher (or a MatcherPool) instead and reuse its scratch.
+// summary hold a Matcher instead and reuse its view and scratch.
 func (sm *Summary) Match(e *schema.Event) []subid.ID { return sm.NewMatcher().Match(e) }
 
 // MatchKeys is Match returning raw id keys (ascending), owned by the

@@ -304,9 +304,10 @@ func TestNoFalseNegativesRandomized(t *testing.T) {
 				}
 				subs = append(subs, entry{id: sid, sub: sub})
 			}
+			m := sm.NewMatcher()
 			for i := 0; i < 2000; i++ {
 				ev := tc.event(rng, s)
-				got := sm.MatchKeys(ev)
+				got := m.MatchKeys(ev)
 				gotSet := make(map[uint64]bool, len(got))
 				for _, k := range got {
 					gotSet[k] = true
@@ -349,9 +350,10 @@ func TestExactModeNoArithmeticFalsePositives(t *testing.T) {
 	if sm.Stats().Arithmetic.NumEq == 0 {
 		t.Fatal("fixture is vacuous: every equality folded into a range")
 	}
+	m := sm.NewMatcher()
 	for i := 0; i < 1000; i++ {
 		ev := randomApartEvent(rng, s)
-		got := sm.MatchKeys(ev)
+		got := m.MatchKeys(ev)
 		want := make(map[uint64]bool)
 		for _, e := range subs {
 			if e.sub.Matches(ev) {

@@ -13,18 +13,15 @@ import (
 // per-attribute structure.
 func (sm *Summary) Validate() error {
 	sm.purgeDead()
-	// Dense-registry consistency: ids, keys, masks, and targets describe
-	// the same set of subscriptions, with targets caching the mask counts.
-	if len(sm.keys) != len(sm.ids) || len(sm.masks) != len(sm.keys) || len(sm.targets) != len(sm.keys) {
-		return fmt.Errorf("summary: registry slices out of sync (%d ids, %d keys, %d masks, %d targets)",
-			len(sm.ids), len(sm.keys), len(sm.masks), len(sm.targets))
+	// Dense-registry consistency: ids, keys and masks describe the same
+	// set of subscriptions.
+	if len(sm.keys) != len(sm.ids) || len(sm.masks) != len(sm.keys) {
+		return fmt.Errorf("summary: registry slices out of sync (%d ids, %d keys, %d masks)",
+			len(sm.ids), len(sm.keys), len(sm.masks))
 	}
 	for i, key := range sm.keys {
 		if j, ok := sm.ids[key]; !ok || int(j) != i {
 			return fmt.Errorf("summary: registry index for id %d is stale", key)
-		}
-		if int(sm.targets[i]) != sm.masks[i].Count() {
-			return fmt.Errorf("summary: cached target for id %d is %d, mask has %d", key, sm.targets[i], sm.masks[i].Count())
 		}
 	}
 	seen := make(map[uint64]bool, len(sm.ids))

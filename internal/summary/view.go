@@ -321,15 +321,3 @@ func (s *groupSort) sort(groups int) {
 		fill[e.list]++
 	}
 }
-
-// compiled returns the view of the summary's current contents, building it
-// on first use after a mutation. Concurrent readers may race to build it;
-// they build equal views, so whichever store lands is right.
-func (sm *Summary) compiled() *View {
-	if v := sm.view.Load(); v != nil {
-		return v
-	}
-	v := sm.Compile()
-	sm.view.Store(v)
-	return v
-}

@@ -43,14 +43,12 @@ func dirtySummary(t testing.TB, rng *rand.Rand, s *schema.Schema, n int) *Summar
 }
 
 // TestViewMatchesReference is the differential test of the compiled view:
-// on seeded random summaries, the summary-following matcher
-// and a matcher bound to the compiled view, one event at a time and
-// batched, return the keys and the MatchCost of the map-based reference,
-// with unpurged tombstones and a stray row id in the structures; the keys
-// are those of counting every listed id. The one-shot Summary.Match/
-// MatchKeys wrappers are held to the same reference, also between
-// mutations: each call caches the view it compiled, so every mutator must
-// drop it.
+// on seeded random summaries, a matcher bound to the compiled view, one
+// event at a time and batched, returns the keys and the MatchCost of the
+// map-based reference, with unpurged tombstones and a stray row id in the
+// structures; the keys are those of counting every listed id. The one-shot
+// Summary.Match/MatchKeys wrappers are held to the same reference, also
+// between mutations: each call compiles the summary as it then stands.
 func TestViewMatchesReference(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(61))
@@ -77,9 +75,8 @@ func TestViewMatchesReference(t *testing.T) {
 				matched += len(wantKeys)
 			}
 		}
-		check("Summary.NewMatcher", sm.NewMatcher().MatchKeysWithCost)
-		bound := sm.Compile().NewMatcher()
-		check("View.NewMatcher", bound.MatchKeysWithCost)
+		bound := sm.NewMatcher()
+		check("matcher", bound.MatchKeysWithCost)
 		res := bound.MatchBatch(events)
 		if len(res) != len(events) {
 			t.Fatalf("MatchBatch returned %d results for %d events", len(res), len(events))
@@ -306,30 +303,29 @@ func TestViewDropsEntriesOutsideMask(t *testing.T) {
 		t.Fatal(err)
 	}
 	paths := map[bool]int{} // restricted → events
-	for name, m := range map[string]*Matcher{"follower": sm.NewMatcher(), "compiled view": sm.Compile().NewMatcher()} {
-		for _, tc := range []struct {
-			event string
-			want  []uint64
-			cost  MatchCost
-		}{
-			// price lists x; volume lists id 1/1 alone once the strays go.
-			{`price=20 volume=5`, []uint64{id(1, 1).Key(), x.Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 2, UniqueIDs: 2, Matched: 2}},
-			{`price=20 volume=70`, []uint64{x.Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
-			{`price=20`, []uint64{x.Key()}, MatchCost{EventAttrs: 1, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
-			{`price=5 volume=5`, []uint64{id(1, 1).Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
-			{`volume=70`, nil, MatchCost{EventAttrs: 1}},
-			{`exchange=NYSE`, nil, MatchCost{EventAttrs: 1}},
-		} {
-			ev := mustEvent(t, s, tc.event)
-			if got, cost := m.MatchKeysWithCost(ev); !slices.Equal(got, tc.want) || cost != tc.cost {
-				t.Errorf("%s on %s: matched %v at %+v, want %v at %+v", name, tc.event, got, cost, tc.want, tc.cost)
-			}
-			if got := m.MatchKeys(ev); !slices.Equal(got, tc.want) {
-				t.Errorf("%s on %s: MatchKeys matched %v, want %v", name, tc.event, got, tc.want)
-			}
-			restricted, _ := scanAdmit(m.v, ev)
-			paths[restricted]++
+	m := sm.NewMatcher()
+	for _, tc := range []struct {
+		event string
+		want  []uint64
+		cost  MatchCost
+	}{
+		// price lists x; volume lists id 1/1 alone once the strays go.
+		{`price=20 volume=5`, []uint64{id(1, 1).Key(), x.Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 2, UniqueIDs: 2, Matched: 2}},
+		{`price=20 volume=70`, []uint64{x.Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
+		{`price=20`, []uint64{x.Key()}, MatchCost{EventAttrs: 1, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
+		{`price=5 volume=5`, []uint64{id(1, 1).Key()}, MatchCost{EventAttrs: 2, CollectedIDs: 1, UniqueIDs: 1, Matched: 1}},
+		{`volume=70`, nil, MatchCost{EventAttrs: 1}},
+		{`exchange=NYSE`, nil, MatchCost{EventAttrs: 1}},
+	} {
+		ev := mustEvent(t, s, tc.event)
+		if got, cost := m.MatchKeysWithCost(ev); !slices.Equal(got, tc.want) || cost != tc.cost {
+			t.Errorf("on %s: matched %v at %+v, want %v at %+v", tc.event, got, cost, tc.want, tc.cost)
 		}
+		if got := m.MatchKeys(ev); !slices.Equal(got, tc.want) {
+			t.Errorf("on %s: MatchKeys matched %v, want %v", tc.event, got, tc.want)
+		}
+		restricted, _ := scanAdmit(m.v, ev)
+		paths[restricted]++
 	}
 	if paths[false] == 0 || paths[true] == 0 {
 		t.Fatalf("events by path (restricted → count) %v: want both the union path and the restricted one", paths)
@@ -338,8 +334,7 @@ func TestViewDropsEntriesOutsideMask(t *testing.T) {
 
 // TestViewReRegisteredID retracts an id and registers it again with
 // different constraints: none of its old rows may count toward the new c3
-// target — in a matcher that was following the summary all along, or in a
-// fresh compile.
+// target in a view compiled afterwards.
 func TestViewReRegisteredID(t *testing.T) {
 	s := stockSchema(t)
 	sm := New(s, interval.Lossy)
@@ -350,36 +345,32 @@ func TestViewReRegisteredID(t *testing.T) {
 	if err := sm.Insert(id(4, 10), mustSub(t, s, `price > 10`)); err != nil {
 		t.Fatal(err)
 	}
-	follower := sm.NewMatcher()
 	old := mustEvent(t, s, `price=20 symbol=OTE volume=5 exchange=NYSE`)
-	if got := follower.MatchKeys(old); !slices.Equal(got, []uint64{x.Key(), id(4, 10).Key()}) {
+	if got := sm.MatchKeys(old); !slices.Equal(got, []uint64{x.Key(), id(4, 10).Key()}) {
 		t.Fatalf("before retraction: matched %v", got)
 	}
 	sm.AddRetraction(x.Key())
-	if got := follower.MatchKeys(old); !slices.Equal(got, []uint64{id(4, 10).Key()}) {
+	if got := sm.MatchKeys(old); !slices.Equal(got, []uint64{id(4, 10).Key()}) {
 		t.Fatalf("after retraction: matched %v, want only the other subscription", got)
 	}
-	if err := sm.Insert(x, mustSub(t, s, `exchange = NYSE`)); err != nil {
-		t.Fatal(err)
-	}
 	// The new subscription constrains one attribute. Stale price, symbol
-	// and volume rows would push its counter to 4 on this event and lose it.
+	// and volume rows would push its counter to 4 on the old event and
+	// lose it.
 	both := []uint64{x.Key(), id(4, 10).Key()}
 	onlyNew := mustEvent(t, s, `exchange=NYSE`)
 	onlyOld := mustEvent(t, s, `price=20 symbol=OTE volume=5 exchange=LSE`)
-	for name, match := range map[string]func(*schema.Event) []uint64{
-		"follower":      follower.MatchKeys,
-		"compiled view": sm.Compile().NewMatcher().MatchKeys,
-	} {
-		if got := match(old); !slices.Equal(got, both) {
-			t.Errorf("%s: old+new event matched %v, want %v", name, got, both)
-		}
-		if got := match(onlyNew); !slices.Equal(got, []uint64{x.Key()}) {
-			t.Errorf("%s: new-constraint event matched %v, want the re-registered id", name, got)
-		}
-		if got := match(onlyOld); !slices.Equal(got, []uint64{id(4, 10).Key()}) {
-			t.Errorf("%s: old-constraint event matched %v, want only the other subscription", name, got)
-		}
+	if err := sm.Insert(x, mustSub(t, s, `exchange = NYSE`)); err != nil {
+		t.Fatal(err)
+	}
+	m := sm.NewMatcher()
+	if got := m.MatchKeys(old); !slices.Equal(got, both) {
+		t.Errorf("old+new event matched %v, want %v", got, both)
+	}
+	if got := m.MatchKeys(onlyNew); !slices.Equal(got, []uint64{x.Key()}) {
+		t.Errorf("new-constraint event matched %v, want the re-registered id", got)
+	}
+	if got := m.MatchKeys(onlyOld); !slices.Equal(got, []uint64{id(4, 10).Key()}) {
+		t.Errorf("old-constraint event matched %v, want only the other subscription", got)
 	}
 }
 
@@ -397,32 +388,27 @@ func TestViewEmptySummary(t *testing.T) {
 	if keys, cost := v.NewMatcher().MatchKeysWithCost(ev); len(keys) != 0 || cost != want {
 		t.Fatalf("empty view matched %v at cost %+v, want nothing at %+v", keys, cost, want)
 	}
-	if keys, cost := sm.NewMatcher().MatchKeysWithCost(ev); len(keys) != 0 || cost != want {
-		t.Fatalf("empty summary's matcher returned %v at cost %+v", keys, cost)
-	}
 }
 
-// TestMatchRecoversMasks checks the id-returning entry points give every
-// matched id its c3 mask, following the summary and bound to a compile.
+// TestMatchRecoversMasks checks the id-returning entry point gives every
+// matched id its c3 mask.
 func TestMatchRecoversMasks(t *testing.T) {
 	s := stockSchema(t)
 	rng := rand.New(rand.NewSource(64))
 	sm := dirtySummary(t, rng, s, 160)
-	matchers := []*Matcher{sm.NewMatcher(), sm.Compile().NewMatcher()}
+	m := sm.NewMatcher()
 	matched := 0
 	for probe := 0; probe < 200; probe++ {
 		ev := randomEvent(rng, s)
 		want := sm.referenceMatch(ev)
 		matched += len(want)
-		for mi, m := range matchers {
-			got := m.Match(ev)
-			if len(got) != len(want) {
-				t.Fatalf("matcher %d returned %d ids, want %d", mi, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Key() != want[i].Key() || got[i].Attrs == nil || !got[i].Attrs.Equal(want[i].Attrs) {
-					t.Fatalf("matcher %d id %d: got %v want %v", mi, i, got[i], want[i])
-				}
+		got := m.Match(ev)
+		if len(got) != len(want) {
+			t.Fatalf("matcher returned %d ids, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Key() != want[i].Key() || got[i].Attrs == nil || !got[i].Attrs.Equal(want[i].Attrs) {
+				t.Fatalf("id %d: got %v want %v", i, got[i], want[i])
 			}
 		}
 	}

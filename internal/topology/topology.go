@@ -40,7 +40,8 @@ func (g *Graph) Name() string { return g.name }
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.adj) }
 
-// NumEdges returns the number of undirected edges.
+// NumEdges returns the number of undirected edges. A test hook: the
+// topology and subsum-bench tests check generated overlays with it.
 func (g *Graph) NumEdges() int { return g.edges }
 
 // AddEdge inserts an undirected edge; self-loops and duplicates are
@@ -152,7 +153,9 @@ func (g *Graph) BFSFrom(src NodeID) (dist []int, parent []NodeID) {
 	return dist, parent
 }
 
-// Connected reports whether every node is reachable from node 0.
+// Connected reports whether every node is reachable from node 0. A test
+// hook: the topology, subsum-topo and facade tests check generated
+// overlays with it.
 func (g *Graph) Connected() bool {
 	dist, _ := g.BFSFrom(0)
 	for _, d := range dist {
@@ -161,15 +164,6 @@ func (g *Graph) Connected() bool {
 		}
 	}
 	return true
-}
-
-// AllPairsHops returns the full hop-distance matrix.
-func (g *Graph) AllPairsHops() [][]int {
-	out := make([][]int, len(g.adj))
-	for i := range out {
-		out[i], _ = g.BFSFrom(NodeID(i))
-	}
-	return out
 }
 
 // MeanPairHops returns the mean hop distance over ordered distinct pairs
@@ -396,7 +390,8 @@ func Random(n, extraEdges int, seed int64) *Graph {
 	return g
 }
 
-// RandomTree returns a connected random tree on n nodes.
+// RandomTree returns a connected random tree on n nodes. A test hook: the
+// propagation tests run Algorithm 2 over random trees.
 func RandomTree(n int, seed int64) *Graph {
 	g := Random(n, 0, seed)
 	g.name = fmt.Sprintf("tree-%d", n)

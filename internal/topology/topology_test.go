@@ -262,3 +262,12 @@ func TestTopologySuiteConnectivity(t *testing.T) {
 		}
 	}
 }
+
+// AllPairsHops returns the full hop-distance matrix.
+func (g *Graph) AllPairsHops() [][]int {
+	out := make([][]int, len(g.adj))
+	for i := range out {
+		out[i], _ = g.BFSFrom(NodeID(i))
+	}
+	return out
+}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -98,5 +99,31 @@ func TestOversizedRequestReply(t *testing.T) {
 	c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if sc.Scan() {
 		t.Fatalf("unexpected extra reply after oversized request: %q", sc.Bytes())
+	}
+}
+
+// TestOverlongStringReply: a subscribe or extend line of well under the
+// 1 MiB line limit can still carry a string longer than the 65 535 bytes
+// a summary, subscription or snapshot codec can write; it draws an error
+// reply, while a constant of exactly 65 535 bytes is subscribed.
+func TestOverlongStringReply(t *testing.T) {
+	addr, _ := startServer(t)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	over := strings.Repeat("X", math.MaxUint16+1)
+	for _, line := range []string{
+		`{"op":"subscribe","broker":3,"expr":"symbol = ` + over + `"}`,
+		`{"op":"extend","attr":"` + over + `","attrtype":"float"}`,
+	} {
+		if resp := rawExchange(t, c, line); resp.Type != "reply" || !strings.Contains(resp.Error, "exceeds the codec") {
+			t.Fatalf("%s of a %d-byte string: reply %+v", line[:20], len(over), resp)
+		}
+	}
+	fits := `{"op":"subscribe","broker":3,"expr":"symbol = ` + over[1:] + `"}`
+	if resp := rawExchange(t, c, fits); resp.Error != "" {
+		t.Fatalf("subscribe of a %d-byte constant: %+v", len(over)-1, resp)
 	}
 }

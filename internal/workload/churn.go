@@ -91,13 +91,9 @@ func NewChurn(g *Generator, cfg ChurnConfig) (*Churn, error) {
 	}, nil
 }
 
-// Live returns the number of currently live subscriptions.
+// Live returns the number of currently live subscriptions. A test hook:
+// the workload tests check the stream converges with it.
 func (c *Churn) Live() int { return c.live }
-
-// SteadyStateLive returns the live count the stream converges to.
-func (c *Churn) SteadyStateLive() int {
-	return int(float64(c.cfg.Rate)*c.cfg.MeanLifetime + 0.5)
-}
 
 // Period advances one propagation period: it returns the handles dying
 // this period (sorted, from earlier births) and Rate fresh subscriptions,

@@ -124,3 +124,8 @@ func TestChurnDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// SteadyStateLive returns the live count the stream converges to.
+func (c *Churn) SteadyStateLive() int {
+	return int(float64(c.cfg.Rate)*c.cfg.MeanLifetime + 0.5)
+}

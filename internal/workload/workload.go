@@ -169,12 +169,6 @@ func (g *Generator) Schema() *schema.Schema { return g.schema }
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
-// NumArithmetic and NumString report the attribute split.
-func (g *Generator) NumArithmetic() int { return len(g.arith) }
-
-// NumString reports the number of string attributes.
-func (g *Generator) NumString() int { return len(g.strs) }
-
 // Subscription generates one subscription with AttrsPerSub distinct
 // attributes, honouring the configured subsumption probability per
 // constraint.

@@ -252,3 +252,9 @@ func TestGeneratorSurvivesSchemaEvolution(t *testing.T) {
 		_ = g.AnchoredSubscription(0.5)
 	}
 }
+
+// NumArithmetic and NumString report the attribute split.
+func (g *Generator) NumArithmetic() int { return len(g.arith) }
+
+// NumString reports the number of string attributes.
+func (g *Generator) NumString() int { return len(g.strs) }

@@ -113,10 +113,8 @@ var (
 	Date   = schema.DateValue
 )
 
-// NewSchema builds a schema from attribute definitions.
-func NewSchema(attrs ...Attribute) (*Schema, error) { return schema.New(attrs...) }
-
-// MustSchema is NewSchema panicking on error, for literal schemas.
+// MustSchema builds a schema from attribute definitions, panicking on
+// error, for literal schemas.
 func MustSchema(attrs ...Attribute) *Schema { return schema.MustNew(attrs...) }
 
 // NewSubscription validates constraints and builds a subscription.
@@ -168,21 +166,16 @@ func NewSummary(s *Schema, mode SummaryMode) *Summary { return summary.New(s, mo
 
 // Allocation-free matching (Algorithm 1 hot path).
 type (
-	// Matcher runs Algorithm 1 against one summary with reusable scratch
-	// state — zero steady-state allocations per matched event. Create one
-	// with Summary.NewMatcher; a matcher is single-threaded, but any
-	// number may run concurrently against the same summary.
+	// Matcher runs Algorithm 1 against a compiled view of one summary
+	// with reusable scratch state — zero steady-state allocations per
+	// matched event. Summary.NewMatcher compiles a view and binds a
+	// matcher to it; a matcher is single-threaded, but any number may
+	// run concurrently against one view (Summary.Compile, View.NewMatcher).
 	Matcher = summary.Matcher
-	// MatcherPool pools matchers bound to one summary for concurrent
-	// event sweeps.
-	MatcherPool = summary.MatcherPool
 	// MatchCost reports the Section 5.2.4 operation counts (T1/T2 terms)
 	// of one Algorithm 1 run.
 	MatchCost = summary.MatchCost
 )
-
-// NewMatcherPool returns a pool whose matchers are bound to sm.
-func NewMatcherPool(sm *Summary) *MatcherPool { return summary.NewMatcherPool(sm) }
 
 // DecodeSummary parses a summary from its binary wire form.
 func DecodeSummary(s *Schema, buf []byte) (*Summary, error) { return summary.Decode(s, buf) }
@@ -261,8 +254,6 @@ type (
 	// PropagationResult is the outcome of one Algorithm 2 phase: per-broker
 	// merged summaries, Merged_Brokers sets, and full cost accounting.
 	PropagationResult = propagation.Result
-	// PropagationCost fixes s_st and s_id for the paper's cost equations.
-	PropagationCost = propagation.CostModel
 	// Router routes events over a propagation result (Algorithm 3).
 	Router = routing.Router
 	// RouteTrace records the processing of one event.
@@ -273,11 +264,6 @@ type (
 // where own[i] is broker i's summary, using the Table 2 cost model.
 func RunPropagation(g *Graph, own []*Summary) (*PropagationResult, error) {
 	return propagation.Run(g, own, propagation.DefaultCostModel())
-}
-
-// RunPropagationWithCost is RunPropagation with explicit s_st/s_id sizes.
-func RunPropagationWithCost(g *Graph, own []*Summary, cost PropagationCost) (*PropagationResult, error) {
-	return propagation.Run(g, own, cost)
 }
 
 // NewRouter builds a deterministic Algorithm 3 router over a propagation
